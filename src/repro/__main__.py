@@ -209,6 +209,7 @@ def _perf_kernel_bench(args) -> int:
 
     print("kernel benchmark: heap vs ring on identical seeded workloads...")
     report = run_kernel_report()
+    print(f"default kernel: {report['default_kernel']}")
     churn = report["churn_microbench"]
     rows = []
     for name in ("heap", "ring"):
@@ -287,6 +288,8 @@ def cmd_perf(args) -> int:
         report = profile_hot_paths()
         write_report(report, path)
         print(f"wrote {path}")
+    if "event_kernel" in report:  # absent from reports older than the key
+        print(f"event kernel: {report['event_kernel']}")
     _print_table(
         "hot-path performance pass — wall-clock seconds",
         ["pipeline", "baseline", "optimized", "speedup", "identical results"],
@@ -1291,8 +1294,8 @@ def main(argv=None) -> int:
     shards.add_argument("--shards", type=int, default=2,
                         help="number of independent replica groups (default 2)")
     shards.add_argument("--seed", type=int, default=42)
-    shards.add_argument("--kernel", choices=["heap", "ring"], default="heap",
-                        help="event kernel (default heap)")
+    shards.add_argument("--kernel", choices=["heap", "ring"], default=None,
+                        help="event kernel (default: REPRO_KERNEL or ring)")
     shards.add_argument("--split", action="store_true",
                         help="also perform a live shard split mid-run "
                              "(moves two items, grows the target group)")
@@ -1312,7 +1315,7 @@ def main(argv=None) -> int:
                       help="remeasure even if the report file exists")
     perf.add_argument("--kernel", choices=["heap", "ring"], default=None,
                       help="event kernel for the profiled runs "
-                           "(default: REPRO_KERNEL or heap)")
+                           "(default: REPRO_KERNEL or ring)")
     perf.set_defaults(func=cmd_perf)
 
     chaos = subparsers.add_parser(
@@ -1412,7 +1415,7 @@ def main(argv=None) -> int:
                        help="scoreboard sampling interval in simulated "
                             "seconds (default 0.25)")
     fleet.add_argument("--kernel", choices=("heap", "ring"), default=None,
-                       help="event kernel (default: REPRO_KERNEL or heap)")
+                       help="event kernel (default: REPRO_KERNEL or ring)")
     fleet.add_argument("--kill-leader", action="store_true",
                        help="crash shard 0's leader at t=duration/3 and "
                             "recover it at 2*duration/3")

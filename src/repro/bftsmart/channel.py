@@ -150,13 +150,11 @@ class SecureChannel:
 
     def __init__(self, endpoint: Endpoint, keystore: KeyStore) -> None:
         self.endpoint = endpoint
+        #: The endpoint's address (fixed for the endpoint's lifetime).
+        self.address = endpoint.address
         self.auth = Authenticator(endpoint.address, keystore)
         #: Messages dropped because of bad MACs or undecodable payloads.
         self.rejected = 0
-
-    @property
-    def address(self) -> str:
-        return self.endpoint.address
 
     # -- sending -------------------------------------------------------------
 

@@ -13,11 +13,13 @@ import typing
 from dataclasses import dataclass
 
 from repro.wire import decode, encode
+from repro.wire.registry import dict_fill_init
 
 if typing.TYPE_CHECKING:
     from repro.bftsmart.replica import ServiceReplica
 
 
+@dict_fill_init  # one per executed request: not a wire type, but as hot as one
 @dataclass(frozen=True)
 class MessageContext:
     """Deterministic execution context for one operation.

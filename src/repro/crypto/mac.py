@@ -5,9 +5,10 @@ channels with HMACs rather than signatures on the fast path; consensus
 messages that must convince *all* replicas carry a MAC vector (one MAC per
 receiver), the classic PBFT authenticator construction.
 
-On the hot path an :class:`Authenticator` keeps one pre-keyed
-``hmac.new(key, ..., sha256)`` template per peer, so producing a tag is a
-``copy()/update()/digest()`` instead of a fresh key schedule (two extra
+On the hot path an :class:`Authenticator` keeps one pre-keyed template
+per peer (:func:`hmac_template`: the inner and outer SHA-256 states with
+the padded key already absorbed), so producing a tag is two
+``copy()/update()`` pairs instead of a fresh key schedule (two extra
 SHA-256 compressions) per message — the cached-authenticator optimisation
 BFT-SMaRt itself ships.
 """
@@ -43,14 +44,48 @@ def clear_mac_cache() -> None:
     _MAC_CACHE.clear()
 
 
+_SHA256_BLOCK = 64
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
+def hmac_template(key: bytes):
+    """Pre-keyed HMAC-SHA256: returns ``payload -> 32-byte tag``.
+
+    RFC 2104 spelled out on ``hashlib`` objects: the key (hashed first when
+    longer than a block, then zero-padded) is XORed with the ipad/opad
+    bytes and absorbed once into an inner and an outer SHA-256 state; a
+    tag is ``outer.copy().update(inner.copy().update(payload).digest())``.
+    Byte-identical to ``hmac.new(key, payload, sha256).digest()``, minus
+    the Python-level ``hmac.HMAC`` wrapper calls, which cost more than the
+    hashing for protocol-sized payloads. (``hmac.digest()``, the one-shot
+    C path, re-runs the key schedule per call and is slower still.)
+    """
+    sha256 = hashlib.sha256
+    if len(key) > _SHA256_BLOCK:
+        key = sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\0")
+    copy_inner = sha256(key.translate(_IPAD)).copy
+    copy_outer = sha256(key.translate(_OPAD)).copy
+
+    def tag(payload) -> bytes:
+        inner = copy_inner()
+        inner.update(payload)
+        outer = copy_outer()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    return tag
+
+
 class Authenticator:
     """Computes and verifies pairwise HMACs for one principal."""
 
     def __init__(self, me: str, keystore: KeyStore) -> None:
         self.me = me
         self._keystore = keystore
-        #: peer -> pre-keyed HMAC template (key schedule already run).
-        self._templates: dict[str, hmac.HMAC] = {}
+        #: peer -> pre-keyed :func:`hmac_template` (key schedule already run).
+        self._templates: dict = {}
         #: peer -> shared pair key (the KeyStore returns one object per
         #: pair, so the memo key is shared with the peer's authenticator).
         self._keys: dict[str, bytes] = {}
@@ -80,11 +115,8 @@ class Authenticator:
         if PERF.mac_templates:
             template = self._templates.get(peer)
             if template is None:
-                template = hmac.new(key, digestmod=hashlib.sha256)
-                self._templates[peer] = template
-            mac = template.copy()
-            mac.update(payload)
-            return mac.digest()[:MAC_SIZE]
+                template = self._templates[peer] = hmac_template(key)
+            return template(payload)[:MAC_SIZE]
         return hmac.new(key, payload, hashlib.sha256).digest()[:MAC_SIZE]
 
     def verify(self, peer: str, payload: bytes, tag: bytes) -> bool:

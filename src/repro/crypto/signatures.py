@@ -16,7 +16,9 @@ import hmac
 from dataclasses import dataclass
 
 from repro.crypto.keys import KeyStore
+from repro.crypto.mac import hmac_template
 from repro.perf import PERF
+from repro.wire.registry import dict_fill_init
 
 SIGNATURE_SIZE = 32
 
@@ -41,6 +43,7 @@ def _remember(key: bytes, payload: bytes, tag: bytes) -> None:
     _SIG_CACHE[(key, id(payload))] = (payload, tag)
 
 
+@dict_fill_init  # one per signed request verified: as hot as a wire type
 @dataclass(frozen=True)
 class Signature:
     """A detached signature over some payload."""
@@ -60,13 +63,11 @@ class Signer:
         self.me = me
         self._key = keystore.signing_key(me)
         #: Pre-keyed HMAC template (key schedule run once, copied per sign).
-        self._template = hmac.new(self._key, digestmod=hashlib.sha256)
+        self._template = hmac_template(self._key)
 
     def sign(self, payload: bytes) -> Signature:
         if PERF.mac_templates:
-            mac = self._template.copy()
-            mac.update(payload)
-            tag = mac.digest()
+            tag = self._template(payload)
         else:
             tag = hmac.new(self._key, payload, hashlib.sha256).digest()
         if PERF.mac_memo and type(payload) is bytes:
@@ -80,7 +81,7 @@ class Verifier:
     def __init__(self, keystore: KeyStore) -> None:
         self._keystore = keystore
         #: signer -> pre-keyed HMAC template, same trick as Authenticator.
-        self._templates: dict[str, hmac.HMAC] = {}
+        self._templates: dict = {}
 
     def verify(self, signature: Signature, payload: bytes) -> bool:
         key = self._keystore.signing_key(signature.signer)
@@ -91,11 +92,8 @@ class Verifier:
         if PERF.mac_templates:
             template = self._templates.get(signature.signer)
             if template is None:
-                template = hmac.new(key, digestmod=hashlib.sha256)
-                self._templates[signature.signer] = template
-            mac = template.copy()
-            mac.update(payload)
-            expected = mac.digest()
+                template = self._templates[signature.signer] = hmac_template(key)
+            expected = template(payload)
         else:
             expected = hmac.new(key, payload, hashlib.sha256).digest()
         if PERF.mac_memo and type(payload) is bytes:

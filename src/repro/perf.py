@@ -76,15 +76,17 @@ class PerfSwitches:
         self.fast_delivery = True
         self.codec_scratch = True
         #: Which event-kernel implementation ``Simulator(...)`` builds:
-        #: ``"heap"`` (the reference binary-heap kernel) or ``"ring"``
-        #: (the flat-array timer-wheel kernel, ``repro.sim.fastkernel``).
+        #: ``"ring"`` (the flat-array timer-wheel kernel,
+        #: ``repro.sim.fastkernel`` — the default, it is cheaper on every
+        #: benchmark workload; see docs/PERFORMANCE.md) or ``"heap"`` (the
+        #: reference binary-heap kernel the parity suites compare against).
         #: Seeded from ``REPRO_KERNEL`` so a whole test run can be
         #: switched from the environment (the CI kernel-parity job).
         #: Deliberately *not* part of ``set_all``/``enabled_map``: it
         #: selects an implementation, it is not an on/off cache, and the
         #: baseline-vs-optimised profiler toggling must not swap kernels
         #: mid-comparison.
-        self.kernel = os.environ.get("REPRO_KERNEL", "heap")
+        self.kernel = os.environ.get("REPRO_KERNEL", "ring")
         self.stats: dict[str, CacheStats] = {
             "codec_encode": CacheStats(),
             "digest": CacheStats(),

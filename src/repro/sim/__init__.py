@@ -3,7 +3,11 @@
 This package is the execution substrate for the whole reproduction: the
 network, the BFT replicas, the SCADA components and the workload
 generators are all processes and callbacks scheduled on one
-:class:`Simulator` heap, which makes every run reproducible given a seed.
+:class:`Simulator` event queue, which makes every run reproducible given
+a seed. ``Simulator()`` builds the flat-array :class:`RingSimulator` by
+default; the binary-heap :class:`Simulator` itself is the reference
+kernel (``kernel="heap"`` / ``REPRO_KERNEL=heap``) with a bit-identical
+schedule.
 """
 
 from repro.sim.channels import Channel, ChannelClosed

@@ -5,7 +5,7 @@ reference kernel's one ``ScheduledCall`` + ``_HeapEntry`` object pair per
 occurrence. Three structural changes carry the speedup:
 
 **Slots instead of objects.** Cancellable occurrences live in parallel
-preallocated arrays — ``when`` in an ``array('d')``, a packed
+flat arrays (doubled on demand) — ``when`` in an ``array('d')``, a packed
 ``(priority, seq)`` ordering key in an ``array('q')``, the callable and
 argument tuple in two plain lists — addressed by an integer slot index
 recycled through a free list. A *handle* is one int, ``key << 21 | slot``:
@@ -40,9 +40,10 @@ beyond that tuple. Unlike the reference kernel's
 and so feed the cyclic garbage collector — none of the ring kernel's
 per-occurrence state is cycle-forming.
 
-The kernel is selected per-simulator (``Simulator(kernel="ring")``),
+This is the kernel ``Simulator()`` builds by default; the reference heap
+kernel is selected per-simulator (``Simulator(kernel="heap")``),
 process-wide (``repro.perf.PERF.kernel``) or from the environment
-(``REPRO_KERNEL=ring``). Both kernels consume one ``seq`` per scheduled
+(``REPRO_KERNEL=heap``). Both kernels consume one ``seq`` per scheduled
 occurrence in the same order and dispatch in identical
 ``(when, priority, seq)`` order, so seeded runs are bit-identical across
 kernels — the dual-kernel determinism tests hold that line.
@@ -134,10 +135,10 @@ class _RingCall:
 class RingSimulator(Simulator):
     """Flat-array timer-wheel kernel; drop-in for :class:`Simulator`.
 
-    Construct directly, or let ``Simulator(kernel="ring")`` /
-    ``REPRO_KERNEL=ring`` pick it. All reference-kernel APIs (``_enqueue``
-    / ``_cancel_entry`` / ``call_later`` / ``run`` / ``peek`` / ``stats``)
-    keep their exact semantics, including the stats-counter values the
+    Construct directly, or through ``Simulator()`` (the default unless
+    ``kernel="heap"`` / ``REPRO_KERNEL=heap``). All reference-kernel APIs
+    (``_enqueue`` / ``_cancel_entry`` / ``call_later`` / ``run`` / ``peek``
+    / ``stats``) keep their exact semantics, including the stats-counter values the
     cancellation tests pin down: ``tombstones_skipped`` counts cancelled
     entries at cancel time (each is lazily discarded exactly once later,
     so the totals match the reference kernel's skip-at-pop accounting),
@@ -189,17 +190,23 @@ class RingSimulator(Simulator):
         push = heapq.heappush
         pop = heapq.heappop
 
-        cap = 4096
+        # Slot arrays start small and double on demand (grow()); the wheel
+        # is a list of None whose buckets are created by their first
+        # entry. That keeps a fresh simulator at ~80 KiB, which matters
+        # because every simulator sits in a closure<->instance cycle until
+        # a full collection, and a process may build many.
+        cap = 256
         whens = array("d", bytes(8 * cap))
         keys_a = array("q", bytes(8 * cap))
         fns: list = [None] * cap
         argss: list = [None] * cap
         free = list(range(cap - 1, -1, -1))
 
-        # wheel[i] holds a mix of 4-tuples (when, key, fn, args) from
-        # defer and bare int slots from the cancellable paths; the sort
-        # at flush never compares position 2 because keys are unique.
-        wheel: list[list] = [[] for _ in range(nslots)]
+        # wheel[i] is None (empty, not in bucket_heap) or a non-empty list
+        # (in bucket_heap) holding a mix of 4-tuples (when, key, fn, args)
+        # from defer and bare int slots from the cancellable paths; the
+        # sort at flush never compares position 2 because keys are unique.
+        wheel: list = [None] * nslots
         bucket_heap: list[int] = []  # absolute indices of non-empty buckets
         extra: list = []  # entries for the current/past bucket (heap)
         far: list = []  # entries beyond the wheel horizon (heap)
@@ -238,9 +245,11 @@ class RingSimulator(Simulator):
             d = b - cur
             if 0 < d < nslots:
                 lst = wheel[b & mask]
-                if not lst:
+                if lst is None:
+                    wheel[b & mask] = [(w, _KEY_NORMAL + s, fn, args)]
                     push(bucket_heap, b)
-                lst.append((w, _KEY_NORMAL + s, fn, args))
+                else:
+                    lst.append((w, _KEY_NORMAL + s, fn, args))
             elif d <= 0:
                 push(extra, (w, _KEY_NORMAL + s, fn, args))
             else:
@@ -274,9 +283,11 @@ class RingSimulator(Simulator):
             d = b - cur
             if 0 < d < nslots:
                 lst = wheel[b & mask]
-                if not lst:
+                if lst is None:
+                    wheel[b & mask] = [slot]
                     push(bucket_heap, b)
-                lst.append(slot)
+                else:
+                    lst.append(slot)
             elif d <= 0:
                 push(extra, (w, key, False, slot))
             else:
@@ -352,7 +363,7 @@ class RingSimulator(Simulator):
                 pop(bucket_heap)
                 i = nb & mask
                 bucket = wheel[i]
-                wheel[i] = []
+                wheel[i] = None
                 merged = []
                 ap = merged.append
                 fr = free.append

@@ -1,4 +1,8 @@
-"""The discrete-event simulation kernel.
+"""The discrete-event simulation kernel: the heap reference implementation.
+
+(``Simulator()`` builds :class:`repro.sim.fastkernel.RingSimulator` by
+default; this class is what ``kernel="heap"`` / ``REPRO_KERNEL=heap``
+select and what the parity suites compare the ring kernel against.)
 
 The :class:`Simulator` owns a binary heap of slotted :class:`_HeapEntry`
 records ordered by ``(time, priority, seq)``. Popping entries in heap
@@ -87,13 +91,14 @@ class Simulator:
     seed:
         Root seed for all named RNG streams (see :class:`RngRegistry`).
     kernel:
-        Which kernel implementation backs this simulator: ``"heap"``
-        (this class — the reference implementation) or ``"ring"``
+        Which kernel implementation backs this simulator: ``"ring"``
         (:class:`repro.sim.fastkernel.RingSimulator`, the flat-array
-        timer-wheel kernel). ``None`` defers to ``repro.perf.PERF.kernel``,
-        which itself defaults to the ``REPRO_KERNEL`` environment
-        variable, so a whole test run can be switched without touching
-        any construction site.
+        timer-wheel kernel — what ``Simulator()`` builds by default) or
+        ``"heap"`` (this class — the reference implementation the parity
+        suites compare against). ``None`` defers to
+        ``repro.perf.PERF.kernel``, which is ``"ring"`` unless the
+        ``REPRO_KERNEL`` environment variable says otherwise, so a whole
+        test run can be switched without touching any construction site.
     """
 
     def __new__(cls, seed: int = 0, kernel: str | None = None):

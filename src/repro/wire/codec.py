@@ -553,17 +553,22 @@ def decode_from(data, pos: int = 0) -> tuple:
 
 
 class EncodedMessage:
-    """A message together with its canonical encoding and lazy digest.
+    """A message's canonical encoding and lazy digest.
 
     Broadcast paths pass one :class:`EncodedMessage` around instead of
     re-encoding per receiver; the truncated content digest (what PROPOSE
     hashing and reply voting compare) is computed on first access only.
+
+    It records the message's type name (``kind``), not the message: the
+    memo lives *on* the message, so a back-reference would turn every
+    encoded message into a reference cycle that pins its payload until
+    the cyclic collector's next full pass.
     """
 
-    __slots__ = ("message", "payload", "_digest")
+    __slots__ = ("kind", "payload", "_digest")
 
     def __init__(self, message, payload: bytes) -> None:
-        self.message = message
+        self.kind = type(message).__name__
         self.payload = payload
         self._digest: bytes | None = None
 
@@ -579,10 +584,7 @@ class EncodedMessage:
         return len(self.payload)
 
     def __repr__(self) -> str:
-        return (
-            f"<EncodedMessage {type(self.message).__name__} "
-            f"{len(self.payload)} bytes>"
-        )
+        return f"<EncodedMessage {self.kind} {len(self.payload)} bytes>"
 
 
 #: Attribute under which a frozen message memoizes its own encoding. The

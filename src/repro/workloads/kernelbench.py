@@ -196,6 +196,8 @@ def run_kernel_report(
             "pattern (standing timer population, cancel-heavy) driven "
             "through the portable defer/timer/cancel_timer API."
         ),
+        # What ``Simulator()`` builds in this process when not told.
+        "default_kernel": PERF.kernel,
         "churn_microbench": {
             "heap": heap,
             "ring": ring,

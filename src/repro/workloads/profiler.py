@@ -116,6 +116,9 @@ def profile_hot_paths(pipelines: dict | None = None) -> dict:
             "paths) vs on (optimized)."
         ),
         "switches": PERF.enabled_map(),
+        # Both phases of every pipeline run on this event kernel (the
+        # on/off toggling deliberately never swaps kernels).
+        "event_kernel": PERF.kernel,
         "pipelines": {},
     }
     for name, fn in pipelines.items():

@@ -1,0 +1,70 @@
+"""Tier-1 guard for what ``bench/`` pins of the program from outside.
+
+``bench/trace.py`` wraps the layers' entry points by name and
+``bench/workloads.py`` reads ``repro.perf`` counters by key. Nothing under
+``src/`` imports ``bench/``, so a refactor that renames one of those names
+would otherwise fail only in a traced benchmark run nobody made.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+
+import pytest
+
+import repro.perf
+from repro.perf import PERF, PerfSwitches
+from repro.sim import RingSimulator, Simulator
+
+_TRACE_PY = pathlib.Path(__file__).resolve().parent.parent / "bench" / "trace.py"
+
+
+def _load_trace():
+    spec = importlib.util.spec_from_file_location("_bench_trace_contract", _TRACE_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+trace = _load_trace()
+
+
+def test_target_list_is_nontrivial():
+    assert len(trace.TARGETS) >= 50
+
+
+@pytest.mark.parametrize(
+    "target",
+    [name for name, _ in trace.TARGETS] + ["repro.sim.fastkernel:RingSimulator._build"],
+)
+def test_wrap_target_resolves(target):
+    # _resolve raises WrapTargetMissing unless the attribute is defined on
+    # the named owner itself (an inherited one cannot be patched in place).
+    owner, attr, original = trace._resolve(target)
+    assert callable(original), (owner, attr)
+
+
+def test_ring_kernel_exposes_the_per_instance_entry_points_the_tracer_wraps():
+    sim = RingSimulator()
+    for name in ("run", "call_later", "defer", "timer", "cancel_timer"):
+        assert callable(vars(sim)[name]), name
+
+
+def test_perf_names_the_benchmark_reads():
+    assert PERF.kernel in ("heap", "ring")
+    stats = PERF.stats_map()
+    assert {
+        "codec_encode", "digest", "mac", "decode_share", "signing_payload"
+    } <= set(stats)
+    for counts in stats.values():
+        assert {"hits", "misses"} <= set(counts)
+    assert callable(repro.perf.clear_hot_path_caches)
+
+
+def test_default_kernel_is_the_ring(monkeypatch):
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    assert PerfSwitches().kernel == "ring"
+    monkeypatch.setattr(PERF, "kernel", PerfSwitches().kernel)
+    assert type(Simulator()) is RingSimulator
+    assert type(Simulator(kernel="heap")) is Simulator

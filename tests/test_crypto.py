@@ -1,6 +1,11 @@
 """Unit tests for digests, MACs and simulated signatures."""
 
+import hashlib
+import hmac
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.crypto import (
     DIGEST_SIZE,
@@ -15,6 +20,8 @@ from repro.crypto import (
     sha256,
     verify_mac_vector,
 )
+from repro.crypto.mac import hmac_template
+from repro.perf import hot_path_optimizations
 
 
 def test_digest_is_deterministic_and_truncated():
@@ -106,3 +113,51 @@ def test_signature_tag_length_enforced():
 
     with pytest.raises(ValueError):
         Signature(signer="x", tag=b"short")
+
+
+# -- hmac_template: RFC 2104 on bare hashlib states == the hmac module -------
+
+
+def _reference(key: bytes, message) -> bytes:
+    return hmac.new(key, message, hashlib.sha256).digest()
+
+
+@pytest.mark.parametrize("key_length", [1, 16, 32, 64, 65, 200])
+def test_hmac_template_matches_hmac_module(key_length):
+    # 64 is SHA-256's block size: at 65 the key is hashed first.
+    key = bytes(range(1, key_length + 1))
+    tag = hmac_template(key)
+    for message in (b"", b"x", b"m" * 63, b"m" * 64, b"m" * 65, bytes(1024)):
+        expected = _reference(key, message)
+        assert tag(message) == expected
+        assert tag(bytearray(message)) == expected
+        assert tag(memoryview(message)) == expected
+    # One template, many tags: no state leaks from call to call.
+    assert tag(b"first") == _reference(key, b"first")
+    assert tag(b"") == _reference(key, b"")
+
+
+@given(st.binary(min_size=1, max_size=200), st.binary(max_size=2048))
+def test_hmac_template_matches_hmac_module_on_random_input(key, message):
+    assert hmac_template(key)(message) == _reference(key, message)
+
+
+@pytest.mark.parametrize("optimizations", [True, False])
+def test_tags_are_plain_hmac_sha256_and_tampering_still_fails(optimizations):
+    # Whatever path computes them, the bytes on the wire are HMAC-SHA256
+    # under the pair / signing key, and a changed payload is rejected.
+    ks = KeyStore()
+    with hot_path_optimizations(optimizations):
+        alice, bob = Authenticator("alice", ks), Authenticator("bob", ks)
+        payload = bytes(range(120))
+        tag = alice.mac("bob", payload)
+        assert tag == _reference(ks.pair_key("alice", "bob"), payload)[:MAC_SIZE]
+        assert bob.verify("alice", payload, tag)
+        assert not bob.verify("alice", payload + b"!", tag)
+        vector = make_mac_vector(alice, ["bob"], payload)
+        assert verify_mac_vector(bob, vector, payload)
+        assert not verify_mac_vector(bob, vector, b"!" + payload)
+        sig = Signer("alice", ks).sign(payload)
+        assert sig.tag == _reference(ks.signing_key("alice"), payload)
+        assert Verifier(ks).verify(sig, payload)
+        assert not Verifier(ks).verify(sig, payload[:-1])
