@@ -11,40 +11,13 @@ integrated write path.
 
 from conftest import once, print_table
 
-from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
-from repro.crypto import KeyStore
-from repro.net import ConstantLatency, Network
-from repro.sim import Simulator
-from repro.workloads import ThroughputMeter, run_write_experiment
-
-PAYLOAD = bytes(1024)
-OFFERED_RATE = 25_000.0
-WARMUP = 0.2
-WINDOW = 0.6
+from repro.workloads import run_write_experiment
+from repro.workloads.profiler import run_bft_micro
 
 
 def run_micro():
-    sim = Simulator(seed=1)
-    net = Network(sim, latency=ConstantLatency(0.00025))
-    keystore = KeyStore()
-    config = GroupConfig(n=4, f=1, batch_max=500, batch_wait=0.001)
-    replicas = build_group(sim, net, config, EchoService, keystore)
-    proxy = build_proxy(sim, net, "load-client", config, keystore, invoke_timeout=5.0)
-
-    def firehose():
-        interval = 1.0 / OFFERED_RATE
-        while True:
-            event = proxy.invoke_ordered(PAYLOAD)
-            event.add_callback(lambda ev: setattr(ev, "defused", True))
-            yield sim.timeout(interval)
-
-    sim.process(firehose())
-    meter = ThroughputMeter(sim, lambda: replicas[0].stats["executed"])
-    sim.run(until=WARMUP)
-    meter.open_window()
-    sim.run(until=WARMUP + WINDOW)
-    meter.close_window()
-    return meter.rate, replicas[0].stats
+    (rate, replica_stats), _kernel = run_bft_micro()
+    return rate, replica_stats
 
 
 def test_bft_smart_alone_is_not_the_bottleneck(benchmark):

@@ -1,57 +1,39 @@
-"""Wall-clock measurement of the hot-path performance pass.
+"""Cache effectiveness and kernel counters of the hot path, on one run.
 
-Runs the §V-B microbenchmark and the Figure 8(a) pipeline twice in one
-process — all optimisation switches off (legacy code paths) vs on — and
-writes the before/after numbers to ``BENCH_PERF.json`` at the repository
-root. The profiler itself asserts the two phases produce identical
-simulation results, so this file's assertions are about the *point* of
-the pass: the optimised pipelines must be meaningfully faster, and the
-load-bearing caches must actually be hitting.
-
-The in-process comparison understates the full PR speedup: the kernel
-improvements (slotted events, tuple-keyed heap, lazy timer cancellation)
-are structural and speed the "baseline" up too. Against the pre-PR tree
-the microbenchmark measured >2x; see docs/PERFORMANCE.md.
+Runs the §V-B microbenchmark once, cold, and checks the *point* of the
+hot-path pass: the load-bearing caches must actually be hitting and the
+kernel's timer bookkeeping must stay bounded. That the caches change no
+simulation result is asserted against recorded outputs in
+``tests/test_golden_outputs.py``; wall-clock cost is compared between
+commits with ``bench/run.py`` + ``bench/compare.py`` (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
-import pathlib
-
 from conftest import once, print_table
 
-from repro.workloads.profiler import profile_hot_paths, summary_rows, write_report
-
-REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_PERF.json"
-
-#: Conservative floor for the switchable optimisations alone (measured
-#: ~1.8x for bft_micro on an idle machine; CI boxes are noisy).
-MIN_SPEEDUP = 1.3
+from repro.perf import PERF, clear_hot_path_caches
+from repro.workloads.profiler import run_bft_micro
 
 
-def test_hot_path_speedup(benchmark):
-    report = once(benchmark, profile_hot_paths)
-    write_report(report, str(REPORT_PATH))
+def test_hot_path_caches_and_kernel_counters(benchmark):
+    clear_hot_path_caches()
+    _result, kernel = once(benchmark, run_bft_micro)
+    caches = PERF.stats_map()
 
     print_table(
-        "hot-path performance pass — wall-clock seconds",
-        ["pipeline", "baseline", "optimized", "speedup", "identical results"],
-        summary_rows(report),
+        "cache effectiveness (bft_micro)",
+        ["cache", "hits", "misses", "hit rate"],
+        [
+            [name, s["hits"], s["misses"], f"{s['hit_rate']:.1%}"]
+            for name, s in sorted(caches.items())
+        ],
     )
-
-    micro = report["pipelines"]["bft_micro"]
-    assert micro["results_equal"]
-    assert micro["speedup"] >= MIN_SPEEDUP, (
-        f"bft_micro speedup {micro['speedup']:.2f}x below {MIN_SPEEDUP}x"
-    )
-    fig8a = report["pipelines"]["fig8a_update"]
-    assert fig8a["results_equal"]
 
     # The caches that carry the speedup must be doing real work. (The
     # codec encode memo is not asserted on: without retransmissions every
     # message object is sealed exactly once, and its payoff is the shared
     # payload bytes object that the other caches key on.)
-    caches = micro["optimized"]["cache_stats"]
     assert caches["decode_share"]["hit_rate"] > 0.9, caches["decode_share"]
     assert caches["mac"]["hits"] > 0, caches["mac"]
     assert caches["signing_payload"]["hits"] > 0, caches["signing_payload"]
@@ -59,6 +41,5 @@ def test_hot_path_speedup(benchmark):
 
     # The kernel's lazy timer cancellation keeps the heap bounded: the
     # client cancels one retransmission timer per completed invocation.
-    kernel = micro["optimized"]["kernel"]
     assert kernel["timers_cancelled"] > 0
     assert kernel["heap_peak"] < kernel["events_dispatched"]

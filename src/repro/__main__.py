@@ -17,9 +17,9 @@ shards
     one item namespace, hash-partitioned shard map, deterministic
     global AE order. ``--split`` exercises a live shard split.
 perf
-    Print the hot-path performance report (``BENCH_PERF.json``),
-    measuring it first if the file does not exist (``--rerun`` forces a
-    fresh measurement).
+    ``perf kernel-bench`` measures the heap and ring event kernels side
+    by side on identical seeded workloads and writes the ``kernel``
+    section of ``BENCH_PERF.json``.
 chaos
     Run fault-drill campaigns against SMaRt-SCADA: a named scenario
     (``--list`` shows them), or ``random`` for seeded sampled schedules.
@@ -204,7 +204,7 @@ def cmd_shards(args) -> int:
     return 0 if ok else 1
 
 
-def _perf_kernel_bench(args) -> int:
+def cmd_perf(args) -> int:
     from repro.workloads.kernelbench import run_kernel_report, write_kernel_report
 
     print("kernel benchmark: heap vs ring on identical seeded workloads...")
@@ -259,57 +259,6 @@ def _perf_kernel_bench(args) -> int:
         )
     path = write_kernel_report(report, args.output)
     print(f"\nwrote kernel section of {path}")
-    return 0
-
-
-def cmd_perf(args) -> int:
-    import json
-    import os
-
-    from repro.perf import PERF
-    from repro.workloads.profiler import (
-        REPORT_FILE,
-        profile_hot_paths,
-        summary_rows,
-        write_report,
-    )
-
-    if args.kernel:
-        PERF.kernel = args.kernel
-    if args.mode == "kernel-bench":
-        return _perf_kernel_bench(args)
-    path = args.output or REPORT_FILE
-    if os.path.exists(path) and not args.rerun:
-        with open(path, encoding="utf-8") as fh:
-            report = json.load(fh)
-        print(f"loaded {path} (use --rerun to remeasure)")
-    else:
-        print("profiling hot paths (baseline vs optimized, one process)...")
-        report = profile_hot_paths()
-        write_report(report, path)
-        print(f"wrote {path}")
-    if "event_kernel" in report:  # absent from reports older than the key
-        print(f"event kernel: {report['event_kernel']}")
-    _print_table(
-        "hot-path performance pass — wall-clock seconds",
-        ["pipeline", "baseline", "optimized", "speedup", "identical results"],
-        summary_rows(report),
-    )
-    caches = (
-        report.get("pipelines", {})
-        .get("bft_micro", {})
-        .get("optimized", {})
-        .get("cache_stats")
-    )
-    if caches:
-        _print_table(
-            "cache effectiveness (bft_micro, optimized run)",
-            ["cache", "hits", "misses", "hit rate"],
-            [
-                [name, s["hits"], s["misses"], f"{s['hit_rate']:.1%}"]
-                for name, s in sorted(caches.items())
-            ],
-        )
     return 0
 
 
@@ -1302,20 +1251,15 @@ def main(argv=None) -> int:
     shards.set_defaults(func=cmd_shards)
 
     perf = subparsers.add_parser(
-        "perf", help="print (or regenerate) the BENCH_PERF.json summary"
+        "perf", help="measure the event kernels (kernel section of BENCH_PERF.json)"
     )
     perf.add_argument(
-        "mode", nargs="?", choices=["report", "kernel-bench"], default="report",
-        help="'report' prints the hot-path pass; 'kernel-bench' measures "
-             "the heap vs ring event kernels side by side",
+        "mode", choices=["kernel-bench"],
+        help="'kernel-bench' measures the heap vs ring event kernels "
+             "side by side",
     )
     perf.add_argument("--output", default=None,
                       help="report file (default BENCH_PERF.json)")
-    perf.add_argument("--rerun", action="store_true",
-                      help="remeasure even if the report file exists")
-    perf.add_argument("--kernel", choices=["heap", "ring"], default=None,
-                      help="event kernel for the profiled runs "
-                           "(default: REPRO_KERNEL or ring)")
     perf.set_defaults(func=cmd_perf)
 
     chaos = subparsers.add_parser(

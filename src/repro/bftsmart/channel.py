@@ -106,7 +106,7 @@ _DECODE_STATS = PERF.stats["decode_share"]
 
 
 def _decode_shared(payload: bytes):
-    if not PERF.decode_share or type(payload) is not bytes:
+    if type(payload) is not bytes:
         return decode(payload)
     key = id(payload)
     try:
@@ -160,8 +160,7 @@ class SecureChannel:
 
     def seal(self, message, receivers: list) -> Sealed:
         payload = encode_cached(message).payload
-        if PERF.decode_share:
-            _seed_decoded(payload, message)
+        _seed_decoded(payload, message)
         mac = self.auth.mac
         return Sealed(
             sender=self.address,
@@ -172,16 +171,13 @@ class SecureChannel:
     def send(self, dst: str, message) -> None:
         """Seal and send to a single receiver."""
         sealed = self.seal(message, [dst])
-        if PERF.size_hints:
-            payload_len = len(sealed.payload)
-            size_hint = (
-                _envelope_overhead(sealed.sender, (dst,))
-                + 1
-                + uvarint_size(payload_len)
-                + payload_len
-            )
-        else:
-            size_hint = None
+        payload_len = len(sealed.payload)
+        size_hint = (
+            _envelope_overhead(sealed.sender, (dst,))
+            + 1
+            + uvarint_size(payload_len)
+            + payload_len
+        )
         self.endpoint.send(
             dst, sealed, kind=type(message).__name__, size_hint=size_hint
         )
@@ -195,32 +191,21 @@ class SecureChannel:
         shared by every envelope — byte-identical on the wire to sending
         one at a time, minus the redundant encodes.
         """
-        if not PERF.serialize_once:
-            for receiver in receivers:
-                self.send(receiver, message)
-            return
         payload = encode_cached(message).payload
-        if PERF.decode_share:
-            _seed_decoded(payload, message)
+        _seed_decoded(payload, message)
         kind = type(message).__name__
         mac = self.auth.mac
         sender = self.address
         send = self.endpoint.send
-        if PERF.size_hints:
-            payload_len = len(payload)
-            payload_part = 1 + uvarint_size(payload_len) + payload_len
-        else:
-            payload_part = None
+        payload_len = len(payload)
+        payload_part = 1 + uvarint_size(payload_len) + payload_len
         for receiver in receivers:
             sealed = Sealed(
                 sender=sender,
                 payload=payload,
                 tags={receiver: mac(receiver, payload)},
             )
-            if payload_part is not None:
-                size_hint = _envelope_overhead(sender, (receiver,)) + payload_part
-            else:
-                size_hint = None
+            size_hint = _envelope_overhead(sender, (receiver,)) + payload_part
             send(receiver, sealed, kind=kind, size_hint=size_hint)
 
     def broadcast(self, receivers: list, message, include_self: bool = False) -> None:
@@ -235,16 +220,13 @@ class SecureChannel:
         peer messages (as BFT-SMaRt does).
         """
         sealed = self.seal(message, list(receivers))
-        if PERF.size_hints:
-            payload_len = len(sealed.payload)
-            size_hint = (
-                _envelope_overhead(sealed.sender, tuple(receivers))
-                + 1
-                + uvarint_size(payload_len)
-                + payload_len
-            )
-        else:
-            size_hint = None
+        payload_len = len(sealed.payload)
+        size_hint = (
+            _envelope_overhead(sealed.sender, tuple(receivers))
+            + 1
+            + uvarint_size(payload_len)
+            + payload_len
+        )
         kind = type(message).__name__
         send = self.endpoint.send
         for receiver in receivers:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro.bftsmart.channel import SecureChannel
 from repro.bftsmart.messages import ClientRequest, PushMessage, Reply
 from repro.bftsmart.replica import request_signing_payload, seed_signing_payload
-from repro.perf import PERF
 from repro.bftsmart.view import View
 from repro.crypto import KeyStore, Signer, digest
 from repro.net.network import Network
@@ -290,11 +289,10 @@ class ServiceProxy:
             mac=tag,
             trace_id=request.trace_id,
         )
-        if PERF.signing_cache:
-            # The signed tuple excludes the MAC field, so the stamped
-            # request's payload is the one just computed — seed it so the
-            # replicas' verification path starts on a cache hit.
-            seed_signing_payload(signed, payload)
+        # The signed tuple excludes the MAC field, so the stamped
+        # request's payload is the one just computed — seed it so the
+        # replicas' verification path starts on a cache hit.
+        seed_signing_payload(signed, payload)
         return signed
 
     def _transmit(self, request: ClientRequest, broadcast: bool = False) -> None:

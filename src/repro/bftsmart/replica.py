@@ -61,16 +61,6 @@ _SIGNING_STATS = PERF.stats["signing_payload"]
 
 #: Bytes signed by a client for request authentication.
 def request_signing_payload(request: ClientRequest) -> bytes:
-    if not PERF.signing_cache:
-        return encode(
-            (
-                request.client_id,
-                request.sequence,
-                request.operation,
-                request.reply_to,
-                request.unordered,
-            )
-        )
     key = id(request)
     hit = _SIGNING_PAYLOAD_CACHE.get(key)
     if hit is not None and hit[0] is request:
@@ -277,29 +267,24 @@ class ServiceReplica:
     # ------------------------------------------------------------------
 
     def _verify_request(self, request: ClientRequest) -> bool:
-        if PERF.signing_cache:
-            # A replica sees every ordered request twice: once on arrival
-            # and once inside the proposed batch (a different, decoded
-            # object with equal content). The memo is keyed on content —
-            # equal frozen requests carry the same signature over the same
-            # payload — and per replica: a verdict never crosses keystores.
-            cache = self._verified_requests
-            if request in cache:
-                return True
-            if self._verify_request_uncached(request):
-                cache[request] = None
-                if len(cache) > 4096:
-                    cache.popitem(last=False)
-                return True
-            return False
-        return self._verify_request_uncached(request)
-
-    def _verify_request_uncached(self, request: ClientRequest) -> bool:
+        # A replica sees every ordered request twice: once on arrival
+        # and once inside the proposed batch (a different, decoded
+        # object with equal content). The memo is keyed on content —
+        # equal frozen requests carry the same signature over the same
+        # payload — and per replica: a verdict never crosses keystores.
+        cache = self._verified_requests
+        if request in cache:
+            return True
         try:
             signature = Signature(request.client_id, request.mac)
         except ValueError:
             return False
-        return self.verifier.verify(signature, request_signing_payload(request))
+        if not self.verifier.verify(signature, request_signing_payload(request)):
+            return False
+        cache[request] = None
+        if len(cache) > 4096:
+            cache.popitem(last=False)
+        return True
 
     def _on_client_request(self, request: ClientRequest) -> None:
         if not self._verify_request(request):
@@ -435,8 +420,7 @@ class ServiceReplica:
             self._inflight_keys.add(request.key())
         batch_message = RequestBatch(requests=tuple(batch))
         value = encode(batch_message)
-        if PERF.decode_share:
-            self._last_proposed = (value, batch_message)
+        self._last_proposed = (value, batch_message)
         cid = max(self.next_propose_cid, self.next_cid)
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:
@@ -531,7 +515,7 @@ class ServiceReplica:
         sequence-based dedup silently censor the displaced ones.
         """
         last = self._last_proposed
-        if PERF.decode_share and last is not None and value is last[0]:
+        if last is not None and value is last[0]:
             # Our own proposal: every request in it was verified when it
             # arrived, and the value bytes are identical by identity.
             return last[1]
@@ -634,9 +618,7 @@ class ServiceReplica:
             self.synchronizer.suspect()
             return
         value_digest = instance.set_proposal(
-            message.value,
-            message.timestamp,
-            batch=batch if PERF.decode_share else None,
+            message.value, message.timestamp, batch=batch
         )
         self._trace_open_instance(instance, batch, message)
         instance.write_sent = True

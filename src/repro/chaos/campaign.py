@@ -14,8 +14,8 @@ The runner:
    evaluates the liveness monitors,
 5. returns a :class:`CampaignReport` with the verdicts and a
    :meth:`~CampaignReport.fingerprint` that is bit-stable: the same seed
-   and schedule always produce the identical fingerprint, with the PERF
-   switches on or off.
+   and schedule always produce the identical fingerprint, on either
+   event kernel.
 """
 
 from __future__ import annotations
@@ -388,7 +388,8 @@ class CampaignReport:
 
         Two runs with the same seed and schedule must produce identical
         fingerprints — this is the determinism contract the test suite
-        asserts with the PERF switches both on and off.
+        asserts by running campaigns twice, on both event kernels, and
+        against a recorded fingerprint (``tests/golden``).
         """
         h = hashlib.sha256()
         h.update(f"seed={self.seed};t={self.duration:.9f};".encode())

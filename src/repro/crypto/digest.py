@@ -38,7 +38,7 @@ def digest(data: bytes) -> bytes:
     Used wherever the protocols compare message or state contents:
     f+1 reply voting, PROPOSE value hashes, checkpoint digests.
     """
-    if PERF.digest_cache and type(data) is bytes:
+    if type(data) is bytes:
         hit = _DIGEST_CACHE.get(data)
         if hit is not None:
             _DIGEST_STATS.hits += 1

@@ -92,7 +92,7 @@ class Authenticator:
 
     def mac(self, peer: str, payload: bytes) -> bytes:
         """MAC for ``payload`` on the channel between ``self.me`` and peer."""
-        if PERF.mac_memo and type(payload) is bytes:
+        if type(payload) is bytes:
             key = self._keys.get(peer)
             if key is None:
                 key = self._keystore.pair_key(self.me, peer)
@@ -112,12 +112,10 @@ class Authenticator:
         return self._compute(peer, key, payload)
 
     def _compute(self, peer: str, key: bytes, payload: bytes) -> bytes:
-        if PERF.mac_templates:
-            template = self._templates.get(peer)
-            if template is None:
-                template = self._templates[peer] = hmac_template(key)
-            return template(payload)[:MAC_SIZE]
-        return hmac.new(key, payload, hashlib.sha256).digest()[:MAC_SIZE]
+        template = self._templates.get(peer)
+        if template is None:
+            template = self._templates[peer] = hmac_template(key)
+        return template(payload)[:MAC_SIZE]
 
     def verify(self, peer: str, payload: bytes, tag: bytes) -> bool:
         """Constant-time check of ``tag`` against the expected MAC."""

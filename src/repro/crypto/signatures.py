@@ -11,13 +11,11 @@ in DESIGN.md §4.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import hmac_template
-from repro.perf import PERF
 from repro.wire.registry import dict_fill_init
 
 SIGNATURE_SIZE = 32
@@ -66,11 +64,8 @@ class Signer:
         self._template = hmac_template(self._key)
 
     def sign(self, payload: bytes) -> Signature:
-        if PERF.mac_templates:
-            tag = self._template(payload)
-        else:
-            tag = hmac.new(self._key, payload, hashlib.sha256).digest()
-        if PERF.mac_memo and type(payload) is bytes:
+        tag = self._template(payload)
+        if type(payload) is bytes:
             _remember(self._key, payload, tag)
         return Signature(signer=self.me, tag=tag)
 
@@ -85,17 +80,15 @@ class Verifier:
 
     def verify(self, signature: Signature, payload: bytes) -> bool:
         key = self._keystore.signing_key(signature.signer)
-        if PERF.mac_memo and type(payload) is bytes:
+        memoizable = type(payload) is bytes
+        if memoizable:
             hit = _SIG_CACHE.get((key, id(payload)))
             if hit is not None and hit[0] is payload:
                 return hmac.compare_digest(hit[1], signature.tag)
-        if PERF.mac_templates:
-            template = self._templates.get(signature.signer)
-            if template is None:
-                template = self._templates[signature.signer] = hmac_template(key)
-            expected = template(payload)
-        else:
-            expected = hmac.new(key, payload, hashlib.sha256).digest()
-        if PERF.mac_memo and type(payload) is bytes:
+        template = self._templates.get(signature.signer)
+        if template is None:
+            template = self._templates[signature.signer] = hmac_template(key)
+        expected = template(payload)
+        if memoizable:
             _remember(key, payload, expected)
         return hmac.compare_digest(expected, signature.tag)

@@ -20,7 +20,6 @@ from repro.net.endpoint import Endpoint
 from repro.net.faults import Envelope, FaultInjector
 from repro.net.latency import ConstantLatency, LanLatency, LatencyModel
 from repro.net.trace import NetworkTrace
-from repro.perf import PERF
 from repro.sim.kernel import Simulator
 from repro.wire import encode
 
@@ -123,11 +122,11 @@ class Network:
         if target is None:
             raise UnknownEndpoint(f"no endpoint registered at {dst!r}")
         self.sent += 1
-        if size_hint is not None and PERF.size_hints:
+        if size_hint is not None:
             size = size_hint
         else:
             size = len(encode(payload))
-        if PERF.fast_delivery and not self.faults.rules and not self.trace.enabled:
+        if not self.faults.rules and not self.trace.enabled:
             # No fault pipeline and no trace: skip the Envelope/kind
             # bookkeeping entirely. Latency sampling and FIFO link clock
             # are identical to the general path, so the schedule is too.

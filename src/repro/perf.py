@@ -1,22 +1,21 @@
-"""Hot-path optimisation switches and cache accounting.
+"""Event-kernel selection and hot-path cache accounting.
 
-The caching layers introduced by the performance pass (codec memoization,
-HMAC templates, digest LRU, serialize-once broadcast with precomputed
-envelope sizes, shared decode of multicast payloads) are all
-*behaviour-invisible*: with a fixed seed, a run produces byte-identical
-encodings, digests and event orders whether they are on or off. This
-module is the single place that can disable them, which is what the
-wall-clock profiler (:mod:`repro.workloads.profiler`) uses to measure the
-un-optimised baseline and the optimised pipeline inside one process.
-
-Each switch also carries hit/miss counters so ``BENCH_PERF.json`` can
-report how effective every cache was during a measured run.
+The caches on the per-message path (codec memoization, HMAC templates
+and tag memo, digest LRU, serialize-once broadcast with precomputed
+envelope sizes, shared decode of multicast payloads, signing-payload
+memo) are *behaviour-invisible* and always on: with a fixed seed a run
+produces the encodings, digests and event orders that the un-cached code
+produced before it was deleted (``tests/golden``,
+``tests/test_golden_outputs.py``). What stays process-wide is kept on
+:data:`PERF`: which event kernel ``Simulator(...)`` builds, and one
+hit/miss counter per cache so a measured run can report how effective
+each one was. :func:`clear_hot_path_caches` gives a measurement a cold
+start.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 
 
 class CacheStats:
@@ -42,39 +41,11 @@ class CacheStats:
 
 
 class PerfSwitches:
-    """Global on/off switches for every hot-path optimisation.
+    """The process-wide kernel choice and the per-cache counters."""
 
-    All switches default to on. ``set_all(False)`` restores the
-    un-optimised code paths (fresh encodes per receiver, per-message key
-    schedules, per-send envelope sizing encodes, per-receiver decodes).
-    """
-
-    __slots__ = (
-        "codec_cache",
-        "mac_templates",
-        "mac_memo",
-        "digest_cache",
-        "serialize_once",
-        "size_hints",
-        "decode_share",
-        "signing_cache",
-        "fast_delivery",
-        "codec_scratch",
-        "kernel",
-        "stats",
-    )
+    __slots__ = ("kernel", "stats")
 
     def __init__(self) -> None:
-        self.codec_cache = True
-        self.mac_templates = True
-        self.mac_memo = True
-        self.digest_cache = True
-        self.serialize_once = True
-        self.size_hints = True
-        self.decode_share = True
-        self.signing_cache = True
-        self.fast_delivery = True
-        self.codec_scratch = True
         #: Which event-kernel implementation ``Simulator(...)`` builds:
         #: ``"ring"`` (the flat-array timer-wheel kernel,
         #: ``repro.sim.fastkernel`` — the default, it is cheaper on every
@@ -82,10 +53,6 @@ class PerfSwitches:
         #: reference binary-heap kernel the parity suites compare against).
         #: Seeded from ``REPRO_KERNEL`` so a whole test run can be
         #: switched from the environment (the CI kernel-parity job).
-        #: Deliberately *not* part of ``set_all``/``enabled_map``: it
-        #: selects an implementation, it is not an on/off cache, and the
-        #: baseline-vs-optimised profiler toggling must not swap kernels
-        #: mid-comparison.
         self.kernel = os.environ.get("REPRO_KERNEL", "ring")
         self.stats: dict[str, CacheStats] = {
             "codec_encode": CacheStats(),
@@ -93,32 +60,6 @@ class PerfSwitches:
             "mac": CacheStats(),
             "decode_share": CacheStats(),
             "signing_payload": CacheStats(),
-        }
-
-    def set_all(self, enabled: bool) -> None:
-        self.codec_cache = enabled
-        self.mac_templates = enabled
-        self.mac_memo = enabled
-        self.digest_cache = enabled
-        self.serialize_once = enabled
-        self.size_hints = enabled
-        self.decode_share = enabled
-        self.signing_cache = enabled
-        self.fast_delivery = enabled
-        self.codec_scratch = enabled
-
-    def enabled_map(self) -> dict:
-        return {
-            "codec_cache": self.codec_cache,
-            "mac_templates": self.mac_templates,
-            "mac_memo": self.mac_memo,
-            "digest_cache": self.digest_cache,
-            "serialize_once": self.serialize_once,
-            "size_hints": self.size_hints,
-            "decode_share": self.decode_share,
-            "signing_cache": self.signing_cache,
-            "fast_delivery": self.fast_delivery,
-            "codec_scratch": self.codec_scratch,
         }
 
     def reset_stats(self) -> None:
@@ -129,23 +70,15 @@ class PerfSwitches:
         return {name: stats.as_dict() for name, stats in self.stats.items()}
 
 
-#: Process-wide switch instance consulted by every optimised hot path.
+#: Process-wide instance consulted by ``Simulator`` and every cache owner.
 PERF = PerfSwitches()
-
-
-def set_hot_path_optimizations(enabled: bool) -> None:
-    """Turn every hot-path optimisation on or off, and clear the caches.
-
-    Clearing on every transition keeps measurements honest: an
-    "optimised" run starts cold and pays its own cache fills.
-    """
-    PERF.set_all(enabled)
-    clear_hot_path_caches()
 
 
 def clear_hot_path_caches() -> None:
     """Drop every memoized encoding/digest/decode and reset counters."""
     # Imported lazily: the cache owners import this module for PERF.
+    from repro.bftsmart.channel import clear_decode_cache
+    from repro.bftsmart.replica import clear_signing_payload_cache
     from repro.crypto.digest import clear_digest_cache
     from repro.crypto.mac import clear_mac_cache
     from repro.crypto.signatures import clear_signature_cache
@@ -155,29 +88,6 @@ def clear_hot_path_caches() -> None:
     clear_digest_cache()
     clear_mac_cache()
     clear_signature_cache()
-    try:
-        from repro.bftsmart import channel as channel_mod
-
-        channel_mod.clear_decode_cache()
-    except ImportError:  # pragma: no cover - bftsmart always present
-        pass
-    try:
-        from repro.bftsmart import replica as replica_mod
-
-        replica_mod.clear_signing_payload_cache()
-    except ImportError:  # pragma: no cover
-        pass
+    clear_decode_cache()
+    clear_signing_payload_cache()
     PERF.reset_stats()
-
-
-@contextmanager
-def hot_path_optimizations(enabled: bool):
-    """Context manager toggling every switch, restoring the previous state."""
-    previous = PERF.enabled_map()
-    set_hot_path_optimizations(enabled)
-    try:
-        yield PERF
-    finally:
-        for name, value in previous.items():
-            setattr(PERF, name, value)
-        clear_hot_path_caches()

@@ -16,7 +16,7 @@ when they surface at the heap top instead of paying O(n) removal or — the
 pre-optimisation behaviour — dispatching stale callbacks that every caller
 had to guard against. :meth:`Simulator.stats` surfaces the counters
 (dispatches, cancellations, tombstones skipped, peak heap size) that the
-wall-clock profiler reports.
+benchmarks report.
 
 Time is a float in **seconds** of simulated time.
 """
@@ -337,7 +337,7 @@ class Simulator:
         self.metrics.group(name, provider)
 
     def stats(self) -> dict:
-        """Kernel counters for diagnostics and the wall-clock profiler.
+        """Kernel counters for diagnostics and the benchmarks.
 
         A snapshot of :attr:`metrics`: the kernel gauges come first (same
         keys as always), followed by every registered counter, histogram

@@ -126,19 +126,15 @@ class Codec:
         # Steady-state encoding reuses a pooled bytearray (already grown
         # to working-set size) instead of allocating and growing a fresh
         # one per message; only the final immutable bytes() is new.
-        if PERF.codec_scratch:
-            scratch = self._scratch
-            out = scratch.pop() if scratch else bytearray()
-            try:
-                self._encode(out, value)
-                return bytes(out)
-            finally:
-                if len(scratch) < 8 and len(out) <= 65536:
-                    del out[:]
-                    scratch.append(out)
-        out = bytearray()
-        self._encode(out, value)
-        return bytes(out)
+        scratch = self._scratch
+        out = scratch.pop() if scratch else bytearray()
+        try:
+            self._encode(out, value)
+            return bytes(out)
+        finally:
+            if len(scratch) < 8 and len(out) <= 65536:
+                del out[:]
+                scratch.append(out)
 
     def encode_into(self, out: bytearray, value) -> None:
         """Append the canonical encoding of ``value`` to ``out``.
@@ -245,28 +241,22 @@ class Codec:
 
     @staticmethod
     def _enc_str(out: bytearray, value) -> None:
-        if PERF.codec_cache:
-            # Protocol strings (addresses, client ids) repeat massively;
-            # memoize the full TLV chunk per distinct string, content-keyed
-            # so the bytes are identical to the uncached path.
-            try:
-                out += _STR_ENC_CACHE[value]
-                return
-            except KeyError:
-                pass
-            encoded = value.encode("utf-8")
-            piece = bytearray((_STR,))
-            _write_uvarint(piece, len(encoded))
-            piece += encoded
-            chunk = bytes(piece)
-            if len(_STR_ENC_CACHE) < _STR_ENC_CACHE_LIMIT:
-                _STR_ENC_CACHE[value] = chunk
-            out += chunk
+        # Protocol strings (addresses, client ids) repeat massively;
+        # memoize the full TLV chunk per distinct string, content-keyed
+        # so the bytes are those of a fresh encode.
+        try:
+            out += _STR_ENC_CACHE[value]
             return
+        except KeyError:
+            pass
         encoded = value.encode("utf-8")
-        out.append(_STR)
-        _write_uvarint(out, len(encoded))
-        out += encoded
+        piece = bytearray((_STR,))
+        _write_uvarint(piece, len(encoded))
+        piece += encoded
+        chunk = bytes(piece)
+        if len(_STR_ENC_CACHE) < _STR_ENC_CACHE_LIMIT:
+            _STR_ENC_CACHE[value] = chunk
+        out += chunk
 
     @staticmethod
     def _enc_bytes(out: bytearray, value) -> None:
@@ -622,7 +612,7 @@ def encode_cached(message) -> EncodedMessage:
     so the payload is byte-identical to a fresh encode by construction and
     the memo's lifetime is exactly the object's.
     """
-    if not PERF.codec_cache or not _is_frozen_dataclass(message.__class__):
+    if not _is_frozen_dataclass(message.__class__):
         return EncodedMessage(message, DEFAULT_CODEC.encode(message))
     memo = getattr(message, "__dict__", None)
     cached = memo.get(_MEMO_ATTR) if memo is not None else None

@@ -2,7 +2,7 @@
 
 from repro.workloads.generators import UpdateWorkload, WriteWorkload
 from repro.workloads.metrics import LatencyRecorder, ThroughputMeter
-from repro.workloads.profiler import profile_hot_paths, summary_rows, write_report
+from repro.workloads.profiler import write_report
 from repro.workloads.runner import (
     ALARM_THRESHOLD,
     ExperimentResult,
@@ -17,9 +17,7 @@ __all__ = [
     "ThroughputMeter",
     "UpdateWorkload",
     "WriteWorkload",
-    "profile_hot_paths",
     "run_update_experiment",
     "run_write_experiment",
-    "summary_rows",
     "write_report",
 ]

@@ -1,26 +1,15 @@
-"""Wall-clock profiler for the hot-path performance pass.
+"""The §V-B microbenchmark pipeline and the ``BENCH_PERF.json`` writer.
 
-Runs the two heaviest pipelines of the repository — the §V-B BFT-SMaRt
-microbenchmark (1 KiB echo under a 25k req/s firehose) and the Figure
-8(a) update workload — twice inside one process: once with every
-optimisation switch off (:mod:`repro.perf` restores the legacy code
-paths) and once with them on. Besides the wall-clock times it collects
-the kernel counters (:meth:`repro.sim.Simulator.stats`) and the cache
-hit/miss statistics, and asserts that both phases produced *identical*
-simulation results — the caching layers must be behaviour-invisible.
-
-``profile_hot_paths`` returns the report as a dict;
-``write_report`` dumps it to ``BENCH_PERF.json``. The ``python -m repro
-perf`` subcommand and ``benchmarks/test_perf_wallclock.py`` are thin
-wrappers around these two functions.
+``run_bft_micro`` is the bare BFT library under a 1 KiB echo firehose —
+the pipeline ``benchmarks/test_bft_micro.py``, the kernel benchmark and
+the hot-path benchmark all measure. ``write_report`` merges one
+benchmark's section into ``BENCH_PERF.json`` without disturbing the
+sections other benchmarks wrote.
 """
 
 from __future__ import annotations
 
 import json
-import time
-
-from repro.perf import PERF, hot_path_optimizations
 
 #: Default output file, at the repository root when run from there.
 REPORT_FILE = "BENCH_PERF.json"
@@ -33,7 +22,7 @@ def run_bft_micro(
     payload_size: int = 1024,
     seed: int = 1,
 ):
-    """The §V-B microbenchmark pipeline (mirrors ``benchmarks/test_bft_micro``).
+    """The §V-B microbenchmark: 1 KiB echo requests at ``offered_rate``.
 
     Returns ``(result, kernel_stats)`` where ``result`` is the
     ``(rate, replica_stats)`` pair the benchmark asserts on and
@@ -71,83 +60,13 @@ def run_bft_micro(
     return (meter.rate, dict(replicas[0].stats)), sim.stats()
 
 
-def run_fig8a(rate: float = 1000.0, duration: float = 2.0, seed: int = 1):
-    """The Figure 8(a) update pipeline (SMaRt-SCADA, no alarms)."""
-    from repro.workloads.runner import run_update_experiment
-
-    result = run_update_experiment(
-        "smartscada", rate=rate, alarm_ratio=0.0, duration=duration, seed=seed
-    )
-    return (result.throughput, result.latency), None
-
-
-PIPELINES = {
-    "bft_micro": run_bft_micro,
-    "fig8a_update": run_fig8a,
-}
-
-
-def _measure(fn, enabled: bool) -> dict:
-    with hot_path_optimizations(enabled):
-        start = time.perf_counter()
-        result, kernel = fn()
-        wall = time.perf_counter() - start
-        cache_stats = PERF.stats_map() if enabled else None
-    entry = {"wall_s": wall, "result": result}
-    if kernel is not None:
-        entry["kernel"] = kernel
-    if cache_stats is not None:
-        entry["cache_stats"] = cache_stats
-    return entry
-
-
-def profile_hot_paths(pipelines: dict | None = None) -> dict:
-    """Measure every pipeline with optimisations off, then on.
-
-    Raises ``AssertionError`` if any pipeline's simulation result differs
-    between the two phases: every optimisation must be invisible to the
-    simulated behaviour, not just to the tests.
-    """
-    pipelines = PIPELINES if pipelines is None else pipelines
-    report = {
-        "description": (
-            "Hot-path performance pass: wall-clock seconds per pipeline "
-            "with every optimisation switch off (baseline, legacy code "
-            "paths) vs on (optimized)."
-        ),
-        "switches": PERF.enabled_map(),
-        # Both phases of every pipeline run on this event kernel (the
-        # on/off toggling deliberately never swaps kernels).
-        "event_kernel": PERF.kernel,
-        "pipelines": {},
-    }
-    for name, fn in pipelines.items():
-        baseline = _measure(fn, enabled=False)
-        optimized = _measure(fn, enabled=True)
-        if baseline["result"] != optimized["result"]:
-            raise AssertionError(
-                f"{name}: optimisations changed the simulation result — "
-                f"baseline={baseline['result']!r} "
-                f"optimized={optimized['result']!r}"
-            )
-        baseline.pop("result")
-        optimized.pop("result")
-        report["pipelines"][name] = {
-            "baseline": baseline,
-            "optimized": optimized,
-            "speedup": baseline["wall_s"] / optimized["wall_s"],
-            "results_equal": True,
-        }
-    return report
-
-
 def write_report(report: dict, path: str = REPORT_FILE) -> str:
     """Write ``report``'s sections into ``path``, merging over the file.
 
     Top-level keys already present on disk but absent from ``report``
     (e.g. the ``pipeline_ablation`` curve written by a different
-    benchmark) are preserved, so the wallclock pass and the ablations can
-    update the same BENCH_PERF.json in any order.
+    benchmark) are preserved, so the benchmarks can update the same
+    BENCH_PERF.json in any order.
     """
     merged: dict = {}
     try:
@@ -162,19 +81,3 @@ def write_report(report: dict, path: str = REPORT_FILE) -> str:
         json.dump(merged, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def summary_rows(report: dict) -> list:
-    """Rows for the paper-style summary table of a profiler report."""
-    rows = []
-    for name, entry in sorted(report.get("pipelines", {}).items()):
-        rows.append(
-            [
-                name,
-                f"{entry['baseline']['wall_s']:.2f}",
-                f"{entry['optimized']['wall_s']:.2f}",
-                f"{entry['speedup']:.2f}x",
-                "yes" if entry.get("results_equal") else "NO",
-            ]
-        )
-    return rows

@@ -62,6 +62,18 @@ def test_perf_names_the_benchmark_reads():
     assert callable(repro.perf.clear_hot_path_caches)
 
 
+def test_perf_has_no_on_off_switch_left():
+    # ISSUE 14 deleted the ten switches, the legacy branches behind them
+    # and the functions that toggled them; the caches are unconditional
+    # and pinned by tests/golden. Nothing else is defined here.
+    assert PerfSwitches.__slots__ == ("kernel", "stats")
+    assert {
+        name
+        for name, value in vars(repro.perf).items()
+        if getattr(value, "__module__", None) == "repro.perf"
+    } == {"CacheStats", "PerfSwitches", "PERF", "clear_hot_path_caches"}
+
+
 def test_default_kernel_is_the_ring(monkeypatch):
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     assert PerfSwitches().kernel == "ring"

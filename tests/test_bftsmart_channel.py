@@ -120,7 +120,7 @@ def test_sealed_wire_size_matches_real_encoding():
 
 def test_decode_share_open_returns_equal_message_without_reencoding():
     """Receivers of a seeded envelope see the sender's exact message."""
-    from repro.perf import PERF, clear_hot_path_caches
+    from repro.perf import clear_hot_path_caches
 
     sim, channels, _ = make_channels(("a", "b"))
     message = Stop(sender="a", regency=4)
@@ -128,6 +128,5 @@ def test_decode_share_open_returns_equal_message_without_reencoding():
     sealed = channels["a"].seal(message, receivers=["b"])
     opened = channels["b"].open(sealed)
     assert opened == message
-    if PERF.decode_share:
-        # Seeded at seal time: no decode happened on the open path.
-        assert opened is message
+    # Seeded at seal time: no decode happened on the open path.
+    assert opened is message

@@ -21,7 +21,7 @@ from repro.crypto import (
     verify_mac_vector,
 )
 from repro.crypto.mac import hmac_template
-from repro.perf import hot_path_optimizations
+from repro.perf import PERF
 
 
 def test_digest_is_deterministic_and_truncated():
@@ -142,22 +142,51 @@ def test_hmac_template_matches_hmac_module_on_random_input(key, message):
     assert hmac_template(key)(message) == _reference(key, message)
 
 
-@pytest.mark.parametrize("optimizations", [True, False])
-def test_tags_are_plain_hmac_sha256_and_tampering_still_fails(optimizations):
+def test_tags_are_plain_hmac_sha256_and_tampering_still_fails():
     # Whatever path computes them, the bytes on the wire are HMAC-SHA256
     # under the pair / signing key, and a changed payload is rejected.
     ks = KeyStore()
-    with hot_path_optimizations(optimizations):
-        alice, bob = Authenticator("alice", ks), Authenticator("bob", ks)
-        payload = bytes(range(120))
-        tag = alice.mac("bob", payload)
-        assert tag == _reference(ks.pair_key("alice", "bob"), payload)[:MAC_SIZE]
-        assert bob.verify("alice", payload, tag)
-        assert not bob.verify("alice", payload + b"!", tag)
-        vector = make_mac_vector(alice, ["bob"], payload)
-        assert verify_mac_vector(bob, vector, payload)
-        assert not verify_mac_vector(bob, vector, b"!" + payload)
-        sig = Signer("alice", ks).sign(payload)
-        assert sig.tag == _reference(ks.signing_key("alice"), payload)
-        assert Verifier(ks).verify(sig, payload)
-        assert not Verifier(ks).verify(sig, payload[:-1])
+    alice, bob = Authenticator("alice", ks), Authenticator("bob", ks)
+    payload = bytes(range(120))
+    tag = alice.mac("bob", payload)
+    assert tag == _reference(ks.pair_key("alice", "bob"), payload)[:MAC_SIZE]
+    assert bob.verify("alice", payload, tag)
+    assert not bob.verify("alice", payload + b"!", tag)
+    vector = make_mac_vector(alice, ["bob"], payload)
+    assert verify_mac_vector(bob, vector, payload)
+    assert not verify_mac_vector(bob, vector, b"!" + payload)
+    sig = Signer("alice", ks).sign(payload)
+    assert sig.tag == _reference(ks.signing_key("alice"), payload)
+    assert Verifier(ks).verify(sig, payload)
+    assert not Verifier(ks).verify(sig, payload[:-1])
+
+
+def test_memo_hit_still_rejects_tampered_tag_and_fresh_payload_object():
+    # The sender's mac()/sign() seeds the memo the receiver's verify()
+    # hits (same key, same payload object). A hit only supplies the
+    # *expected* tag: a wrong received tag still fails the comparison, and
+    # an equal-content payload in a different object misses the memo and
+    # is recomputed to the same verdicts.
+    ks = KeyStore()
+    alice, bob = Authenticator("alice", ks), Authenticator("bob", ks)
+    payload = bytes(range(200))
+    tag = alice.mac("bob", payload)
+    hits = PERF.stats["mac"].hits
+    assert bob.verify("alice", payload, tag)
+    assert PERF.stats["mac"].hits == hits + 1  # served from the memo
+    tampered = bytes([tag[0] ^ 1]) + tag[1:]
+    assert not bob.verify("alice", payload, tampered)
+    assert PERF.stats["mac"].hits == hits + 2  # a hit, and still rejected
+
+    twin = bytes(bytearray(payload))  # equal content, different object
+    assert twin == payload and twin is not payload
+    misses = PERF.stats["mac"].misses
+    assert bob.verify("alice", twin, tag)
+    assert PERF.stats["mac"].misses == misses + 1  # recomputed, not aliased
+    assert not bob.verify("alice", twin, tampered)
+
+    verifier = Verifier(ks)
+    sig = Signer("alice", ks).sign(payload)
+    forged = type(sig)(signer="alice", tag=bytes([sig.tag[0] ^ 1]) + sig.tag[1:])
+    assert verifier.verify(sig, payload) and not verifier.verify(forged, payload)
+    assert verifier.verify(sig, twin) and not verifier.verify(forged, twin)

@@ -3,19 +3,14 @@
 The kernel tombstones cancelled heap entries instead of removing them
 (O(1) cancel) and the run loop discards tombstones when they surface.
 These tests pin down the contract: a cancelled timer *never* fires, the
-heap does not grow without bound under create/cancel churn, the kernel
-counters account for everything, and — the property the whole hot-path
-performance pass rests on — enabling the optimisation switches changes
-no event order and no simulation result.
+heap does not grow without bound under create/cancel churn, and the
+kernel counters account for everything.
 """
 
 import math
 
 import pytest
 
-from repro.crypto import KeyStore
-from repro.net import ConstantLatency, Network
-from repro.perf import clear_hot_path_caches, hot_path_optimizations
 from repro.sim import SimulationError, Simulator
 
 
@@ -134,51 +129,6 @@ def test_stats_counters_account_for_every_entry():
     assert stats["tombstones_skipped"] == 4
     assert stats["heap_pending"] == 0
     assert stats["heap_peak"] == 14
-
-
-def _replicated_counter_trace(optimizations: bool):
-    """Run a small replicated-counter workload; return its full outcome.
-
-    The returned tuple captures everything observable: per-request
-    results in completion order, final replica states, the simulated
-    clock and the kernel counters. If any optimisation reordered even
-    one event, the dispatch counts and completion times would differ.
-    """
-    from repro.bftsmart import CounterService, GroupConfig, build_group, build_proxy
-    from repro.wire import decode, encode
-
-    clear_hot_path_caches()
-    with hot_path_optimizations(optimizations):
-        sim = Simulator(seed=7)
-        net = Network(sim, latency=ConstantLatency(0.0003))
-        keystore = KeyStore()
-        config = GroupConfig(n=4, f=1, request_timeout=0.5, sync_timeout=1.0)
-        replicas = build_group(sim, net, config, CounterService, keystore)
-        proxy = build_proxy(sim, net, "client-1", config, keystore)
-
-        results = []
-
-        def client():
-            for _ in range(15):
-                raw = yield proxy.invoke_ordered(encode(("add", 1)))
-                results.append((sim.now, decode(raw)))
-            return None
-
-        sim.run_process(client(), until=60)
-        return (
-            tuple(results),
-            tuple(r.service.value for r in replicas),
-            tuple(sorted(replicas[0].stats.items())),
-            sim.now,
-            sim.dispatched,
-        )
-
-
-def test_optimizations_change_no_event_order():
-    """Same seed, caches off vs on: bit-identical simulation outcomes."""
-    baseline = _replicated_counter_trace(optimizations=False)
-    optimized = _replicated_counter_trace(optimizations=True)
-    assert baseline == optimized
 
 
 def test_same_seed_same_trace_under_cancellation_churn():

@@ -3,9 +3,10 @@
 The hot-path performance pass memoizes encodings, shares string chunks
 and seeds decode results — all of which is only sound if the codec is
 *canonical*: equal values must produce identical bytes no matter which
-code path (fresh codec, memoized, legacy) produced them. These tests
-sweep every type registered in :data:`GLOBAL_REGISTRY` with generated
-sample instances and assert exactly that.
+code path (fresh codec, memoized) produced them, and the bytes the
+un-cached codec produced before it was deleted (``tests/golden``). These
+tests sweep every type registered in :data:`GLOBAL_REGISTRY` with
+generated sample instances and assert exactly that.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import hashlib
 import types
 import typing
 
@@ -27,11 +29,13 @@ import repro.neoscada.messages  # noqa: F401
 import repro.neoscada.protocols.iec104  # noqa: F401
 import repro.neoscada.protocols.modbus  # noqa: F401
 import repro.neoscada.values  # noqa: F401
+import repro.shard.messages  # noqa: F401
 from repro.bftsmart.messages import ClientRequest
 from repro.bftsmart.view import View
-from repro.crypto.digest import digest
-from repro.perf import PERF, clear_hot_path_caches, hot_path_optimizations
+from repro.crypto.digest import DIGEST_SIZE
+from repro.perf import PERF, clear_hot_path_caches
 from repro.wire import GLOBAL_REGISTRY, Codec, decode, encode, encode_cached
+from tests.golden import GOLDEN
 
 #: Types whose ``__post_init__`` rejects naive generated field values.
 _OVERRIDES = {
@@ -121,63 +125,50 @@ def test_encode_decode_round_trip(tid, cls):
 def test_memoized_encode_matches_fresh_codec(tid, cls):
     """The memoized path must be byte-identical to an uncached codec.
 
-    Three encoders are compared: ``encode_cached`` with every switch on
-    (memo + string-chunk cache + varint fast paths), a brand-new
-    :class:`Codec` instance (no shared state), and the legacy path with
-    every optimisation switch off.
+    Three encodings are compared: ``encode_cached`` (memo + string-chunk
+    cache + varint fast paths), a brand-new :class:`Codec` instance (no
+    shared state), and the bytes the legacy path produced, by digest.
     """
     original = sample_instance(cls, 5)
     clear_hot_path_caches()
-    with hot_path_optimizations(True):
-        cached = encode_cached(original).payload
-        fresh = Codec(GLOBAL_REGISTRY).encode(original)
-    with hot_path_optimizations(False):
-        legacy = encode(original)
-    assert cached == fresh == legacy
+    cached = encode_cached(original).payload
+    fresh = Codec(GLOBAL_REGISTRY).encode(original)
+    assert cached == fresh
+    legacy = GOLDEN["encodings"][f"{tid}-{cls.__name__}"]
+    assert hashlib.sha256(cached).hexdigest() == legacy
 
 
 def test_encode_cached_memo_returns_same_object():
     clear_hot_path_caches()
     request = sample_instance(ClientRequest, 1)
-    with hot_path_optimizations(True):
-        stats = PERF.stats["codec_encode"]
-        hits_before = stats.hits
-        first = encode_cached(request)
-        second = encode_cached(request)
-        assert second is first  # identity-keyed memo hit
-        assert stats.hits == hits_before + 1
-        # An equal but distinct object is *not* a memo hit (identity
-        # keyed), yet still encodes to identical bytes.
-        twin = copy.deepcopy(request)
-        assert encode_cached(twin).payload == first.payload
-
-
-def test_encode_cached_disabled_is_uncached_but_identical():
-    request = sample_instance(ClientRequest, 2)
-    with hot_path_optimizations(False):
-        first = encode_cached(request)
-        second = encode_cached(request)
-        assert second is not first
-        assert second.payload == first.payload
+    stats = PERF.stats["codec_encode"]
+    hits_before = stats.hits
+    first = encode_cached(request)
+    second = encode_cached(request)
+    assert second is first  # identity-keyed memo hit
+    assert stats.hits == hits_before + 1
+    # An equal but distinct object is *not* a memo hit (identity
+    # keyed), yet still encodes to identical bytes.
+    twin = copy.deepcopy(request)
+    assert encode_cached(twin).payload == first.payload
 
 
 def test_encoded_message_digest_is_content_digest():
     clear_hot_path_caches()
     message = sample_instance(ClientRequest, 4)
     encoded = encode_cached(message)
-    with hot_path_optimizations(False):
-        expected = digest(encoded.payload)
+    expected = hashlib.sha256(encoded.payload).digest()[:DIGEST_SIZE]
     assert encoded.digest == expected
 
 
 def test_string_chunk_cache_shares_no_state_across_values():
     """Repeated strings hit the chunk cache; bytes must stay per-value."""
     clear_hot_path_caches()
-    with hot_path_optimizations(True):
-        a = sample_instance(ClientRequest, 1)
-        b = dataclasses.replace(a, sequence=a.sequence + 1)
-        warm_a, warm_b = encode(a), encode(b)  # warm the chunk cache
-        assert (encode(a), encode(b)) == (warm_a, warm_b)
-    with hot_path_optimizations(False):
-        assert (encode(a), encode(b)) == (warm_a, warm_b)
+    a = sample_instance(ClientRequest, 1)
+    b = dataclasses.replace(a, sequence=a.sequence + 1)
+    warm_a, warm_b = encode(a), encode(b)  # warm the chunk cache
+    assert (encode(a), encode(b)) == (warm_a, warm_b)
+    clear_hot_path_caches()  # cold chunk cache, fresh codec: same bytes
+    cold = Codec(GLOBAL_REGISTRY)
+    assert (cold.encode(a), cold.encode(b)) == (warm_a, warm_b)
     assert warm_a != warm_b
