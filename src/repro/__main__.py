@@ -321,9 +321,8 @@ def cmd_trace(args) -> int:
         # and a wildcard event query cross the shard tier — the trace
         # shows ShardRouter resolution, scatter fan-out and the per-group
         # consensus rounds the request actually touched.
-        from repro.core.system import make_network
+        from repro.core.system import build_sharded_scada, make_network
         from repro.shard.config import ShardedScadaConfig
-        from repro.shard.deployment import build_sharded_scada
 
         net = make_network(sim)
         system = build_sharded_scada(
@@ -445,7 +444,7 @@ def cmd_fleet(args) -> int:
     import json as json_mod
 
     from repro.core.config import SmartScadaConfig
-    from repro.core.system import make_network
+    from repro.core.system import build_sharded_scada, make_network
     from repro.neoscada import HandlerChain, Monitor
     from repro.net.faults import Drop
     from repro.obs.fleet import FleetScoreboard
@@ -457,7 +456,6 @@ def cmd_fleet(args) -> int:
     from repro.obs.slo import SloEngine
     from repro.obs.trace import install_tracer
     from repro.shard.config import ShardedScadaConfig
-    from repro.shard.deployment import build_sharded_scada
     from repro.sim import Simulator
 
     sim = Simulator(seed=args.seed, kernel=args.kernel)

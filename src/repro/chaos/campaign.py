@@ -27,7 +27,7 @@ from repro.chaos.adaptive import TriggeredAction, active_replica_faults
 from repro.chaos.monitors import Violation, default_monitors
 from repro.chaos.schedule import Schedule
 from repro.core.config import SmartScadaConfig
-from repro.core.system import build_smartscada, make_network
+from repro.core.system import build_sharded_scada, make_network
 from repro.heal import HealConfig, RecoveryOrchestrator
 from repro.ids import (
     FeatureExtractor,
@@ -39,6 +39,7 @@ from repro.ids import (
 from repro.neoscada import HandlerChain, Monitor
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import install_tracer
+from repro.shard.config import ShardedScadaConfig
 from repro.sim.kernel import Simulator
 
 #: Retransmission budget for campaign clients: campaigns crash replicas
@@ -130,8 +131,8 @@ class CampaignConfig:
     #: the process default), for kernel-parity campaigns.
     kernel: str | None = None
 
-    def scada_config(self) -> SmartScadaConfig:
-        return SmartScadaConfig(
+    def sharded_config(self) -> ShardedScadaConfig:
+        base = SmartScadaConfig(
             n=self.n,
             f=self.f,
             request_timeout=self.request_timeout,
@@ -143,11 +144,7 @@ class CampaignConfig:
             fsync_policy=self.fsync_policy,
             checkpoint_interval=self.checkpoint_interval,
         )
-
-    def sharded_config(self):
-        from repro.shard.config import ShardedScadaConfig
-
-        return ShardedScadaConfig(shards=self.shards, base=self.scada_config())
+        return ShardedScadaConfig(shards=self.shards, base=base)
 
 
 @dataclass
@@ -200,10 +197,6 @@ class CampaignContext:
     detector: object = None
     #: The running :class:`repro.heal.RecoveryOrchestrator`, or ``None``.
     orchestrator: object = None
-    #: Replica indices evicted from the membership by the orchestrator —
-    #: retired for the rest of the campaign: fault reverts must not
-    #: resurrect a machine the group formally removed.
-    evicted: set = field(default_factory=set)
 
     def __post_init__(self) -> None:
         if self.injector is None:
@@ -291,7 +284,7 @@ class CampaignContext:
             if pm.replica.active
             and pm.index not in self.compromised
             and pm.index not in self.crashed
-            and pm.index not in self.evicted
+            and pm.address not in self.system.retired
         ]
 
     def client_proxies(self) -> list:
@@ -304,7 +297,7 @@ class CampaignContext:
     def current_leader_index(self, shard: int = 0) -> int:
         """The *global* index honest replicas of ``shard`` follow."""
         for pm in self.honest_live_proxy_masters():
-            if getattr(pm, "shard", 0) != shard:
+            if pm.shard != shard:
                 continue
             leader = pm.replica.leader  # "replica-<k>" / "s<j>-replica-<k>"
             local = int(leader.rsplit("-", 1)[1])
@@ -315,7 +308,7 @@ class CampaignContext:
         """Every group's honest live replicas agree on their frontier."""
         by_shard: dict = {}
         for pm in self.honest_live_proxy_masters():
-            by_shard.setdefault(getattr(pm, "shard", 0), []).append(pm.replica)
+            by_shard.setdefault(pm.shard, []).append(pm.replica)
         if not by_shard:
             return False
         for replicas in by_shard.values():
@@ -461,12 +454,7 @@ def run_campaign(
     if config.trace_spans or config.trace_dump is not None or ids_active:
         tracer = install_tracer(sim, max_spans=config.max_trace_spans)
     net = make_network(sim, trace=config.trace, max_hops=config.trace_max_hops)
-    if config.shards > 1:
-        from repro.shard.deployment import build_sharded_scada
-
-        system = build_sharded_scada(sim, net=net, config=config.sharded_config())
-    else:
-        system = build_smartscada(sim, net=net, config=config.scada_config())
+    system = build_sharded_scada(sim, net=net, config=config.sharded_config())
 
     sensors = [f"plant.s{i}" for i in range(config.sensors)]
     for sensor in sensors:
@@ -480,10 +468,9 @@ def run_campaign(
         system.attach_handlers(sensor, make_chain)
 
     def handler_config(proxy_master) -> None:
-        # Fresh incarnations (rejuvenation, Byzantine swap) re-read their
-        # configuration: handler chains and the campaign's retry budget.
-        for sensor in sensors:
-            proxy_master.attach_handlers(sensor, make_chain())
+        # Fresh incarnations (rejuvenation, Byzantine swap, spares) get
+        # their handler chains back from the deployment; the campaign's
+        # retry budget is the campaign's to re-apply.
         proxy_master.vote_client.max_attempts = CAMPAIGN_MAX_ATTEMPTS
 
     ctx = CampaignContext(
@@ -520,7 +507,6 @@ def run_campaign(
                 else HealConfig()
             ),
             handler_config=handler_config,
-            on_evict=lambda index, address: ctx.evicted.add(index),
         )
     scoreboard = None
     if config.fleet:

@@ -89,7 +89,7 @@ class OrderedPrefixMonitor(InvariantMonitor):
 
     def poll(self, ctx) -> None:
         for pm in ctx.honest_live_proxy_masters():
-            shard = getattr(pm, "shard", 0)
+            shard = pm.shard
             for cid, value, _timestamp in pm.replica.decision_log:
                 fingerprint = digest(value)
                 key = (shard, cid)
@@ -194,7 +194,7 @@ class LeaderConvergenceMonitor(InvariantMonitor):
     def finish(self, ctx) -> None:
         by_shard: dict[int, list] = {}
         for pm in ctx.honest_live_proxy_masters():
-            by_shard.setdefault(getattr(pm, "shard", 0), []).append(pm.replica)
+            by_shard.setdefault(pm.shard, []).append(pm.replica)
         if not by_shard:
             ctx.record_violation(self.name, "no honest live replicas at quiesce")
             return
@@ -218,7 +218,7 @@ class StateConvergenceMonitor(InvariantMonitor):
     def finish(self, ctx) -> None:
         by_shard: dict[int, list] = {}
         for pm in ctx.honest_live_proxy_masters():
-            by_shard.setdefault(getattr(pm, "shard", 0), []).append(pm)
+            by_shard.setdefault(pm.shard, []).append(pm)
         for shard, members in sorted(by_shard.items()):
             replicas = [pm.replica for pm in members]
             if len(replicas) < 2:
@@ -276,12 +276,12 @@ class DurableRecoveryMonitor(InvariantMonitor):
             replica = pm.replica
             if not replica.active:
                 continue
-            shard = getattr(pm, "shard", 0)
+            shard = pm.shard
             peers = [
                 other.replica
                 for other in ctx.honest_live_proxy_masters()
                 if other.replica is not replica
-                and getattr(other, "shard", 0) == shard
+                and other.shard == shard
             ]
             if not peers:
                 continue

@@ -1,7 +1,8 @@
 """Fault actions, schedules, fault budgets and the seeded sampler.
 
 A :class:`Schedule` is a list of time-stamped :class:`Action` objects
-applied to a running :class:`~repro.core.system.SmartScadaSystem`. Each
+applied to a running :class:`~repro.core.system.SmartScadaSystem` (one
+group or many — replica actions address machines by global index). Each
 action knows how to ``apply`` itself at its start time and ``revert``
 itself at its end time; actions with ``duration=None`` stay active until
 the campaign's fault horizon, where the runner heals everything so the
@@ -156,6 +157,12 @@ def _machine_addresses(ctx, index: int) -> list:
     return [address, f"{address}-adapter"]
 
 
+def _retired(ctx, index: int) -> bool:
+    """Whether the group voted replica machine ``index`` out (heal eviction)."""
+    system = ctx.system
+    return system.proxy_masters[index].address in system.retired
+
+
 def _crash_machine(ctx, index: int) -> list:
     """Take a replica machine fully down (inbound and outbound)."""
     rules = []
@@ -266,7 +273,7 @@ class SwapByzantine(Action):
     replica_fault = True
 
     def _apply(self, ctx) -> None:
-        if self.index in ctx.evicted:
+        if _retired(ctx, self.index):
             # The group already voted this machine out; there is no
             # replica left at the address to compromise.
             return
@@ -283,7 +290,7 @@ class SwapByzantine(Action):
 
     def _revert(self, ctx) -> None:
         address = ctx.system.proxy_masters[self.index].address
-        if self.index in ctx.evicted:
+        if _retired(ctx, self.index):
             # Evicted mid-episode: the attacker's machine was removed
             # from the membership, so healing the fault must not boot an
             # honest replica at a retired address. The episode still
@@ -458,7 +465,7 @@ class Rejuvenate(Action):
     def _apply(self, ctx) -> None:
         from repro.core.recovery import rejuvenate_replica
 
-        if self.index in ctx.evicted:
+        if _retired(ctx, self.index):
             return
         rejuvenate_replica(ctx.system, self.index, handler_config=ctx.handler_config)
         ctx.rejuvenations += 1
@@ -503,7 +510,7 @@ class CrashRestart(Action):
         from repro.core.recovery import restart_replica
 
         _recover_machine(ctx, self.index, getattr(self, "_rules", []))
-        if self.index in ctx.evicted:
+        if _retired(ctx, self.index):
             # Rebooting hardware the group evicted brings the machine
             # back online but must not rejoin it to the replica group.
             return

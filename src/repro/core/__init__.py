@@ -24,6 +24,7 @@ from repro.core.system import (
     NeoScadaSystem,
     SmartScadaSystem,
     build_neoscada,
+    build_sharded_scada,
     build_smartscada,
     make_network,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "SmartScadaConfig",
     "SmartScadaSystem",
     "build_neoscada",
+    "build_sharded_scada",
     "build_smartscada",
     "make_network",
     "neoscada_costs",

@@ -100,6 +100,17 @@ class SmartScadaConfig:
             state_retry_interval=self.state_retry_interval,
         )
 
+    def replica_storage(self, address: str):
+        """A fresh durable device for the replica at ``address``."""
+        from repro.storage import ReplicaStorage
+
+        return ReplicaStorage(
+            address,
+            fsync_policy=self.fsync_policy,
+            fsync_interval=self.fsync_interval,
+            checkpoint_retention=self.checkpoint_retention,
+        )
+
     @property
     def timeout_majority(self) -> int:
         """Majority of replicas, as the paper's §IV-D prescribes."""

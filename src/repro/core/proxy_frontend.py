@@ -59,7 +59,7 @@ class ProxyFrontend:
         self.sharded = len(group_list) > 1
         if self.sharded and shard_map is None:
             raise ValueError("a multi-group proxy needs a shard map")
-        self.router = ShardRouter(shard_map) if shard_map is not None else None
+        self.router = ShardRouter(shard_map) if self.sharded else None
         #: One BFT client per group; unsharded keeps the classic id so
         #: existing deployments stay wire-identical.
         self.bft_clients: list = []

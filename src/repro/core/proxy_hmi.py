@@ -74,7 +74,7 @@ class ProxyHMI:
         self.sharded = len(group_list) > 1
         if self.sharded and shard_map is None:
             raise ValueError("a multi-group proxy needs a shard map")
-        self.router = ShardRouter(shard_map) if shard_map is not None else None
+        self.router = ShardRouter(shard_map) if self.sharded else None
         self.bft_clients: list = []
         for shard, group in enumerate(group_list):
             client_id = (

@@ -51,9 +51,6 @@ class ProxyMaster:
         #: Which replication group this replica belongs to (0 unsharded).
         self.shard = shard
         group = group if group is not None else config.group_config()
-        #: Kept for recovery: a rejuvenated/restarted incarnation must
-        #: rejoin the *same* group at the same address.
-        self.group = group
         client_view = view if view is not None else View(0, group.addresses, group.f)
 
         self.context = ContextInfo()

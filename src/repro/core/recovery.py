@@ -13,16 +13,79 @@ state-transfers the whole Master state back in from its peers. A
 :class:`RejuvenationScheduler` cycles through the group one replica at a
 time (never exceeding the ``f`` simultaneous "faults" the group
 tolerates).
+
+It is also where every replica that appears *after* deploy time is
+built: :func:`provision_replica` is the one construction path behind
+rejuvenation, restart-from-disk and the spares that
+:class:`SpareJoiner` joins for the heal orchestrator and the shard
+splitter.
 """
 
 from __future__ import annotations
 
 import typing
 
+from repro.bftsmart.view import View
 from repro.core.proxy_master import ProxyMaster
+from repro.shard.config import shard_replica_address
 
 if typing.TYPE_CHECKING:
     from repro.core.system import SmartScadaSystem
+
+
+def provision_replica(
+    system: "SmartScadaSystem",
+    index: int,
+    shard: int,
+    address: str,
+    view: View,
+    replica_class: type | None = None,
+    handler_config=None,
+) -> ProxyMaster:
+    """Build one post-deploy ProxyMaster and slot it into the deployment.
+
+    Every replica that appears after build time comes through here: a
+    fresh incarnation at an existing ``index`` (rejuvenation, restart)
+    replaces the old one, an ``index`` one past the end appends a spare.
+    The machine's durable disk is reused when the deployment has one for
+    ``index`` and created otherwise.
+
+    Handler chains are configuration, not replicated state, and must be
+    re-applied just as a restarted real replica re-reads its config
+    files: the chains the deployment remembers from ``attach_handlers``
+    first, then ``handler_config`` — an optional ``fn(proxy_master)`` for
+    whatever else the caller configures — both before the caller
+    recovers from disk, so an installed snapshot can restore handler
+    state into them.
+    """
+    base = system.config.base
+    storage = None
+    if system.durable_storage is not None:
+        storage = system.durable_storage.get(index)
+        if storage is None:
+            storage = system.durable_storage[index] = base.replica_storage(address)
+    proxy_master = ProxyMaster(
+        system.sim,
+        system.net,
+        index,
+        base,
+        system.keystore,
+        group=system.config.group_config(shard),
+        view=view,
+        replica_class=replica_class,
+        storage=storage,
+        address=address,
+        shard=shard,
+    )
+    for item_id, chain_factory in system.handler_factories.items():
+        proxy_master.attach_handlers(item_id, chain_factory())
+    if handler_config is not None:
+        handler_config(proxy_master)
+    if index == len(system.proxy_masters):
+        system.proxy_masters.append(proxy_master)
+    else:
+        system.proxy_masters[index] = proxy_master
+    return proxy_master
 
 
 def rejuvenate_replica(
@@ -35,10 +98,8 @@ def rejuvenate_replica(
 
     The old instance is halted and detached; the new one starts from an
     empty state (fresh service, fresh Master core) and catches up through
-    the ordinary state-transfer protocol. ``handler_config`` is a
-    ``fn(proxy_master)`` that re-attaches the deployment's handler chains
-    (configuration is not replicated state and must be re-applied, just
-    as a restarted real replica re-reads its config files).
+    the ordinary state-transfer protocol (``handler_config``: see
+    :func:`provision_replica`).
 
     ``replica_class`` overrides the BFT-server class of the replacement —
     the chaos engine uses this to model a runtime *compromise*: the same
@@ -50,35 +111,22 @@ def rejuvenate_replica(
     """
     old = system.proxy_masters[index]
     old.replica.halt()
-    view = old.replica.view
-    # A sharded deployment's handle carries a ShardedScadaConfig; the
-    # per-replica tunables live on its ``base``.
-    config = getattr(system.config, "base", system.config)
-    storage = None
-    if system.durable_storage is not None:
+    durable = system.durable_storage is not None
+    if durable:
         # Rejuvenation reprovisions the machine: the disk is wiped along
         # with everything else (a compromised replica's disk contents are
         # exactly what proactive recovery must not trust).
-        storage = system.durable_storage.get(index)
-        if storage is not None:
-            storage.crash("wiped")
-    replacement = ProxyMaster(
-        system.sim,
-        system.net,
+        system.durable_storage[index].crash("wiped")
+    replacement = provision_replica(
+        system,
         index,
-        config,
-        system.keystore,
-        group=old.group,
-        view=view,
+        old.shard,
+        old.address,
+        old.replica.view,
         replica_class=replica_class,
-        storage=storage,
-        address=old.address,
-        shard=old.shard,
+        handler_config=handler_config,
     )
-    if handler_config is not None:
-        handler_config(replacement)
-    system.proxy_masters[index] = replacement
-    if storage is not None:
+    if durable:
         replacement.replica.recover_from_disk()  # wiped: a recorded no-op
     # Fetch state immediately: if this address is the current leader, the
     # group would otherwise stall for a whole request-timeout before the
@@ -118,31 +166,113 @@ def restart_replica(
         )
     old = system.proxy_masters[index]
     old.replica.halt()
-    view = old.replica.view
-    config = getattr(system.config, "base", system.config)
-    storage = system.durable_storage[index]
     if disk_fault is not None:
-        storage.crash(disk_fault)
-    replacement = ProxyMaster(
-        system.sim,
-        system.net,
+        system.durable_storage[index].crash(disk_fault)
+    replacement = provision_replica(
+        system,
         index,
-        config,
-        system.keystore,
-        group=old.group,
-        view=view,
-        storage=storage,
-        address=old.address,
-        shard=old.shard,
+        old.shard,
+        old.address,
+        old.replica.view,
+        handler_config=handler_config,
     )
-    # Handler chains are configuration, re-applied before recovery so the
-    # installed snapshot can restore their state into them.
-    if handler_config is not None:
-        handler_config(replacement)
-    system.proxy_masters[index] = replacement
     replacement.replica.recover_from_disk()
     replacement.replica.state_transfer.bootstrap()
     return replacement
+
+
+class SpareJoiner:
+    """Generator helpers for flows that grow a replica group by a spare.
+
+    The heal orchestrator's evict-and-replace and the shard splitter's
+    grow-the-target are the same procedure — provision a spare, join it
+    through the signed reconfiguration protocol, propagate the view,
+    bootstrap its state transfer, wait for it to reach the frontier —
+    run from inside the subclass's own simulation process. The subclass
+    picks the poll ``grid``, so every wait ticks on its caller's clock.
+    """
+
+    def __init__(self, system: "SmartScadaSystem", grid: float, handler_config=None):
+        self.sim = system.sim
+        self.net = system.net
+        self.system = system
+        self.grid = grid
+        self.handler_config = handler_config
+
+    def _join_spare(self, admin, shard: int, transfer_deadline: float, **reconfig):
+        """Grow group ``shard`` by one fresh replica through ``admin``.
+
+        Returns ``(spare, result, caught_up)``: the new ProxyMaster, the
+        join's :class:`~repro.bftsmart.reconfiguration.ReconfigResult`
+        (``reconfig`` are ``reconfigure_checked`` keywords) and whether
+        the spare reached the decision frontier within the deadline. A
+        join that is not ``applied`` leaves the spare listening but
+        outside every view.
+        """
+        spare = self._provision_spare(shard, admin.proxy.view)
+        result = yield from self._await(
+            admin.reconfigure_checked(join=(spare.address,), **reconfig)
+        )
+        if not result.applied:
+            return spare, result, False
+        self.system.update_views(result.view, shard=shard)
+        spare.replica.state_transfer.bootstrap()
+        caught_up = yield from self._wait_caught_up(spare, transfer_deadline)
+        return spare, result, caught_up
+
+    def _provision_spare(self, shard: int, view: View) -> ProxyMaster:
+        """Boot a fresh replica at group ``shard``'s next spare address.
+
+        The spare anticipates the post-join view (the admin is the only
+        view-changing principal, so the id is exact) and starts
+        listening before the reconfiguration decides — the moment the
+        members install the new view, the joiner is already there.
+        """
+        system = self.system
+        # Retired members keep their address: count every replica the
+        # group ever had, not its current membership.
+        local = sum(1 for pm in system.proxy_masters if pm.shard == shard)
+        address = shard_replica_address(shard, local, system.shards)
+        anticipated = View(view.view_id + 1, view.addresses + (address,), view.f)
+        return provision_replica(
+            system,
+            len(system.proxy_masters),
+            shard,
+            address,
+            anticipated,
+            handler_config=self.handler_config,
+        )
+
+    def _await(self, event):
+        """Wait for ``event`` inside a flow generator; ``None`` on failure."""
+        box: list = []
+        event.add_callback(lambda ev: box.append(ev))
+        while not box:
+            yield self.sim.timeout(self.grid)
+        ev = box[0]
+        if not ev.ok:
+            ev.defused = True
+            return None
+        return ev.value
+
+    def _wait_caught_up(self, pm: ProxyMaster, deadline: float):
+        """Poll until ``pm`` finished its transfer and reached the frontier."""
+        sim = self.sim
+        limit = sim.now + deadline
+        while sim.now < limit:
+            peers = [
+                other.replica.last_decided
+                for other in self.system.group(pm.shard)
+                if other is not pm and other.replica.active
+            ]
+            if (
+                peers
+                and not pm.replica.state_transfer.in_progress
+                and pm.replica.last_decided >= max(peers) - 1
+            ):
+                return True
+            yield sim.timeout(self.grid)
+        return False
 
 
 class RejuvenationScheduler:
@@ -197,14 +327,12 @@ class RejuvenationScheduler:
     def erosion_reason(self, target: int) -> str | None:
         """Why rejuvenating ``target`` now would erode the quorum."""
         net = self.system.net
-        target_shard = next(
-            (pm.shard for pm in self.system.proxy_masters if pm.index == target), 0
-        )
-        for pm in self.system.proxy_masters:
-            if pm.index == target or pm.shard != target_shard:
-                # Only the target's own group loses quorum headroom; a
-                # degraded replica in a *different* shard is no reason
-                # to postpone this group's rejuvenation slot.
+        victim = self.system.proxy_masters[target]
+        # Only the target's own group loses quorum headroom; a degraded
+        # replica in a *different* shard — or one the group already voted
+        # out — is no reason to postpone this group's rejuvenation slot.
+        for pm in self.system.group(victim.shard):
+            if pm is victim:
                 continue
             if not pm.replica.active:
                 return f"{pm.address} is down"
@@ -235,8 +363,12 @@ class RejuvenationScheduler:
         try:
             while True:
                 yield sim.timeout(self.period)
-                count = len(self.system.proxy_masters)
-                target = index % count
+                members = [
+                    pm.index
+                    for pm in self.system.proxy_masters
+                    if pm.address not in self.system.retired
+                ]
+                target = members[index % len(members)]
                 reason = self.erosion_reason(target)
                 if reason is not None:
                     self.skipped += 1
@@ -252,10 +384,8 @@ class RejuvenationScheduler:
                 yield sim.timeout(self.settle_time)
                 peers = [
                     pm.replica
-                    for pm in self.system.proxy_masters
-                    if pm is not replacement
-                    and pm.replica.active
-                    and pm.shard == replacement.shard
+                    for pm in self.system.group(replacement.shard)
+                    if pm is not replacement and pm.replica.active
                 ]
                 if peers and replacement.replica.last_decided >= min(
                     p.last_decided for p in peers

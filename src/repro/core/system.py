@@ -1,16 +1,19 @@
 """Whole-deployment builders for both systems under study.
 
 :func:`build_neoscada` assembles the original three-machine deployment
-(Frontend, SCADA Master, HMI); :func:`build_smartscada` assembles the
-six-machine replicated one (Frontend + proxy, n ProxyMasters, HMI +
-proxy) exactly as §V describes. Both return a handle object exposing the
-components, so tests, examples and benchmarks configure items/handlers
-and drive traffic uniformly.
+(Frontend, SCADA Master, HMI); :func:`build_sharded_scada` assembles the
+replicated one (Frontend + proxy, n ProxyMasters per group, HMI + proxy)
+exactly as §V describes, once per shard behind one item namespace —
+:func:`build_smartscada` is its one-group form, the paper's six
+machines. Both return a handle object exposing the components, so tests,
+examples and benchmarks configure items/handlers and drive traffic
+uniformly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 
 from repro.core.config import (
     DEFAULT_HOP_LATENCY,
@@ -28,7 +31,13 @@ from repro.neoscada.master import MasterCosts, ScadaMaster
 from repro.net.latency import LanLatency
 from repro.net.network import Network
 from repro.net.trace import NetworkTrace
+from repro.shard.map import ShardMap
 from repro.sim.kernel import Simulator
+
+if typing.TYPE_CHECKING:
+    # ``repro.shard.config`` imports ``repro.core.config`` (and with it
+    # this package), so the builders import it at call time.
+    from repro.shard.config import ShardedScadaConfig
 
 
 def make_network(
@@ -111,25 +120,50 @@ def build_neoscada(
 
 @dataclass
 class SmartScadaSystem:
-    """Handle to an assembled SMaRt-SCADA deployment."""
+    """Handle to an assembled SMaRt-SCADA deployment.
+
+    Sharding is a topology parameter of the one deployment shape: the
+    classic system is the 1-shard fleet. ``config`` is always a
+    :class:`~repro.shard.config.ShardedScadaConfig`; the per-group
+    tunables live on ``config.base``.
+    """
 
     sim: Simulator
     net: Network
-    config: SmartScadaConfig
+    config: "ShardedScadaConfig"
     keystore: KeyStore
+    shard_map: ShardMap
     frontends: list
     proxy_frontends: list
+    #: Flat and positional (``proxy_masters[i].index == i``): replicas of
+    #: shard ``k`` occupy ``[k*n, (k+1)*n)``, spares joined later are
+    #: appended, and a retired replica keeps its slot — chaos actions and
+    #: benchmarks address machines by position. :meth:`group` is the
+    #: membership view.
     proxy_masters: list
     proxy_hmi: ProxyHMI
     hmi: HMI
-    #: index -> :class:`repro.storage.ReplicaStorage` when the deployment
-    #: was built with ``config.durability``; ``None`` otherwise. Disks
-    #: outlive replica incarnations — a restart boots from the same one.
+    #: global index -> :class:`repro.storage.ReplicaStorage` when the
+    #: deployment was built with ``config.base.durability``; ``None``
+    #: otherwise. Disks outlive replica incarnations — a restart boots
+    #: from the same one.
     durable_storage: dict | None = None
+    #: item id -> chain factory, so replicas provisioned *after* deploy
+    #: time (rejuvenated, restarted, spares) get the same configuration.
+    handler_factories: dict = field(default_factory=dict)
+    #: Addresses the groups voted out of their membership (heal
+    #: eviction) — the deployment's one record of retirement. Addresses
+    #: are never reused, so the record survives whatever incarnation
+    #: sits in the slot: fault reverts must not resurrect these machines.
+    retired: set = field(default_factory=set)
 
     @property
     def frontend(self) -> Frontend:
         return self.frontends[0]
+
+    @property
+    def shards(self) -> int:
+        return self.config.shards
 
     @property
     def masters(self) -> list:
@@ -138,6 +172,21 @@ class SmartScadaSystem:
     @property
     def replicas(self) -> list:
         return [pm.replica for pm in self.proxy_masters]
+
+    def group(self, shard: int) -> list:
+        """The *current* members of one group.
+
+        Spares joined later are included; replicas the group voted out
+        (:attr:`retired`) are not.
+        """
+        return [
+            pm
+            for pm in self.proxy_masters
+            if pm.shard == shard and pm.address not in self.retired
+        ]
+
+    def shard_of(self, item_id: str) -> int:
+        return self.shard_map.shard_of(item_id)
 
     def start(self) -> None:
         for frontend in self.frontends:
@@ -150,35 +199,52 @@ class SmartScadaSystem:
         self.sim.run(until=self.sim.now + 0.2)
 
     def attach_handlers(self, item_id: str, chain_factory) -> None:
-        """Attach an identical handler chain to every Master replica.
+        """Attach an identical handler chain to every replica of every group.
 
         ``chain_factory()`` is called once per replica — handler
         instances hold state and must never be shared between replicas.
+        Handler chains are configuration: installing them everywhere (not
+        just on the owning group) keeps a later shard split from changing
+        alarm behaviour — the target group is already configured.
         """
+        self.handler_factories[item_id] = chain_factory
         for proxy_master in self.proxy_masters:
             proxy_master.attach_handlers(item_id, chain_factory())
 
-    def state_digests(self) -> list:
-        """Per-replica digests of the full Master state (for divergence checks)."""
+    def state_digests(self, shard: int | None = None) -> list:
+        """Per-replica state digests, whole deployment or one group.
+
+        Digest equality is only meaningful *within* a group — different
+        groups legitimately hold different state. Pass ``shard`` for the
+        convergence-check form.
+        """
         from repro.crypto import digest
 
+        members = self.proxy_masters if shard is None else self.group(shard)
         return [
             digest(pm.service.snapshot())
-            for pm in self.proxy_masters
+            for pm in members
             if pm.replica.active
         ]
 
-    def update_views(self, view) -> None:
-        """Propagate a post-reconfiguration membership to every client.
+    def update_views(self, view, shard: int = 0) -> None:
+        """Propagate one group's post-reconfiguration view to its clients.
 
         BFT-SMaRt clients learn new views from their view storage; this
         plays that role for the deployment's proxies and adapter clients.
         """
-        self.proxy_hmi.bft.update_view(view)
+        self.proxy_hmi.bft_clients[shard].update_view(view)
         for proxy_frontend in self.proxy_frontends:
-            proxy_frontend.bft.update_view(view)
+            proxy_frontend.bft_clients[shard].update_view(view)
         for proxy_master in self.proxy_masters:
-            proxy_master.vote_client.update_view(view)
+            # Retired machines included: an adapter client still draining
+            # votes must not keep retransmitting into a stale view.
+            if proxy_master.shard == shard:
+                proxy_master.vote_client.update_view(view)
+
+    def flush_events(self) -> None:
+        """Drain the HMI-side AE merge buffer (quiescence helper)."""
+        self.proxy_hmi.flush_events()
 
 
 def build_smartscada(
@@ -189,19 +255,44 @@ def build_smartscada(
     keystore: KeyStore | None = None,
     replica_classes: dict | None = None,
 ) -> SmartScadaSystem:
-    """Assemble the paper's six-machine SMaRt-SCADA deployment.
+    """Assemble the paper's six-machine SMaRt-SCADA deployment: one group."""
+    from repro.shard.config import ShardedScadaConfig
 
-    One Frontend (+proxy), ``config.n`` ProxyMasters, one HMI (+proxy);
-    each component shares a machine with its proxy, modelled as
-    loopback-speed links between the pairs. ``replica_classes`` overrides
-    the BFT-server class of specific replica indices (Byzantine drills:
-    ``{1: SilentReplica}``).
+    one_group = ShardedScadaConfig(
+        shards=1, base=config if config is not None else SmartScadaConfig()
+    )
+    return build_sharded_scada(
+        sim, net, one_group, frontend_count, keystore, replica_classes
+    )
+
+
+def build_sharded_scada(
+    sim: Simulator,
+    net: Network | None = None,
+    config: "ShardedScadaConfig | None" = None,
+    frontend_count: int = 1,
+    keystore: KeyStore | None = None,
+    replica_classes: dict | None = None,
+) -> SmartScadaSystem:
+    """Assemble ``config.shards`` BFT groups behind one item namespace.
+
+    Frontends (+proxies), ``config.base.n`` ProxyMasters per group, one
+    HMI (+proxy) exactly as §V describes; each component shares a machine
+    with its proxy, modelled as loopback-speed links between the pairs.
+    Every group has its own leader, consensus pipeline, WAL and view; the
+    proxies hold one BFT client per group. At one shard this is the
+    paper's six-machine deployment, classic wire addresses included.
+    ``replica_classes`` overrides the BFT-server class by *global* replica
+    index (Byzantine drills: ``{1: SilentReplica}``).
     """
+    from repro.shard.config import ShardedScadaConfig
+
     net = net if net is not None else make_network(sim)
-    config = config if config is not None else SmartScadaConfig()
+    config = config if config is not None else ShardedScadaConfig()
     keystore = keystore if keystore is not None else KeyStore()
     replica_classes = replica_classes or {}
-    group = config.group_config()
+    groups = config.group_configs()
+    shard_map = config.shard_map()
 
     frontends = []
     proxy_frontends = []
@@ -212,64 +303,96 @@ def build_smartscada(
             net,
             f"proxy-frontend-{i}",
             frontend_address=frontend.address,
-            config=group,
+            config=groups[0],
             keystore=keystore,
-            invoke_timeout=config.invoke_timeout,
+            invoke_timeout=config.base.invoke_timeout,
+            groups=groups,
+            shard_map=shard_map,
         )
         net.set_local_pair(frontend.address, proxy.address, DEFAULT_LOCAL_LATENCY)
         frontends.append(frontend)
         proxy_frontends.append(proxy)
 
     durable_storage = None
-    if config.durability:
-        from repro.bftsmart.config import replica_address
-        from repro.storage import ReplicaStorage
-
-        durable_storage = {
-            index: ReplicaStorage(
-                replica_address(index),
-                fsync_policy=config.fsync_policy,
-                fsync_interval=config.fsync_interval,
-                checkpoint_retention=config.checkpoint_retention,
-            )
-            for index in range(config.n)
-        }
+    if config.base.durability:
+        durable_storage = {}
+        for shard, group in enumerate(groups):
+            for local, address in enumerate(group.addresses):
+                durable_storage[config.global_index(shard, local)] = (
+                    config.base.replica_storage(address)
+                )
         storages = dict(durable_storage)
         sim.register_stats_source(
             "storage",
             lambda: {s.address: s.counters() for s in storages.values()},
         )
 
-    proxy_masters = [
-        ProxyMaster(
-            sim,
-            net,
-            index,
-            config,
-            keystore,
-            group=group,
-            replica_class=replica_classes.get(index),
-            storage=durable_storage[index] if durable_storage else None,
-        )
-        for index in range(config.n)
-    ]
+    proxy_masters = []
+    for shard, group in enumerate(groups):
+        for local, address in enumerate(group.addresses):
+            global_index = config.global_index(shard, local)
+            proxy_masters.append(
+                ProxyMaster(
+                    sim,
+                    net,
+                    global_index,
+                    config.base,
+                    keystore,
+                    group=group,
+                    replica_class=replica_classes.get(global_index),
+                    storage=(
+                        durable_storage[global_index] if durable_storage else None
+                    ),
+                    address=address,
+                    shard=shard,
+                )
+            )
 
     proxy_hmi = ProxyHMI(
         sim,
         net,
         "proxy-hmi",
-        config=group,
+        config=groups[0],
         keystore=keystore,
-        invoke_timeout=config.invoke_timeout,
+        invoke_timeout=config.base.invoke_timeout,
+        groups=groups,
+        shard_map=shard_map,
+        merge_holdback=config.merge_holdback,
+        correlate_window=config.correlate_window,
     )
     hmi = HMI(sim, net, "hmi", master_address="proxy-hmi")
     net.set_local_pair("hmi", "proxy-hmi", DEFAULT_LOCAL_LATENCY)
+
+    if config.shards > 1:
+        # Shard-tier stats surface for the fleet scoreboard: every
+        # router cache in the deployment plus the global AE merger.
+        routers = {"proxy-hmi": proxy_hmi.router}
+        for proxy in proxy_frontends:
+            routers[proxy.address] = proxy.router
+        merger = proxy_hmi.merger
+
+        def _router_stats() -> dict:
+            totals = {"hits": 0, "misses": 0, "invalidations": 0}
+            for router in routers.values():
+                for key in totals:
+                    totals[key] += router.stats[key]
+            totals["epoch"] = shard_map.epoch
+            return totals
+
+        def _merger_stats() -> dict:
+            stats = dict(merger.stats)
+            stats["pending"] = merger.pending
+            return stats
+
+        sim.register_stats_source("shard.router", _router_stats)
+        sim.register_stats_source("shard.merge", _merger_stats)
 
     return SmartScadaSystem(
         sim=sim,
         net=net,
         config=config,
         keystore=keystore,
+        shard_map=shard_map,
         frontends=frontends,
         proxy_frontends=proxy_frontends,
         proxy_masters=proxy_masters,

@@ -34,12 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bftsmart.client import ServiceProxy
-from repro.bftsmart.config import replica_address
+from repro.bftsmart.cluster import build_proxy
 from repro.bftsmart.reconfiguration import Administrator
-from repro.bftsmart.view import View
-from repro.core.proxy_master import ProxyMaster
-from repro.core.recovery import rejuvenate_replica, restart_replica
+from repro.core.recovery import SpareJoiner, rejuvenate_replica, restart_replica
 from repro.heal.policy import HealConfig, quorum_blockers, transfer_blockers
 
 _NEVER = -1.0e9
@@ -82,13 +79,15 @@ class HealAction:
         }
 
 
-class RecoveryOrchestrator:
+class RecoveryOrchestrator(SpareJoiner):
     """Drives automated recovery from IDS verdicts and liveness probes.
 
     Parameters
     ----------
     sim, net, system:
-        The running deployment (a :class:`repro.core.system.SmartScadaSystem`).
+        The running deployment (a one-group
+        :class:`repro.core.system.SmartScadaSystem`; the orchestrator
+        watches shard 0).
     detector:
         The :class:`repro.ids.IntrusionDetector` whose ``verdicts()``
         feed the policy engine, or ``None`` for a probe-only
@@ -96,12 +95,13 @@ class RecoveryOrchestrator:
     config:
         A :class:`repro.heal.policy.HealConfig`.
     handler_config:
-        ``fn(proxy_master)`` re-applying deployment configuration to
-        replicas the orchestrator boots (spares, restarts).
-    on_evict:
-        ``fn(index, address)`` called after a successful eviction — the
-        chaos campaign uses it to mark the index retired so fault
-        reverts stop resurrecting it.
+        ``fn(proxy_master)`` applying the caller's extra configuration to
+        replicas the orchestrator boots (spares, restarts); the handler
+        chains the deployment remembers are re-applied regardless.
+
+    A successful eviction adds the suspect to ``system.retired`` — the
+    one membership record fault reverts, the scoreboard and the
+    rejuvenation scheduler all read.
     """
 
     def __init__(
@@ -112,30 +112,22 @@ class RecoveryOrchestrator:
         detector=None,
         config: HealConfig | None = None,
         handler_config=None,
-        on_evict=None,
     ) -> None:
-        self.sim = sim
-        self.net = net
-        self.system = system
-        self.detector = detector
         self.config = config if config is not None else HealConfig()
-        self.handler_config = handler_config
-        self.on_evict = on_evict
-        group = system.config.group_config()
-        proxy = ServiceProxy(
-            sim=sim,
-            net=net,
-            client_id="heal-admin",
-            keystore=system.keystore,
-            view=View(0, group.addresses, group.f),
-            invoke_timeout=system.config.invoke_timeout,
+        super().__init__(system, self.config.grid, handler_config)
+        self.detector = detector
+        proxy = build_proxy(
+            sim,
+            net,
+            "heal-admin",
+            system.config.group_config(0),
+            system.keystore,
+            invoke_timeout=system.config.base.invoke_timeout,
         )
         proxy.max_attempts = self.config.admin_max_attempts
         self.admin = Administrator(proxy, system.keystore)
         #: Complete audit trail of decisions (:class:`HealAction`).
         self.actions: list = []
-        #: Addresses removed from the membership by this orchestrator.
-        self.evicted: set = set()
         self.evictions = 0
         self.rejuvenations = 0
         self.restarts = 0
@@ -157,7 +149,6 @@ class RecoveryOrchestrator:
         #: replica address -> instant its process was first seen dead
         #: while the machine stayed reachable.
         self._down_since: dict[str, float] = {}
-        self._spare_base = max(pm.index for pm in system.proxy_masters) + 1
         self._spares_used = 0
         sim.register_stats_source("heal", self._stats)
 
@@ -207,7 +198,7 @@ class RecoveryOrchestrator:
         if not ladder:
             return False
         entity = verdict.entity
-        if entity in self.evicted:
+        if entity in self.system.retired:
             return False
         st = self._state(entity)
         if st["done"] or now < st["cooldown_until"]:
@@ -316,9 +307,7 @@ class RecoveryOrchestrator:
 
     def _probe_crashed(self) -> None:
         now = self.sim.now
-        for pm in self.system.proxy_masters:
-            if pm.address in self.evicted:
-                continue
+        for pm in self.system.group(0):
             if not pm.replica.active and not self.net.endpoint(pm.address).down:
                 self._down_since.setdefault(pm.address, now)
             else:
@@ -393,12 +382,7 @@ class RecoveryOrchestrator:
 
     def _restart_flow(self, action: HealAction, pm):
         cfg = self.config
-        storage = (
-            self.system.durable_storage.get(pm.index)
-            if self.system.durable_storage is not None
-            else None
-        )
-        if storage is not None:
+        if self.system.durable_storage is not None:
             replacement = restart_replica(
                 self.system,
                 pm.index,
@@ -419,33 +403,26 @@ class RecoveryOrchestrator:
 
     def _evict_flow(self, action: HealAction, suspect_pm):
         cfg = self.config
-        sim = self.sim
         suspect = suspect_pm.address
         if self._spares_used >= cfg.max_spares:
             action.outcome = "failed"
             action.detail = f"spare budget ({cfg.max_spares}) exhausted"
             return
-        spare_pm = self._provision_spare(self._spare_base + self._spares_used)
         self._spares_used += 1
-        # Phase 1 — join the spare, so the membership never shrinks first.
-        result = yield from self._await(
-            self.admin.reconfigure_checked(
-                join=(spare_pm.address,),
-                timeout=cfg.action_timeout,
-                attempts=cfg.reconfig_attempts,
-                backoff=cfg.reconfig_backoff,
-            )
+        reconfig = {
+            "timeout": cfg.action_timeout,
+            "attempts": cfg.reconfig_attempts,
+            "backoff": cfg.reconfig_backoff,
+        }
+        # Phases 1+2 — join a spare first, so the membership never
+        # shrinks, and wait for it to state-transfer the full state.
+        spare_pm, result, caught_up = yield from self._join_spare(
+            self.admin, suspect_pm.shard, cfg.transfer_deadline, **reconfig
         )
         if not result.applied:
             action.outcome = f"join-{result.status}"
             action.detail = result.detail
             return
-        self.system.update_views(result.view)
-        # Phase 2 — wait for the joiner to state-transfer the full state.
-        spare_pm.replica.state_transfer.bootstrap()
-        caught_up = yield from self._wait_caught_up(
-            spare_pm, cfg.transfer_deadline
-        )
         if not caught_up:
             action.outcome = "transfer-timed-out"
             action.detail = (
@@ -463,14 +440,17 @@ class RecoveryOrchestrator:
             action.detail = "; ".join(blockers)
             self.blocked += 1
             return
-        result = yield from self._await(
-            self.admin.reconfigure_checked(
-                leave=(suspect,),
-                timeout=cfg.action_timeout,
-                attempts=cfg.reconfig_attempts,
-                backoff=cfg.reconfig_backoff,
-            )
-        )
+        leave = self.admin.reconfigure_checked(leave=(suspect,), **reconfig)
+
+        def record_retirement(ev) -> None:
+            # At the instant the decision arrives, not on this flow's next
+            # poll tick: a scoreboard sample or a fault revert landing in
+            # between must already find the suspect gone.
+            if ev.value.applied:
+                self.system.retired.add(suspect)
+
+        leave.add_callback(record_retirement)
+        result = yield from self._await(leave)
         if not result.applied:
             action.outcome = f"leave-{result.status}"
             action.detail = result.detail
@@ -480,54 +460,12 @@ class RecoveryOrchestrator:
         # honest replicas already ignore it, but halting it stops the
         # noise and releases its machine.
         suspect_pm.replica.halt()
-        self.evicted.add(suspect)
         self.evictions += 1
-        if self.on_evict is not None:
-            self.on_evict(suspect_pm.index, suspect)
         action.outcome = "completed"
         action.detail = (
             f"replaced by {spare_pm.address} "
-            f"(view {result.view_id}, t={sim.now:.3f})"
+            f"(view {result.view_id}, t={self.sim.now:.3f})"
         )
-
-    def _provision_spare(self, index: int) -> ProxyMaster:
-        """Boot a fresh replica at the next spare address.
-
-        The spare anticipates the post-join view (the admin is the only
-        view-changing principal here, so the id is exact) and starts
-        listening before the reconfiguration decides — the moment the
-        members install the new view, the joiner is already there.
-        """
-        system = self.system
-        view = self.admin.proxy.view
-        address = replica_address(index)
-        anticipated = View(
-            view.view_id + 1, view.addresses + (address,), view.f
-        )
-        storage = None
-        if system.durable_storage is not None:
-            from repro.storage import ReplicaStorage
-
-            storage = ReplicaStorage(
-                address,
-                fsync_policy=system.config.fsync_policy,
-                fsync_interval=system.config.fsync_interval,
-                checkpoint_retention=system.config.checkpoint_retention,
-            )
-            system.durable_storage[index] = storage
-        pm = ProxyMaster(
-            self.sim,
-            self.net,
-            index,
-            system.config,
-            system.keystore,
-            view=anticipated,
-            storage=storage,
-        )
-        if self.handler_config is not None:
-            self.handler_config(pm)
-        system.proxy_masters.append(pm)
-        return pm
 
     # -- helpers ---------------------------------------------------------
 
@@ -543,39 +481,10 @@ class RecoveryOrchestrator:
         )
 
     def _member(self, address: str):
-        for pm in self.system.proxy_masters:
-            if pm.address == address and pm.address not in self.evicted:
+        for pm in self.system.group(0):
+            if pm.address == address:
                 return pm
         return None
-
-    def _await(self, event):
-        """Wait for ``event`` from inside a flow generator; returns its value."""
-        box: list = []
-        event.add_callback(lambda ev: box.append(ev))
-        while not box:
-            yield self.sim.timeout(self.config.grid)
-        return box[0].value
-
-    def _wait_caught_up(self, pm, deadline: float):
-        """Poll until ``pm`` finished its transfer and reached the frontier."""
-        sim = self.sim
-        limit = sim.now + deadline
-        while sim.now < limit:
-            peers = [
-                other.replica.last_decided
-                for other in self.system.proxy_masters
-                if other is not pm
-                and other.replica.active
-                and other.address not in self.evicted
-            ]
-            if (
-                peers
-                and not pm.replica.state_transfer.in_progress
-                and pm.replica.last_decided >= max(peers) - 1
-            ):
-                return True
-            yield sim.timeout(self.config.grid)
-        return False
 
     def _begin_span(self, name: str, action: HealAction):
         tracer = self.sim.tracer

@@ -16,10 +16,9 @@ sides of a replica: ``replica.active`` (process-level crashes,
 rejuvenation gaps) *and* the network endpoint's ``down`` flag (chaos
 ``net.crash`` kills a machine without telling the replica object).
 
-It works over both deployment shapes: a
-:class:`~repro.shard.deployment.ShardedScadaSystem` (per-shard rows) or
-a classic :class:`~repro.core.system.SmartScadaSystem` (one row,
-shard 0).
+It reads a :class:`~repro.core.system.SmartScadaSystem`: one row per
+shard, so the classic one-group deployment is a one-row board. A group
+is its *current* members (spares joined, evicted replicas gone).
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ class ShardHealth:
     """One BFT group's health at a sampling instant."""
 
     shard: int
-    #: Expected membership / fault budget of the group.
+    #: Current membership (a grown group counts its spare, an evicted
+    #: replica no longer counts) / configured fault budget of the group.
     n: int
     f: int
     #: Replicas the protocol needs answering: 2f+1.
@@ -147,23 +147,7 @@ class FleetScoreboard:
         self._last_leader: dict = {}
         self._leader_changes: dict = {}
 
-    # -- topology helpers ------------------------------------------------
-
-    @property
-    def shards(self) -> int:
-        return getattr(self.system, "shards", 1)
-
-    def _base_config(self):
-        return getattr(self.system.config, "base", self.system.config)
-
-    def _group(self, shard: int) -> list:
-        if hasattr(self.system, "group"):
-            return self.system.group(shard)
-        return [
-            pm
-            for pm in self.system.proxy_masters
-            if getattr(pm, "shard", 0) == shard
-        ]
+    # -- sampling --------------------------------------------------------
 
     def _is_live(self, pm) -> bool:
         if not pm.replica.active:
@@ -175,12 +159,10 @@ class FleetScoreboard:
             return False
         return True
 
-    # -- sampling --------------------------------------------------------
-
     def _shard_health(self, shard: int) -> ShardHealth:
-        base = self._base_config()
+        base = self.system.config.base
         metrics = self.system.sim.metrics
-        members = self._group(shard)
+        members = self.system.group(shard)
         live_members = [pm for pm in members if self._is_live(pm)]
 
         leader = ""
@@ -210,7 +192,7 @@ class FleetScoreboard:
         quorum = 2 * base.f + 1
         health = ShardHealth(
             shard=shard,
-            n=base.n,
+            n=len(members),
             f=base.f,
             quorum=quorum,
             live=len(live_members),
@@ -229,9 +211,9 @@ class FleetScoreboard:
             health.reasons.append(
                 f"live {health.live} below quorum {quorum}"
             )
-        elif health.live < base.n:
+        elif health.live < health.n:
             health.status = "degraded"
-            health.reasons.append(f"live {health.live} of {base.n} members")
+            health.reasons.append(f"live {health.live} of {health.n} members")
         if leader:
             leader_pm = next(
                 (pm for pm in members if pm.address == leader), None
@@ -245,7 +227,7 @@ class FleetScoreboard:
         return health
 
     def _merger_view(self, now: float) -> tuple:
-        merger = getattr(self.system.proxy_hmi, "merger", None)
+        merger = self.system.proxy_hmi.merger
         if merger is None:
             return 0.0, {}
         stats = dict(merger.stats)
@@ -253,7 +235,7 @@ class FleetScoreboard:
         return merger.oldest_pending_age(now), stats
 
     def _router_view(self) -> dict:
-        router = getattr(self.system.proxy_hmi, "router", None)
+        router = self.system.proxy_hmi.router
         if router is None:
             return {}
         stats = dict(router.stats)
@@ -267,7 +249,7 @@ class FleetScoreboard:
         """Take one passive reading (and run the SLO engine over it)."""
         sim = self.system.sim
         now = sim.now
-        shard_healths = [self._shard_health(k) for k in range(self.shards)]
+        shard_healths = [self._shard_health(k) for k in range(self.system.shards)]
 
         latency = sim.metrics.read("hmi.write.latency")
         freshness_age, holdback = self._merger_view(now)
@@ -327,7 +309,7 @@ class FleetScoreboard:
         """JSON-safe dump: latest sample, transitions, SLO summary."""
         latest = self.latest
         return {
-            "shards": self.shards,
+            "shards": self.system.shards,
             "samples": len(self.samples),
             "status": latest.status if latest else "unknown",
             "latest": latest.as_dict() if latest else None,

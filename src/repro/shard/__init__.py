@@ -25,9 +25,13 @@ The hard parts this package owns:
   between groups under traffic, then optionally grow the target group
   through the signed reconfiguration protocol.
 
+The deployment itself is not in this package: sharding is a topology
+parameter of the one SMaRt-SCADA builder and handle in
+:mod:`repro.core.system` (``build_sharded_scada`` is re-exported here).
+
 Exports resolve lazily (PEP 562): :mod:`repro.core.adapter` imports the
-shard wire messages, so this ``__init__`` must not import the
-deployment layer (which imports :mod:`repro.core`) at module time.
+shard wire messages, so this ``__init__`` must not import
+:mod:`repro.core` at module time.
 """
 
 _EXPORTS = {
@@ -40,9 +44,8 @@ _EXPORTS = {
     "ShardRouter": "repro.shard.map",
     "ShardSplitter": "repro.shard.split",
     "ShardedScadaConfig": "repro.shard.config",
-    "ShardedScadaSystem": "repro.shard.deployment",
     "SplitReport": "repro.shard.split",
-    "build_sharded_scada": "repro.shard.deployment",
+    "build_sharded_scada": "repro.core.system",
     "hash_shard": "repro.shard.map",
     "merge_event_streams": "repro.shard.merge",
     "merge_key": "repro.shard.merge",

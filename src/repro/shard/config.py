@@ -9,13 +9,13 @@ replica addresses are namespaced ``s<k>-replica-<i>`` so the groups
 coexist on one network without address collisions.
 
 Shard 0 of a one-shard deployment keeps the classic ``replica-<i>``
-addresses, so a 1-shard sharded deployment is wire-compatible with the
-unsharded one.
+addresses: the paper's unsharded system *is* the 1-shard deployment
+(:func:`repro.core.system.build_smartscada` builds exactly that).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.bftsmart.config import GroupConfig, replica_address
 from repro.core.config import SmartScadaConfig
@@ -61,29 +61,13 @@ class ShardedScadaConfig:
             shard_replica_address(shard, i, self.shards)
             for i in range(self.base.n)
         )
-        return GroupConfig(
-            n=base.n,
-            f=base.f,
-            batch_max=base.batch_max,
-            batch_wait=base.batch_wait,
-            pipeline_depth=base.pipeline_depth,
-            request_timeout=base.request_timeout,
-            sync_timeout=base.sync_timeout,
-            checkpoint_interval=base.checkpoint_interval,
-            processing_delay=base.processing_delay,
-            execution_lanes=base.execution_lanes,
-            fsync_policy=base.fsync_policy,
-            fsync_interval=base.fsync_interval,
-            checkpoint_retention=base.checkpoint_retention,
-            state_retry_interval=base.state_retry_interval,
-            addresses=addresses,
-        )
+        return replace(base, addresses=addresses)
 
     def group_configs(self) -> list:
         return [self.group_config(k) for k in range(self.shards)]
 
     #: Global replica index of ``(shard, local_index)`` — the flattened
-    #: numbering ``ShardedScadaSystem.proxy_masters`` uses.
+    #: numbering ``SmartScadaSystem.proxy_masters`` uses.
     def global_index(self, shard: int, local_index: int) -> int:
         return shard * self.base.n + local_index
 

@@ -32,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bftsmart.client import ServiceProxy
+from repro.bftsmart.cluster import build_proxy
 from repro.bftsmart.reconfiguration import Administrator
-from repro.bftsmart.view import View
-from repro.core.proxy_master import ProxyMaster
-from repro.shard.config import shard_replica_address
+from repro.core.recovery import SpareJoiner
 from repro.shard.messages import ShardExport, ShardImport
 from repro.wire import decode, encode
 
@@ -77,13 +76,14 @@ class SplitReport:
         }
 
 
-class ShardSplitter:
+class ShardSplitter(SpareJoiner):
     """Coordinates live item migrations on a sharded deployment.
 
     Parameters
     ----------
     system:
-        A running :class:`~repro.shard.deployment.ShardedScadaSystem`.
+        A running :class:`~repro.core.system.SmartScadaSystem` with more
+        than one shard.
     drain:
         Seconds to wait between the map switch and the export, covering
         operations already inside the source pipeline.
@@ -99,17 +99,13 @@ class ShardSplitter:
         reconfig_timeout: float = 2.0,
         transfer_deadline: float = 8.0,
     ) -> None:
-        self.sim = system.sim
-        self.net = system.net
-        self.system = system
+        super().__init__(system, grid)
         self.drain = drain
-        self.grid = grid
         self.reconfig_timeout = reconfig_timeout
         self.transfer_deadline = transfer_deadline
         #: shard -> admin ServiceProxy into that group.
         self._clients: dict[int, ServiceProxy] = {}
         self._admins: dict[int, Administrator] = {}
-        self._spares = 0
         #: Every completed/failed :class:`SplitReport`, in order.
         self.reports: list = []
 
@@ -235,26 +231,18 @@ class ShardSplitter:
         return report
 
     def _grow(self, report: SplitReport, target: int):
-        system = self.system
-        admin = self._admin(target)
-        spare = self._provision_spare(target)
-        result = yield from self._await(
-            admin.reconfigure_checked(
-                join=(spare.address,), timeout=self.reconfig_timeout
-            )
+        spare, result, caught_up = yield from self._join_spare(
+            self._admin(target),
+            target,
+            self.transfer_deadline,
+            timeout=self.reconfig_timeout,
         )
-        if result is None or not result.applied:
-            report.status = (
-                "join-failed" if result is None else f"join-{result.status}"
-            )
-            report.detail = getattr(result, "detail", "no reconfiguration reply")
+        if not result.applied:
+            report.status = f"join-{result.status}"
+            report.detail = result.detail
             return
-        system.update_views(result.view, shard=target)
-        self._client(target).update_view(result.view)
         report.grew_target = True
         report.join_view_id = result.view_id
-        spare.replica.state_transfer.bootstrap()
-        caught_up = yield from self._wait_caught_up(spare, target)
         if not caught_up:
             report.status = "transfer-timed-out"
             report.detail = f"{spare.address} joined but did not catch up"
@@ -264,14 +252,14 @@ class ShardSplitter:
     def _client(self, shard: int) -> ServiceProxy:
         client = self._clients.get(shard)
         if client is None:
-            group = self.system.config.group_config(shard)
-            client = ServiceProxy(
-                sim=self.sim,
-                net=self.net,
-                client_id=f"shard-admin-s{shard}",
-                keystore=self.system.keystore,
-                view=View(0, group.addresses, group.f),
-                invoke_timeout=self.system.config.base.invoke_timeout,
+            config = self.system.config
+            client = build_proxy(
+                self.sim,
+                self.net,
+                f"shard-admin-s{shard}",
+                config.group_config(shard),
+                self.system.keystore,
+                invoke_timeout=config.base.invoke_timeout,
             )
             self._clients[shard] = client
         return client
@@ -282,74 +270,3 @@ class ShardSplitter:
             admin = Administrator(self._client(shard), self.system.keystore)
             self._admins[shard] = admin
         return admin
-
-    def _provision_spare(self, shard: int) -> ProxyMaster:
-        """Boot a fresh replica for group ``shard``, anticipating the join."""
-        system = self.system
-        members = system.group(shard)
-        local = len(members)
-        address = shard_replica_address(shard, local, system.shards)
-        view = self._client(shard).view
-        anticipated = View(view.view_id + 1, view.addresses + (address,), view.f)
-        global_index = len(system.proxy_masters)
-        storage = None
-        if system.durable_storage is not None:
-            from repro.storage import ReplicaStorage
-
-            storage = ReplicaStorage(
-                address,
-                fsync_policy=system.config.base.fsync_policy,
-                fsync_interval=system.config.base.fsync_interval,
-                checkpoint_retention=system.config.base.checkpoint_retention,
-            )
-            system.durable_storage[global_index] = storage
-        pm = ProxyMaster(
-            self.sim,
-            self.net,
-            global_index,
-            system.config.base,
-            system.keystore,
-            group=system.config.group_config(shard),
-            view=anticipated,
-            storage=storage,
-            address=address,
-            shard=shard,
-        )
-        # Handler chains are configuration, not replicated state: the
-        # spare must be configured like its peers or its state digest
-        # will never converge with the group's.
-        for item_id, chain_factory in system.handler_factories.items():
-            pm.attach_handlers(item_id, chain_factory())
-        self._spares += 1
-        system.proxy_masters.append(pm)
-        return pm
-
-    def _await(self, event):
-        """Wait for ``event`` inside a flow generator; ``None`` on failure."""
-        box: list = []
-        event.add_callback(lambda ev: box.append(ev))
-        while not box:
-            yield self.sim.timeout(self.grid)
-        ev = box[0]
-        if not ev.ok:
-            ev.defused = True
-            return None
-        return ev.value
-
-    def _wait_caught_up(self, pm: ProxyMaster, shard: int):
-        """Poll until ``pm`` caught up with its group's decision frontier."""
-        limit = self.sim.now + self.transfer_deadline
-        while self.sim.now < limit:
-            peers = [
-                other.replica.last_decided
-                for other in self.system.group(shard)
-                if other is not pm and other.replica.active
-            ]
-            if (
-                peers
-                and not pm.replica.state_transfer.in_progress
-                and pm.replica.last_decided >= max(peers) - 1
-            ):
-                return True
-            yield self.sim.timeout(self.grid)
-        return False

@@ -4,6 +4,11 @@
 ten ``repro.perf.PERF`` on/off switches, with every switch *off*. The
 tests that used to run that second implementation compare against these
 values instead; ``tests/test_golden_outputs.py`` says what each one is.
+
+The ``deployment`` block was added later, recorded at the last commit
+that still carried two deployment builders, handles and
+spare-provisioning paths (``core/system.py`` beside
+``shard/deployment.py``), from that commit's untouched ``src/``.
 """
 
 import json

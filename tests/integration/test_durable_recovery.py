@@ -11,6 +11,9 @@ Acceptance criteria exercised here:
 - chaos campaigns stay bit-deterministic with durability on, for every
   fsync policy;
 - storage counters surface through ``Simulator.stats()``.
+
+The restart/rejuvenate cases also run through the other deployment entry
+point (the sharded builder at one shard), at the bottom of the file.
 """
 
 import pytest
@@ -19,14 +22,23 @@ from repro.chaos import run_scenario
 from repro.core import SmartScadaConfig, build_smartscada
 from repro.core.recovery import rejuvenate_replica, restart_replica
 from repro.neoscada import HandlerChain, Monitor
+from repro.shard import ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 from repro.storage import FSYNC_POLICIES
 
 
-def build(seed=31, **overrides):
+def classic(sim, config):
+    return build_smartscada(sim, config=config)
+
+
+def one_shard_fleet(sim, config):
+    return build_sharded_scada(sim, config=ShardedScadaConfig(shards=1, base=config))
+
+
+def build(seed=31, deploy=classic, **overrides):
     config = SmartScadaConfig(durability=True, **overrides)
     sim = Simulator(seed=seed)
-    system = build_smartscada(sim, config=config)
+    system = deploy(sim, config)
     system.frontend.add_item("sensor", initial=0)
     system.frontend.add_item("actuator", initial=0, writable=True)
     system.attach_handlers("sensor", lambda: HandlerChain([Monitor(high=100.0)]))
@@ -73,8 +85,8 @@ def test_restart_requires_durable_deployment():
         restart_replica(system, 0)
 
 
-def test_intact_restart_rejoins_without_full_snapshot():
-    sim, system, reconfigure = build()
+def test_intact_restart_rejoins_without_full_snapshot(deploy=classic):
+    sim, system, reconfigure = build(deploy=deploy)
     feed(sim, system, 12, base=120)  # some values alarm (>100)
     fresh = crash_and_restart(sim, system, reconfigure, 2, "intact")
 
@@ -106,9 +118,9 @@ def test_intact_restart_ships_fewer_bytes_than_snapshot_path():
     assert 0 < tail_bytes < snapshot_bytes
 
 
-def test_intact_restart_recovers_checkpoint_plus_wal_tail():
+def test_intact_restart_recovers_checkpoint_plus_wal_tail(deploy=classic):
     # Frequent checkpoints: the victim's disk holds checkpoint + tail.
-    sim, system, reconfigure = build(seed=5, checkpoint_interval=8)
+    sim, system, reconfigure = build(seed=5, deploy=deploy, checkpoint_interval=8)
     feed(sim, system, 12, base=120)
     # Short outage: peers must not checkpoint past the victim's recovered
     # position, or log truncation forces the (correct) full fallback.
@@ -126,8 +138,8 @@ def test_intact_restart_recovers_checkpoint_plus_wal_tail():
 
 
 @pytest.mark.parametrize("disk", ["torn", "corrupt"])
-def test_damaged_disk_falls_back_to_full_transfer(disk):
-    sim, system, reconfigure = build(seed=13, checkpoint_interval=8)
+def test_damaged_disk_falls_back_to_full_transfer(disk, deploy=classic):
+    sim, system, reconfigure = build(seed=13, deploy=deploy, checkpoint_interval=8)
     feed(sim, system, 12, base=120)
     fresh = crash_and_restart(sim, system, reconfigure, 2, disk)
 
@@ -142,8 +154,8 @@ def test_damaged_disk_falls_back_to_full_transfer(disk):
     assert len(set(system.state_digests())) == 1
 
 
-def test_wiped_restart_behaves_like_rejuvenation():
-    sim, system, reconfigure = build(seed=21)
+def test_wiped_restart_behaves_like_rejuvenation(deploy=classic):
+    sim, system, reconfigure = build(seed=21, deploy=deploy)
     feed(sim, system, 10, base=120)
     fresh = crash_and_restart(sim, system, reconfigure, 2, "wiped")
     recovered = fresh.replica.recovered_from_disk
@@ -159,11 +171,11 @@ def test_wiped_restart_behaves_like_rejuvenation():
     assert len(set(system.state_digests())) == 1
 
 
-def test_reinstalled_disk_survives_a_second_crash():
+def test_reinstalled_disk_survives_a_second_crash(deploy=classic):
     """After a full-transfer fallback the disk is re-seeded; a second
     intact crash must recover from the *new* history, not the damaged
     pre-fallback one."""
-    sim, system, reconfigure = build(seed=9, checkpoint_interval=8)
+    sim, system, reconfigure = build(seed=9, deploy=deploy, checkpoint_interval=8)
     feed(sim, system, 12, base=120)
     crash_and_restart(sim, system, reconfigure, 2, "corrupt")
     feed(sim, system, 5, base=10)
@@ -205,3 +217,18 @@ def test_damaged_scenarios_hold_invariants():
         assert report.ok, (name, report.violated_invariants())
         (event,) = report.recoveries
         assert event["settled_at"] is not None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        test_intact_restart_rejoins_without_full_snapshot,
+        test_intact_restart_recovers_checkpoint_plus_wal_tail,
+        lambda deploy: test_damaged_disk_falls_back_to_full_transfer("torn", deploy),
+        test_wiped_restart_behaves_like_rejuvenation,
+        test_reinstalled_disk_survives_a_second_crash,
+    ],
+    ids=["intact", "checkpoint-plus-tail", "torn", "wiped", "second-crash"],
+)
+def test_same_recovery_through_the_sharded_entry_point(case):
+    case(deploy=one_shard_fleet)

@@ -1,16 +1,29 @@
-"""Tests for proactive recovery (replica rejuvenation)."""
+"""Tests for proactive recovery (replica rejuvenation).
+
+The ``rejuvenate_replica`` cases also run through the other deployment
+entry point (the sharded builder at one shard), at the bottom of the file.
+"""
 
 import pytest
 
 from repro.core import SmartScadaConfig, build_smartscada
 from repro.core.recovery import RejuvenationScheduler, rejuvenate_replica
 from repro.neoscada import HandlerChain, Monitor
+from repro.shard import ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 
 
-def build(seed=31):
+def classic(sim, config):
+    return build_smartscada(sim, config=config)
+
+
+def one_shard_fleet(sim, config):
+    return build_sharded_scada(sim, config=ShardedScadaConfig(shards=1, base=config))
+
+
+def build(seed=31, deploy=classic):
     sim = Simulator(seed=seed)
-    system = build_smartscada(sim, config=SmartScadaConfig())
+    system = deploy(sim, SmartScadaConfig())
     system.frontend.add_item("sensor", initial=0)
     system.frontend.add_item("actuator", initial=0, writable=True)
     system.attach_handlers("sensor", lambda: HandlerChain([Monitor(high=100.0)]))
@@ -40,8 +53,8 @@ def converge(sim, system, seconds=20.0):
     return False
 
 
-def test_single_rejuvenation_recovers_full_state():
-    sim, system, reconfigure = build()
+def test_single_rejuvenation_recovers_full_state(deploy=classic):
+    sim, system, reconfigure = build(deploy=deploy)
     feed(sim, system, 10, base=140)  # some values alarm (>100)
     old_storage = system.masters[0].storage.total_written
     assert old_storage > 0
@@ -56,12 +69,12 @@ def test_single_rejuvenation_recovers_full_state():
     assert len(set(system.state_digests())) == 1
 
 
-def test_rejuvenated_replica_votes_in_logical_timeout():
+def test_rejuvenated_replica_votes_in_logical_timeout(deploy=classic):
     """The new incarnation's adapter client must be heard (sequence-start
     regression guard)."""
     from repro.net import Drop
 
-    sim, system, reconfigure = build()
+    sim, system, reconfigure = build(deploy=deploy)
     feed(sim, system, 3)
     for index in range(2):
         rejuvenate_replica(system, index, handler_config=reconfigure)
@@ -128,13 +141,13 @@ def test_back_to_back_installs_do_not_lose_history():
     assert len(set(system.state_digests())) == 1
 
 
-def test_rejuvenation_under_fire():
+def test_rejuvenation_under_fire(deploy=classic):
     """Rejuvenate while a WriteResult drop attack is active and a write is
     in flight: the §IV-D logical timeout must still unblock the operator,
     and the fresh replica must state-transfer back to convergence."""
     from repro.net import Drop
 
-    sim, system, reconfigure = build(seed=13)
+    sim, system, reconfigure = build(seed=13, deploy=deploy)
     feed(sim, system, 5)
     # The field executes writes but its results never come back.
     rule = system.net.faults.add(Drop(src="frontend-0", kind="WriteResult"))
@@ -207,3 +220,16 @@ def test_scheduler_validation():
     scheduler.start()
     with pytest.raises(RuntimeError):
         scheduler.start()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        test_single_rejuvenation_recovers_full_state,
+        test_rejuvenated_replica_votes_in_logical_timeout,
+        test_rejuvenation_under_fire,
+    ],
+    ids=lambda case: case.__name__,
+)
+def test_same_rejuvenation_through_the_sharded_entry_point(case):
+    case(deploy=one_shard_fleet)

@@ -8,6 +8,7 @@ problem (the same seam the paper used to hide replication itself).
 
 import pytest
 
+from repro.core import SmartScadaSystem, build_smartscada
 from repro.neoscada import HandlerChain, Monitor
 from repro.shard import (
     CORRELATED_ALARM,
@@ -229,19 +230,36 @@ def test_groups_converge_independently():
 
 
 def test_single_shard_build_degenerates_to_the_classic_topology():
-    sim, system = build(shards=1)
+    """Both entry points run one builder, so all that can still diverge is
+    the thin ``build_smartscada`` wrapper: same handle, classic wire
+    addresses, and not one event more or less."""
+
+    def run(deploy):
+        sim = Simulator(seed=1)
+        system = deploy(sim)
+        system.frontend.add_item("sensor", initial=0)
+        system.start()
+        system.frontend.inject_update("sensor", 42)
+        settle(sim)
+        assert system.hmi.value_of("sensor") == 42
+        return system, sim.stats()["events_dispatched"]
+
+    classic, classic_events = run(build_smartscada)
+    fleet, fleet_events = run(
+        lambda sim: build_sharded_scada(sim, config=ShardedScadaConfig(shards=1))
+    )
+    assert type(fleet) is type(classic) is SmartScadaSystem
+    assert fleet.config == classic.config
     # Classic wire addresses: no shard namespace prefix.
-    assert [pm.address for pm in system.proxy_masters] == [
-        f"replica-{i}" for i in range(system.config.base.n)
+    assert [pm.address for pm in fleet.proxy_masters] == [
+        f"replica-{i}" for i in range(fleet.config.base.n)
     ]
+    assert fleet.proxy_hmi.bft.client_id == "proxy-hmi-bft"
     # No merge layer, no correlator, no router: nothing to shard.
-    assert system.proxy_hmi.merger is None
-    assert system.proxy_hmi.correlator is None
-    system.frontend.add_item("sensor", initial=0)
-    system.start()
-    system.frontend.inject_update("sensor", 42)
-    settle(sim)
-    assert system.hmi.value_of("sensor") == 42
+    assert fleet.proxy_hmi.merger is None
+    assert fleet.proxy_hmi.correlator is None
+    assert fleet.proxy_hmi.router is None
+    assert fleet_events == classic_events
 
 
 def test_four_shard_build_stands_up_sixteen_replicas():

@@ -2,6 +2,8 @@
 under traffic, optionally growing the target group through the signed
 reconfiguration protocol (:mod:`repro.shard.split`)."""
 
+from repro.core import SmartScadaConfig
+from repro.core.recovery import rejuvenate_replica, restart_replica
 from repro.neoscada import HandlerChain, Monitor
 from repro.shard import ShardSplitter, ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
@@ -9,9 +11,10 @@ from repro.sim import Simulator
 ITEMS = [f"plant.sensor-{i}" for i in range(8)]
 
 
-def build(seed=1, shards=2):
+def build(seed=1, shards=2, **base):
     sim = Simulator(seed=seed)
-    system = build_sharded_scada(sim, config=ShardedScadaConfig(shards=shards))
+    config = ShardedScadaConfig(shards=shards, base=SmartScadaConfig(**base))
+    system = build_sharded_scada(sim, config=config)
     for item in ITEMS:
         system.frontend.add_item(item, initial=10)
         system.attach_handlers(item, lambda: HandlerChain([Monitor(high=80.0)]))
@@ -147,6 +150,35 @@ def test_split_can_grow_the_target_group():
     assert len(set(system.state_digests(target))) == 1
     # The other group was never touched.
     assert len(system.group(1 - target)) == n
+
+
+def test_replicas_provisioned_after_deploy_inherit_the_attached_chains():
+    """Handler chains are configuration the deployment remembers: every
+    replica booted after deploy time gets them back without the caller
+    passing a ``handler_config`` (the heal spare's turn is in
+    ``tests/test_heal_orchestrator.py``)."""
+    sim, system = build(durability=True)
+    originals = [pm.master.chains for pm in system.proxy_masters]
+    rejuvenated = rejuvenate_replica(system, 1)
+    restarted = restart_replica(system, 6)
+    report = sim.run_process(
+        ShardSplitter(system).split(moving_set(system, 1), 1, grow_target=True),
+        until=60,
+    )
+    assert report.grew_target
+    spare = system.proxy_masters[-1]
+    assert spare.address == "s1-replica-4" and spare.replica.storage is not None
+    for pm in (rejuvenated, restarted, spare):
+        assert sorted(pm.master.chains) == ITEMS
+        # Fresh instances: handler state is never shared between replicas.
+        assert all(
+            pm.master.chains[item] is not chains[item]
+            for chains in originals
+            for item in ITEMS
+        )
+    sim.run(until=sim.now + 2.0)
+    for shard in range(2):
+        assert len(set(system.state_digests(shard))) == 1
 
 
 def test_split_of_already_owned_items_is_a_noop_migration():

@@ -11,7 +11,13 @@ produced is recorded in ``tests/golden/outputs.json``:
 (c) ``bft_micro`` — throughput and replica counters of the §V-B firehose;
 (d) ``encodings`` — the encoded bytes of a sample of every wire type.
 
-All four are kernel-independent: CI asserts them on the ring and on the
+``deployment`` pins what (a) never exercises — replicas provisioned after
+deploy time. It was recorded before the classic and the sharded builder,
+handle and spare-provisioning paths were folded into one: four campaigns
+that rejuvenate, restart from a torn disk, heal-evict and kill two shard
+leaders, and one live shard split that grows its target group.
+
+All five are kernel-independent: CI asserts them on the ring and on the
 heap kernel. A change that is *meant* to move one (a new wire type, a
 protocol change) updates the file from the failing assertion's left side.
 """
@@ -20,12 +26,16 @@ from __future__ import annotations
 
 import hashlib
 
+import pytest
+
 from repro.bftsmart import CounterService, GroupConfig, build_group, build_proxy
 from repro.chaos import get_scenario, run_campaign
 from repro.chaos.campaign import CampaignConfig
 from repro.crypto import KeyStore
+from repro.neoscada import HandlerChain, Monitor
 from repro.net import ConstantLatency, Network
 from repro.perf import clear_hot_path_caches
+from repro.shard import ShardSplitter, ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 from repro.wire import decode, encode
 from repro.workloads.profiler import run_bft_micro
@@ -97,3 +107,56 @@ def test_encoded_bytes_of_every_registered_type():
         for _tid, cls in _REGISTERED
     )
     assert dict(zip(_ids(), digests)) == GOLDEN["encodings"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["deployment"]["campaigns"]))
+def test_deployment_campaign(name):
+    scenario = get_scenario(name)
+    config = scenario.config(CampaignConfig(seed=3, trace=True))
+    report = run_campaign(scenario.schedule(), config)
+    outcome = {"fingerprint": report.fingerprint()}
+    if config.heal:
+        outcome["heal_actions"] = report.heal_actions
+        outcome["evictions"] = report.evictions
+    assert outcome == GOLDEN["deployment"]["campaigns"][name]
+
+
+def _live_split():
+    """The ``python -m repro shards --shards 2 --split`` run, as data."""
+    sim = Simulator(seed=3)
+    system = build_sharded_scada(sim, config=ShardedScadaConfig(shards=2))
+    items = [f"plant.sensor-{i}" for i in range(8)]
+    for item in items:
+        system.frontend.add_item(item, initial=20)
+        system.attach_handlers(item, lambda: HandlerChain([Monitor(high=80.0)]))
+    system.start()
+    reports = []
+
+    def scenario():
+        for i, item in enumerate(items):
+            system.frontend.inject_update(item, 90 if i % 2 == 0 else 30)
+            yield sim.timeout(0.02)
+        yield sim.timeout(0.5)
+        moved = [it for it in items if system.shard_of(it) != 1][:2]
+        reports.append(
+            (yield from ShardSplitter(system).split(moved, 1, grow_target=True))
+        )
+        for i, item in enumerate(items):
+            system.frontend.inject_update(item, 30 if i % 2 == 0 else 95)
+            yield sim.timeout(0.02)
+        yield sim.timeout(2.0)
+
+    sim.run_process(scenario(), until=60)
+    system.flush_events()
+    return {
+        "report": reports[0].as_dict(),
+        "state_digests": [
+            [d.hex() for d in system.state_digests(shard)] for shard in range(2)
+        ],
+        "events_dispatched": sim.stats()["events_dispatched"],
+        "alarm_ids": [alarm.event_id for alarm in system.hmi.alarms()],
+    }
+
+
+def test_live_split_that_grows_the_target_group():
+    assert _live_split() == GOLDEN["deployment"]["split"]

@@ -5,12 +5,19 @@ closed loop end to end; these tests script the detector so each policy
 mechanism is pinned in isolation: the corroboration threshold, the full
 escalation ladder, quorum-guard refusal with the blocked-streak alarm,
 and the liveness-probe restart path.
+
+Every case also runs through the other deployment entry point (the
+sharded builder at one shard), at the bottom of the file.
 """
 
+import pytest
+
 from repro.core import SmartScadaConfig, build_smartscada
+from repro.core.recovery import RejuvenationScheduler
 from repro.heal import HealConfig, RecoveryOrchestrator
 from repro.ids.detectors import Detection, Verdict
 from repro.neoscada import HandlerChain, Monitor
+from repro.shard import ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 
 
@@ -52,26 +59,29 @@ class ScriptedDetector:
         return out
 
 
-def build(seed=51, durability=False, heal_config=None):
+def classic(sim, config):
+    return build_smartscada(sim, config=config)
+
+
+def one_shard_fleet(sim, config):
+    return build_sharded_scada(sim, config=ShardedScadaConfig(shards=1, base=config))
+
+
+def build(seed=51, durability=False, heal_config=None, deploy=classic):
     sim = Simulator(seed=seed)
-    system = build_smartscada(
-        sim, config=SmartScadaConfig(durability=durability)
-    )
+    system = deploy(sim, SmartScadaConfig(durability=durability))
     system.frontend.add_item("sensor", initial=0)
     system.attach_handlers("sensor", lambda: HandlerChain([Monitor(high=100.0)]))
     system.start()
-
-    def reconfigure(proxy_master):
-        proxy_master.attach_handlers("sensor", HandlerChain([Monitor(high=100.0)]))
-
     detector = ScriptedDetector()
+    # No handler_config: replicas the orchestrator boots get the chain
+    # above back from the deployment itself.
     orchestrator = RecoveryOrchestrator(
         sim,
         system.net,
         system,
         detector=detector,
         config=heal_config or HealConfig(),
-        handler_config=reconfigure,
     )
     return sim, system, detector, orchestrator
 
@@ -99,10 +109,10 @@ def traffic(sim, system):
     sim.process(feeder())
 
 
-def test_corroboration_threshold_gates_every_action():
+def test_corroboration_threshold_gates_every_action(deploy=classic):
     """A verdict below the corroboration streak triggers nothing — one
     noisy detection can never start a recovery action."""
-    sim, system, detector, orch = build()
+    sim, system, detector, orch = build(deploy=deploy)
     traffic(sim, system)
     detector.assert_condition("byzantine-stuttering", "replica-2")
     detector.assert_condition("byzantine-stuttering", "replica-2")
@@ -113,13 +123,13 @@ def test_corroboration_threshold_gates_every_action():
     assert [a.kind for a in orch.actions] == ["rejuvenate"]
 
 
-def test_ladder_escalates_rejuvenate_then_evict():
+def test_ladder_escalates_rejuvenate_then_evict(deploy=classic):
     """A condition that survives the reimage climbs the default ladder:
     rejuvenate in place first, then evict-and-replace. Once evicted, the
     entity is terminal — further assertions (stale detector state) are
     ignored rather than re-acted on."""
     sim, system, detector, orch = build(
-        heal_config=HealConfig(cooldown=0.5)
+        heal_config=HealConfig(cooldown=0.5), deploy=deploy
     )
     traffic(sim, system)
 
@@ -133,7 +143,7 @@ def test_ladder_escalates_rejuvenate_then_evict():
     kinds = [a.kind for a in orch.actions]
     assert kinds == ["rejuvenate", "evict"]
     assert [a.outcome for a in orch.actions] == ["completed", "completed"]
-    assert "replica-2" in orch.evicted
+    assert system.retired == {"replica-2"}
     assert orch.evictions == 1
     # After eviction the spare serves in its place and the group is 2f+1.
     addresses = orch.admin.proxy.view.addresses
@@ -141,10 +151,10 @@ def test_ladder_escalates_rejuvenate_then_evict():
     assert "replica-4" in addresses
 
 
-def test_alarm_rung_is_terminal_and_fires_once():
+def test_alarm_rung_is_terminal_and_fires_once(deploy=classic):
     """Kinds automation cannot fix (client-side injection) go straight
     to a single operator alarm, however long the condition persists."""
-    sim, system, detector, orch = build()
+    sim, system, detector, orch = build(deploy=deploy)
     traffic(sim, system)
 
     def keep_asserting():
@@ -160,11 +170,11 @@ def test_alarm_rung_is_terminal_and_fires_once():
     assert orch.alarms == 1
 
 
-def test_quorum_guard_blocks_and_escalates_to_alarm():
+def test_quorum_guard_blocks_and_escalates_to_alarm(deploy=classic):
     """With a replica already down, acting would leave 2 < 2f+1 live —
     every attempt must be refused, then turn into an operator alarm."""
     sim, system, detector, orch = build(
-        heal_config=HealConfig(blocked_alarm_after=3)
+        heal_config=HealConfig(blocked_alarm_after=3), deploy=deploy
     )
     traffic(sim, system)
     system.net.crash("replica-3")
@@ -186,10 +196,10 @@ def test_quorum_guard_blocks_and_escalates_to_alarm():
     assert all(pm.replica.active for pm in system.proxy_masters)
 
 
-def test_probe_restarts_process_dead_replica():
+def test_probe_restarts_process_dead_replica(deploy=classic):
     """Process dead + machine answering the probe = restart from disk.
     (A crashed *machine* — endpoint down — is left alone.)"""
-    sim, system, detector, orch = build(durability=True)
+    sim, system, detector, orch = build(durability=True, deploy=deploy)
     traffic(sim, system)
     sim.run(until=sim.now + 1.0)
     system.proxy_masters[1].replica.halt()  # process dies, endpoint stays up
@@ -204,9 +214,61 @@ def test_probe_restarts_process_dead_replica():
     assert fresh.replica.active
 
 
-def test_machine_down_is_left_to_infrastructure():
-    sim, system, detector, orch = build()
+def test_machine_down_is_left_to_infrastructure(deploy=classic):
+    sim, system, detector, orch = build(deploy=deploy)
     traffic(sim, system)
     system.net.crash("replica-1")
     drive(sim, orch, 3.0)
     assert orch.actions == []
+
+
+def test_proactive_recovery_resumes_after_an_eviction(deploy=classic):
+    """Regression: the rejuvenation scheduler walked the flat replica list
+    and found the evicted (halted) replica "down" at every slot, so one
+    heal eviction vetoed proactive recovery forever. Membership has one
+    owner now: the scheduler cycles the group's current members."""
+    sim, system, detector, orch = build(deploy=deploy)
+    traffic(sim, system)
+
+    def keep_asserting():
+        while True:
+            detector.assert_condition("byzantine-lying", "replica-2")
+            yield sim.timeout(0.1)
+
+    sim.process(keep_asserting())
+    drive(sim, orch, 5.0)
+    assert [(a.kind, a.outcome) for a in orch.actions] == [("evict", "completed")]
+    assert [pm.address for pm in system.group(0)] == [
+        "replica-0", "replica-1", "replica-3", "replica-4",
+    ]
+    # The heal spare was configured like its peers without being told how.
+    assert "sensor" in system.proxy_masters[4].master.chains
+    assert len(set(system.state_digests())) == 1
+
+    scheduler = RejuvenationScheduler(system, period=1.0, settle_time=1.0)
+    scheduler.start()
+    sim.run(until=sim.now + 8.5)  # slots at +1, +3, +5, +7
+    scheduler.stop()
+    assert scheduler.skip_log == []
+    assert scheduler.rejuvenations == 4  # one full cycle: 0, 1, 3 and the spare
+    assert scheduler.recovered_in_time == 4
+    assert not system.proxy_masters[2].replica.active  # retired stays retired
+    sim.run(until=sim.now + 2.0)
+    assert len(system.state_digests()) == 4
+    assert len(set(system.state_digests())) == 1
+
+
+_CASES = [
+    test_corroboration_threshold_gates_every_action,
+    test_ladder_escalates_rejuvenate_then_evict,
+    test_alarm_rung_is_terminal_and_fires_once,
+    test_quorum_guard_blocks_and_escalates_to_alarm,
+    test_probe_restarts_process_dead_replica,
+    test_machine_down_is_left_to_infrastructure,
+    test_proactive_recovery_resumes_after_an_eviction,
+]
+
+
+@pytest.mark.parametrize("case", _CASES, ids=lambda case: case.__name__)
+def test_same_verdict_through_the_sharded_entry_point(case):
+    case(deploy=one_shard_fleet)

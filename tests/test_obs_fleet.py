@@ -17,7 +17,7 @@ from repro.obs.report import (
     write_html_report,
 )
 from repro.obs.slo import SloEngine, SloSpec
-from repro.shard import ShardedScadaConfig, build_sharded_scada
+from repro.shard import ShardSplitter, ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 
 SENSORS = [f"plant.s{i}" for i in range(6)]
@@ -158,6 +158,28 @@ def test_quorum_loss_is_critical():
     assert sample.shards[1].status == "critical"
     assert sample.status == "critical"
     assert any("quorum" in r for r in sample.shards[1].reasons)
+
+
+def test_grown_group_reports_its_current_membership():
+    """Regression: ``n`` came from static config, so a group grown to five
+    by a split read ``n=4, live=5`` — and stayed "ok" with a member down."""
+    sim, system = build_fleet()
+    moved = [s for s in SENSORS if system.shard_of(s) == 0][:1]
+    report = sim.run_process(
+        ShardSplitter(system).split(moved, 1, grow_target=True), until=30
+    )
+    assert report.status == "completed" and report.grew_target
+    scoreboard = FleetScoreboard(system)
+    grown = scoreboard.sample().shards[1]
+    assert (grown.n, grown.live, grown.quorum, grown.status) == (5, 5, 3, "ok")
+    assert scoreboard.latest.shards[0].n == 4  # the static group is untouched
+
+    victim = system.group(1)[1]
+    victim.replica.halt()
+    system.net.crash(victim.address)
+    grown = scoreboard.sample().shards[1]
+    assert (grown.n, grown.live, grown.status) == (5, 4, "degraded")
+    assert grown.reasons == ["live 4 of 5 members"]
 
 
 def test_scoreboard_works_without_engine_detector_or_merger():

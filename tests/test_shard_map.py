@@ -2,11 +2,13 @@
 (:mod:`repro.shard.map`) plus the sharded configuration's index and
 address arithmetic (:mod:`repro.shard.config`)."""
 
+import dataclasses
 import zlib
 
 import pytest
 
 from repro.bftsmart.config import GroupConfig
+from repro.core.config import SmartScadaConfig
 from repro.shard import (
     ShardMap,
     ShardRouter,
@@ -164,3 +166,30 @@ def test_multi_shard_addresses_are_namespaced_and_disjoint():
     assert groups[0].addresses[0] == "s0-replica-0"
     assert groups[1].addresses[0] == "s1-replica-0"
     assert not set(groups[0].addresses) & set(groups[1].addresses)
+
+
+def test_every_group_config_field_reaches_every_shard():
+    """A per-group tunable must never be silently dropped on the way into
+    a sharded group: walk ``GroupConfig``'s own field list, so a field
+    added later is covered the day it is added."""
+    non_default = {"n": 7, "f": 2, "fsync_policy": "every-n"}
+    for spec in dataclasses.fields(GroupConfig):
+        if spec.name != "addresses" and spec.name not in non_default:
+            non_default[spec.name] = spec.default * 2 + 1
+    tuned = GroupConfig(**non_default)
+    assert all(
+        getattr(tuned, spec.name) != spec.default
+        for spec in dataclasses.fields(GroupConfig)
+    )
+
+    class Base(SmartScadaConfig):
+        def group_config(self):
+            return tuned
+
+    for shards in (1, 3):
+        groups = ShardedScadaConfig(shards=shards, base=Base(n=7, f=2)).group_configs()
+        assert len(groups) == shards
+        for shard, group in enumerate(groups):
+            for name, value in non_default.items():
+                assert getattr(group, name) == value, (shard, name)
+            assert len(set(group.addresses)) == 7
