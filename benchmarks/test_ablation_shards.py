@@ -13,9 +13,7 @@ exactly as they were.
 The sweep offers each group ~1.25x its own ceiling (so every group is
 saturated, not load-starved) and measures updates *delivered to the
 HMI* — the end of the full pipeline: routing, per-group consensus,
-replicated execution, f+1-voted pushes and the global merge. Both event
-kernels (heap and ring) run the same sweep; the scaling claim must hold
-on either.
+replicated execution, f+1-voted pushes and the global merge.
 
 Results land in ``BENCH_SCALE.json``.
 """
@@ -32,7 +30,6 @@ from repro.workloads import ThroughputMeter, write_report
 REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_SCALE.json"
 
 SHARD_COUNTS = (1, 2, 4)
-KERNELS = ("heap", "ring")
 
 #: Offered load per group: ~1.25x the single-Master execution ceiling
 #: (~940 updates/s from the §VII-b cost model), so each group is the
@@ -47,8 +44,8 @@ WINDOW = 1.5
 INVOKE_TIMEOUT = 30.0
 
 
-def run_point(shards: int, kernel: str) -> dict:
-    sim = Simulator(seed=1, kernel=kernel)
+def run_point(shards: int) -> dict:
+    sim = Simulator(seed=1)
     config = ShardedScadaConfig(
         shards=shards,
         base=SmartScadaConfig(invoke_timeout=INVOKE_TIMEOUT),
@@ -100,30 +97,25 @@ def run_point(shards: int, kernel: str) -> dict:
 
 def test_shard_scaling(benchmark):
     def sweep():
-        return {
-            kernel: {shards: run_point(shards, kernel) for shards in SHARD_COUNTS}
-            for kernel in KERNELS
-        }
+        return {shards: run_point(shards) for shards in SHARD_COUNTS}
 
-    results = once(benchmark, sweep)
+    points = once(benchmark, sweep)
+    base = points[1]["delivered"]
 
-    for kernel in KERNELS:
-        points = results[kernel]
-        base = points[1]["delivered"]
-        print_table(
-            f"Ablation — shard scaling ({kernel} kernel, offered "
-            f"{PER_SHARD_OFFERED:.0f}/s per group, Fig 8(a)-style updates)",
-            ["shards", "offered (ops/s)", "delivered (ops/s)", "vs 1 shard"],
+    print_table(
+        f"Ablation — shard scaling (offered {PER_SHARD_OFFERED:.0f}/s per "
+        f"group, Fig 8(a)-style updates)",
+        ["shards", "offered (ops/s)", "delivered (ops/s)", "vs 1 shard"],
+        [
             [
-                [
-                    str(shards),
-                    f"{p['offered']:.0f}",
-                    f"{p['delivered']:.0f}",
-                    f"{p['delivered'] / base:.2f}x",
-                ]
-                for shards, p in points.items()
-            ],
-        )
+                str(shards),
+                f"{p['offered']:.0f}",
+                f"{p['delivered']:.0f}",
+                f"{p['delivered'] / base:.2f}x",
+            ]
+            for shards, p in points.items()
+        ],
+    )
 
     write_report(
         {
@@ -140,37 +132,21 @@ def test_shard_scaling(benchmark):
                 "items_per_shard": ITEMS_PER_SHARD,
                 "warmup_s": WARMUP,
                 "window_s": WINDOW,
-                "kernels": {
-                    kernel: {
-                        "points": {
-                            str(shards): p for shards, p in results[kernel].items()
-                        },
-                        "speedup_2": (
-                            results[kernel][2]["delivered"]
-                            / results[kernel][1]["delivered"]
-                        ),
-                        "speedup_4": (
-                            results[kernel][4]["delivered"]
-                            / results[kernel][1]["delivered"]
-                        ),
-                    }
-                    for kernel in KERNELS
-                },
+                "points": {str(shards): p for shards, p in points.items()},
+                "speedup_2": points[2]["delivered"] / base,
+                "speedup_4": points[4]["delivered"] / base,
             }
         },
         str(REPORT_PATH),
     )
 
-    for kernel in KERNELS:
-        points = results[kernel]
-        base = points[1]["delivered"]
-        # The 1-shard baseline really is execution-bound, not offered-
-        # bound: it delivers well under the offered load.
-        assert base < 0.9 * points[1]["offered"], kernel
-        # The scaling claims: near-linear aggregate capacity.
-        assert points[2]["delivered"] >= 1.7 * base, kernel
-        assert points[4]["delivered"] >= 3.0 * base, kernel
-        # Every group carried real load (the partition balanced).
-        for shards in SHARD_COUNTS:
-            executed = points[shards]["per_group_executed"]
-            assert min(executed) > 0.5 * max(executed), (kernel, shards)
+    # The 1-shard baseline really is execution-bound, not offered-bound:
+    # it delivers well under the offered load.
+    assert base < 0.9 * points[1]["offered"]
+    # The scaling claims: near-linear aggregate capacity.
+    assert points[2]["delivered"] >= 1.7 * base
+    assert points[4]["delivered"] >= 3.0 * base
+    # Every group carried real load (the partition balanced).
+    for shards in SHARD_COUNTS:
+        executed = points[shards]["per_group_executed"]
+        assert min(executed) > 0.5 * max(executed), shards

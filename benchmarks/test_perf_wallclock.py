@@ -39,7 +39,8 @@ def test_hot_path_caches_and_kernel_counters(benchmark):
     assert caches["signing_payload"]["hits"] > 0, caches["signing_payload"]
     assert caches["digest"]["hit_rate"] > 0.5, caches["digest"]
 
-    # The kernel's lazy timer cancellation keeps the heap bounded: the
-    # client cancels one retransmission timer per completed invocation.
+    # Cancelled timers are discarded as they come due, so the pending set
+    # stays bounded: the client cancels one retransmission timer per
+    # completed invocation.
     assert kernel["timers_cancelled"] > 0
     assert kernel["heap_peak"] < kernel["events_dispatched"]

@@ -16,10 +16,6 @@ shards
     Run the sharded deployment demo: N independent BFT groups behind
     one item namespace, hash-partitioned shard map, deterministic
     global AE order. ``--split`` exercises a live shard split.
-perf
-    ``perf kernel-bench`` measures the heap and ring event kernels side
-    by side on identical seeded workloads and writes the ``kernel``
-    section of ``BENCH_PERF.json``.
 chaos
     Run fault-drill campaigns against SMaRt-SCADA: a named scenario
     (``--list`` shows them), or ``random`` for seeded sampled schedules.
@@ -131,7 +127,7 @@ def cmd_shards(args) -> int:
     from repro.neoscada import HandlerChain, Monitor
     from repro.sim import Simulator
 
-    sim = Simulator(seed=args.seed, kernel=args.kernel)
+    sim = Simulator(seed=args.seed)
     config = ShardedScadaConfig(shards=args.shards)
     system = build_sharded_scada(sim, config=config)
     items = [f"plant.sensor-{i}" for i in range(8)]
@@ -202,64 +198,6 @@ def cmd_shards(args) -> int:
         print(f"shard {shard}         : n={members} "
               f"states identical: {converged}")
     return 0 if ok else 1
-
-
-def cmd_perf(args) -> int:
-    from repro.workloads.kernelbench import run_kernel_report, write_kernel_report
-
-    print("kernel benchmark: heap vs ring on identical seeded workloads...")
-    report = run_kernel_report()
-    print(f"default kernel: {report['default_kernel']}")
-    churn = report["churn_microbench"]
-    rows = []
-    for name in ("heap", "ring"):
-        entry = churn[name]
-        rows.append(
-            [
-                name,
-                f"{entry['events_per_s']:,.0f}",
-                f"{entry['wall_s']:.2f}",
-                entry["dispatched"],
-                entry["cancelled"],
-                entry["tombstones_skipped"],
-                entry["slots_freed"] if entry["slots_freed"] is not None else "-",
-            ]
-        )
-    _print_table(
-        f"churn microbenchmark — ring is {churn['speedup']:.2f}x the heap kernel",
-        ["kernel", "events/s", "wall s", "dispatched", "cancelled",
-         "tombstones", "slots recycled"],
-        rows,
-    )
-    allocs = report.get("allocations")
-    if allocs:
-        _print_table(
-            "allocations during churn (tracemalloc, separate short run)",
-            ["kernel", "ops", "net bytes", "peak bytes", "net bytes/op"],
-            [
-                [
-                    name,
-                    entry["ops"],
-                    entry["net_bytes"],
-                    entry["peak_bytes"],
-                    f"{entry['net_bytes_per_op']:.1f}",
-                ]
-                for name, entry in sorted(allocs.items())
-            ],
-        )
-    e2e = report.get("bft_micro_wall")
-    if e2e:
-        _print_table(
-            f"bft-micro end-to-end wall — ring is {e2e['speedup']:.2f}x",
-            ["kernel", "wall s", "dispatched"],
-            [
-                [name, f"{e2e[name]['wall_s']:.2f}", e2e[name]["dispatched"]]
-                for name in ("heap", "ring")
-            ],
-        )
-    path = write_kernel_report(report, args.output)
-    print(f"\nwrote kernel section of {path}")
-    return 0
 
 
 def cmd_steps(args) -> int:
@@ -458,7 +396,7 @@ def cmd_fleet(args) -> int:
     from repro.shard.config import ShardedScadaConfig
     from repro.sim import Simulator
 
-    sim = Simulator(seed=args.seed, kernel=args.kernel)
+    sim = Simulator(seed=args.seed)
     tracer = install_tracer(sim) if args.trace else None
     net = make_network(sim)
     # Campaign-style short protocol timeouts so an injected leader kill
@@ -1241,24 +1179,10 @@ def main(argv=None) -> int:
     shards.add_argument("--shards", type=int, default=2,
                         help="number of independent replica groups (default 2)")
     shards.add_argument("--seed", type=int, default=42)
-    shards.add_argument("--kernel", choices=["heap", "ring"], default=None,
-                        help="event kernel (default: REPRO_KERNEL or ring)")
     shards.add_argument("--split", action="store_true",
                         help="also perform a live shard split mid-run "
                              "(moves two items, grows the target group)")
     shards.set_defaults(func=cmd_shards)
-
-    perf = subparsers.add_parser(
-        "perf", help="measure the event kernels (kernel section of BENCH_PERF.json)"
-    )
-    perf.add_argument(
-        "mode", choices=["kernel-bench"],
-        help="'kernel-bench' measures the heap vs ring event kernels "
-             "side by side",
-    )
-    perf.add_argument("--output", default=None,
-                      help="report file (default BENCH_PERF.json)")
-    perf.set_defaults(func=cmd_perf)
 
     chaos = subparsers.add_parser(
         "chaos", help="run fault-drill campaigns (see chaos --list)"
@@ -1356,8 +1280,6 @@ def main(argv=None) -> int:
     fleet.add_argument("--interval", type=float, default=0.25,
                        help="scoreboard sampling interval in simulated "
                             "seconds (default 0.25)")
-    fleet.add_argument("--kernel", choices=("heap", "ring"), default=None,
-                       help="event kernel (default: REPRO_KERNEL or ring)")
     fleet.add_argument("--kill-leader", action="store_true",
                        help="crash shard 0's leader at t=duration/3 and "
                             "recover it at 2*duration/3")

@@ -60,7 +60,7 @@ class _PendingInvocation:
         self.quorum = quorum
         self.attempts = 1
         self.unordered = unordered
-        #: The pending retransmission ScheduledCall; cancelled on quorum.
+        #: The pending retransmission timer handle; cancelled on quorum.
         self.timer = None
         #: Observability: the open "request" span and its reply-quorum
         #: child, or ``None`` when tracing is off.

@@ -14,8 +14,7 @@ The runner:
    evaluates the liveness monitors,
 5. returns a :class:`CampaignReport` with the verdicts and a
    :meth:`~CampaignReport.fingerprint` that is bit-stable: the same seed
-   and schedule always produce the identical fingerprint, on either
-   event kernel.
+   and schedule always produce the identical fingerprint.
 """
 
 from __future__ import annotations
@@ -127,9 +126,6 @@ class CampaignConfig:
     fleet: bool = False
     #: SLO objectives; ``None`` = :func:`repro.obs.slo.default_fleet_slos`.
     slo_specs: tuple | None = None
-    #: Simulation kernel override (``"heap"``/``"ring"``; ``None`` =
-    #: the process default), for kernel-parity campaigns.
-    kernel: str | None = None
 
     def sharded_config(self) -> ShardedScadaConfig:
         base = SmartScadaConfig(
@@ -381,8 +377,8 @@ class CampaignReport:
 
         Two runs with the same seed and schedule must produce identical
         fingerprints — this is the determinism contract the test suite
-        asserts by running campaigns twice, on both event kernels, and
-        against a recorded fingerprint (``tests/golden``).
+        asserts by running campaigns twice and against a recorded
+        fingerprint (``tests/golden``).
         """
         h = hashlib.sha256()
         h.update(f"seed={self.seed};t={self.duration:.9f};".encode())
@@ -447,7 +443,7 @@ def run_campaign(
         )
     monitors = monitors if monitors is not None else default_monitors()
 
-    sim = Simulator(seed=config.seed, kernel=config.kernel)
+    sim = Simulator(seed=config.seed)
     # Healing needs the detector, which needs the span stream.
     ids_active = config.ids or config.heal
     tracer = None

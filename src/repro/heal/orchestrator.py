@@ -27,7 +27,7 @@ drives at most one recovery action at a time:
 Every decision is recorded as a :class:`HealAction` (including refused
 ones, with ``outcome="blocked"``), so a campaign's action log is a
 complete audit trail. The orchestrator adds no randomness: the same
-seed and schedule produce the identical log on both simulation kernels.
+seed and schedule produce the identical log.
 """
 
 from __future__ import annotations

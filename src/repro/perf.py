@@ -1,4 +1,4 @@
-"""Event-kernel selection and hot-path cache accounting.
+"""Hot-path cache accounting.
 
 The caches on the per-message path (codec memoization, HMAC templates
 and tag memo, digest LRU, serialize-once broadcast with precomputed
@@ -7,15 +7,13 @@ memo) are *behaviour-invisible* and always on: with a fixed seed a run
 produces the encodings, digests and event orders that the un-cached code
 produced before it was deleted (``tests/golden``,
 ``tests/test_golden_outputs.py``). What stays process-wide is kept on
-:data:`PERF`: which event kernel ``Simulator(...)`` builds, and one
-hit/miss counter per cache so a measured run can report how effective
-each one was. :func:`clear_hot_path_caches` gives a measurement a cold
-start.
+:data:`PERF`: one hit/miss counter per cache, so a measured run can
+report how effective each one was, and the name of the event kernel for
+the benchmark's run fingerprint. :func:`clear_hot_path_caches` gives a
+measurement a cold start.
 """
 
 from __future__ import annotations
-
-import os
 
 
 class CacheStats:
@@ -41,19 +39,16 @@ class CacheStats:
 
 
 class PerfSwitches:
-    """The process-wide kernel choice and the per-cache counters."""
+    """The per-cache counters (and the kernel's name, a constant)."""
 
-    __slots__ = ("kernel", "stats")
+    __slots__ = ("stats",)
+
+    #: The event kernel every ``Simulator(...)`` is
+    #: (``repro.sim.fastkernel``). Nothing selects on it; it is kept
+    #: because ``bench/run.py`` records it in each run's fingerprint.
+    kernel = "ring"
 
     def __init__(self) -> None:
-        #: Which event-kernel implementation ``Simulator(...)`` builds:
-        #: ``"ring"`` (the flat-array timer-wheel kernel,
-        #: ``repro.sim.fastkernel`` — the default, it is cheaper on every
-        #: benchmark workload; see docs/PERFORMANCE.md) or ``"heap"`` (the
-        #: reference binary-heap kernel the parity suites compare against).
-        #: Seeded from ``REPRO_KERNEL`` so a whole test run can be
-        #: switched from the environment (the CI kernel-parity job).
-        self.kernel = os.environ.get("REPRO_KERNEL", "ring")
         self.stats: dict[str, CacheStats] = {
             "codec_encode": CacheStats(),
             "digest": CacheStats(),
@@ -70,7 +65,7 @@ class PerfSwitches:
         return {name: stats.as_dict() for name, stats in self.stats.items()}
 
 
-#: Process-wide instance consulted by ``Simulator`` and every cache owner.
+#: Process-wide instance consulted by every cache owner.
 PERF = PerfSwitches()
 
 

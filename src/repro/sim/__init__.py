@@ -4,14 +4,12 @@ This package is the execution substrate for the whole reproduction: the
 network, the BFT replicas, the SCADA components and the workload
 generators are all processes and callbacks scheduled on one
 :class:`Simulator` event queue, which makes every run reproducible given
-a seed. ``Simulator()`` builds the flat-array :class:`RingSimulator` by
-default; the binary-heap :class:`Simulator` itself is the reference
-kernel (``kernel="heap"`` / ``REPRO_KERNEL=heap``) with a bit-identical
-schedule.
+a seed. :class:`Simulator` is the public type; ``Simulator(seed)`` builds
+the flat-array timer wheel :class:`RingSimulator`, its one implementation.
 """
 
 from repro.sim.channels import Channel, ChannelClosed
-from repro.sim.events import AllOf, AnyOf, Event, ScheduledCall, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.fastkernel import RingSimulator
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Interrupted, Process
@@ -27,7 +25,6 @@ __all__ = [
     "Process",
     "RingSimulator",
     "RngRegistry",
-    "ScheduledCall",
     "SimulationError",
     "Simulator",
     "Timeout",

@@ -3,8 +3,8 @@
 An :class:`Event` is a one-shot occurrence that processes can wait on.
 Events are *triggered* (successfully, with a value) or *failed* (with an
 exception). Triggering does not run callbacks immediately: the event is
-enqueued on the simulator heap at the current time, and its callbacks run
-when the kernel pops it. This gives a single, deterministic execution
+enqueued on the simulator at the current time, and its callbacks run when
+the kernel dispatches it. This gives a single, deterministic execution
 model for everything that happens in the simulation.
 """
 
@@ -49,8 +49,8 @@ class Event:
         self._exception: BaseException | None = None
         #: When True, a failure is considered handled even with no callbacks.
         self.defused = False
-        #: Heap entry set by the kernel when the event is scheduled; lets
-        #: cancellable subclasses tombstone their occurrence in O(1).
+        #: Handle set by the kernel when the event is scheduled; lets
+        #: cancellable subclasses cancel their occurrence in O(1).
         self._entry = None
 
     # -- state -----------------------------------------------------------
@@ -140,7 +140,7 @@ class Event:
     # -- kernel interface --------------------------------------------------
 
     def _dispatch(self) -> None:
-        """Run callbacks; called by the kernel when the event is popped."""
+        """Run callbacks; called by the kernel when the event is dispatched."""
         callbacks, self.callbacks = self.callbacks, None
         for fn in callbacks:
             fn(self)
@@ -158,10 +158,9 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed amount of simulated time.
 
-    A timeout may be :meth:`cancel`-led before it fires: its heap entry is
-    tombstoned in place (lazy deletion), the callbacks never run, and the
-    kernel discards the entry when it reaches the heap top. Cancelling an
-    already-processed timeout is a no-op.
+    A timeout may be :meth:`cancel`-led before it fires: the callbacks
+    never run and the kernel discards the occurrence when it comes due.
+    Cancelling an already-processed timeout is a no-op.
     """
 
     __slots__ = ("delay",)
@@ -179,53 +178,6 @@ class Timeout(Event):
         if self.callbacks is None:
             return False
         return self.sim._cancel_entry(self._entry)
-
-
-class ScheduledCall(Event):
-    """The cancellable event behind ``Simulator.call_later``.
-
-    Holds the target callable and arguments directly (no closure, no
-    per-call name formatting — ``call_later`` is the single hottest event
-    constructor in the simulation) and invokes it from ``_dispatch``
-    before any explicitly added callbacks.
-
-    Retransmission and failure-detector timers are created in bulk and
-    almost always cancelled before they fire; ``cancel()`` tombstones the
-    heap entry so the stale callback neither runs nor needs a guard at the
-    call site.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, sim: "Simulator", fn, args: tuple) -> None:
-        # Inlined Event.__init__ (this is the most-allocated object in a
-        # simulation — one per network delivery and per timer).
-        self.sim = sim
-        self.name = None
-        self.callbacks = []
-        self._value = None
-        self._exception = None
-        self.defused = False
-        self._entry = None
-        self.fn = fn
-        self.args = args
-
-    def _dispatch(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self.fn(*self.args)
-        for cb in callbacks:
-            cb(self)
-
-    def cancel(self) -> bool:
-        """Prevent the scheduled call from running. Idempotent."""
-        if self.callbacks is None:
-            return False
-        return self.sim._cancel_entry(self._entry)
-
-    def __repr__(self) -> str:
-        label = getattr(self.fn, "__name__", repr(self.fn))
-        state = "done" if self.processed else "pending"
-        return f"<ScheduledCall {label} {state} at {id(self):#x}>"
 
 
 class AnyOf(Event):

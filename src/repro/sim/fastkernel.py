@@ -1,8 +1,10 @@
-"""The flat-array event kernel (the ``ring`` kernel).
+"""The event kernel: a flat-array timer wheel (the ``ring`` kernel).
 
-A drop-in :class:`~repro.sim.kernel.Simulator` whose hot path avoids the
-reference kernel's one ``ScheduledCall`` + ``_HeapEntry`` object pair per
-occurrence. Three structural changes carry the speedup:
+:class:`RingSimulator` is the single implementation of
+:class:`~repro.sim.kernel.Simulator`. Against the textbook binary heap
+holding one event object plus one entry object per scheduled occurrence,
+three structural choices carry its speed (the measured comparison is in
+docs/PERFORMANCE.md):
 
 **Slots instead of objects.** Cancellable occurrences live in parallel
 flat arrays (doubled on demand) — ``when`` in an ``array('d')``, a packed
@@ -35,18 +37,14 @@ bare-int bucket entries safe without per-slot generation arrays.
 Fire-and-forget scheduling (``defer`` — network deliveries, periodic
 ticks) skips slots entirely: one ``(when, key, fn, args)`` tuple goes
 straight into its bucket, and nothing is ever allocated per occurrence
-beyond that tuple. Unlike the reference kernel's
-``ScheduledCall``/``_HeapEntry`` pair — which form a reference *cycle*
-and so feed the cyclic garbage collector — none of the ring kernel's
-per-occurrence state is cycle-forming.
+beyond that tuple. None of the per-occurrence state is cycle-forming, so
+a run does not feed the cyclic garbage collector.
 
-This is the kernel ``Simulator()`` builds by default; the reference heap
-kernel is selected per-simulator (``Simulator(kernel="heap")``),
-process-wide (``repro.perf.PERF.kernel``) or from the environment
-(``REPRO_KERNEL=heap``). Both kernels consume one ``seq`` per scheduled
-occurrence in the same order and dispatch in identical
-``(when, priority, seq)`` order, so seeded runs are bit-identical across
-kernels — the dual-kernel determinism tests hold that line.
+Every scheduling call consumes one ``seq`` and dispatch is in
+``(when, priority, seq)`` order exactly: ``tests/golden`` (``schedules``)
+pins the dispatch logs of three seeded runs, and
+``tests/property/test_kernel_equivalence.py`` checks random scripts
+against a sorted-list model.
 """
 
 from __future__ import annotations
@@ -56,10 +54,8 @@ import math
 from array import array
 from typing import Callable
 
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.events import Event
-from repro.sim.kernel import NORMAL, SimulationError, Simulator, _reject_delay
-from repro.sim.rng import RngRegistry
+from repro.sim.kernel import NORMAL, SimulationError, Simulator
 
 _INF = math.inf
 
@@ -70,13 +66,25 @@ _SLOT_MASK = (1 << _SLOT_BITS) - 1
 _MAX_SLOTS = 1 << _SLOT_BITS
 
 #: Ordering key layout: ``(priority + _PRIO_BIAS) << 44 | seq``. One int
-#: comparison then orders ``(priority, seq)`` exactly like the reference
-#: kernel's two-element comparison. 44 bits of seq and 7 of priority fit
-#: a signed 64-bit array slot.
+#: comparison then orders ``(priority, seq)`` exactly like comparing the
+#: pair. 44 bits of seq and 7 of priority fit a signed 64-bit array slot.
 _SEQ_BITS = 44
 _SEQ_MASK = (1 << _SEQ_BITS) - 1
 _PRIO_BIAS = 64
 _KEY_NORMAL = (NORMAL + _PRIO_BIAS) << _SEQ_BITS
+
+
+def _reject_delay(delay) -> None:
+    """Raise the error for a delay that failed the range check.
+
+    Every scheduling path guards with the same one chained comparison
+    (``not 0.0 <= delay < _INF`` rejects negatives, +inf and nan alike —
+    nan compares false against everything, which would silently corrupt
+    event ordering if it ever got in) and calls this to classify.
+    """
+    if isinstance(delay, (int, float)) and delay < 0:
+        raise SimulationError(f"cannot schedule {delay}s into the past")
+    raise SimulationError(f"cannot schedule a non-finite delay: {delay}")
 
 
 class _RingCall:
@@ -108,8 +116,8 @@ class _RingCall:
             return False
         return not self.sim._handle_live(self._handle)
 
-    # ScheduledCall state surface: a scheduled call that ran "succeeded
-    # with value None" (the callable's return value is ignored).
+    # Event state surface: a scheduled call that ran "succeeded with
+    # value None" (the callable's return value is ignored).
     triggered = processed
     ok = processed
 
@@ -133,19 +141,21 @@ class _RingCall:
 
 
 class RingSimulator(Simulator):
-    """Flat-array timer-wheel kernel; drop-in for :class:`Simulator`.
+    """Flat-array timer-wheel kernel: the implementation of :class:`Simulator`.
 
-    Construct directly, or through ``Simulator()`` (the default unless
-    ``kernel="heap"`` / ``REPRO_KERNEL=heap``). All reference-kernel APIs
-    (``_enqueue`` / ``_cancel_entry`` / ``call_later`` / ``run`` / ``peek``
-    / ``stats``) keep their exact semantics, including the stats-counter values the
-    cancellation tests pin down: ``tombstones_skipped`` counts cancelled
-    entries at cancel time (each is lazily discarded exactly once later,
-    so the totals match the reference kernel's skip-at-pop accounting),
-    ``heap_pending`` counts entries still threaded through a container
-    (cancelled ones included, like tombstones on the reference heap) and
-    ``heap_peak`` is the maximum of that resident count seen at any
-    dispatch.
+    ``Simulator(seed)`` builds one; constructing it directly is the same
+    thing. On top of the methods declared on :class:`Simulator` it
+    provides ``defer(delay, fn, *args)`` (fire-and-forget),
+    ``timer(delay, fn, *args)`` (returns an opaque int handle for
+    ``cancel_timer``), ``peek()`` (time of the next live occurrence, or
+    None) and the ``_enqueue`` / ``_cancel_entry`` pair events use.
+
+    The ``stats()`` counters keep the names ``bench/`` reads (see the
+    note on :class:`Simulator`): ``tombstones_skipped`` counts cancelled
+    entries at cancel time (each is lazily discarded exactly once
+    later), ``heap_pending`` counts entries still threaded through a
+    container (cancelled ones included) and ``heap_peak`` is the maximum
+    of that resident count seen at any dispatch.
     """
 
     # Wheel geometry: 1 ms buckets, 8192 of them (~8.2 s horizon). The
@@ -155,18 +165,8 @@ class RingSimulator(Simulator):
     TICK = 0.001
     NSLOTS = 8192
 
-    def __init__(self, seed: int = 0, kernel: str | None = None) -> None:
-        # Deliberately no super().__init__: this kernel owns its state,
-        # and the base initializer would install heap attributes (and a
-        # plain `dispatched` attribute that collides with the property).
-        self._now = 0.0
-        self._running = False
-        self.rng = RngRegistry(seed)
-        self.metrics = MetricsRegistry()
-        self.tracer = None
-        #: Debug hook shared with the reference kernel: set to a list and
-        #: every dispatch appends ``(when, priority, seq)``.
-        self._schedule_log = None
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__(seed)
         self._build()
         self.metrics.gauge("events_dispatched", self._get_dispatched)
         self.metrics.gauge("timers_cancelled", self._get_cancelled)
@@ -215,7 +215,7 @@ class RingSimulator(Simulator):
         idx = 0  # next entry in run_list
 
         now = 0.0
-        seq = 0  # occurrences scheduled (same meaning across kernels)
+        seq = 0  # occurrences scheduled
         cur = 0  # absolute index of the bucket being drained
         disp = 0  # occurrences dispatched
         canc = 0  # occurrences cancelled (still threaded somewhere)
@@ -319,7 +319,7 @@ class RingSimulator(Simulator):
                 return False
             if handle.__class__ is not int:
                 # A _RingCall from call_later (or any .cancel()-bearing
-                # handle): same contract as the heap kernel's cancel_timer.
+                # handle).
                 return handle.cancel()
             slot = handle & _SLOT_MASK
             if keys_a[slot] != handle >> _SLOT_BITS or fns[slot] is None:
@@ -530,31 +530,16 @@ class RingSimulator(Simulator):
         self._get_cancelled = lambda: canc
         self._get_peak = lambda: peak
         self._get_pending = lambda: seq - disp - freed
-        self._get_seq = lambda: seq
         self._get_freed = lambda: freed
         self._get_capacity = lambda: len(fns)
         self._get_free = lambda: len(free)
-        self._get_now = lambda: now
 
-    # -- attribute compatibility ------------------------------------------
     # `now` is inherited from Simulator (run() maintains self._now).
 
     @property
     def dispatched(self) -> int:
         """Number of events dispatched so far."""
         return self._get_dispatched()
-
-    @property
-    def _timers_cancelled(self) -> int:
-        return self._get_cancelled()
-
-    @property
-    def _tombstones_skipped(self) -> int:
-        return self._get_cancelled()
-
-    @property
-    def _peak_heap(self) -> int:
-        return self._get_peak()
 
     def __repr__(self) -> str:
         return (

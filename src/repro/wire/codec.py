@@ -47,6 +47,15 @@ _ENUM = 0x0B
 
 _FLOAT_STRUCT = struct.Struct(">d")
 
+#: How deep containers (list, tuple, dict, dataclass, enum — the tags from
+#: ``_LIST`` up) may nest. Both directions recurse once per level, so with
+#: no bound a 10 KB frame of nested one-element lists ends in a
+#: ``RecursionError`` that no ingress site catches. Real messages nest a
+#: handful of levels; the bound is the same for encode, so whatever one
+#: side can send the other can read.
+MAX_DEPTH = 64
+_TOO_DEEP = f"containers nested deeper than {MAX_DEPTH}"
+
 
 def _write_uvarint(out: bytearray, value: int) -> None:
     if value < 0x80:
@@ -174,11 +183,13 @@ class Codec:
 
     # -- encoding -----------------------------------------------------------
 
-    def _encode(self, out: bytearray, value) -> None:
+    def _encode(self, out: bytearray, value, depth: int = 0) -> None:
+        # ``depth`` counts the containers around ``value``; every encoder
+        # takes it, the scalar ones ignore it.
         encoder = self._encoders.get(value.__class__)
         if encoder is None:
             encoder = self._resolve_encoder(value)
-        encoder(out, value)
+        encoder(out, value, depth)
 
     def _resolve_encoder(self, value):
         """Build (and install) the encoder for a class seen for the first time.
@@ -215,15 +226,15 @@ class Codec:
     # Scalar/container encoders -------------------------------------------
 
     @staticmethod
-    def _enc_none(out: bytearray, value) -> None:
+    def _enc_none(out: bytearray, value, depth: int) -> None:
         out.append(_NONE)
 
     @staticmethod
-    def _enc_bool(out: bytearray, value) -> None:
+    def _enc_bool(out: bytearray, value, depth: int) -> None:
         out.append(_TRUE if value else _FALSE)
 
     @staticmethod
-    def _enc_int(out: bytearray, value) -> None:
+    def _enc_int(out: bytearray, value, depth: int) -> None:
         out.append(_INT)
         # Sign-and-magnitude varint: supports arbitrary-size ints. The
         # common small non-negative case is a single inlined byte.
@@ -235,12 +246,12 @@ class Codec:
             _write_uvarint(out, value << 1)
 
     @staticmethod
-    def _enc_float(out: bytearray, value) -> None:
+    def _enc_float(out: bytearray, value, depth: int) -> None:
         out.append(_FLOAT)
         out += _FLOAT_STRUCT.pack(value)
 
     @staticmethod
-    def _enc_str(out: bytearray, value) -> None:
+    def _enc_str(out: bytearray, value, depth: int) -> None:
         # Protocol strings (addresses, client ids) repeat massively;
         # memoize the full TLV chunk per distinct string, content-keyed
         # so the bytes are those of a fresh encode.
@@ -259,7 +270,7 @@ class Codec:
         out += chunk
 
     @staticmethod
-    def _enc_bytes(out: bytearray, value) -> None:
+    def _enc_bytes(out: bytearray, value, depth: int) -> None:
         out.append(_BYTES)
         length = len(value)
         if length < 0x80:
@@ -268,27 +279,36 @@ class Codec:
             _write_uvarint(out, length)
         out += value
 
-    def _enc_list(self, out: bytearray, value) -> None:
+    def _enc_list(self, out: bytearray, value, depth: int) -> None:
+        if depth >= MAX_DEPTH:
+            raise EncodeError(_TOO_DEEP)
+        depth += 1
         out.append(_LIST)
         _write_uvarint(out, len(value))
         encode_item = self._encode
         for item in value:
-            encode_item(out, item)
+            encode_item(out, item, depth)
 
-    def _enc_tuple(self, out: bytearray, value) -> None:
+    def _enc_tuple(self, out: bytearray, value, depth: int) -> None:
+        if depth >= MAX_DEPTH:
+            raise EncodeError(_TOO_DEEP)
+        depth += 1
         out.append(_TUPLE)
         _write_uvarint(out, len(value))
         encode_item = self._encode
         for item in value:
-            encode_item(out, item)
+            encode_item(out, item, depth)
 
-    def _enc_dict(self, out: bytearray, value) -> None:
+    def _enc_dict(self, out: bytearray, value, depth: int) -> None:
+        if depth >= MAX_DEPTH:
+            raise EncodeError(_TOO_DEEP)
+        depth += 1
         out.append(_DICT)
         _write_uvarint(out, len(value))
         encode_item = self._encode
         for key, item in value.items():
-            encode_item(out, key)
-            encode_item(out, item)
+            encode_item(out, key, depth)
+            encode_item(out, item, depth)
 
     # Registered-type encoders --------------------------------------------
 
@@ -298,9 +318,11 @@ class Codec:
         prefix = bytes(prefix)
         encode_inner = self._encode
 
-        def enc(out: bytearray, value) -> None:
+        def enc(out: bytearray, value, depth: int) -> None:
+            if depth >= MAX_DEPTH:
+                raise EncodeError(_TOO_DEEP)
             out += prefix
-            encode_inner(out, value.value)
+            encode_inner(out, value.value, depth + 1)
 
         return enc
 
@@ -324,26 +346,31 @@ class Codec:
 
         if get_fields is None:
 
-            def enc(out: bytearray, value) -> None:
+            def enc(out: bytearray, value, depth: int) -> None:
+                if depth >= MAX_DEPTH:
+                    raise EncodeError(_TOO_DEEP)
                 out += prefix
                 if names:
-                    encode_inner(out, getattr(value, names[0]))
+                    encode_inner(out, getattr(value, names[0]), depth + 1)
 
             return enc
 
-        def enc(out: bytearray, value) -> None:
+        def enc(out: bytearray, value, depth: int) -> None:
+            if depth >= MAX_DEPTH:
+                raise EncodeError(_TOO_DEEP)
+            depth += 1
             out += prefix
             for item in get_fields(value):
                 encoder = encoders.get(item.__class__)
                 if encoder is None:
                     encoder = resolve(item)
-                encoder(out, item)
+                encoder(out, item, depth)
 
         return enc
 
     # -- decoding -----------------------------------------------------------
 
-    def _decode(self, data, pos: int):
+    def _decode(self, data, pos: int, depth: int = 0):
         # The branch order is by decoded-value frequency in protocol
         # traffic (strings/ints/bytes inside dataclass messages), and the
         # common one-byte varint is inlined — this function runs several
@@ -396,6 +423,11 @@ class Codec:
             # bytes(x) is a no-op for a bytes slice and materializes a
             # memoryview slice; decoded values are always real bytes.
             return bytes(data[pos : pos + length]), pos + length
+        if tag >= _LIST:
+            # A container: its children sit one level deeper.
+            if depth >= MAX_DEPTH:
+                raise DecodeError(_TOO_DEEP)
+            depth += 1
         if tag == _DATACLASS:
             type_id, pos = _read_uvarint(data, pos)
             cls = self.registry.type_of(type_id)
@@ -416,7 +448,7 @@ class Codec:
             values = []
             append = values.append
             for _ in range(count):
-                value, pos = decode_inner(data, pos)
+                value, pos = decode_inner(data, pos, depth)
                 append(value)
             if tail is not None:
                 for kind, default in tail:
@@ -442,21 +474,21 @@ class Codec:
             count, pos = _read_uvarint(data, pos)
             items = []
             for _ in range(count):
-                item, pos = self._decode(data, pos)
+                item, pos = self._decode(data, pos, depth)
                 items.append(item)
             return (tuple(items) if tag == _TUPLE else items), pos
         if tag == _DICT:
             count, pos = _read_uvarint(data, pos)
             result = {}
             for _ in range(count):
-                key, pos = self._decode(data, pos)
-                value, pos = self._decode(data, pos)
+                key, pos = self._decode(data, pos, depth)
+                value, pos = self._decode(data, pos, depth)
                 result[key] = value
             return result, pos
         if tag == _ENUM:
             type_id, pos = _read_uvarint(data, pos)
             cls = self.registry.type_of(type_id)
-            raw, pos = self._decode(data, pos)
+            raw, pos = self._decode(data, pos, depth)
             try:
                 return cls(raw), pos
             except ValueError as exc:

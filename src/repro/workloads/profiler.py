@@ -1,8 +1,8 @@
 """The §V-B microbenchmark pipeline and the ``BENCH_PERF.json`` writer.
 
 ``run_bft_micro`` is the bare BFT library under a 1 KiB echo firehose —
-the pipeline ``benchmarks/test_bft_micro.py``, the kernel benchmark and
-the hot-path benchmark all measure. ``write_report`` merges one
+the pipeline ``benchmarks/test_bft_micro.py`` and the hot-path benchmark
+both measure. ``write_report`` merges one
 benchmark's section into ``BENCH_PERF.json`` without disturbing the
 sections other benchmarks wrote.
 """

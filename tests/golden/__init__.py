@@ -9,6 +9,10 @@ The ``deployment`` block was added later, recorded at the last commit
 that still carried two deployment builders, handles and
 spare-provisioning paths (``core/system.py`` beside
 ``shard/deployment.py``), from that commit's untouched ``src/``.
+
+The ``schedules`` block was recorded the same way at the last commit that
+still carried the heap event kernel beside the ring, on both kernels,
+with their outputs asserted equal.
 """
 
 import json

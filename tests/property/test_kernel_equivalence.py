@@ -1,4 +1,4 @@
-"""Property test: the ring kernel is observationally equal to the heap kernel.
+"""Property test: the kernel is observationally equal to a sorted list.
 
 Random scheduling scripts — mixes of ``defer``/``timer``/``call_later``,
 cancellations (including double-cancels and cancels issued *during* the
@@ -6,8 +6,11 @@ run), nested re-scheduling from inside callbacks, and delays sampled to
 hit the ring kernel's interesting regimes (zero, sub-tick, exact bucket
 boundaries, and beyond the 8.192 s wheel horizon) — must produce the
 identical fired sequence and the identical ``(time, priority, seq)``
-dispatch schedule on both kernels.
+dispatch schedule on the kernel and on :class:`ModelSimulator`, the
+kernel's contract written as plainly as it can be.
 """
+
+from bisect import insort
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,8 +44,47 @@ steps = st.lists(
 )
 
 
-def run_script(kernel, script, stop_at):
-    sim = Simulator(seed=3, kernel=kernel)
+class ModelSimulator:
+    """The reference: pending occurrences in one list kept sorted by
+    ``(when, priority, seq)``; one ``seq`` per scheduling call; the head
+    fires while it is due; a cancelled occurrence is simply removed."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.dispatched = 0
+        self._seq = 0
+        self._pending = []  # [when, priority, seq, fn, args]; fn None = dead
+        self._schedule_log = []
+
+    def timer(self, delay, fn, *args):
+        self._seq += 1
+        entry = [self.now + delay, 0, self._seq, fn, args]
+        insort(self._pending, entry)  # seq is unique: fn is never compared
+        return entry
+
+    defer = call_later = timer
+
+    def cancel_timer(self, entry):
+        if entry[3] is None:  # already fired or cancelled
+            return False
+        self._pending.remove(entry)
+        entry[3] = None
+        return True
+
+    def run(self, until=None):
+        pending = self._pending
+        while pending and (until is None or pending[0][0] <= until):
+            entry = pending.pop(0)
+            self.now, priority, seq, fn, args = entry
+            entry[3] = None
+            self.dispatched += 1
+            self._schedule_log.append((self.now, priority, seq))
+            fn(*args)
+        if until is not None:
+            self.now = until
+
+
+def run_script(sim, script, stop_at):
     log = sim._schedule_log = []
     fired = []
     handles = []
@@ -74,16 +116,14 @@ def run_script(kernel, script, stop_at):
     for i, step in enumerate(script):
         apply(step, i)
     sim.run(until=stop_at)
+    stopped = (sim.dispatched, sim.now)
     sim.run()  # drain the remainder, covering the stop/resume path
-    return fired, log, sim.dispatched, sim.now
+    return fired, log, stopped, sim.dispatched, sim.now
 
 
 @settings(max_examples=60, deadline=None)
 @given(steps, st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
 def test_random_scripts_fire_identically(script, stop_at):
-    fired_h, log_h, dispatched_h, now_h = run_script("heap", script, stop_at)
-    fired_r, log_r, dispatched_r, now_r = run_script("ring", script, stop_at)
-    assert fired_r == fired_h
-    assert log_r == log_h
-    assert dispatched_r == dispatched_h
-    assert now_r == now_h
+    assert run_script(Simulator(seed=3), script, stop_at) == run_script(
+        ModelSimulator(), script, stop_at
+    )

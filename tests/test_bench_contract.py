@@ -49,10 +49,14 @@ def test_ring_kernel_exposes_the_per_instance_entry_points_the_tracer_wraps():
     sim = RingSimulator()
     for name in ("run", "call_later", "defer", "timer", "cancel_timer"):
         assert callable(vars(sim)[name]), name
+    # ... and the four names it patches on the Simulator class itself: run
+    # / call_later / cancel_timer are declarations there, timeout a method.
+    for name in ("run", "call_later", "cancel_timer", "timeout"):
+        assert callable(vars(Simulator)[name]), name
 
 
 def test_perf_names_the_benchmark_reads():
-    assert PERF.kernel in ("heap", "ring")
+    assert PERF.kernel == "ring"  # bench/run.py fingerprints it
     stats = PERF.stats_map()
     assert {
         "codec_encode", "digest", "mac", "decode_share", "signing_payload"
@@ -66,7 +70,7 @@ def test_perf_has_no_on_off_switch_left():
     # ISSUE 14 deleted the ten switches, the legacy branches behind them
     # and the functions that toggled them; the caches are unconditional
     # and pinned by tests/golden. Nothing else is defined here.
-    assert PerfSwitches.__slots__ == ("kernel", "stats")
+    assert PerfSwitches.__slots__ == ("stats",)
     assert {
         name
         for name, value in vars(repro.perf).items()
@@ -75,8 +79,12 @@ def test_perf_has_no_on_off_switch_left():
 
 
 def test_default_kernel_is_the_ring(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert PerfSwitches().kernel == "ring"
-    monkeypatch.setattr(PERF, "kernel", PerfSwitches().kernel)
-    assert type(Simulator()) is RingSimulator
-    assert type(Simulator(kernel="heap")) is Simulator
+    # The ring is the only kernel: nothing selects another one, neither a
+    # constructor argument nor the environment variable that used to.
+    monkeypatch.setenv("REPRO_KERNEL", "heap")
+    assert PerfSwitches().kernel == PERF.kernel == "ring"
+    assert type(Simulator()) is type(Simulator(seed=3)) is RingSimulator
+    with pytest.raises(TypeError):
+        Simulator(**{"kernel": "heap"})
+    with pytest.raises(TypeError):
+        RingSimulator(**{"kernel": "ring"})

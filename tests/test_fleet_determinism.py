@@ -2,14 +2,12 @@
 
 Sampling the scoreboard and evaluating SLOs must leave a seeded run
 bit-identical: same campaign fingerprint, same per-replica decided
-streams, same global AE order — on both event kernels. This is the
-same contract span tracing holds (``tests/test_trace_determinism.py``),
-extended to the whole observability control plane.
+streams, same global AE order. This is the same contract span tracing
+holds (``tests/test_trace_determinism.py``), extended to the whole
+observability control plane.
 """
 
 from dataclasses import replace
-
-import pytest
 
 from repro.chaos import get_scenario, run_campaign
 from repro.neoscada import HandlerChain, Monitor
@@ -18,7 +16,6 @@ from repro.obs.slo import SloEngine
 from repro.shard import ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 
-KERNELS = ("heap", "ring")
 SENSORS = [f"plant.s{i}" for i in range(6)]
 
 
@@ -26,13 +23,12 @@ SENSORS = [f"plant.s{i}" for i in range(6)]
 # campaign fingerprints
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_campaign_fingerprint_invariant_with_fleet(kernel):
+def test_campaign_fingerprint_invariant_with_fleet():
     """A sharded chaos campaign fingerprints identically with the
     scoreboard + SLO engine on or off (they piggyback on the monitor
     poll grid and add zero events)."""
     scenario = get_scenario("shard-leader-kills")
-    base = replace(scenario.config(seed=4), kernel=kernel)
+    base = scenario.config(seed=4)
     plain = run_campaign(scenario.schedule(), base)
     fleet = run_campaign(scenario.schedule(), replace(base, fleet=True))
     assert plain.fingerprint() == fleet.fingerprint()
@@ -51,28 +47,12 @@ def test_campaign_fingerprint_invariant_with_fleet(kernel):
     assert fleet.fleet["status"] == "ok"
 
 
-def test_campaign_fleet_report_is_kernel_invariant():
-    """The scoreboard reads the same health story from either kernel."""
-    scenario = get_scenario("shard-leader-kills")
-    reports = {}
-    for kernel in KERNELS:
-        config = replace(scenario.config(seed=4), kernel=kernel, fleet=True)
-        reports[kernel] = run_campaign(scenario.schedule(), config)
-    assert (
-        reports["heap"].slo_violations == reports["ring"].slo_violations
-    )
-    assert (
-        reports["heap"].fleet["transitions"]
-        == reports["ring"].fleet["transitions"]
-    )
-
-
 # ----------------------------------------------------------------------
 # direct 2-shard workload: decided streams + global AE order
 # ----------------------------------------------------------------------
 
-def run_workload(kernel: str, observed: bool, seed: int = 6):
-    sim = Simulator(seed=seed, kernel=kernel)
+def run_workload(observed: bool, seed: int = 6):
+    sim = Simulator(seed=seed)
     system = build_sharded_scada(sim, config=ShardedScadaConfig(shards=2))
     for sensor in SENSORS:
         system.frontend.add_item(sensor, initial=20)
@@ -127,10 +107,9 @@ def ae_order(system):
     ]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_scoreboard_on_off_identical_runs(kernel):
-    sim_off, system_off, _ = run_workload(kernel, observed=False)
-    sim_on, system_on, scoreboard = run_workload(kernel, observed=True)
+def test_scoreboard_on_off_identical_runs():
+    sim_off, system_off, _ = run_workload(observed=False)
+    sim_on, system_on, scoreboard = run_workload(observed=True)
     assert sim_on.dispatched == sim_off.dispatched
     assert sim_on.now == sim_off.now
     assert decided_streams(system_on) == decided_streams(system_off)

@@ -17,23 +17,29 @@ handle and spare-provisioning paths were folded into one: four campaigns
 that rejuvenate, restart from a torn disk, heal-evict and kill two shard
 leaders, and one live shard split that grows its target group.
 
-All five are kernel-independent: CI asserts them on the ring and on the
-heap kernel. A change that is *meant* to move one (a new wire type, a
-protocol change) updates the file from the failing assertion's left side.
+``schedules`` pins the event kernel itself: the ``(when, priority, seq)``
+dispatch log, decided stream, state digests and detection stream of three
+seeded runs, recorded on the heap kernel and on the ring (equal, asserted
+at record time) before the heap kernel was deleted.
+
+A change that is *meant* to move one (a new wire type, a protocol change)
+updates the file from the failing assertion's left side.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from repro.bftsmart import CounterService, GroupConfig, build_group, build_proxy
-from repro.chaos import get_scenario, run_campaign
+from repro.chaos import Schedule, SwapByzantine, get_scenario, run_campaign
 from repro.chaos.campaign import CampaignConfig
 from repro.crypto import KeyStore
 from repro.neoscada import HandlerChain, Monitor
-from repro.net import ConstantLatency, Network
+from repro.core import build_smartscada
+from repro.net import ConstantLatency, LanLatency, Network
 from repro.perf import clear_hot_path_caches
 from repro.shard import ShardSplitter, ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
@@ -160,3 +166,89 @@ def _live_split():
 
 def test_live_split_that_grows_the_target_group():
     assert _live_split() == GOLDEN["deployment"]["split"]
+
+
+def _schedule_sha256(log) -> str:
+    return hashlib.sha256(repr(log).encode()).hexdigest()
+
+
+def _decided_stream(replica):
+    return [
+        f"{request.client_id}#{request.sequence}"
+        for _cid, value, _timestamp in replica.decision_log
+        if value != b""
+        for request in decode(value).requests
+    ]
+
+
+def test_bft_schedule_and_decided_stream():
+    sim = Simulator(seed=7)
+    log = sim._schedule_log = []
+    net = Network(sim, latency=LanLatency(rng=sim.rng.stream("net")))
+    keystore = KeyStore()
+    config = GroupConfig(n=4, f=1, batch_max=8, batch_wait=0.0005)
+    replicas = build_group(sim, net, config, CounterService, keystore)
+
+    def sender(proxy):
+        for _ in range(20):
+            proxy.invoke_ordered(encode(("add", 1)))
+            yield sim.timeout(0.002)
+
+    for i in range(2):
+        proxy = build_proxy(
+            sim, net, f"client-{i}", config, keystore, invoke_timeout=30.0
+        )
+        sim.process(sender(proxy))
+    sim.run(until=sim.now + 10)
+    streams = [_decided_stream(replica) for replica in replicas]
+    assert all(stream == streams[0] for stream in streams)
+    assert {
+        "schedule_sha256": _schedule_sha256(log),
+        "dispatched": sim.dispatched,
+        "now": sim.now,
+        "decided_stream": streams[0],
+        "service_values": [replica.service.value for replica in replicas],
+    } == GOLDEN["schedules"]["bft"]
+
+
+def test_scada_schedule_and_state_digests():
+    sim = Simulator(seed=5)
+    log = sim._schedule_log = []
+    system = build_smartscada(sim)
+    system.frontend.add_item("plant.temperature", initial=20)
+    system.frontend.add_item("plant.valve", initial=0, writable=True)
+    system.start()
+    writes = []
+
+    def scenario():
+        for i in range(10):
+            system.frontend.inject_update("plant.temperature", 20 + i)
+            yield sim.timeout(0.05)
+        result = yield system.hmi.write("plant.valve", 1)
+        writes.append(result.success)
+        yield sim.timeout(0.5)
+        return True
+
+    sim.run_process(scenario(), until=30)
+    assert {
+        "schedule_sha256": _schedule_sha256(log),
+        "dispatched": sim.dispatched,
+        "now": sim.now,
+        "state_digests": [digest.hex() for digest in system.state_digests()],
+        "writes": writes,
+    } == GOLDEN["schedules"]["scada"]
+
+
+def test_ids_campaign_detection_stream():
+    """Intrusion detection is part of the determinism contract: a seeded
+    compromise yields the recorded detections (times, kinds, scores,
+    evidence) — one, naming replica-2, with no false positive."""
+    schedule = Schedule([
+        SwapByzantine(at=1.5, index=2, behaviour="falsifying", duration=3.0),
+    ])
+    report = run_campaign(schedule, CampaignConfig(seed=3, ids=True))
+    assert {
+        "fingerprint": report.fingerprint(),
+        "detections": [dataclasses.asdict(d) for d in report.detections],
+        "ids_score": report.ids_score,
+    } == GOLDEN["schedules"]["ids_campaign"]

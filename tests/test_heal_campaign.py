@@ -3,19 +3,16 @@
 The acceptance story of the heal subsystem, as campaigns: a planted
 Byzantine replica is evicted and replaced with every safety/liveness
 monitor green; benign faults never trigger the orchestrator; the quorum
-guard refuses unsafe actions under a double fault; the action log is
-bit-identical across the heap and ring event kernels; and with healing
+guard refuses unsafe actions under a double fault; and with healing
 disabled the campaign fingerprint is exactly the feature-absent one.
+(The action log itself is pinned by ``tests/golden``, ``deployment``.)
 """
-
-from dataclasses import replace as dc_replace
 
 from repro.chaos import (
     CrashReplica,
     KillLeader,
     Schedule,
     SwapByzantine,
-    get_scenario,
     run_campaign,
     run_scenario,
 )
@@ -70,17 +67,6 @@ def test_quorum_guard_blocks_unsafe_recovery():
     alarms = [a for a in report.heal_actions if a["outcome"] == "raised"]
     assert len(alarms) == 1
     assert "quorum guard refused" in alarms[0]["detail"]
-
-
-def test_action_log_identical_on_both_kernels():
-    scenario = get_scenario("heal-evict-lying")
-    logs = {}
-    for kernel in ("heap", "ring"):
-        config = dc_replace(scenario.config(seed=SEED), kernel=kernel)
-        report = run_campaign(scenario.schedule(), config)
-        assert report.ok, report.violations
-        logs[kernel] = (report.heal_actions, report.fingerprint())
-    assert logs["heap"] == logs["ring"]
 
 
 def test_heal_disabled_fingerprint_matches_feature_absent():

@@ -4,8 +4,7 @@ The recovery orchestrator leans on ``Administrator.reconfigure_checked``
 in exactly the conditions where a naive admin console wedges: a leader
 change in progress, a state transfer racing the membership change, the
 suspect being the current leader. These tests pin that behaviour at the
-BFT-SMaRt layer, plus the typed failure modes (rejected / timed-out)
-and heap/ring kernel parity of a full join-then-leave sequence.
+BFT-SMaRt layer, plus the typed failure modes (rejected / timed-out).
 """
 
 from repro.bftsmart import (
@@ -23,8 +22,8 @@ from repro.sim import Simulator
 from repro.wire import decode, encode
 
 
-def make_world(seed=1, kernel=None):
-    sim = Simulator(seed=seed, kernel=kernel)
+def make_world(seed=1):
+    sim = Simulator(seed=seed)
     net = Network(sim, latency=ConstantLatency(0.0003))
     keystore = KeyStore()
     config = GroupConfig(n=4, f=1, request_timeout=0.4, sync_timeout=0.8)
@@ -143,32 +142,3 @@ def test_unreachable_group_times_out():
     assert result.status == "timed-out"
     assert result.attempts == 2
     assert result.view_id is None
-
-
-def _membership_trace(kernel, seed=21):
-    """A scripted join-then-leave sequence; returns its observable story."""
-    sim, net, keystore, config, replicas, admin = make_world(
-        seed=seed, kernel=kernel
-    )
-    proxy = build_proxy(sim, net, "client-1", config, keystore)
-    run_adds(sim, proxy, 5)
-    make_joiner(sim, net, keystore, config, admin)
-    first = checked(sim, admin, join=("replica-4",))
-    second = checked(sim, admin, leave=("replica-2",))
-    proxy.update_view(second.view)
-    total = run_adds(sim, proxy, 5)
-    sim.run(until=sim.now + 5)
-    return (
-        first.status,
-        first.view_id,
-        second.status,
-        second.view_id,
-        tuple(sorted(second.view.addresses)),
-        total,
-        round(sim.now, 9),
-    )
-
-
-def test_reconfiguration_kernel_parity():
-    """The same seeded membership-change story on both event kernels."""
-    assert _membership_trace("heap") == _membership_trace("ring")

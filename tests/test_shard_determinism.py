@@ -3,9 +3,8 @@ the workload.
 
 The rule (sort by consensus-assigned logical timestamp, shard id, then
 per-shard commit order — :mod:`repro.shard.merge`) must yield the
-*identical* alarm sequence no matter how the namespace is partitioned
-or which event kernel runs the simulation: across seeds, across heap vs
-ring kernels, and across 1/2/4 shards. Event ids are per-group counters
+*identical* alarm sequence no matter how the namespace is partitioned:
+across seeds and across 1/2/4 shards. Event ids are per-group counters
 and legitimately differ between partitionings, so the comparison is on
 semantic tuples ``(item_id, event_type, value)``.
 """
@@ -21,12 +20,11 @@ ITEMS = [f"plant.sensor-{i}" for i in range(10)]
 #: logical-timestamp order of alarms is workload order, not racing.
 SPACING = 0.02
 SHARD_COUNTS = (1, 2, 4)
-KERNELS = ("heap", "ring")
 
 
-def run_workload(seed: int, kernel: str, shards: int):
+def run_workload(seed: int, shards: int):
     """One fixed alarm-heavy workload; returns (system, semantic seq)."""
-    sim = Simulator(seed=seed, kernel=kernel)
+    sim = Simulator(seed=seed)
     system = build_sharded_scada(sim, config=ShardedScadaConfig(shards=shards))
     for item in ITEMS:
         system.frontend.add_item(item, initial=0)
@@ -54,14 +52,13 @@ def run_workload(seed: int, kernel: str, shards: int):
 
 
 def test_global_alarm_sequence_is_identical_across_everything():
-    """The headline guarantee: seeds x kernels x shard counts, one order."""
+    """The headline guarantee: seeds x shard counts, one order."""
     sequences = {}
     for seed in (1, 7):
-        for kernel in KERNELS:
-            for shards in SHARD_COUNTS:
-                _, seq = run_workload(seed, kernel, shards)
-                sequences[(seed, kernel, shards)] = seq
-    reference = sequences[(1, "heap", 1)]
+        for shards in SHARD_COUNTS:
+            _, seq = run_workload(seed, shards)
+            sequences[(seed, shards)] = seq
+    reference = sequences[(1, 1)]
     assert reference, "workload produced no alarms"
     divergent = {
         combo: seq for combo, seq in sequences.items() if seq != reference
@@ -76,7 +73,7 @@ def test_global_alarm_sequence_is_identical_across_everything():
 def test_online_merger_matches_the_offline_merge(shards):
     """The live holdback merger must reproduce the ground-truth offline
     sort of the per-shard commit logs once the run quiesces."""
-    system, _ = run_workload(seed=3, kernel="heap", shards=shards)
+    system, _ = run_workload(seed=3, shards=shards)
     merger = system.proxy_hmi.merger
     online = [
         (shard, event.item_id, event.event_type)
@@ -98,11 +95,11 @@ def test_online_merger_matches_the_offline_merge(shards):
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_reruns_are_bit_identical(shards):
-    """Same seed, same kernel, same shard count: byte-for-byte the same
+    """Same seed, same shard count: byte-for-byte the same
     event stream, ids included (the §III-B determinism bar)."""
-    _, first = run_workload(seed=5, kernel="heap", shards=shards)
-    system_a, _ = run_workload(seed=5, kernel="heap", shards=shards)
-    system_b, _ = run_workload(seed=5, kernel="heap", shards=shards)
+    _, first = run_workload(seed=5, shards=shards)
+    system_a, _ = run_workload(seed=5, shards=shards)
+    system_b, _ = run_workload(seed=5, shards=shards)
     full_a = [(e.event_id, e.item_id, e.timestamp) for e in system_a.hmi.events]
     full_b = [(e.event_id, e.item_id, e.timestamp) for e in system_b.hmi.events]
     assert full_a == full_b

@@ -1,10 +1,9 @@
 """Ring-kernel specifics: timer wheel, slot recycling, handle safety.
 
-The cross-kernel behaviour contract is covered by the whole suite running
-on the ring kernel by default, the kernel-sensitive files re-run under
-``REPRO_KERNEL=heap`` (the CI kernel-parity job) and
-``tests/test_kernel_parity.py``; these tests pin down the mechanisms
-unique to the flat-array kernel — same-tick FIFO inside one wheel
+The kernel's ordering contract is covered by the schedule goldens
+(``tests/test_golden_outputs.py``) and the sorted-list model in
+``tests/property/test_kernel_equivalence.py``; these tests pin down the
+mechanisms of the flat-array kernel — same-tick FIFO inside one wheel
 bucket, stale handles against recycled slots, rotation across bucket
 boundaries, far-heap migration and slot-capacity growth.
 """
@@ -21,32 +20,20 @@ NSLOTS = RingSimulator.NSLOTS
 HORIZON = TICK * NSLOTS
 
 
-def both_kernels(workload):
-    """Run ``workload(sim, fired)`` on both kernels; return both traces."""
-    traces = []
-    for kernel in ("heap", "ring"):
-        sim = Simulator(kernel=kernel)
-        fired = []
-        workload(sim, fired)
-        sim.run()
-        traces.append(fired)
-    return traces
-
-
-def test_same_tick_fifo_matches_heap_kernel():
+def test_same_tick_fifo_across_scheduling_apis():
     # Many occurrences at the same instant, mixed across the three
-    # scheduling APIs: creation order is dispatch order, on both kernels.
-    def workload(sim, fired):
-        for i in range(30):
-            if i % 3 == 0:
-                sim.defer(0.25, fired.append, i)
-            elif i % 3 == 1:
-                sim.timer(0.25, fired.append, i)
-            else:
-                sim.call_later(0.25, fired.append, i)
-
-    heap_trace, ring_trace = both_kernels(workload)
-    assert ring_trace == heap_trace == list(range(30))
+    # scheduling APIs: creation order is dispatch order.
+    sim = Simulator()
+    fired = []
+    for i in range(30):
+        if i % 3 == 0:
+            sim.defer(0.25, fired.append, i)
+        elif i % 3 == 1:
+            sim.timer(0.25, fired.append, i)
+        else:
+            sim.call_later(0.25, fired.append, i)
+    sim.run()
+    assert fired == list(range(30))
 
 
 def test_cancelled_slot_reuse_never_fires_stale_callable():
@@ -87,19 +74,18 @@ def test_cancel_through_stale_handle_after_fire_is_noop():
 def test_wheel_rotation_across_bucket_boundaries():
     # Deadlines straddling bucket edges, including exact k*TICK
     # boundaries and sub-tick offsets: global dispatch order must be by
-    # time with FIFO ties, identical on both kernels.
+    # time with FIFO ties.
     delays = []
     for k in (1, 2, 3, 5, 8, 13):
         delays += [k * TICK, k * TICK + 1e-7, k * TICK - 1e-7, k * TICK + TICK / 2]
     delays += [0.0, TICK / 3, 17 * TICK, 17 * TICK]
 
-    def workload(sim, fired):
-        for i, delay in enumerate(delays):
-            sim.defer(delay, lambda i=i: fired.append((round(sim.now, 9), i)))
-
-    heap_trace, ring_trace = both_kernels(workload)
-    assert ring_trace == heap_trace
-    assert [t for t, _ in ring_trace] == sorted(t for t, _ in ring_trace)
+    sim = Simulator()
+    fired = []
+    for i, delay in enumerate(delays):
+        sim.defer(delay, lambda i=i: fired.append((sim.now, i)))
+    sim.run()
+    assert fired == sorted((delay, i) for i, delay in enumerate(delays))
 
 
 def test_rotation_reuses_wheel_slots_across_turns():
@@ -124,14 +110,14 @@ def test_rotation_reuses_wheel_slots_across_turns():
 def test_far_heap_migration_preserves_order():
     # Deadlines beyond the wheel horizon live on the far heap and must
     # interleave correctly with near deadlines once the wheel catches up.
-    def workload(sim, fired):
-        sim.defer(HORIZON * 2.5, fired.append, "far2")
-        sim.defer(0.5, fired.append, "near")
-        sim.defer(HORIZON * 1.25, fired.append, "far1")
-        sim.timer(HORIZON + TICK / 2, fired.append, "far0")
-
-    heap_trace, ring_trace = both_kernels(workload)
-    assert ring_trace == heap_trace == ["near", "far0", "far1", "far2"]
+    sim = Simulator()
+    fired = []
+    sim.defer(HORIZON * 2.5, fired.append, "far2")
+    sim.defer(0.5, fired.append, "near")
+    sim.defer(HORIZON * 1.25, fired.append, "far1")
+    sim.timer(HORIZON + TICK / 2, fired.append, "far0")
+    sim.run()
+    assert fired == ["near", "far0", "far1", "far2"]
 
 
 def test_cancelled_far_timer_never_fires():
@@ -163,20 +149,19 @@ def test_until_stops_mid_bucket_and_resumes():
     assert fired == ["a", "b", "between", "c"]
 
 
-def test_peek_parity_with_heap():
-    for kernel in ("heap", "ring"):
-        sim = Simulator(kernel=kernel)
-        assert sim.peek() is None
-        sim.defer(2.0, lambda: None)
-        first = sim.call_later(1.0, lambda: None)
-        far = sim.timer(HORIZON * 3, lambda: None)
-        assert sim.peek() == 1.0
-        first.cancel()
-        assert sim.peek() == 2.0
-        sim.run(until=2.5)
-        assert sim.peek() == HORIZON * 3
-        sim.cancel_timer(far)
-        assert sim.peek() is None
+def test_peek_reports_the_next_live_occurrence():
+    sim = Simulator()
+    assert sim.peek() is None
+    sim.defer(2.0, lambda: None)
+    first = sim.call_later(1.0, lambda: None)
+    far = sim.timer(HORIZON * 3, lambda: None)
+    assert sim.peek() == 1.0
+    first.cancel()
+    assert sim.peek() == 2.0
+    sim.run(until=2.5)
+    assert sim.peek() == HORIZON * 3
+    sim.cancel_timer(far)
+    assert sim.peek() is None
 
 
 def test_slot_capacity_grows_on_demand():
@@ -210,15 +195,15 @@ def test_fresh_ring_simulator_is_small():
 
 
 def test_priority_orders_same_time_entries():
-    def workload(sim, fired):
-        for label, priority in (("n0", 0), ("hi", -5), ("lo", 5), ("n1", 0)):
-            event = sim.event()
-            event.add_callback(lambda ev: fired.append(ev.value))
-            event._value = label
-            sim._enqueue(1.0, event, priority)
-
-    heap_trace, ring_trace = both_kernels(workload)
-    assert ring_trace == heap_trace == ["hi", "n0", "n1", "lo"]
+    sim = Simulator()
+    fired = []
+    for label, priority in (("n0", 0), ("hi", -5), ("lo", 5), ("n1", 0)):
+        event = sim.event()
+        event.add_callback(lambda ev: fired.append(ev.value))
+        event._value = label
+        sim._enqueue(1.0, event, priority)
+    sim.run()
+    assert fired == ["hi", "n0", "n1", "lo"]
 
 
 def test_ring_priority_range_is_validated():
@@ -230,12 +215,13 @@ def test_ring_priority_range_is_validated():
         sim._enqueue(0.0, sim.event(), priority=-65)
 
 
-def test_unknown_kernel_is_rejected():
-    with pytest.raises(ValueError):
-        Simulator(kernel="wheel-of-fortune")
-
-
 def test_ring_stats_keys_superset_of_heap():
-    heap_keys = set(Simulator(kernel="heap").stats())
-    ring_keys = set(Simulator(kernel="ring").stats())
-    assert heap_keys <= ring_keys
+    # The five counter names the heap kernel reported; bench/workloads.py
+    # and the cancellation tests read them by key.
+    assert {
+        "events_dispatched",
+        "timers_cancelled",
+        "tombstones_skipped",
+        "heap_peak",
+        "heap_pending",
+    } <= set(Simulator().stats())

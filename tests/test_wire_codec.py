@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.wire import Codec, DecodeError, EncodeError, TypeRegistry
+from repro.wire.codec import MAX_DEPTH
 
 registry = TypeRegistry()
 codec = Codec(registry)
@@ -171,6 +172,37 @@ def test_deeply_nested_roundtrip():
     for _ in range(50):
         value = [value]
     assert codec.decode(codec.encode(value)) == value
+
+
+def _nested(levels, wrap=lambda inner: [inner]):
+    value = 1
+    for _ in range(levels):
+        value = wrap(value)
+    return value
+
+
+def test_nesting_beyond_the_bound_is_a_codec_error_not_a_recursion_error():
+    # A 10 KB frame of 5,000 nested one-element lists used to end in
+    # RecursionError, which no ingress site catches (they catch DecodeError).
+    with pytest.raises(DecodeError):
+        codec.decode(b"\x07\x01" * 5000 + b"\x00")
+    with pytest.raises(EncodeError):
+        codec.encode(_nested(5000))
+    # The bound is exact, the same in both directions and for every kind
+    # of container.
+    assert codec.decode(codec.encode(_nested(MAX_DEPTH))) == _nested(MAX_DEPTH)
+    with pytest.raises(EncodeError):
+        codec.encode(_nested(MAX_DEPTH + 1))
+    with pytest.raises(DecodeError):
+        codec.decode(b"\x07\x01" * (MAX_DEPTH + 1) + b"\x00")
+    for wrap in (
+        lambda inner: (inner,),
+        lambda inner: {"k": inner},
+        lambda inner: Wrapper("w", Point(0, 0), [inner]),
+    ):
+        assert codec.decode(codec.encode(_nested(32, wrap))) == _nested(32, wrap)
+        with pytest.raises(EncodeError):
+            codec.encode(_nested(MAX_DEPTH + 1, wrap))
 
 
 # -- default-tail backward compatibility -------------------------------------
