@@ -61,9 +61,7 @@ class EquivocatingLeader(ServiceReplica):
         from repro.bftsmart.messages import Propose, RequestBatch
         from repro.wire import encode
 
-        batch = self._available_requests()[: self.config.batch_max]
-        for request in batch:
-            self._inflight_keys.add(request.key())
+        batch = self._take_batch()
         others = self.other_replicas()
         half = len(others) // 2
         value_a = encode(RequestBatch(requests=tuple(batch)))

@@ -105,7 +105,15 @@ _DECODE_CACHE_LIMIT = 4096
 _DECODE_STATS = PERF.stats["decode_share"]
 
 
-def _decode_shared(payload: bytes):
+def decode_shared(payload: bytes):
+    """Decode ``payload``, sharing the result across co-simulated receivers.
+
+    Every holder of the *same* ``bytes`` object (one broadcast envelope,
+    one proposed batch value, one request's operation) gets the same
+    decoded message — only when that message is a frozen dataclass; any
+    other value is decoded fresh for each caller. Raises
+    :class:`~repro.wire.DecodeError` like :func:`~repro.wire.decode`.
+    """
     if type(payload) is not bytes:
         return decode(payload)
     key = id(payload)
@@ -246,7 +254,7 @@ class SecureChannel:
             self.rejected += 1
             return None
         try:
-            return _decode_shared(sealed.payload)
+            return decode_shared(sealed.payload)
         except DecodeError:
             self.rejected += 1
             return None

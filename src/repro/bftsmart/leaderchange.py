@@ -140,8 +140,8 @@ class Synchronizer:
                 regency=target,
                 new_leader=replica.view.leader_for(target),
             )
-        # Requests marked in-flight under the old leader go back to the pool.
-        replica._inflight_keys.clear()
+        # Requests in flight under the old leader go back to the pool.
+        replica.reset_unproposed()
         # Proposing resumes from wherever SYNC re-anchors the window.
         replica.next_propose_cid = replica.next_cid
 
@@ -284,6 +284,7 @@ class Synchronizer:
                 tracer.end(self._obs_span, proposals=len(message.proposals))
             self._obs_span = None
         replica.last_progress = replica.sim.now
+        replica._eager_until = replica.sim.now + replica.config.request_timeout
         highest = replica.next_cid - 1
         for cid, value, timestamp in message.proposals:
             highest = max(highest, cid)

@@ -14,8 +14,9 @@ in :mod:`repro.bftsmart.statetransfer`.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 
-from repro.bftsmart.channel import SecureChannel, _decode_shared
+from repro.bftsmart.channel import SecureChannel, decode_shared
 from repro.bftsmart.config import GroupConfig
 from repro.bftsmart.consensus import Instance
 from repro.bftsmart.leaderchange import Synchronizer
@@ -154,10 +155,18 @@ class ServiceReplica:
         self.future_window = 64
         self._future_buffer: dict[int, list] = {}
         self._draining_future = False
-        #: request key -> (request, arrival time); insertion-ordered.
+        #: request key -> (request, arrival time); insertion-ordered, so
+        #: the first entry is the oldest undecided request.
         self.pending: dict[tuple, tuple] = {}
-        self._inflight_keys: set = set()
+        #: The entries of ``pending`` no open instance carries yet, in the
+        #: same order: the pool a leader batches from. A regency or state
+        #: install puts everything undecided back (``reset_unproposed``).
+        self._unproposed: dict[tuple, tuple] = {}
         self._batch_timer_armed = False
+        self._hold_timer_armed = False
+        #: Until this instant a leader proposes without regard to its
+        #: executor backlog (set when a regency is installed).
+        self._eager_until = 0.0
         #: Leader-side (value_bytes, RequestBatch) of the latest own
         #: proposal: its requests were verified on arrival, so validating
         #: our own PROPOSE can skip the decode + re-verification.
@@ -303,7 +312,7 @@ class ServiceReplica:
         key = request.key()
         if key in self.pending:
             return
-        self.pending[key] = (request, self.sim.now)
+        self.pending[key] = self._unproposed[key] = (request, self.sim.now)
         self._maybe_propose()
 
     def _execute_unordered(self, request: ClientRequest) -> None:
@@ -333,12 +342,9 @@ class ServiceReplica:
     # leader: batching and proposing
     # ------------------------------------------------------------------
 
-    def _available_requests(self) -> list:
-        return [
-            request
-            for key, (request, _arrival) in self.pending.items()
-            if key not in self._inflight_keys
-        ]
+    def reset_unproposed(self) -> None:
+        """Return every undecided request to the leader's pool."""
+        self._unproposed = dict(self.pending)
 
     def _pipeline_full(self) -> bool:
         """Has the leader exhausted its window of open consensus slots?"""
@@ -373,34 +379,84 @@ class ServiceReplica:
             "decided_out_of_order": self.stats["decided_out_of_order"],
         }
 
-    def _maybe_propose(self) -> None:
+    def _held_back(self) -> bool:
+        """Backpressure: is ordering waiting for this leader's executor?
+
+        Opening an instance whose batch would only queue behind the
+        executor buys nothing — the requests ride in a later, larger
+        PROPOSE at the same execution instant, for a fraction of the
+        PROPOSE/WRITE/ACCEPT traffic. So a leader holds its pool while
+        all three hold:
+
+        1. two or more decided batches wait in front of its executor (one
+           queued batch keeps the executor fed while the next is ordered,
+           so below capacity this never fires);
+        2. the oldest unproposed request has waited less than
+           ``request_timeout / 4`` — the watchdog's own tick, so no
+           follower ages a request towards suspicion because of the hold,
+           however slow the service is;
+        3. the regency is older than one ``request_timeout`` — right
+           after a leader change the followers' patience is spent and the
+           backlog is drained eagerly.
+        """
+        now = self.sim.now
+        return (
+            len(self._exec_channel) >= 2
+            and now >= self._eager_until
+            and now < self._hold_lapses()
+        )
+
+    def _hold_lapses(self) -> float:
+        """When the oldest unproposed request has waited out a hold."""
+        _request, arrival = next(iter(self._unproposed.values()))
+        return arrival + self.config.request_timeout / 4
+
+    def _hold_timer_fired(self) -> None:
+        self._hold_timer_armed = False
+        self._maybe_propose()
+
+    def _maybe_propose(self, batch_waited: bool = False) -> None:
         if not (self.active and self.is_leader):
             return
         if self.synchronizer.in_progress or self.state_transfer.in_progress:
             return
+        config = self.config
         while not (self._pipeline_full() or self._batch_timer_armed):
-            available = self._available_requests()
-            if not available:
+            if not self._unproposed:
                 return
-            if len(available) >= self.config.batch_max or self.config.batch_wait <= 0:
+            if self._held_back():
+                if not self._hold_timer_armed:
+                    # now + (lapse - now) may land an ulp short of the
+                    # lapse; the re-armed difference is then exact.
+                    self._hold_timer_armed = True
+                    self.sim.defer(
+                        self._hold_lapses() - self.sim.now, self._hold_timer_fired
+                    )
+                return
+            if (
+                batch_waited
+                or len(self._unproposed) >= config.batch_max
+                or config.batch_wait <= 0
+            ):
                 self._propose_batch()
+                batch_waited = False
                 continue
             self._batch_timer_armed = True
-            self.sim.defer(self.config.batch_wait, self._batch_timer_fired)
+            self.sim.defer(config.batch_wait, self._batch_timer_fired)
             return
 
     def _batch_timer_fired(self) -> None:
         self._batch_timer_armed = False
-        if not (self.active and self.is_leader) or self._pipeline_full():
-            return
-        if self.synchronizer.in_progress or self.state_transfer.in_progress:
-            return
-        if self._available_requests():
-            self._propose_batch()
-            self._maybe_propose()
+        self._maybe_propose(batch_waited=True)
+
+    def _take_batch(self) -> list:
+        """Move the oldest ``batch_max`` unproposed requests out of the pool."""
+        pool = self._unproposed
+        keys = list(islice(pool, self.config.batch_max))
+        return [pool.pop(key)[0] for key in keys]
 
     def _propose_batch(self) -> None:
-        batch = self._available_requests()[: self.config.batch_max]
+        batch = self._take_batch()
         # A retransmission can re-enter the pool after the same client's
         # newer requests (the original was dropped, the resend arrived
         # post-heal). Restore each client's sequence order in place —
@@ -416,8 +472,6 @@ class ServiceReplica:
                 )
                 for index, request in zip(indices, ordered):
                     batch[index] = request
-        for request in batch:
-            self._inflight_keys.add(request.key())
         batch_message = RequestBatch(requests=tuple(batch))
         value = encode(batch_message)
         self._last_proposed = (value, batch_message)
@@ -520,7 +574,7 @@ class ServiceReplica:
             # arrived, and the value bytes are identical by identity.
             return last[1]
         try:
-            batch = _decode_shared(value)
+            batch = decode_shared(value)
         except DecodeError:
             return None
         if not isinstance(batch, RequestBatch):
@@ -763,7 +817,7 @@ class ServiceReplica:
             for request in batch.requests:
                 key = request.key()
                 self.pending.pop(key, None)
-                self._inflight_keys.discard(key)
+                self._unproposed.pop(key, None)
             self._exec_channel.put(
                 (
                     self._install_epoch,
@@ -789,6 +843,7 @@ class ServiceReplica:
         serial = self.config.execution_lanes == 1
         while True:
             epoch, cid, requests, timestamp, regency = yield self._exec_channel.get()
+            self._maybe_propose()  # one batch fewer waiting: a hold may lift
             if epoch != self._install_epoch:
                 continue  # stale: queued before a state-transfer install
             for order, request in enumerate(requests):
@@ -1071,7 +1126,7 @@ class ServiceReplica:
                 continue
             aged = False
             if self.pending:
-                oldest = min(arrival for _request, arrival in self.pending.values())
+                _request, oldest = next(iter(self.pending.values()))
                 aged = now - oldest > self.config.request_timeout
                 if aged:
                     self.synchronizer.suspect()

@@ -218,7 +218,6 @@ class StateTransfer:
         replica.executed_cid = reply.checkpoint_cid
         replica.decision_log = list(reply.log)
         replica.instances.clear()
-        replica._inflight_keys.clear()
 
         if replica.storage is not None:
             # The durable state must track the installed one, or the next
@@ -243,6 +242,7 @@ class StateTransfer:
                         replica.regency,
                     )
                 )
+        replica.reset_unproposed()
         replica.last_decided = last
         replica.next_cid = last + 1
         # Everything this replica had proposed or decided-but-not-released
@@ -293,6 +293,7 @@ class StateTransfer:
                 batch = decode(value)
                 for request in batch.requests:
                     replica.pending.pop(request.key(), None)
+                    replica._unproposed.pop(request.key(), None)
                 replica._exec_channel.put(
                     (
                         replica._install_epoch,

@@ -20,6 +20,7 @@ forwarded, DA or AE" (§IV-A). Concretely, the Adapter here is the
 
 from __future__ import annotations
 
+from repro.bftsmart.channel import decode_shared
 from repro.bftsmart.messages import TimeoutVote
 from repro.bftsmart.service import MessageContext, Service
 from repro.core.context import ContextInfo
@@ -34,6 +35,12 @@ SCADA_STREAM = "scada"
 
 #: Messages servable outside the total order (pure reads of Master state).
 _READ_ONLY_QUERIES = (EventQuery, ValueQuery)
+
+#: The constant ``("ok", <what>)`` results of the ordered path, encoded once.
+_OK = {
+    what: encode(("ok", what))
+    for what in ("vote", "shard-import", "control", "update", "write", "write_result")
+}
 
 
 class ScadaService(Service):
@@ -58,7 +65,6 @@ class ScadaService(Service):
         #: Callable returning the valid timeout voters (replica addresses).
         self._vote_quorum_source = vote_quorum_source
         self._post_cost = 0.0
-        self._decode_cache: tuple | None = None
         master._transport = self._master_transport
         self.stats = {"operations": 0, "pushes": 0, "bad_operations": 0}
 
@@ -82,14 +88,13 @@ class ScadaService(Service):
     # ------------------------------------------------------------------
 
     def _decode_operation(self, operation: bytes):
-        if self._decode_cache is not None and self._decode_cache[0] is operation:
-            return self._decode_cache[1]
+        # All n co-simulated replicas hold the same operation bytes object
+        # (shared request decode), and NeoSCADA messages are frozen: the
+        # channel's decode share serves cost_of, execute and every replica.
         try:
-            message = decode(operation)
+            return decode_shared(operation)
         except DecodeError:
-            message = None
-        self._decode_cache = (operation, message)
-        return message
+            return None
 
     def cost_of(self, operation: bytes) -> float:
         message = self._decode_operation(operation)
@@ -119,7 +124,7 @@ class ScadaService(Service):
         try:
             if isinstance(message, TimeoutVote):
                 self._execute_timeout_vote(message, ctx)
-                return encode(("ok", "vote"))
+                return _OK["vote"]
             if isinstance(message, ShardExport):
                 # Shard migration, source side: every replica exports the
                 # identical bundle at the same point of the total order.
@@ -130,10 +135,10 @@ class ScadaService(Service):
             if isinstance(message, ShardImport):
                 # Target side: install the bundle in consensus order.
                 self.master.install_items(decode(message.payload))
-                return encode(("ok", "shard-import"))
+                return _OK["shard-import"]
             kind = self.master.classify(message, ctx.client_id)
             if kind is None:
-                return encode(("ok", "control"))
+                return _OK["control"]
             outcome = self.master.execute(kind, message, ctx.client_id)
             self._post_cost = self._charge_events(outcome.events)
             self.master.commit_events(outcome.events)
@@ -145,7 +150,7 @@ class ScadaService(Service):
                     self.timeouts.arm(outcome.master_op, outcome.item_id)
                 if kind == "write_result":
                     self.timeouts.disarm(message.op_id)
-            return encode(("ok", kind))
+            return _OK[kind]
         finally:
             self.context.end()
 

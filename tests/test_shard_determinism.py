@@ -11,6 +11,7 @@ semantic tuples ``(item_id, event_type, value)``.
 
 import pytest
 
+from repro.bftsmart.replica import ServiceReplica
 from repro.neoscada import HandlerChain, Monitor
 from repro.shard import ShardedScadaConfig, build_sharded_scada, merge_event_streams
 from repro.sim import Simulator
@@ -103,3 +104,75 @@ def test_reruns_are_bit_identical(shards):
     full_a = [(e.event_id, e.item_id, e.timestamp) for e in system_a.hmi.events]
     full_b = [(e.event_id, e.item_id, e.timestamp) for e in system_b.hmi.events]
     assert full_a == full_b
+
+
+def _overloaded_merge(seed: int):
+    """Both groups saturated alike; returns the HMI-side merger."""
+    sim = Simulator(seed=seed)
+    system = build_sharded_scada(sim, config=ShardedScadaConfig(shards=2))
+    owned: dict = {0: [], 1: []}
+    for i in range(100):  # the same number of items in each group
+        group = owned[system.shard_of(f"plant.sensor-{i}")]
+        if len(group) < 4:
+            group.append(f"plant.sensor-{i}")
+    for item in owned[0] + owned[1]:
+        system.frontend.add_item(item, initial=0)
+        system.attach_handlers(item, lambda: HandlerChain([Monitor(high=80.0)]))
+    system.start()
+
+    def workload():  # 1200/s per group against Masters good for ~900/s
+        for i in range(1200):
+            group = owned[i % 2]
+            value = 95 if i % 7 < 2 else 20 + (i // 8) % 2
+            system.frontend.inject_update(group[(i // 2) % len(group)], value)
+            yield sim.timeout(1 / 2400)
+        yield sim.timeout(3.0)
+        return True
+
+    sim.run_process(workload(), until=60)
+    system.flush_events()
+    return system.proxy_hmi.merger
+
+
+def test_overload_stragglers_are_exactly_the_declared_late_events(monkeypatch):
+    """Under overload a leader packs tens of requests into one PROPOSE, and
+    every event of a batch carries that PROPOSE's timestamp (§IV-C) while
+    the batch takes tens of milliseconds to execute. Two saturated groups
+    therefore push equal-stamped runs concurrently, and the online merger
+    sees events older than what it already released. It never rewrites
+    history: each one is released at once and counted ``late``. Without
+    exactly those events the live sequence is the offline merge, and the
+    whole sequence repeats for a seed. With one instance per request or
+    two (no backpressure hold) the same run has no straggler at all."""
+    merger = _overloaded_merge(seed=3)
+    released = merger.released_events()
+    assert merger.stats["released"] == merger.stats["offered"] == len(released)
+
+    streams: list = [[], []]  # a shard's events are released in push order
+    stragglers, greatest = set(), None
+    for shard, event in released:
+        key = (event.timestamp, shard, len(streams[shard]))
+        streams[shard].append(event)
+        if greatest is not None and key < greatest:
+            stragglers.add((shard, event.event_id))
+        else:
+            greatest = key
+    assert len(stragglers) == merger.stats["late"] > 0
+
+    def on_time(sequence):
+        return [
+            (shard, event.event_id)
+            for shard, event in sequence
+            if (shard, event.event_id) not in stragglers
+        ]
+
+    assert on_time(released) == on_time(merge_event_streams(streams))
+
+    again = _overloaded_merge(seed=3)
+    assert [(s, e.event_id, e.timestamp) for s, e in again.released_events()] == [
+        (s, e.event_id, e.timestamp) for s, e in released
+    ]
+    assert again.stats == merger.stats
+
+    monkeypatch.setattr(ServiceReplica, "_held_back", lambda self: False)
+    assert _overloaded_merge(seed=3).stats["late"] == 0
