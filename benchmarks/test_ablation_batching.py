@@ -30,7 +30,11 @@ def run_point(batch_max: int):
     sim = Simulator(seed=1)
     net = Network(sim, latency=ConstantLatency(0.00025))
     keystore = KeyStore()
-    config = GroupConfig(n=4, f=1, batch_max=batch_max, batch_wait=0.0005)
+    # Depth 1: the default depth-4 pipeline would overlap four instances
+    # and hide exactly the per-instance latency this ablation measures.
+    config = GroupConfig(
+        n=4, f=1, batch_max=batch_max, batch_wait=0.0005, pipeline_depth=1
+    )
     replicas = build_group(sim, net, config, EchoService, keystore)
     proxy = build_proxy(sim, net, "load-client", config, keystore, invoke_timeout=10.0)
 

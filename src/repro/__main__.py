@@ -259,6 +259,7 @@ def cmd_trace(args) -> int:
         # and a wildcard event query cross the shard tier — the trace
         # shows ShardRouter resolution, scatter fan-out and the per-group
         # consensus rounds the request actually touched.
+        from repro.chaos.campaign import sensor_value
         from repro.core.system import build_sharded_scada, make_network
         from repro.shard.config import ShardedScadaConfig
 
@@ -280,9 +281,7 @@ def cmd_trace(args) -> int:
                 yield sim.timeout(interval)
                 step += 1
                 for j, sensor in enumerate(sensors):
-                    system.frontend.inject_update(
-                        sensor, (step * 37 + j * 101) % 700 + 1
-                    )
+                    system.frontend.inject_update(sensor, sensor_value(step, j))
 
         def operator_write():
             yield sim.timeout(args.duration / 2)
@@ -294,26 +293,9 @@ def cmd_trace(args) -> int:
         sim.process(operator_write(), name="trace-write")
         sim.run(until=args.duration)
     elif args.workload == "bft-micro":
-        from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
-        from repro.crypto import KeyStore
-        from repro.net import ConstantLatency, Network
+        from repro.workloads.profiler import start_bft_micro
 
-        net = Network(sim, latency=ConstantLatency(0.00025))
-        keystore = KeyStore()
-        group = GroupConfig(n=4, f=1, batch_max=500, batch_wait=0.001)
-        build_group(sim, net, group, EchoService, keystore)
-        proxy = build_proxy(
-            sim, net, "load-client", group, keystore, invoke_timeout=5.0
-        )
-
-        def firehose():
-            interval = 1.0 / args.rate
-            while True:
-                event = proxy.invoke_ordered(bytes(256))
-                event.add_callback(lambda ev: setattr(ev, "defused", True))
-                yield sim.timeout(interval)
-
-        sim.process(firehose(), name="trace-firehose")
+        start_bft_micro(sim, args.rate, payload_size=256)
         sim.run(until=args.duration)
     else:  # fig8(a)-style SCADA update stream plus one operator write
         from repro.core import build_smartscada, make_network

@@ -47,21 +47,6 @@ class GroupConfig:
         Number of decided consensus instances between service snapshots.
     reply_quorum:
         Matching replies a client needs for an ordered request (f + 1).
-    processing_delay:
-        Simulated CPU cost a replica spends per delivered request
-        (seconds); models the Java execution cost in the paper's testbed.
-    execution_lanes:
-        Parallel execution lanes (the §VII-b extension, following
-        Alchieri et al.): operations whose ``service.lane_of`` values
-        differ may execute concurrently; 1 = classic serial execution.
-    fsync_policy:
-        When the write-ahead log fsyncs (``every-decision`` /
-        ``every-n`` / ``checkpoint-only``); only meaningful when the
-        replica is built with a :class:`repro.storage.ReplicaStorage`.
-    fsync_interval:
-        Appends between barriers under the ``every-n`` policy.
-    checkpoint_retention:
-        Durable checkpoint generations kept on disk.
     state_retry_interval:
         Minimum time between two state-transfer requests (seconds);
         previously the ``StateTransfer.RETRY_INTERVAL`` class constant.
@@ -75,11 +60,6 @@ class GroupConfig:
     request_timeout: float = 2.0
     sync_timeout: float = 4.0
     checkpoint_interval: int = 200
-    processing_delay: float = 0.0
-    execution_lanes: int = 1
-    fsync_policy: str = "every-decision"
-    fsync_interval: int = 8
-    checkpoint_retention: int = 2
     state_retry_interval: float = 0.5
     addresses: tuple = field(default=())
 
@@ -92,14 +72,6 @@ class GroupConfig:
             raise ValueError("batch_max must be >= 1")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
-        if self.execution_lanes < 1:
-            raise ValueError("execution_lanes must be >= 1")
-        if self.fsync_policy not in ("every-decision", "every-n", "checkpoint-only"):
-            raise ValueError(f"unknown fsync policy {self.fsync_policy!r}")
-        if self.fsync_interval < 1:
-            raise ValueError("fsync_interval must be >= 1")
-        if self.checkpoint_retention < 1:
-            raise ValueError("checkpoint_retention must be >= 1")
         if self.state_retry_interval <= 0:
             raise ValueError("state_retry_interval must be positive")
         if not self.addresses:

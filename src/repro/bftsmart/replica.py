@@ -184,9 +184,6 @@ class ServiceReplica:
         self._last_executed_seq: dict[str, int] = {}
         self._dispatched_seq: dict[str, int] = {}
         self._last_reply: dict[str, Reply] = {}
-        self._lane_channels: list = []
-        self._lane_inflight = 0
-        self._drain_waiter = None
         self.executed_cid = -1
         #: decided-but-possibly-unexecuted log since the checkpoint:
         #: list of (cid, value_bytes, timestamp).
@@ -221,10 +218,6 @@ class ServiceReplica:
 
         sim.process(self._executor(), name=f"executor:{address}")
         sim.process(self._watchdog(), name=f"watchdog:{address}")
-        for lane in range(config.execution_lanes if config.execution_lanes > 1 else 0):
-            channel = Channel(sim, name=f"lane:{address}:{lane}")
-            self._lane_channels.append(channel)
-            sim.process(self._lane_worker(channel), name=f"lane:{address}:{lane}")
 
     # ------------------------------------------------------------------
     # membership helpers
@@ -830,17 +823,8 @@ class ServiceReplica:
         self.synchronizer.on_decision()
 
     def _executor(self):
-        """The execution thread(s), in decided order.
-
-        With ``execution_lanes == 1`` this is the classic single execution
-        thread — the determinism bottleneck of §IV-C(b). With more lanes
-        (the §VII-b extension, following Alchieri et al.) this generator
-        acts as the deterministic *dispatcher*: it walks decided batches
-        in order, deduplicates, and hands each request to the lane its
-        ``service.lane_of`` names; operations with lane ``None`` (and
-        reconfigurations) are barriers that wait for every lane to drain.
-        """
-        serial = self.config.execution_lanes == 1
+        """The single execution thread, in decided order — the
+        determinism bottleneck of §IV-C(b)."""
         while True:
             epoch, cid, requests, timestamp, regency = yield self._exec_channel.get()
             self._maybe_propose()  # one batch fewer waiting: a hold may lift
@@ -851,45 +835,33 @@ class ServiceReplica:
                     break  # an install landed mid-batch
                 if not self._dedup_dispatch(request):
                     continue
-                lane = None
-                if not serial and not request.operation.startswith(RECONFIG_MARKER):
-                    lane = self.service.lane_of(request.operation)
-                if serial or lane is None:
-                    if not serial:
-                        yield self._drain_lanes()
-                    tracer = self.sim.tracer
-                    span = None
-                    if tracer is not None and tracer.enabled:
-                        span = tracer.begin(
-                            "request.execute",
-                            tracer.for_request(request),
-                            process=self.address,
-                            cid=cid,
-                            order=order,
-                        )
-                    cost = self.service.cost_of(request.operation)
-                    if cost > 0:
-                        yield self.sim.timeout(cost)
-                    if epoch != self._install_epoch:
-                        if span is not None:
-                            tracer.end(span, aborted=True)
-                        break  # an install landed during the cost wait
-                    self._execute_one(cid, order, request, timestamp, regency)
+                tracer = self.sim.tracer
+                span = None
+                if tracer is not None and tracer.enabled:
+                    span = tracer.begin(
+                        "request.execute",
+                        tracer.for_request(request),
+                        process=self.address,
+                        cid=cid,
+                        order=order,
+                    )
+                cost = self.service.cost_of(request.operation)
+                if cost > 0:
+                    yield self.sim.timeout(cost)
+                if epoch != self._install_epoch:
                     if span is not None:
-                        tracer.end(span)
-                    post = self.service.post_cost()
-                    if post > 0:
-                        yield self.sim.timeout(post)
-                else:
-                    channel = self._lane_channels[lane % len(self._lane_channels)]
-                    self._lane_inflight += 1
-                    channel.put((epoch, cid, order, request, timestamp, regency))
+                        tracer.end(span, aborted=True)
+                    break  # an install landed during the cost wait
+                self._execute_one(cid, order, request, timestamp, regency)
+                if span is not None:
+                    tracer.end(span)
+                post = self.service.post_cost()
+                if post > 0:
+                    yield self.sim.timeout(post)
             if epoch != self._install_epoch:
                 continue
             self.executed_cid = cid
             if (cid + 1) % self.config.checkpoint_interval == 0:
-                if not serial:
-                    yield self._drain_lanes()  # checkpoint needs a quiesced state
                 self._take_checkpoint(cid)
 
     def _dedup_dispatch(self, request: ClientRequest) -> bool:
@@ -900,62 +872,12 @@ class ServiceReplica:
         self._dispatched_seq[request.client_id] = request.sequence
         return True
 
-    def _lane_worker(self, channel):
-        while True:
-            epoch, cid, order, request, timestamp, regency = yield channel.get()
-            tracer = self.sim.tracer
-            span = None
-            if tracer is not None and tracer.enabled and epoch == self._install_epoch:
-                span = tracer.begin(
-                    "request.execute",
-                    tracer.for_request(request),
-                    process=self.address,
-                    cid=cid,
-                    order=order,
-                    lane=True,
-                )
-            if epoch == self._install_epoch:
-                cost = self.service.cost_of(request.operation)
-                if cost > 0:
-                    yield self.sim.timeout(cost)
-            if epoch == self._install_epoch:
-                self._execute_one(cid, order, request, timestamp, regency)
-                if span is not None:
-                    tracer.end(span)
-                post = self.service.post_cost()
-                if post > 0:
-                    yield self.sim.timeout(post)
-            elif span is not None:
-                tracer.end(span, aborted=True)
-            self._lane_idle()
-
-    def _lane_idle(self) -> None:
-        self._lane_inflight -= 1
-        if self._lane_inflight == 0 and self._drain_waiter is not None:
-            waiter, self._drain_waiter = self._drain_waiter, None
-            waiter.succeed(None)
-
-    def _drain_lanes(self):
-        """Event that triggers once every lane has finished its backlog."""
-        from repro.sim.events import Event
-
-        event = Event(self.sim, name=f"drain:{self.address}")
-        if self._lane_inflight == 0:
-            event.succeed(None)
-        else:
-            # The dispatcher is the only drain waiter, by construction.
-            self._drain_waiter = event
-        return event
-
     def _execute_one(
         self, cid: int, order: int, request: ClientRequest, timestamp: float, regency: int
     ) -> None:
         last = self._last_executed_seq.get(request.client_id, -1)
-        if request.sequence <= last and self.config.execution_lanes == 1:
-            # Duplicate delivered through replay. (With parallel lanes the
-            # dispatcher already deduplicated, and cross-lane completion
-            # order must not trigger false positives here.)
-            return
+        if request.sequence <= last:
+            return  # duplicate delivered through replay
         context = MessageContext(
             cid=cid,
             order=order,
@@ -972,7 +894,7 @@ class ServiceReplica:
                 result = self.service.execute(request.operation, context)
             except Exception as exc:  # deterministic service error
                 result = encode(("error", str(exc)))
-        self._last_executed_seq[request.client_id] = max(last, request.sequence)
+        self._last_executed_seq[request.client_id] = request.sequence
         self.stats["executed"] += 1
         reply = Reply(
             replica=self.address,

@@ -108,23 +108,6 @@ class Service:
         """
         return 0.0
 
-    def lane_of(self, operation: bytes) -> int | None:
-        """Execution lane for parallel execution (§VII-b extension).
-
-        Operations whose lanes differ are promised by the service to
-        commute (touch disjoint state) and may execute concurrently when
-        the replica is configured with ``execution_lanes > 1``. ``None``
-        (the default) means the operation conflicts with everything and
-        forces a barrier — so a service that never overrides this always
-        executes serially, exactly like classic BFT-SMaRt.
-
-        The contract mirrors Alchieri et al.'s conflict classes: the
-        service, not the library, owns the commutativity claim. Per-client
-        request ordering across different lanes is NOT preserved; a
-        service that needs it must fold the client id into the lane.
-        """
-        return None
-
     def push(self, client_id: str, stream: str, order: tuple, payload: bytes) -> None:
         """Send an asynchronous message to a registered client listener."""
         self.replica.push(client_id, stream, order, payload)
@@ -143,9 +126,6 @@ class EchoService(Service):
 
     def execute(self, operation: bytes, ctx: MessageContext) -> bytes:
         self.executed += 1
-        return operation
-
-    def execute_unordered(self, operation: bytes) -> bytes:
         return operation
 
     def snapshot(self) -> bytes:
@@ -205,14 +185,5 @@ class KeyValueService(Service):
             return encode(("ok", self.data.pop(key, None)))
         raise ValueError(f"unknown kv operation {verb!r}")
 
-    def execute_unordered(self, operation: bytes) -> bytes:
-        request = decode(operation)
-        if request[0] != "get":
-            raise ValueError("only 'get' may run unordered")
-        return encode(("ok", self.data.get(request[1])))
-
     def snapshot(self) -> bytes:
         return encode(sorted(self.data.items()))
-
-    def install_snapshot(self, data: bytes) -> None:
-        self.data = dict(decode(data))

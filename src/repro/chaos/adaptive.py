@@ -49,11 +49,6 @@ def _pred_always(ctx, param, state) -> bool:
     return True
 
 
-def _pred_after(ctx, param, state) -> bool:
-    """True once the campaign clock passes ``param`` seconds."""
-    return ctx.sim.now >= float(param if param is not None else 0.0)
-
-
 def _pred_pipeline_full(ctx, param, state) -> bool:
     """The consensus pipeline window has filled on some replica.
 
@@ -113,7 +108,6 @@ def _pred_ids_warmup_done(ctx, param, state) -> bool:
 #: is a per-(trigger, run) scratch dict for armed baselines.
 PREDICATES: dict[str, object] = {
     "always": _pred_always,
-    "after": _pred_after,
     "pipeline-full": _pred_pipeline_full,
     "state-transfer-active": _pred_state_transfer,
     "ids-warmup-done": _pred_ids_warmup_done,

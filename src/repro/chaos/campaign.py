@@ -45,6 +45,24 @@ from repro.sim.kernel import Simulator
 #: and partition the network on purpose, so clients must keep probing
 #: (with the capped backoff) rather than give up mid-fault.
 CAMPAIGN_MAX_ATTEMPTS = 1000
+#: Post-horizon grace for recovery before liveness verdicts (seconds).
+SETTLE = 10.0
+#: Background traffic: every ``UPDATE_INTERVAL`` each of ``SENSORS``
+#: sensors reports a new value.
+UPDATE_INTERVAL = 0.2
+SENSORS = 3
+#: Safety-monitor (and trigger, IDS, heal, scoreboard) polling period.
+POLL_INTERVAL = 0.1
+#: Seconds of span context a ``trace_dump`` keeps on each side of the
+#: first violation.
+TRACE_WINDOW = 1.0
+#: Span retention cap of the tracer a campaign installs.
+MAX_TRACE_SPANS = 200_000
+
+
+def sensor_value(step: int, sensor: int) -> int:
+    """Value sensor number ``sensor`` reports at traffic step ``step``."""
+    return (step * 37 + sensor * 101) % 700 + 1
 
 
 @dataclass(frozen=True)
@@ -54,14 +72,8 @@ class CampaignConfig:
     seed: int = 0
     #: Faults only start/stop inside [0, horizon]; open-ended faults heal here.
     horizon: float = 6.0
-    #: Post-horizon grace for recovery before liveness verdicts.
-    settle: float = 10.0
-    #: Liveness bound: writes must complete within this of max(submit, last heal).
-    liveness_bound: float = 8.0
-    #: Background traffic.
-    update_interval: float = 0.2
+    #: Background operator-write period.
     write_interval: float = 1.2
-    sensors: int = 3
     #: Group shape.
     n: int = 4
     f: int = 1
@@ -70,8 +82,6 @@ class CampaignConfig:
     shards: int = 1
     #: Permit schedules that exceed the replica-fault budget (attack drills).
     allow_overload: bool = False
-    #: Safety-monitor polling period.
-    poll_interval: float = 0.1
     #: Record the network trace (for hop-level fingerprints).
     trace: bool = False
     #: Protocol timeouts, scaled down from the defaults so leader changes
@@ -93,12 +103,6 @@ class CampaignConfig:
     #: When set, a first invariant violation dumps the span window around
     #: it as Chrome trace-event JSON to this path (implies tracing).
     trace_dump: str | None = None
-    #: Seconds of span context kept on each side of the first violation.
-    trace_window: float = 1.0
-    #: Span retention cap for the installed tracer.
-    max_trace_spans: int = 200_000
-    #: Hop-trace ring-buffer cap (``None`` = keep every hop).
-    trace_max_hops: int | None = None
     #: Run the trace-driven intrusion detector alongside the monitors
     #: (implies span tracing). Detections are reported and scored against
     #: ground truth but stay outside the fingerprint: a campaign's
@@ -122,10 +126,9 @@ class CampaignConfig:
     #: a :class:`repro.obs.fleet.FleetScoreboard` sampled on the poll
     #: grid plus a :class:`repro.obs.slo.SloEngine` evaluating burn-rate
     #: error budgets. Strictly passive — like the IDS, a campaign's
-    #: fingerprint is bit-identical with the scoreboard on or off.
+    #: fingerprint is bit-identical with the scoreboard on or off. The
+    #: objectives are :func:`repro.obs.slo.default_fleet_slos`.
     fleet: bool = False
-    #: SLO objectives; ``None`` = :func:`repro.obs.slo.default_fleet_slos`.
-    slo_specs: tuple | None = None
 
     def sharded_config(self) -> ShardedScadaConfig:
         base = SmartScadaConfig(
@@ -255,13 +258,6 @@ class CampaignContext:
 
     def all_addresses(self) -> list:
         return self.net.addresses()
-
-    def honest_indices(self) -> list:
-        return [
-            pm.index
-            for pm in self.system.proxy_masters
-            if pm.index not in self.compromised
-        ]
 
     def honest_addresses(self) -> set:
         return {
@@ -448,11 +444,11 @@ def run_campaign(
     ids_active = config.ids or config.heal
     tracer = None
     if config.trace_spans or config.trace_dump is not None or ids_active:
-        tracer = install_tracer(sim, max_spans=config.max_trace_spans)
-    net = make_network(sim, trace=config.trace, max_hops=config.trace_max_hops)
+        tracer = install_tracer(sim, max_spans=MAX_TRACE_SPANS)
+    net = make_network(sim, trace=config.trace)
     system = build_sharded_scada(sim, net=net, config=config.sharded_config())
 
-    sensors = [f"plant.s{i}" for i in range(config.sensors)]
+    sensors = [f"plant.s{i}" for i in range(SENSORS)]
     for sensor in sensors:
         system.frontend.add_item(sensor, initial=0)
     system.frontend.add_item("plant.actuator", initial=0, writable=True)
@@ -511,7 +507,7 @@ def run_campaign(
 
         scoreboard = FleetScoreboard(
             system,
-            slo_engine=SloEngine(specs=config.slo_specs, sim=sim),
+            slo_engine=SloEngine(sim=sim),
             detector=ctx.detector,
             orchestrator=ctx.orchestrator,
         )
@@ -555,7 +551,7 @@ def run_campaign(
         while sim.now < config.horizon:
             if all(action.exhausted for action in triggered):
                 return
-            yield sim.timeout(config.poll_interval)
+            yield sim.timeout(POLL_INTERVAL)
             if sim.now > config.horizon:
                 return
             for action in triggered:
@@ -593,10 +589,10 @@ def run_campaign(
     def update_traffic():
         step = 0
         while sim.now < config.horizon:
-            yield sim.timeout(config.update_interval)
+            yield sim.timeout(UPDATE_INTERVAL)
             step += 1
             for j, sensor in enumerate(sensors):
-                value = (step * 37 + j * 101) % 700 + 1
+                value = sensor_value(step, j)
                 ctx.legal_values[sensor].add(value)
                 system.frontend.inject_update(sensor, value)
                 counters["updates"] += 1
@@ -627,7 +623,7 @@ def run_campaign(
 
     def monitor_poller():
         while True:
-            yield sim.timeout(config.poll_interval)
+            yield sim.timeout(POLL_INTERVAL)
             for monitor in monitors:
                 monitor.poll(ctx)
             if ctx.detector is not None:
@@ -648,7 +644,7 @@ def run_campaign(
 
     # -- run: fault window, then settle until quiesced ------------------
     sim.run(until=config.horizon)
-    deadline = config.horizon + config.settle
+    deadline = config.horizon + SETTLE
     while sim.now < deadline:
         sim.run(until=min(sim.now + 0.5, deadline))
         if ctx.converged() and all(r.completed is not None for r in ctx.writes):
@@ -677,7 +673,7 @@ def run_campaign(
         first = min(v.time for v in ctx.violations)
         write_chrome_trace(
             config.trace_dump,
-            tracer.window(first - config.trace_window, first + config.trace_window),
+            tracer.window(first - TRACE_WINDOW, first + TRACE_WINDOW),
             clock=sim.now,
         )
         dump_path = config.trace_dump

@@ -24,7 +24,7 @@ Liveness invariants (checked when the campaign quiesces):
 ``write-completion``
     Every submitted write completes — successfully or as the
     deterministic failure synthesized by the §IV-D logical-timeout
-    protocol — within ``liveness_bound`` seconds of the later of its
+    protocol — within ``LIVENESS_BOUND`` seconds of the later of its
     submission and the last fault heal.
 ``leader-convergence``
     After the faults heal, at least ``n - f`` honest replicas agree on
@@ -166,13 +166,17 @@ class ClientQuorumMonitor(InvariantMonitor):
         return on_result
 
 
+#: Liveness bound: writes must complete within this many seconds of
+#: max(submit, last heal).
+LIVENESS_BOUND = 8.0
+
+
 class WriteCompletionMonitor(InvariantMonitor):
     name = "write-completion"
 
     def finish(self, ctx) -> None:
-        bound = ctx.config.liveness_bound
         for record in ctx.writes:
-            deadline = max(record.submitted, ctx.last_heal) + bound
+            deadline = max(record.submitted, ctx.last_heal) + LIVENESS_BOUND
             if record.completed is None:
                 ctx.record_violation(
                     self.name,

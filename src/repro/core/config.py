@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.bftsmart.config import GroupConfig
 from repro.neoscada.master import MasterCosts
+from repro.storage import FSYNC_POLICIES, ReplicaStorage
 
 #: Per-hop LAN latency (switched Gigabit Ethernet, paper §V).
 DEFAULT_HOP_LATENCY = 0.00025
@@ -77,12 +78,14 @@ class SmartScadaConfig:
     durability: bool = False
     #: WAL fsync policy: ``every-decision`` / ``every-n`` / ``checkpoint-only``.
     fsync_policy: str = "every-decision"
-    fsync_interval: int = 8
-    checkpoint_retention: int = 2
     #: Minimum time between state-transfer requests (seconds).
     state_retry_interval: float = 0.5
     #: Master cost model for the replicas.
     costs: MasterCosts = field(default_factory=smartscada_costs)
+
+    def __post_init__(self) -> None:
+        if self.fsync_policy not in FSYNC_POLICIES:
+            raise ValueError(f"unknown fsync policy {self.fsync_policy!r}")
 
     def group_config(self) -> GroupConfig:
         return GroupConfig(
@@ -94,22 +97,12 @@ class SmartScadaConfig:
             request_timeout=self.request_timeout,
             sync_timeout=self.sync_timeout,
             checkpoint_interval=self.checkpoint_interval,
-            fsync_policy=self.fsync_policy,
-            fsync_interval=self.fsync_interval,
-            checkpoint_retention=self.checkpoint_retention,
             state_retry_interval=self.state_retry_interval,
         )
 
     def replica_storage(self, address: str):
         """A fresh durable device for the replica at ``address``."""
-        from repro.storage import ReplicaStorage
-
-        return ReplicaStorage(
-            address,
-            fsync_policy=self.fsync_policy,
-            fsync_interval=self.fsync_interval,
-            checkpoint_retention=self.checkpoint_retention,
-        )
+        return ReplicaStorage(address, fsync_policy=self.fsync_policy)
 
     @property
     def timeout_majority(self) -> int:

@@ -62,8 +62,6 @@ class ProxyHMI:
         invoke_timeout: float = 1.0,
         groups: list | None = None,
         shard_map=None,
-        merge_holdback: float = 0.05,
-        correlate_window: float = 1.0,
     ) -> None:
         self.sim = sim
         self.address = address
@@ -101,21 +99,12 @@ class ProxyHMI:
 
         # The global AE order + correlation layer (multi-shard only).
         self.merger = (
-            GlobalAeMerger(
-                sim,
-                self._deliver_global,
-                holdback=merge_holdback,
-                process=f"{address}-merger",
-            )
+            GlobalAeMerger(sim, self._deliver_global, process=f"{address}-merger")
             if self.sharded
             else None
         )
         self.correlator = (
-            AlarmCorrelator(
-                window=correlate_window,
-                min_shards=2,
-                sink=self.ae_server.publish,
-            )
+            AlarmCorrelator(sink=self.ae_server.publish)
             if self.sharded
             else None
         )

@@ -44,13 +44,8 @@ def make_network(
     sim: Simulator,
     hop_latency: float = DEFAULT_HOP_LATENCY,
     trace: bool = False,
-    max_hops: int | None = None,
 ) -> Network:
-    """A switched-LAN network like the paper's Gigabit testbed.
-
-    ``max_hops`` bounds hop-trace retention (ring buffer) for long
-    campaigns; ``None`` keeps every hop.
-    """
+    """A switched-LAN network like the paper's Gigabit testbed."""
     return Network(
         sim,
         latency=LanLatency(
@@ -58,7 +53,7 @@ def make_network(
             jitter=hop_latency / 5,
             rng=sim.rng.stream("net.jitter"),
         ),
-        trace=NetworkTrace(enabled=trace, max_hops=max_hops),
+        trace=NetworkTrace(enabled=trace),
     )
 
 
@@ -357,8 +352,6 @@ def build_sharded_scada(
         invoke_timeout=config.base.invoke_timeout,
         groups=groups,
         shard_map=shard_map,
-        merge_holdback=config.merge_holdback,
-        correlate_window=config.correlate_window,
     )
     hmi = HMI(sim, net, "hmi", master_address="proxy-hmi")
     net.set_local_pair("hmi", "proxy-hmi", DEFAULT_LOCAL_LATENCY)

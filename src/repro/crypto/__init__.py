@@ -2,13 +2,7 @@
 
 from repro.crypto.digest import DIGEST_SIZE, combine, digest, sha256
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import (
-    MAC_SIZE,
-    Authenticator,
-    MacVector,
-    make_mac_vector,
-    verify_mac_vector,
-)
+from repro.crypto.mac import MAC_SIZE, Authenticator
 from repro.crypto.signatures import SIGNATURE_SIZE, Signature, Signer, Verifier
 
 __all__ = [
@@ -17,13 +11,10 @@ __all__ = [
     "SIGNATURE_SIZE",
     "Authenticator",
     "KeyStore",
-    "MacVector",
     "Signature",
     "Signer",
     "Verifier",
     "combine",
     "digest",
-    "make_mac_vector",
     "sha256",
-    "verify_mac_vector",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
 
 from repro.crypto.keys import KeyStore
 from repro.perf import PERF
@@ -120,53 +119,3 @@ class Authenticator:
     def verify(self, peer: str, payload: bytes, tag: bytes) -> bool:
         """Constant-time check of ``tag`` against the expected MAC."""
         return hmac.compare_digest(self.mac(peer, payload), tag)
-
-
-@dataclass(frozen=True)
-class MacVector:
-    """A MAC per receiver, attached to multicast protocol messages.
-
-    ``tags`` is a tuple of ``(receiver, tag)`` pairs sorted by receiver,
-    so a frozen ``MacVector`` really is immutable and equality/hashing
-    are well-defined. A ``dict`` passed to the constructor is normalised
-    to the canonical tuple form.
-    """
-
-    sender: str
-    tags: tuple
-
-    def __post_init__(self) -> None:
-        tags = self.tags
-        if isinstance(tags, dict):
-            object.__setattr__(self, "tags", tuple(sorted(tags.items())))
-        elif isinstance(tags, tuple):
-            object.__setattr__(self, "tags", tuple(sorted(tags)))
-        else:
-            raise TypeError(
-                f"tags must be a dict or tuple of pairs, got {type(tags).__name__}"
-            )
-
-    def tag_for(self, receiver: str) -> bytes | None:
-        for name, tag in self.tags:
-            if name == receiver:
-                return tag
-        return None
-
-
-def make_mac_vector(
-    auth: Authenticator, receivers: list[str], payload: bytes
-) -> MacVector:
-    """Build the authenticator a sender attaches to a multicast message."""
-    mac = auth.mac
-    return MacVector(
-        sender=auth.me,
-        tags=tuple((receiver, mac(receiver, payload)) for receiver in receivers),
-    )
-
-
-def verify_mac_vector(auth: Authenticator, vector: MacVector, payload: bytes) -> bool:
-    """Check the receiver's own entry of a multicast authenticator."""
-    tag = vector.tag_for(auth.me)
-    if tag is None:
-        return False
-    return auth.verify(vector.sender, payload, tag)

@@ -10,8 +10,7 @@ fingerprint is bit-identical with the IDS on or off.
 
 - :mod:`repro.ids.features` — windowed trace-derived features:
   consensus-message rate per replica, reply divergence, leader-change /
-  suspicion activity, per-client write profiles (rate, tag spread,
-  value deltas), RTU poll cadence;
+  suspicion activity, per-client write profiles (rate, tag spread);
 - :mod:`repro.ids.detectors` — threshold detectors over those features
   flagging Byzantine replicas (silent / lying / falsifying /
   equivocating / stuttering), spoofed frontends and command-injection

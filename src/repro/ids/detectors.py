@@ -454,16 +454,6 @@ class IntrusionDetector:
 
     # -- reads -----------------------------------------------------------
 
-    def risk_scores(self) -> dict:
-        """Latest normalized risk per entity: ``{entity: max score}``."""
-        return {
-            entity: max(kinds.values()) if kinds else 0.0
-            for entity, kinds in self.risk.items()
-        }
-
-    def alerts_above(self, threshold: float) -> list:
-        return [d for d in self.detections if d.score >= threshold]
-
     def verdicts(self, min_streak: int = 1, kinds: tuple | None = None) -> list:
         """Currently-asserted conditions corroborated for ``min_streak`` polls.
 

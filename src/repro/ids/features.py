@@ -14,13 +14,12 @@ feature                source spans
 consensus rate         ``consensus`` per replica process
 protocol activity      any ``consensus.*`` / ``request.*`` /
                        ``wal.append`` span per replica process
-reply rate             ``reply.recv`` points (per voting client)
+last reply clock       ``reply.recv`` points (per voting client)
 reply divergence       ``reply.mismatch`` points
 push divergence        ``push.mismatch`` points
 suspicion              ``sync.suspect`` points (suspecter, leader)
 leader changes         ``sync.leader_change`` spans
-write profile          ``hmi.write`` spans (rate, tag spread, deltas)
-RTU poll cadence       ``rtu.poll`` points per frontend
+write profile          ``hmi.write`` spans (rate, tag spread)
 =====================  =============================================
 """
 
@@ -47,8 +46,6 @@ class FeatureExtractor:
         #: never pruned — the detector keeps a sampled history of it to
         #: ask "was this replica ordering *at* instant t").
         self.last_consensus: dict[str, float] = {}
-        #: replying replica -> deque[(time,)] of accepted replies.
-        self.replies: dict[str, deque] = {}
         #: replying replica -> last accepted reply time.
         self.last_reply: dict[str, float] = {}
         #: deviant replica -> deque[(time,)] of divergent ordered replies.
@@ -61,8 +58,6 @@ class FeatureExtractor:
         self.leader_changes: deque = deque()
         #: HMI client process -> deque[(time, item, value)].
         self.writes: dict[str, deque] = {}
-        #: frontend process -> deque[(time,)] of RTU poll rounds.
-        self.rtu_polls: dict[str, deque] = {}
         #: Spans consumed (diagnostics).
         self.spans_seen = 0
 
@@ -81,7 +76,6 @@ class FeatureExtractor:
             self.last_activity[span.process] = t
         elif name == "reply.recv":
             replica = span.attrs.get("replica", "")
-            self.replies.setdefault(replica, deque()).append((t,))
             self.last_reply[replica] = t
         elif name == "reply.mismatch":
             replica = span.attrs.get("replica", "")
@@ -97,8 +91,6 @@ class FeatureExtractor:
             self.writes.setdefault(span.process, deque()).append(
                 (t, span.attrs.get("item", ""), span.attrs.get("value"))
             )
-        elif name == "rtu.poll":
-            self.rtu_polls.setdefault(span.process, deque()).append((t,))
 
     # -- windowed reads -------------------------------------------------
 
@@ -106,10 +98,8 @@ class FeatureExtractor:
         cutoff = now - self.window
         for table in (
             self.consensus,
-            self.replies,
             self.reply_mismatch,
             self.push_mismatch,
-            self.rtu_polls,
             self.writes,
         ):
             for dq in table.values():
@@ -120,18 +110,11 @@ class FeatureExtractor:
     def consensus_count(self, process: str) -> int:
         return len(self.consensus.get(process, ()))
 
-    def reply_count(self, replica: str) -> int:
-        return len(self.replies.get(replica, ()))
-
     def mismatch_count(self, replica: str) -> int:
         return len(self.reply_mismatch.get(replica, ()))
 
     def push_mismatch_count(self, replica: str) -> int:
         return len(self.push_mismatch.get(replica, ()))
-
-    def suspecters_of(self, leader: str) -> set:
-        """Distinct replicas currently suspecting ``leader``."""
-        return {who for _t, who, whom in self.suspects if whom == leader}
 
     def write_rate(self, client: str) -> float:
         """Writes per second from ``client`` over the window."""
@@ -139,15 +122,3 @@ class FeatureExtractor:
 
     def write_tag_spread(self, client: str) -> int:
         return len({item for _t, item, _v in self.writes.get(client, ())})
-
-    def write_value_deltas(self, client: str) -> list:
-        values = [
-            v
-            for _t, _item, v in self.writes.get(client, ())
-            if isinstance(v, (int, float))
-        ]
-        return [abs(b - a) for a, b in zip(values, values[1:])]
-
-    def poll_cadence(self, frontend: str) -> float:
-        """Observed RTU polls per second for one frontend."""
-        return len(self.rtu_polls.get(frontend, ())) / self.window

@@ -18,10 +18,6 @@ class HandlerChain:
     def __init__(self, handlers: list | None = None) -> None:
         self.handlers: list[Handler] = list(handlers or [])
 
-    def add(self, handler: Handler) -> "HandlerChain":
-        self.handlers.append(handler)
-        return self
-
     @property
     def cost(self) -> float:
         """Total simulated CPU cost of one trip through the chain."""

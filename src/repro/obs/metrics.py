@@ -213,11 +213,6 @@ class MetricsRegistry:
     def names(self) -> list:
         return list(self._entries)
 
-    def get(self, name: str):
-        """The metric object (Counter/Gauge/Histogram) or group provider."""
-        entry = self._entries.get(name)
-        return entry[1] if entry is not None else None
-
     def value_of(self, name: str):
         """The current snapshot value of one metric."""
         entry = self._entries.get(name)

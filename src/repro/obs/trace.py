@@ -147,13 +147,6 @@ class SpanTracer:
         """
         self._subscribers.append(fn)
 
-    def unsubscribe(self, fn) -> None:
-        """Remove a subscriber added with :meth:`subscribe`."""
-        try:
-            self._subscribers.remove(fn)
-        except ValueError:
-            pass
-
     def _notify(self, span: Span) -> None:
         for fn in self._subscribers:
             fn(span)
@@ -295,9 +288,6 @@ class SpanTracer:
         self._index.clear()
         self._roots.clear()
         self.dropped = 0
-
-    def __len__(self) -> int:
-        return len(self.spans)
 
     def __repr__(self) -> str:
         return f"<SpanTracer {len(self.spans)} spans, {len(self._roots)} traces>"

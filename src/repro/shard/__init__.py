@@ -11,7 +11,7 @@ difference (the same seam the paper used to hide replication itself).
 
 The hard parts this package owns:
 
-- :mod:`repro.shard.map` — the item→group partition (hash or range),
+- :mod:`repro.shard.map` — the item→group partition (hash plus split pins),
   expressed as configuration, with a resolve-once router cache so the
   hot path pays no per-request hashing.
 - :mod:`repro.shard.merge` — a deterministic *global* order for the AE
@@ -62,7 +62,3 @@ def __getattr__(name: str):
     import importlib
 
     return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_EXPORTS))

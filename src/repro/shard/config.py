@@ -3,8 +3,8 @@
 Group topology is configuration, not code: a
 :class:`ShardedScadaConfig` wraps one per-group
 :class:`~repro.core.config.SmartScadaConfig` (every group gets the same
-protocol tunables) plus the shard count and partition spec, and derives
-one :class:`~repro.bftsmart.config.GroupConfig` *per shard* whose
+protocol tunables) plus the shard count, and derives one
+:class:`~repro.bftsmart.config.GroupConfig` *per shard* whose
 replica addresses are namespaced ``s<k>-replica-<i>`` so the groups
 coexist on one network without address collisions.
 
@@ -37,20 +37,13 @@ class ShardedScadaConfig:
     shards: int = 2
     #: Per-group deployment config (n, f, pipeline, durability, ...).
     base: SmartScadaConfig = field(default_factory=SmartScadaConfig)
-    #: Partition spec (see :class:`repro.shard.map.ShardMap`).
-    map_kind: str = "hash"
-    map_ranges: tuple = ()
-    #: Holdback of the global AE merge (:mod:`repro.shard.merge`).
-    merge_holdback: float = 0.05
-    #: Correlation window of the cross-shard alarm correlator.
-    correlate_window: float = 1.0
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
 
     def shard_map(self) -> ShardMap:
-        return ShardMap(self.shards, kind=self.map_kind, ranges=self.map_ranges)
+        return ShardMap(self.shards)
 
     def group_config(self, shard: int) -> GroupConfig:
         """The ``GroupConfig`` of group ``shard`` (namespaced addresses)."""

@@ -21,6 +21,9 @@ from repro.neoscada.ae.events import EventRecord, Severity
 #: Event type of the synthesized cross-shard alarm.
 CORRELATED_ALARM = "correlated-alarm"
 
+#: Correlation window of the cross-shard alarm correlator (logical seconds).
+CORRELATE_WINDOW = 1.0
+
 #: Severities that count as alarm-grade for correlation.
 _ALARM_GRADE = (Severity.WARNING, Severity.ALARM, Severity.ERROR)
 
@@ -39,7 +42,7 @@ class AlarmCorrelator:
         (typically the ProxyHMI's AE server publish).
     """
 
-    def __init__(self, window: float = 1.0, min_shards: int = 2, sink=None) -> None:
+    def __init__(self, window: float = CORRELATE_WINDOW, min_shards: int = 2, sink=None) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
         if min_shards < 2:

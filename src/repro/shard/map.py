@@ -2,15 +2,15 @@
 
 A :class:`ShardMap` is *configuration*, not code ("Automatic Integration
 of BFT State-Machine Replication into IoT Systems" treats group topology
-exactly this way): it assigns every item id to one of ``shards`` groups,
-either by a deterministic hash of the id or by explicit range prefixes,
-plus an overlay of per-item pins that live shard splits install.
+exactly this way): it assigns every item id to one of ``shards`` groups
+by a deterministic hash of the id, plus an overlay of per-item pins that
+live shard splits install.
 
 The map carries an ``epoch`` that bumps on every reassignment. Routers
 (:class:`ShardRouter`) memoise item→shard lookups and validate only the
 epoch on the hot path, so steady-state routing is one dict hit — no
-hashing, no prefix scan — and a split invalidates every cache in the
-deployment at once by bumping the epoch.
+hashing — and a split invalidates every cache in the deployment at once
+by bumping the epoch.
 """
 
 from __future__ import annotations
@@ -29,43 +29,13 @@ def hash_shard(item_id: str, shards: int) -> int:
 
 
 class ShardMap:
-    """Assigns item ids to shard indices ``0..shards-1``.
+    """Assigns item ids to shard indices ``0..shards-1``."""
 
-    Parameters
-    ----------
-    shards:
-        Number of groups in the deployment.
-    kind:
-        ``"hash"`` (default) or ``"range"``.
-    ranges:
-        For ``kind="range"``: a tuple of ``(prefix, shard)`` pairs,
-        longest-prefix matched. Items matching no prefix fall back to
-        the hash partition, so range maps are always total.
-    """
-
-    def __init__(
-        self,
-        shards: int,
-        kind: str = "hash",
-        ranges: tuple = (),
-    ) -> None:
+    def __init__(self, shards: int) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if kind not in ("hash", "range"):
-            raise ValueError(f"unknown shard map kind {kind!r}")
-        if kind == "hash" and ranges:
-            raise ValueError("ranges are only meaningful for kind='range'")
-        for prefix, shard in ranges:
-            if not 0 <= shard < shards:
-                raise ValueError(
-                    f"range {prefix!r} targets shard {shard}, "
-                    f"deployment has {shards}"
-                )
         self.shards = shards
-        self.kind = kind
-        #: Longest prefix first so the scan is first-match-wins.
-        self.ranges = tuple(sorted(ranges, key=lambda r: -len(r[0])))
-        #: Per-item overrides installed by live splits (beats ranges).
+        #: Per-item overrides installed by live splits (beats the hash).
         self.pins: dict[str, int] = {}
         #: Bumped on every reassignment; routers key their caches on it.
         self.epoch = 0
@@ -75,10 +45,6 @@ class ShardMap:
         pinned = self.pins.get(item_id)
         if pinned is not None:
             return pinned
-        if self.kind == "range":
-            for prefix, shard in self.ranges:
-                if item_id.startswith(prefix):
-                    return shard
         return hash_shard(item_id, self.shards)
 
     def assign(self, item_ids, shard: int) -> None:
@@ -97,15 +63,6 @@ class ShardMap:
     def owned_by(self, shard: int, item_ids) -> list:
         """The subset of ``item_ids`` this map routes to ``shard``."""
         return [i for i in item_ids if self.shard_of(i) == shard]
-
-    def describe(self) -> dict:
-        return {
-            "shards": self.shards,
-            "kind": self.kind,
-            "ranges": list(self.ranges),
-            "pins": dict(self.pins),
-            "epoch": self.epoch,
-        }
 
 
 class ShardRouter:

@@ -28,6 +28,9 @@ retroactively.
 
 from __future__ import annotations
 
+#: Holdback of the global AE merge (seconds).
+MERGE_HOLDBACK = 0.05
+
 
 def merge_key(timestamp: float, shard: int, seq: int) -> tuple:
     """The global AE sort key."""
@@ -68,7 +71,7 @@ class GlobalAeMerger:
     """
 
     def __init__(
-        self, sim, sink, holdback: float = 0.05, process: str = "ae-merger"
+        self, sim, sink, holdback: float = MERGE_HOLDBACK, process: str = "ae-merger"
     ) -> None:
         if holdback <= 0:
             raise ValueError("holdback must be positive")

@@ -83,10 +83,6 @@ class Channel:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     # -- operations --------------------------------------------------------
 
     def put(self, item) -> _PutEvent:

@@ -4,7 +4,7 @@
 :class:`~repro.sim.kernel.Simulator`. Against the textbook binary heap
 holding one event object plus one entry object per scheduled occurrence,
 three structural choices carry its speed (the measured comparison is in
-docs/PERFORMANCE.md):
+EXPERIMENTS.md):
 
 **Slots instead of objects.** Cancellable occurrences live in parallel
 flat arrays (doubled on demand) — ``when`` in an ``array('d')``, a packed
@@ -125,10 +125,6 @@ class _RingCall:
     def value(self):
         if not self.processed:
             raise RuntimeError(f"{self!r} has not been triggered")
-        return None
-
-    @property
-    def exception(self) -> None:
         return None
 
     def __repr__(self) -> str:

@@ -23,6 +23,8 @@ from repro.crypto import digest
 from repro.wire import decode, encode
 
 _PREFIX = "checkpoint-"
+#: Durable checkpoint generations kept on disk.
+CHECKPOINT_RETENTION = 2
 
 
 def _blob_name(cid: int) -> str:
@@ -33,7 +35,7 @@ def _blob_name(cid: int) -> str:
 class CheckpointStore:
     """Persists checkpoint snapshots; survives crashes whole or not at all."""
 
-    def __init__(self, disk, retention: int = 2):
+    def __init__(self, disk, retention: int = CHECKPOINT_RETENTION):
         if retention < 1:
             raise ValueError("checkpoint retention must be >= 1")
         self.disk = disk

@@ -60,21 +60,11 @@ class RecoveredState:
 class ReplicaStorage:
     """Durable-state bundle for one replica address."""
 
-    def __init__(
-        self,
-        address: str,
-        fsync_policy: str = "every-decision",
-        fsync_interval: int = 8,
-        checkpoint_retention: int = 2,
-    ) -> None:
+    def __init__(self, address: str, fsync_policy: str = "every-decision") -> None:
         self.address = address
         self.disk = SimDisk(name=address)
-        self.wal = WriteAheadLog(
-            self.disk, policy=fsync_policy, interval=fsync_interval
-        )
-        self.checkpoints = CheckpointStore(
-            self.disk, retention=checkpoint_retention
-        )
+        self.wal = WriteAheadLog(self.disk, policy=fsync_policy)
+        self.checkpoints = CheckpointStore(self.disk)
         #: Replays served back to the replica at boot (metrics).
         self.bytes_replayed = 0
         self.recoveries = 0

@@ -27,12 +27,16 @@ from repro.crypto import digest
 from repro.wire import decode, encode
 
 FSYNC_POLICIES = ("every-decision", "every-n", "checkpoint-only")
+#: Appends between barriers under the ``every-n`` policy.
+FSYNC_INTERVAL = 8
 
 
 class WriteAheadLog:
     """Digest-framed append log of ``(cid, value, timestamp)`` records."""
 
-    def __init__(self, disk, policy: str = "every-decision", interval: int = 8):
+    def __init__(
+        self, disk, policy: str = "every-decision", interval: int = FSYNC_INTERVAL
+    ):
         if policy not in FSYNC_POLICIES:
             raise ValueError(
                 f"unknown fsync policy {policy!r}; pick from {FSYNC_POLICIES}"

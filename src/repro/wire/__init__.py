@@ -5,7 +5,6 @@ from repro.wire.codec import (
     Codec,
     EncodedMessage,
     decode,
-    decode_from,
     encode,
     encode_cached,
     uvarint_size,
@@ -23,7 +22,6 @@ __all__ = [
     "TypeRegistry",
     "WireError",
     "decode",
-    "decode_from",
     "encode",
     "encode_cached",
     "uvarint_size",

@@ -12,11 +12,10 @@ Hot-path layout
 per-codec table instead of walking an ``isinstance`` chain; dataclass and
 enum encoders are built once per class with their type-id prefix bytes
 precomputed and the field list pre-resolved from the registry.
-``encode_into`` appends to a caller-owned buffer, skipping the final
-``bytes(bytearray)`` copy, and :func:`encode_cached` memoizes whole-message
-encodings of immutable (frozen-dataclass) messages on the message object
-itself, wrapped in :class:`EncodedMessage` so the payload's content digest
-is computed at most once. All caching is behaviour-invisible: the memoized
+:func:`encode_cached` memoizes whole-message encodings of immutable
+(frozen-dataclass) messages on the message object itself, wrapped in
+:class:`EncodedMessage` so the payload's content digest is computed at
+most once. All caching is behaviour-invisible: the memoized
 path returns byte-identical output to a fresh encode (see
 ``tests/test_wire_codec_caching.py``).
 """
@@ -144,14 +143,6 @@ class Codec:
             if len(scratch) < 8 and len(out) <= 65536:
                 del out[:]
                 scratch.append(out)
-
-    def encode_into(self, out: bytearray, value) -> None:
-        """Append the canonical encoding of ``value`` to ``out``.
-
-        The fast path for callers assembling larger buffers (signing
-        payloads, framing): no intermediate ``bytes`` copy is made.
-        """
-        self._encode(out, value)
 
     def decode(self, data):
         """Decode one complete value from ``data``.
@@ -566,11 +557,6 @@ def decode(data):
     return DEFAULT_CODEC.decode(data)
 
 
-def decode_from(data, pos: int = 0) -> tuple:
-    """Cursor decode with the default codec; returns ``(value, end)``."""
-    return DEFAULT_CODEC.decode_from(data, pos)
-
-
 # -- memoized whole-message encoding ----------------------------------------
 
 
@@ -601,9 +587,6 @@ class EncodedMessage:
 
             self._digest = _content_digest(self.payload)
         return self._digest
-
-    def __len__(self) -> int:
-        return len(self.payload)
 
     def __repr__(self) -> str:
         return f"<EncodedMessage {self.kind} {len(self.payload)} bytes>"

@@ -15,27 +15,16 @@ import json
 REPORT_FILE = "BENCH_PERF.json"
 
 
-def run_bft_micro(
-    offered_rate: float = 25_000.0,
-    warmup: float = 0.2,
-    window: float = 0.6,
-    payload_size: int = 1024,
-    seed: int = 1,
-):
-    """The §V-B microbenchmark: 1 KiB echo requests at ``offered_rate``.
-
-    Returns ``(result, kernel_stats)`` where ``result`` is the
-    ``(rate, replica_stats)`` pair the benchmark asserts on and
-    ``kernel_stats`` is the simulator's counter snapshot.
+def start_bft_micro(sim, offered_rate: float, payload_size: int) -> list:
+    """Start the §V-B pipeline on ``sim``: the bare n=4 group under an
+    open-loop echo firehose of ``payload_size``-byte requests at
+    ``offered_rate``. Returns the replicas.
     """
     from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
     from repro.crypto import KeyStore
     from repro.net import ConstantLatency, Network
-    from repro.sim import Simulator
-    from repro.workloads.metrics import ThroughputMeter
 
     payload = bytes(payload_size)
-    sim = Simulator(seed=seed)
     net = Network(sim, latency=ConstantLatency(0.00025))
     keystore = KeyStore()
     config = GroupConfig(n=4, f=1, batch_max=500, batch_wait=0.001)
@@ -52,6 +41,27 @@ def run_bft_micro(
             yield sim.timeout(interval)
 
     sim.process(firehose())
+    return replicas
+
+
+def run_bft_micro(
+    offered_rate: float = 25_000.0,
+    warmup: float = 0.2,
+    window: float = 0.6,
+    payload_size: int = 1024,
+    seed: int = 1,
+):
+    """The §V-B microbenchmark: 1 KiB echo requests at ``offered_rate``.
+
+    Returns ``(result, kernel_stats)`` where ``result`` is the
+    ``(rate, replica_stats)`` pair the benchmark asserts on and
+    ``kernel_stats`` is the simulator's counter snapshot.
+    """
+    from repro.sim import Simulator
+    from repro.workloads.metrics import ThroughputMeter
+
+    sim = Simulator(seed=seed)
+    replicas = start_bft_micro(sim, offered_rate, payload_size)
     meter = ThroughputMeter(sim, lambda: replicas[0].stats["executed"])
     sim.run(until=warmup)
     meter.open_window()

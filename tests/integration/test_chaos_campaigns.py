@@ -18,25 +18,42 @@ from repro.chaos.campaign import CampaignConfig
 LIBRARY = [s for s in list_scenarios() if not s.expect_violation]
 
 
-@pytest.mark.parametrize("scenario", LIBRARY, ids=lambda s: s.name)
-def test_library_scenario_survives_ten_seeds(scenario):
-    reports = sweep_seeds(scenario.schedule(), range(10), scenario.config())
+#: The sweeps cover ten seeds. Tier-1 runs the first three of them; the
+#: ``nightly``-marked twins (deselected by ``addopts``, run by the
+#: scheduled CI job with ``-m nightly``) run all ten.
+SWEEP_SEEDS = range(10)
+TIER1_SEEDS = SWEEP_SEEDS[:3]
+
+
+def _assert_survives(schedule, seeds, config) -> None:
+    reports = sweep_seeds(schedule, seeds, config)
     failing = {
         seed: [(v.invariant, v.detail) for v in report.violations]
         for seed, report in reports.items()
         if not report.ok
     }
     assert not failing, failing
+
+
+@pytest.mark.parametrize("scenario", LIBRARY, ids=lambda s: s.name)
+def test_library_scenario_survives_ten_seeds(scenario):
+    """Tier-1 share of the ten-seed sweep (``TIER1_SEEDS``)."""
+    _assert_survives(scenario.schedule(), TIER1_SEEDS, scenario.config())
+
+
+@pytest.mark.nightly
+@pytest.mark.parametrize("scenario", LIBRARY, ids=lambda s: s.name)
+def test_library_scenario_survives_all_ten_seeds(scenario):
+    _assert_survives(scenario.schedule(), SWEEP_SEEDS, scenario.config())
 
 
 def test_randomized_campaigns_survive_sampled_schedules():
-    reports = sweep_seeds(lambda s: sample_schedule(s), range(10), CampaignConfig())
-    failing = {
-        seed: [(v.invariant, v.detail) for v in report.violations]
-        for seed, report in reports.items()
-        if not report.ok
-    }
-    assert not failing, failing
+    _assert_survives(sample_schedule, TIER1_SEEDS, CampaignConfig())
+
+
+@pytest.mark.nightly
+def test_randomized_campaigns_survive_all_ten_sampled_schedules():
+    _assert_survives(sample_schedule, SWEEP_SEEDS, CampaignConfig())
 
 
 def test_overbudget_campaign_requires_opt_in():

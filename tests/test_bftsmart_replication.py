@@ -413,3 +413,12 @@ def test_deterministic_replay_same_seed():
         return (sim.now, [r.stats["decided"] for r in replicas])
 
     assert run(5) == run(5)
+
+
+def test_echo_service_snapshot_roundtrip():
+    service = EchoService()
+    service.execute(b"one", None)
+    service.execute(b"two", None)
+    fresh = EchoService()
+    fresh.install_snapshot(service.snapshot())
+    assert fresh.executed == 2

@@ -26,7 +26,7 @@ from repro.chaos.shrink import shrink_schedule
 
 def test_predicate_registry_is_complete():
     assert set(PREDICATES) >= {
-        "always", "after", "pipeline-full", "state-transfer-active",
+        "always", "pipeline-full", "state-transfer-active",
         "ids-warmup-done",
     }
 

@@ -16,9 +16,7 @@ from repro.crypto import (
     Verifier,
     combine,
     digest,
-    make_mac_vector,
     sha256,
-    verify_mac_vector,
 )
 from repro.crypto.mac import hmac_template
 from repro.perf import PERF
@@ -71,24 +69,6 @@ def test_mac_from_wrong_keystore_rejected():
     bob = Authenticator("bob", good)
     tag = mallory.mac("bob", b"payload")
     assert not bob.verify("alice", b"payload", tag)
-
-
-def test_mac_vector_verifies_per_receiver():
-    ks = KeyStore()
-    leader = Authenticator("r0", ks)
-    vector = make_mac_vector(leader, ["r1", "r2", "r3"], b"propose")
-    for name in ("r1", "r2", "r3"):
-        receiver = Authenticator(name, ks)
-        assert verify_mac_vector(receiver, vector, b"propose")
-        assert not verify_mac_vector(receiver, vector, b"other")
-
-
-def test_mac_vector_missing_receiver_fails():
-    ks = KeyStore()
-    leader = Authenticator("r0", ks)
-    vector = make_mac_vector(leader, ["r1"], b"propose")
-    outsider = Authenticator("r9", ks)
-    assert not verify_mac_vector(outsider, vector, b"propose")
 
 
 def test_signature_roundtrip():
@@ -152,9 +132,6 @@ def test_tags_are_plain_hmac_sha256_and_tampering_still_fails():
     assert tag == _reference(ks.pair_key("alice", "bob"), payload)[:MAC_SIZE]
     assert bob.verify("alice", payload, tag)
     assert not bob.verify("alice", payload + b"!", tag)
-    vector = make_mac_vector(alice, ["bob"], payload)
-    assert verify_mac_vector(bob, vector, payload)
-    assert not verify_mac_vector(bob, vector, b"!" + payload)
     sig = Signer("alice", ks).sign(payload)
     assert sig.tag == _reference(ks.signing_key("alice"), payload)
     assert Verifier(ks).verify(sig, payload)

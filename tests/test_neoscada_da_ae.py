@@ -13,6 +13,7 @@ from repro.neoscada.messages import (
     Subscribe,
     SubscribeEvents,
     Unsubscribe,
+    UnsubscribeEvents,
     WriteResult,
     WriteValue,
 )
@@ -131,7 +132,11 @@ def test_da_client_subscribe_sends_message():
     transport = FakeTransport()
     client = DAClient("me", transport)
     client.subscribe("server", "item")
-    assert transport.sent == [("server", Subscribe(subscriber="me", item_id="item"))]
+    client.unsubscribe("server", "item")
+    assert transport.sent == [
+        ("server", Subscribe(subscriber="me", item_id="item")),
+        ("server", Unsubscribe(subscriber="me", item_id="item")),
+    ]
 
 
 def test_da_client_update_callback():
@@ -207,5 +212,10 @@ def test_ae_client_event_callback():
 
 def test_ae_client_subscribe_message():
     transport = FakeTransport()
-    AEClient("me", transport).subscribe("server", "*")
-    assert transport.sent == [("server", SubscribeEvents(subscriber="me", item_id="*"))]
+    client = AEClient("me", transport)
+    client.subscribe("server", "*")
+    client.unsubscribe("server", "*")
+    assert transport.sent == [
+        ("server", SubscribeEvents(subscriber="me", item_id="*")),
+        ("server", UnsubscribeEvents(subscriber="me", item_id="*")),
+    ]

@@ -199,13 +199,15 @@ def test_chain_cost_sums_handler_costs():
 
 
 def test_chain_state_roundtrip():
-    chain = HandlerChain([Override(), Monitor(high=1.0)])
+    chain = HandlerChain([Override(), Monitor(high=1.0), Block()])
     chain.handlers[0].activate(9)
     chain.handlers[1].in_alarm = True
-    other = HandlerChain([Override(), Monitor(high=1.0)])
+    chain.handlers[2].blocked = True
+    other = HandlerChain([Override(), Monitor(high=1.0), Block()])
     other.restore(chain.state())
     assert other.handlers[0].active
     assert other.handlers[1].in_alarm
+    assert other.handlers[2].blocked
 
 
 def test_chain_restore_shape_mismatch_rejected():

@@ -52,28 +52,14 @@ def test_hash_map_matches_hash_shard():
         assert shard_map.shard_of(item) == hash_shard(item, 4)
 
 
-def test_range_map_longest_prefix_wins():
-    shard_map = ShardMap(
-        shards=3,
-        kind="range",
-        ranges=(("plant.", 0), ("plant.turbine.", 1)),
-    )
-    assert shard_map.shard_of("plant.turbine.rpm") == 1
-    assert shard_map.shard_of("plant.feedwater.flow") == 0
-
-
-def test_range_map_falls_back_to_hash_so_it_is_total():
-    shard_map = ShardMap(shards=3, kind="range", ranges=(("plant.", 0),))
-    orphan = "substation.breaker"
-    assert shard_map.shard_of(orphan) == hash_shard(orphan, 3)
-
-
-def test_pins_beat_ranges_and_hash():
-    shard_map = ShardMap(shards=3, kind="range", ranges=(("plant.", 0),))
-    shard_map.assign(["plant.turbine.rpm"], 2)
-    assert shard_map.shard_of("plant.turbine.rpm") == 2
-    # Everything else still follows the ranges.
-    assert shard_map.shard_of("plant.feedwater.flow") == 0
+def test_pins_beat_the_hash():
+    shard_map = ShardMap(shards=3)
+    pinned, other = "plant.turbine.rpm", "plant.feedwater.flow"
+    target = (hash_shard(pinned, 3) + 1) % 3
+    shard_map.assign([pinned], target)
+    assert shard_map.shard_of(pinned) == target
+    # Everything else still follows the hash.
+    assert shard_map.shard_of(other) == hash_shard(other, 3)
 
 
 def test_assign_bumps_the_epoch_once_per_call():
@@ -95,12 +81,8 @@ def test_owned_by_partitions_an_item_set():
 def test_map_validation():
     with pytest.raises(ValueError):
         ShardMap(shards=0)
-    with pytest.raises(ValueError):
-        ShardMap(shards=2, kind="modulo")
-    with pytest.raises(ValueError):
-        ShardMap(shards=2, ranges=(("plant.", 0),))  # ranges need kind=range
-    with pytest.raises(ValueError):
-        ShardMap(shards=2, kind="range", ranges=(("plant.", 5),))
+    with pytest.raises(TypeError):
+        ShardMap(shards=2, kind="range")  # hash + split pins only
     shard_map = ShardMap(shards=2)
     with pytest.raises(ValueError):
         shard_map.assign(["x"], 2)
@@ -172,7 +154,7 @@ def test_every_group_config_field_reaches_every_shard():
     """A per-group tunable must never be silently dropped on the way into
     a sharded group: walk ``GroupConfig``'s own field list, so a field
     added later is covered the day it is added."""
-    non_default = {"n": 7, "f": 2, "fsync_policy": "every-n"}
+    non_default = {"n": 7, "f": 2}
     for spec in dataclasses.fields(GroupConfig):
         if spec.name != "addresses" and spec.name not in non_default:
             non_default[spec.name] = spec.default * 2 + 1

@@ -180,6 +180,26 @@ def test_cancelled_get_does_not_consume_item():
     assert got == ["item"]
 
 
+def test_cancelled_put_does_not_deliver_item():
+    sim = Simulator()
+    ch = Channel(sim, capacity=1)
+    ch.put("first")
+
+    def racer():
+        # The channel is full: the put blocks and the timeout wins.
+        winner = yield sim.any_of([ch.put("late"), sim.timeout(1.0, "timeout")])
+        return winner
+
+    proc = sim.process(racer())
+    sim.run()
+    assert proc.value == (1, "timeout")
+    # Making room must not let the cancelled put in.
+    event = ch.get()
+    sim.run()
+    assert event.value == "first"
+    assert len(ch) == 0
+
+
 def test_get_with_timeout_winning_get():
     sim = Simulator()
     ch = Channel(sim)
