@@ -10,19 +10,7 @@ paper-style table printed at the end, plus shape assertions.
 
 from __future__ import annotations
 
-
-def print_table(title: str, header: list, rows: list) -> None:
-    """Print a paper-style result table."""
-    widths = [
-        max(len(str(header[i])), max((len(str(row[i])) for row in rows), default=0))
-        for i in range(len(header))
-    ]
-    line = "  ".join(str(h).ljust(widths[i]) for i, h in enumerate(header))
-    print(f"\n=== {title} ===")
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
+from repro.__main__ import _print_table as print_table  # noqa: F401  (re-exported)
 
 
 def once(benchmark, fn):

@@ -2,83 +2,25 @@
 
 Regenerates all three panels in a single run and prints them side by
 side with the paper's numbers — the headline artefact of this
-reproduction. (The per-panel benches assert tighter bands; this one
-checks the cross-panel ordering that defines the figure.)
+reproduction, and the same table ``python -m repro fig8`` prints. (The
+per-panel benches assert tighter bands; this one checks the cross-panel
+ordering that defines the figure.)
 """
 
 from conftest import once, print_table
 
-from repro.workloads import run_update_experiment, run_write_experiment
-
-OFFERED = 1000.0
-
-
-def run_everything():
-    results = {}
-    for ratio in (0.0, 0.5, 1.0):
-        for system in ("neoscada", "smartscada"):
-            results[(system, "update", ratio)] = run_update_experiment(
-                system, rate=OFFERED, alarm_ratio=ratio, duration=2.5, warmup=0.5
-            ).throughput
-    for system in ("neoscada", "smartscada"):
-        results[(system, "write", None)] = run_write_experiment(
-            system, duration=2.5
-        ).throughput
-    return results
+from repro.workloads import FIG8_HEADER, FIG8_OFFERED, FIG8_TITLE, fig8_rows
 
 
 def test_figure8_full_reproduction(benchmark):
-    r = once(benchmark, run_everything)
-
-    def drop(key):
-        return 1.0 - r[("smartscada",) + key] / r[("neoscada",) + key]
-
-    rows = [
-        [
-            "8(a) update, no alarms",
-            f"{r[('neoscada', 'update', 0.0)]:.0f}",
-            f"{r[('smartscada', 'update', 0.0)]:.0f}",
-            f"{drop(('update', 0.0)):.1%}",
-            "6%",
-        ],
-        [
-            "8(b) update, 50% alarms",
-            f"{r[('neoscada', 'update', 0.5)]:.0f}",
-            f"{r[('smartscada', 'update', 0.5)]:.0f}",
-            f"{drop(('update', 0.5)):.1%}",
-            "10%",
-        ],
-        [
-            "8(b) update, 100% alarms",
-            f"{r[('neoscada', 'update', 1.0)]:.0f}",
-            f"{r[('smartscada', 'update', 1.0)]:.0f}",
-            f"{drop(('update', 1.0)):.1%}",
-            "25%",
-        ],
-        [
-            "8(c) synchronous writes",
-            f"{r[('neoscada', 'write', None)]:.0f}",
-            f"{r[('smartscada', 'write', None)]:.0f}",
-            f"{drop(('write', None)):.1%}",
-            "78%",
-        ],
-    ]
-    print_table(
-        "Figure 8 — full reproduction (ops/s)",
-        ["experiment", "NeoSCADA", "SMaRt-SCADA", "overhead", "paper"],
-        rows,
-    )
+    rows = once(benchmark, lambda: fig8_rows(2.5))
+    print_table(FIG8_TITLE, FIG8_HEADER, rows)
     # The figure's defining shape: overheads strictly ordered
     # 8(a) < 8(b)-50% < 8(b)-100% < 8(c).
-    overheads = [
-        drop(("update", 0.0)),
-        drop(("update", 0.5)),
-        drop(("update", 1.0)),
-        drop(("write", None)),
-    ]
+    overheads = [1.0 - smart / neo for _label, neo, smart, *_ in rows]
     assert overheads == sorted(overheads)
     assert overheads[0] < 0.12
     assert overheads[-1] > 0.6
     # NeoSCADA handles the full offered update load in every scenario.
-    for ratio in (0.0, 0.5, 1.0):
-        assert r[("neoscada", "update", ratio)] >= OFFERED * 0.98
+    for _label, neo, *_ in rows[:3]:
+        assert neo >= FIG8_OFFERED * 0.98

@@ -1,13 +1,13 @@
 """Mean-time-to-recovery of the closed-loop self-healing subsystem.
 
-For each of the five Byzantine replica behaviours, a seeded chaos
-campaign plants the compromise at t=1.2s with healing enabled
-(zero-trust policy: confirmed Byzantine replicas are evicted). The
-:class:`~repro.chaos.monitors.MttrMonitor` correlates the planted
-ground truth with the first detection and the completed recovery
-action; the :class:`~repro.chaos.monitors.AvailabilityMonitor` samples
-operator-write throughput so the pre-attack, under-attack and
-post-heal rates can be compared.
+For each of the five Byzantine replica behaviours the library scenario
+``heal-evict-<behaviour>`` plants the compromise at t=1.2s with healing
+enabled (zero-trust policy: confirmed Byzantine replicas are evicted).
+:func:`repro.chaos.run_heal_drill` installs the
+:class:`~repro.chaos.monitors.MttrMonitor` (planted ground truth vs the
+first detection and the completed recovery action) and the
+:class:`~repro.chaos.monitors.AvailabilityMonitor` (operator-write
+throughput before the attack, under it and after the heal).
 
 Acceptance (the ISSUE's bar): every behaviour is evicted and replaced
 with all safety/liveness monitors green, post-heal throughput recovers
@@ -19,20 +19,10 @@ to >= 90% of the pre-attack rate, and no unsafe action is ever taken
 from __future__ import annotations
 
 import pathlib
-from dataclasses import replace as dc_replace
 
 from conftest import once, print_table
 
-from repro.chaos import (
-    AvailabilityMonitor,
-    MttrMonitor,
-    Schedule,
-    SwapByzantine,
-    run_campaign,
-)
-from repro.chaos.campaign import CampaignConfig
-from repro.chaos.monitors import default_monitors
-from repro.heal import HealConfig
+from repro.chaos import run_heal_drill
 from repro.workloads.profiler import write_report
 
 REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_MTTR.json"
@@ -41,59 +31,32 @@ SEED = 3
 ATTACK_AT = 1.2
 BEHAVIOURS = ("silent", "stuttering", "lying", "falsifying", "equivocating")
 
-#: Dense operator writes: the availability series needs enough samples
-#: inside each phase to yield a meaningful rate.
-BASE = CampaignConfig(
-    seed=SEED,
-    heal=True,
-    heal_config=HealConfig.zero_trust(),
-    write_interval=0.25,
-)
-
 
 def run_drill(behaviour: str) -> dict:
-    index = 0 if behaviour == "equivocating" else 2
-    schedule = Schedule([
-        SwapByzantine(at=ATTACK_AT, index=index, behaviour=behaviour),
-    ])
-    mttr = MttrMonitor()
-    avail = AvailabilityMonitor()
-    report = run_campaign(
-        schedule, BASE, monitors=default_monitors() + [mttr, avail]
-    )
-    assert report.ok, report.violations
-    assert report.evictions == 1
-
-    measurement = next(
-        m for m in mttr.measurements if m["behaviour"] == behaviour
-    )
-    healed_at = measurement["healed_at"]
-    assert healed_at is not None
-
-    end = avail.samples[-1][0]
-    pre = avail.rate(0.2, ATTACK_AT)
-    during = avail.rate(ATTACK_AT, healed_at)
-    post = avail.rate(healed_at + 0.3, end)
-    recovered = post / pre if pre > 0 else 0.0
+    drill = run_heal_drill(behaviour, SEED)
+    assert not drill["violations"], drill["violations"]
+    assert drill["evictions"] == 1
+    assert drill["attack_at"] == ATTACK_AT
+    assert drill["healed_at"] is not None
 
     #: "Unsafe" = an action that went ahead despite guard blockers, or
     #: any completed action beyond the single planned eviction.
     completed = [
-        a for a in report.heal_actions if a["outcome"] == "completed"
+        a for a in drill["heal_actions"] if a["outcome"] == "completed"
     ]
     assert [a["kind"] for a in completed] == ["evict"]
 
     return {
         "behaviour": behaviour,
-        "detect_latency_s": round(measurement["detect_latency"], 4),
-        "heal_latency_s": round(measurement["heal_latency"], 4),
-        "ops_pre": round(pre, 3),
-        "ops_during": round(during, 3),
-        "ops_post": round(post, 3),
-        "recovered": round(recovered, 4),
-        "evictions": report.evictions,
+        "detect_latency_s": round(drill["detect_latency"], 4),
+        "heal_latency_s": round(drill["heal_latency"], 4),
+        "ops_pre": round(drill["ops_pre"], 3),
+        "ops_during": round(drill["ops_during"], 3),
+        "ops_post": round(drill["ops_post"], 3),
+        "recovered": round(drill["recovered"] or 0.0, 4),
+        "evictions": drill["evictions"],
         "blocked": sum(
-            1 for a in report.heal_actions if a["outcome"] == "blocked"
+            1 for a in drill["heal_actions"] if a["outcome"] == "blocked"
         ),
     }
 

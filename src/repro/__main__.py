@@ -57,37 +57,10 @@ def _print_table(title: str, header: list, rows: list) -> None:
 
 
 def cmd_fig8(args) -> int:
-    from repro.workloads import run_update_experiment, run_write_experiment
+    from repro.workloads import FIG8_HEADER, FIG8_TITLE, fig8_rows
 
-    offered = 1000.0
-    duration = args.duration
-    print(f"running Figure 8 ({duration:.1f}s measurement windows)...")
-    rows = []
-    for label, ratio, paper in (
-        ("8(a) update, no alarms", 0.0, "6%"),
-        ("8(b) update, 50% alarms", 0.5, "10%"),
-        ("8(b) update, 100% alarms", 1.0, "25%"),
-    ):
-        neo = run_update_experiment(
-            "neoscada", rate=offered, alarm_ratio=ratio, duration=duration
-        ).throughput
-        smart = run_update_experiment(
-            "smartscada", rate=offered, alarm_ratio=ratio, duration=duration
-        ).throughput
-        rows.append(
-            [label, f"{neo:.0f}", f"{smart:.0f}", f"{1 - smart / neo:.1%}", paper]
-        )
-    neo = run_write_experiment("neoscada", duration=duration).throughput
-    smart = run_write_experiment("smartscada", duration=duration).throughput
-    rows.append(
-        ["8(c) synchronous writes", f"{neo:.0f}", f"{smart:.0f}",
-         f"{1 - smart / neo:.1%}", "78%"]
-    )
-    _print_table(
-        "Figure 8 — full reproduction (ops/s)",
-        ["experiment", "NeoSCADA", "SMaRt-SCADA", "overhead", "paper"],
-        rows,
-    )
+    print(f"running Figure 8 ({args.duration:.1f}s measurement windows)...")
+    _print_table(FIG8_TITLE, FIG8_HEADER, fig8_rows(args.duration))
     return 0
 
 
@@ -353,190 +326,90 @@ def cmd_trace(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    """The fleet observability control plane on a live sharded run.
-
-    Drives a seeded multi-shard deployment with background SCADA
-    traffic, samples the :class:`repro.obs.fleet.FleetScoreboard` (plus
-    SLO burn-rate engine) on a fixed grid, and optionally injects one
-    leader kill to demonstrate the degraded -> recovered transition the
-    scoreboard and the availability SLO both flag.
-    """
+    """The fleet control plane on a live sharded campaign: the deployment,
+    traffic and ``--kill-leader`` fault are ``run_campaign``'s, watched by
+    the public ``FleetParticipant``; everything here is rendering."""
     import json as json_mod
 
-    from repro.core.config import SmartScadaConfig
-    from repro.core.system import build_sharded_scada, make_network
-    from repro.neoscada import HandlerChain, Monitor
-    from repro.net.faults import Drop
-    from repro.obs.fleet import FleetScoreboard
+    from repro.chaos import KillLeader, Schedule, run_campaign
+    from repro.chaos.campaign import CampaignConfig, FleetParticipant
+    from repro.chaos.monitors import InvariantMonitor, default_monitors
+    from repro.obs.export import write_chrome_trace
     from repro.obs.report import (
         render_scoreboard,
         render_transitions,
         write_html_report,
     )
-    from repro.obs.slo import SloEngine
-    from repro.obs.trace import install_tracer
-    from repro.shard.config import ShardedScadaConfig
-    from repro.sim import Simulator
 
-    sim = Simulator(seed=args.seed)
-    tracer = install_tracer(sim) if args.trace else None
-    net = make_network(sim)
-    # Campaign-style short protocol timeouts so an injected leader kill
-    # resolves (leader change + retransmissions) within the run.
-    base = SmartScadaConfig(
-        request_timeout=1.0,
-        sync_timeout=2.0,
-        invoke_timeout=0.5,
-        logical_timeout=0.8,
+    class Watch(InvariantMonitor):
+        """CLI-local: live board, kill target, alarm count, ``--trace``."""
+
+        target = alarms = trace = None
+
+        def poll(self, ctx) -> None:
+            if self.target is None and ctx.crashed:
+                victim = ctx.system.proxy_masters[min(ctx.crashed)]
+                self.target = victim.address
+            if not args.json:
+                print(render_scoreboard(fleet.scoreboard))
+
+        def finish(self, ctx) -> None:
+            self.alarms = len(ctx.system.hmi.alarms())
+            if args.trace:
+                spans = ctx.sim.tracer.spans
+                data = write_chrome_trace(args.trace, spans, clock=ctx.sim.now)
+                self.trace = {"path": args.trace, "spans": len(spans),
+                              "events": len(data["traceEvents"])}
+
+    fleet, watch = FleetParticipant(), Watch()
+    third = args.duration / 3.0
+    kill = [KillLeader(at=third, duration=third)] if args.kill_leader else []
+    report = run_campaign(
+        Schedule(kill),
+        CampaignConfig(
+            seed=args.seed, shards=args.shards, horizon=args.duration,
+            write_interval=0.4, trace_spans=bool(args.trace),
+        ),
+        monitors=default_monitors() + [fleet, watch],
     )
-    system = build_sharded_scada(
-        sim, net=net, config=ShardedScadaConfig(shards=args.shards, base=base)
-    )
-    sensors = [f"plant.s{i}" for i in range(6)]
-    for sensor in sensors:
-        system.frontend.add_item(sensor, initial=20)
-        system.attach_handlers(
-            sensor, lambda: HandlerChain([Monitor(high=80.0)])
-        )
-    system.frontend.add_item("plant.actuator", initial=0, writable=True)
-    system.start()
-    # Faults are on the menu: clients must keep probing through them.
-    clients = list(system.proxy_hmi.bft_clients)
-    for pf in system.proxy_frontends:
-        clients.extend(pf.bft_clients)
-    for client in clients:
-        client.max_attempts = 1000
-    for pm in system.proxy_masters:
-        pm.vote_client.max_attempts = 1000
 
-    engine = SloEngine(sim=sim)
-    scoreboard = FleetScoreboard(system, slo_engine=engine)
-
-    def update_traffic():
-        step = 0
-        while sim.now < args.duration:
-            yield sim.timeout(0.1)
-            step += 1
-            for j, sensor in enumerate(sensors):
-                # Every ~8th sample trips the Monitor: steady AE traffic
-                # exercises the global merge (and its holdback buffer).
-                high = (step + j) % 8 == 0
-                system.frontend.inject_update(sensor, 90 if high else 30)
-
-    writes = {"total": 0, "succeeded": 0}
-
-    def write_traffic():
-        number = 0
-        while sim.now < args.duration:
-            yield sim.timeout(0.4)
-            number += 1
-            writes["total"] += 1
-            event = system.hmi.write("plant.actuator", number % 500 + 1)
-
-            def on_done(ev) -> None:
-                if ev.ok and ev.value.success:
-                    writes["succeeded"] += 1
-
-            event.add_callback(on_done)
-
-    sim.process(update_traffic(), name="fleet-updates")
-    sim.process(write_traffic(), name="fleet-writes")
-
-    # One injected leader kill, chaos-style: both the replica and its
-    # adapter go down (inbound) and drop all outbound traffic.
-    kill = {"target": None, "rules": [], "at": None, "recovered_at": None}
-    kill_at = args.duration / 3.0
-    recover_at = 2.0 * args.duration / 3.0
-
-    def kill_leader() -> None:
-        leader = ""
-        for pm in system.group(0):
-            if pm.replica.active:
-                leader = pm.replica.leader
-                break
-        if not leader:
-            return
-        kill["target"] = leader
-        kill["at"] = sim.now
-        for addr in (leader, f"{leader}-adapter"):
-            net.crash(addr)
-            kill["rules"].append(net.faults.add(Drop(src=addr)))
-
-    def recover_leader() -> None:
-        if kill["target"] is None:
-            return
-        for addr in (kill["target"], f"{kill['target']}-adapter"):
-            net.recover(addr)
-        for rule in kill["rules"]:
-            if rule in net.faults.rules:
-                net.faults.remove(rule)
-        kill["rules"] = []
-        kill["recovered_at"] = sim.now
-
-    if args.kill_leader:
-        sim.defer(max(kill_at - sim.now, 0.0), kill_leader)
-        sim.defer(max(recover_at - sim.now, 0.0), recover_leader)
-
-    # Host-driven sampling loop: the simulation advances in fixed
-    # slices and the scoreboard reads (never perturbs) each one.
-    live = not args.json
-    while sim.now < args.duration:
-        sim.run(until=min(sim.now + args.interval, args.duration))
-        scoreboard.sample()
-        if live:
-            print(render_scoreboard(scoreboard))
-    system.flush_events()
-    sim.run(until=sim.now + 0.2)
-    scoreboard.sample()
-
-    summary = scoreboard.to_dict()
-    summary["writes"] = dict(writes)
-    summary["alarms_delivered"] = len(system.hmi.alarms())
-    summary["kill"] = {
-        "target": kill["target"],
-        "at": kill["at"],
-        "recovered_at": kill["recovered_at"],
-    }
+    scoreboard = fleet.scoreboard
     statuses = [status for _t, status in scoreboard.statuses()]
-    summary["degraded_seen"] = any(s != "ok" for s in statuses)
-    summary["recovered"] = statuses[-1] == "ok" if statuses else False
-
+    summary = {
+        **scoreboard.to_dict(),
+        "writes": {"total": report.writes_total,
+                   "succeeded": report.writes_succeeded},
+        "alarms_delivered": watch.alarms,
+        "kill": {"target": watch.target,
+                 "at": third if kill else None,
+                 "recovered_at": 2 * third if kill else None},
+        "degraded_seen": any(s != "ok" for s in statuses),
+        "recovered": bool(statuses) and statuses[-1] == "ok",
+    }
+    if args.trace:
+        summary["trace"] = watch.trace
     if args.html:
         write_html_report(
             scoreboard,
             args.html,
             title=f"Fleet report — {args.shards} shards, seed {args.seed}",
         )
-    if tracer is not None and args.trace:
-        from repro.obs.export import write_chrome_trace
-
-        data = write_chrome_trace(args.trace, tracer.spans, clock=sim.now)
-        summary["trace"] = {
-            "path": args.trace,
-            "spans": len(tracer.spans),
-            "events": len(data["traceEvents"]),
-        }
 
     if args.json:
         print(json_mod.dumps(summary, indent=2, default=str))
-    else:
-        print("\nstatus transitions:")
-        print(render_transitions(scoreboard))
-        print(f"\nwrites: {writes['succeeded']}/{writes['total']} succeeded, "
-              f"{summary['alarms_delivered']} alarms delivered")
-        if engine.violations:
-            print("SLO violations:")
-            for violation in engine.violations:
-                shard = (
-                    f" shard=s{violation.shard}"
-                    if violation.shard is not None else ""
-                )
-                print(f"  t={violation.time:6.2f}s {violation.slo}"
-                      f" burn={violation.burn_rate:.2f}{shard}")
-        else:
-            print("SLO violations: none")
-        if args.html:
-            print(f"wrote {args.html}")
+        return 0
+    print("\nstatus transitions:")
+    print(render_transitions(scoreboard))
+    print(f"\nwrites: {report.writes_succeeded}/{report.writes_total} succeeded, "
+          f"{watch.alarms} alarms delivered")
+    print("SLO violations:" + ("" if report.slo_violations else " none"))
+    for violation in report.slo_violations:
+        shard = violation["shard"]
+        print(f"  t={violation['time']:6.2f}s {violation['slo']}"
+              f" burn={violation['burn_rate']:.2f}"
+              + (f" shard=s{shard}" if shard is not None else ""))
+    if args.html:
+        print(f"wrote {args.html}")
     return 0
 
 
@@ -777,8 +650,9 @@ def _ids_attack_schedules():
         drills.append((
             behaviour,
             Schedule([
-                SwapByzantine(at=1.5, index=index, behaviour=behaviour,
-                              duration=3.0),
+                SwapByzantine(
+                    at=1.5, index=index, behaviour=behaviour, duration=3.0
+                ),
             ]),
             {},
         ))
@@ -951,67 +825,23 @@ def cmd_heal(args) -> int:
     import json
     from dataclasses import replace as dc_replace
 
-    from repro.chaos import (
-        AvailabilityMonitor,
-        MttrMonitor,
-        Schedule,
-        SwapByzantine,
-        run_campaign,
-        run_scenario,
-    )
+    from repro.chaos import run_campaign, run_heal_drill, run_scenario
     from repro.chaos.campaign import CampaignConfig
-    from repro.chaos.monitors import default_monitors
-    from repro.heal import HealConfig
 
     seeds = range(args.seed, args.seed + args.seeds)
-    attack_at = 1.2
-    #: Dense operator writes give the availability series enough
-    #: resolution to compare throughput before / during / after healing.
-    base = CampaignConfig(
-        heal=True,
-        heal_config=HealConfig.zero_trust(),
-        write_interval=0.25,
-    )
 
     attack_rows = []
     behaviours_out = {}
     attacks_ok = True
     for behaviour in ("silent", "stuttering", "lying", "falsifying",
                       "equivocating"):
-        index = 0 if behaviour == "equivocating" else 2
-        schedule = Schedule([
-            SwapByzantine(at=attack_at, index=index, behaviour=behaviour),
-        ])
-        evictions = 0
-        green = True
-        detect_lat, heal_lat, recovered = [], [], []
-        for seed in seeds:
-            mttr = MttrMonitor()
-            avail = AvailabilityMonitor()
-            report = run_campaign(
-                schedule,
-                dc_replace(base, seed=seed),
-                monitors=default_monitors() + [mttr, avail],
-            )
-            green = green and report.ok
-            evictions += report.evictions
-            for m in mttr.measurements:
-                if m["detect_latency"] is not None:
-                    detect_lat.append(m["detect_latency"])
-                if m["heal_latency"] is not None:
-                    heal_lat.append(m["heal_latency"])
-            healed_at = max(
-                (a["completed_at"] for a in report.heal_actions
-                 if a["outcome"] == "completed"
-                 and a["completed_at"] is not None),
-                default=None,
-            )
-            if healed_at is not None and avail.samples:
-                pre = avail.rate(0.2, attack_at)
-                end = avail.samples[-1][0]
-                post = avail.rate(healed_at + 0.3, end)
-                if pre > 0:
-                    recovered.append(post / pre)
+        drills = [run_heal_drill(behaviour, seed) for seed in seeds]
+        green = not any(d["violations"] for d in drills)
+        evictions = sum(d["evictions"] for d in drills)
+        detect_lat, heal_lat, recovered = (
+            [d[key] for d in drills if d[key] is not None]
+            for key in ("detect_latency", "heal_latency", "recovered")
+        )
         mean = lambda xs: sum(xs) / len(xs) if xs else None  # noqa: E731
         summary = {
             "runs": len(seeds),
@@ -1048,7 +878,7 @@ def cmd_heal(args) -> int:
     benign_rows = []
     benign_out = {}
     benign_actions = 0
-    benign_base = dc_replace(base, heal_config=HealConfig())
+    benign_base = CampaignConfig(heal=True, write_interval=0.25)
     for label, schedule, overrides in _ids_benign_schedules():
         actions = evictions = 0
         green = True
@@ -1259,12 +1089,9 @@ def main(argv=None) -> int:
     fleet.add_argument("--seed", type=int, default=42)
     fleet.add_argument("--duration", type=float, default=6.0,
                        help="simulated seconds to run (default 6.0)")
-    fleet.add_argument("--interval", type=float, default=0.25,
-                       help="scoreboard sampling interval in simulated "
-                            "seconds (default 0.25)")
     fleet.add_argument("--kill-leader", action="store_true",
                        help="crash shard 0's leader at t=duration/3 and "
-                            "recover it at 2*duration/3")
+                            "recover it at 2*duration/3 (a chaos KillLeader)")
     fleet.add_argument("--json", action="store_true",
                        help="print one JSON summary instead of the live "
                             "ASCII board")

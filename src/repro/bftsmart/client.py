@@ -152,12 +152,6 @@ class ServiceProxy:
     backoff_cap = 4.0
     #: Deterministic jitter fraction added on top of each backoff step.
     backoff_jitter = 0.1
-    #: Opt-in: stamp the canonical trace id into the request's wire
-    #: ``trace_id`` field. Off by default — stamping grows the frame, and
-    #: message size feeds the latency model, so the default keeps a run's
-    #: schedule byte-identical with tracing on or off. Derived ids
-    #: (``req:<client>:<sequence>``) carry the linkage instead.
-    trace_wire_ids = False
 
     def __init__(
         self,
@@ -237,13 +231,11 @@ class ServiceProxy:
         self._sequence += 1
         sequence = self._sequence
         tracer = self.sim.tracer
-        wire_trace_id = ""
-        if tracer is not None and tracer.enabled:
-            derived = f"req:{self.client_id}:{sequence}"
-            if parent is not None:
-                tracer.alias(derived, parent.trace_id)
-            if self.trace_wire_ids:
-                wire_trace_id = tracer.resolve(derived)
+        if tracer is not None and tracer.enabled and parent is not None:
+            tracer.alias(f"req:{self.client_id}:{sequence}", parent.trace_id)
+        # ``trace_id`` stays empty on the wire: frame sizes feed the
+        # latency model, so tracing links spans through the derived
+        # ``req:<client>:<sequence>`` id and never grows a frame.
         request = ClientRequest(
             client_id=self.client_id,
             sequence=sequence,
@@ -251,7 +243,7 @@ class ServiceProxy:
             reply_to=self.client_id,
             unordered=unordered,
             mac=b"",
-            trace_id=wire_trace_id,
+            trace_id="",
         )
         request = self._sign(request)
         quorum = (

@@ -35,10 +35,10 @@ class ClientRequest:
     mac: bytes = b""
     #: Optional observability trace id. Empty by default — tracing uses
     #: derived ids (``repro.obs.trace.request_trace_id``) so enabling it
-    #: never changes wire bytes; opt-in stamping
-    #: (``ServiceProxy.trace_wire_ids``) fills it in. Excluded from the
-    #: signed payload, like ``mac``. Frames written before this field
-    #: existed still decode (codec default-tail backward compatibility).
+    #: never changes wire bytes, and ``ServiceProxy`` always sends it
+    #: empty. Excluded from the signed payload, like ``mac``. Frames
+    #: written before this field existed still decode (codec
+    #: default-tail backward compatibility).
     trace_id: str = ""
 
     def key(self) -> tuple:

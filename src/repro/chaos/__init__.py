@@ -60,6 +60,7 @@ from repro.chaos.scenarios import (
     Scenario,
     get_scenario,
     list_scenarios,
+    run_heal_drill,
     run_scenario,
 )
 from repro.chaos.shrink import ShrinkResult, replay_snippet, shrink_schedule
@@ -94,6 +95,7 @@ __all__ = [
     "list_scenarios",
     "replay_snippet",
     "run_campaign",
+    "run_heal_drill",
     "run_scenario",
     "sample_schedule",
     "shrink_schedule",

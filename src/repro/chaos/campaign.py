@@ -10,8 +10,10 @@ The runner:
    from it),
 3. applies each action at its start time and reverts it at its end time
    (open-ended faults heal at the fault horizon),
-4. polls the safety monitors throughout, lets the system settle, then
-   evaluates the liveness monitors,
+4. polls the monitor list throughout (invariant monitors first, then
+   the IDS, heal, fleet and flight-recorder participants the config
+   flags append), lets the system settle, then evaluates the liveness
+   monitors,
 5. returns a :class:`CampaignReport` with the verdicts and a
    :meth:`~CampaignReport.fingerprint` that is bit-stable: the same seed
    and schedule always produce the identical fingerprint.
@@ -23,7 +25,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 from repro.chaos.adaptive import TriggeredAction, active_replica_faults
-from repro.chaos.monitors import Violation, default_monitors
+from repro.chaos.monitors import InvariantMonitor, Violation, default_monitors
 from repro.chaos.schedule import Schedule
 from repro.core.config import SmartScadaConfig
 from repro.core.system import build_sharded_scada, make_network
@@ -37,6 +39,8 @@ from repro.ids import (
 )
 from repro.neoscada import HandlerChain, Monitor
 from repro.obs.export import write_chrome_trace
+from repro.obs.fleet import FleetScoreboard
+from repro.obs.slo import SloEngine
 from repro.obs.trace import install_tracer
 from repro.shard.config import ShardedScadaConfig
 from repro.sim.kernel import Simulator
@@ -417,12 +421,149 @@ def _trace_digest(net) -> str:
     return h.hexdigest()
 
 
+class IdsParticipant(InvariantMonitor):
+    """The trace-driven intrusion detector, polled on the monitor grid.
+
+    Passive: it subscribes to the span stream and reads counters, so a
+    campaign's fingerprint is bit-identical with it on or off. Needs the
+    span tracer (``trace_spans``, or any flag that implies it).
+    """
+
+    name = "ids"
+
+    def start(self, ctx) -> None:
+        config = ctx.config
+        ids_config = config.ids_config if config.ids_config is not None else IdsConfig()
+        features = FeatureExtractor(window=ids_config.window)
+        ctx.sim.tracer.subscribe(features.on_span)
+        ctx.detector = IntrusionDetector(
+            ctx.sim, ctx.net, features, ids_config, n=config.n, f=config.f
+        )
+
+    def poll(self, ctx) -> None:
+        ctx.detector.poll()
+
+    def finish(self, ctx) -> None:
+        # One last look at the final window before scoring.
+        ctx.detector.poll()
+
+    def report(self, ctx) -> dict:
+        # Scored against the planted episodes (open ones close at the
+        # final clock).
+        detections = list(ctx.detector.detections)
+        return {
+            "detections": detections,
+            "ids_score": score_detections(detections, ctx.ground_truth_episodes()),
+        }
+
+
+class HealParticipant(InvariantMonitor):
+    """The recovery orchestrator, deciding right after the detector.
+
+    Not passive: it reconfigures and restarts, so a heal campaign's
+    fingerprint legitimately differs. Must follow an
+    :class:`IdsParticipant` in the list — detect -> corroborate -> act is
+    one deterministic pipeline per tick.
+    """
+
+    name = "heal"
+
+    def start(self, ctx) -> None:
+        heal_config = ctx.config.heal_config
+        ctx.orchestrator = RecoveryOrchestrator(
+            ctx.sim,
+            ctx.net,
+            ctx.system,
+            detector=ctx.detector,
+            config=heal_config if heal_config is not None else HealConfig(),
+            handler_config=ctx.handler_config,
+        )
+        # The admin client reconfigures mid-fault; give it the same
+        # keep-probing budget as every other campaign client.
+        ctx.orchestrator.admin.proxy.max_attempts = CAMPAIGN_MAX_ATTEMPTS
+
+    def poll(self, ctx) -> None:
+        ctx.orchestrator.poll()
+
+    def report(self, ctx) -> dict:
+        return {
+            "heal_actions": ctx.orchestrator.action_log(),
+            "evictions": ctx.orchestrator.evictions,
+        }
+
+
+class FleetParticipant(InvariantMonitor):
+    """Fleet scoreboard + SLO burn-rate engine, sampled on the grid.
+
+    Passive. Placed after the IDS and heal participants so each sample
+    sees this tick's verdicts and actions; ``scoreboard`` is the public
+    handle renderers read.
+    """
+
+    name = "fleet"
+
+    def __init__(self) -> None:
+        self.scoreboard: FleetScoreboard | None = None
+
+    def start(self, ctx) -> None:
+        self.scoreboard = FleetScoreboard(
+            ctx.system,
+            slo_engine=SloEngine(sim=ctx.sim),
+            detector=ctx.detector,
+            orchestrator=ctx.orchestrator,
+        )
+
+    def poll(self, ctx) -> None:
+        self.scoreboard.sample()
+
+    def report(self, ctx) -> dict:
+        return {
+            "fleet": self.scoreboard.to_dict(),
+            "slo_violations": [
+                v.as_dict() for v in self.scoreboard.slo_engine.violations
+            ],
+        }
+
+
+class FlightRecorder(InvariantMonitor):
+    """Failure forensics: dumps the span window around the first
+    violation to ``config.trace_dump``, Perfetto-loadable. Passive, and
+    last in the list so every liveness verdict is in when it finishes."""
+
+    name = "flight-recorder"
+
+    def __init__(self) -> None:
+        self.dumped: str | None = None
+
+    def finish(self, ctx) -> None:
+        if not ctx.violations:
+            return
+        first = min(v.time for v in ctx.violations)
+        write_chrome_trace(
+            ctx.config.trace_dump,
+            ctx.sim.tracer.window(first - TRACE_WINDOW, first + TRACE_WINDOW),
+            clock=ctx.sim.now,
+        )
+        self.dumped = ctx.config.trace_dump
+
+    def report(self, ctx) -> dict:
+        return {"trace_dump": self.dumped}
+
+
 def run_campaign(
     schedule: Schedule,
     config: CampaignConfig | None = None,
     monitors: list | None = None,
 ) -> CampaignReport:
-    """Run one deterministic fault campaign and report the verdicts."""
+    """Run one deterministic fault campaign and report the verdicts.
+
+    ``monitors`` is the one control-plane seam: every participant gets
+    ``start`` (before the deployment starts), ``poll`` every
+    ``POLL_INTERVAL``, ``finish`` at quiesce and ``report`` (extra
+    :class:`CampaignReport` fields), in list order. The ``ids`` / ``heal``
+    / ``fleet`` / ``trace_dump`` flags append their participant after the
+    caller's, in that order.
+    """
     config = config if config is not None else CampaignConfig()
     schedule.validate_budget(
         config.f,
@@ -437,14 +578,21 @@ def run_campaign(
             "shards=1 (per-group detection on sharded topologies is future "
             "work)"
         )
-    monitors = monitors if monitors is not None else default_monitors()
-
-    sim = Simulator(seed=config.seed)
+    monitors = list(monitors) if monitors is not None else default_monitors()
     # Healing needs the detector, which needs the span stream.
     ids_active = config.ids or config.heal
-    tracer = None
+    if ids_active:
+        monitors.append(IdsParticipant())
+    if config.heal:
+        monitors.append(HealParticipant())
+    if config.fleet:
+        monitors.append(FleetParticipant())
+    if config.trace_dump is not None:
+        monitors.append(FlightRecorder())
+
+    sim = Simulator(seed=config.seed)
     if config.trace_spans or config.trace_dump is not None or ids_active:
-        tracer = install_tracer(sim, max_spans=MAX_TRACE_SPANS)
+        install_tracer(sim, max_spans=MAX_TRACE_SPANS)
     net = make_network(sim, trace=config.trace)
     system = build_sharded_scada(sim, net=net, config=config.sharded_config())
 
@@ -476,41 +624,6 @@ def run_campaign(
     ctx.legal_values["plant.actuator"] = {0}
     ids_config = config.ids_config if config.ids_config is not None else IdsConfig()
     ctx.ids_warmup_end = ids_config.warmup
-    if ids_active:
-        features = FeatureExtractor(window=ids_config.window)
-        tracer.subscribe(features.on_span)
-        ctx.detector = IntrusionDetector(
-            sim,
-            net,
-            features,
-            ids_config,
-            n=config.n,
-            f=config.f,
-        )
-    if config.heal:
-        ctx.orchestrator = RecoveryOrchestrator(
-            sim,
-            net,
-            system,
-            detector=ctx.detector,
-            config=(
-                config.heal_config
-                if config.heal_config is not None
-                else HealConfig()
-            ),
-            handler_config=handler_config,
-        )
-    scoreboard = None
-    if config.fleet:
-        from repro.obs.fleet import FleetScoreboard
-        from repro.obs.slo import SloEngine
-
-        scoreboard = FleetScoreboard(
-            system,
-            slo_engine=SloEngine(sim=sim),
-            detector=ctx.detector,
-            orchestrator=ctx.orchestrator,
-        )
     heal_times = []
     for action in schedule:
         interval = action.fault_interval(config.horizon)
@@ -520,18 +633,16 @@ def run_campaign(
             heal_times.append(action.end(config.horizon))
     ctx.last_heal = max(heal_times, default=0.0)
 
+    # Participants attach before the deployment starts: the IDS must be
+    # subscribed to the tracer before start-up spans flow.
+    for monitor in monitors:
+        monitor.start(ctx)
+
     system.start()
     for proxy in ctx.client_proxies():
         proxy.max_attempts = CAMPAIGN_MAX_ATTEMPTS
     for proxy_master in system.proxy_masters:
-        proxy_master.vote_client.max_attempts = CAMPAIGN_MAX_ATTEMPTS
-    if ctx.orchestrator is not None:
-        # The orchestrator's admin client reconfigures mid-fault; give it
-        # the same keep-probing budget as every other campaign client.
-        ctx.orchestrator.admin.proxy.max_attempts = CAMPAIGN_MAX_ATTEMPTS
-
-    for monitor in monitors:
-        monitor.start(ctx)
+        handler_config(proxy_master)
 
     # -- schedule the faults (action times are absolute sim times) ------
     triggered = [a for a in schedule if isinstance(a, TriggeredAction)]
@@ -626,17 +737,6 @@ def run_campaign(
             yield sim.timeout(POLL_INTERVAL)
             for monitor in monitors:
                 monitor.poll(ctx)
-            if ctx.detector is not None:
-                ctx.detector.poll()
-            if ctx.orchestrator is not None:
-                # Decisions ride the same grid, right after the detector
-                # refreshed its verdicts: detect -> corroborate -> act is
-                # one deterministic pipeline per tick.
-                ctx.orchestrator.poll()
-            if scoreboard is not None:
-                # Last on the grid so the sample sees this tick's monitor
-                # and heal state. Passive: adds zero simulation events.
-                scoreboard.sample()
 
     sim.process(update_traffic(), name="chaos-updates")
     sim.process(write_traffic(), name="chaos-writes")
@@ -652,31 +752,14 @@ def run_campaign(
 
     for monitor in monitors:
         monitor.finish(ctx)
-
-    detections: list = []
-    ids_score = None
-    if ctx.detector is not None:
-        # One last look at the final window, then score against the
-        # planted episodes (open ones close at the final clock).
-        ctx.detector.poll()
-        detections = list(ctx.detector.detections)
-        ids_score = score_detections(detections, ctx.ground_truth_episodes())
+    extra: dict = {}
+    for monitor in monitors:
+        extra.update(monitor.report(ctx))
 
     succeeded = sum(1 for r in ctx.writes if r.success)
     failed_cleanly = sum(
         1 for r in ctx.writes if r.completed is not None and not r.success
     )
-    dump_path = None
-    if tracer is not None and config.trace_dump is not None and ctx.violations:
-        # Failure forensics: keep the span window around the first
-        # violation, Perfetto-loadable.
-        first = min(v.time for v in ctx.violations)
-        write_chrome_trace(
-            config.trace_dump,
-            tracer.window(first - TRACE_WINDOW, first + TRACE_WINDOW),
-            clock=sim.now,
-        )
-        dump_path = config.trace_dump
     return CampaignReport(
         seed=config.seed,
         schedule=schedule,
@@ -691,28 +774,14 @@ def run_campaign(
         fault_stats=sim.stats().get("net.faults", {}),
         state_digests=system.state_digests(),
         trace_digest=_trace_digest(net),
-        trace_dump=dump_path,
         recoveries=[
             {key: value for key, value in event.items() if key != "proxy_master"}
             for event in ctx.restart_events
         ],
         restarts=ctx.restarts,
-        detections=detections,
         ground_truth=[dict(episode) for episode in ctx.ground_truth],
-        ids_score=ids_score,
         trigger_fires=list(ctx.trigger_fires),
-        heal_actions=(
-            ctx.orchestrator.action_log() if ctx.orchestrator is not None else []
-        ),
-        evictions=(
-            ctx.orchestrator.evictions if ctx.orchestrator is not None else 0
-        ),
-        fleet=(scoreboard.to_dict() if scoreboard is not None else None),
-        slo_violations=(
-            [v.as_dict() for v in scoreboard.slo_engine.violations]
-            if scoreboard is not None
-            else []
-        ),
+        **extra,
     )
 
 

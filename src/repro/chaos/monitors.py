@@ -65,7 +65,14 @@ class Violation:
 
 
 class InvariantMonitor:
-    """Base monitor: ``poll`` runs every tick, ``finish`` at quiesce."""
+    """Base campaign participant, and the campaign's one control-plane seam.
+
+    ``start`` runs before the deployment starts, ``poll`` every tick,
+    ``finish`` at quiesce, ``report`` last; ``run_campaign`` walks its
+    monitor list in order for each. Invariant monitors record
+    violations; the IDS, heal, fleet and flight-recorder participants
+    (:mod:`repro.chaos.campaign`) ride the same four hooks.
+    """
 
     name = "invariant"
 
@@ -77,6 +84,10 @@ class InvariantMonitor:
 
     def finish(self, ctx: "CampaignContext") -> None:
         pass
+
+    def report(self, ctx: "CampaignContext") -> dict:
+        """Extra :class:`~repro.chaos.campaign.CampaignReport` fields."""
+        return {}
 
 
 class OrderedPrefixMonitor(InvariantMonitor):

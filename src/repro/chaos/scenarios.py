@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.chaos.adaptive import TriggeredAction
 from repro.chaos.campaign import CampaignConfig, CampaignReport, run_campaign
+from repro.chaos.monitors import AvailabilityMonitor, MttrMonitor, default_monitors
 from repro.chaos.schedule import (
     CrashReplica,
     CrashRestart,
@@ -536,3 +537,44 @@ def run_scenario(
     scenario = get_scenario(name)
     cfg = scenario.config(config, seed=seed, **overrides)
     return run_campaign(scenario.schedule(), cfg)
+
+
+def run_heal_drill(behaviour: str, seed: int = 0) -> dict:
+    """Run ``heal-evict-<behaviour>`` with the MTTR and availability
+    monitors in, and return the recovery measurements as one dict.
+
+    Operator writes are dense (every 0.25 s) so the availability series
+    has enough samples to compare write throughput before the attack,
+    under it, and after the orchestrator healed the group.
+    """
+    scenario = get_scenario(f"heal-evict-{behaviour}")
+    mttr = MttrMonitor()
+    avail = AvailabilityMonitor()
+    report = run_campaign(
+        scenario.schedule(),
+        scenario.config(seed=seed, write_interval=0.25),
+        monitors=default_monitors() + [mttr, avail],
+    )
+    episode = next(m for m in mttr.measurements if m["behaviour"] == behaviour)
+    attack_at, healed_at = episode["start"], episode["healed_at"]
+    pre = avail.rate(0.2, attack_at)
+    during = post = recovered = None
+    if healed_at is not None:
+        during = avail.rate(attack_at, healed_at)
+        post = avail.rate(healed_at + 0.3, avail.samples[-1][0])
+        recovered = post / pre if pre > 0 else None
+    return {
+        "behaviour": behaviour,
+        "violations": report.violations,
+        "evictions": report.evictions,
+        "heal_actions": report.heal_actions,
+        "attack_at": attack_at,
+        "healed_at": healed_at,
+        "detect_latency": episode["detect_latency"],
+        "heal_latency": episode["heal_latency"],
+        "ops_pre": pre,
+        "ops_during": during,
+        "ops_post": post,
+        #: Post-heal write rate over the pre-attack rate.
+        "recovered": recovered,
+    }

@@ -19,8 +19,8 @@ their own ids to the derived one with :meth:`SpanTracer.alias`
 (``op:<op_id>`` for an HMI write becomes the canonical trace the BFT
 spans resolve into). Messages *can* carry an explicit ``trace_id`` wire
 field (``ClientRequest.trace_id``); :func:`request_trace_id` prefers it
-when present, which the opt-in ``ServiceProxy.trace_wire_ids`` mode and
-the codec round-trip tests exercise.
+when present, which the codec round-trip tests exercise (``ServiceProxy``
+itself always sends the field empty).
 
 Span naming scheme (``docs/OBSERVABILITY.md`` has the full table):
 ``hmi.write`` → ``proxy.forward`` → ``request`` →

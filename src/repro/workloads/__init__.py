@@ -5,7 +5,11 @@ from repro.workloads.metrics import LatencyRecorder, ThroughputMeter
 from repro.workloads.profiler import write_report
 from repro.workloads.runner import (
     ALARM_THRESHOLD,
+    FIG8_HEADER,
+    FIG8_OFFERED,
+    FIG8_TITLE,
     ExperimentResult,
+    fig8_rows,
     run_update_experiment,
     run_write_experiment,
 )
@@ -13,10 +17,14 @@ from repro.workloads.runner import (
 __all__ = [
     "ALARM_THRESHOLD",
     "ExperimentResult",
+    "FIG8_HEADER",
+    "FIG8_OFFERED",
+    "FIG8_TITLE",
     "LatencyRecorder",
     "ThroughputMeter",
     "UpdateWorkload",
     "WriteWorkload",
+    "fig8_rows",
     "run_update_experiment",
     "run_write_experiment",
     "write_report",

@@ -179,3 +179,37 @@ def run_write_experiment(
         latency=workload.latencies.summary(),
         details={"completed": workload.completed, "failed": workload.failed},
     )
+
+
+#: Offered update load of the Figure 8(a)/(b) experiments (updates/s).
+FIG8_OFFERED = 1000.0
+#: Title and header of the table :func:`fig8_rows` fills.
+FIG8_TITLE = "Figure 8 — full reproduction (ops/s)"
+FIG8_HEADER = ["experiment", "NeoSCADA", "SMaRt-SCADA", "overhead", "paper"]
+
+
+def fig8_rows(duration: float) -> list:
+    """The paper-vs-measured Figure 8 table, one row per panel point.
+
+    Each row is ``[experiment, NeoSCADA ops/s, SMaRt-SCADA ops/s,
+    overhead, paper's overhead]`` with the throughputs rounded to whole
+    ops/s; ``duration`` is the measurement window per point.
+    """
+    rows = []
+
+    def measure(label: str, paper: str, run) -> None:
+        neo, smart = (run(system).throughput for system in ("neoscada", "smartscada"))
+        rows.append([label, round(neo), round(smart), f"{1 - smart / neo:.1%}", paper])
+
+    for label, ratio, paper in (
+        ("8(a) update, no alarms", 0.0, "6%"),
+        ("8(b) update, 50% alarms", 0.5, "10%"),
+        ("8(b) update, 100% alarms", 1.0, "25%"),
+    ):
+        measure(label, paper, lambda system: run_update_experiment(
+            system, rate=FIG8_OFFERED, alarm_ratio=ratio, duration=duration
+        ))
+    measure("8(c) synchronous writes", "78%", lambda system: run_write_experiment(
+        system, duration=duration
+    ))
+    return rows

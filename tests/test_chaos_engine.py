@@ -1,5 +1,9 @@
 """Unit tests for the chaos engine: schedules, budgets, sampler,
-partition helpers, client backoff and the Byzantine swap machinery."""
+partition helpers, client backoff, the Byzantine swap machinery and the
+campaign's participant seam."""
+
+import functools
+from dataclasses import replace
 
 import pytest
 
@@ -12,9 +16,18 @@ from repro.chaos import (
     Rejuvenate,
     Schedule,
     SwapByzantine,
+    get_scenario,
+    run_campaign,
     sample_schedule,
     swap_replica_behaviour,
 )
+from repro.chaos.campaign import (
+    CampaignConfig,
+    FleetParticipant,
+    HealParticipant,
+    IdsParticipant,
+)
+from repro.chaos.monitors import InvariantMonitor, default_monitors
 from repro.core import SmartScadaConfig, build_smartscada
 from repro.net import ConstantLatency, Network, NetworkTrace
 from repro.sim import Simulator
@@ -207,3 +220,91 @@ def test_swap_rejects_unknown_behaviour():
     system = build_smartscada(sim, config=SmartScadaConfig())
     with pytest.raises(ValueError, match="unknown behaviour"):
         swap_replica_behaviour(system, 0, "gaslighting")
+
+
+# ---------------------------------------------------------------------------
+# the participant seam: one monitor list, walked in order
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _plain_run(scenario_name: str):
+    scenario = get_scenario(scenario_name)
+    return run_campaign(scenario.schedule(), scenario.config(seed=4))
+
+
+@pytest.mark.parametrize(
+    "scenario_name, flag",
+    [
+        ("leader-crash", "trace_spans"),
+        ("leader-crash", "trace_dump"),
+        ("leader-crash", "ids"),
+        ("leader-crash", "fleet"),
+        ("shard-leader-kills", "trace_spans"),
+        ("shard-leader-kills", "fleet"),
+    ],
+)
+def test_passive_participants_leave_the_run_untouched(
+    scenario_name, flag, tmp_path
+):
+    scenario = get_scenario(scenario_name)
+    value = str(tmp_path / "dump.json") if flag == "trace_dump" else True
+    observed = run_campaign(
+        scenario.schedule(), scenario.config(seed=4, **{flag: value})
+    )
+    plain = _plain_run(scenario_name)
+    assert observed.fingerprint() == plain.fingerprint()
+    assert observed.events_dispatched == plain.events_dispatched
+
+
+def test_participants_poll_in_list_order_ids_heal_scoreboard():
+    """The scoreboard samples after the orchestrator acted on the same
+    tick, so a participant behind it never sees a stale action count —
+    and participants passed through ``monitors=`` behave exactly like
+    the ones the ``heal`` / ``fleet`` flags append."""
+    scenario = get_scenario("heal-evict-falsifying")
+    flagged = scenario.config(seed=3, fleet=True)
+    fleet = FleetParticipant()
+    ticks = []
+
+    class Recorder(InvariantMonitor):
+        def poll(self, ctx) -> None:
+            ticks.append((
+                len(ctx.orchestrator.actions),
+                fleet.scoreboard.latest.heal_actions,
+                ctx.orchestrator.evictions,
+            ))
+
+    explicit = run_campaign(
+        scenario.schedule(),
+        replace(flagged, heal=False, fleet=False, trace_spans=True),
+        monitors=default_monitors()
+        + [IdsParticipant(), HealParticipant(), fleet, Recorder()],
+    )
+    assert explicit.evictions == 1
+    assert all(acted == sampled for acted, sampled, _ in ticks)
+    # The tick the orchestrator decided, and the tick the eviction is in.
+    assert ticks[0][0] == 0 and ticks[-1][0] >= 1
+    assert [evicted for _, _, evicted in ticks][-1] == 1
+
+    by_flags = run_campaign(scenario.schedule(), flagged)
+    assert explicit.fingerprint() == by_flags.fingerprint()
+    assert explicit.heal_actions == by_flags.heal_actions
+    assert explicit.fleet == by_flags.fleet
+
+
+def test_participant_report_fields_land_on_the_campaign_report():
+    class Reporter(InvariantMonitor):
+        def __init__(self, fields):
+            self.fields = fields
+
+        def report(self, ctx) -> dict:
+            return self.fields
+
+    config = CampaignConfig(seed=1, horizon=0.5)
+    report = run_campaign(
+        Schedule([]), config, monitors=[Reporter({"evictions": 7})]
+    )
+    assert report.evictions == 7
+    # An unknown field is an error, not silently dropped.
+    with pytest.raises(TypeError, match="bogus"):
+        run_campaign(Schedule([]), config, monitors=[Reporter({"bogus": 1})])

@@ -212,6 +212,15 @@ def test_fleet_command_live_board_and_html(tmp_path, capsys):
     assert html.exists() and "s0" in html.read_text()
 
 
+def test_fleet_command_has_no_sampling_interval(capsys):
+    # Sampling rides the campaign's poll grid, so there is no host-side
+    # loop a zero interval could spin without advancing simulated time.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fleet", "--interval", "0"])
+    assert excinfo.value.code == 2
+    assert "--interval" in capsys.readouterr().err
+
+
 def test_chaos_fleet_flag_reports_scoreboard(capsys):
     import json
 
