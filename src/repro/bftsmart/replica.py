@@ -50,6 +50,11 @@ from repro.wire import DecodeError, decode, encode
 #: Operations starting with this marker carry a ReconfigRequest.
 RECONFIG_MARKER = b"\x00RECONFIG\x00"
 
+#: How far past a suspicion deadline the watchdog wakes (seconds): its
+#: comparisons are strict, and a nanosecond clears float rounding on any
+#: simulated clock this repo reaches.
+_DEADLINE_MARGIN = 1e-9
+
 #: Identity-keyed LRU of signing payloads. A request's signing payload is
 #: a pure function of its (frozen) content, and thanks to serialize-once
 #: multicast + shared decode all n replicas hold the *same* ClientRequest
@@ -1035,10 +1040,29 @@ class ServiceReplica:
     # watchdog: request timeouts trigger the synchronization phase
     # ------------------------------------------------------------------
 
+    def _watchdog_sleep(self) -> float:
+        """Seconds until the suspicion predicate is next worth evaluating.
+
+        A quarter of ``request_timeout`` — except when the oldest pending
+        request ages out (and the group completes a full timeout without
+        progress) before that tick: then the deadline itself, so a dead
+        leader is suspected the instant the predicate turns true rather
+        than up to a quarter-timeout later. In steady state the deadline
+        is always further away than the tick.
+        """
+        timeout = self.config.request_timeout
+        tick = timeout / 4
+        if self.pending:
+            _request, oldest = next(iter(self.pending.values()))
+            lapse = max(oldest, self.last_progress) + timeout - self.sim.now
+            if 0 <= lapse < tick:
+                # The predicate's comparisons are strict: wake just after.
+                return lapse + _DEADLINE_MARGIN
+        return tick
+
     def _watchdog(self):
-        interval = self.config.request_timeout / 4
         while True:
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(self._watchdog_sleep())
             if not self.active:
                 return  # halted (removed or rejuvenated): stop ticking
             if self.synchronizer.in_progress or self.state_transfer.in_progress:

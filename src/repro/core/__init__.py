@@ -13,6 +13,7 @@ from repro.core.config import (
     DEFAULT_HOP_LATENCY,
     DEFAULT_LOCAL_LATENCY,
     SmartScadaConfig,
+    jitter_bound,
     neoscada_costs,
     smartscada_costs,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "build_neoscada",
     "build_sharded_scada",
     "build_smartscada",
+    "jitter_bound",
     "make_network",
     "neoscada_costs",
     "smartscada_costs",

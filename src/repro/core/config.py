@@ -22,6 +22,17 @@ DEFAULT_HOP_LATENCY = 0.00025
 DEFAULT_LOCAL_LATENCY = 0.00002
 
 
+def jitter_bound(hop_latency: float = DEFAULT_HOP_LATENCY) -> float:
+    """Upper bound of the LAN model's per-message jitter.
+
+    Two messages sent in the same instant over one FIFO link arrive less
+    than this far apart, so it is also the longest a below-capacity
+    leader can usefully hold a request back for a sibling to share its
+    PROPOSE (docs/PROTOCOLS.md §2).
+    """
+    return hop_latency / 5
+
+
 def neoscada_costs() -> MasterCosts:
     """Cost model of the original (multi-threaded) Master."""
     return MasterCosts(
@@ -60,7 +71,9 @@ class SmartScadaConfig:
     f: int = 1
     #: Mod-SMaRt tunables.
     batch_max: int = 200
-    batch_wait: float = 0.0005
+    #: Below capacity the window only has to catch requests one client
+    #: sent back-to-back; backpressure forms every other batch.
+    batch_wait: float = jitter_bound()
     #: Consensus instances the leader keeps in flight (1 = the strictly
     #: sequential ordering the paper's evaluation ran with; raise it to
     #: overlap instances — see GroupConfig.pipeline_depth).

@@ -19,6 +19,7 @@ from repro.core.config import (
     DEFAULT_HOP_LATENCY,
     DEFAULT_LOCAL_LATENCY,
     SmartScadaConfig,
+    jitter_bound,
     neoscada_costs,
 )
 from repro.core.proxy_frontend import ProxyFrontend
@@ -50,7 +51,7 @@ def make_network(
         sim,
         latency=LanLatency(
             base=hop_latency,
-            jitter=hop_latency / 5,
+            jitter=jitter_bound(hop_latency),
             rng=sim.rng.stream("net.jitter"),
         ),
         trace=NetworkTrace(enabled=trace),

@@ -68,14 +68,24 @@ def converge(sim, system, seconds=20.0):
     return False
 
 
-def crash_and_restart(sim, system, reconfigure, index, disk, outage=10):
-    """Power-cut replica ``index``, let peers advance, reboot from disk."""
+def power_cut(sim, system, index, disk, outage):
+    """Power-cut replica ``index`` and let its peers advance without it."""
     system.proxy_masters[index].replica.halt()
     system.durable_storage[index].crash(disk)
     feed(sim, system, outage, base=40)  # peers decide without the victim
+
+
+def crash_and_restart(sim, system, reconfigure, index, disk, outage=10):
+    """Power-cut replica ``index``, let peers advance, reboot from disk."""
+    power_cut(sim, system, index, disk, outage)
     return restart_replica(
         system, index, disk_fault=None, handler_config=reconfigure
     )
+
+
+def cids_before_next_checkpoint(replica, interval):
+    """Cids the group can still decide before ``(cid + 1) % interval == 0``."""
+    return interval - 1 - (replica.last_decided + 1) % interval
 
 
 def test_restart_requires_durable_deployment():
@@ -120,11 +130,38 @@ def test_intact_restart_ships_fewer_bytes_than_snapshot_path():
 
 def test_intact_restart_recovers_checkpoint_plus_wal_tail(deploy=classic):
     # Frequent checkpoints: the victim's disk holds checkpoint + tail.
-    sim, system, reconfigure = build(seed=5, deploy=deploy, checkpoint_interval=8)
+    interval = 8
+    sim, system, reconfigure = build(
+        seed=5, deploy=deploy, checkpoint_interval=interval
+    )
     feed(sim, system, 12, base=120)
-    # Short outage: peers must not checkpoint past the victim's recovered
+    victim = system.proxy_masters[2].replica
+    assert -1 < victim.checkpoint_cid < victim.last_decided, (
+        "the victim must crash holding a checkpoint plus a WAL tail: "
+        f"checkpoint {victim.checkpoint_cid}, decided {victim.last_decided} "
+        "— re-choose the feed count or the interval"
+    )
+    # Short outage, counted in cids (one update = one instance below
+    # capacity): peers must not checkpoint past the victim's recovered
     # position, or log truncation forces the (correct) full fallback.
-    fresh = crash_and_restart(sim, system, reconfigure, 2, "intact", outage=2)
+    outage = min(2, cids_before_next_checkpoint(victim, interval))
+    assert outage >= 1, (
+        f"the victim crashed at cid {victim.last_decided}, one short of a "
+        f"checkpoint (interval {interval}): no outage fits — re-choose the "
+        "feed count or the interval"
+    )
+    power_cut(sim, system, 2, "intact", outage)
+    newest_peer_checkpoint = max(
+        pm.replica.checkpoint_cid for pm in system.proxy_masters if pm.replica.active
+    )
+    assert newest_peer_checkpoint <= victim.last_decided, (
+        f"precondition lost: a peer checkpointed at {newest_peer_checkpoint}, "
+        f"past the victim's cid {victim.last_decided}; its log no longer "
+        "covers the tail"
+    )
+    fresh = restart_replica(
+        system, 2, disk_fault=None, handler_config=reconfigure
+    )
 
     recovered = fresh.replica.recovered_from_disk
     assert not recovered.damaged

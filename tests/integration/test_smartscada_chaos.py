@@ -4,6 +4,17 @@ Three frontends, thirty items with handler chains, continuous updates,
 periodic operator writes, probabilistic message loss, one replica crash
 and recovery — at the end, every live Master replica must hold
 byte-identical state and the HMI's view must match the field.
+
+Which links are lossy: every link with a replica at either end — client
+-> replica requests, replica -> client replies and pushes, and the
+replica <-> replica consensus traffic. Those are the hops the protocol
+makes redundant (clients retransmit, pushes come from n replicas and
+need f+1, consensus has quorums to spare). The co-located loopback hops
+``ProxyHMI -> HMI`` and ``Frontend <-> ProxyFrontend`` are *not* lossy:
+they are unreplicated process-local pipes with no retransmission, so a
+message lost there is lost for good (a dropped last update leaves the HMI
+permanently behind the Masters) — a fault outside the paper's model,
+which the un-scoped rule used to inject and one seed used to dodge.
 """
 
 import pytest
@@ -16,8 +27,13 @@ from repro.sim import Simulator
 ITEMS_PER_FRONTEND = 10
 
 
-def test_chaos_run_converges():
-    sim = Simulator(seed=23)
+def _touches_a_replica(envelope) -> bool:
+    return envelope.src.startswith("replica-") or envelope.dst.startswith("replica-")
+
+
+@pytest.mark.parametrize("seed", [1, 4, 15, 22, 23, 35])
+def test_chaos_run_converges(seed):
+    sim = Simulator(seed=seed)
     config = SmartScadaConfig(request_timeout=1.0, sync_timeout=2.0)
     system = build_smartscada(sim, config=config, frontend_count=3)
 
@@ -38,9 +54,8 @@ def test_chaos_run_converges():
         )
     system.start()
 
-    # 1% probabilistic loss on everything (clients retransmit, pushes are
-    # redundant across replicas, consensus has quorums to spare).
-    system.net.faults.add(Drop(probability=0.01))
+    # 1% probabilistic loss on every replicated hop (module docstring).
+    system.net.faults.add(Drop(probability=0.01, predicate=_touches_a_replica))
 
     def traffic():
         for round_number in range(60):

@@ -215,6 +215,7 @@ def test_scada_overload_keeps_the_leader_and_feeds_the_executor(holds):
     replicas = [pm.replica for pm in system.proxy_masters]
     assert len(holds) > 100  # the rule was in force throughout
     assert [r.synchronizer.changes_completed for r in replicas] == [0] * 4
+    assert [r.synchronizer._highest_vote for r in replicas] == [0] * 4  # no suspicion
     clients = [c for proxy in system.proxy_frontends for c in proxy.bft_clients]
     assert sum(c.stats["retransmissions"] for c in clients) == 0
     assert seen == injected  # every update, once, in per-item order
@@ -322,25 +323,49 @@ def test_leader_crash_during_a_hold_hands_over_to_an_eager_leader(holds, monkeyp
 
 
 # ---------------------------------------------------------------------------
-# (d) the threshold: one queued batch is normal at the reference rate
+# (d) the threshold: the reference rate queues nothing, and one queued
+#     batch is the normal state from the first rate that queues anything
 # ---------------------------------------------------------------------------
+
+#: Lowest whole updates/s at which the leader ever finds a decided batch
+#: waiting for its executor when it considers proposing: the first rate
+#: above the replicated Master's 943.5/s capacity. Up to 943/s — the 800/s
+#: Fig 8(a) reference step included — every request is proposed one
+#: jitter bound after it arrives and finds the queue empty.
+DEPTH_ONE_RATE = 944.0
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_the_hold_does_not_fire_at_the_update_reference_rate(seed, holds, monkeypatch):
-    # With a threshold of one queued batch the rule fires hundreds of
-    # times on Fig 8(a)'s 800/s step and costs ~5 % median latency.
-    deepest = [0]
+    depths = []  # executor queue at every proposing decision that was let through
     predicate = ServiceReplica._held_back
 
     def watching(self):
-        deepest[0] = max(deepest[0], len(self._exec_channel))
-        return predicate(self)
+        held = predicate(self)
+        if not held:
+            depths.append(len(self._exec_channel))
+        return held
 
     monkeypatch.setattr(ServiceReplica, "_held_back", watching)
-    run_update_experiment("smartscada", rate=800.0, duration=2.0, warmup=0.5, seed=seed)
+
+    def run(rate):
+        del depths[:], holds[:]
+        run_update_experiment(
+            "smartscada", rate=rate, duration=2.0, warmup=0.5, seed=seed
+        )
+
+    run(800.0)
     assert holds == []
-    assert deepest[0] == 1  # ... which a threshold of 1 would have held
+    assert max(depths) == 0
+    run(DEPTH_ONE_RATE - 1)
+    assert holds == [] and max(depths) == 0  # ... so DEPTH_ONE_RATE is the lowest
+    # The threshold-of-1 counterfactual, at the rate where depth 1 occurs:
+    # the leader proposes past one queued batch (that batch is what keeps
+    # the executor fed while the next is ordered) several times for every
+    # time it holds — each of which a threshold of 1 would have held.
+    run(DEPTH_ONE_RATE)
+    assert max(depths) == 1
+    assert depths.count(1) > 5 * len(holds) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from repro.bftsmart import (
     build_group,
     build_proxy,
 )
+from repro.bftsmart.leaderchange import Synchronizer
+from repro.bftsmart.replica import ServiceReplica
 from repro.crypto import KeyStore
 from repro.net import ConstantLatency, Drop, Network
 from repro.sim import Simulator
@@ -210,3 +212,76 @@ def test_progress_suppresses_suspicion_under_load():
     sim.run_process(burst(), until=sim.now + 60)
     assert all(r.synchronizer.regency == 0 for r in replicas)
     assert all(r.service.value == 300 for r in replicas)
+
+
+# ---------------------------------------------------------------------------
+# the watchdog wakes on the suspicion deadline, not on the next quarter-tick
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def suspicions(monkeypatch):
+    """Every watchdog suspicion as ``(now, address, oldest pending arrival)``."""
+    calls = []
+    suspect = Synchronizer.suspect
+
+    def recording(self):
+        replica = self.replica
+        _request, oldest = next(iter(replica.pending.values()))
+        calls.append((replica.sim.now, replica.address, oldest))
+        suspect(self)
+
+    monkeypatch.setattr(Synchronizer, "suspect", recording)
+    return calls
+
+
+@pytest.mark.parametrize("phase", range(8))
+def test_dead_leader_is_suspected_the_instant_its_request_ages_out(phase, suspicions):
+    """The kill instant sweeps one full watchdog tick in eighths: wherever
+    it lands, each follower's first suspicion is at ``oldest pending +
+    request_timeout`` (a polling watchdog is up to a quarter-timeout
+    late, by a different amount in every phase)."""
+    sim, net, replicas, proxy = make_world()
+    timeout = replicas[0].config.request_timeout
+    tick = timeout / 4
+    run_adds(sim, proxy, 5)
+    sim.run(until=1.0 + phase * tick / 8)
+    net.crash("replica-0")
+    assert run_adds(sim, proxy, 1) == 6
+
+    live = replicas[1:]
+    first = {}
+    for when, address, oldest in suspicions:
+        first.setdefault(address, (when, oldest))
+    assert sorted(first) == [r.address for r in live]
+    for when, oldest in first.values():
+        assert oldest + timeout < when <= oldest + timeout + 1e-6
+    assert [r.synchronizer.changes_completed for r in live] == [1] * 3
+    assert [r.synchronizer.regency for r in live] == [1] * 3
+
+
+def test_fault_free_watchdog_keeps_the_quarter_tick_and_never_votes(monkeypatch):
+    """Steady state: the deadline is always further away than the tick,
+    so five seconds cost exactly the polling watchdog's wake-ups."""
+    sleeps = []
+    watchdog_sleep = ServiceReplica._watchdog_sleep
+
+    def recording(self):
+        sleeps.append(watchdog_sleep(self))
+        return sleeps[-1]
+
+    monkeypatch.setattr(ServiceReplica, "_watchdog_sleep", recording)
+    sim, _net, replicas, proxy = make_world()
+    tick = replicas[0].config.request_timeout / 4
+
+    def client():
+        while sim.now < 5.0:
+            yield proxy.invoke_ordered(encode(("add", 1)))
+            yield sim.timeout(0.013)
+
+    sim.process(client())
+    sim.run(until=5.0 + tick / 2)
+    assert set(sleeps) == {tick}
+    # One sleep armed at start, one more after each of the 5.0 / tick wake-ups.
+    assert len(sleeps) == len(replicas) * (1 + round(5.0 / tick))
+    assert [r.synchronizer._highest_vote for r in replicas] == [0] * 4
