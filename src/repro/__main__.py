@@ -148,20 +148,13 @@ def cmd_shards(args) -> int:
     print(f"alarms delivered: {len(alarms)} (globally ordered)")
     for alarm in alarms[:4]:
         print(f"  {alarm.item_id}: {alarm.message}")
-    routers = [pf.router for pf in system.proxy_frontends] + [system.proxy_hmi.router]
-    routers = [r for r in routers if r is not None]
-    if routers:
-        totals = {"hits": 0, "misses": 0, "invalidations": 0}
-        for r in routers:
-            for key in totals:
-                totals[key] += r.stats[key]
-        print(f"router caches   : hits={totals['hits']} "
-              f"misses={totals['misses']} "
-              f"invalidations={totals['invalidations']}")
-    if system.proxy_hmi.merger is not None:
-        stats = system.proxy_hmi.merger.stats
-        print(f"global AE merge : offered={stats['offered']} "
-              f"released={stats['released']} late={stats['late']}")
+    caches = sim.stats()["shard.router"]
+    print(f"router caches   : hits={caches['hits']} "
+          f"misses={caches['misses']} "
+          f"invalidations={caches['invalidations']}")
+    stats = system.proxy_hmi.merger.stats
+    print(f"global AE merge : offered={stats['offered']} "
+          f"released={stats['released']} late={stats['late']}")
     ok = True
     for shard in range(args.shards):
         digests = set(system.state_digests(shard))
@@ -227,18 +220,26 @@ def cmd_trace(args) -> int:
     sim = Simulator(seed=args.seed)
     tracer = install_tracer(sim)
 
-    if args.workload == "scada" and args.shards > 1:
-        # Sharded autopsy: the same steady-state workload, but the write
-        # and a wildcard event query cross the shard tier — the trace
-        # shows ShardRouter resolution, scatter fan-out and the per-group
-        # consensus rounds the request actually touched.
+    if args.workload == "bft-micro":
+        from repro.workloads.profiler import start_bft_micro
+
+        start_bft_micro(sim, args.rate, payload_size=256)
+        sim.run(until=args.duration)
+    else:
+        # Fig8(a)-style SCADA updates at ``--rate`` plus one operator write
+        # and a wildcard event query; with ``--shards`` > 1 the trace shows
+        # ShardRouter resolution, scatter fan-out and the per-group
+        # consensus rounds each request actually touched.
         from repro.chaos.campaign import sensor_value
-        from repro.core.system import build_sharded_scada, make_network
+        from repro.core.config import SmartScadaConfig
+        from repro.core.system import build_sharded_scada
         from repro.shard.config import ShardedScadaConfig
 
-        net = make_network(sim)
         system = build_sharded_scada(
-            sim, net=net, config=ShardedScadaConfig(shards=args.shards)
+            sim,
+            config=ShardedScadaConfig(
+                shards=args.shards, base=SmartScadaConfig(durability=True)
+            ),
         )
         sensors = [f"plant.s{i}" for i in range(4)]
         for sensor in sensors:
@@ -253,48 +254,14 @@ def cmd_trace(args) -> int:
             while True:
                 yield sim.timeout(interval)
                 step += 1
-                for j, sensor in enumerate(sensors):
-                    system.frontend.inject_update(sensor, sensor_value(step, j))
+                j = step % len(sensors)
+                system.frontend.inject_update(sensors[j], sensor_value(step, j))
 
         def operator_write():
             yield sim.timeout(args.duration / 2)
             result = yield system.hmi.write("plant.actuator", 42)
             events = yield system.hmi.query_events("*")
             return result.success and events is not None
-
-        sim.process(update_traffic(), name="trace-updates")
-        sim.process(operator_write(), name="trace-write")
-        sim.run(until=args.duration)
-    elif args.workload == "bft-micro":
-        from repro.workloads.profiler import start_bft_micro
-
-        start_bft_micro(sim, args.rate, payload_size=256)
-        sim.run(until=args.duration)
-    else:  # fig8(a)-style SCADA update stream plus one operator write
-        from repro.core import build_smartscada, make_network
-        from repro.core.config import SmartScadaConfig
-
-        net = make_network(sim)
-        system = build_smartscada(
-            sim, net=net, config=SmartScadaConfig(durability=True)
-        )
-        system.frontend.add_item("plant.sensor", initial=0)
-        system.frontend.add_item("plant.actuator", initial=0, writable=True)
-        system.start()
-        tracer.clear()  # drop subscription churn; trace the steady state
-
-        def update_traffic():
-            interval = 1.0 / args.rate
-            step = 0
-            while True:
-                yield sim.timeout(interval)
-                step += 1
-                system.frontend.inject_update("plant.sensor", step % 700 + 1)
-
-        def operator_write():
-            yield sim.timeout(args.duration / 2)
-            result = yield system.hmi.write("plant.actuator", 42)
-            return result.success
 
         sim.process(update_traffic(), name="trace-updates")
         sim.process(operator_write(), name="trace-write")
@@ -1061,8 +1028,8 @@ def main(argv=None) -> int:
     trace.add_argument("--workload", choices=("scada", "bft-micro"),
                        default="scada",
                        help="fig8(a)-style SCADA updates + one operator "
-                            "write (default), or the §V-B BFT echo "
-                            "microbenchmark")
+                            "write and event query (default), or the §V-B "
+                            "BFT echo microbenchmark")
     trace.add_argument("--duration", type=float, default=1.0,
                        help="simulated seconds to trace (default 1.0)")
     trace.add_argument("--rate", type=float, default=50.0,

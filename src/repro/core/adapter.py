@@ -33,6 +33,16 @@ from repro.wire import DecodeError, decode, encode
 #: Stream name under which all SCADA pushes travel to the proxies.
 SCADA_STREAM = "scada"
 
+
+def proxy_client_id(address: str, shard: int, groups: int) -> str:
+    """The id of the BFT client the proxy at ``address`` holds into ``shard``.
+
+    One group keeps the classic ``{address}-bft``, as its replicas keep
+    ``replica-i`` (:func:`repro.shard.config.shard_replica_address`): the
+    paper's deployment is the 1-group fleet, wire bytes included.
+    """
+    return f"{address}-bft" if groups == 1 else f"{address}-bft-s{shard}"
+
 #: Messages servable outside the total order (pure reads of Master state).
 _READ_ONLY_QUERIES = (EventQuery, ValueQuery)
 

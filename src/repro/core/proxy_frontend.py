@@ -7,19 +7,19 @@ ProxyFrontend receives messages from the client-side of the library and
 forwards them using the DA client" (§IV-A). It also votes f+1 matching
 pushed WriteValues before handing them to the Frontend (§IV-D-b).
 
-Sharded deployments hand the proxy one BFT client *per group* plus the
-shard map: RTU ingress routes to the owning group by item id (through a
-resolve-once router cache, so steady-state routing is one dict hit) and
-the Frontend never learns that more than one Master exists — the same
-transparency argument the paper makes for replication itself.
+The proxy holds one BFT client *per group* plus the shard map: RTU
+ingress routes to the owning group by item id (through a resolve-once
+router cache, so steady-state routing is one dict hit) and the Frontend
+never learns how many Masters exist — the same transparency argument the
+paper makes for replication itself. The paper's deployment is the
+1-group case of the same path: every item routes to group 0.
 """
 
 from __future__ import annotations
 
 from repro.bftsmart.client import ServiceProxy
-from repro.bftsmart.config import GroupConfig
-from repro.bftsmart.view import View
-from repro.core.adapter import SCADA_STREAM
+from repro.bftsmart.cluster import build_proxy
+from repro.core.adapter import SCADA_STREAM, proxy_client_id
 from repro.crypto import KeyStore
 from repro.neoscada.da.client import DAClient
 from repro.neoscada.messages import (
@@ -29,7 +29,7 @@ from repro.neoscada.messages import (
     WriteValue,
 )
 from repro.net.network import Network
-from repro.shard.map import ShardRouter
+from repro.shard.map import ShardMap, ShardRouter
 from repro.sim.kernel import Simulator
 from repro.wire import DecodeError, decode, encode
 
@@ -43,11 +43,10 @@ class ProxyFrontend:
         net: Network,
         address: str,
         frontend_address: str,
-        config: GroupConfig,
+        groups: list,
+        shard_map: ShardMap,
         keystore: KeyStore,
         invoke_timeout: float = 1.0,
-        groups: list | None = None,
-        shard_map=None,
     ) -> None:
         self.sim = sim
         self.address = address
@@ -55,29 +54,21 @@ class ProxyFrontend:
         self.endpoint = net.endpoint(address)
         self.endpoint.set_handler(self._on_local_message)
 
-        group_list = list(groups) if groups else [config]
-        self.sharded = len(group_list) > 1
-        if self.sharded and shard_map is None:
-            raise ValueError("a multi-group proxy needs a shard map")
-        self.router = ShardRouter(shard_map) if self.sharded else None
-        #: One BFT client per group; unsharded keeps the classic id so
-        #: existing deployments stay wire-identical.
-        self.bft_clients: list = []
-        for shard, group in enumerate(group_list):
-            client_id = (
-                f"{address}-bft" if not self.sharded else f"{address}-bft-s{shard}"
+        self.router = ShardRouter(shard_map)
+        #: One BFT client per group, indexed by shard.
+        self.bft_clients: list = [
+            build_proxy(
+                sim,
+                net,
+                proxy_client_id(address, shard, len(groups)),
+                group,
+                keystore,
+                invoke_timeout,
             )
-            client = ServiceProxy(
-                sim=sim,
-                net=net,
-                client_id=client_id,
-                keystore=keystore,
-                view=View(0, group.addresses, group.f),
-                invoke_timeout=invoke_timeout,
-            )
+            for shard, group in enumerate(groups)
+        ]
+        for client in self.bft_clients:
             client.pushes.set_handler(SCADA_STREAM, self._on_push)
-            self.bft_clients.append(client)
-        self.bft = self.bft_clients[0]
 
         self.da_client = DAClient(address, self.endpoint.send)
         self.stats = {
@@ -86,14 +77,6 @@ class ProxyFrontend:
             "write_results_in": 0,
             "invoke_failures": 0,
         }
-        #: Registry counter for routed ingress messages (fleet scoreboard
-        #: folds it with the router's own hit/miss cache stats). Only the
-        #: sharded shape routes, so only it registers the counter.
-        self._routed = (
-            sim.metrics.counter(f"shard.ingress.{address}.routed")
-            if self.sharded
-            else None
-        )
         self._started = False
 
     def start(self) -> None:
@@ -103,16 +86,6 @@ class ProxyFrontend:
         self._started = True
         self.da_client.subscribe(self.frontend_address, "*")
         self.da_client.browse(self.frontend_address)
-
-    # ------------------------------------------------------------------
-    # shard routing
-    # ------------------------------------------------------------------
-
-    def _client_for(self, item_id: str) -> ServiceProxy:
-        if not self.sharded:
-            return self.bft
-        self._routed.inc()
-        return self.bft_clients[self.router.route(item_id)]
 
     # ------------------------------------------------------------------
     # frontend-facing side
@@ -129,11 +102,8 @@ class ProxyFrontend:
             return
         if isinstance(message, BrowseReply):
             # Teaches the replicated Master this Frontend's item directory
-            # (and therefore which proxy owns which item). Sharded: each
-            # group learns exactly the slice of the directory it owns.
-            if not self.sharded:
-                self._submit(self.bft, message)
-                return
+            # (and therefore which proxy owns which item): each group
+            # learns exactly the slice of the directory it owns.
             by_shard: dict[int, list] = {}
             for entry in message.items:
                 by_shard.setdefault(self.router.route(entry[0]), []).append(entry)
@@ -143,6 +113,9 @@ class ProxyFrontend:
                     BrowseReply(items=tuple(by_shard[shard])),
                 )
             return
+
+    def _client_for(self, item_id: str) -> ServiceProxy:
+        return self.bft_clients[self.router.route(item_id)]
 
     def _submit(self, client: ServiceProxy, message) -> None:
         event = client.invoke_ordered(encode(message))

@@ -9,22 +9,25 @@ asynchronous messages (ItemUpdate / EventUpdate / WriteResult) arrive as
 replica pushes and are delivered to the HMI only after f+1 matching
 copies (§IV-D: "the ProxyHMI waits for f+1 matching messages").
 
-Sharded deployments hand the proxy one BFT client *per group* plus the
-shard map. Writes and value queries route to the owning group; browse
-and ``item_id="*"`` history queries scatter to every group and gather a
-merged answer; the per-shard AE push streams pass through the
-:class:`~repro.shard.merge.GlobalAeMerger` (deterministic global order)
-and the :class:`~repro.shard.correlate.AlarmCorrelator` (cross-shard
-incidents) before reaching the HMI's local AE server — so the HMI still
-sees exactly one Master with one coherent alarm sequence.
+The proxy holds one BFT client *per group* plus the shard map, and has
+one code path for any number of groups. Writes and value queries route
+to the owning group; browse and ``item_id="*"`` history queries scatter
+to every group and gather one answer; the per-group AE push streams pass
+through the :class:`~repro.shard.merge.GlobalAeMerger` (deterministic
+global order) and the :class:`~repro.shard.correlate.AlarmCorrelator`
+(cross-group incidents) before reaching the HMI's local AE server — so
+the HMI sees exactly one Master with one coherent alarm sequence. The
+paper's deployment is the 1-group case: every route resolves to group 0,
+the merger releases each event on offer and the correlator never fires.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.bftsmart.client import QuorumDivergence, ServiceProxy
-from repro.bftsmart.config import GroupConfig
-from repro.bftsmart.view import View
-from repro.core.adapter import SCADA_STREAM
+from repro.bftsmart.cluster import build_proxy
+from repro.core.adapter import SCADA_STREAM, proxy_client_id
 from repro.crypto import KeyStore
 from repro.neoscada.ae.server import AEServer
 from repro.neoscada.da.server import DAServer
@@ -43,8 +46,8 @@ from repro.neoscada.messages import (
 )
 from repro.net.network import Network
 from repro.shard.correlate import AlarmCorrelator
-from repro.shard.map import ShardRouter
-from repro.shard.merge import GlobalAeMerger, merge_key
+from repro.shard.map import ShardMap, ShardRouter
+from repro.shard.merge import MERGE_HOLDBACK, GlobalAeMerger, merge_key
 from repro.sim.kernel import Simulator
 from repro.wire import DecodeError, decode, encode
 
@@ -57,66 +60,57 @@ class ProxyHMI:
         sim: Simulator,
         net: Network,
         address: str,
-        config: GroupConfig,
+        groups: list,
+        shard_map: ShardMap,
         keystore: KeyStore,
         invoke_timeout: float = 1.0,
-        groups: list | None = None,
-        shard_map=None,
     ) -> None:
         self.sim = sim
         self.address = address
         self.endpoint = net.endpoint(address)
         self.endpoint.set_handler(self._on_local_message)
 
-        group_list = list(groups) if groups else [config]
-        self.sharded = len(group_list) > 1
-        if self.sharded and shard_map is None:
-            raise ValueError("a multi-group proxy needs a shard map")
-        self.router = ShardRouter(shard_map) if self.sharded else None
-        self.bft_clients: list = []
-        for shard, group in enumerate(group_list):
-            client_id = (
-                f"{address}-bft" if not self.sharded else f"{address}-bft-s{shard}"
+        self.router = ShardRouter(shard_map)
+        #: One BFT client per group, indexed by shard.
+        self.bft_clients: list = [
+            build_proxy(
+                sim,
+                net,
+                proxy_client_id(address, shard, len(groups)),
+                group,
+                keystore,
+                invoke_timeout,
             )
-            client = ServiceProxy(
-                sim=sim,
-                net=net,
-                client_id=client_id,
-                keystore=keystore,
-                view=View(0, group.addresses, group.f),
-                invoke_timeout=invoke_timeout,
-            )
+            for shard, group in enumerate(groups)
+        ]
+        for shard, client in enumerate(self.bft_clients):
             client.pushes.set_handler(
                 SCADA_STREAM,
                 (lambda order, payload, _s=shard: self._on_push(order, payload, _s)),
             )
-            self.bft_clients.append(client)
+        #: Group 0's client: the one client of the paper's deployment.
         self.bft = self.bft_clients[0]
 
         # Local DA/AE servers simulating the Master's, for the HMI side.
         self.da_server = DAServer(self.endpoint.send, on_write=self._on_hmi_write)
         self.ae_server = AEServer(self.endpoint.send)
 
-        # The global AE order + correlation layer (multi-shard only).
-        self.merger = (
-            GlobalAeMerger(sim, self._deliver_global, process=f"{address}-merger")
-            if self.sharded
-            else None
+        # The global AE order + correlation layer. With one group no other
+        # stream can undercut a key, so the merger holds nothing back.
+        self.merger = GlobalAeMerger(
+            sim,
+            self._deliver_global,
+            holdback=MERGE_HOLDBACK if len(groups) > 1 else 0.0,
+            process=f"{address}-merger",
         )
-        self.correlator = (
-            AlarmCorrelator(sink=self.ae_server.publish)
-            if self.sharded
-            else None
-        )
+        self.correlator = AlarmCorrelator(sink=self.ae_server.publish)
 
         #: origin op_id -> HMI reply address for in-flight writes.
         self._write_origins: dict[str, str] = {}
         #: op_id -> open ``proxy.forward`` span (tracer installed only).
         self._write_spans: dict = {}
-        #: FIFO of HMI addresses awaiting a BrowseReply (single group).
-        self._browse_waiters: list = []
-        #: FIFO of in-flight browse gathers (sharded): each entry holds
-        #: the origin, the shards still owing a reply, and the items so far.
+        #: FIFO of in-flight browse gathers: each entry holds the origin,
+        #: the shards still owing a reply, and the items so far.
         self._browse_gathers: list = []
         self.stats = {
             "forwarded_writes": 0,
@@ -150,19 +144,9 @@ class ProxyHMI:
                 client, SubscribeEvents(subscriber=client.client_id, item_id="*")
             )
 
-    # ------------------------------------------------------------------
-    # shard routing
-    # ------------------------------------------------------------------
-
-    def _client_for(self, item_id: str) -> ServiceProxy:
-        if not self.sharded:
-            return self.bft
-        return self.bft_clients[self.router.route(item_id)]
-
     def flush_events(self) -> None:
         """Drain the AE merge buffer (quiescence helper for tests/CLI)."""
-        if self.merger is not None:
-            self.merger.flush()
+        self.merger.flush()
 
     # ------------------------------------------------------------------
     # HMI-facing side
@@ -183,11 +167,25 @@ class ProxyHMI:
         if self.ae_server.dispatch(message, src):
             return
 
+    def _route(self, item_id: str, trace_id: str, parent=None):
+        """The client of the group owning ``item_id``, and the
+        ``shard.route`` trace point (``None`` when tracing is off)."""
+        shard = self.router.route(item_id)
+        tracer = self.sim.tracer
+        point = None
+        if tracer is not None and tracer.enabled:
+            point = tracer.point(
+                "shard.route",
+                trace_id,
+                parent=parent,
+                process=self.address,
+                item=item_id,
+                shard=shard,
+                epoch=self.router.map.epoch,
+            )
+        return self.bft_clients[shard], point
+
     def _forward_browse(self, message: BrowseRequest) -> None:
-        if not self.sharded:
-            self._browse_waiters.append(message.reply_to)
-            self._submit(self.bft, BrowseRequest(reply_to=self.bft.client_id))
-            return
         self._browse_seq += 1
         tracer = self.sim.tracer
         root = None
@@ -233,37 +231,12 @@ class ProxyHMI:
         the global AE order (timestamp, shard, per-reply position) —
         the same rule the live merge applies.
         """
-        if self.sharded and query.item_id == "*":
+        if query.item_id == "*":
             self._scatter_event_query(query)
             return
         origin = query.reply_to
-        span = None
-        if self.sharded and query.item_id != "*":
-            shard = self.router.route(query.item_id)
-            client = self.bft_clients[shard]
-            tracer = self.sim.tracer
-            if tracer is not None and tracer.enabled:
-                span = tracer.point(
-                    "shard.route",
-                    f"query:{query.query_id}",
-                    process=self.address,
-                    item=query.item_id,
-                    shard=shard,
-                    epoch=self.router.map.epoch,
-                )
-        else:
-            client = self.bft if query.item_id == "*" else self._client_for(
-                query.item_id
-            )
-        rewritten = EventQuery(
-            query_id=query.query_id,
-            reply_to=client.client_id,
-            item_id=query.item_id,
-            start=query.start,
-            end=query.end,
-            event_type=query.event_type,
-            limit=query.limit,
-        )
+        client, span = self._route(query.item_id, f"query:{query.query_id}")
+        rewritten = replace(query, reply_to=client.client_id)
         event = client.invoke_unordered(encode(rewritten), parent=span)
 
         def on_done(ev) -> None:
@@ -310,15 +283,7 @@ class ProxyHMI:
             )
 
         for shard, client in enumerate(self.bft_clients):
-            rewritten = EventQuery(
-                query_id=query.query_id,
-                reply_to=client.client_id,
-                item_id=query.item_id,
-                start=query.start,
-                end=query.end,
-                event_type=query.event_type,
-                limit=query.limit,
-            )
+            rewritten = replace(query, reply_to=client.client_id)
             span = None
             if root is not None:
                 span = tracer.begin(
@@ -357,17 +322,12 @@ class ProxyHMI:
         The read is first submitted unordered (n-f matching answers, no
         consensus round). When the read quorum diverges — replicas caught
         mid-catch-up serve different values — the proxy re-issues the same
-        query through the total order, which always agrees. Sharded, the
-        whole exchange happens against the single owning group.
+        query through the total order, which always agrees. The whole
+        exchange happens against the single owning group.
         """
         origin = query.reply_to
-        client = self._client_for(query.item_id)
-        rewritten = ValueQuery(
-            query_id=query.query_id,
-            reply_to=client.client_id,
-            item_id=query.item_id,
-        )
-        operation = encode(rewritten)
+        client = self.bft_clients[self.router.route(query.item_id)]
+        operation = encode(replace(query, reply_to=client.client_id))
         self.stats["unordered_reads"] += 1
 
         def on_ordered(ev) -> None:
@@ -395,12 +355,6 @@ class ProxyHMI:
         self.stats["forwarded_writes"] += 1
         self._write_origins[message.op_id] = message.reply_to
         self._write_submitted[message.op_id] = self.sim.now
-        if self.sharded:
-            shard = self.router.route(message.item_id)
-            client = self.bft_clients[shard]
-        else:
-            shard = 0
-            client = self.bft
         tracer = self.sim.tracer
         span = None
         if tracer is not None and tracer.enabled:
@@ -412,24 +366,8 @@ class ProxyHMI:
                 item=message.item_id,
             )
             self._write_spans[message.op_id] = span
-            if self.sharded:
-                tracer.point(
-                    "shard.route",
-                    f"op:{message.op_id}",
-                    parent=span,
-                    process=self.address,
-                    item=message.item_id,
-                    shard=shard,
-                    epoch=self.router.map.epoch,
-                )
-        rewritten = WriteValue(
-            item_id=message.item_id,
-            value=message.value,
-            op_id=message.op_id,
-            reply_to=client.client_id,
-            operator=message.operator,
-        )
-        self._submit(client, rewritten, parent=span)
+        client, _point = self._route(message.item_id, f"op:{message.op_id}", span)
+        self._submit(client, replace(message, reply_to=client.client_id), parent=span)
 
     def _submit(self, client: ServiceProxy, message, parent=None) -> None:
         event = client.invoke_ordered(encode(message), parent=parent)
@@ -444,7 +382,7 @@ class ProxyHMI:
     # replica-facing side: voted pushes
     # ------------------------------------------------------------------
 
-    def _on_push(self, order: tuple, payload: bytes, shard: int = 0) -> None:
+    def _on_push(self, order: tuple, payload: bytes, shard: int) -> None:
         try:
             message = decode(payload)
         except DecodeError:
@@ -453,12 +391,7 @@ class ProxyHMI:
             self.stats["updates_out"] += 1
             self.da_server.publish(message.item_id, message.value)
         elif isinstance(message, EventUpdate):
-            if self.merger is not None:
-                self.merger.offer(shard, message.event)
-            else:
-                self.stats["events_out"] += 1
-                self.last_event_delivered = self.sim.now
-                self.ae_server.publish(message.event)
+            self.merger.offer(shard, message.event)
         elif isinstance(message, WriteResult):
             origin = self._write_origins.pop(message.op_id, None)
             submitted = self._write_submitted.pop(message.op_id, None)
@@ -471,10 +404,6 @@ class ProxyHMI:
                 self.stats["write_results_out"] += 1
                 self.endpoint.send(origin, message)
         elif isinstance(message, BrowseReply):
-            if not self.sharded:
-                if self._browse_waiters:
-                    self.endpoint.send(self._browse_waiters.pop(0), message)
-                return
             for gather in self._browse_gathers:
                 if shard in gather["pending"]:
                     gather["pending"].discard(shard)
@@ -500,5 +429,4 @@ class ProxyHMI:
         self.stats["events_out"] += 1
         self.last_event_delivered = self.sim.now
         self.ae_server.publish(event)
-        if self.correlator is not None:
-            self.correlator.observe(shard, event)
+        self.correlator.observe(shard, event)

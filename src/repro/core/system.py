@@ -299,11 +299,10 @@ def build_sharded_scada(
             net,
             f"proxy-frontend-{i}",
             frontend_address=frontend.address,
-            config=groups[0],
-            keystore=keystore,
-            invoke_timeout=config.base.invoke_timeout,
             groups=groups,
             shard_map=shard_map,
+            keystore=keystore,
+            invoke_timeout=config.base.invoke_timeout,
         )
         net.set_local_pair(frontend.address, proxy.address, DEFAULT_LOCAL_LATENCY)
         frontends.append(frontend)
@@ -348,38 +347,34 @@ def build_sharded_scada(
         sim,
         net,
         "proxy-hmi",
-        config=groups[0],
-        keystore=keystore,
-        invoke_timeout=config.base.invoke_timeout,
         groups=groups,
         shard_map=shard_map,
+        keystore=keystore,
+        invoke_timeout=config.base.invoke_timeout,
     )
     hmi = HMI(sim, net, "hmi", master_address="proxy-hmi")
     net.set_local_pair("hmi", "proxy-hmi", DEFAULT_LOCAL_LATENCY)
 
-    if config.shards > 1:
-        # Shard-tier stats surface for the fleet scoreboard: every
-        # router cache in the deployment plus the global AE merger.
-        routers = {"proxy-hmi": proxy_hmi.router}
-        for proxy in proxy_frontends:
-            routers[proxy.address] = proxy.router
-        merger = proxy_hmi.merger
+    # Shard-tier stats surface for the fleet scoreboard: every router
+    # cache in the deployment plus the global AE merger.
+    routers = [proxy_hmi.router] + [proxy.router for proxy in proxy_frontends]
+    merger = proxy_hmi.merger
 
-        def _router_stats() -> dict:
-            totals = {"hits": 0, "misses": 0, "invalidations": 0}
-            for router in routers.values():
-                for key in totals:
-                    totals[key] += router.stats[key]
-            totals["epoch"] = shard_map.epoch
-            return totals
+    def _router_stats() -> dict:
+        totals = {"hits": 0, "misses": 0, "invalidations": 0}
+        for router in routers:
+            for key in totals:
+                totals[key] += router.stats[key]
+        totals["epoch"] = shard_map.epoch
+        return totals
 
-        def _merger_stats() -> dict:
-            stats = dict(merger.stats)
-            stats["pending"] = merger.pending
-            return stats
+    def _merger_stats() -> dict:
+        stats = dict(merger.stats)
+        stats["pending"] = merger.pending
+        return stats
 
-        sim.register_stats_source("shard.router", _router_stats)
-        sim.register_stats_source("shard.merge", _merger_stats)
+    sim.register_stats_source("shard.router", _router_stats)
+    sim.register_stats_source("shard.merge", _merger_stats)
 
     return SmartScadaSystem(
         sim=sim,

@@ -228,17 +228,12 @@ class FleetScoreboard:
 
     def _merger_view(self, now: float) -> tuple:
         merger = self.system.proxy_hmi.merger
-        if merger is None:
-            return 0.0, {}
         stats = dict(merger.stats)
         stats["pending"] = merger.pending
         return merger.oldest_pending_age(now), stats
 
     def _router_view(self) -> dict:
-        router = self.system.proxy_hmi.router
-        if router is None:
-            return {}
-        stats = dict(router.stats)
+        stats = dict(self.system.proxy_hmi.router.stats)
         lookups = stats.get("hits", 0) + stats.get("misses", 0)
         stats["hit_rate"] = (
             round(stats.get("hits", 0) / lookups, 4) if lookups else 1.0

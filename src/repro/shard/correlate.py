@@ -16,6 +16,9 @@ consuming the same merged stream derives the identical correlations.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import deque
+
 from repro.neoscada.ae.events import EventRecord, Severity
 
 #: Event type of the synthesized cross-shard alarm.
@@ -50,8 +53,11 @@ class AlarmCorrelator:
         self.window = window
         self.min_shards = min_shards
         self.sink = sink
-        #: Recent alarm-grade ``(timestamp, shard, event)`` entries.
-        self._recent: list = []
+        #: Alarm-grade ``(timestamp, shard, item_id)`` entries inside the
+        #: window, sorted by timestamp so expiry pops from the left.
+        self._recent: deque = deque()
+        #: shard -> entries of that shard in ``_recent`` (never 0).
+        self._per_shard: dict[int, int] = {}
         self._counter = 0
         #: Timestamp until which new correlations are suppressed (one
         #: synthetic alarm per burst, not one per contributing event).
@@ -71,26 +77,32 @@ class AlarmCorrelator:
             return None
         now = event.timestamp
         horizon = now - self.window
-        self._recent = [e for e in self._recent if e[0] >= horizon]
-        self._recent.append((now, shard, event))
+        recent = self._recent
+        while recent and recent[0][0] < horizon:
+            self._forget(recent.popleft()[1])
+        entry = (now, shard, event.item_id)
+        if recent and now < recent[-1][0]:
+            # A straggler the merge released late: keep the window sorted.
+            insort(recent, entry)
+        else:
+            recent.append(entry)
+        self._per_shard[shard] = self._per_shard.get(shard, 0) + 1
         if now < self._suppress_until:
             return None
-        shards = {entry[1] for entry in self._recent}
-        if len(shards) < self.min_shards:
+        shards = len(self._per_shard)
+        if shards < self.min_shards:
             return None
         self._counter += 1
         self._suppress_until = now + self.window
-        contributors = sorted(
-            {entry[2].item_id for entry in self._recent}
-        )
+        contributors = sorted({item_id for _ts, _shard, item_id in recent})
         correlated = EventRecord(
             event_id=f"corr-{self._counter}",
             item_id="*",
             event_type=CORRELATED_ALARM,
             severity=Severity.ALARM,
-            value=len(shards),
+            value=shards,
             message=(
-                f"alarms on {len(shards)} shards within {self.window:g}s: "
+                f"alarms on {shards} shards within {self.window:g}s: "
                 + ", ".join(contributors)
             ),
             timestamp=now,
@@ -99,3 +111,10 @@ class AlarmCorrelator:
         if self.sink is not None:
             self.sink(correlated)
         return correlated
+
+    def _forget(self, shard: int) -> None:
+        count = self._per_shard[shard] - 1
+        if count:
+            self._per_shard[shard] = count
+        else:
+            del self._per_shard[shard]

@@ -67,14 +67,16 @@ class GlobalAeMerger:
         other shards before it is released. Larger than the push-path
         latency in the fault-free case; a late event (arriving after
         something greater was already released) is released immediately
-        and counted in ``stats["late"]``.
+        and counted in ``stats["late"]``. ``0.0`` releases every event on
+        offer and never arms a timer: the one-group case, where no other
+        stream can undercut a key.
     """
 
     def __init__(
         self, sim, sink, holdback: float = MERGE_HOLDBACK, process: str = "ae-merger"
     ) -> None:
-        if holdback <= 0:
-            raise ValueError("holdback must be positive")
+        if holdback < 0:
+            raise ValueError("holdback must be non-negative")
         self.sim = sim
         self.sink = sink
         self.holdback = holdback
@@ -127,6 +129,9 @@ class GlobalAeMerger:
                     seq=seq,
                     timestamp=event.timestamp,
                 )
+            self._release(key, shard, event)
+            return
+        if not self.holdback:
             self._release(key, shard, event)
             return
         if tracer is not None and tracer.enabled:

@@ -6,8 +6,6 @@ routing, scatter-gather and the global AE order are the proxies'
 problem (the same seam the paper used to hide replication itself).
 """
 
-import pytest
-
 from repro.core import SmartScadaSystem, build_smartscada
 from repro.neoscada import HandlerChain, Monitor
 from repro.shard import (
@@ -230,18 +228,23 @@ def test_groups_converge_independently():
 
 
 def test_single_shard_build_degenerates_to_the_classic_topology():
-    """Both entry points run one builder, so all that can still diverge is
-    the thin ``build_smartscada`` wrapper: same handle, classic wire
-    addresses, and not one event more or less."""
+    """Both entry points call ``build_sharded_scada`` and the proxies have
+    one path, so one group is the classic topology: same handle, classic wire addresses and
+    client ids, not one event more or less. The shard tier is trivial:
+    every item routes to group 0, and the merger releases each alarm on
+    offer without ever arming its holdback timer."""
 
     def run(deploy):
         sim = Simulator(seed=1)
         system = deploy(sim)
-        system.frontend.add_item("sensor", initial=0)
+        for item in ITEMS:
+            system.frontend.add_item(item, initial=0)
+            system.attach_handlers(item, lambda: HandlerChain([Monitor(high=80.0)]))
         system.start()
-        system.frontend.inject_update("sensor", 42)
+        for item in ITEMS:
+            system.frontend.inject_update(item, 95)
         settle(sim)
-        assert system.hmi.value_of("sensor") == 42
+        assert all(system.hmi.value_of(item) == 95 for item in ITEMS)
         return system, sim.stats()["events_dispatched"]
 
     classic, classic_events = run(build_smartscada)
@@ -250,15 +253,20 @@ def test_single_shard_build_degenerates_to_the_classic_topology():
     )
     assert type(fleet) is type(classic) is SmartScadaSystem
     assert fleet.config == classic.config
-    # Classic wire addresses: no shard namespace prefix.
+    # Classic wire addresses and client ids: no shard namespace suffix.
     assert [pm.address for pm in fleet.proxy_masters] == [
         f"replica-{i}" for i in range(fleet.config.base.n)
     ]
-    assert fleet.proxy_hmi.bft.client_id == "proxy-hmi-bft"
-    # No merge layer, no correlator, no router: nothing to shard.
-    assert fleet.proxy_hmi.merger is None
-    assert fleet.proxy_hmi.correlator is None
-    assert fleet.proxy_hmi.router is None
+    assert [c.client_id for c in fleet.proxy_hmi.bft_clients] == ["proxy-hmi-bft"]
+    assert [c.client_id for c in fleet.proxy_frontends[0].bft_clients] == [
+        "proxy-frontend-0-bft"
+    ]
+    merger = fleet.proxy_hmi.merger
+    assert merger.stats["offered"] == merger.stats["released"] == len(ITEMS)
+    assert merger.stats["peak_buffer"] == merger.stats["late"] == 0
+    assert fleet.proxy_hmi.correlator.correlated == []
+    routers = [fleet.proxy_hmi.router] + [pf.router for pf in fleet.proxy_frontends]
+    assert {router.route(item) for router in routers for item in ITEMS} == {0}
     assert fleet_events == classic_events
 
 
@@ -273,25 +281,3 @@ def test_four_shard_build_stands_up_sixteen_replicas():
     settle(sim)
     for i, item in enumerate(ITEMS):
         assert system.hmi.value_of(item) == i
-
-
-def test_sharded_build_without_map_is_rejected():
-    from repro.core.proxy_frontend import ProxyFrontend
-    from repro.core.system import make_network
-    from repro.crypto import KeyStore
-
-    sim = Simulator(seed=1)
-    config = ShardedScadaConfig(shards=2)
-    groups = config.group_configs()
-    net = make_network(sim)
-    with pytest.raises(ValueError, match="shard map"):
-        ProxyFrontend(
-            sim,
-            net,
-            "proxy-frontend",
-            "frontend",
-            groups[0],
-            KeyStore(),
-            groups=groups,
-            shard_map=None,
-        )

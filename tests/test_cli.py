@@ -171,6 +171,37 @@ def test_trace_command_sharded_workload(tmp_path, capsys):
     assert any(n.startswith("s1-") for n in names)
 
 
+def test_trace_offers_rate_updates_per_second_at_every_shard_count(
+    tmp_path, capsys, monkeypatch
+):
+    """``--rate`` is the offered update rate, whatever ``--shards`` is: the
+    0.5 s of traffic after the 0.2 s start-up settle carries 100 x 0.5
+    updates at one group and at two."""
+    from repro.neoscada.frontend import Frontend
+
+    injected = []
+    inject = Frontend.inject_update
+
+    def counting(self, item_id, *args, **kwargs):
+        injected.append(item_id)
+        return inject(self, item_id, *args, **kwargs)
+
+    monkeypatch.setattr(Frontend, "inject_update", counting)
+    counts = {}
+    for shards in (1, 2):
+        injected.clear()
+        assert main(
+            [
+                "trace", "--shards", str(shards), "--rate", "100",
+                "--duration", "0.7", "--out", str(tmp_path / "trace.json"),
+            ]
+        ) == 0
+        counts[shards] = len(injected)
+    capsys.readouterr()
+    assert counts[1] == counts[2]
+    assert abs(counts[1] - 100 * 0.5) <= 1, counts
+
+
 def test_fleet_command_json_benign(capsys):
     import json
 

@@ -182,14 +182,20 @@ def test_grown_group_reports_its_current_membership():
     assert grown.reasons == ["live 4 of 5 members"]
 
 
-def test_scoreboard_works_without_engine_detector_or_merger():
-    sim, system = build_fleet(shards=1)  # unsharded: no router, no merger
+def test_scoreboard_works_without_engine_or_detector():
+    sim, system = build_fleet(shards=1)  # one group: trivial router and merger
     scoreboard = FleetScoreboard(system)
     drive(sim, system, duration=0.5, scoreboard=scoreboard)
     sample = scoreboard.latest
     assert len(sample.shards) == 1 and sample.shards[0].live == 4
     assert sample.burn == {}
-    assert sample.router == {} or sample.router.get("hits", 0) == 0
+    # The operator writes routed through the HMI proxy's router...
+    assert sample.router["hits"] + sample.router["misses"] > 0
+    assert sample.router["invalidations"] == 0
+    # ...and every alarm left the merger on offer: nothing held back.
+    assert sample.holdback["offered"] == sample.holdback["released"] > 0
+    assert sample.holdback["peak_buffer"] == sample.holdback["pending"] == 0
+    assert sample.freshness_age == 0.0
 
 
 def test_to_dict_and_renderers_are_clean():
