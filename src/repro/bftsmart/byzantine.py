@@ -32,8 +32,8 @@ class LyingReplica(ServiceReplica):
     quorum because the other replicas agree with each other.
     """
 
-    def _execute_one(self, cid, order, request, timestamp, regency) -> None:
-        super()._execute_one(cid, order, request, timestamp, regency)
+    def _execute_one(self, cid, order, request, timestamp) -> None:
+        super()._execute_one(cid, order, request, timestamp)
         # Overwrite the honest reply with a corrupted one.
         honest = self._last_reply.get(request.client_id)
         if honest is None or not self.active:
@@ -119,11 +119,11 @@ class StutteringReplica(ServiceReplica):
     other replicas.
     """
 
-    def _execute_one(self, cid, order, request, timestamp, regency) -> None:
+    def _execute_one(self, cid, order, request, timestamp) -> None:
         was_active = self.active
         self.active = False  # suppresses the reply send
         try:
-            super()._execute_one(cid, order, request, timestamp, regency)
+            super()._execute_one(cid, order, request, timestamp)
         finally:
             self.active = was_active
 

@@ -111,7 +111,7 @@ class PushVoter:
         voters = self._votes.setdefault(key, set())
         voters.add(message.replica)
         self._payloads[key] = message.payload
-        if len(voters) >= view.f + 1:
+        if len(voters) >= view.weak_quorum:
             self._delivered_digest[(message.stream, message.order)] = payload_digest
             self._deliver(message.stream, message.order, self._payloads[key])
             # Drop every candidate payload for this order; replicas that
@@ -246,9 +246,7 @@ class ServiceProxy:
             trace_id="",
         )
         request = self._sign(request)
-        quorum = (
-            self.view.n - self.view.f if unordered else self.view.f + 1
-        )
+        quorum = self.view.live_quorum if unordered else self.view.weak_quorum
         event = Event(self.sim, name=f"invoke:{self.client_id}:{sequence}")
         invocation = _PendingInvocation(request, event, quorum, unordered=unordered)
         if tracer is not None and tracer.enabled:

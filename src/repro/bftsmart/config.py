@@ -45,11 +45,13 @@ class GroupConfig:
         finish before escalating to the next regency.
     checkpoint_interval:
         Number of decided consensus instances between service snapshots.
-    reply_quorum:
-        Matching replies a client needs for an ordered request (f + 1).
     state_retry_interval:
         Minimum time between two state-transfer requests (seconds);
         previously the ``StateTransfer.RETRY_INTERVAL`` class constant.
+
+    Quorum sizes are not configuration: they follow from the live
+    membership, so they are properties of :class:`~repro.bftsmart.view.View`
+    and move with every reconfiguration.
     """
 
     n: int = 4
@@ -66,7 +68,7 @@ class GroupConfig:
     def __post_init__(self) -> None:
         if self.f < 0:
             raise ValueError("f must be non-negative")
-        if self.n < 3 * self.f + 1:
+        if self.n <= 3 * self.f:
             raise ValueError(f"n={self.n} violates n >= 3f+1 for f={self.f}")
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
@@ -80,38 +82,3 @@ class GroupConfig:
             )
         if len(self.addresses) != self.n:
             raise ValueError("addresses must list exactly n replicas")
-
-    @property
-    def write_quorum(self) -> int:
-        """Matching WRITEs needed to send ACCEPT: ceil((n + f + 1) / 2)."""
-        return (self.n + self.f + 2) // 2
-
-    @property
-    def accept_quorum(self) -> int:
-        """Matching ACCEPTs needed to decide: ceil((n + f + 1) / 2)."""
-        return (self.n + self.f + 2) // 2
-
-    @property
-    def stop_quorum(self) -> int:
-        """STOPs needed to install a new regency (2f + 1)."""
-        return 2 * self.f + 1
-
-    @property
-    def stop_join_threshold(self) -> int:
-        """STOPs that make a replica join a synchronization (f + 1)."""
-        return self.f + 1
-
-    @property
-    def stop_data_quorum(self) -> int:
-        """STOP-DATAs the new leader collects before SYNC (n - f)."""
-        return self.n - self.f
-
-    @property
-    def reply_quorum(self) -> int:
-        """Matching replies a client waits for (f + 1)."""
-        return self.f + 1
-
-    @property
-    def unordered_quorum(self) -> int:
-        """Matching replies for read-only (unordered) requests (n - f)."""
-        return self.n - self.f

@@ -53,19 +53,11 @@ class Synchronizer:
         self._resolved: set = set()
         #: Counts leader changes completed (metrics / tests).
         self.changes_completed = 0
+        #: When the latest SYNC resumed ordering (the leader drains its
+        #: backlog eagerly for one ``request_timeout`` after it).
+        self.synced_at = -float("inf")
         #: Open ``sync.leader_change`` span, when a tracer is installed.
         self._obs_span = None
-
-    # -- quorum sizes under the current view ---------------------------------
-
-    def _stop_quorum(self) -> int:
-        return 2 * self.replica.view.f + 1
-
-    def _join_threshold(self) -> int:
-        return self.replica.view.f + 1
-
-    def _stop_data_quorum(self) -> int:
-        return self.replica.view.n - self.replica.view.f
 
     # -- suspicion -------------------------------------------------------------
 
@@ -118,9 +110,10 @@ class Synchronizer:
     def _record_stop(self, sender: str, target: int) -> None:
         votes = self._stop_votes.setdefault(target, set())
         votes.add(sender)
-        if len(votes) >= self._join_threshold():
+        view = self.replica.view
+        if len(votes) >= view.weak_quorum:
             self._vote_stop(target)
-        if len(votes) >= self._stop_quorum() and target > self.regency:
+        if len(votes) >= view.strong_quorum and target > self.regency:
             self._install(target)
 
     # -- installing a regency -----------------------------------------------------
@@ -208,7 +201,7 @@ class Synchronizer:
         collected = self._stop_datas.setdefault(message.regency, {})
         collected[message.sender] = message
         if (
-            len(collected) >= self._stop_data_quorum()
+            len(collected) >= replica.view.live_quorum
             and message.regency not in self._resolved
         ):
             self._resolved.add(message.regency)
@@ -239,7 +232,7 @@ class Synchronizer:
                 else:
                     record[2] += 1
 
-        threshold = self._join_threshold()  # f + 1 witnesses per slot
+        threshold = replica.view.weak_quorum  # witnesses per slot
         recovered: dict[int, tuple] = {}
         for cid, counts in per_cid.items():
             eligible = sorted(
@@ -283,8 +276,7 @@ class Synchronizer:
             if tracer is not None:
                 tracer.end(self._obs_span, proposals=len(message.proposals))
             self._obs_span = None
-        replica.last_progress = replica.sim.now
-        replica._eager_until = replica.sim.now + replica.config.request_timeout
+        replica.last_progress = self.synced_at = replica.sim.now
         highest = replica.next_cid - 1
         for cid, value, timestamp in message.proposals:
             highest = max(highest, cid)

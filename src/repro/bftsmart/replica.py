@@ -169,9 +169,6 @@ class ServiceReplica:
         self._unproposed: dict[tuple, tuple] = {}
         self._batch_timer_armed = False
         self._hold_timer_armed = False
-        #: Until this instant a leader proposes without regard to its
-        #: executor backlog (set when a regency is installed).
-        self._eager_until = 0.0
         #: Leader-side (value_bytes, RequestBatch) of the latest own
         #: proposal: its requests were verified on arrival, so validating
         #: our own PROPOSE can skip the decode + re-verification.
@@ -181,7 +178,7 @@ class ServiceReplica:
 
         # -- execution state --
         self._exec_channel = Channel(sim, name=f"exec:{address}")
-        #: Bumped by every state-transfer install; executor entries queued
+        #: Bumped by every checkpoint install; executor entries queued
         #: under an older epoch are stale (they predate the installed
         #: state) and must be dropped, or their execution would poison
         #: the dedup table against the install's own replay.
@@ -239,12 +236,6 @@ class ServiceReplica:
     @property
     def is_leader(self) -> bool:
         return self.leader == self.address
-
-    def quorum_write(self) -> int:
-        return (self.view.n + self.view.f + 2) // 2
-
-    def quorum_accept(self) -> int:
-        return (self.view.n + self.view.f + 2) // 2
 
     def other_replicas(self) -> list:
         return [a for a in self.view.addresses if a != self.address]
@@ -400,7 +391,7 @@ class ServiceReplica:
         now = self.sim.now
         return (
             len(self._exec_channel) >= 2
-            and now >= self._eager_until
+            and now >= self.synchronizer.synced_at + self.config.request_timeout
             and now < self._hold_lapses()
         )
 
@@ -505,7 +496,7 @@ class ServiceReplica:
         if occupancy > self.stats["pipeline_occupancy_peak"]:
             self.stats["pipeline_occupancy_peak"] = occupancy
         self.channel.broadcast(self.other_replicas(), propose)
-        self._handle_propose_locally(propose)
+        self.on_propose(propose)
 
     # ------------------------------------------------------------------
     # consensus: PROPOSE / WRITE / ACCEPT
@@ -647,32 +638,21 @@ class ServiceReplica:
             # iff the value matches what we decided — never two values.
             if digest(message.value) != instance.decided_digest:
                 return
-            if instance.proposal_value is None:
-                value_digest = instance.set_proposal(
-                    message.value, message.timestamp, batch=instance.decided_batch
-                )
-                instance.write_sent = True
-                write = WriteMsg(
-                    sender=self.address,
-                    cid=message.cid,
-                    epoch=message.epoch,
-                    value_digest=value_digest,
-                )
-                self.channel.broadcast(self.other_replicas(), write)
-                instance.add_write(self.address, value_digest)
-                self._advance_instance(instance)
+            if instance.proposal_value is not None:
+                return
+            batch = instance.decided_batch
+        elif instance.proposal_value is not None:
             return
-        if instance.proposal_value is not None:
-            return
-        batch = self._validate_batch(message.value)
-        if batch is None and message.value != b"":
-            # Malformed or forged batch: suspect the leader.
-            self.synchronizer.suspect()
-            return
+        else:
+            batch = self._validate_batch(message.value)
+            if batch is None and message.value != b"":
+                # Malformed or forged batch: suspect the leader.
+                self.synchronizer.suspect()
+                return
+            self._trace_open_instance(instance, batch, message)
         value_digest = instance.set_proposal(
             message.value, message.timestamp, batch=batch
         )
-        self._trace_open_instance(instance, batch, message)
         instance.write_sent = True
         write = WriteMsg(
             sender=self.address,
@@ -684,10 +664,8 @@ class ServiceReplica:
         instance.add_write(self.address, value_digest)
         self._advance_instance(instance)
 
-    def _handle_propose_locally(self, propose: Propose) -> None:
-        self.on_propose(propose)
-
-    def on_write(self, message: WriteMsg) -> None:
+    def _on_vote(self, message: WriteMsg | AcceptMsg) -> None:
+        """A member's WRITE or ACCEPT for a slot inside the window."""
         if message.cid < self.next_cid or message.epoch != self.regency:
             return
         if message.cid >= self.next_cid + self.config.pipeline_depth:
@@ -696,25 +674,18 @@ class ServiceReplica:
         if not self.view.contains(message.sender):
             return
         instance = self._instance(message.cid, message.epoch)
-        instance.add_write(message.sender, message.value_digest)
-        self._advance_instance(instance)
-
-    def on_accept(self, message: AcceptMsg) -> None:
-        if message.cid < self.next_cid or message.epoch != self.regency:
-            return
-        if message.cid >= self.next_cid + self.config.pipeline_depth:
-            self._buffer_future(message)
-            return
-        if not self.view.contains(message.sender):
-            return
-        instance = self._instance(message.cid, message.epoch)
-        instance.add_accept(message.sender, message.value_digest)
+        if type(message) is WriteMsg:
+            instance.add_write(message.sender, message.value_digest)
+        else:
+            instance.add_accept(message.sender, message.value_digest)
         self._advance_instance(instance)
 
     def _advance_instance(self, instance: Instance) -> None:
         if instance.proposal_digest is None:
             return
-        if not instance.accept_sent and instance.has_write_quorum(self.quorum_write()):
+        if not instance.accept_sent and instance.has_write_quorum(
+            self.view.consensus_quorum
+        ):
             instance.accept_sent = True
             obs, tracer = instance.obs, self.sim.tracer
             if obs is not None and tracer is not None:
@@ -736,7 +707,7 @@ class ServiceReplica:
         if (
             not instance.decided
             and instance.accept_sent
-            and instance.has_accept_quorum(self.quorum_accept())
+            and instance.has_accept_quorum(self.view.consensus_quorum)
         ):
             instance.decide()
             obs, tracer = instance.obs, self.sim.tracer
@@ -784,16 +755,15 @@ class ServiceReplica:
             self._deliver_decision(head)
 
     def _deliver_decision(self, instance: Instance) -> None:
-        self.last_decided = instance.cid
-        self.next_cid = instance.cid + 1
+        cid = instance.cid
         value = instance.decided_value
         timestamp = instance.decided_timestamp
-        self.decision_log.append((instance.cid, value, timestamp))
+        del self.instances[cid]
         obs, tracer = instance.obs, self.sim.tracer
         if obs is not None and tracer is not None and obs["wait"] is not None:
             tracer.end(obs["wait"])
         if self.storage is not None:
-            fsynced = self.storage.on_decided(instance.cid, value, timestamp)
+            fsynced = self.storage.on_decided(cid, value, timestamp)
             if obs is not None and tracer is not None:
                 tracer.point(
                     "wal.append",
@@ -801,40 +771,71 @@ class ServiceReplica:
                     parent=obs["span"],
                     process=self.address,
                     trace_ids=obs["span"].trace_ids,
-                    cid=instance.cid,
+                    cid=cid,
                     fsynced=bool(fsynced),
                 )
-        del self.instances[instance.cid]
-
-        if value != b"":
-            # The batch was already decoded during validation; fall back to
-            # a fresh decode only if it was not (e.g. caching disabled).
-            batch = instance.decided_batch
-            if batch is None:
-                batch = decode(value)
-            for request in batch.requests:
-                key = request.key()
-                self.pending.pop(key, None)
-                self._unproposed.pop(key, None)
-            self._exec_channel.put(
-                (
-                    self._install_epoch,
-                    instance.cid,
-                    batch.requests,
-                    timestamp,
-                    instance.epoch,
-                )
-            )
+        # The batch was decoded during validation: no second decode.
+        self.enqueue_decided(cid, value, timestamp, instance.decided_batch)
         self.synchronizer.on_decision()
+
+    def enqueue_decided(
+        self, cid: int, value: bytes, timestamp: float, batch=None
+    ) -> None:
+        """Hand one decided log entry to the executor.
+
+        The one path from a decision to execution: live consensus, the
+        WAL tail of a disk restart and both state-transfer shapes all
+        arrive here in cid order. The entry joins the decided log, its
+        requests leave the pending pools, and the executor receives
+        ``(install epoch, cid, requests, timestamp)`` — the same entry
+        on every path, hence the same context at every replica.
+        """
+        self.decision_log.append((cid, value, timestamp))
+        self.last_decided = cid
+        self.next_cid = cid + 1
+        if value == b"":
+            return  # an empty gap-filling batch: nothing to execute
+        if batch is None:
+            batch = decode(value)
+        for request in batch.requests:
+            key = request.key()
+            self.pending.pop(key, None)
+            self._unproposed.pop(key, None)
+        self._exec_channel.put((self._install_epoch, cid, batch.requests, timestamp))
+
+    def install_checkpoint(self, checkpoint_cid: int, blob: bytes) -> None:
+        """Replace the replica's state with a checkpoint blob.
+
+        The service snapshot and both dedup tables come from ``blob``
+        (see :meth:`_snapshot_blob`); the decided log restarts empty
+        after ``checkpoint_cid``. The install epoch moves on, so any
+        executor backlog queued before the install — which would corrupt
+        the dedup table and skip parts of the replay that follows — is
+        dropped.
+        """
+        self._install_epoch += 1
+        service_snapshot, dedup_table = decode(blob)
+        self.service.install_snapshot(service_snapshot)
+        self._last_executed_seq = dict(dedup_table)
+        # Align the dispatcher's dedup view with the installed state:
+        # pre-checkpoint requests must be skipped, replayed ones must pass.
+        self._dispatched_seq = dict(dedup_table)
+        self._last_reply.clear()
+        self.checkpoint_cid = self.executed_cid = checkpoint_cid
+        self.checkpoint_snapshot = blob
+        self.decision_log = []
+        self.last_decided = checkpoint_cid
+        # Proposing restarts at the installed head.
+        self.next_cid = self.next_propose_cid = checkpoint_cid + 1
 
     def _executor(self):
         """The single execution thread, in decided order — the
         determinism bottleneck of §IV-C(b)."""
         while True:
-            epoch, cid, requests, timestamp, regency = yield self._exec_channel.get()
+            epoch, cid, requests, timestamp = yield self._exec_channel.get()
             self._maybe_propose()  # one batch fewer waiting: a hold may lift
             if epoch != self._install_epoch:
-                continue  # stale: queued before a state-transfer install
+                continue  # stale: queued before a checkpoint install
             for order, request in enumerate(requests):
                 if epoch != self._install_epoch:
                     break  # an install landed mid-batch
@@ -857,7 +858,7 @@ class ServiceReplica:
                     if span is not None:
                         tracer.end(span, aborted=True)
                     break  # an install landed during the cost wait
-                self._execute_one(cid, order, request, timestamp, regency)
+                self._execute_one(cid, order, request, timestamp)
                 if span is not None:
                     tracer.end(span)
                 post = self.service.post_cost()
@@ -878,7 +879,7 @@ class ServiceReplica:
         return True
 
     def _execute_one(
-        self, cid: int, order: int, request: ClientRequest, timestamp: float, regency: int
+        self, cid: int, order: int, request: ClientRequest, timestamp: float
     ) -> None:
         last = self._last_executed_seq.get(request.client_id, -1)
         if request.sequence <= last:
@@ -887,7 +888,6 @@ class ServiceReplica:
             cid=cid,
             order=order,
             timestamp=timestamp,
-            regency=regency,
             client_id=request.client_id,
             sequence=request.sequence,
             replica=self.address,
@@ -939,9 +939,9 @@ class ServiceReplica:
     def recover_from_disk(self):
         """Restart-from-disk boot path.
 
-        Validates the newest durable checkpoint, installs it, and queues
-        the verified WAL tail through the normal execution path — the
-        replica then only needs the suffix it missed from peers (a
+        Validates the newest durable checkpoint, installs it, and hands
+        the verified WAL tail to the executor like any other decision —
+        the replica then only needs the suffix it missed from peers (a
         partial state transfer). If any digest failed, the disk is
         distrusted wholesale and the replica boots empty, falling back
         to the full f+1-verified transfer.
@@ -959,24 +959,9 @@ class ServiceReplica:
         if recovered.damaged:
             return recovered
         if recovered.snapshot is not None:
-            service_snapshot, dedup_table = decode(recovered.snapshot)
-            self.service.install_snapshot(service_snapshot)
-            self._last_executed_seq = dict(dedup_table)
-            self._dispatched_seq = dict(dedup_table)
-            self.checkpoint_cid = recovered.checkpoint_cid
-            self.checkpoint_snapshot = recovered.snapshot
-            self.executed_cid = recovered.checkpoint_cid
-            self.last_decided = recovered.checkpoint_cid
-            self.next_cid = recovered.checkpoint_cid + 1
+            self.install_checkpoint(recovered.checkpoint_cid, recovered.snapshot)
         for cid, value, timestamp in recovered.entries:
-            self.decision_log.append((cid, value, timestamp))
-            self.last_decided = cid
-            self.next_cid = cid + 1
-            if value != b"":
-                batch = decode(value)
-                self._exec_channel.put(
-                    (self._install_epoch, cid, batch.requests, timestamp, 0)
-                )
+            self.enqueue_decided(cid, value, timestamp)
         self.next_propose_cid = self.next_cid
         return recovered
 
@@ -1093,8 +1078,8 @@ class ServiceReplica:
     _dispatch_table = {
         ClientRequest: _on_client_request,
         Propose: on_propose,
-        WriteMsg: on_write,
-        AcceptMsg: on_accept,
+        WriteMsg: _on_vote,
+        AcceptMsg: _on_vote,
         Stop: lambda self, m: self.synchronizer.on_stop(m),
         StopData: lambda self, m: self.synchronizer.on_stop_data(m),
         Sync: lambda self, m: self.synchronizer.on_sync(m),

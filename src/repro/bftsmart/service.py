@@ -24,6 +24,12 @@ if typing.TYPE_CHECKING:
 class MessageContext:
     """Deterministic execution context for one operation.
 
+    Every field but ``replica`` is a function of the decided log entry
+    alone, so a replica executing it live, from its WAL after a restart
+    or after a state transfer builds an equal context. That is why there
+    is no regency here: a replaying replica never learns the epoch under
+    which a logged slot decided.
+
     Attributes
     ----------
     cid:
@@ -33,8 +39,6 @@ class MessageContext:
     timestamp:
         The leader's clock reading carried in the PROPOSE; identical at
         every replica, hence safe to use for event timestamps.
-    regency:
-        Regency under which the instance decided.
     client_id, sequence:
         Identity of the originating request.
     replica:
@@ -44,7 +48,6 @@ class MessageContext:
     cid: int
     order: int
     timestamp: float
-    regency: int
     client_id: str
     sequence: int
     replica: str

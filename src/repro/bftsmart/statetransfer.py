@@ -27,7 +27,7 @@ import typing
 
 from repro.bftsmart.messages import StateReply, StateRequest
 from repro.crypto import digest
-from repro.wire import decode, encode
+from repro.wire import encode
 
 if typing.TYPE_CHECKING:
     from repro.bftsmart.replica import ServiceReplica
@@ -47,12 +47,16 @@ class StateTransfer:
         self.completed = 0
         # -- transfer-shape metrics (benchmarks / acceptance tests) --
         self.full_installs = 0
-        self.partial_installs = 0
         #: Payload bytes this replica installed from peers (snapshot +
         #: log values), the "bytes shipped" axis of the fig. 8c contrast.
         self.bytes_installed = 0
         self.full_served = 0
         self.partial_served = 0
+
+    @property
+    def partial_installs(self) -> int:
+        """Completed transfers that only appended a log suffix."""
+        return self.completed - self.full_installs
 
     @property
     def retry_interval(self) -> float:
@@ -171,18 +175,23 @@ class StateTransfer:
                 )
             )
             groups.setdefault(key, []).append(reply)
-        threshold = replica.view.f + 1
+        threshold = replica.view.weak_quorum
         for replies in groups.values():
             if len(replies) >= threshold:
-                if replies[0].partial:
-                    self._install_partial(replies[0])
-                else:
-                    self._install(replies[0])
+                self._install(replies[0])
                 return
 
     # -- installing ---------------------------------------------------------------
 
     def _install(self, reply: StateReply) -> None:
+        """Install ``f+1``-verified state: a full reply's checkpoint, then
+        every logged decision past what this replica already holds.
+
+        A partial reply's log extends the prefix this replica holds, so
+        the executor backlog stays valid; a full reply replaces the state
+        and everything in flight with its checkpoint first. Either way
+        each entry reaches the executor through the replica's one path.
+        """
         replica = self.replica
         top_cid = max(
             [reply.checkpoint_cid] + [entry[0] for entry in reply.log]
@@ -194,83 +203,7 @@ class StateTransfer:
             self.in_progress = False
             self._highest_observed = min(self._highest_observed, replica.last_decided)
             return
-
-        if reply.view.view_id > replica.view.view_id:
-            replica.view = reply.view
-            replica.synchronizer.on_view_change()
-
-        # Invalidate any executor backlog queued before this install —
-        # replaying it against the freshly installed state would corrupt
-        # the dedup table and skip parts of this install's own replay.
-        replica._install_epoch += 1
-
-        snapshot_blob = decode(reply.snapshot)
-        service_snapshot, dedup_table = snapshot_blob
-        replica.service.install_snapshot(service_snapshot)
-        replica._last_executed_seq = dict(dedup_table)
-        # Align the dispatcher's dedup view with the installed state:
-        # pre-checkpoint requests must be skipped, replayed ones must pass.
-        replica._dispatched_seq = dict(dedup_table)
-        replica._last_reply.clear()
-
-        replica.checkpoint_cid = reply.checkpoint_cid
-        replica.checkpoint_snapshot = reply.snapshot
-        replica.executed_cid = reply.checkpoint_cid
-        replica.decision_log = list(reply.log)
-        replica.instances.clear()
-
-        if replica.storage is not None:
-            # The durable state must track the installed one, or the next
-            # restart would resurrect the pre-install history.
-            replica.storage.reinstall(
-                reply.checkpoint_cid, reply.snapshot, reply.log
-            )
-
-        last = reply.checkpoint_cid
-        for cid, value, timestamp in sorted(reply.log, key=lambda e: e[0]):
-            last = max(last, cid)
-            if value != b"":
-                batch = decode(value)
-                for request in batch.requests:
-                    replica.pending.pop(request.key(), None)
-                replica._exec_channel.put(
-                    (
-                        replica._install_epoch,
-                        cid,
-                        batch.requests,
-                        timestamp,
-                        replica.regency,
-                    )
-                )
-        replica.reset_unproposed()
-        replica.last_decided = last
-        replica.next_cid = last + 1
-        # Everything this replica had proposed or decided-but-not-released
-        # predates the installed state; proposing restarts at the new head.
-        replica.next_propose_cid = replica.next_cid
-        self.full_installs += 1
-        self.bytes_installed += len(reply.snapshot) + sum(
-            len(value) for _, value, _ in reply.log
-        )
-        self._finish_install()
-
-    def _install_partial(self, reply: StateReply) -> None:
-        """Append an f+1-verified decided-log suffix to our own prefix.
-
-        Unlike a full install this does not touch the snapshot, the
-        dedup tables or the install epoch — the existing executor
-        backlog *is* the valid prefix the suffix extends.
-        """
-        replica = self.replica
-        top_cid = max(
-            [reply.checkpoint_cid] + [entry[0] for entry in reply.log]
-        )
-        if top_cid <= replica.last_decided:
-            # Stale: peers are no further along than we already are.
-            self.in_progress = False
-            self._highest_observed = min(self._highest_observed, replica.last_decided)
-            return
-        if reply.checkpoint_cid > replica.last_decided:
+        if reply.partial and reply.checkpoint_cid > replica.last_decided:
             # The suffix starts beyond our prefix and cannot anchor —
             # only possible across a racing install; fetch again.
             self.in_progress = False
@@ -281,36 +214,29 @@ class StateTransfer:
             replica.view = reply.view
             replica.synchronizer.on_view_change()
 
-        installed_bytes = 0
+        storage = replica.storage
+        if not reply.partial:
+            replica.install_checkpoint(reply.checkpoint_cid, reply.snapshot)
+            # Open instances predate the installed state; their requests
+            # go back to the pool.
+            replica.instances.clear()
+            replica.reset_unproposed()
+            self.full_installs += 1
+            if storage is not None:
+                # The durable state must track the installed one, or the
+                # next restart would resurrect the pre-install history.
+                storage.reinstall(reply.checkpoint_cid, reply.snapshot, reply.log)
+                storage = None  # the log tail went to disk with it
+
+        self.bytes_installed += len(reply.snapshot)
         for cid, value, timestamp in sorted(reply.log, key=lambda e: e[0]):
             if cid <= replica.last_decided:
                 continue  # overlap with what we already hold
-            replica.decision_log.append((cid, value, timestamp))
-            if replica.storage is not None:
-                replica.storage.on_decided(cid, value, timestamp)
-            installed_bytes += len(value)
-            if value != b"":
-                batch = decode(value)
-                for request in batch.requests:
-                    replica.pending.pop(request.key(), None)
-                    replica._unproposed.pop(request.key(), None)
-                replica._exec_channel.put(
-                    (
-                        replica._install_epoch,
-                        cid,
-                        batch.requests,
-                        timestamp,
-                        replica.regency,
-                    )
-                )
-            replica.last_decided = cid
-        replica.next_cid = replica.last_decided + 1
-        self.partial_installs += 1
-        self.bytes_installed += installed_bytes
-        self._finish_install()
+            if storage is not None:
+                storage.on_decided(cid, value, timestamp)
+            replica.enqueue_decided(cid, value, timestamp)
+            self.bytes_installed += len(value)
 
-    def _finish_install(self) -> None:
-        replica = self.replica
         replica.last_progress = replica.sim.now
         self.in_progress = False
         self.completed += 1

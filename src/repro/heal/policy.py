@@ -158,7 +158,7 @@ def quorum_blockers(system, view, taking_down: str | None = None) -> list:
         and pm.replica.active
         and not system.net.endpoint(pm.address).down
     ]
-    need = 2 * view.f + 1
+    need = view.strong_quorum
     remaining = [a for a in live if a != taking_down]
     if len(remaining) < need:
         reasons.append(

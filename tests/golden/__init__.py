@@ -13,6 +13,11 @@ spare-provisioning paths (``core/system.py`` beside
 The ``schedules`` block was recorded the same way at the last commit that
 still carried the heap event kernel beside the ring, on both kernels,
 with their outputs asserted equal.
+
+The ``transfer`` block was recorded from the untouched ``src/`` of the
+last commit that still carried four hand-copied paths from a decided
+entry to the executor (live delivery, disk recovery, full and partial
+state-transfer install).
 """
 
 import json

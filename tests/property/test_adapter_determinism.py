@@ -86,7 +86,6 @@ def _ctx(cid, client):
         cid=cid,
         order=0,
         timestamp=cid * 0.25,
-        regency=0,
         client_id=client,
         sequence=cid,
         replica="replica-x",

@@ -2,7 +2,7 @@
 
 import string
 
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.crypto import digest
@@ -198,16 +198,26 @@ def test_data_value_roundtrips_and_copies(raw, timestamp):
 # -- quorum arithmetic -----------------------------------------------------------------
 
 
-@given(st.integers(min_value=0, max_value=20))
-@settings(max_examples=21)
-def test_bft_quorums_intersect_in_a_correct_replica(f):
-    """Any two write quorums share at least f+1 replicas, hence one correct."""
-    from repro.bftsmart import GroupConfig
+_group_sizes = st.integers(min_value=0, max_value=3).flatmap(
+    lambda f: st.tuples(st.just(f), st.integers(min_value=3 * f + 1, max_value=3 * f + 4))
+)
 
-    n = 3 * f + 1
-    config = GroupConfig(n=n, f=f)
-    quorum = config.write_quorum
-    # |Q1 ∩ Q2| >= 2*quorum - n must exceed f.
+
+@given(_group_sizes)
+@example((1, 5))  # a reconfigured group: one replica joined, f unchanged
+def test_bft_quorums_intersect_in_a_correct_replica(group):
+    """Any two consensus quorums share at least f+1 replicas, hence one
+    correct; every other threshold is its closed form."""
+    from repro.bftsmart import View
+
+    f, n = group
+    view = View(1, tuple(f"replica-{i}" for i in range(n)), f)
+    quorum = view.consensus_quorum
+    assert quorum == -(-(n + f + 1) // 2)  # ceil((n + f + 1) / 2)
+    # |Q1 ∩ Q2| >= 2*quorum - n must exceed f ...
     assert 2 * quorum - n >= f + 1
-    assert config.reply_quorum == f + 1
-    assert config.stop_quorum == 2 * f + 1
+    # ... and a quorum forms while f replicas stay silent.
+    assert quorum <= n - f
+    assert view.strong_quorum == 2 * f + 1
+    assert view.weak_quorum == f + 1
+    assert view.live_quorum == n - f

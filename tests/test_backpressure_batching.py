@@ -305,7 +305,8 @@ def test_leader_crash_during_a_hold_hands_over_to_an_eager_leader(holds, monkeyp
     live = replicas[1:]
     assert [r.synchronizer.changes_completed for r in live] == [1] * 3
     assert new.is_leader
-    installed = new._eager_until - timeout
+    installed = new.synchronizer.synced_at
+    eager_until = installed + timeout
     # Proposes as soon as SYNC lands (one batch wait), backlog or not ...
     assert installed <= proposals[0][0] <= installed + BATCH_WAIT + 1e-9
     # ... and for one request_timeout keeps proposing what it would
@@ -313,11 +314,11 @@ def test_leader_crash_during_a_hold_hands_over_to_an_eager_leader(holds, monkeyp
     assert [
         when
         for when, queued, youngest in proposals
-        if when < new._eager_until and queued >= 2 and youngest < timeout / 4
+        if when < eager_until and queued >= 2 and youngest < timeout / 4
     ]
     held_by_new = [when for when, address in holds if address == new.address]
     # Past the window the new leader holds like any other.
-    assert held_by_new and min(held_by_new) >= new._eager_until
+    assert held_by_new and min(held_by_new) >= eager_until
     _assert_exactly_once_in_client_order(live, {client.client_id: total})
     assert set(held_by_old) <= {(c, s) for _when, c, s in new.service.log}
 

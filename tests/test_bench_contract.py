@@ -1,9 +1,10 @@
 """Tier-1 guard for what ``bench/`` pins of the program from outside.
 
 ``bench/trace.py`` wraps the layers' entry points by name and
-``bench/workloads.py`` reads ``repro.perf`` counters by key. Nothing under
-``src/`` imports ``bench/``, so a refactor that renames one of those names
-would otherwise fail only in a traced benchmark run nobody made.
+``bench/workloads.py`` reads ``repro.perf`` counters by key and replica
+fields by attribute. Nothing under ``src/`` imports ``bench/``, so a
+refactor that renames one of those names would otherwise fail only in a
+traced benchmark run nobody made.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import pathlib
 import pytest
 
 import repro.perf
+from repro.bftsmart import EchoService, GroupConfig, build_group
+from repro.net import Network
 from repro.perf import PERF, PerfSwitches
 from repro.sim import RingSimulator, Simulator
+from repro.storage import ReplicaStorage
 
 _TRACE_PY = pathlib.Path(__file__).resolve().parent.parent / "bench" / "trace.py"
 
@@ -88,3 +92,27 @@ def test_default_kernel_is_the_ring(monkeypatch):
         Simulator(**{"kernel": "heap"})
     with pytest.raises(TypeError):
         RingSimulator(**{"kernel": "ring"})
+
+
+def test_replica_fields_the_benchmark_reads():
+    # bench/workloads.py sums these counters over every incarnation and
+    # probes the failover victim's rejoin through the rest.
+    sim = Simulator(seed=1)
+    config = GroupConfig()
+    storage = ReplicaStorage(config.addresses[0])
+    replica, *_peers = build_group(
+        sim, Network(sim), config, EchoService, storages={0: storage}
+    )
+    assert set(replica.stats) == {
+        "proposals", "decided", "executed", "replies", "pushes",
+        "rejected_requests", "checkpoints", "decided_out_of_order",
+        "pipeline_occupancy_sum", "pipeline_occupancy_peak",
+        "pipeline_occupancy_samples",
+    }
+    assert replica.synchronizer.changes_completed == 0
+    assert replica.last_decided == -1
+    assert replica.is_leader and replica.active
+    assert replica.recovered_from_disk.entries == []
+    assert replica.state_transfer.bytes_installed == 0
+    replica.halt()
+    assert not replica.active

@@ -27,18 +27,23 @@ def test_negative_f_rejected():
 
 
 def test_quorum_sizes_match_bft_smart():
-    cfg = GroupConfig(n=4, f=1)
-    assert cfg.write_quorum == 3  # 2f+1
-    assert cfg.accept_quorum == 3
-    assert cfg.stop_quorum == 3
-    assert cfg.stop_join_threshold == 2
-    assert cfg.stop_data_quorum == 3
-    assert cfg.reply_quorum == 2  # f+1
-    assert cfg.unordered_quorum == 3
+    view = View(0, GroupConfig(n=4, f=1).addresses, 1)
+    assert view.consensus_quorum == 3  # WRITE and ACCEPT: 2f+1 at n=3f+1
+    assert view.strong_quorum == 3  # STOPs that install a regency
+    assert view.weak_quorum == 2  # STOPs to join, ordered replies, pushes
+    assert view.live_quorum == 3  # STOP-DATAs, unordered replies
 
-    cfg7 = GroupConfig(n=7, f=2)
-    assert cfg7.write_quorum == 5
-    assert cfg7.reply_quorum == 3
+    view7 = View(0, GroupConfig(n=7, f=2).addresses, 2)
+    assert view7.consensus_quorum == 5
+    assert view7.weak_quorum == 3
+
+    # A reconfiguration that adds a fifth replica keeps f=1: consensus
+    # now needs 4 of 5, while 2f+1 and f+1 stay put.
+    joined = View(1, view.addresses + ("replica-4",), 1)
+    assert joined.consensus_quorum == 4
+    assert joined.strong_quorum == 3
+    assert joined.weak_quorum == 2
+    assert joined.live_quorum == 4
 
 
 def test_explicit_addresses_validated():

@@ -1,10 +1,13 @@
 """Focused tests for the state-transfer protocol."""
 
+import dataclasses
+
 import pytest
 
 from repro.bftsmart import (
     CounterService,
     GroupConfig,
+    ServiceReplica,
     StateReply,
     StateRequest,
     build_group,
@@ -13,6 +16,7 @@ from repro.bftsmart import (
 from repro.crypto import KeyStore
 from repro.net import ConstantLatency, Network
 from repro.sim import Simulator
+from repro.storage import ReplicaStorage
 from repro.wire import decode, encode
 
 
@@ -188,3 +192,69 @@ def test_transfer_completing_during_leader_change_adopts_new_view():
     top = max(r.synchronizer.regency for r in live)
     assert top > 0
     assert straggler.synchronizer.regency == top
+
+
+@pytest.mark.parametrize(
+    "checkpoint_interval, shape",
+    [(1000, "partial_installs"), (4, "full_installs")],
+)
+def test_every_replica_executes_each_entry_with_the_same_context(
+    checkpoint_interval, shape
+):
+    """Live consensus, a disk restart and a state transfer (of either
+    shape) hand the executor the same entry: every replica and every
+    incarnation must execute each ``(cid, order)`` with an equal
+    :class:`MessageContext`, apart from the executing replica's address."""
+    contexts: dict = {}
+
+    class Recording(CounterService):
+        def execute(self, operation, ctx):
+            fields = dataclasses.asdict(ctx)
+            del fields["replica"]
+            contexts.setdefault(ctx.order_key, set()).add(
+                tuple(sorted(fields.items()))
+            )
+            return super().execute(operation, ctx)
+
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=ConstantLatency(0.0003))
+    keystore = KeyStore()
+    config = GroupConfig(
+        n=4, f=1, checkpoint_interval=checkpoint_interval,
+        request_timeout=0.5, sync_timeout=1.0,
+    )
+    storages = {i: ReplicaStorage(a) for i, a in enumerate(config.addresses)}
+    replicas = build_group(
+        sim, net, config, Recording, keystore, storages=storages
+    )
+    proxy = build_proxy(sim, net, "client-1", config, keystore)
+    run_adds(sim, proxy, 3)
+    # The leader dies under traffic: cids 3-7 decide under regency 1...
+    net.crash("replica-0")
+    run_adds(sim, proxy, 5)
+    assert replicas[1].synchronizer.regency == 1
+    # ...and it comes back, catching up by state transfer.
+    net.recover("replica-0")
+    run_adds(sim, proxy, 3)
+    assert converge(sim, replicas)
+    assert getattr(replicas[0].state_transfer, shape) >= 1
+
+    # Separately, a replica power-cycles and replays its WAL.
+    old = replicas[2]
+    old.halt()
+    storages[2].crash("intact")
+    fresh = ServiceReplica(
+        sim=sim, net=net, address=old.address, config=config,
+        service=Recording(), keystore=keystore, view=old.view,
+        storage=storages[2],
+    )
+    fresh.recover_from_disk()
+    assert fresh.recovered_from_disk.entries
+    fresh.state_transfer.bootstrap()
+    replicas[2] = fresh
+    run_adds(sim, proxy, 2)
+    assert converge(sim, replicas)
+    assert {r.service.value for r in replicas} == {13}
+
+    disagreements = sorted(key for key, seen in contexts.items() if len(seen) > 1)
+    assert disagreements == []

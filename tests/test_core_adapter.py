@@ -45,7 +45,6 @@ def ctx(cid=0, order=0, timestamp=1.0, client="proxy-frontend-0-bft"):
         cid=cid,
         order=order,
         timestamp=timestamp,
-        regency=0,
         client_id=client,
         sequence=cid,
         replica="replica-0",

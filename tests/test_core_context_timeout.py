@@ -14,7 +14,6 @@ def make_ctx(cid=3, order=1, timestamp=12.5):
         cid=cid,
         order=order,
         timestamp=timestamp,
-        regency=0,
         client_id="client",
         sequence=0,
         replica="replica-0",

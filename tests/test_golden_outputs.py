@@ -22,6 +22,13 @@ dispatch log, decided stream, state digests and detection stream of three
 seeded runs, recorded on the heap kernel and on the ring (equal, asserted
 at record time) before the heap kernel was deleted.
 
+``transfer`` pins the ways a decided entry reaches a replica's executor
+besides live consensus — WAL replay after a restart, partial and full
+state transfer. It was recorded before those paths were folded into one
+replica method: the intact, corrupt, wiped and pipelined restart
+campaigns with every replica's transfer and disk-recovery counters, and
+one bare-library run whose crashed leader catches up by transfer.
+
 A change that is *meant* to move one (a new wire type, a protocol change)
 updates the file from the failing assertion's left side.
 """
@@ -36,6 +43,7 @@ import pytest
 from repro.bftsmart import CounterService, GroupConfig, build_group, build_proxy
 from repro.chaos import Schedule, SwapByzantine, get_scenario, run_campaign
 from repro.chaos.campaign import CampaignConfig
+from repro.chaos.monitors import InvariantMonitor, default_monitors
 from repro.crypto import KeyStore
 from repro.neoscada import HandlerChain, Monitor
 from repro.core import build_smartscada
@@ -179,6 +187,91 @@ def _decided_stream(replica):
         if value != b""
         for request in decode(value).requests
     ]
+
+
+def _transfer_counters(replica) -> dict:
+    transfer = replica.state_transfer
+    recovered = replica.recovered_from_disk
+    return {
+        "state_transfer": {
+            name: getattr(transfer, name)
+            for name in (
+                "completed", "full_installs", "partial_installs", "bytes_installed"
+            )
+        },
+        "recovered_from_disk": (
+            None
+            if recovered is None
+            else [recovered.checkpoint_cid, len(recovered.entries), recovered.damaged]
+        ),
+    }
+
+
+class _TransferCensus(InvariantMonitor):
+    """Reads every current incarnation's counters at quiesce."""
+
+    def finish(self, ctx) -> None:
+        self.replicas = {
+            pm.replica.address: _transfer_counters(pm.replica)
+            for pm in ctx.system.proxy_masters
+        }
+
+
+def _restart_campaign(name: str) -> dict:
+    scenario = get_scenario(name)
+    census = _TransferCensus()
+    report = run_campaign(
+        scenario.schedule(),
+        scenario.config(CampaignConfig(seed=3, trace=True)),
+        monitors=default_monitors() + [census],
+    )
+    return {"fingerprint": report.fingerprint(), "replicas": census.replicas}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["transfer"]["campaigns"]))
+def test_restart_campaign_and_transfer_counters(name):
+    assert _restart_campaign(name) == GOLDEN["transfer"]["campaigns"][name]
+
+
+def _leader_crash_caught_up_by_transfer() -> dict:
+    """A bare group whose leader dies under traffic and returns behind."""
+    sim = Simulator(seed=11)
+    log = sim._schedule_log = []
+    net = Network(sim, latency=LanLatency(rng=sim.rng.stream("net")))
+    keystore = KeyStore()
+    config = GroupConfig(
+        n=4, f=1, checkpoint_interval=6, request_timeout=0.5, sync_timeout=1.0
+    )
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    proxy = build_proxy(sim, net, "client-1", config, keystore, invoke_timeout=0.3)
+
+    def client(count):
+        for _ in range(count):
+            yield proxy.invoke_ordered(encode(("add", 1)))
+
+    sim.run_process(client(4), until=sim.now + 30)
+    net.crash("replica-0")
+    sim.run_process(client(12), until=sim.now + 30)
+    net.recover("replica-0")
+    sim.run_process(client(6), until=sim.now + 30)
+    sim.run(until=sim.now + 3)
+    streams = [_decided_stream(replica) for replica in replicas]
+    return {
+        "schedule_sha256": _schedule_sha256(log),
+        "dispatched": sim.dispatched,
+        "now": sim.now,
+        "decided_streams": streams,
+        "last_decided": [replica.last_decided for replica in replicas],
+        "state_digests": [
+            hashlib.sha256(replica.service.snapshot()).hexdigest()
+            for replica in replicas
+        ],
+        "leader": _transfer_counters(replicas[0]),
+    }
+
+
+def test_leader_crash_caught_up_by_transfer():
+    assert _leader_crash_caught_up_by_transfer() == GOLDEN["transfer"]["leader_crash"]
 
 
 def test_bft_schedule_and_decided_stream():

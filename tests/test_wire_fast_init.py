@@ -28,7 +28,7 @@ from tests.test_wire_codec_caching import sample_instance
 
 _SAMPLES = {
     MessageContext: lambda salt: MessageContext(
-        cid=salt, order=1, timestamp=0.5, regency=0,
+        cid=salt, order=1, timestamp=0.5,
         client_id="c", sequence=salt, replica="r0",
     ),
     Signature: lambda salt: Signature("signer", bytes([salt]) * 32),
