@@ -13,8 +13,10 @@ payload ``bytes`` object is shared by every receiver's envelope. That
 identity sharing is what makes the downstream identity-keyed caches hit:
 the digest LRU (PROPOSE value hashing) and the decode-share LRU here,
 which lets n co-simulated replicas decode one broadcast payload once
-instead of n times. Network sizing uses an exact arithmetic
-:func:`sealed_wire_size` instead of a sizing encode per send.
+instead of n times. Each send hands the network the envelope's exact
+wire size, computed arithmetically (a cached per-receiver-set overhead
+plus the payload field; :func:`sealed_wire_size` is the reference the
+tests compare it with) instead of a sizing encode per send.
 
 All of it is behaviour-invisible: the decode cache only shares messages
 whose wire form is a frozen dataclass, MAC verification stays per-receiver,
@@ -28,11 +30,20 @@ from repro.crypto import Authenticator, KeyStore
 from repro.crypto.mac import MAC_SIZE
 from repro.net.endpoint import Endpoint
 from repro.perf import PERF
-from repro.wire import DecodeError, decode, encode_cached, uvarint_size
+from repro.wire import (
+    GLOBAL_REGISTRY,
+    DecodeError,
+    decode,
+    encode_cached,
+    uvarint_size,
+)
 from repro.wire.codec import _is_frozen_dataclass
 
 #: ``1`` dataclass tag + varint type id + ``1`` field-count byte of Sealed.
-_SEALED_PREFIX_SIZE: int | None = None
+_SEALED_PREFIX_SIZE = 1 + uvarint_size(GLOBAL_REGISTRY.id_of(Sealed)) + 1
+
+#: Wire size of one MAC tag in the tag dict (BYTES tag + length + tag).
+_TAG_SIZE = 1 + uvarint_size(MAC_SIZE) + MAC_SIZE
 
 #: Wire size (STR tag + length varint + UTF-8 bytes) per address string.
 #: Bounded by the number of distinct endpoint addresses in a deployment.
@@ -55,11 +66,6 @@ def sealed_wire_size(sealed: Sealed) -> int:
     skip its sizing encode. Must stay in lockstep with the codec; the
     channel tests assert ``sealed_wire_size(s) == len(encode(s))``.
     """
-    global _SEALED_PREFIX_SIZE
-    if _SEALED_PREFIX_SIZE is None:
-        from repro.wire import GLOBAL_REGISTRY
-
-        _SEALED_PREFIX_SIZE = 1 + uvarint_size(GLOBAL_REGISTRY.id_of(Sealed)) + 1
     size = _SEALED_PREFIX_SIZE + _str_wire_size(sealed.sender)
     payload_len = len(sealed.payload)
     size += 1 + uvarint_size(payload_len) + payload_len
@@ -68,31 +74,6 @@ def sealed_wire_size(sealed: Sealed) -> int:
     for receiver, tag in tags.items():
         size += _str_wire_size(receiver)
         size += 1 + uvarint_size(len(tag)) + len(tag)
-    return size
-
-
-#: (sender, receivers-tuple) -> constant envelope bytes excluding the
-#: payload field. Every tag is MAC_SIZE bytes, so for a fixed sender and
-#: receiver set the only per-send variable is the payload length.
-_ENVELOPE_OVERHEAD: dict[tuple, int] = {}
-
-
-def _envelope_overhead(sender: str, receivers: tuple) -> int:
-    key = (sender, receivers)
-    size = _ENVELOPE_OVERHEAD.get(key)
-    if size is not None:
-        return size
-    global _SEALED_PREFIX_SIZE
-    if _SEALED_PREFIX_SIZE is None:
-        from repro.wire import GLOBAL_REGISTRY
-
-        _SEALED_PREFIX_SIZE = 1 + uvarint_size(GLOBAL_REGISTRY.id_of(Sealed)) + 1
-    size = _SEALED_PREFIX_SIZE + _str_wire_size(sender)
-    size += 1 + uvarint_size(len(receivers))
-    tag_size = 1 + uvarint_size(MAC_SIZE) + MAC_SIZE
-    for receiver in receivers:
-        size += _str_wire_size(receiver) + tag_size
-    _ENVELOPE_OVERHEAD[key] = size
     return size
 
 
@@ -163,34 +144,44 @@ class SecureChannel:
         self.auth = Authenticator(endpoint.address, keystore)
         #: Messages dropped because of bad MACs or undecodable payloads.
         self.rejected = 0
+        #: receivers -> envelope bytes besides the payload field (see
+        #: :meth:`_overhead`).
+        self._overheads: dict = {}
 
     # -- sending -------------------------------------------------------------
 
-    def seal(self, message, receivers: list) -> Sealed:
-        payload = encode_cached(message).payload
+    def _overhead(self, receivers) -> int:
+        """Wire size of an envelope from this node, minus its payload field.
+
+        ``receivers`` is one address (a single-tag envelope) or a tuple
+        (a MAC vector). Every tag is MAC_SIZE bytes, so for a fixed
+        receiver set the only per-send variable is the payload length.
+        """
+        size = self._overheads.get(receivers)
+        if size is None:
+            group = (receivers,) if receivers.__class__ is str else receivers
+            size = _SEALED_PREFIX_SIZE + _str_wire_size(self.address)
+            size += 1 + uvarint_size(len(group))
+            for receiver in group:
+                size += _str_wire_size(receiver) + _TAG_SIZE
+            self._overheads[receivers] = size
+        return size
+
+    def seal(self, message, receivers) -> Sealed:
+        """One envelope for ``message`` carrying a MAC tag per receiver."""
+        payload = encode_cached(message)
         _seed_decoded(payload, message)
         mac = self.auth.mac
-        return Sealed(
-            sender=self.address,
-            payload=payload,
-            tags={receiver: mac(receiver, payload) for receiver in receivers},
-        )
+        tags = {}
+        for receiver in receivers:
+            tags[receiver] = mac(receiver, payload)
+        return Sealed(sender=self.address, payload=payload, tags=tags)
 
     def send(self, dst: str, message) -> None:
         """Seal and send to a single receiver."""
-        sealed = self.seal(message, [dst])
-        payload_len = len(sealed.payload)
-        size_hint = (
-            _envelope_overhead(sealed.sender, (dst,))
-            + 1
-            + uvarint_size(payload_len)
-            + payload_len
-        )
-        self.endpoint.send(
-            dst, sealed, kind=type(message).__name__, size_hint=size_hint
-        )
+        self.multicast((dst,), message)
 
-    def multicast(self, receivers: list, message) -> None:
+    def multicast(self, receivers, message) -> None:
         """Send the same message to each receiver in its own envelope.
 
         Unlike :meth:`broadcast` the receivers each get a single-tag
@@ -199,24 +190,21 @@ class SecureChannel:
         shared by every envelope — byte-identical on the wire to sending
         one at a time, minus the redundant encodes.
         """
-        payload = encode_cached(message).payload
+        payload = encode_cached(message)
         _seed_decoded(payload, message)
         kind = type(message).__name__
         mac = self.auth.mac
         sender = self.address
         send = self.endpoint.send
-        payload_len = len(payload)
-        payload_part = 1 + uvarint_size(payload_len) + payload_len
+        overhead = self._overhead
+        payload_part = 1 + uvarint_size(len(payload)) + len(payload)
         for receiver in receivers:
             sealed = Sealed(
-                sender=sender,
-                payload=payload,
-                tags={receiver: mac(receiver, payload)},
+                sender=sender, payload=payload, tags={receiver: mac(receiver, payload)}
             )
-            size_hint = _envelope_overhead(sender, (receiver,)) + payload_part
-            send(receiver, sealed, kind=kind, size_hint=size_hint)
+            send(receiver, sealed, kind, overhead(receiver) + payload_part)
 
-    def broadcast(self, receivers: list, message, include_self: bool = False) -> None:
+    def broadcast(self, receivers, message, include_self: bool = False) -> None:
         """Seal once with a MAC vector and send to every receiver.
 
         The single :class:`Sealed` envelope (and thus the single payload
@@ -227,20 +215,18 @@ class SecureChannel:
         the loopback path, keeping self-messages in the same code path as
         peer messages (as BFT-SMaRt does).
         """
-        sealed = self.seal(message, list(receivers))
-        payload_len = len(sealed.payload)
+        receivers = tuple(receivers)  # the overhead cache key; no copy of a tuple
+        sealed = self.seal(message, receivers)
+        payload = sealed.payload
         size_hint = (
-            _envelope_overhead(sealed.sender, tuple(receivers))
-            + 1
-            + uvarint_size(payload_len)
-            + payload_len
+            self._overhead(receivers) + 1 + uvarint_size(len(payload)) + len(payload)
         )
         kind = type(message).__name__
         send = self.endpoint.send
         for receiver in receivers:
             if receiver == self.address and not include_self:
                 continue
-            send(receiver, sealed, kind=kind, size_hint=size_hint)
+            send(receiver, sealed, kind, size_hint)
 
     # -- receiving -----------------------------------------------------------
 

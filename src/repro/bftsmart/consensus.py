@@ -8,6 +8,8 @@ quorum logic independently testable.
 
 from __future__ import annotations
 
+from operator import countOf
+
 from repro.crypto import digest
 
 
@@ -78,10 +80,10 @@ class Instance:
         self.accepts.setdefault(sender, value_digest)
 
     def write_count(self, value_digest: bytes) -> int:
-        return sum(1 for d in self.writes.values() if d == value_digest)
+        return countOf(self.writes.values(), value_digest)
 
     def accept_count(self, value_digest: bytes) -> int:
-        return sum(1 for d in self.accepts.values() if d == value_digest)
+        return countOf(self.accepts.values(), value_digest)
 
     def has_write_quorum(self, quorum: int) -> bool:
         """Does the *proposed* digest hold a WRITE quorum?"""

@@ -28,7 +28,6 @@ from repro.bftsmart.messages import (
     ReconfigRequest,
     Reply,
     RequestBatch,
-    Sealed,
     StateReply,
     StateRequest,
     Stop,
@@ -139,6 +138,8 @@ class ServiceReplica:
         self.verifier = Verifier(keystore)
 
         self.view = view if view is not None else View(0, config.addresses, config.f)
+        #: ``(view, its members but this replica)``: see other_replicas().
+        self._others: tuple = (None, ())
         self.active = True
 
         # -- ordering state --
@@ -237,8 +238,13 @@ class ServiceReplica:
     def is_leader(self) -> bool:
         return self.leader == self.address
 
-    def other_replicas(self) -> list:
-        return [a for a in self.view.addresses if a != self.address]
+    def other_replicas(self) -> tuple:
+        """The view's members except this replica, rebuilt once per view."""
+        view, others = self._others
+        if view is not self.view:
+            others = tuple(a for a in self.view.addresses if a != self.address)
+            self._others = (self.view, others)
+        return others
 
     def halt(self) -> None:
         """Stop participating (used when removed by a reconfiguration)."""
@@ -251,8 +257,7 @@ class ServiceReplica:
     def _on_network_message(self, payload, src: str) -> None:
         if not self.active:
             return
-        if not isinstance(payload, Sealed):
-            return
+        # open() rejects (and counts) anything that is not a valid Sealed.
         message = self.channel.open(payload)
         if message is None:
             return

@@ -47,7 +47,7 @@ class View:
     def consensus_quorum(self) -> int:
         """Matching WRITEs to send ACCEPT, and ACCEPTs to decide:
         ceil((n + f + 1) / 2), so any two intersect in f + 1 replicas."""
-        return (self.n + self.f + 2) // 2
+        return (len(self.addresses) + self.f + 2) // 2
 
     @property
     def strong_quorum(self) -> int:
@@ -70,7 +70,7 @@ class View:
 
     def leader_for(self, regency: int) -> str:
         """The leader address under ``regency`` (round-robin rotation)."""
-        return self.addresses[regency % self.n]
+        return self.addresses[regency % len(self.addresses)]
 
     def index_of(self, address: str) -> int:
         return self.addresses.index(address)

@@ -26,7 +26,13 @@ from repro.bftsmart.service import MessageContext, Service
 from repro.core.context import ContextInfo
 from repro.core.timeout import LogicalTimeoutManager
 from repro.neoscada.master import ScadaMaster
-from repro.neoscada.messages import EventQuery, ValueQuery
+from repro.neoscada.messages import (
+    EventQuery,
+    ItemUpdate,
+    ValueQuery,
+    WriteResult,
+    WriteValue,
+)
 from repro.shard.messages import ShardExport, ShardImport
 from repro.wire import DecodeError, decode, encode
 
@@ -233,8 +239,6 @@ class ScadaService(Service):
 
 def _kind_of(message) -> str | None:
     """Data-plane kind of a NeoSCADA message (None = control plane)."""
-    from repro.neoscada.messages import ItemUpdate, WriteResult, WriteValue
-
     if isinstance(message, ItemUpdate):
         return "update"
     if isinstance(message, WriteValue):

@@ -31,7 +31,7 @@ from repro.neoscada.messages import (
 from repro.net.network import Network
 from repro.shard.map import ShardMap, ShardRouter
 from repro.sim.kernel import Simulator
-from repro.wire import DecodeError, decode, encode
+from repro.wire import DecodeError, decode, encode_cached
 
 
 class ProxyFrontend:
@@ -118,7 +118,9 @@ class ProxyFrontend:
         return self.bft_clients[self.router.route(item_id)]
 
     def _submit(self, client: ServiceProxy, message) -> None:
-        event = client.invoke_ordered(encode(message))
+        # The network sized an arriving message by its memoized encoding:
+        # ordering it reuses those bytes instead of encoding it again.
+        event = client.invoke_ordered(encode_cached(message))
         event.add_callback(self._on_invoke_done)
 
     def _on_invoke_done(self, event) -> None:

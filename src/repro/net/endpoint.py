@@ -22,13 +22,19 @@ class Endpoint:
         self.network = network
         self.address = address
         self.inbox = Channel(network.sim, name=f"inbox:{address}")
-        self._handler = None
+        #: Called as ``handler(payload, src)`` for every delivery; the
+        #: network calls it directly. Until :meth:`set_handler` replaces
+        #: it, deliveries are buffered in :attr:`inbox`.
+        self._handler = self._to_inbox
         #: A downed endpoint neither sends nor receives (crashed node).
         self.down = False
 
     def set_handler(self, handler) -> None:
         """Route deliveries to ``handler(payload, src)`` instead of inbox."""
         self._handler = handler
+
+    def _to_inbox(self, payload, src: str) -> None:
+        self.inbox.put(payload)
 
     def send(
         self,
@@ -44,15 +50,11 @@ class Endpoint:
         """
         if self.down:
             return
-        self.network.send(self.address, dst, payload, kind=kind, size_hint=size_hint)
+        self.network.send(self.address, dst, payload, kind, size_hint)
 
     def _deliver(self, payload, src: str) -> None:
-        if self.down:
-            return
-        if self._handler is not None:
+        if not self.down:
             self._handler(payload, src)
-        else:
-            self.inbox.put(payload)
 
     def __repr__(self) -> str:
         return f"<Endpoint {self.address}>"

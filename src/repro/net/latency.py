@@ -76,5 +76,7 @@ class LanLatency(LatencyModel):
     def delay(self, size: int) -> float:
         jitter = 0.0
         if self._jitter and self._rng is not None:
-            jitter = self._rng.uniform(0.0, self._jitter)
+            # ``uniform(0.0, j)`` spelled out: ``0.0 + (j - 0.0) * random()``
+            # is exactly ``j * random()``, minus a Python frame per message.
+            jitter = self._jitter * self._rng.random()
         return self._base + jitter + size / self._bandwidth

@@ -21,7 +21,7 @@ from repro.net.faults import Envelope, FaultInjector
 from repro.net.latency import ConstantLatency, LanLatency, LatencyModel
 from repro.net.trace import NetworkTrace
 from repro.sim.kernel import Simulator
-from repro.wire import encode
+from repro.wire import encode_cached
 
 
 class UnknownEndpoint(Exception):
@@ -117,6 +117,9 @@ class Network:
         wire size (e.g. the secure channel, which just sealed the payload)
         skip the sizing encode. Hints must be exact — latency models are a
         function of size, so an inaccurate hint would change the schedule.
+        Without a hint the payload is sized by its memoized encoding, so a
+        receiver that encodes the same (immutable) message again — a proxy
+        submitting it for ordering — reuses these bytes.
         """
         target = self._endpoints.get(dst)
         if target is None:
@@ -125,7 +128,7 @@ class Network:
         if size_hint is not None:
             size = size_hint
         else:
-            size = len(encode(payload))
+            size = len(encode_cached(payload))
         if not self.faults.rules and not self.trace.enabled:
             # No fault pipeline and no trace: skip the Envelope/kind
             # bookkeeping entirely. Latency sampling and FIFO link clock
@@ -174,7 +177,7 @@ class Network:
         if target.down:
             return
         self.delivered += 1
-        target._deliver(payload, src)
+        target._handler(payload, src)
 
     def _deliver(self, target: Endpoint, payload, envelope: Envelope, delay: float) -> None:
         if target.down:

@@ -26,9 +26,12 @@ class _GetEvent(Event):
     __slots__ = ("channel", "_cancelled")
 
     def __init__(self, channel: "Channel") -> None:
-        super().__init__(channel.sim, name=f"get:{channel.name}")
+        super().__init__(channel.sim)
         self.channel = channel
         self._cancelled = False
+
+    def _label(self) -> str:
+        return f"get:{self.channel.name}"
 
     def cancel(self) -> None:
         """Withdraw this get if it has not been served yet."""
@@ -40,10 +43,13 @@ class _PutEvent(Event):
     __slots__ = ("channel", "item", "_cancelled")
 
     def __init__(self, channel: "Channel", item) -> None:
-        super().__init__(channel.sim, name=f"put:{channel.name}")
+        super().__init__(channel.sim)
         self.channel = channel
         self.item = item
         self._cancelled = False
+
+    def _label(self) -> str:
+        return f"put:{self.channel.name}"
 
     def cancel(self) -> None:
         if not self.triggered:

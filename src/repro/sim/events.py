@@ -149,8 +149,17 @@ class Event:
             # letting the error pass silently.
             raise self._exception
 
+    def _label(self) -> str:
+        """What ``repr`` calls an event built without a ``name``.
+
+        Subclasses built once per occurrence (timeouts, channel gets and
+        puts) describe themselves here instead of formatting a name at
+        construction that only a ``repr`` would ever read.
+        """
+        return self.__class__.__name__
+
     def __repr__(self) -> str:
-        label = self.name or self.__class__.__name__
+        label = self.name or self._label()
         state = "ok" if self.ok else ("failed" if self.triggered else "pending")
         return f"<{label} {state} at {id(self):#x}>"
 
@@ -168,10 +177,13 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value=None) -> None:
         # Delay validation (negative/non-finite) lives in the kernel's
         # _enqueue — one shared check, one exception type.
-        super().__init__(sim, name=f"Timeout({delay})")
+        super().__init__(sim)
         self.delay = delay
         self._value = value
         sim._enqueue(delay, self)
+
+    def _label(self) -> str:
+        return f"Timeout({self.delay})"
 
     def cancel(self) -> bool:
         """Prevent this timeout from firing. Returns True if it was live."""

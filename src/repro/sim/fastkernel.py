@@ -422,7 +422,7 @@ class RingSimulator(Simulator):
                                 idx -= 1
                             else:
                                 push(extra, e)
-                            now = self._now = until_f
+                            now = self.now = until_f
                             return until_f
                         fn = e[2]
                         if fn is False:
@@ -443,7 +443,7 @@ class RingSimulator(Simulator):
                         pending = seq - disp - freed
                         if pending > peak:
                             peak = pending
-                        now = self._now = w
+                        now = self.now = w
                         disp += 1
                         if sched_log is not None:
                             key = e[1]
@@ -461,7 +461,7 @@ class RingSimulator(Simulator):
                     if nxt is None:
                         run_list = []
                         if until is not None and until > now:
-                            now = self._now = until
+                            now = self.now = until
                         return now
                     run_list = nxt
             finally:
@@ -530,8 +530,6 @@ class RingSimulator(Simulator):
         self._get_capacity = lambda: len(fns)
         self._get_free = lambda: len(free)
 
-    # `now` is inherited from Simulator (run() maintains self._now).
-
     @property
     def dispatched(self) -> int:
         """Number of events dispatched so far."""
@@ -539,6 +537,6 @@ class RingSimulator(Simulator):
 
     def __repr__(self) -> str:
         return (
-            f"<RingSimulator t={self._now:.6f} "
+            f"<RingSimulator t={self.now:.6f} "
             f"pending={self._get_pending()}>"
         )

@@ -57,7 +57,9 @@ class Simulator:
         return object.__new__(cls)
 
     def __init__(self, seed: int = 0) -> None:
-        self._now = 0.0
+        #: Current simulated time in seconds. A plain attribute the run
+        #: loop writes at each dispatch; everything else only reads it.
+        self.now = 0.0
         self._running = False
         self.rng = RngRegistry(seed)
         #: The unified metrics registry (:mod:`repro.obs.metrics`) every
@@ -72,11 +74,6 @@ class Simulator:
         #: kernel appends one ``(when, priority, seq)`` triple per
         #: dispatch — how the ``schedules`` goldens are checked.
         self._schedule_log = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # -- scheduling --------------------------------------------------------
 

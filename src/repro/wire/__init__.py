@@ -3,7 +3,6 @@
 from repro.wire.codec import (
     DEFAULT_CODEC,
     Codec,
-    EncodedMessage,
     decode,
     encode,
     encode_cached,
@@ -18,7 +17,6 @@ __all__ = [
     "Codec",
     "DecodeError",
     "EncodeError",
-    "EncodedMessage",
     "TypeRegistry",
     "WireError",
     "decode",

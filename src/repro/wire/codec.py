@@ -13,9 +13,9 @@ per-codec table instead of walking an ``isinstance`` chain; dataclass and
 enum encoders are built once per class with their type-id prefix bytes
 precomputed and the field list pre-resolved from the registry.
 :func:`encode_cached` memoizes whole-message encodings of immutable
-(frozen-dataclass) messages on the message object itself, wrapped in
-:class:`EncodedMessage` so the payload's content digest is computed at
-most once. All caching is behaviour-invisible: the memoized
+(frozen-dataclass) messages on the message object itself, so a message
+sized by the network, sealed for several receivers or retransmitted is
+encoded once. All caching is behaviour-invisible: the memoized
 path returns byte-identical output to a fresh encode (see
 ``tests/test_wire_codec_caching.py``).
 """
@@ -560,38 +560,6 @@ def decode(data):
 # -- memoized whole-message encoding ----------------------------------------
 
 
-class EncodedMessage:
-    """A message's canonical encoding and lazy digest.
-
-    Broadcast paths pass one :class:`EncodedMessage` around instead of
-    re-encoding per receiver; the truncated content digest (what PROPOSE
-    hashing and reply voting compare) is computed on first access only.
-
-    It records the message's type name (``kind``), not the message: the
-    memo lives *on* the message, so a back-reference would turn every
-    encoded message into a reference cycle that pins its payload until
-    the cyclic collector's next full pass.
-    """
-
-    __slots__ = ("kind", "payload", "_digest")
-
-    def __init__(self, message, payload: bytes) -> None:
-        self.kind = type(message).__name__
-        self.payload = payload
-        self._digest: bytes | None = None
-
-    @property
-    def digest(self) -> bytes:
-        if self._digest is None:
-            from repro.crypto.digest import digest as _content_digest
-
-            self._digest = _content_digest(self.payload)
-        return self._digest
-
-    def __repr__(self) -> str:
-        return f"<EncodedMessage {self.kind} {len(self.payload)} bytes>"
-
-
 #: Attribute under which a frozen message memoizes its own encoding. The
 #: memo lives exactly as long as the object, so the paths that genuinely
 #: re-encode one object — client retransmissions, duplicate-request reply
@@ -601,9 +569,6 @@ class EncodedMessage:
 #: evicted it every time — 0 hits against ~100k misses per benchmark run.)
 _MEMO_ATTR = "_encoded_memo"
 _ENCODE_STATS = PERF.stats["codec_encode"]
-
-#: Classes whose instances cannot take the memo attribute (``__slots__``).
-_UNMEMOIZABLE: set[type] = set()
 
 #: Per-class eligibility for memoization (only frozen dataclasses, whose
 #: identity pins their content).
@@ -619,32 +584,31 @@ def _is_frozen_dataclass(cls: type) -> bool:
     return frozen
 
 
-def encode_cached(message) -> EncodedMessage:
+def encode_cached(message) -> bytes:
     """Encode ``message`` (default codec), memoizing immutable messages.
 
     Only frozen-dataclass instances are memoized — their immutability pins
     their content — and the memo is stored on the message object itself,
     so the payload is byte-identical to a fresh encode by construction and
-    the memo's lifetime is exactly the object's.
+    the memo's lifetime is exactly the object's. Instances without a
+    ``__dict__`` (``__slots__`` classes) are encoded afresh every time.
     """
     if not _is_frozen_dataclass(message.__class__):
-        return EncodedMessage(message, DEFAULT_CODEC.encode(message))
+        return DEFAULT_CODEC.encode(message)
     memo = getattr(message, "__dict__", None)
-    cached = memo.get(_MEMO_ATTR) if memo is not None else None
-    if cached is not None:
+    if memo is None:
+        _ENCODE_STATS.misses += 1
+        return DEFAULT_CODEC.encode(message)
+    payload = memo.get(_MEMO_ATTR)
+    if payload is not None:
         _ENCODE_STATS.hits += 1
-        return cached
+        return payload
     _ENCODE_STATS.misses += 1
-    encoded = EncodedMessage(message, DEFAULT_CODEC.encode(message))
-    if message.__class__ not in _UNMEMOIZABLE:
-        try:
-            # Frozen dataclasses block plain setattr; going through
-            # object.__setattr__ stores the memo without touching any
-            # wire field (dataclass __eq__/__repr__/fields ignore it).
-            object.__setattr__(message, _MEMO_ATTR, encoded)
-        except AttributeError:
-            _UNMEMOIZABLE.add(message.__class__)
-    return encoded
+    # Stored straight into __dict__ (a frozen dataclass blocks setattr):
+    # no wire field is touched, and dataclass __eq__/__repr__/fields
+    # ignore it.
+    payload = memo[_MEMO_ATTR] = DEFAULT_CODEC.encode(message)
+    return payload
 
 
 def clear_encode_cache() -> None:

@@ -18,7 +18,7 @@ from repro.bftsmart import (
     build_proxy,
 )
 from repro.crypto import KeyStore
-from repro.net import ConstantLatency, Drop, Network
+from repro.net import ConstantLatency, Drop, Network, Tamper
 from repro.sim import Simulator
 from repro.wire import decode, encode
 
@@ -54,6 +54,21 @@ def test_ordered_requests_reach_all_replicas():
     proxy = build_proxy(sim, net, "client-1", config, keystore)
     assert run_adds(sim, proxy, 10) == 10
     assert [r.service.value for r in replicas] == [10, 10, 10, 10]
+
+
+def test_tampered_envelopes_are_counted_at_replicas():
+    """A link that replaces envelopes shows up in ``rejected_envelopes``.
+
+    The replica used to drop a payload that was not a ``Sealed`` before
+    its channel could count it, so a tampering link was invisible in the
+    counter the intrusion detector reads; the client side always counted.
+    """
+    sim, net, keystore, config = make_world()
+    build_group(sim, net, config, CounterService, keystore)
+    proxy = build_proxy(sim, net, "client-1", config, keystore)
+    net.faults.add(Tamper(lambda payload: b"junk", dst="replica-1"))
+    assert run_adds(sim, proxy, 5) == 5  # the other three keep serving
+    assert sim.stats()["replica.replica-1"]["rejected_envelopes"] > 0
 
 
 def test_replies_need_f_plus_1_matching():
