@@ -23,7 +23,7 @@ import pathlib
 from conftest import once, print_table
 
 from repro.core import SmartScadaConfig
-from repro.shard import ShardedScadaConfig, build_sharded_scada
+from repro.core import ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 from repro.workloads import ThroughputMeter, write_report
 

@@ -27,7 +27,7 @@ from repro.net.faults import Drop
 from repro.obs.fleet import FleetScoreboard
 from repro.obs.slo import SloEngine
 from repro.obs.trace import install_tracer
-from repro.shard import ShardedScadaConfig, build_sharded_scada
+from repro.core import ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 
 REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_PERF.json"

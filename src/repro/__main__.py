@@ -31,10 +31,17 @@ ids
     against planted ground truth, plus a benign fault suite that must
     stay detection-free. ``--bench`` writes ``BENCH_IDS.json`` including
     the IDS-on vs tracing-only overhead ratio.
+heal
+    Evaluate closed-loop self-healing (``repro.heal``): IDS-driven
+    evict-and-replace drills per behaviour, a benign suite that must not
+    heal, and the quorum guard. ``--bench`` writes ``BENCH_MTTR.json``.
 trace
     Trace a seeded workload end to end (``repro.obs``): writes a
     Perfetto-loadable Chrome trace-event file and prints phase-by-phase
     "request autopsies" of the slowest and median requests.
+fleet
+    Run a sharded campaign under the fleet control plane and print the
+    health scoreboard and SLO burn rates (``--json``, ``--html``).
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_shards(args) -> int:
-    from repro.shard import ShardSplitter, ShardedScadaConfig, build_sharded_scada
+    from repro.core import ShardSplitter, ShardedScadaConfig, build_sharded_scada
     from repro.neoscada import HandlerChain, Monitor
     from repro.sim import Simulator
 
@@ -231,9 +238,8 @@ def cmd_trace(args) -> int:
         # ShardRouter resolution, scatter fan-out and the per-group
         # consensus rounds each request actually touched.
         from repro.chaos.campaign import sensor_value
-        from repro.core.config import SmartScadaConfig
+        from repro.core.config import ShardedScadaConfig, SmartScadaConfig
         from repro.core.system import build_sharded_scada
-        from repro.shard.config import ShardedScadaConfig
 
         system = build_sharded_scada(
             sim,

@@ -9,9 +9,7 @@ communication pattern, §VI).
 """
 
 from repro.bftsmart.byzantine import (
-    FALSIFY_OFFSET,
     EquivocatingLeader,
-    FalsifyingReplica,
     LyingReplica,
     SilentReplica,
     StutteringReplica,
@@ -54,8 +52,6 @@ __all__ = [
     "CounterService",
     "EchoService",
     "EquivocatingLeader",
-    "FALSIFY_OFFSET",
-    "FalsifyingReplica",
     "GroupConfig",
     "KeyValueService",
     "LyingReplica",

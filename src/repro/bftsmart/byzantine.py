@@ -4,18 +4,16 @@ Each behaviour subclasses :class:`ServiceReplica` and perverts exactly one
 aspect of the protocol. With ``n >= 3f + 1`` honest-majority quorums, a
 single Byzantine replica (f=1) must not be able to break safety — the
 integration tests assert that clients still obtain correct, quorum-backed
-results with each of these in the group.
+results with each of these in the group. They know the protocol, not the
+application: the one SCADA-aware behaviour, forging field readings, is
+``repro.chaos.schedule.FalsifyingReplica``.
 """
 
 from __future__ import annotations
 
-from repro.bftsmart.messages import Reply
+from repro.bftsmart.messages import Propose, Reply, RequestBatch
 from repro.bftsmart.replica import ServiceReplica
-
-#: Offset a :class:`FalsifyingReplica` adds to numeric item values: far
-#: outside any workload's range, so a forged reading that slips past the
-#: proxies' f+1 vote is unambiguous in tests and chaos monitors.
-FALSIFY_OFFSET = 1_000_000
+from repro.wire import encode
 
 
 class SilentReplica(ServiceReplica):
@@ -58,9 +56,6 @@ class EquivocatingLeader(ServiceReplica):
     """
 
     def _propose_batch(self) -> None:
-        from repro.bftsmart.messages import Propose, RequestBatch
-        from repro.wire import encode
-
         batch = self._take_batch()
         others = self.other_replicas()
         half = len(others) // 2
@@ -77,38 +72,6 @@ class EquivocatingLeader(ServiceReplica):
             for receiver in group:
                 self.channel.send(receiver, propose)
         self.stats["proposals"] += 1
-
-
-class FalsifyingReplica(ServiceReplica):
-    """Participates correctly but pushes forged ItemUpdates to clients.
-
-    This is the attack the paper's f+1 push voting exists to stop: a
-    compromised Master replica shows the operator a false view of the
-    field. The forgery is deterministic (value + ``FALSIFY_OFFSET``), so
-    two colluding falsifiers produce byte-identical forgeries — with
-    ``f=1`` a single falsifier never reaches the f+1 vote and the HMI is
-    safe, while two of them (over budget) out-vote the honest replicas.
-    """
-
-    def push(self, client_id, stream, order, payload) -> None:
-        from repro.neoscada.messages import ItemUpdate
-        from repro.wire import DecodeError, decode, encode
-
-        try:
-            message = decode(payload)
-        except DecodeError:
-            message = None
-        if isinstance(message, ItemUpdate) and isinstance(
-            message.value.value, (int, float)
-        ) and not isinstance(message.value.value, bool):
-            forged = ItemUpdate(
-                item_id=message.item_id,
-                value=message.value.with_value(
-                    message.value.value + FALSIFY_OFFSET
-                ),
-            )
-            payload = encode(forged)
-        super().push(client_id, stream, order, payload)
 
 
 class StutteringReplica(ServiceReplica):

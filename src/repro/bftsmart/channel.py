@@ -130,6 +130,7 @@ def _seed_decoded(payload: bytes, message) -> None:
         _DECODE_CACHE[id(payload)] = (payload, message)
 
 
+@PERF.on_clear
 def clear_decode_cache() -> None:
     _DECODE_CACHE.clear()
 

@@ -99,6 +99,7 @@ def seed_signing_payload(request: ClientRequest, payload: bytes) -> None:
     _SIGNING_PAYLOAD_CACHE[id(request)] = (request, payload)
 
 
+@PERF.on_clear
 def clear_signing_payload_cache() -> None:
     _SIGNING_PAYLOAD_CACHE.clear()
 

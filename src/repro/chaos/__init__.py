@@ -38,11 +38,13 @@ from repro.chaos.campaign import (
 from repro.chaos.monitors import AvailabilityMonitor, MttrMonitor, Violation
 from repro.chaos.schedule import (
     BEHAVIOURS,
+    FALSIFY_OFFSET,
     Action,
     ChaosBudgetError,
     CrashReplica,
     DelayKind,
     DropKind,
+    FalsifyingReplica,
     FieldOffline,
     InjectWrites,
     IsolateReplicas,
@@ -76,6 +78,8 @@ __all__ = [
     "CrashReplica",
     "DelayKind",
     "DropKind",
+    "FALSIFY_OFFSET",
+    "FalsifyingReplica",
     "FieldOffline",
     "InjectWrites",
     "IsolateReplicas",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from repro.chaos.adaptive import TriggeredAction, active_replica_faults
 from repro.chaos.monitors import InvariantMonitor, Violation, default_monitors
 from repro.chaos.schedule import Schedule
-from repro.core.config import SmartScadaConfig
+from repro.core.config import ShardedScadaConfig, SmartScadaConfig
 from repro.core.system import build_sharded_scada, make_network
 from repro.heal import HealConfig, RecoveryOrchestrator
 from repro.ids import (
@@ -42,7 +42,6 @@ from repro.obs.export import write_chrome_trace
 from repro.obs.fleet import FleetScoreboard
 from repro.obs.slo import SloEngine
 from repro.obs.trace import install_tracer
-from repro.shard.config import ShardedScadaConfig
 from repro.sim.kernel import Simulator
 
 #: Retransmission budget for campaign clients: campaigns crash replicas

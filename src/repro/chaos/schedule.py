@@ -26,18 +26,60 @@ from dataclasses import dataclass, field
 
 from repro.bftsmart.byzantine import (
     EquivocatingLeader,
-    FalsifyingReplica,
     LyingReplica,
     SilentReplica,
     StutteringReplica,
 )
 from repro.bftsmart.config import replica_address
+from repro.bftsmart.messages import Sealed
 from repro.bftsmart.replica import ServiceReplica
+from repro.core.recovery import rejuvenate_replica, restart_replica
+from repro.crypto.mac import MAC_SIZE
+from repro.neoscada.messages import ItemUpdate
 from repro.net.faults import Delay, Drop
+from repro.wire import DecodeError, decode, encode
 
 if typing.TYPE_CHECKING:
     from repro.chaos.campaign import CampaignContext
     from repro.core.system import SmartScadaSystem
+
+#: Offset a :class:`FalsifyingReplica` adds to numeric item values: far
+#: outside any workload's range, so a forged reading that slips past the
+#: proxies' f+1 vote is unambiguous in tests and chaos monitors.
+FALSIFY_OFFSET = 1_000_000
+
+
+class FalsifyingReplica(ServiceReplica):
+    """Participates correctly but pushes forged ItemUpdates to clients.
+
+    This is the attack the paper's f+1 push voting exists to stop: a
+    compromised Master replica shows the operator a false view of the
+    field. The forgery is deterministic (value + ``FALSIFY_OFFSET``), so
+    two colluding falsifiers produce byte-identical forgeries — with
+    ``f=1`` a single falsifier never reaches the f+1 vote and the HMI is
+    safe, while two of them (over budget) out-vote the honest replicas.
+    It lives here, not beside the protocol-level behaviours in
+    :mod:`repro.bftsmart.byzantine`, because forging a reading takes
+    knowing the SCADA message it rides in.
+    """
+
+    def push(self, client_id, stream, order, payload) -> None:
+        try:
+            message = decode(payload)
+        except DecodeError:
+            message = None
+        if isinstance(message, ItemUpdate) and isinstance(
+            message.value.value, (int, float)
+        ) and not isinstance(message.value.value, bool):
+            forged = ItemUpdate(
+                item_id=message.item_id,
+                value=message.value.with_value(
+                    message.value.value + FALSIFY_OFFSET
+                ),
+            )
+            payload = encode(forged)
+        super().push(client_id, stream, order, payload)
+
 
 #: Byzantine behaviour registry for :class:`SwapByzantine` (and the CLI).
 BEHAVIOURS: dict[str, type] = {
@@ -75,8 +117,6 @@ def swap_replica_behaviour(
 
     Returns the replacement ProxyMaster.
     """
-    from repro.core.recovery import rejuvenate_replica
-
     if isinstance(behaviour, str):
         try:
             behaviour = BEHAVIOURS[behaviour]
@@ -430,9 +470,6 @@ class SpoofFrontend(Action):
     interval: float = 0.03
 
     def _apply(self, ctx) -> None:
-        from repro.bftsmart.messages import Sealed
-        from repro.crypto.mac import MAC_SIZE
-
         ctx.record_ground_truth(
             "spoof",
             "*",
@@ -463,8 +500,6 @@ class Rejuvenate(Action):
     replica_fault = True
 
     def _apply(self, ctx) -> None:
-        from repro.core.recovery import rejuvenate_replica
-
         if _retired(ctx, self.index):
             return
         rejuvenate_replica(ctx.system, self.index, handler_config=ctx.handler_config)
@@ -507,8 +542,6 @@ class CrashRestart(Action):
             storage.crash(self.disk)
 
     def _revert(self, ctx) -> None:
-        from repro.core.recovery import restart_replica
-
         _recover_machine(ctx, self.index, getattr(self, "_rules", []))
         if _retired(ctx, self.index):
             # Rebooting hardware the group evicted brings the machine

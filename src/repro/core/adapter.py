@@ -44,7 +44,7 @@ def proxy_client_id(address: str, shard: int, groups: int) -> str:
     """The id of the BFT client the proxy at ``address`` holds into ``shard``.
 
     One group keeps the classic ``{address}-bft``, as its replicas keep
-    ``replica-i`` (:func:`repro.shard.config.shard_replica_address`): the
+    ``replica-i`` (:func:`repro.core.config.shard_replica_address`): the
     paper's deployment is the 1-group fleet, wire bytes included.
     """
     return f"{address}-bft" if groups == 1 else f"{address}-bft-s{shard}"

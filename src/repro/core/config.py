@@ -6,14 +6,22 @@ NeoSCADA Master and the replicated one. The absolute numbers are fitted
 so the benchmark suite lands in the neighbourhood of the paper's
 Figure 8 (the *relative* results are what the reproduction claims);
 EXPERIMENTS.md records paper-vs-measured for each point.
+
+Group topology is configuration too: a :class:`ShardedScadaConfig` wraps
+one per-group :class:`SmartScadaConfig` plus the shard count and derives
+one :class:`~repro.bftsmart.config.GroupConfig` per shard, whose replica
+addresses are namespaced ``s<k>-replica-<i>`` so the groups coexist on
+one network. A one-shard deployment keeps the classic ``replica-<i>``
+addresses: the paper's unsharded system *is* the 1-shard deployment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.bftsmart.config import GroupConfig
+from repro.bftsmart.config import GroupConfig, replica_address
 from repro.neoscada.master import MasterCosts
+from repro.shard.map import ShardMap
 from repro.storage import FSYNC_POLICIES, ReplicaStorage
 
 #: Per-hop LAN latency (switched Gigabit Ethernet, paper §V).
@@ -121,3 +129,49 @@ class SmartScadaConfig:
     def timeout_majority(self) -> int:
         """Majority of replicas, as the paper's §IV-D prescribes."""
         return self.n // 2 + 1
+
+
+def shard_replica_address(shard: int, index: int, shards: int) -> str:
+    """Network address of replica ``index`` of group ``shard``."""
+    if shards <= 1:
+        return replica_address(index)
+    return f"s{shard}-{replica_address(index)}"
+
+
+@dataclass(frozen=True)
+class ShardedScadaConfig:
+    """Everything needed to build one sharded SMaRt-SCADA deployment."""
+
+    #: Number of independent BFT groups.
+    shards: int = 2
+    #: Per-group deployment config (n, f, pipeline, durability, ...).
+    base: SmartScadaConfig = field(default_factory=SmartScadaConfig)
+
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise ValueError("shards must be >= 1")
+
+    def shard_map(self) -> ShardMap:
+        return ShardMap(self.shards)
+
+    def group_config(self, shard: int) -> GroupConfig:
+        """The ``GroupConfig`` of group ``shard`` (namespaced addresses)."""
+        base = self.base.group_config()
+        if self.shards == 1:
+            return base
+        addresses = tuple(
+            shard_replica_address(shard, i, self.shards)
+            for i in range(self.base.n)
+        )
+        return replace(base, addresses=addresses)
+
+    def group_configs(self) -> list:
+        return [self.group_config(k) for k in range(self.shards)]
+
+    #: Global replica index of ``(shard, local_index)`` — the flattened
+    #: numbering ``SmartScadaSystem.proxy_masters`` uses.
+    def global_index(self, shard: int, local_index: int) -> int:
+        return shard * self.base.n + local_index
+
+    def shard_of_index(self, global_index: int) -> int:
+        return global_index // self.base.n

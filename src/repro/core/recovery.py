@@ -26,8 +26,9 @@ from __future__ import annotations
 import typing
 
 from repro.bftsmart.view import View
+from repro.core.config import shard_replica_address
 from repro.core.proxy_master import ProxyMaster
-from repro.shard.config import shard_replica_address
+from repro.sim.process import Interrupted
 
 if typing.TYPE_CHECKING:
     from repro.core.system import SmartScadaSystem
@@ -356,8 +357,6 @@ class RejuvenationScheduler:
             self._process.interrupt("stop")
 
     def _run(self):
-        from repro.sim.process import Interrupted
-
         sim = self.system.sim
         index = 0
         try:

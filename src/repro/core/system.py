@@ -12,12 +12,12 @@ uniformly.
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass, field
 
 from repro.core.config import (
     DEFAULT_HOP_LATENCY,
     DEFAULT_LOCAL_LATENCY,
+    ShardedScadaConfig,
     SmartScadaConfig,
     jitter_bound,
     neoscada_costs,
@@ -25,7 +25,7 @@ from repro.core.config import (
 from repro.core.proxy_frontend import ProxyFrontend
 from repro.core.proxy_hmi import ProxyHMI
 from repro.core.proxy_master import ProxyMaster
-from repro.crypto import KeyStore
+from repro.crypto import KeyStore, digest
 from repro.neoscada.frontend import Frontend
 from repro.neoscada.hmi import HMI
 from repro.neoscada.master import MasterCosts, ScadaMaster
@@ -34,11 +34,6 @@ from repro.net.network import Network
 from repro.net.trace import NetworkTrace
 from repro.shard.map import ShardMap
 from repro.sim.kernel import Simulator
-
-if typing.TYPE_CHECKING:
-    # ``repro.shard.config`` imports ``repro.core.config`` (and with it
-    # this package), so the builders import it at call time.
-    from repro.shard.config import ShardedScadaConfig
 
 
 def make_network(
@@ -120,13 +115,13 @@ class SmartScadaSystem:
 
     Sharding is a topology parameter of the one deployment shape: the
     classic system is the 1-shard fleet. ``config`` is always a
-    :class:`~repro.shard.config.ShardedScadaConfig`; the per-group
+    :class:`~repro.core.config.ShardedScadaConfig`; the per-group
     tunables live on ``config.base``.
     """
 
     sim: Simulator
     net: Network
-    config: "ShardedScadaConfig"
+    config: ShardedScadaConfig
     keystore: KeyStore
     shard_map: ShardMap
     frontends: list
@@ -214,8 +209,6 @@ class SmartScadaSystem:
         groups legitimately hold different state. Pass ``shard`` for the
         convergence-check form.
         """
-        from repro.crypto import digest
-
         members = self.proxy_masters if shard is None else self.group(shard)
         return [
             digest(pm.service.snapshot())
@@ -252,8 +245,6 @@ def build_smartscada(
     replica_classes: dict | None = None,
 ) -> SmartScadaSystem:
     """Assemble the paper's six-machine SMaRt-SCADA deployment: one group."""
-    from repro.shard.config import ShardedScadaConfig
-
     one_group = ShardedScadaConfig(
         shards=1, base=config if config is not None else SmartScadaConfig()
     )
@@ -265,7 +256,7 @@ def build_smartscada(
 def build_sharded_scada(
     sim: Simulator,
     net: Network | None = None,
-    config: "ShardedScadaConfig | None" = None,
+    config: ShardedScadaConfig | None = None,
     frontend_count: int = 1,
     keystore: KeyStore | None = None,
     replica_classes: dict | None = None,
@@ -281,8 +272,6 @@ def build_sharded_scada(
     ``replica_classes`` overrides the BFT-server class by *global* replica
     index (Byzantine drills: ``{1: SilentReplica}``).
     """
-    from repro.shard.config import ShardedScadaConfig
-
     net = net if net is not None else make_network(sim)
     config = config if config is not None else ShardedScadaConfig()
     keystore = keystore if keystore is not None else KeyStore()

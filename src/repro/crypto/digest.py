@@ -52,6 +52,7 @@ def digest(data: bytes) -> bytes:
     return sha256(data)[:DIGEST_SIZE]
 
 
+@PERF.on_clear
 def clear_digest_cache() -> None:
     _DIGEST_CACHE.clear()
 

@@ -39,6 +39,7 @@ _MAC_CACHE_LIMIT = 8192
 _MAC_STATS = PERF.stats["mac"]
 
 
+@PERF.on_clear
 def clear_mac_cache() -> None:
     _MAC_CACHE.clear()
 

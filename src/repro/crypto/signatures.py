@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import hmac_template
+from repro.perf import PERF
 from repro.wire.registry import dict_fill_init
 
 SIGNATURE_SIZE = 32
@@ -31,6 +32,7 @@ _SIG_CACHE: dict[tuple, tuple] = {}
 _SIG_CACHE_LIMIT = 8192
 
 
+@PERF.on_clear
 def clear_signature_cache() -> None:
     _SIG_CACHE.clear()
 

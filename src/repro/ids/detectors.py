@@ -46,6 +46,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.bftsmart.config import replica_address
 from repro.ids.features import FeatureExtractor
 
 _NEVER = -1.0e9
@@ -168,8 +169,6 @@ class IntrusionDetector:
         self.config = config if config is not None else IdsConfig()
         self.n = n
         self.f = f
-        from repro.bftsmart.config import replica_address
-
         self.replicas = (
             list(replica_addresses)
             if replica_addresses is not None

@@ -10,7 +10,9 @@ produced before it was deleted (``tests/golden``,
 :data:`PERF`: one hit/miss counter per cache, so a measured run can
 report how effective each one was, and the name of the event kernel for
 the benchmark's run fingerprint. :func:`clear_hot_path_caches` gives a
-measurement a cold start.
+measurement a cold start. This module imports nothing from ``repro``:
+each cache owner registers its ``clear_*`` function through
+:meth:`PerfSwitches.on_clear` when it is imported.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ class CacheStats:
 
 
 class PerfSwitches:
-    """The per-cache counters (and the kernel's name, a constant)."""
+    """The per-cache counters, the caches' clear functions, and the
+    kernel's name (a constant)."""
 
-    __slots__ = ("stats",)
+    __slots__ = ("stats", "_clears")
 
     #: The event kernel every ``Simulator(...)`` is
     #: (``repro.sim.fastkernel``). Nothing selects on it; it is kept
@@ -56,6 +59,12 @@ class PerfSwitches:
             "decode_share": CacheStats(),
             "signing_payload": CacheStats(),
         }
+        self._clears: list = []
+
+    def on_clear(self, clear):
+        """Register a cache owner's ``clear`` (a decorator; returns it)."""
+        self._clears.append(clear)
+        return clear
 
     def reset_stats(self) -> None:
         for stats in self.stats.values():
@@ -70,19 +79,10 @@ PERF = PerfSwitches()
 
 
 def clear_hot_path_caches() -> None:
-    """Drop every memoized encoding/digest/decode and reset counters."""
-    # Imported lazily: the cache owners import this module for PERF.
-    from repro.bftsmart.channel import clear_decode_cache
-    from repro.bftsmart.replica import clear_signing_payload_cache
-    from repro.crypto.digest import clear_digest_cache
-    from repro.crypto.mac import clear_mac_cache
-    from repro.crypto.signatures import clear_signature_cache
-    from repro.wire.codec import clear_encode_cache
+    """Drop every memoized encoding/digest/decode and reset counters.
 
-    clear_encode_cache()
-    clear_digest_cache()
-    clear_mac_cache()
-    clear_signature_cache()
-    clear_decode_cache()
-    clear_signing_payload_cache()
+    A cache whose owner was never imported is empty already.
+    """
+    for clear in PERF._clears:
+        clear()
     PERF.reset_stats()

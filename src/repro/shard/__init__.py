@@ -1,4 +1,4 @@
-"""Sharded SMaRt-SCADA: N independent BFT groups behind one namespace.
+"""Sharding primitives: N independent BFT groups behind one namespace.
 
 One replicated Master tops out near the paper's Figure 8 ceiling no
 matter how deep the consensus pipeline goes — execution is serial by
@@ -9,7 +9,7 @@ hide the partitioning behind the existing ProxyFrontend / ProxyHMI
 transparency layer so neither the Frontends nor the HMI can tell the
 difference (the same seam the paper used to hide replication itself).
 
-The hard parts this package owns:
+This package is a leaf below :mod:`repro.core`, which uses it:
 
 - :mod:`repro.shard.map` — the item→group partition (hash plus split pins),
   expressed as configuration, with a resolve-once router cache so the
@@ -21,44 +21,37 @@ The hard parts this package owns:
   identical global sequence.
 - :mod:`repro.shard.correlate` — cross-shard alarm correlation over
   that merged stream.
-- :mod:`repro.shard.split` — a live shard split: migrate an item range
-  between groups under traffic, then optionally grow the target group
-  through the signed reconfiguration protocol.
+- :mod:`repro.shard.messages` — the two ordered commands of a live split.
 
-The deployment itself is not in this package: sharding is a topology
-parameter of the one SMaRt-SCADA builder and handle in
-:mod:`repro.core.system` (``build_sharded_scada`` is re-exported here).
-
-Exports resolve lazily (PEP 562): :mod:`repro.core.adapter` imports the
-shard wire messages, so this ``__init__`` must not import
-:mod:`repro.core` at module time.
+The deployment, its topology config and the split protocol live in
+:mod:`repro.core` (``system``, ``config``, ``split``).
 """
 
-_EXPORTS = {
-    "AlarmCorrelator": "repro.shard.correlate",
-    "CORRELATED_ALARM": "repro.shard.correlate",
-    "GlobalAeMerger": "repro.shard.merge",
-    "ShardExport": "repro.shard.messages",
-    "ShardImport": "repro.shard.messages",
-    "ShardMap": "repro.shard.map",
-    "ShardRouter": "repro.shard.map",
-    "ShardSplitter": "repro.shard.split",
-    "ShardedScadaConfig": "repro.shard.config",
-    "SplitReport": "repro.shard.split",
-    "build_sharded_scada": "repro.core.system",
-    "hash_shard": "repro.shard.map",
-    "merge_event_streams": "repro.shard.merge",
-    "merge_key": "repro.shard.merge",
-    "shard_replica_address": "repro.shard.config",
-}
+from repro.shard.correlate import CORRELATED_ALARM, AlarmCorrelator
+from repro.shard.map import ShardMap, ShardRouter, hash_shard
+from repro.shard.merge import GlobalAeMerger, merge_event_streams, merge_key
+from repro.shard.messages import ShardExport, ShardImport
 
-__all__ = sorted(_EXPORTS)
+__all__ = [
+    "AlarmCorrelator",
+    "CORRELATED_ALARM",
+    "GlobalAeMerger",
+    "ShardExport",
+    "ShardImport",
+    "ShardMap",
+    "ShardRouter",
+    "hash_shard",
+    "merge_event_streams",
+    "merge_key",
+]
 
 
 def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
+    # ``bench/workloads.py`` imports these two from here. Resolved on
+    # first use: ``repro.core.adapter`` is mid-import when it reaches
+    # ``repro.shard.messages``, so an eager import would re-enter it.
+    if name in ("ShardedScadaConfig", "build_sharded_scada"):
+        import repro.core
 
-    return getattr(importlib.import_module(module_name), name)
+        return getattr(repro.core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

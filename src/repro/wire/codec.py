@@ -611,6 +611,7 @@ def encode_cached(message) -> bytes:
     return payload
 
 
+@PERF.on_clear
 def clear_encode_cache() -> None:
     # Encodings are memoized on the message objects themselves now, so
     # there is no global encode table left to drop — clearing for a cold

@@ -14,6 +14,7 @@ from __future__ import annotations
 from repro.neoscada.frontend import Frontend
 from repro.neoscada.hmi import HMI
 from repro.sim.kernel import Simulator
+from repro.sim.process import Interrupted
 from repro.workloads.metrics import LatencyRecorder
 
 
@@ -80,8 +81,6 @@ class UpdateWorkload:
             self._process.interrupt("stop")
 
     def _run(self, duration: float | None):
-        from repro.sim.process import Interrupted
-
         interval = 1.0 / self.rate
         deadline = None if duration is None else self.sim.now + duration
         try:

@@ -11,6 +11,12 @@ from __future__ import annotations
 
 import json
 
+from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
+from repro.crypto import KeyStore
+from repro.net import ConstantLatency, Network
+from repro.sim import Simulator
+from repro.workloads.metrics import ThroughputMeter
+
 #: Default output file, at the repository root when run from there.
 REPORT_FILE = "BENCH_PERF.json"
 
@@ -20,10 +26,6 @@ def start_bft_micro(sim, offered_rate: float, payload_size: int) -> list:
     open-loop echo firehose of ``payload_size``-byte requests at
     ``offered_rate``. Returns the replicas.
     """
-    from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
-    from repro.crypto import KeyStore
-    from repro.net import ConstantLatency, Network
-
     payload = bytes(payload_size)
     net = Network(sim, latency=ConstantLatency(0.00025))
     keystore = KeyStore()
@@ -57,9 +59,6 @@ def run_bft_micro(
     ``(rate, replica_stats)`` pair the benchmark asserts on and
     ``kernel_stats`` is the simulator's counter snapshot.
     """
-    from repro.sim import Simulator
-    from repro.workloads.metrics import ThroughputMeter
-
     sim = Simulator(seed=seed)
     replicas = start_bft_micro(sim, offered_rate, payload_size)
     meter = ThroughputMeter(sim, lambda: replicas[0].stats["executed"])

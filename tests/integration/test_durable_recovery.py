@@ -22,7 +22,7 @@ from repro.chaos import run_scenario
 from repro.core import SmartScadaConfig, build_smartscada
 from repro.core.recovery import rejuvenate_replica, restart_replica
 from repro.neoscada import HandlerChain, Monitor
-from repro.shard import ShardedScadaConfig, build_sharded_scada
+from repro.core import ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 from repro.storage import FSYNC_POLICIES
 

@@ -9,7 +9,7 @@ import pytest
 from repro.core import SmartScadaConfig, build_smartscada
 from repro.core.recovery import RejuvenationScheduler, rejuvenate_replica
 from repro.neoscada import HandlerChain, Monitor
-from repro.shard import ShardedScadaConfig, build_sharded_scada
+from repro.core import ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 
 

@@ -6,13 +6,14 @@ routing, scatter-gather and the global AE order are the proxies'
 problem (the same seam the paper used to hide replication itself).
 """
 
-from repro.core import SmartScadaSystem, build_smartscada
-from repro.neoscada import HandlerChain, Monitor
-from repro.shard import (
-    CORRELATED_ALARM,
+from repro.core import (
     ShardedScadaConfig,
+    SmartScadaSystem,
     build_sharded_scada,
+    build_smartscada,
 )
+from repro.neoscada import HandlerChain, Monitor
+from repro.shard import CORRELATED_ALARM
 from repro.sim import Simulator
 
 ITEMS = [f"plant.sensor-{i}" for i in range(8)]

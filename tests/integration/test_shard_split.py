@@ -1,11 +1,11 @@
 """Integration: live shard splits — migrating items between groups
 under traffic, optionally growing the target group through the signed
-reconfiguration protocol (:mod:`repro.shard.split`)."""
+reconfiguration protocol (:mod:`repro.core.split`)."""
 
 from repro.core import SmartScadaConfig
 from repro.core.recovery import rejuvenate_replica, restart_replica
 from repro.neoscada import HandlerChain, Monitor
-from repro.shard import ShardSplitter, ShardedScadaConfig, build_sharded_scada
+from repro.core import ShardSplitter, ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 
 ITEMS = [f"plant.sensor-{i}" for i in range(8)]

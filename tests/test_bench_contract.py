@@ -1,14 +1,17 @@
 """Tier-1 guard for what ``bench/`` pins of the program from outside.
 
-``bench/trace.py`` wraps the layers' entry points by name and
+``bench/trace.py`` wraps the layers' entry points by name,
 ``bench/workloads.py`` reads ``repro.perf`` counters by key and replica
-fields by attribute. Nothing under ``src/`` imports ``bench/``, so a
+fields by attribute, and every ``bench/*.py`` imports names from
+``repro`` modules. Nothing under ``src/`` imports ``bench/``, so a
 refactor that renames one of those names would otherwise fail only in a
 traced benchmark run nobody made.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import importlib.util
 import pathlib
 
@@ -21,7 +24,8 @@ from repro.perf import PERF, PerfSwitches
 from repro.sim import RingSimulator, Simulator
 from repro.storage import ReplicaStorage
 
-_TRACE_PY = pathlib.Path(__file__).resolve().parent.parent / "bench" / "trace.py"
+_BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+_TRACE_PY = _BENCH / "trace.py"
 
 
 def _load_trace():
@@ -59,6 +63,20 @@ def test_ring_kernel_exposes_the_per_instance_entry_points_the_tracer_wraps():
         assert callable(vars(Simulator)[name]), name
 
 
+def _bench_imports():
+    for path in sorted(_BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                for alias in node.names:
+                    yield f"{path.name}:{node.module}:{alias.name}"
+
+
+@pytest.mark.parametrize("pin", sorted(set(_bench_imports())))
+def test_bench_import_resolves(pin):
+    _file, module, name = pin.split(":")
+    assert hasattr(importlib.import_module(module), name), pin
+
+
 def test_perf_names_the_benchmark_reads():
     assert PERF.kernel == "ring"  # bench/run.py fingerprints it
     stats = PERF.stats_map()
@@ -68,13 +86,19 @@ def test_perf_names_the_benchmark_reads():
     for counts in stats.values():
         assert {"hits", "misses"} <= set(counts)
     assert callable(repro.perf.clear_hot_path_caches)
+    # Each cache owner registered its clear function when it was imported.
+    assert sorted(clear.__name__ for clear in PERF._clears) == [
+        "clear_decode_cache", "clear_digest_cache", "clear_encode_cache",
+        "clear_mac_cache", "clear_signature_cache", "clear_signing_payload_cache",
+    ]
 
 
 def test_perf_has_no_on_off_switch_left():
     # ISSUE 14 deleted the ten switches, the legacy branches behind them
     # and the functions that toggled them; the caches are unconditional
-    # and pinned by tests/golden. Nothing else is defined here.
-    assert PerfSwitches.__slots__ == ("stats",)
+    # and pinned by tests/golden. Nothing else is defined here: the one
+    # other slot is the list of clear functions the cache owners register.
+    assert PerfSwitches.__slots__ == ("stats", "_clears")
     assert {
         name
         for name, value in vars(repro.perf).items()

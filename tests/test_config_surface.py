@@ -12,8 +12,7 @@ import pytest
 
 from repro.bftsmart.config import GroupConfig
 from repro.chaos.campaign import CampaignConfig
-from repro.core.config import SmartScadaConfig
-from repro.shard.config import ShardedScadaConfig
+from repro.core.config import ShardedScadaConfig, SmartScadaConfig
 
 SURFACE = {
     GroupConfig: {

@@ -13,7 +13,7 @@ from repro.chaos import get_scenario, run_campaign
 from repro.neoscada import HandlerChain, Monitor
 from repro.obs.fleet import FleetScoreboard
 from repro.obs.slo import SloEngine
-from repro.shard import ShardedScadaConfig, build_sharded_scada
+from repro.core import ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 
 SENSORS = [f"plant.s{i}" for i in range(6)]

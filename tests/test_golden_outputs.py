@@ -49,7 +49,7 @@ from repro.neoscada import HandlerChain, Monitor
 from repro.core import build_smartscada
 from repro.net import ConstantLatency, LanLatency, Network
 from repro.perf import clear_hot_path_caches
-from repro.shard import ShardSplitter, ShardedScadaConfig, build_sharded_scada
+from repro.core import ShardSplitter, ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 from repro.wire import decode, encode
 from repro.workloads.profiler import run_bft_micro

@@ -17,7 +17,7 @@ from repro.core.recovery import RejuvenationScheduler
 from repro.heal import HealConfig, RecoveryOrchestrator
 from repro.ids.detectors import Detection, Verdict
 from repro.neoscada import HandlerChain, Monitor
-from repro.shard import ShardedScadaConfig, build_sharded_scada
+from repro.core import ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 
 

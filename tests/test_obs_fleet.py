@@ -17,7 +17,7 @@ from repro.obs.report import (
     write_html_report,
 )
 from repro.obs.slo import SloEngine, SloSpec
-from repro.shard import ShardSplitter, ShardedScadaConfig, build_sharded_scada
+from repro.core import ShardSplitter, ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 
 SENSORS = [f"plant.s{i}" for i in range(6)]

@@ -13,7 +13,8 @@ import pytest
 
 from repro.bftsmart.replica import ServiceReplica
 from repro.neoscada import HandlerChain, Monitor
-from repro.shard import ShardedScadaConfig, build_sharded_scada, merge_event_streams
+from repro.core import ShardedScadaConfig, build_sharded_scada
+from repro.shard import merge_event_streams
 from repro.sim import Simulator
 
 ITEMS = [f"plant.sensor-{i}" for i in range(10)]

@@ -1,6 +1,6 @@
 """Unit tests for the item->shard partition and router cache
 (:mod:`repro.shard.map`) plus the sharded configuration's index and
-address arithmetic (:mod:`repro.shard.config`)."""
+address arithmetic (:mod:`repro.core.config`)."""
 
 import dataclasses
 import zlib
@@ -8,14 +8,8 @@ import zlib
 import pytest
 
 from repro.bftsmart.config import GroupConfig
-from repro.core.config import SmartScadaConfig
-from repro.shard import (
-    ShardMap,
-    ShardRouter,
-    ShardedScadaConfig,
-    hash_shard,
-    shard_replica_address,
-)
+from repro.core.config import ShardedScadaConfig, SmartScadaConfig, shard_replica_address
+from repro.shard import ShardMap, ShardRouter, hash_shard
 
 
 # -- hash partition -------------------------------------------------------
@@ -140,6 +134,10 @@ def test_single_shard_addresses_match_the_classic_deployment():
     classic = GroupConfig(n=config.base.n, f=config.base.f)
     assert config.group_config(0).addresses == classic.addresses
     assert shard_replica_address(0, 2, shards=1) == "replica-2"
+    # No default count: forgetting it must not silently namespace a
+    # one-group deployment's addresses.
+    with pytest.raises(TypeError):
+        shard_replica_address(0, 2)
 
 
 def test_multi_shard_addresses_are_namespaced_and_disjoint():

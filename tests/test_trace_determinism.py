@@ -96,7 +96,7 @@ def test_disabled_tracer_is_inert():
 # ----------------------------------------------------------------------
 
 from repro.neoscada import HandlerChain, Monitor  # noqa: E402
-from repro.shard import ShardedScadaConfig, build_sharded_scada  # noqa: E402
+from repro.core import ShardedScadaConfig, build_sharded_scada  # noqa: E402
 
 SENSORS = [f"plant.s{i}" for i in range(6)]
 
