@@ -9,18 +9,20 @@ Hot-path layout
 ---------------
 Sealing goes through :func:`repro.wire.encode_cached`, so a message
 broadcast (or retransmitted) repeatedly is serialized once and the same
-payload ``bytes`` object is shared by every receiver's envelope. That
-identity sharing is what makes the downstream identity-keyed caches hit:
-the digest LRU (PROPOSE value hashing) and the decode-share LRU here,
-which lets n co-simulated replicas decode one broadcast payload once
-instead of n times. Each send hands the network the envelope's exact
-wire size, computed arithmetically (a cached per-receiver-set overhead
+payload ``bytes`` object is shared by every receiver's envelope. The
+sealer also records on each :class:`Sealed` the message it encoded and
+the MAC tags it computed (``_SEAL_ATTR``), so a receiver holding that
+very envelope checks its tag without hashing and takes the sender's
+immutable message without decoding; the record dies with the envelope.
+Forged, tampered or copied envelopes carry no matching record and take
+the full HMAC + decode path. Each send hands the network the envelope's
+exact wire size, computed arithmetically (a cached per-receiver-set overhead
 plus the payload field; :func:`sealed_wire_size` is the reference the
 tests compare it with) instead of a sizing encode per send.
 
-All of it is behaviour-invisible: the decode cache only shares messages
-whose wire form is a frozen dataclass, MAC verification stays per-receiver,
-and the size hint is exact by construction (asserted in the tests).
+All of it is behaviour-invisible: only frozen-dataclass messages are
+shared, every receiver still compares its tag in constant time, and the
+size hint is exact by construction (asserted in the tests).
 """
 
 from __future__ import annotations
@@ -77,62 +79,21 @@ def sealed_wire_size(sealed: Sealed) -> int:
     return size
 
 
-#: Identity-keyed map sharing decoded messages across the receivers of one
-#: broadcast payload. Entries pin the payload bytes object, so an ``id()``
-#: key can never alias a different live object. Cleared wholesale when
-#: full (O(1) amortized eviction); dropped in-flight entries just decode.
-_DECODE_CACHE: dict[int, tuple[bytes, object]] = {}
-_DECODE_CACHE_LIMIT = 4096
+#: Attribute under which :meth:`SecureChannel.seal` and
+#: :meth:`SecureChannel.multicast` record, on each :class:`Sealed` they
+#: build, ``(message, {receiver: (key, payload, tag)})``: the message
+#: they encoded (``None`` unless it is a frozen dataclass, which receivers
+#: may share) and the MAC records they computed (see
+#: :mod:`repro.crypto.mac`). Stored straight into ``__dict__`` like the
+#: codec's encode memo, so no wire field is touched and the record lives
+#: exactly as long as the envelope.
+_SEAL_ATTR = "_seal_memo"
 _DECODE_STATS = PERF.stats["decode_share"]
 
 
-def decode_shared(payload: bytes):
-    """Decode ``payload``, sharing the result across co-simulated receivers.
-
-    Every holder of the *same* ``bytes`` object (one broadcast envelope,
-    one proposed batch value, one request's operation) gets the same
-    decoded message — only when that message is a frozen dataclass; any
-    other value is decoded fresh for each caller. Raises
-    :class:`~repro.wire.DecodeError` like :func:`~repro.wire.decode`.
-    """
-    if type(payload) is not bytes:
-        return decode(payload)
-    key = id(payload)
-    try:
-        hit = _DECODE_CACHE[key]
-    except KeyError:
-        hit = None
-    if hit is not None and hit[0] is payload:
-        _DECODE_STATS.hits += 1
-        return hit[1]
-    _DECODE_STATS.misses += 1
-    message = decode(payload)
-    # Only immutable (frozen-dataclass) messages may be shared between
-    # receivers; anything else is decoded fresh per receiver.
-    if _is_frozen_dataclass(message.__class__):
-        if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
-            _DECODE_CACHE.clear()
-        _DECODE_CACHE[key] = (payload, message)
-    return message
-
-
-def _seed_decoded(payload: bytes, message) -> None:
-    """Pre-seed the decode cache with the sender's own message object.
-
-    The codec is canonical and round-trips frozen dataclasses exactly, so
-    handing receivers the sender's (immutable) message object is
-    indistinguishable from decoding the payload — and turns the receive
-    path of every sealed message, unique replies included, into a dict hit.
-    """
-    if _is_frozen_dataclass(message.__class__):
-        if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
-            _DECODE_CACHE.clear()
-        _DECODE_CACHE[id(payload)] = (payload, message)
-
-
-@PERF.on_clear
-def clear_decode_cache() -> None:
-    _DECODE_CACHE.clear()
+def _shareable(message):
+    """``message`` if receivers may share it (frozen dataclass), else None."""
+    return message if _is_frozen_dataclass(message.__class__) else None
 
 
 class SecureChannel:
@@ -171,12 +132,15 @@ class SecureChannel:
     def seal(self, message, receivers) -> Sealed:
         """One envelope for ``message`` carrying a MAC tag per receiver."""
         payload = encode_cached(message)
-        _seed_decoded(payload, message)
-        mac = self.auth.mac
+        mac, key = self.auth.mac, self.auth.key
         tags = {}
+        records = {}
         for receiver in receivers:
-            tags[receiver] = mac(receiver, payload)
-        return Sealed(sender=self.address, payload=payload, tags=tags)
+            tag = tags[receiver] = mac(receiver, payload)
+            records[receiver] = (key(receiver), payload, tag)
+        sealed = Sealed(sender=self.address, payload=payload, tags=tags)
+        sealed.__dict__[_SEAL_ATTR] = (_shareable(message), records)
+        return sealed
 
     def send(self, dst: str, message) -> None:
         """Seal and send to a single receiver."""
@@ -192,16 +156,19 @@ class SecureChannel:
         one at a time, minus the redundant encodes.
         """
         payload = encode_cached(message)
-        _seed_decoded(payload, message)
+        shared = _shareable(message)
         kind = type(message).__name__
-        mac = self.auth.mac
+        mac, key = self.auth.mac, self.auth.key
         sender = self.address
         send = self.endpoint.send
         overhead = self._overhead
         payload_part = 1 + uvarint_size(len(payload)) + len(payload)
         for receiver in receivers:
-            sealed = Sealed(
-                sender=sender, payload=payload, tags={receiver: mac(receiver, payload)}
+            tag = mac(receiver, payload)
+            sealed = Sealed(sender=sender, payload=payload, tags={receiver: tag})
+            sealed.__dict__[_SEAL_ATTR] = (
+                shared,
+                {receiver: (key(receiver), payload, tag)},
             )
             send(receiver, sealed, kind, overhead(receiver) + payload_part)
 
@@ -232,16 +199,29 @@ class SecureChannel:
     # -- receiving -----------------------------------------------------------
 
     def open(self, sealed: Sealed):
-        """Verify and decode; returns the inner message or ``None``."""
+        """Verify and decode; returns the inner message or ``None``.
+
+        A matching sealer's record (``_SEAL_ATTR``) stands in for both.
+        """
         if not isinstance(sealed, Sealed):
             self.rejected += 1
             return None
         tag = sealed.tags.get(self.address)
-        if tag is None or not self.auth.verify(sealed.sender, sealed.payload, tag):
+        if tag is None:
             self.rejected += 1
             return None
+        payload = sealed.payload
+        memo = sealed.__dict__.get(_SEAL_ATTR)
+        record = memo[1].get(self.address) if memo is not None else None
+        if not self.auth.verify(sealed.sender, payload, tag, record):
+            self.rejected += 1
+            return None
+        if record is not None and record[1] is payload and memo[0] is not None:
+            _DECODE_STATS.hits += 1
+            return memo[0]
+        _DECODE_STATS.misses += 1
         try:
-            return decode_shared(sealed.payload)
+            return decode(payload)
         except DecodeError:
             self.rejected += 1
             return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.bftsmart.channel import SecureChannel
 from repro.bftsmart.messages import ClientRequest, PushMessage, Reply
-from repro.bftsmart.replica import request_signing_payload, seed_signing_payload
+from repro.bftsmart.replica import SIGNED_ATTR, signing_payload
 from repro.bftsmart.view import View
 from repro.crypto import KeyStore, Signer, digest
 from repro.net.network import Network
@@ -233,19 +233,7 @@ class ServiceProxy:
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled and parent is not None:
             tracer.alias(f"req:{self.client_id}:{sequence}", parent.trace_id)
-        # ``trace_id`` stays empty on the wire: frame sizes feed the
-        # latency model, so tracing links spans through the derived
-        # ``req:<client>:<sequence>`` id and never grows a frame.
-        request = ClientRequest(
-            client_id=self.client_id,
-            sequence=sequence,
-            operation=operation,
-            reply_to=self.client_id,
-            unordered=unordered,
-            mac=b"",
-            trace_id="",
-        )
-        request = self._sign(request)
+        request = self._sign(sequence, operation, unordered)
         quorum = self.view.live_quorum if unordered else self.view.weak_quorum
         event = Event(self.sim, name=f"invoke:{self.client_id}:{sequence}")
         invocation = _PendingInvocation(request, event, quorum, unordered=unordered)
@@ -267,23 +255,32 @@ class ServiceProxy:
         )
         return event
 
-    def _sign(self, request: ClientRequest) -> ClientRequest:
-        payload = request_signing_payload(request)
+    def _sign(
+        self, sequence: int, operation: bytes, unordered: bool
+    ) -> ClientRequest:
+        """The request, built once, signed and carrying its signer's record.
+
+        The signed fields exclude ``mac``, so the payload is encoded from
+        the field values before the request exists. ``trace_id`` stays
+        empty on the wire: frame sizes feed the latency model, so tracing
+        links spans through the derived ``req:<client>:<sequence>`` id and
+        never grows a frame.
+        """
+        fields = (self.client_id, sequence, operation, self.client_id, unordered)
+        payload = signing_payload(fields)
         tag = self.signer.sign(payload).tag
-        signed = ClientRequest(
-            client_id=request.client_id,
-            sequence=request.sequence,
-            operation=request.operation,
-            reply_to=request.reply_to,
-            unordered=request.unordered,
+        request = ClientRequest(
+            client_id=self.client_id,
+            sequence=sequence,
+            operation=operation,
+            reply_to=self.client_id,
+            unordered=unordered,
             mac=tag,
-            trace_id=request.trace_id,
+            trace_id="",
         )
-        # The signed tuple excludes the MAC field, so the stamped
-        # request's payload is the one just computed — seed it so the
-        # replicas' verification path starts on a cache hit.
-        seed_signing_payload(signed, payload)
-        return signed
+        # Stored like the codec's encode memo: no wire field is touched.
+        request.__dict__[SIGNED_ATTR] = (fields, (self.signer.key, payload, tag))
+        return request
 
     def _transmit(self, request: ClientRequest, broadcast: bool = False) -> None:
         # Serialize-once multicast: the request is encoded a single time

@@ -13,10 +13,10 @@ in :mod:`repro.bftsmart.statetransfer`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from itertools import islice
+from operator import is_
 
-from repro.bftsmart.channel import SecureChannel, decode_shared
+from repro.bftsmart.channel import SecureChannel
 from repro.bftsmart.config import GroupConfig
 from repro.bftsmart.consensus import Instance
 from repro.bftsmart.leaderchange import Synchronizer
@@ -54,54 +54,50 @@ RECONFIG_MARKER = b"\x00RECONFIG\x00"
 #: simulated clock this repo reaches.
 _DEADLINE_MARGIN = 1e-9
 
-#: Identity-keyed LRU of signing payloads. A request's signing payload is
-#: a pure function of its (frozen) content, and thanks to serialize-once
-#: multicast + shared decode all n replicas hold the *same* ClientRequest
-#: object — so one encode serves every replica's verification. Entries pin
-#: the request object, so an ``id()`` key can never alias a live object.
-_SIGNING_PAYLOAD_CACHE: dict[int, tuple] = {}
-_SIGNING_PAYLOAD_CACHE_LIMIT = 4096
+#: Attribute under which :class:`~repro.bftsmart.client.ServiceProxy`
+#: records, on each :class:`ClientRequest` it signs, ``(fields, record)``:
+#: the signed field objects and the signer's ``(key, payload, tag)`` (see
+#: :mod:`repro.crypto.signatures`). The replicas hold that very request
+#: object (the channel shares it), so verifying it costs neither the
+#: payload encode nor the HMAC; the record lives as long as the request.
+SIGNED_ATTR = "_signed_memo"
 _SIGNING_STATS = PERF.stats["signing_payload"]
 
+#: Attribute under which a leader records, on its own :class:`Propose`,
+#: ``(value, batch)``: the :class:`RequestBatch` it encoded into
+#: ``value``. Every replica holding that Propose object takes the batch
+#: instead of decoding the value.
+_BATCH_ATTR = "_batch_memo"
 
-#: Bytes signed by a client for request authentication.
-def request_signing_payload(request: ClientRequest) -> bytes:
-    key = id(request)
-    hit = _SIGNING_PAYLOAD_CACHE.get(key)
-    if hit is not None and hit[0] is request:
-        _SIGNING_STATS.hits += 1
-        return hit[1]
+
+def signing_payload(fields: tuple) -> bytes:
+    """Bytes a client signs: the encoded ``(client_id, sequence,
+    operation, reply_to, unordered)`` — every field but ``mac`` and
+    ``trace_id``."""
     _SIGNING_STATS.misses += 1
-    payload = encode(
-        (
-            request.client_id,
-            request.sequence,
-            request.operation,
-            request.reply_to,
-            request.unordered,
-        )
-    )
-    if len(_SIGNING_PAYLOAD_CACHE) >= _SIGNING_PAYLOAD_CACHE_LIMIT:
-        _SIGNING_PAYLOAD_CACHE.clear()
-    _SIGNING_PAYLOAD_CACHE[key] = (request, payload)
-    return payload
+    return encode(fields)
 
 
-def seed_signing_payload(request: ClientRequest, payload: bytes) -> None:
-    """Pre-seed the payload memo for a request whose payload is known.
+def request_signing_payload(request: ClientRequest) -> tuple:
+    """``(payload, record)``: the signed bytes and the signer's record.
 
-    Used by the client after stamping the MAC into the final request
-    object: the signed tuple excludes the MAC field, so the payload it
-    computed for the unstamped request is exactly the final one's.
+    The record is ``None`` unless the request carries one whose field
+    objects are exactly the request's own (a copy with a swapped field
+    misses and is re-encoded, so the check runs on its real content).
     """
-    if len(_SIGNING_PAYLOAD_CACHE) >= _SIGNING_PAYLOAD_CACHE_LIMIT:
-        _SIGNING_PAYLOAD_CACHE.clear()
-    _SIGNING_PAYLOAD_CACHE[id(request)] = (request, payload)
-
-
-@PERF.on_clear
-def clear_signing_payload_cache() -> None:
-    _SIGNING_PAYLOAD_CACHE.clear()
+    fields = (
+        request.client_id,
+        request.sequence,
+        request.operation,
+        request.reply_to,
+        request.unordered,
+    )
+    memo = request.__dict__.get(SIGNED_ATTR)
+    if memo is not None and all(map(is_, memo[0], fields)):
+        _SIGNING_STATS.hits += 1
+        record = memo[1]
+        return record[1], record
+    return signing_payload(fields), None
 
 
 class ServiceReplica:
@@ -171,12 +167,6 @@ class ServiceReplica:
         self._unproposed: dict[tuple, tuple] = {}
         self._batch_timer_armed = False
         self._hold_timer_armed = False
-        #: Leader-side (value_bytes, RequestBatch) of the latest own
-        #: proposal: its requests were verified on arrival, so validating
-        #: our own PROPOSE can skip the decode + re-verification.
-        self._last_proposed: tuple | None = None
-        #: id(request) -> request objects this replica already verified.
-        self._verified_requests: OrderedDict = OrderedDict()
 
         # -- execution state --
         self._exec_channel = Channel(sim, name=f"exec:{address}")
@@ -271,24 +261,21 @@ class ServiceReplica:
     # ------------------------------------------------------------------
 
     def _verify_request(self, request: ClientRequest) -> bool:
-        # A replica sees every ordered request twice: once on arrival
-        # and once inside the proposed batch (a different, decoded
-        # object with equal content). The memo is keyed on content —
-        # equal frozen requests carry the same signature over the same
-        # payload — and per replica: a verdict never crosses keystores.
-        cache = self._verified_requests
-        if request in cache:
+        # A replica sees every ordered request twice: once on arrival and
+        # once inside the proposed batch. Only verified requests enter
+        # ``pending``, and an equal frozen request carries the same
+        # signature over the same payload — so a request equal to its own
+        # pending entry is verified already, and the entry leaves when
+        # the request is decided.
+        entry = self.pending.get(request.key())
+        if entry is not None and entry[0] == request:
             return True
         try:
             signature = Signature(request.client_id, request.mac)
         except ValueError:
             return False
-        if not self.verifier.verify(signature, request_signing_payload(request)):
-            return False
-        cache[request] = None
-        if len(cache) > 4096:
-            cache.popitem(last=False)
-        return True
+        payload, record = request_signing_payload(request)
+        return self.verifier.verify(signature, payload, record)
 
     def _on_client_request(self, request: ClientRequest) -> None:
         if not self._verify_request(request):
@@ -469,7 +456,6 @@ class ServiceReplica:
                     batch[index] = request
         batch_message = RequestBatch(requests=tuple(batch))
         value = encode(batch_message)
-        self._last_proposed = (value, batch_message)
         cid = max(self.next_propose_cid, self.next_cid)
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:
@@ -494,6 +480,7 @@ class ServiceReplica:
             value=value,
             timestamp=self.sim.now,
         )
+        propose.__dict__[_BATCH_ATTR] = (value, batch_message)
         self.next_propose_cid = cid + 1
         self.stats["proposals"] += 1
         occupancy = self.next_propose_cid - self.next_cid
@@ -555,25 +542,29 @@ class ServiceReplica:
             if span is not None:
                 tracer.end(span, aborted=True)
 
-    def _validate_batch(self, value: bytes) -> RequestBatch | None:
+    def _validate_batch(self, message: Propose) -> RequestBatch | None:
         """Decode and authenticate a proposed batch (Byzantine leader guard).
 
-        Besides signatures and duplicates, per-client sequence numbers
-        must be increasing *within* the batch: a Byzantine leader that
-        reorders one client's requests would otherwise make the executor's
-        sequence-based dedup silently censor the displaced ones.
+        The leader's own Propose object carries the batch it encoded
+        (``_BATCH_ATTR``), which stands in for the decode only for that
+        exact value object; a re-proposal or copy is decoded. Either way
+        every request is checked. Besides signatures and duplicates,
+        per-client sequence numbers must be increasing *within* the
+        batch: a Byzantine leader that reorders one client's requests
+        would otherwise make the executor's sequence-based dedup silently
+        censor the displaced ones.
         """
-        last = self._last_proposed
-        if last is not None and value is last[0]:
-            # Our own proposal: every request in it was verified when it
-            # arrived, and the value bytes are identical by identity.
-            return last[1]
-        try:
-            batch = decode_shared(value)
-        except DecodeError:
-            return None
-        if not isinstance(batch, RequestBatch):
-            return None
+        value = message.value
+        memo = message.__dict__.get(_BATCH_ATTR)
+        if memo is not None and memo[0] is value:
+            batch = memo[1]
+        else:
+            try:
+                batch = decode(value)
+            except DecodeError:
+                return None
+            if not isinstance(batch, RequestBatch):
+                return None
         highest: dict[str, int] = {}
         for request in batch.requests:
             if not isinstance(request, ClientRequest) or request.unordered:
@@ -650,7 +641,7 @@ class ServiceReplica:
         elif instance.proposal_value is not None:
             return
         else:
-            batch = self._validate_batch(message.value)
+            batch = self._validate_batch(message)
             if batch is None and message.value != b"":
                 # Malformed or forged batch: suspect the leader.
                 self.synchronizer.suspect()

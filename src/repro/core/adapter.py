@@ -20,7 +20,6 @@ forwarded, DA or AE" (§IV-A). Concretely, the Adapter here is the
 
 from __future__ import annotations
 
-from repro.bftsmart.channel import decode_shared
 from repro.bftsmart.messages import TimeoutVote
 from repro.bftsmart.service import MessageContext, Service
 from repro.core.context import ContextInfo
@@ -33,8 +32,10 @@ from repro.neoscada.messages import (
     WriteResult,
     WriteValue,
 )
+from repro.perf import PERF
 from repro.shard.messages import ShardExport, ShardImport
 from repro.wire import DecodeError, decode, encode
+from repro.wire.codec import _is_frozen_dataclass
 
 #: Stream name under which all SCADA pushes travel to the proxies.
 SCADA_STREAM = "scada"
@@ -48,6 +49,49 @@ def proxy_client_id(address: str, shard: int, groups: int) -> str:
     paper's deployment is the 1-group fleet, wire bytes included.
     """
     return f"{address}-bft" if groups == 1 else f"{address}-bft-s{shard}"
+
+#: id(operation) -> (operation, decoded message): the n replicas of a group
+#: execute the *same* operation bytes object (the channel shares the
+#: client's request with every replica), so one decode serves ``cost_of``
+#: and ``execute`` at all of them. Entries pin the operation, so an id key
+#: cannot alias a live object; only frozen (shareable) messages enter.
+#:
+#: Bound: an entry is reused only while one operation executes across its
+#: group — from the first replica's ``cost_of`` to the last replica's
+#: ``execute``. The replicas execute the same decided batches in the same
+#: order within about one consensus round of each other, so in between
+#: the fastest replica decodes at most one batch of other operations:
+#: ``batch_max`` (200 for SCADA) per group, 400 for the two-group fleet
+#: bench runs. Hence 512; the farthest reuse measured on the six bench
+#: workloads is 5 insertions. Cleared wholesale when full: a dropped live
+#: entry costs one decode, never a different result.
+_DECODE_CACHE: dict[int, tuple] = {}
+_DECODE_CACHE_LIMIT = 512
+_DECODE_STATS = PERF.stats["decode_share"]
+
+
+def decode_shared(operation: bytes):
+    """Decode ``operation``, sharing the result across a group's replicas.
+
+    Raises :class:`~repro.wire.DecodeError` like :func:`~repro.wire.decode`.
+    """
+    hit = _DECODE_CACHE.get(id(operation))
+    if hit is not None and hit[0] is operation:
+        _DECODE_STATS.hits += 1
+        return hit[1]
+    _DECODE_STATS.misses += 1
+    message = decode(operation)
+    if _is_frozen_dataclass(message.__class__):
+        if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
+            _DECODE_CACHE.clear()
+        _DECODE_CACHE[id(operation)] = (operation, message)
+    return message
+
+
+@PERF.on_clear
+def clear_decode_cache() -> None:
+    _DECODE_CACHE.clear()
+
 
 #: Messages servable outside the total order (pure reads of Master state).
 _READ_ONLY_QUERIES = (EventQuery, ValueQuery)
@@ -105,8 +149,9 @@ class ScadaService(Service):
 
     def _decode_operation(self, operation: bytes):
         # All n co-simulated replicas hold the same operation bytes object
-        # (shared request decode), and NeoSCADA messages are frozen: the
-        # channel's decode share serves cost_of, execute and every replica.
+        # (the client's request, shared by the channel), and NeoSCADA
+        # messages are frozen: one decode serves cost_of, execute and
+        # every replica.
         try:
             return decode_shared(operation)
         except DecodeError:

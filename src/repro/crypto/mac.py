@@ -11,6 +11,16 @@ the padded key already absorbed), so producing a tag is two
 ``copy()/update()`` pairs instead of a fresh key schedule (two extra
 SHA-256 compressions) per message — the cached-authenticator optimisation
 BFT-SMaRt itself ships.
+
+A sender hands its receivers what it computed as a *record*
+``(key, payload, tag)`` (the channel stores it on the envelope). The pair
+key is symmetric and the KeyStore hands out one key object per pair, so
+the tag a sender computed is exactly the tag its receiver would
+recompute: :meth:`Authenticator.mac` returns it without hashing when the
+record was made under the receiver's own key object for the claimed peer
+and for the very payload object being checked. Anything else — a wrong
+key, a different sender, an equal-content copy — is recomputed, and the
+caller still runs ``compare_digest`` against the tag on the wire.
 """
 
 from __future__ import annotations
@@ -24,25 +34,7 @@ from repro.perf import PERF
 #: Truncated MAC length in bytes (PBFT used 10; we keep 16 for margin).
 MAC_SIZE = 16
 
-#: (pair-key, payload-identity) -> (payload, tag). The pair key is
-#: symmetric (``pair_key(a, b) == pair_key(b, a)``), so the tag the sender
-#: computes at seal time is exactly the expected tag the receiver
-#: recomputes at verify time — sharing it makes verification of honest
-#: traffic a dict probe. Spoofed or tampered traffic never hits: a wrong
-#: key or a different payload object lands in a different slot, so the
-#: receiver still recomputes and the ``compare_digest`` check still fails.
-#: Entries pin the payload bytes object, so identity keys cannot alias.
-#: Evicted by clearing wholesale when full — O(1) amortized, and the few
-#: in-flight entries dropped are simply recomputed.
-_MAC_CACHE: dict[tuple, tuple] = {}
-_MAC_CACHE_LIMIT = 8192
 _MAC_STATS = PERF.stats["mac"]
-
-
-@PERF.on_clear
-def clear_mac_cache() -> None:
-    _MAC_CACHE.clear()
-
 
 _SHA256_BLOCK = 64
 _IPAD = bytes(byte ^ 0x36 for byte in range(256))
@@ -87,36 +79,36 @@ class Authenticator:
         #: peer -> pre-keyed :func:`hmac_template` (key schedule already run).
         self._templates: dict = {}
         #: peer -> shared pair key (the KeyStore returns one object per
-        #: pair, so the memo key is shared with the peer's authenticator).
+        #: pair, so a record's key is the peer authenticator's object too).
         self._keys: dict[str, bytes] = {}
 
-    def mac(self, peer: str, payload: bytes) -> bytes:
-        """MAC for ``payload`` on the channel between ``self.me`` and peer."""
-        if type(payload) is bytes:
-            key = self._keys.get(peer)
-            if key is None:
-                key = self._keystore.pair_key(self.me, peer)
-                self._keys[peer] = key
-            cache_key = (key, id(payload))
-            hit = _MAC_CACHE.get(cache_key)
-            if hit is not None and hit[0] is payload:
-                _MAC_STATS.hits += 1
-                return hit[1]
-            _MAC_STATS.misses += 1
-            tag = self._compute(peer, key, payload)
-            if len(_MAC_CACHE) >= _MAC_CACHE_LIMIT:
-                _MAC_CACHE.clear()
-            _MAC_CACHE[cache_key] = (payload, tag)
-            return tag
-        key = self._keystore.pair_key(self.me, peer)
-        return self._compute(peer, key, payload)
+    def key(self, peer: str) -> bytes:
+        """The pair key shared with ``peer`` (one object per pair)."""
+        key = self._keys.get(peer)
+        if key is None:
+            key = self._keys[peer] = self._keystore.pair_key(self.me, peer)
+        return key
 
-    def _compute(self, peer: str, key: bytes, payload: bytes) -> bytes:
+    def mac(self, peer: str, payload: bytes, record: tuple | None = None) -> bytes:
+        """MAC for ``payload`` on the channel between ``self.me`` and peer.
+
+        ``record`` is a sender's ``(key, payload, tag)``; its tag is used
+        only if it was made under this channel's key for this payload.
+        """
+        key = self._keys.get(peer)
+        if key is None:
+            key = self.key(peer)
+        if record is not None and record[0] is key and record[1] is payload:
+            _MAC_STATS.hits += 1
+            return record[2]
+        _MAC_STATS.misses += 1
         template = self._templates.get(peer)
         if template is None:
             template = self._templates[peer] = hmac_template(key)
         return template(payload)[:MAC_SIZE]
 
-    def verify(self, peer: str, payload: bytes, tag: bytes) -> bool:
+    def verify(
+        self, peer: str, payload: bytes, tag: bytes, record: tuple | None = None
+    ) -> bool:
         """Constant-time check of ``tag`` against the expected MAC."""
-        return hmac.compare_digest(self.mac(peer, payload), tag)
+        return hmac.compare_digest(self.mac(peer, payload, record), tag)

@@ -7,6 +7,10 @@ this module simulates an EUF-CMA signature with an HMAC under the signer's
 per-principal key: only the signer (and the trusted KeyStore, standing in
 for the PKI) can produce a tag that verifies. The substitution is recorded
 in DESIGN.md §4.
+
+A signer's *record* ``(key, payload, tag)`` stands in for the verifier's
+HMAC under the rule of :mod:`repro.crypto.mac`: only under the claimed
+signer's own key object, only for that payload object, tag still compared.
 """
 
 from __future__ import annotations
@@ -16,31 +20,9 @@ from dataclasses import dataclass
 
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import hmac_template
-from repro.perf import PERF
 from repro.wire.registry import dict_fill_init
 
 SIGNATURE_SIZE = 32
-
-#: (signing-key, payload-identity) -> (payload, tag). Seeded by the signer
-#: and hit by every verifier sharing the KeyStore: the expected tag a
-#: verifier recomputes is exactly the tag the signer produced, and the
-#: signing-payload bytes object is shared across replicas. Only the
-#: *expected* tag is cached — every caller still runs its own
-#: ``compare_digest`` against the received tag, so forged or tampered
-#: signatures fail exactly as before. Entries pin the payload object.
-_SIG_CACHE: dict[tuple, tuple] = {}
-_SIG_CACHE_LIMIT = 8192
-
-
-@PERF.on_clear
-def clear_signature_cache() -> None:
-    _SIG_CACHE.clear()
-
-
-def _remember(key: bytes, payload: bytes, tag: bytes) -> None:
-    if len(_SIG_CACHE) >= _SIG_CACHE_LIMIT:
-        _SIG_CACHE.clear()
-    _SIG_CACHE[(key, id(payload))] = (payload, tag)
 
 
 @dict_fill_init  # one per signed request verified: as hot as a wire type
@@ -61,15 +43,13 @@ class Signer:
 
     def __init__(self, me: str, keystore: KeyStore) -> None:
         self.me = me
-        self._key = keystore.signing_key(me)
+        #: The signing key; a record ``(key, payload, tag)`` names it.
+        self.key = keystore.signing_key(me)
         #: Pre-keyed HMAC template (key schedule run once, copied per sign).
-        self._template = hmac_template(self._key)
+        self._template = hmac_template(self.key)
 
     def sign(self, payload: bytes) -> Signature:
-        tag = self._template(payload)
-        if type(payload) is bytes:
-            _remember(self._key, payload, tag)
-        return Signature(signer=self.me, tag=tag)
+        return Signature(signer=self.me, tag=self._template(payload))
 
 
 class Verifier:
@@ -80,17 +60,15 @@ class Verifier:
         #: signer -> pre-keyed HMAC template, same trick as Authenticator.
         self._templates: dict = {}
 
-    def verify(self, signature: Signature, payload: bytes) -> bool:
+    def verify(
+        self, signature: Signature, payload: bytes, record: tuple | None = None
+    ) -> bool:
         key = self._keystore.signing_key(signature.signer)
-        memoizable = type(payload) is bytes
-        if memoizable:
-            hit = _SIG_CACHE.get((key, id(payload)))
-            if hit is not None and hit[0] is payload:
-                return hmac.compare_digest(hit[1], signature.tag)
-        template = self._templates.get(signature.signer)
-        if template is None:
-            template = self._templates[signature.signer] = hmac_template(key)
-        expected = template(payload)
-        if memoizable:
-            _remember(key, payload, expected)
+        if record is not None and record[0] is key and record[1] is payload:
+            expected = record[2]
+        else:
+            template = self._templates.get(signature.signer)
+            if template is None:
+                template = self._templates[signature.signer] = hmac_template(key)
+            expected = template(payload)
         return hmac.compare_digest(expected, signature.tag)

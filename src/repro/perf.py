@@ -1,17 +1,19 @@
 """Hot-path cache accounting.
 
-The caches on the per-message path (codec memoization, HMAC templates
-and tag memo, digest LRU, serialize-once broadcast with precomputed
-envelope sizes, shared decode of multicast payloads, signing-payload
-memo) are *behaviour-invisible* and always on: with a fixed seed a run
-produces the encodings, digests and event orders that the un-cached code
-produced before it was deleted (``tests/golden``,
-``tests/test_golden_outputs.py``). What stays process-wide is kept on
-:data:`PERF`: one hit/miss counter per cache, so a measured run can
+The memos on the per-message path (the encode memo, the MAC/signature
+records and sealer's message on each envelope and request, the leader's
+batch on its Propose, HMAC templates, the bounded content-keyed digest
+memo and operation decode share) are *behaviour-invisible* and always
+on: with a fixed seed a run produces the encodings, digests and event
+orders that the un-cached code produced before it was deleted
+(``tests/golden``, ``tests/test_golden_outputs.py``). A memo lives on the
+object it describes; a table that spans objects states its in-flight
+bound. What stays process-wide is kept on :data:`PERF`: one hit/miss
+counter per cache (a record hit counts as a hit), so a measured run can
 report how effective each one was, and the name of the event kernel for
 the benchmark's run fingerprint. :func:`clear_hot_path_caches` gives a
 measurement a cold start. This module imports nothing from ``repro``:
-each cache owner registers its ``clear_*`` function through
+each table owner registers its ``clear_*`` function through
 :meth:`PerfSwitches.on_clear` when it is imported.
 """
 

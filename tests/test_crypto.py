@@ -139,31 +139,44 @@ def test_tags_are_plain_hmac_sha256_and_tampering_still_fails():
 
 
 def test_memo_hit_still_rejects_tampered_tag_and_fresh_payload_object():
-    # The sender's mac()/sign() seeds the memo the receiver's verify()
-    # hits (same key, same payload object). A hit only supplies the
-    # *expected* tag: a wrong received tag still fails the comparison, and
-    # an equal-content payload in a different object misses the memo and
-    # is recomputed to the same verdicts.
+    # A sender's record (key, payload, tag) supplies the receiver's
+    # expected tag only under the receiver's key for that sender and only
+    # for the very payload object it covers. A hit still compares the
+    # received tag, and an equal-content payload in a different object, a
+    # record under another key or no record at all is recomputed to the
+    # same verdicts.
     ks = KeyStore()
     alice, bob = Authenticator("alice", ks), Authenticator("bob", ks)
     payload = bytes(range(200))
     tag = alice.mac("bob", payload)
+    record = (alice.key("bob"), payload, tag)
+    assert record[0] is bob.key("alice")  # one key object per pair
     hits = PERF.stats["mac"].hits
-    assert bob.verify("alice", payload, tag)
-    assert PERF.stats["mac"].hits == hits + 1  # served from the memo
+    assert bob.verify("alice", payload, tag, record)
+    assert PERF.stats["mac"].hits == hits + 1  # served from the record
     tampered = bytes([tag[0] ^ 1]) + tag[1:]
-    assert not bob.verify("alice", payload, tampered)
+    assert not bob.verify("alice", payload, tampered, record)
     assert PERF.stats["mac"].hits == hits + 2  # a hit, and still rejected
 
     twin = bytes(bytearray(payload))  # equal content, different object
     assert twin == payload and twin is not payload
     misses = PERF.stats["mac"].misses
-    assert bob.verify("alice", twin, tag)
+    assert bob.verify("alice", twin, tag, record)
     assert PERF.stats["mac"].misses == misses + 1  # recomputed, not aliased
-    assert not bob.verify("alice", twin, tampered)
+    assert not bob.verify("alice", twin, tampered, record)
+    carol = Authenticator("carol", ks)
+    assert not carol.verify("alice", payload, tag, record)  # another key
+    assert PERF.stats["mac"].misses == misses + 3
+    assert bob.verify("alice", payload, tag) and not bob.verify("alice", payload, tampered)
 
     verifier = Verifier(ks)
-    sig = Signer("alice", ks).sign(payload)
+    signer = Signer("alice", ks)
+    sig = signer.sign(payload)
+    signed = (signer.key, payload, sig.tag)
     forged = type(sig)(signer="alice", tag=bytes([sig.tag[0] ^ 1]) + sig.tag[1:])
-    assert verifier.verify(sig, payload) and not verifier.verify(forged, payload)
-    assert verifier.verify(sig, twin) and not verifier.verify(forged, twin)
+    for rec in (signed, None):
+        assert verifier.verify(sig, payload, rec)
+        assert not verifier.verify(forged, payload, rec)
+        assert verifier.verify(sig, twin, rec) and not verifier.verify(forged, twin, rec)
+    # A record under alice's key says nothing about a signature claimed by bob.
+    assert not verifier.verify(type(sig)(signer="bob", tag=sig.tag), payload, signed)

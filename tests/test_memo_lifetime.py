@@ -1,0 +1,114 @@
+"""Tier-1 guard: hot-path memos live exactly as long as what they describe.
+
+Every per-message memo is stored on the object it describes — the
+envelope's MAC records and message, the request's signing record, the
+leader's batch on its Propose — so it dies with that object. Only two
+tables span objects (the content-keyed digest memo and the adapter's
+operation decode share), and each is bounded by what is in flight. After
+a run and its deployment are gone, what ``src/repro`` allocated and still
+holds is those two tables and nothing else.
+"""
+
+from __future__ import annotations
+
+import gc
+import pathlib
+import tracemalloc
+import weakref
+
+from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
+from repro.bftsmart.channel import SecureChannel
+from repro.bftsmart.messages import Stop
+from repro.core import adapter
+from repro.crypto import KeyStore
+from repro.crypto.digest import _DIGEST_CACHE, _DIGEST_CACHE_LIMIT
+from repro.net import ConstantLatency, Network
+from repro.perf import clear_hot_path_caches
+from repro.sim import Simulator
+from tests.test_hot_path_counts import _bft_micro_run, _update_run
+
+SRC = str(pathlib.Path(adapter.__file__).resolve().parent.parent) + "/"
+
+#: What src/repro may still hold after the 300-request bft-micro run:
+#: the digest memo's entries (a reply digest per request, the PROPOSE
+#: values it hashed) and small per-process tables. Process-global MAC,
+#: signature, signing-payload and envelope-decode tables hold 4.2 MiB.
+RETAINED_LIMIT = 1024 * 1024
+
+
+def _retained_under_src(run) -> int:
+    """Bytes allocated by ``src/repro`` during ``run()`` still alive after it."""
+    clear_hot_path_caches()
+    gc.collect()
+    tracemalloc.start(1)
+    try:
+        before = tracemalloc.take_snapshot()
+        run()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    under_src = [tracemalloc.Filter(True, SRC + "*")]
+    diff = after.filter_traces(under_src).compare_to(
+        before.filter_traces(under_src), "filename"
+    )
+    return sum(stat.size_diff for stat in diff if stat.size_diff > 0)
+
+
+def test_bft_micro_run_leaves_at_most_a_mebibyte_under_src_repro():
+    def run():
+        ops, _counts = _bft_micro_run(1)
+        assert ops == 300
+
+    assert _retained_under_src(run) <= RETAINED_LIMIT
+
+
+def test_the_two_remaining_tables_stay_within_their_bounds():
+    clear_hot_path_caches()
+    _update_run(1)
+    _bft_micro_run(1)
+    assert 0 < len(_DIGEST_CACHE) <= _DIGEST_CACHE_LIMIT
+    assert 0 < len(adapter._DECODE_CACHE) <= adapter._DECODE_CACHE_LIMIT
+
+
+def _channels():
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=ConstantLatency(0.0001))
+    keystore = KeyStore()
+    return [SecureChannel(net.endpoint(name), keystore) for name in ("a", "b")]
+
+
+def test_an_envelope_record_dies_with_its_envelope():
+    sender, receiver = _channels()
+    message = Stop(sender="a", regency=3)
+    sealed = sender.seal(message, ("b",))
+    assert receiver.open(sealed) is message  # the record served the open
+    alive = weakref.ref(message)
+    del message, sealed
+    gc.collect()
+    assert alive() is None  # no table kept the message (or its payload)
+
+
+def test_a_request_and_its_batch_die_once_decided():
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=ConstantLatency(0.0001))
+    keystore = KeyStore()
+    config = GroupConfig()
+    replicas = build_group(sim, net, config, EchoService, keystore)
+    proxy = build_proxy(sim, net, "client-1", config, keystore)
+    first = proxy.invoke_ordered(b"op")
+    request = proxy._pending[0].request
+    sim.run(until=sim.now + config.batch_wait / 4)  # delivered, not proposed
+    assert all(r.pending for r in replicas)  # verified, awaiting decision
+    alive = weakref.ref(request)
+    del request
+    sim.run(until=sim.now + 1.0)
+    assert first.ok and first.value == b"op"
+    assert not any(r.pending for r in replicas)  # decided: entries left
+    # The executors' loop variables still name the batch they ran last;
+    # the next decision replaces it.
+    second = proxy.invoke_ordered(b"op2")
+    sim.run(until=sim.now + 1.0)
+    assert second.ok
+    gc.collect()
+    assert alive() is None  # nothing kept the request or its record

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sampling profiler: ``python tools/sampleprof.py --workload update [--seed 1] [--passes 1]``.
+"""Sampling profiler: ``python tools/sampleprof.py --workload update [--seed 1] [--passes 1] [--memory]``.
 
 Runs ``bench/workloads.run_pass(W, seed)`` while ``signal.setitimer``
 interrupts the process every millisecond of CPU time (Linux delivers the
@@ -14,6 +14,13 @@ dataclass methods as ``<string>``. Unlike cProfile the timer adds no cost
 per call, so call-heavy code is not inflated. Cyclic GC is timed through
 ``gc.callbacks``; a signal that arrives during a collection is handled in
 that callback, so those samples are charged to ``(cyclic gc)``.
+
+``--memory`` profiles allocations instead, over one pass under
+``tracemalloc``: the traced peak, what is still allocated after the pass
+(after ``gc.collect()``, so the deployment itself is gone and what is left
+is held by module-level tables), and those retained bytes by layer and by
+file. An allocation is charged to the innermost ``src/repro`` frame of its
+traceback, the way the sampler charges CPU.
 """
 
 import argparse
@@ -23,6 +30,7 @@ import pathlib
 import signal
 import sys
 import time
+import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src" / "repro") + "/"
@@ -87,13 +95,65 @@ def profile(workload: str, seed: int, passes: int):
     return samples[0], cpu, gc_s[0], self_n, incl_n, layer_self, layer_incl
 
 
+def memory(workload: str, seed: int):
+    """``(peak, retained, by layer, by file)`` in bytes for one pass."""
+    gc.collect()
+    tracemalloc.start(8)
+    try:
+        before = tracemalloc.take_snapshot()
+        workloads.run_pass(workload, seed)
+        gc.collect()
+        _current, peak = tracemalloc.get_traced_memory()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    by_layer, by_file = collections.Counter(), collections.Counter()
+    retained = 0
+    for stat in after.compare_to(before, "traceback"):
+        if stat.size_diff <= 0:
+            continue
+        retained += stat.size_diff
+        # Frames run oldest -> most recent: the last one under src/repro
+        # is the innermost repro code that asked for the memory.
+        path = next(
+            (frame.filename for frame in reversed(stat.traceback)
+             if frame.filename.startswith(SRC)),
+            None,
+        )
+        if path is None:
+            by_layer["(outside src/repro)"] += stat.size_diff
+            by_file[pathlib.Path(stat.traceback[-1].filename).name] += stat.size_diff
+        else:
+            where = path[len(SRC):]
+            by_layer[where.split("/")[0].removesuffix(".py")] += stat.size_diff
+            by_file[where] += stat.size_diff
+    return peak, retained, by_layer, by_file
+
+
+def print_memory(args) -> None:
+    peak, retained, by_layer, by_file = memory(args.workload, args.seed)
+    mib = 1024 * 1024
+    print(f"workload {args.workload}  seed {args.seed}  one pass  "
+          f"tracemalloc peak {peak / mib:.1f} MiB  retained after the pass "
+          f"{retained / 1024:.1f} KiB")
+    for title, table in (("layer", by_layer), ("file", by_file)):
+        print(f"{'retained by ' + title:44s} {'KiB':>9s}")
+        for name, size in table.most_common(args.top):
+            print(f"  {name:42s} {size / 1024:9.1f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--passes", type=int, default=1)
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--memory", action="store_true",
+                        help="one pass under tracemalloc instead of the CPU sampler")
     args = parser.parse_args(argv)
+    if args.memory:
+        print_memory(args)
+        return 0
     n, cpu, gc_s, self_n, incl_n, layer_self, layer_incl = profile(
         args.workload, args.seed, args.passes
     )
