@@ -8,12 +8,7 @@ server→client pushes (the feature that accommodates SCADA's event-driven
 communication pattern, §VI).
 """
 
-from repro.bftsmart.byzantine import (
-    EquivocatingLeader,
-    LyingReplica,
-    SilentReplica,
-    StutteringReplica,
-)
+from repro.bftsmart.byzantine import Behaviour, Equivocating, Lying, Silent, Stuttering
 from repro.bftsmart.client import PushVoter, ServiceProxy
 from repro.bftsmart.cluster import build_group, build_proxy
 from repro.bftsmart.config import GroupConfig, replica_address
@@ -47,14 +42,15 @@ from repro.bftsmart.view import View
 __all__ = [
     "AcceptMsg",
     "Administrator",
+    "Behaviour",
     "ReconfigResult",
     "ClientRequest",
     "CounterService",
     "EchoService",
-    "EquivocatingLeader",
+    "Equivocating",
     "GroupConfig",
     "KeyValueService",
-    "LyingReplica",
+    "Lying",
     "MessageContext",
     "Propose",
     "PushMessage",
@@ -67,12 +63,12 @@ __all__ = [
     "Service",
     "ServiceProxy",
     "ServiceReplica",
-    "SilentReplica",
+    "Silent",
     "StateReply",
     "StateRequest",
     "Stop",
     "StopData",
-    "StutteringReplica",
+    "Stuttering",
     "Sync",
     "View",
     "WriteMsg",

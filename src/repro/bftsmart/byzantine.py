@@ -1,53 +1,68 @@
 """Byzantine replica behaviours for tests and fault drills.
 
-Each behaviour subclasses :class:`ServiceReplica` and perverts exactly one
-aspect of the protocol. With ``n >= 3f + 1`` honest-majority quorums, a
-single Byzantine replica (f=1) must not be able to break safety — the
-integration tests assert that clients still obtain correct, quorum-backed
-results with each of these in the group. They know the protocol, not the
-application: the one SCADA-aware behaviour, forging field readings, is
-``repro.chaos.schedule.FalsifyingReplica``.
+A :class:`Behaviour` is a value set on a live replica
+(``replica.behaviour = Lying()``; ``None`` is honest), and each one below
+perverts exactly one aspect of the protocol through its hooks. With
+``n >= 3f + 1`` honest-majority quorums, a single Byzantine replica (f=1)
+must not be able to break safety — the integration tests assert that
+clients still obtain correct, quorum-backed results with each of these in
+the group. They know the protocol, not the application: the one
+SCADA-aware behaviour, forging field readings, is
+``repro.chaos.schedule.Falsifying``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.bftsmart.messages import Propose, Reply, RequestBatch
-from repro.bftsmart.replica import ServiceReplica
 from repro.wire import encode
 
 
-class SilentReplica(ServiceReplica):
+class Behaviour:
+    """The misbehaviour seam of :class:`~repro.bftsmart.replica.ServiceReplica`.
+
+    Each hook gets the replica and what its honest path is about to handle
+    or send, and returns what that path goes on with; ``None`` stops it.
+    The base class changes nothing.
+    """
+
+    def on_ingress(self, replica, payload, src: str):
+        """An inbound network payload, before it is opened."""
+        return payload
+
+    def on_propose(self, replica, batch: list):
+        """The requests a leader just took from its pool to propose."""
+        return batch
+
+    def on_reply(self, replica, reply: Reply):
+        """A reply about to be sent on any of the three reply paths."""
+        return reply
+
+    def on_push(self, replica, client_id: str, stream: str, order, payload: bytes):
+        """The payload of a push about to be sent to ``client_id``."""
+        return payload
+
+
+class Silent(Behaviour):
     """Crash-like behaviour: receives everything, says nothing."""
 
-    def _on_network_message(self, payload, src: str) -> None:
-        return
+    def on_ingress(self, replica, payload, src: str):
+        return None
 
 
-class LyingReplica(ServiceReplica):
-    """Executes correctly but replies with corrupted results.
+class Lying(Behaviour):
+    """Executes correctly but corrupts the result of every reply it sends.
 
     Clients must out-vote it: its replies never reach the f+1 matching
     quorum because the other replicas agree with each other.
     """
 
-    def _execute_one(self, cid, order, request, timestamp) -> None:
-        super()._execute_one(cid, order, request, timestamp)
-        # Overwrite the honest reply with a corrupted one.
-        honest = self._last_reply.get(request.client_id)
-        if honest is None or not self.active:
-            return
-        lie = Reply(
-            replica=self.address,
-            client_id=honest.client_id,
-            sequence=honest.sequence,
-            result=b"\xde\xad" + honest.result,
-            view_id=honest.view_id,
-            regency=honest.regency,
-        )
-        self.channel.send(request.reply_to, lie)
+    def on_reply(self, replica, reply: Reply):
+        return replace(reply, result=b"\xde\xad" + reply.result)
 
 
-class EquivocatingLeader(ServiceReplica):
+class Equivocating(Behaviour):
     """A leader that proposes different batches to different replicas.
 
     The WRITE quorum (which requires matching digests from a Byzantine
@@ -55,40 +70,33 @@ class EquivocatingLeader(ServiceReplica):
     replaces this leader through the synchronization phase.
     """
 
-    def _propose_batch(self) -> None:
-        batch = self._take_batch()
-        others = self.other_replicas()
+    def on_propose(self, replica, batch: list):
+        others = replica.other_replicas()
         half = len(others) // 2
-        value_a = encode(RequestBatch(requests=tuple(batch)))
-        value_b = encode(RequestBatch(requests=tuple(reversed(batch))))
-        for group, value in ((others[:half], value_a), (others[half:], value_b)):
+        for group, requests in ((others[:half], batch), (others[half:], batch[::-1])):
             propose = Propose(
-                sender=self.address,
-                cid=self.next_cid,
-                epoch=self.regency,
-                value=value,
-                timestamp=self.sim.now,
+                sender=replica.address,
+                cid=replica.next_cid,
+                epoch=replica.regency,
+                value=encode(RequestBatch(requests=tuple(requests))),
+                timestamp=replica.sim.now,
             )
             for receiver in group:
-                self.channel.send(receiver, propose)
-        self.stats["proposals"] += 1
+                replica.channel.send(receiver, propose)
+        replica.stats["proposals"] += 1
+        return None
 
 
-class StutteringReplica(ServiceReplica):
+class Stuttering(Behaviour):
     """Participates in agreement but never sends replies or pushes.
 
-    Weaker than :class:`SilentReplica`: it helps liveness of consensus
-    while starving clients of its vote; clients still reach f+1 via the
-    other replicas.
+    Weaker than :class:`Silent`: it helps liveness of consensus while
+    starving clients of its vote; clients still reach f+1 via the other
+    replicas.
     """
 
-    def _execute_one(self, cid, order, request, timestamp) -> None:
-        was_active = self.active
-        self.active = False  # suppresses the reply send
-        try:
-            super()._execute_one(cid, order, request, timestamp)
-        finally:
-            self.active = was_active
+    def on_reply(self, replica, reply: Reply):
+        return None
 
-    def push(self, client_id, stream, order, payload) -> None:
-        return
+    def on_push(self, replica, client_id: str, stream: str, order, payload: bytes):
+        return None

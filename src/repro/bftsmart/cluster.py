@@ -21,26 +21,23 @@ def build_group(
     config: GroupConfig,
     service_factory,
     keystore: KeyStore | None = None,
-    replica_classes: dict | None = None,
     storages: dict | None = None,
 ) -> list:
     """Create the ``config.n`` replicas of a group.
 
     ``service_factory()`` is called once per replica (each replica owns an
     independent service instance — that independence is what replication
-    protects). ``replica_classes`` optionally overrides the class used for
-    specific indices, e.g. ``{0: SilentReplica}`` for fault drills.
+    protects); every replica starts honest — a fault drill sets
+    ``replicas[i].behaviour`` (:mod:`repro.bftsmart.byzantine`).
     ``storages`` maps indices to :class:`repro.storage.ReplicaStorage`
     instances; replicas given one boot through ``recover_from_disk`` (a
     no-op on an empty disk) and persist decisions/checkpoints to it.
     """
     keystore = keystore if keystore is not None else KeyStore()
-    replica_classes = replica_classes or {}
     storages = storages or {}
     replicas = []
     for index, address in enumerate(config.addresses):
-        cls = replica_classes.get(index, ServiceReplica)
-        replica = cls(
+        replica = ServiceReplica(
             sim=sim,
             net=net,
             address=address,

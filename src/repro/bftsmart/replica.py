@@ -138,6 +138,9 @@ class ServiceReplica:
         #: ``(view, its members but this replica)``: see other_replicas().
         self._others: tuple = (None, ())
         self.active = True
+        #: ``None`` (honest) or a :class:`repro.bftsmart.byzantine.Behaviour`
+        #: consulted on ingress, proposing, every reply and every push.
+        self.behaviour = None
 
         # -- ordering state --
         self.next_cid = 0
@@ -177,7 +180,9 @@ class ServiceReplica:
         self._install_epoch = 0
         self._last_executed_seq: dict[str, int] = {}
         self._dispatched_seq: dict[str, int] = {}
-        self._last_reply: dict[str, Reply] = {}
+        #: client id -> the last ordered reply this replica produced for
+        #: it: what a retransmission of an executed request gets back.
+        self.last_reply: dict[str, Reply] = {}
         self.executed_cid = -1
         #: decided-but-possibly-unexecuted log since the checkpoint:
         #: list of (cid, value_bytes, timestamp).
@@ -248,6 +253,10 @@ class ServiceReplica:
     def _on_network_message(self, payload, src: str) -> None:
         if not self.active:
             return
+        if self.behaviour is not None:
+            payload = self.behaviour.on_ingress(self, payload, src)
+            if payload is None:
+                return
         # open() rejects (and counts) anything that is not a valid Sealed.
         message = self.channel.open(payload)
         if message is None:
@@ -287,9 +296,9 @@ class ServiceReplica:
         last = self._last_executed_seq.get(request.client_id, -1)
         if request.sequence <= last:
             # Retransmission of something already executed: resend reply.
-            cached = self._last_reply.get(request.client_id)
+            cached = self.last_reply.get(request.client_id)
             if cached is not None and cached.sequence == request.sequence:
-                self.channel.send(request.reply_to, cached)
+                self._send_reply(request.reply_to, cached)
             return
         key = request.key()
         if key in self.pending:
@@ -318,7 +327,7 @@ class ServiceReplica:
             view_id=self.view.view_id,
             regency=self.regency,
         )
-        self.channel.send(request.reply_to, reply)
+        self._send_reply(request.reply_to, reply)
 
     # ------------------------------------------------------------------
     # leader: batching and proposing
@@ -439,6 +448,10 @@ class ServiceReplica:
 
     def _propose_batch(self) -> None:
         batch = self._take_batch()
+        if self.behaviour is not None:
+            batch = self.behaviour.on_propose(self, batch)
+            if batch is None:
+                return
         # A retransmission can re-enter the pool after the same client's
         # newer requests (the original was dropped, the resend arrived
         # post-heal). Restore each client's sequence order in place —
@@ -817,7 +830,7 @@ class ServiceReplica:
         # Align the dispatcher's dedup view with the installed state:
         # pre-checkpoint requests must be skipped, replayed ones must pass.
         self._dispatched_seq = dict(dedup_table)
-        self._last_reply.clear()
+        self.last_reply.clear()
         self.checkpoint_cid = self.executed_cid = checkpoint_cid
         self.checkpoint_snapshot = blob
         self.decision_log = []
@@ -906,10 +919,18 @@ class ServiceReplica:
             view_id=self.view.view_id,
             regency=self.regency,
         )
-        self._last_reply[request.client_id] = reply
+        self.last_reply[request.client_id] = reply
         self.stats["replies"] += 1
         if self.active:
-            self.channel.send(request.reply_to, reply)
+            self._send_reply(request.reply_to, reply)
+
+    def _send_reply(self, to: str, reply: Reply) -> None:
+        """Send a reply to a client, through the behaviour's reply hook."""
+        if self.behaviour is not None:
+            reply = self.behaviour.on_reply(self, reply)
+            if reply is None:
+                return
+        self.channel.send(to, reply)
 
     def _snapshot_blob(self) -> bytes:
         """Service snapshot plus the client dedup table, as one blob.
@@ -1008,6 +1029,10 @@ class ServiceReplica:
         """Send an asynchronous message to a client-side listener."""
         if not self.active:
             return
+        if self.behaviour is not None:
+            payload = self.behaviour.on_push(self, client_id, stream, order, payload)
+            if payload is None:
+                return
         message = PushMessage(
             replica=self.address,
             client_id=client_id,

@@ -44,7 +44,7 @@ from repro.chaos.schedule import (
     CrashReplica,
     DelayKind,
     DropKind,
-    FalsifyingReplica,
+    Falsifying,
     FieldOffline,
     InjectWrites,
     IsolateReplicas,
@@ -79,7 +79,7 @@ __all__ = [
     "DelayKind",
     "DropKind",
     "FALSIFY_OFFSET",
-    "FalsifyingReplica",
+    "Falsifying",
     "FieldOffline",
     "InjectWrites",
     "IsolateReplicas",

@@ -124,7 +124,7 @@ class ReplyAgreementMonitor(InvariantMonitor):
 
     def poll(self, ctx) -> None:
         for replica in ctx.honest_live_replicas():
-            for client_id, reply in replica._last_reply.items():
+            for client_id, reply in replica.last_reply.items():
                 key = (client_id, reply.sequence)
                 fingerprint = digest(reply.result)
                 seen = self._replies.get(key)

@@ -24,15 +24,9 @@ import random
 import typing
 from dataclasses import dataclass, field
 
-from repro.bftsmart.byzantine import (
-    EquivocatingLeader,
-    LyingReplica,
-    SilentReplica,
-    StutteringReplica,
-)
+from repro.bftsmart.byzantine import Behaviour, Equivocating, Lying, Silent, Stuttering
 from repro.bftsmart.config import replica_address
 from repro.bftsmart.messages import Sealed
-from repro.bftsmart.replica import ServiceReplica
 from repro.core.recovery import rejuvenate_replica, restart_replica
 from repro.crypto.mac import MAC_SIZE
 from repro.neoscada.messages import ItemUpdate
@@ -43,13 +37,13 @@ if typing.TYPE_CHECKING:
     from repro.chaos.campaign import CampaignContext
     from repro.core.system import SmartScadaSystem
 
-#: Offset a :class:`FalsifyingReplica` adds to numeric item values: far
+#: Offset a :class:`Falsifying` replica adds to numeric item values: far
 #: outside any workload's range, so a forged reading that slips past the
 #: proxies' f+1 vote is unambiguous in tests and chaos monitors.
 FALSIFY_OFFSET = 1_000_000
 
 
-class FalsifyingReplica(ServiceReplica):
+class Falsifying(Behaviour):
     """Participates correctly but pushes forged ItemUpdates to clients.
 
     This is the attack the paper's f+1 push voting exists to stop: a
@@ -63,32 +57,26 @@ class FalsifyingReplica(ServiceReplica):
     knowing the SCADA message it rides in.
     """
 
-    def push(self, client_id, stream, order, payload) -> None:
+    def on_push(self, replica, client_id, stream, order, payload):
         try:
             message = decode(payload)
         except DecodeError:
-            message = None
-        if isinstance(message, ItemUpdate) and isinstance(
-            message.value.value, (int, float)
-        ) and not isinstance(message.value.value, bool):
-            forged = ItemUpdate(
-                item_id=message.item_id,
-                value=message.value.with_value(
-                    message.value.value + FALSIFY_OFFSET
-                ),
-            )
-            payload = encode(forged)
-        super().push(client_id, stream, order, payload)
+            return payload
+        value = message.value.value if isinstance(message, ItemUpdate) else None
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return payload
+        forged = message.value.with_value(value + FALSIFY_OFFSET)
+        return encode(ItemUpdate(item_id=message.item_id, value=forged))
 
 
-#: Byzantine behaviour registry for :class:`SwapByzantine` (and the CLI).
-BEHAVIOURS: dict[str, type] = {
-    "silent": SilentReplica,
-    "lying": LyingReplica,
-    "falsifying": FalsifyingReplica,
-    "equivocating": EquivocatingLeader,
-    "stuttering": StutteringReplica,
-    "honest": ServiceReplica,
+#: Byzantine behaviours by name, for :class:`SwapByzantine` and the CLI.
+BEHAVIOURS: dict[str, Behaviour | None] = {
+    "silent": Silent(),
+    "lying": Lying(),
+    "falsifying": Falsifying(),
+    "equivocating": Equivocating(),
+    "stuttering": Stuttering(),
+    "honest": None,
 }
 
 #: Budget accounting window charged for one rejuvenation (the replica is
@@ -108,12 +96,12 @@ def swap_replica_behaviour(
 ):
     """Swap a live Master replica for a Byzantine behaviour at runtime.
 
-    ``behaviour`` is a :data:`BEHAVIOURS` name or a ServiceReplica
-    subclass; ``"honest"`` (or :class:`ServiceReplica`) swaps the replica
-    back to a correct implementation. The swap rides the proactive
-    recovery machinery — the old instance is halted, the replacement
-    state-transfers in at the same address — so behaviours that used to
-    be constructor-time-only now model a *runtime compromise*.
+    ``behaviour`` is a :data:`BEHAVIOURS` name or a :class:`Behaviour`;
+    ``"honest"`` (or ``None``) swaps the replica back to a correct one.
+    The swap rides the proactive recovery machinery — the old instance
+    is halted, the replacement state-transfers in at the same address and
+    takes the behaviour in the same simulated instant, before any event
+    runs — so a behaviour models a *runtime compromise*.
 
     Returns the replacement ProxyMaster.
     """
@@ -125,9 +113,9 @@ def swap_replica_behaviour(
                 f"unknown behaviour {behaviour!r}; pick from "
                 f"{sorted(BEHAVIOURS)}"
             ) from None
-    return rejuvenate_replica(
-        system, index, handler_config=handler_config, replica_class=behaviour
-    )
+    replacement = rejuvenate_replica(system, index, handler_config=handler_config)
+    replacement.replica.behaviour = behaviour
+    return replacement
 
 
 @dataclass
@@ -329,20 +317,16 @@ class SwapByzantine(Action):
             )
 
     def _revert(self, ctx) -> None:
-        address = ctx.system.proxy_masters[self.index].address
-        if _retired(ctx, self.index):
-            # Evicted mid-episode: the attacker's machine was removed
-            # from the membership, so healing the fault must not boot an
-            # honest replica at a retired address. The episode still
-            # closes (the compromise ended when the group cut it off).
-            ctx.compromised.discard(self.index)
-            ctx.close_ground_truth(address)
-            return
-        swap_replica_behaviour(
-            ctx.system, self.index, "honest", handler_config=ctx.handler_config
-        )
+        # Evicted mid-episode, the attacker's machine was removed from the
+        # membership: healing the fault must not boot an honest replica
+        # at a retired address, but the episode still closes (the
+        # compromise ended when the group cut it off).
+        if not _retired(ctx, self.index):
+            swap_replica_behaviour(
+                ctx.system, self.index, None, handler_config=ctx.handler_config
+            )
         ctx.compromised.discard(self.index)
-        ctx.close_ground_truth(address)
+        ctx.close_ground_truth(ctx.system.proxy_masters[self.index].address)
 
     def fault_interval(self, horizon: float):
         # A permanent swap stays charged until the end of the campaign.

@@ -37,7 +37,6 @@ class ProxyMaster:
         keystore: KeyStore,
         group: GroupConfig | None = None,
         view: View | None = None,
-        replica_class: type | None = None,
         storage=None,
         address: str | None = None,
         shard: int = 0,
@@ -98,8 +97,7 @@ class ProxyMaster:
             context=self.context,
             timeouts=self.timeouts,
         )
-        replica_class = replica_class if replica_class is not None else ServiceReplica
-        self.replica = replica_class(
+        self.replica = ServiceReplica(
             sim=sim,
             net=net,
             address=self.address,

@@ -40,7 +40,6 @@ def provision_replica(
     shard: int,
     address: str,
     view: View,
-    replica_class: type | None = None,
     handler_config=None,
 ) -> ProxyMaster:
     """Build one post-deploy ProxyMaster and slot it into the deployment.
@@ -73,7 +72,6 @@ def provision_replica(
         system.keystore,
         group=system.config.group_config(shard),
         view=view,
-        replica_class=replica_class,
         storage=storage,
         address=address,
         shard=shard,
@@ -93,7 +91,6 @@ def rejuvenate_replica(
     system: "SmartScadaSystem",
     index: int,
     handler_config=None,
-    replica_class: type | None = None,
 ) -> ProxyMaster:
     """Replace one Master replica with a pristine instance.
 
@@ -102,8 +99,9 @@ def rejuvenate_replica(
     the ordinary state-transfer protocol (``handler_config``: see
     :func:`provision_replica`).
 
-    ``replica_class`` overrides the BFT-server class of the replacement —
-    the chaos engine uses this to model a runtime *compromise*: the same
+    The replacement is honest (``replica.behaviour is None``). The chaos
+    engine models a runtime *compromise* on top of this: it sets the
+    replacement's ``replica.behaviour`` before any event runs, so the
     machinery that rejuvenates a replica to a clean image swaps it for a
     :mod:`repro.bftsmart.byzantine` behaviour instead (and back).
 
@@ -124,7 +122,6 @@ def rejuvenate_replica(
         old.shard,
         old.address,
         old.replica.view,
-        replica_class=replica_class,
         handler_config=handler_config,
     )
     if durable:

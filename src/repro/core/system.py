@@ -242,15 +242,12 @@ def build_smartscada(
     config: SmartScadaConfig | None = None,
     frontend_count: int = 1,
     keystore: KeyStore | None = None,
-    replica_classes: dict | None = None,
 ) -> SmartScadaSystem:
     """Assemble the paper's six-machine SMaRt-SCADA deployment: one group."""
     one_group = ShardedScadaConfig(
         shards=1, base=config if config is not None else SmartScadaConfig()
     )
-    return build_sharded_scada(
-        sim, net, one_group, frontend_count, keystore, replica_classes
-    )
+    return build_sharded_scada(sim, net, one_group, frontend_count, keystore)
 
 
 def build_sharded_scada(
@@ -259,7 +256,6 @@ def build_sharded_scada(
     config: ShardedScadaConfig | None = None,
     frontend_count: int = 1,
     keystore: KeyStore | None = None,
-    replica_classes: dict | None = None,
 ) -> SmartScadaSystem:
     """Assemble ``config.shards`` BFT groups behind one item namespace.
 
@@ -269,13 +265,12 @@ def build_sharded_scada(
     Every group has its own leader, consensus pipeline, WAL and view; the
     proxies hold one BFT client per group. At one shard this is the
     paper's six-machine deployment, classic wire addresses included.
-    ``replica_classes`` overrides the BFT-server class by *global* replica
-    index (Byzantine drills: ``{1: SilentReplica}``).
+    Every replica starts honest; a Byzantine drill sets
+    ``system.replicas[i].behaviour`` (*global* replica index).
     """
     net = net if net is not None else make_network(sim)
     config = config if config is not None else ShardedScadaConfig()
     keystore = keystore if keystore is not None else KeyStore()
-    replica_classes = replica_classes or {}
     groups = config.group_configs()
     shard_map = config.shard_map()
 
@@ -323,7 +318,6 @@ def build_sharded_scada(
                     config.base,
                     keystore,
                     group=group,
-                    replica_class=replica_classes.get(global_index),
                     storage=(
                         durable_storage[global_index] if durable_storage else None
                     ),

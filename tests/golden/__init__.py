@@ -18,6 +18,17 @@ The ``transfer`` block was recorded from the untouched ``src/`` of the
 last commit that still carried four hand-copied paths from a decided
 entry to the executor (live delivery, disk recovery, full and partial
 state-transfer install).
+
+The ``behaviours`` block was recorded from the untouched ``src/`` of the
+last commit whose Byzantine behaviours were ``ServiceReplica`` subclasses
+overriding private methods, and stayed byte-identical when they became
+``replica.behaviour`` values. Two rows were then re-recorded by the change
+that routes all three reply sites (ordered, cached retransmission,
+unordered) through the behaviour, because the liar used to send its
+honest reply *and* the lie: ``ids_drills.lying`` (its fingerprint is now
+an honest swap's — one reply per request, only corrupted) and
+``bare_group.lying`` (1492 → 1452 events dispatched, so the schedule and
+the decided interleaving moved). Every other row is the subclasses'.
 """
 
 import json

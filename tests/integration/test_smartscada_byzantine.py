@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.bftsmart import LyingReplica, SilentReplica, StutteringReplica
+from repro.bftsmart import Equivocating, Lying, Silent, Stuttering
 from repro.core import SmartScadaConfig, build_smartscada
 from repro.neoscada import HandlerChain, Monitor
 from repro.sim import Simulator
 
 
-def build(replica_classes, seed=41):
+def build(behaviours, seed=41):
     sim = Simulator(seed=seed)
     system = build_smartscada(
-        sim,
-        config=SmartScadaConfig(request_timeout=0.5, sync_timeout=1.0),
-        replica_classes=replica_classes,
+        sim, config=SmartScadaConfig(request_timeout=0.5, sync_timeout=1.0)
     )
+    for index, behaviour in behaviours.items():
+        system.replicas[index].behaviour = behaviour
     system.frontend.add_item("sensor", initial=0)
     system.frontend.add_item("actuator", initial=0, writable=True)
     system.attach_handlers("sensor", lambda: HandlerChain([Monitor(high=100.0)]))
@@ -34,7 +34,9 @@ def drive(sim, system):
 
 
 @pytest.mark.parametrize(
-    "behaviour", [SilentReplica, LyingReplica, StutteringReplica], ids=lambda c: c.__name__
+    "behaviour",
+    [Silent(), Lying(), Stuttering()],
+    ids=["SilentReplica", "LyingReplica", "StutteringReplica"],
 )
 def test_one_byzantine_master_replica_is_tolerated(behaviour):
     sim, system = build({2: behaviour})
@@ -45,9 +47,7 @@ def test_one_byzantine_master_replica_is_tolerated(behaviour):
     assert system.hmi.value_of("actuator") == 5
     assert len(system.hmi.alarms()) == 1
     # The honest replicas agree with each other.
-    honest = [
-        pm for pm in system.proxy_masters if not isinstance(pm.replica, behaviour)
-    ]
+    honest = [pm for pm in system.proxy_masters if pm.replica.behaviour is None]
     from repro.crypto import digest
 
     digests = {digest(pm.service.snapshot()) for pm in honest}
@@ -55,10 +55,9 @@ def test_one_byzantine_master_replica_is_tolerated(behaviour):
 
 
 def test_byzantine_leader_master_replica_is_deposed():
-    from repro.bftsmart import EquivocatingLeader
     from repro.crypto import digest
 
-    sim, system = build({0: EquivocatingLeader})
+    sim, system = build({0: Equivocating()})
     result = drive(sim, system)
     assert result.success
     honest = system.replicas[1:]

@@ -7,7 +7,7 @@ from repro.bftsmart import (
     CounterService,
     GroupConfig,
     RECONFIG_MARKER,
-    SilentReplica,
+    Silent,
     build_group,
     build_proxy,
 )
@@ -34,13 +34,14 @@ def test_build_group_gives_each_replica_its_own_service():
     assert [r.address for r in replicas] == [f"replica-{i}" for i in range(4)]
 
 
-def test_build_group_replica_class_overrides():
+def test_build_group_replicas_start_honest_and_misbehave_alone():
     sim, net, keystore, config = make_world()
-    replicas = build_group(
-        sim, net, config, CounterService, keystore, replica_classes={2: SilentReplica}
-    )
-    assert isinstance(replicas[2], SilentReplica)
-    assert not isinstance(replicas[0], SilentReplica)
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    assert all(replica.behaviour is None for replica in replicas)
+    replicas[2].behaviour = Silent()
+    assert [replica.behaviour is None for replica in replicas] == [
+        True, True, False, True
+    ]
 
 
 def test_build_proxy_view_matches_group():

@@ -5,14 +5,15 @@ import pytest
 from repro.bftsmart import (
     Administrator,
     CounterService,
+    Behaviour,
     EchoService,
-    EquivocatingLeader,
+    Equivocating,
     GroupConfig,
     KeyValueService,
-    LyingReplica,
+    Lying,
     ServiceReplica,
-    SilentReplica,
-    StutteringReplica,
+    Silent,
+    Stuttering,
     View,
     build_group,
     build_proxy,
@@ -138,20 +139,18 @@ def test_two_successive_leader_crashes():
 
 def test_silent_replica_does_not_block_progress():
     sim, net, keystore, config = make_world()
-    replicas = build_group(
-        sim, net, config, CounterService, keystore, replica_classes={1: SilentReplica}
-    )
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    replicas[1].behaviour = Silent()
     proxy = build_proxy(sim, net, "client-1", config, keystore)
     assert run_adds(sim, proxy, 10) == 10
-    honest = [r for r in replicas if not isinstance(r, SilentReplica)]
+    honest = [r for r in replicas if r.behaviour is None]
     assert all(r.service.value == 10 for r in honest)
 
 
 def test_lying_replica_is_outvoted():
     sim, net, keystore, config = make_world()
-    build_group(
-        sim, net, config, CounterService, keystore, replica_classes={2: LyingReplica}
-    )
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    replicas[2].behaviour = Lying()
     proxy = build_proxy(sim, net, "client-1", config, keystore)
     # Results are still the honest ones, every time.
     assert run_adds(sim, proxy, 10) == 10
@@ -159,14 +158,8 @@ def test_lying_replica_is_outvoted():
 
 def test_equivocating_leader_is_deposed():
     sim, net, keystore, config = make_world()
-    replicas = build_group(
-        sim,
-        net,
-        config,
-        CounterService,
-        keystore,
-        replica_classes={0: EquivocatingLeader},
-    )
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    replicas[0].behaviour = Equivocating()
     proxy = build_proxy(sim, net, "client-1", config, keystore)
     assert run_adds(sim, proxy, 5) == 5
     honest = replicas[1:]
@@ -175,14 +168,8 @@ def test_equivocating_leader_is_deposed():
 
 def test_stuttering_replica_starves_nobody():
     sim, net, keystore, config = make_world()
-    build_group(
-        sim,
-        net,
-        config,
-        CounterService,
-        keystore,
-        replica_classes={3: StutteringReplica},
-    )
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    replicas[3].behaviour = Stuttering()
     proxy = build_proxy(sim, net, "client-1", config, keystore)
     assert run_adds(sim, proxy, 5) == 5
 
@@ -328,14 +315,13 @@ def test_push_voting_rejects_minority_forgery():
             self.push("client-1", "alerts", ctx.order_key, b"genuine")
             return super().execute(operation, ctx)
 
-    class ForgingReplica(ServiceReplica):
-        def push(self, client_id, stream, order, payload):
-            super().push(client_id, stream, order, b"forged")
+    class Forging(Behaviour):
+        def on_push(self, replica, client_id, stream, order, payload):
+            return b"forged"
 
     sim, net, keystore, config = make_world()
-    build_group(
-        sim, net, config, PushingService, keystore, replica_classes={0: ForgingReplica}
-    )
+    replicas = build_group(sim, net, config, PushingService, keystore)
+    replicas[0].behaviour = Forging()
     proxy = build_proxy(sim, net, "client-1", config, keystore)
     received = []
     proxy.pushes.set_handler("alerts", lambda order, payload: received.append(payload))

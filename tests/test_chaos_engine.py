@@ -7,8 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bftsmart.byzantine import SilentReplica
-from repro.bftsmart.replica import ServiceReplica
+from repro.bftsmart.byzantine import Silent
 from repro.chaos import (
     ChaosBudgetError,
     CrashReplica,
@@ -201,11 +200,11 @@ def test_swap_replica_behaviour_roundtrip():
     system.start()
 
     swapped = swap_replica_behaviour(system, 2, "silent")
-    assert isinstance(swapped.replica, SilentReplica)
+    assert isinstance(swapped.replica.behaviour, Silent)
     assert system.proxy_masters[2] is swapped
 
     back = swap_replica_behaviour(system, 2, "honest")
-    assert type(back.replica) is ServiceReplica
+    assert back.replica.behaviour is None
     # The group keeps deciding with the restored replica.
     for i in range(5):
         system.frontend.inject_update("sensor", i)

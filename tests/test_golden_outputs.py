@@ -29,6 +29,15 @@ replica method: the intact, corrupt, wiped and pipelined restart
 campaigns with every replica's transfer and disk-recovery counters, and
 one bare-library run whose crashed leader catches up by transfer.
 
+``behaviours`` pins what each Byzantine behaviour does to a run: the
+IDS drill of all five behaviours (fingerprint, detections, score), their
+heal drills, and a bare-library group run under each protocol
+behaviour. It was recorded from the untouched ``src/`` of the last
+commit whose behaviours were ``ServiceReplica`` subclasses, before they
+became :class:`repro.bftsmart.byzantine.Behaviour` values; its two
+``lying`` rows moved once since, when every reply site got the hook
+(``tests/golden/__init__.py`` says how).
+
 A change that is *meant* to move one (a new wire type, a protocol change)
 updates the file from the failing assertion's left side.
 """
@@ -37,11 +46,27 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
-from repro.bftsmart import CounterService, GroupConfig, build_group, build_proxy
-from repro.chaos import Schedule, SwapByzantine, get_scenario, run_campaign
+from repro.bftsmart import (
+    CounterService,
+    Equivocating,
+    GroupConfig,
+    Lying,
+    Silent,
+    Stuttering,
+    build_group,
+    build_proxy,
+)
+from repro.chaos import (
+    Schedule,
+    SwapByzantine,
+    get_scenario,
+    run_campaign,
+    run_heal_drill,
+)
 from repro.chaos.campaign import CampaignConfig
 from repro.chaos.monitors import InvariantMonitor, default_monitors
 from repro.crypto import KeyStore
@@ -345,3 +370,76 @@ def test_ids_campaign_detection_stream():
         "detections": [dataclasses.asdict(d) for d in report.detections],
         "ids_score": report.ids_score,
     } == GOLDEN["schedules"]["ids_campaign"]
+
+
+#: ``name -> (replica index, behaviour)`` of the bare-library runs.
+_PROTOCOL_BEHAVIOURS = {
+    "equivocating": (0, Equivocating()),
+    "lying": (2, Lying()),
+    "silent": (1, Silent()),
+    "stuttering": (3, Stuttering()),
+}
+
+
+def _as_json(value):
+    return json.loads(json.dumps(value))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["behaviours"]["ids_drills"]))
+def test_behaviour_ids_drill(name):
+    index = 0 if name == "equivocating" else 2
+    schedule = Schedule([
+        SwapByzantine(at=1.5, index=index, behaviour=name, duration=3.0),
+    ])
+    report = run_campaign(schedule, CampaignConfig(seed=3, ids=True))
+    assert _as_json({
+        "fingerprint": report.fingerprint(),
+        "detections": [dataclasses.asdict(d) for d in report.detections],
+        "ids_score": report.ids_score,
+    }) == GOLDEN["behaviours"]["ids_drills"][name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["behaviours"]["heal_drills"]))
+def test_behaviour_heal_drill(name):
+    drill = run_heal_drill(name, 3)
+    drill["violations"] = [dataclasses.asdict(v) for v in drill["violations"]]
+    assert _as_json(drill) == GOLDEN["behaviours"]["heal_drills"][name]
+
+
+def _bare_group_under(name: str) -> dict:
+    """Two clients' 40 adds through a group with one Byzantine member."""
+    index, behaviour = _PROTOCOL_BEHAVIOURS[name]
+    sim = Simulator(seed=7)
+    log = sim._schedule_log = []
+    net = Network(sim, latency=LanLatency(rng=sim.rng.stream("net")))
+    keystore = KeyStore()
+    config = GroupConfig(
+        n=4, f=1, batch_max=8, batch_wait=0.0005, request_timeout=0.5, sync_timeout=1.0
+    )
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    replicas[index].behaviour = behaviour
+    completed = []
+
+    def sender(proxy):
+        for _ in range(20):
+            event = proxy.invoke_ordered(encode(("add", 1)))
+            event.callbacks.append(lambda _event: completed.append(sim.now))
+            yield sim.timeout(0.002)
+
+    for i in range(2):
+        proxy = build_proxy(sim, net, f"client-{i}", config, keystore, invoke_timeout=1.0)
+        sim.process(sender(proxy))
+    sim.run(until=sim.now + 10)
+    return {
+        "schedule_sha256": _schedule_sha256(log),
+        "dispatched": sim.dispatched,
+        "now": sim.now,
+        "completed": len(completed),
+        "decided_streams": [_decided_stream(replica) for replica in replicas],
+        "service_values": [replica.service.value for replica in replicas],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_PROTOCOL_BEHAVIOURS))
+def test_bare_group_under_behaviour(name):
+    assert _bare_group_under(name) == GOLDEN["behaviours"]["bare_group"][name]
