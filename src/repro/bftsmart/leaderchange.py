@@ -47,6 +47,9 @@ class Synchronizer:
         self.regency = 0
         #: True between installing a regency and receiving its SYNC.
         self.in_progress = False
+        #: The latest regency whose SYNC this replica processed (or
+        #: adopted): what its state replies vouch for.
+        self.synced_regency = 0
         self._stop_votes: dict[int, set] = {}
         self._stop_datas: dict[int, dict] = {}
         self._highest_vote = 0
@@ -270,6 +273,7 @@ class Synchronizer:
         if message.sender != replica.view.leader_for(message.regency):
             return
         self.in_progress = False
+        self.synced_regency = message.regency
         self.changes_completed += 1
         if self._obs_span is not None:
             tracer = replica.sim.tracer
@@ -294,6 +298,43 @@ class Synchronizer:
         # so a returning leader never reuses a recovered slot.
         replica.next_propose_cid = max(replica.next_cid, highest + 1)
         replica._maybe_propose()
+
+    # -- recovering replicas: adopting the live regency ---------------------------
+
+    def adopt_regency(self, regency: int) -> bool:
+        """Join ``regency`` without a STOP round; ``True`` if it was ahead.
+
+        Called by state transfer with the ``synced_regency`` that ``f+1``
+        matching replies carried: one of them comes from a correct
+        replica, which processed that regency's SYNC, so its value
+        recovery is done and the replies' log holds its outcome. A
+        replica that recovered at an older regency would otherwise drop
+        every vote of the live one and could only follow the group by
+        transfer. It never moves backwards, and since the regency is part
+        of the replies' match key, one that only a minority claims never
+        reaches this method. Nor does it adopt a regency it leads: a new
+        incarnation cannot know what its previous one proposed there, so
+        it waits for the next leader change like any replica that missed
+        the STOPs.
+        """
+        replica = self.replica
+        if regency <= self.regency:
+            return False
+        if replica.view.leader_for(regency) == replica.address:
+            return False
+        self.regency = self.synced_regency = regency
+        self._highest_vote = max(self._highest_vote, regency)
+        self.in_progress = False
+        if self._obs_span is not None:
+            tracer = replica.sim.tracer
+            if tracer is not None:
+                tracer.end(self._obs_span, aborted=True)
+            self._obs_span = None
+        # Requests in flight under the old leader go back to the pool,
+        # and proposing restarts at the head the transfer installed.
+        replica.reset_unproposed()
+        replica.next_propose_cid = replica.next_cid
+        return True
 
     # -- hooks ------------------------------------------------------------------------
 

@@ -206,6 +206,11 @@ class StateReply:
     already hold (``from_cid - 1``) and ``log`` is the suffix from
     ``from_cid`` on. Partial and full replies vote in separate f+1
     groups — whichever kind gathers the quorum first installs.
+
+    ``regency`` is the latest regency whose SYNC the sender processed
+    (not one it is still synchronizing). It is part of what the f+1
+    replies must agree on, so the requester can adopt it: one of them
+    comes from a correct replica that completed it.
     """
 
     sender: str
@@ -214,6 +219,7 @@ class StateReply:
     log: tuple
     view: object
     partial: bool = False
+    regency: int = 0
 
 
 # -- reconfiguration -----------------------------------------------------------

@@ -160,6 +160,9 @@ class ServiceReplica:
         #: trigger state transfer instead.
         self.future_window = 64
         self._future_buffer: dict[int, list] = {}
+        #: member -> messages of it in ``_future_buffer``; each member may
+        #: hold at most ``future_share`` (see _hold_future).
+        self.future_held: dict[str, int] = {}
         self._draining_future = False
         #: request key -> (request, arrival time); insertion-ordered, so
         #: the first entry is the oldest undecided request.
@@ -590,6 +593,17 @@ class ServiceReplica:
                 return None
         return batch
 
+    @property
+    def future_share(self) -> int:
+        """Messages one member may have held in ``_future_buffer``.
+
+        A correct member sends at most one PROPOSE, WRITE and ACCEPT per
+        slot and regency, and only slots up to ``future_window`` ahead are
+        held, so its live traffic never reaches this share; a flooding
+        member only fills its own.
+        """
+        return 3 * self.future_window
+
     def _buffer_future(self, message) -> None:
         """Hold a message for a near-future slot.
 
@@ -599,12 +613,46 @@ class ServiceReplica:
         missing while it chases a moving target).
         """
         self.state_transfer.notice_gap(message.cid)
+        self._hold_future(message)
+
+    def _hold_future(self, message) -> None:
         if message.cid > self.next_cid + self.future_window:
             return  # too far ahead to be worth holding
+        held = self.future_held.get(message.sender, 0)
+        if held >= self.future_share:
+            return
+        self.future_held[message.sender] = held + 1
         self._future_buffer.setdefault(message.cid, []).append(message)
         # Keep the buffer from accumulating stale entries.
+        self._drop_stale_future()
+
+    def _drop_stale_future(self) -> None:
         for cid in [c for c in self._future_buffer if c < self.next_cid]:
-            del self._future_buffer[cid]
+            self._unhold(self._future_buffer.pop(cid))
+
+    def _unhold(self, messages: list) -> None:
+        held = self.future_held
+        for message in messages:
+            held[message.sender] -= 1
+
+    def _hold_epoch_ahead(self, message) -> None:
+        """Hold a consensus message of a regency ahead of ours while a
+        transfer runs.
+
+        A replica that recovered at an older regency adopts the live one
+        from the transfer's ``f+1`` replies (``after_install`` then
+        replays what was held), instead of dropping every message of the
+        slots in flight and chasing them with another transfer. Not
+        while draining: a replayed message the install left ahead is
+        stale.
+        """
+        if (
+            message.epoch > self.regency
+            and self.state_transfer.in_progress
+            and not self._draining_future
+            and self.view.contains(message.sender)
+        ):
+            self._hold_future(message)
 
     def _drain_future(self) -> None:
         """Replay buffered messages that moved inside the pipeline window."""
@@ -613,8 +661,7 @@ class ServiceReplica:
         self._draining_future = True
         try:
             while True:
-                for cid in [c for c in self._future_buffer if c < self.next_cid]:
-                    del self._future_buffer[cid]
+                self._drop_stale_future()
                 window_end = self.next_cid + self.config.pipeline_depth
                 ready = sorted(c for c in self._future_buffer if c < window_end)
                 if not ready:
@@ -623,6 +670,7 @@ class ServiceReplica:
                     batch = self._future_buffer.pop(cid, None)
                     if batch is None:
                         continue
+                    self._unhold(batch)
                     for message in batch:
                         handler = self._dispatch_table.get(type(message))
                         if handler is not None:
@@ -637,6 +685,7 @@ class ServiceReplica:
             self._buffer_future(message)
             return
         if message.epoch != self.regency:
+            self._hold_epoch_ahead(message)
             return
         if not from_sync and message.sender != self.leader:
             return
@@ -676,7 +725,10 @@ class ServiceReplica:
 
     def _on_vote(self, message: WriteMsg | AcceptMsg) -> None:
         """A member's WRITE or ACCEPT for a slot inside the window."""
-        if message.cid < self.next_cid or message.epoch != self.regency:
+        if message.cid < self.next_cid:
+            return
+        if message.epoch != self.regency:
+            self._hold_epoch_ahead(message)
             return
         if message.cid >= self.next_cid + self.config.pipeline_depth:
             self._buffer_future(message)
@@ -756,6 +808,18 @@ class ServiceReplica:
         self._drain_future()
         self._maybe_propose()
 
+    def after_install(self) -> None:
+        """Rejoin the live protocol after state transfer moved the head
+        or adopted a regency.
+
+        Releases the decided instances the install unblocked, replays the
+        consensus traffic buffered while it ran, and lets a leader
+        propose again.
+        """
+        self._release_decided()
+        self._drain_future()
+        self._maybe_propose()
+
     def _release_decided(self) -> None:
         """Deliver buffered decisions strictly in cid order."""
         while True:
@@ -787,6 +851,8 @@ class ServiceReplica:
         # The batch was decoded during validation: no second decode.
         self.enqueue_decided(cid, value, timestamp, instance.decided_batch)
         self.synchronizer.on_decision()
+        if self.state_transfer.recovering:
+            self.state_transfer.after_decision(cid)
 
     def enqueue_decided(
         self, cid: int, value: bytes, timestamp: float, batch=None
@@ -837,6 +903,25 @@ class ServiceReplica:
         self.last_decided = checkpoint_cid
         # Proposing restarts at the installed head.
         self.next_cid = self.next_propose_cid = checkpoint_cid + 1
+
+    def skip_execution_to(self, checkpoint_cid: int, blob: bytes) -> None:
+        """Let a trailing executor jump to a verified checkpoint.
+
+        For a replica that decided past ``checkpoint_cid`` but has not
+        executed that far (a new incarnation still replaying its WAL and
+        transferred log while it already votes): the checkpoint replaces
+        the state, the backlog queued before it is dropped, and this
+        replica's own decided entries above it are queued again. The
+        consensus head and open instances do not move.
+        """
+        tail = [entry for entry in self.decision_log if entry[0] > checkpoint_cid]
+        propose_head = self.next_propose_cid
+        self.install_checkpoint(checkpoint_cid, blob)
+        for cid, value, timestamp in tail:
+            self.enqueue_decided(cid, value, timestamp)
+        self.next_propose_cid = propose_head
+        if self.storage is not None:
+            self.storage.on_checkpoint(checkpoint_cid, blob)
 
     def _executor(self):
         """The single execution thread, in decided order — the

@@ -40,13 +40,19 @@ class StateTransfer:
         self.replica = replica
         self.in_progress = False
         self._last_request_at = -float("inf")
-        self._replies: dict[str, StateReply] = {}
+        #: sender -> (match key, reply) of the request in flight.
+        self._replies: dict[str, tuple] = {}
         self._highest_observed = -1
         self._retry_scheduled = False
+        #: Set by :meth:`bootstrap`: this incarnation rebuilt its state and
+        #: its executor may trail its decisions (see after_decision).
+        self.recovering = False
         #: Completed transfers (metrics / tests).
         self.completed = 0
         # -- transfer-shape metrics (benchmarks / acceptance tests) --
         self.full_installs = 0
+        #: Checkpoints a trailing executor skipped to (after_decision).
+        self.execution_skips = 0
         #: Payload bytes this replica installed from peers (snapshot +
         #: log values), the "bytes shipped" axis of the fig. 8c contrast.
         self.bytes_installed = 0
@@ -65,13 +71,14 @@ class StateTransfer:
 
     # -- requesting ----------------------------------------------------------
 
-    def _send_request(self) -> None:
+    def _send_request(self, from_cid: int | None = None) -> None:
         replica = self.replica
         self.in_progress = True
+        self._last_request_at = replica.sim.now
         self._replies.clear()
         request = StateRequest(
             sender=replica.address,
-            from_cid=replica.next_cid,
+            from_cid=replica.next_cid if from_cid is None else from_cid,
             # Holding any decided prefix makes the log-tail fetch valid;
             # peers fall back to full replies when they can't serve it.
             log_only=replica.last_decided >= 0,
@@ -97,11 +104,9 @@ class StateTransfer:
             force and observed_cid == replica.next_cid
         ):
             return
-        now = replica.sim.now
-        if now - self._last_request_at < self.retry_interval:
+        if replica.sim.now - self._last_request_at < self.retry_interval:
             self._schedule_retry()
             return
-        self._last_request_at = now
         self._send_request()
 
     def bootstrap(self) -> None:
@@ -114,10 +119,31 @@ class StateTransfer:
         deployment), the matching replies simply abort the transfer.
         """
         replica = self.replica
-        self._last_request_at = replica.sim.now
+        self.recovering = True
         self._highest_observed = max(self._highest_observed, replica.next_cid)
         self._send_request()
-        self._schedule_retry()
+
+    def after_decision(self, cid: int) -> None:
+        """Let a recovering executor skip to the checkpoint peers just took.
+
+        A new incarnation votes as soon as its transfer lands, but its
+        executor still replays the WAL and the transferred log at the
+        live execution cost, so its state can trail the group's for
+        seconds. Peers checkpoint every ``checkpoint_interval`` slots
+        once they execute the slot; one decision later this replica asks
+        for that checkpoint (``from_cid`` at it: peers that took it
+        answer full) and :meth:`_install` skips the backlog below it.
+        Once the executor keeps up with the decisions, nothing is asked.
+        """
+        replica = self.replica
+        config = replica.config
+        if cid % config.checkpoint_interval:
+            return
+        checkpoint = cid - 1
+        if replica.executed_cid + config.pipeline_depth >= checkpoint:
+            self.recovering = False  # the executor keeps up
+        elif not self.in_progress:
+            self._send_request(from_cid=checkpoint)
 
     # -- serving -------------------------------------------------------------
 
@@ -139,6 +165,7 @@ class StateTransfer:
                 ),
                 view=replica.view,
                 partial=True,
+                regency=replica.synchronizer.synced_regency,
             )
             self.partial_served += 1
         else:
@@ -148,6 +175,7 @@ class StateTransfer:
                 snapshot=replica.checkpoint_snapshot,
                 log=tuple(replica.decision_log),
                 view=replica.view,
+                regency=replica.synchronizer.synced_regency,
             )
             self.full_served += 1
         replica.channel.send(message.sender, reply)
@@ -160,26 +188,24 @@ class StateTransfer:
             return
         if not replica.view.contains(message.sender):
             return
-        self._replies[message.sender] = message
-        groups: dict[bytes, list] = {}
-        for reply in self._replies.values():
-            key = digest(
-                encode(
-                    (
-                        reply.checkpoint_cid,
-                        reply.snapshot,
-                        reply.log,
-                        reply.view.view_id,
-                        reply.partial,
-                    )
+        # A reply's match key is computed once, when it is stored: only
+        # the new reply's group can have reached the quorum just now.
+        key = digest(
+            encode(
+                (
+                    message.checkpoint_cid,
+                    message.snapshot,
+                    message.log,
+                    message.view.view_id,
+                    message.partial,
+                    message.regency,
                 )
             )
-            groups.setdefault(key, []).append(reply)
-        threshold = replica.view.weak_quorum
-        for replies in groups.values():
-            if len(replies) >= threshold:
-                self._install(replies[0])
-                return
+        )
+        self._replies[message.sender] = (key, message)
+        matching = [reply for k, reply in self._replies.values() if k == key]
+        if len(matching) >= replica.view.weak_quorum:
+            self._install(matching[0])
 
     # -- installing ---------------------------------------------------------------
 
@@ -202,6 +228,13 @@ class StateTransfer:
             # wait for real progress.
             self.in_progress = False
             self._highest_observed = min(self._highest_observed, replica.last_decided)
+            if not reply.partial and reply.checkpoint_cid > replica.executed_cid:
+                # Our executor still trails their checkpoint: skip to it.
+                replica.skip_execution_to(reply.checkpoint_cid, reply.snapshot)
+                self.execution_skips += 1
+                self.bytes_installed += len(reply.snapshot)
+            if replica.synchronizer.adopt_regency(reply.regency):
+                replica.after_install()
             return
         if reply.partial and reply.checkpoint_cid > replica.last_decided:
             # The suffix starts beyond our prefix and cannot anchor —
@@ -247,16 +280,17 @@ class StateTransfer:
         for cid in [c for c in replica.instances if c < replica.next_cid]:
             del replica.instances[cid]
         replica.next_propose_cid = max(replica.next_propose_cid, replica.next_cid)
-        replica._release_decided()
+        replica.synchronizer.adopt_regency(reply.regency)
         # Consensus traffic that arrived during the transfer was buffered;
         # joining the live protocol from it avoids another transfer round.
-        replica._drain_future()
+        replica.after_install()
         if self._highest_observed >= replica.next_cid:
             # Decisions kept landing while we transferred (or the slot we
-            # observed may have decided without us); go again once the
-            # retry interval allows.
-            self._schedule_retry()
-        replica._maybe_propose()
+            # observed may have decided without us): ask for the rest at
+            # once. Each such round installed progress, so this chain
+            # ends; only a request that got no quorum waits out the retry
+            # interval.
+            self._send_request()
 
     def _schedule_retry(self) -> None:
         if self._retry_scheduled:

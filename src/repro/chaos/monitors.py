@@ -33,6 +33,17 @@ Liveness invariants (checked when the campaign quiesces):
     Honest live replicas agree on ``last_decided`` / ``executed_cid`` and
     hold byte-identical Master state.
 
+Recovery invariants (polled):
+
+``durable-recovery``
+    Every crash-restarted replica catches up, an intact disk without a
+    snapshot transfer.
+``redundancy-restored``
+    After every crash-restart, rejuvenation or heal replacement the
+    group is back to ``n`` members and the new incarnation decides and
+    executes as far as its peers, on their regency, within one
+    ``request_timeout``, while traffic still flows.
+
 Monitors never mutate system state; a campaign stays bit-deterministic
 with any subset of monitors installed.
 """
@@ -333,6 +344,108 @@ class DurableRecoveryMonitor(InvariantMonitor):
                 )
 
 
+class RedundancyRestoredMonitor(InvariantMonitor):
+    """Checks that every new incarnation restores the group's redundancy.
+
+    A crash-restart, a rejuvenation (a Byzantine swap's honest return
+    included) and a heal replacement each put a new replica object into
+    the deployment; the first poll that sees one stamps its birth. Within
+    one ``request_timeout`` of it — the patience the group itself grants
+    a request — the group must be back to ``n`` active members and the
+    incarnation must have rejoined: its ``last_decided`` and its
+    ``executed_cid`` reached its honest live peers' on their regency —
+    a replica that votes while its executor still replays a backlog
+    cannot yet answer a request or push an update. A replica that only
+    catches up once the plant goes quiet leaves the group deciding with
+    no spare member for as long as traffic flows, so only births whose
+    deadline falls inside the traffic horizon are judged. Compromised
+    incarnations are the safety monitors' business.
+    """
+
+    name = "redundancy-restored"
+
+    def __init__(self) -> None:
+        self._known: set = set()
+        #: ``[proxy master, birth time, deadline]`` of unsettled births.
+        self._pending: list = []
+
+    def start(self, ctx) -> None:
+        self._known = {pm.replica for pm in ctx.system.proxy_masters}
+
+    def poll(self, ctx) -> None:
+        now = ctx.sim.now
+        deadline = now + ctx.config.request_timeout
+        for pm in ctx.system.proxy_masters:
+            if pm.replica not in self._known:
+                self._known.add(pm.replica)
+                if deadline <= ctx.config.horizon:
+                    self._pending.append([pm, now, deadline])
+        unsettled = []
+        for entry in self._pending:
+            pm, born, deadline = entry
+            replica = pm.replica
+            if (
+                not replica.active
+                or pm.index in ctx.compromised
+                or pm.index in ctx.crashed
+                or self._rejoined(ctx, pm)
+            ):
+                continue
+            if now >= deadline:
+                self._report(ctx, pm, born, deadline)
+                continue
+            unsettled.append(entry)
+        self._pending = unsettled
+
+    def finish(self, ctx) -> None:
+        self.poll(ctx)
+
+    @staticmethod
+    def _group(ctx, pm) -> tuple:
+        """``(members, peers)``: the active members of ``pm``'s group and
+        its honest live peers."""
+        members = [
+            other
+            for other in ctx.system.proxy_masters
+            if other.shard == pm.shard
+            and other.replica.active
+            and other.address not in ctx.system.retired
+        ]
+        peers = [
+            other.replica
+            for other in ctx.honest_live_proxy_masters()
+            if other.shard == pm.shard and other is not pm
+        ]
+        return members, peers
+
+    def _rejoined(self, ctx, pm) -> bool:
+        members, peers = self._group(ctx, pm)
+        replica = pm.replica
+        return (
+            len(members) >= ctx.config.n
+            and bool(peers)
+            and replica.last_decided >= max(p.last_decided for p in peers)
+            and replica.executed_cid >= max(p.executed_cid for p in peers)
+            and replica.regency >= max(p.regency for p in peers)
+        )
+
+    def _report(self, ctx, pm, born: float, deadline: float) -> None:
+        members, peers = self._group(ctx, pm)
+        replica = pm.replica
+        ctx.record_violation(
+            self.name,
+            f"{pm.address} (new incarnation seen t={born:.2f}s) had not "
+            f"rejoined its group by t={deadline:.2f}s while traffic flowed: "
+            f"last_decided={replica.last_decided} vs peers' "
+            f"{max((p.last_decided for p in peers), default=None)}, "
+            f"executed_cid={replica.executed_cid} vs "
+            f"{max((p.executed_cid for p in peers), default=None)}, "
+            f"regency={replica.regency} vs "
+            f"{max((p.regency for p in peers), default=None)}, "
+            f"{len(members)}/{ctx.config.n} members",
+        )
+
+
 class MttrMonitor(InvariantMonitor):
     """Time-to-detect / time-to-heal per planted intrusion (diagnostics).
 
@@ -452,4 +565,5 @@ def default_monitors() -> list:
         LeaderConvergenceMonitor(),
         StateConvergenceMonitor(),
         DurableRecoveryMonitor(),
+        RedundancyRestoredMonitor(),
     ]

@@ -187,6 +187,17 @@ def _crash_restart(disk: str) -> Schedule:
     ])
 
 
+def _crash_restart_under_load() -> Schedule:
+    # Power-cut the leader (intact disk) and reboot it while the plant
+    # keeps reporting. The group elects a successor meanwhile, so the
+    # reboot comes back a regency behind; traffic runs on for 3 s after
+    # it, and the redundancy-restored monitor wants it voting in the
+    # live regency again within a request timeout.
+    return Schedule([
+        CrashRestart(at=1.0, duration=2.0, index=0, disk="intact"),
+    ])
+
+
 def _write_injection() -> Schedule:
     # Command injection from a hijacked HMI session: a flood of operator
     # writes over the legitimate replicated path. Safety holds (the
@@ -445,6 +456,14 @@ SCENARIOS: dict[str, Scenario] = {
             " exactly like proactive rejuvenation (full transfer)",
             build=lambda: _crash_restart("wiped"),
             overrides=_DURABLE_DAMAGED,
+        ),
+        Scenario(
+            name="crash-restart-under-load",
+            description="power-cut the leader with a durable disk and reboot"
+            " it under traffic; it must adopt the successor's regency and"
+            " rejoin consensus while the traffic still flows",
+            build=_crash_restart_under_load,
+            overrides=_DURABLE_INTACT,
         ),
         Scenario(
             name="pipelined-leader-crash",

@@ -29,6 +29,41 @@ honest reply *and* the lie: ``ids_drills.lying`` (its fingerprint is now
 an honest swap's — one reply per request, only corrupted) and
 ``bare_group.lying`` (1492 → 1452 events dispatched, so the schedule and
 the decided interleaving moved). Every other row is the subclasses'.
+
+The change that lets a restarted replica rejoin consensus under load
+re-recorded, one edit at a time, exactly these entries (nothing else
+moved at any step):
+
+1. The ``redundancy-restored`` monitor joins the default set: the
+   ``equivocating`` heal drill records a violation (its spare stays on
+   regency 0) and so the ``equivocating`` IDS drill's fingerprint moves.
+   Step 4 moves both again, so neither intermediate value was kept.
+2. ``StateReply`` gains a ``regency`` field (the sender's last synced
+   regency), served but not yet read: ``encodings["31-StateReply"]``;
+   the larger replies shift delivery times, so the fingerprints of
+   ``transfer`` campaigns ``crash-restart-{intact,corrupt,wiped}`` and
+   ``pipelined-crash-restart`` (their per-replica counters stay the
+   same), of ``deployment`` campaigns ``crash-restart-torn``,
+   ``heal-evict-falsifying``, ``rejuvenation-under-fire`` and
+   ``shard-leader-kills``, the ``transfer.leader_crash`` schedule
+   (1134 → 1140 events) and the ``behaviours.bare_group.equivocating``
+   schedule digest (same events, streams and values) moved.
+3. The regency joins the f+1 match key, computed once per reply:
+   nothing moved.
+4. ``_install`` adopts the matched regency: ``shard-leader-kills``,
+   ``transfer.leader_crash`` (1140 → 1098 events),
+   ``behaviours.ids_drills.equivocating`` (fingerprint; same detections
+   and score) and ``behaviours.heal_drills.equivocating`` (no violation
+   any more; the spare votes in the live regency: ``ops_post`` 3.47 →
+   3.86 writes/s, ``recovered`` 1.156 → 1.288).
+5. Epoch-ahead consensus messages are held in the future buffer during
+   a transfer and replayed: ``shard-leader-kills`` and
+   ``transfer.leader_crash`` (1098 → 1059 events; the returning leader
+   needs one full transfer instead of two, 668 → 334 bytes installed).
+6. An install that still trails re-requests at once:
+   ``rejuvenation-under-fire`` and ``transfer.leader_crash``
+   (1059 → 1065 events).
+7. A recovering executor skips to its peers' checkpoint: nothing moved.
 """
 
 import json

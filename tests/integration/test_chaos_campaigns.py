@@ -3,6 +3,7 @@ over-budget attack drill and schedule shrinking."""
 
 import pytest
 
+from repro.bftsmart.leaderchange import Synchronizer
 from repro.chaos import (
     ChaosBudgetError,
     get_scenario,
@@ -108,3 +109,16 @@ def test_replay_snippet_is_valid_python_for_any_scenario():
     for scenario in list_scenarios():
         snippet = replay_snippet(scenario.schedule(), scenario.config())
         compile(snippet, f"<{scenario.name}>", "exec")
+
+
+def test_redundancy_monitor_flags_a_reboot_left_on_the_old_regency(monkeypatch):
+    """Without regency adoption — how a recovering replica behaved before
+    its state transfer carried the regency — the rebooted leader of
+    ``crash-restart-under-load`` stays on regency 0 while the group runs
+    on regency 1 and the traffic flows, and only the redundancy-restored
+    monitor notices."""
+    monkeypatch.setattr(Synchronizer, "adopt_regency", lambda self, regency: False)
+    scenario = get_scenario("crash-restart-under-load")
+    report = run_campaign(scenario.schedule(), scenario.config(seed=0))
+    assert report.violated_invariants() == ["redundancy-restored"]
+    assert "regency=0 vs 1" in report.violations[0].detail

@@ -10,6 +10,7 @@ from repro.bftsmart import (
     ServiceReplica,
     StateReply,
     StateRequest,
+    WriteMsg,
     build_group,
     build_proxy,
 )
@@ -258,3 +259,219 @@ def test_every_replica_executes_each_entry_with_the_same_context(
 
     disagreements = sorted(key for key, seen in contexts.items() if len(seen) > 1)
     assert disagreements == []
+
+
+def test_restarted_leader_rejoins_consensus_while_traffic_flows():
+    """A leader that dies under a continuous open-loop client and reboots
+    from its disk comes back at regency 0, behind a group that moved to
+    regency 1. Its transfer's ``f+1`` replies carry the live regency: it
+    must adopt it, catch up within a second of the restart while requests
+    keep arriving, and then decide slots through live consensus."""
+    sim = Simulator(seed=3)
+    net = Network(sim, latency=ConstantLatency(0.0003))
+    keystore = KeyStore()
+    config = GroupConfig(n=4, f=1, request_timeout=0.5, sync_timeout=1.0)
+    storages = {i: ReplicaStorage(a) for i, a in enumerate(config.addresses)}
+    replicas = build_group(sim, net, config, CounterService, keystore, storages=storages)
+    proxy = build_proxy(sim, net, "client-1", config, keystore, invoke_timeout=0.3)
+    interval, traffic_ends = 0.005, 5.0
+
+    def open_loop():
+        while sim.now < traffic_ends:
+            proxy.invoke_ordered(encode(("add", 1)))
+            yield sim.timeout(interval)
+
+    sim.process(open_loop())
+    sim.run(until=1.0)
+    leader = replicas[0]
+    assert leader.is_leader
+    leader.halt()
+    storages[0].crash("intact")
+    sim.run(until=2.5)
+    peers = replicas[1:]
+    assert {r.regency for r in peers} == {1}
+
+    fresh = ServiceReplica(
+        sim=sim, net=net, address=leader.address, config=config,
+        service=CounterService(), keystore=keystore, view=leader.view,
+        storage=storages[0],
+    )
+    fresh.recover_from_disk()
+    fresh.state_transfer.bootstrap()
+    restart = sim.now
+    rejoined = None
+    while sim.now < restart + 1.0:
+        sim.run(until=sim.now + 0.005)
+        frontier = max(r.last_decided for r in peers)
+        if fresh.last_decided >= frontier and fresh.executed_cid >= frontier:
+            rejoined = sim.now
+            break
+    assert rejoined is not None, "no rejoin within 1.0 s of the restart"
+    assert rejoined < traffic_ends
+    assert fresh.regency == 1
+    decided_live = fresh.stats["decided"]
+    sim.run(until=traffic_ends)
+    # From then on it votes in the stream instead of chasing it.
+    assert fresh.stats["decided"] > decided_live
+    sim.run(until=traffic_ends + 2.0)
+    assert {r.regency for r in [fresh, *peers]} == {1}
+    assert len({r.last_decided for r in [fresh, *peers]}) == 1
+    assert fresh.service.value == peers[0].service.value
+
+
+def test_single_state_reply_claiming_a_higher_regency_is_not_adopted():
+    """One Byzantine peer answers a transfer with the honest content but a
+    higher regency. Its reply matches nobody's, so the straggler installs
+    from the honest ``f+1`` and keeps the regency they vouch for."""
+    sim, net, replicas, proxy = make_world()
+    run_adds(sim, proxy, 4)
+    net.crash("replica-3")
+    run_adds(sim, proxy, 4)
+    net.recover("replica-3")
+    straggler = replicas[3]
+    transfer = straggler.state_transfer
+    genuine = transfer.on_reply
+    forged = []
+
+    def on_reply(message):
+        if message.sender == "replica-0":
+            # The Byzantine peer's own reply, authenticated but lying.
+            message = dataclasses.replace(message, regency=7)
+            forged.append(message)
+        genuine(message)
+
+    transfer.on_reply = on_reply
+    transfer.notice_gap(straggler.next_cid + 1)
+    sim.run(until=sim.now + 1)
+    assert forged
+    assert transfer.completed >= 1
+    assert straggler.last_decided == replicas[1].last_decided
+    assert straggler.regency == 0
+    assert straggler.synchronizer.adopt_regency(0) is False
+
+
+def test_flood_of_epoch_ahead_votes_stays_within_its_bound():
+    """While a transfer runs, votes of a regency ahead of ours are held in
+    the future buffer for replay, each member within its
+    ``future_share``. A peer flooding forged epoch-ahead votes only
+    fills its own share and cannot crowd out the others."""
+    sim, net, replicas, proxy = make_world()
+    run_adds(sim, proxy, 3)
+    straggler = replicas[3]
+    straggler.state_transfer.notice_gap(straggler.next_cid + 1, force=True)
+    assert straggler.state_transfer.in_progress
+    head = straggler.next_cid
+    share = straggler.future_share
+    assert share <= 3 * straggler.future_window
+    for round_ in range(4):
+        for offset in range(straggler.future_window + 10):
+            replicas[0].channel.send(
+                straggler.address,
+                WriteMsg(
+                    sender="replica-0",
+                    cid=head + offset,
+                    epoch=5 + round_,
+                    value_digest=bytes([offset % 256]) * 32,
+                ),
+            )
+    replicas[1].channel.send(
+        straggler.address,
+        WriteMsg(sender="replica-1", cid=head, epoch=5, value_digest=b"\x01" * 32),
+    )
+    sim.run(until=sim.now + 0.002)
+    assert straggler.future_held["replica-0"] == share
+    assert straggler.future_held["replica-1"] == 1
+    assert sum(straggler.future_held.values()) <= straggler.view.n * share
+
+
+def test_transfer_from_replicas_mid_sync_hands_over_only_a_synced_regency():
+    """Peers that installed a regency through STOPs but have not yet had
+    its SYNC do not vouch for it: a straggler that transfers from them
+    stays on the regency they last synced (the SYNC's value recovery has
+    not run). Once the SYNC lands at the peers, the next transfer hands
+    the regency over."""
+    sim, net, replicas, proxy = make_world(sync_timeout=30.0)
+    run_adds(sim, proxy, 4)
+    net.crash("replica-3")
+    run_adds(sim, proxy, 4)
+    # Regency 1's leader collects its STOP-DATA but holds back the SYNC.
+    new_leader = replicas[1].synchronizer
+    resolve, held = new_leader._resolve, []
+    new_leader._resolve = lambda regency, collected: held.append((regency, collected))
+    for replica in replicas[:3]:
+        replica.synchronizer.suspect()
+    sim.run(until=sim.now + 0.05)
+    assert held
+    assert all(r.regency == 1 and r.synchronizer.in_progress for r in replicas[:3])
+    net.recover("replica-3")
+    straggler = replicas[3]
+    straggler.state_transfer.notice_gap(straggler.next_cid + 1)
+    sim.run(until=sim.now + 0.05)
+    assert straggler.state_transfer.completed >= 1
+    assert straggler.last_decided == replicas[0].last_decided
+    assert straggler.regency == 0
+    assert not straggler.synchronizer.in_progress
+    # The SYNC goes out; traffic under regency 1 reveals the gap.
+    resolve(*held[0])
+    sim.run(until=sim.now + 0.01)
+    assert {r.synchronizer.synced_regency for r in replicas[:3]} == {1}
+    run_adds(sim, proxy, 12)
+    assert converge(sim, replicas)
+    assert straggler.regency == 1
+
+
+def test_restarted_replica_skips_its_execution_backlog_to_a_peer_checkpoint():
+    """A replica that reboots from its disk votes again as soon as its
+    transfer lands, but its executor must still replay the WAL and the
+    transferred log at the live cost, slower than the stream leaves room
+    for. At the next checkpoint its peers take it fetches that checkpoint
+    (``f+1`` matching) and drops the backlog below it, so its state is
+    back with its peers' within a second of the restart, while traffic
+    still flows."""
+
+    class SlowCounter(CounterService):
+        def cost_of(self, operation):
+            return 0.003  # 333 executions/s against a 200 requests/s stream
+
+    sim = Simulator(seed=3)
+    net = Network(sim, latency=ConstantLatency(0.0003))
+    keystore = KeyStore()
+    config = GroupConfig(
+        n=4, f=1, checkpoint_interval=600, request_timeout=0.5, sync_timeout=1.0
+    )
+    storages = {i: ReplicaStorage(a) for i, a in enumerate(config.addresses)}
+    replicas = build_group(sim, net, config, SlowCounter, keystore, storages=storages)
+    proxy = build_proxy(sim, net, "client-1", config, keystore, invoke_timeout=0.3)
+    traffic_ends = 5.0
+
+    def open_loop():
+        while sim.now < traffic_ends:
+            proxy.invoke_ordered(encode(("add", 1)))
+            yield sim.timeout(0.005)
+
+    sim.process(open_loop())
+    sim.run(until=1.0)
+    replicas[2].halt()
+    storages[2].crash("intact")
+    sim.run(until=2.5)
+    peers = [replicas[0], replicas[1], replicas[3]]
+    fresh = ServiceReplica(
+        sim=sim, net=net, address=replicas[2].address, config=config,
+        service=SlowCounter(), keystore=keystore, view=replicas[2].view,
+        storage=storages[2],
+    )
+    fresh.recover_from_disk()
+    fresh.state_transfer.bootstrap()
+    restart = sim.now
+    caught_up = None
+    while sim.now < restart + 1.0:
+        sim.run(until=sim.now + 0.005)
+        if fresh.executed_cid >= max(r.executed_cid for r in peers):
+            caught_up = sim.now
+            break
+    assert caught_up is not None, "executor still trailing 1.0 s after the restart"
+    assert caught_up < traffic_ends
+    assert fresh.state_transfer.execution_skips >= 1
+    sim.run(until=traffic_ends + 2.0)
+    assert len({r.last_decided for r in [fresh, *peers]}) == 1
+    assert {r.service.value for r in [fresh, *peers]} == {peers[0].service.value}

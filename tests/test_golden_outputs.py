@@ -35,8 +35,10 @@ heal drills, and a bare-library group run under each protocol
 behaviour. It was recorded from the untouched ``src/`` of the last
 commit whose behaviours were ``ServiceReplica`` subclasses, before they
 became :class:`repro.bftsmart.byzantine.Behaviour` values; its two
-``lying`` rows moved once since, when every reply site got the hook
-(``tests/golden/__init__.py`` says how).
+``lying`` rows moved once since, when every reply site got the hook, and
+its three ``equivocating`` rows when a recovering replica learned to
+adopt the live regency (``tests/golden/__init__.py`` says how, as it does
+for the ``transfer`` and ``deployment`` entries that change moved).
 
 A change that is *meant* to move one (a new wire type, a protocol change)
 updates the file from the failing assertion's left side.
