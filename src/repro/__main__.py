@@ -22,26 +22,32 @@ chaos
     ``--seeds N`` sweeps N seeds; ``--shrink`` minimizes a failing
     schedule and prints a replayable snippet; ``--json`` emits
     machine-readable verdicts for CI and tooling; ``--trace-dump PATH``
-    dumps the span window around the first invariant violation;
-    ``--ids`` runs the trace-driven intrusion detector alongside the
-    monitors and reports its detections.
+    dumps the span window around the first invariant violation. View
+    flags add passive participants: ``--ids`` runs the trace-driven
+    intrusion detector and reports its detections; ``--fleet`` samples
+    the fleet health scoreboard and SLO burn rates (``fleet-*``
+    scenarios run two groups for it) and prints the final board,
+    ``--html PATH`` writes it as a static report.
 ids
-    Evaluate the intrusion detector (``repro.ids``): per-behaviour
-    attack campaigns report detection latency, precision, recall and F1
-    against planted ground truth, plus a benign fault suite that must
-    stay detection-free. ``--bench`` writes ``BENCH_IDS.json`` including
-    the IDS-on vs tracing-only overhead ratio.
+    Evaluate the intrusion detector (``repro.ids``) over the scenario
+    library's IDS matrix: per-behaviour attack drills report detection
+    latency, precision, recall and F1 against planted ground truth, and
+    the benign suite must stay detection-free. ``--bench`` writes
+    ``BENCH_IDS.json`` including the IDS-on vs tracing-only overhead
+    ratio.
 heal
     Evaluate closed-loop self-healing (``repro.heal``): IDS-driven
-    evict-and-replace drills per behaviour, a benign suite that must not
-    heal, and the quorum guard. ``--bench`` writes ``BENCH_MTTR.json``.
+    evict-and-replace drills per behaviour, the benign suite that must
+    not heal, and the quorum guard. ``--bench`` writes ``BENCH_MTTR.json``.
 trace
     Trace a seeded workload end to end (``repro.obs``): writes a
     Perfetto-loadable Chrome trace-event file and prints phase-by-phase
     "request autopsies" of the slowest and median requests.
-fleet
-    Run a sharded campaign under the fleet control plane and print the
-    health scoreboard and SLO burn rates (``--json``, ``--html``).
+
+``chaos``, ``ids`` and ``heal`` are views over the campaign library
+(``repro.chaos``): they pick scenarios and seeds, run them through
+``sweep_seeds`` / ``run_scenario`` / ``run_heal_drill`` and render the
+reports; none of them builds a schedule.
 """
 
 from __future__ import annotations
@@ -298,101 +304,52 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_fleet(args) -> int:
-    """The fleet control plane on a live sharded campaign: the deployment,
-    traffic and ``--kill-leader`` fault are ``run_campaign``'s, watched by
-    the public ``FleetParticipant``; everything here is rendering."""
-    import json as json_mod
+def _sweep(name: str, seeds, **views) -> list:
+    """Reports of library scenario ``name`` over ``seeds``, one per seed;
+    ``views`` are the config flags the caller adds on top of the
+    scenario's own overrides."""
+    from repro.chaos import get_scenario, sweep_seeds
 
-    from repro.chaos import KillLeader, Schedule, run_campaign
-    from repro.chaos.campaign import CampaignConfig, FleetParticipant
-    from repro.chaos.monitors import InvariantMonitor, default_monitors
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.report import (
-        render_scoreboard,
-        render_transitions,
-        write_html_report,
-    )
+    scenario = get_scenario(name)
+    config = scenario.config(**views)
+    return list(sweep_seeds(scenario.schedule(), seeds, config).values())
 
-    class Watch(InvariantMonitor):
-        """CLI-local: live board, kill target, alarm count, ``--trace``."""
 
-        target = alarms = trace = None
+def _write_bench(path: str, payload: dict) -> None:
+    import json
 
-        def poll(self, ctx) -> None:
-            if self.target is None and ctx.crashed:
-                victim = ctx.system.proxy_masters[min(ctx.crashed)]
-                self.target = victim.address
-            if not args.json:
-                print(render_scoreboard(fleet.scoreboard))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
 
-        def finish(self, ctx) -> None:
-            self.alarms = len(ctx.system.hmi.alarms())
-            if args.trace:
-                spans = ctx.sim.tracer.spans
-                data = write_chrome_trace(args.trace, spans, clock=ctx.sim.now)
-                self.trace = {"path": args.trace, "spans": len(spans),
-                              "events": len(data["traceEvents"])}
 
-    fleet, watch = FleetParticipant(), Watch()
-    third = args.duration / 3.0
-    kill = [KillLeader(at=third, duration=third)] if args.kill_leader else []
-    report = run_campaign(
-        Schedule(kill),
-        CampaignConfig(
-            seed=args.seed, shards=args.shards, horizon=args.duration,
-            write_interval=0.4, trace_spans=bool(args.trace),
-        ),
-        monitors=default_monitors() + [fleet, watch],
-    )
+def _print_fleet(seed: int, board: dict) -> None:
+    """The fleet view of one campaign: final board, flips, SLO burns."""
+    from repro.obs.report import render_scoreboard, render_transitions
 
-    scoreboard = fleet.scoreboard
-    statuses = [status for _t, status in scoreboard.statuses()]
-    summary = {
-        **scoreboard.to_dict(),
-        "writes": {"total": report.writes_total,
-                   "succeeded": report.writes_succeeded},
-        "alarms_delivered": watch.alarms,
-        "kill": {"target": watch.target,
-                 "at": third if kill else None,
-                 "recovered_at": 2 * third if kill else None},
-        "degraded_seen": any(s != "ok" for s in statuses),
-        "recovered": bool(statuses) and statuses[-1] == "ok",
-    }
-    if args.trace:
-        summary["trace"] = watch.trace
-    if args.html:
-        write_html_report(
-            scoreboard,
-            args.html,
-            title=f"Fleet report — {args.shards} shards, seed {args.seed}",
-        )
-
-    if args.json:
-        print(json_mod.dumps(summary, indent=2, default=str))
-        return 0
-    print("\nstatus transitions:")
-    print(render_transitions(scoreboard))
-    print(f"\nwrites: {report.writes_succeeded}/{report.writes_total} succeeded, "
-          f"{watch.alarms} alarms delivered")
-    print("SLO violations:" + ("" if report.slo_violations else " none"))
-    for violation in report.slo_violations:
+    print(f"\nfleet scoreboard (seed {seed}):")
+    print(render_scoreboard(board))
+    print("status transitions:")
+    print(render_transitions(board))
+    violations = board["slo"]["violations"]
+    print("SLO violations:" + ("" if violations else " none"))
+    for violation in violations:
         shard = violation["shard"]
         print(f"  t={violation['time']:6.2f}s {violation['slo']}"
               f" burn={violation['burn_rate']:.2f}"
               + (f" shard=s{shard}" if shard is not None else ""))
-    if args.html:
-        print(f"wrote {args.html}")
-    return 0
 
 
 def cmd_chaos(args) -> int:
+    from dataclasses import replace as dc_replace
+
     from repro.chaos import (
         get_scenario,
         list_scenarios,
-        run_campaign,
         sample_schedule,
         shrink_schedule,
+        sweep_seeds,
     )
     from repro.chaos.campaign import CampaignConfig
 
@@ -433,58 +390,38 @@ def cmd_chaos(args) -> int:
         print("error: name a scenario (or 'random'); see --list", file=sys.stderr)
         return 2
 
+    # View flags switch participants on; unset ones leave the scenario's
+    # own overrides alone.
+    fleet = args.fleet or args.html is not None
+    views = {
+        key: value
+        for key, value in (("trace_dump", args.trace_dump), ("ids", args.ids),
+                           ("heal", args.heal), ("fleet", fleet))
+        if value
+    }
     if args.scenario == "random":
         expect_violation = False
-
-        def build(seed):
-            return sample_schedule(seed)
-
-        def config_for(seed):
-            return CampaignConfig(seed=seed)
+        build, config = sample_schedule, CampaignConfig(**views)
     else:
         scenario = get_scenario(args.scenario)
         expect_violation = scenario.expect_violation
+        build, config = scenario.schedule(), scenario.config(**views)
+    reports = sweep_seeds(build, range(args.seed, args.seed + args.seeds), config)
 
-        def build(seed):
-            return scenario.schedule()
-
-        def config_for(seed):
-            return scenario.config(seed=seed)
-
-    if args.trace_dump is not None or args.ids or args.heal or args.fleet:
-        from dataclasses import replace as dc_replace
-
-        base_config_for = config_for
-        extra = {}
-        if args.trace_dump is not None:
-            extra["trace_dump"] = args.trace_dump
-        if args.ids:
-            extra["ids"] = True
-        if args.heal:
-            extra["heal"] = True
-        if args.fleet:
-            extra["fleet"] = True
-
-        def config_for(seed):
-            return dc_replace(base_config_for(seed), **extra)
-
-    seeds = range(args.seed, args.seed + args.seeds)
     rows = []
     campaigns = []
     as_expected = True
     failing = None
-    for seed in seeds:
-        schedule = build(seed)
-        report = run_campaign(schedule, config_for(seed))
+    for seed, report in reports.items():
         verdict = "PASS" if report.ok else "FAIL"
         if report.ok == expect_violation:
             as_expected = False
         if not report.ok and failing is None:
-            failing = (schedule, config_for(seed), report)
+            failing = report
         rows.append([
             seed,
             verdict,
-            len(schedule),
+            len(report.schedule),
             f"{report.writes_succeeded}+{report.writes_failed_cleanly}f"
             f"/{report.writes_total}",
             report.fault_stats.get("total_fired", 0),
@@ -494,7 +431,7 @@ def cmd_chaos(args) -> int:
             "seed": seed,
             "verdict": verdict,
             "ok": report.ok,
-            "actions": len(schedule),
+            "actions": len(report.schedule),
             "writes": {
                 "total": report.writes_total,
                 "succeeded": report.writes_succeeded,
@@ -533,13 +470,22 @@ def cmd_chaos(args) -> int:
             "fingerprint": report.fingerprint(),
         })
 
+    if args.html is not None:
+        from repro.obs.report import write_html_report
+
+        write_html_report(
+            reports[args.seed].fleet,
+            args.html,
+            title=f"Fleet report — {args.scenario}, seed {args.seed}",
+        )
+
     shrunk = None
     if failing is not None and args.shrink:
-        _schedule, _config, _report = failing
         if not args.json:
             print("shrinking the failing schedule...")
-        result = shrink_schedule(_schedule, _config, pin_heal=args.heal)
-        shrunk = result
+        shrunk = shrink_schedule(
+            failing.schedule, dc_replace(config, seed=failing.seed)
+        )
 
     if args.json:
         import json
@@ -586,10 +532,14 @@ def cmd_chaos(args) -> int:
                       f"{a['target']:12s} {a['outcome']:12s} {a['detail']}")
         else:
             print("\nrecovery orchestrator actions: none")
+    if fleet:
+        for c in campaigns:
+            _print_fleet(c["seed"], c["fleet"])
+        if args.html is not None:
+            print(f"wrote {args.html}")
     if failing is not None:
-        _schedule, _config, report = failing
         print("\nfirst failing campaign:")
-        for violation in report.violations:
+        for violation in failing.violations:
             print(f"  t={violation.time:6.2f}s  {violation.invariant}: "
                   f"{violation.detail}")
         if shrunk is not None:
@@ -604,88 +554,19 @@ def cmd_chaos(args) -> int:
     return 0 if as_expected else 1
 
 
-#: The IDS evaluation matrix: per-behaviour Byzantine swap campaigns
-#: (the equivocation drill compromises the initial leader), the two
-#: frontend-side injection attacks, and the benign suite that must stay
-#: detection-free.
-def _ids_attack_schedules():
-    from repro.chaos import (
-        InjectWrites,
-        Schedule,
-        SpoofFrontend,
-        SwapByzantine,
-    )
-
-    drills = []
-    for behaviour in ("silent", "lying", "falsifying", "equivocating",
-                      "stuttering"):
-        index = 0 if behaviour == "equivocating" else 2
-        drills.append((
-            behaviour,
-            Schedule([
-                SwapByzantine(
-                    at=1.5, index=index, behaviour=behaviour, duration=3.0
-                ),
-            ]),
-            {},
-        ))
-    drills.append((
-        "write-burst",
-        Schedule([InjectWrites(at=2.0, count=24, interval=0.03)]),
-        {},
-    ))
-    drills.append((
-        "spoof",
-        Schedule([SpoofFrontend(at=2.0, count=30, interval=0.03)]),
-        {},
-    ))
-    return drills
-
-
-def _ids_benign_schedules():
-    from repro.chaos import (
-        CrashReplica,
-        KillLeader,
-        PartitionNet,
-        Rejuvenate,
-        Schedule,
-    )
-    from repro.chaos.schedule import CrashRestart
-
-    return [
-        ("kill-leader", Schedule([KillLeader(at=1.5, duration=1.5)]), {}),
-        ("crash-recover", Schedule([CrashReplica(at=1.2, index=1, duration=2.0)]),
-         {}),
-        ("crash-restart",
-         Schedule([CrashRestart(at=1.5, index=2, duration=1.0)]),
-         {"durability": True}),
-        ("rejuvenation", Schedule([Rejuvenate(at=2.0, index=2)]), {}),
-        ("partition-split",
-         Schedule([PartitionNet(at=1.5, duration=1.0, groups=((0, 1), (2, 3)))]),
-         {}),
-    ]
-
-
 def cmd_ids(args) -> int:
-    import json
     import time
-    from dataclasses import replace as dc_replace
 
-    from repro.chaos import run_campaign
-    from repro.chaos.campaign import CampaignConfig
+    from repro.chaos import BENIGN_DRILLS, IDS_ATTACK_DRILLS, run_scenario
 
-    base = CampaignConfig(ids=True)
     seeds = range(args.seed, args.seed + args.seeds)
 
     attack_rows = []
     behaviours_out = {}
-    for label, schedule, overrides in _ids_attack_schedules():
+    for label, name in IDS_ATTACK_DRILLS:
         recalls, precisions, f1s, latencies = [], [], [], []
         episodes = detected = false_positives = 0
-        for seed in seeds:
-            report = run_campaign(
-                schedule, dc_replace(base, seed=seed, **overrides)
-            )
+        for report in _sweep(name, seeds, ids=True):
             entry = report.ids_score["behaviours"].get(label)
             if entry is None:
                 entry = {"episodes": 0, "detected": 0, "recall": 0.0,
@@ -720,33 +601,27 @@ def cmd_ids(args) -> int:
     benign_rows = []
     benign_out = {}
     benign_total = 0
-    for label, schedule, overrides in _ids_benign_schedules():
-        detections = 0
-        for seed in seeds:
-            report = run_campaign(
-                schedule, dc_replace(base, seed=seed, **overrides)
-            )
-            detections += len(report.detections)
+    for label, name in BENIGN_DRILLS:
+        detections = sum(
+            len(report.detections) for report in _sweep(name, seeds, ids=True)
+        )
         benign_out[label] = detections
         benign_total += detections
         benign_rows.append([label, len(seeds), detections,
                             "clean" if detections == 0 else "FALSE POSITIVES"])
 
-    # Overhead: the same campaign with tracing only vs tracing + IDS
-    # (two timed runs each, best-of to damp scheduler noise).
-    _, overhead_schedule, _ = _ids_attack_schedules()[1]  # lying drill
-
-    def _best_wall(config) -> float:
+    # Overhead: the lying drill with tracing only vs tracing + IDS (three
+    # timed runs each, best-of to damp scheduler noise).
+    def _best_wall(**views) -> float:
         walls = []
         for _ in range(3):
             started = time.perf_counter()
-            run_campaign(overhead_schedule, config)
+            run_scenario("ids-lying", seed=args.seed, **views)
             walls.append(time.perf_counter() - started)
         return min(walls)
 
-    trace_wall = _best_wall(dc_replace(base, seed=args.seed, ids=False,
-                                       trace_spans=True))
-    ids_wall = _best_wall(dc_replace(base, seed=args.seed))
+    trace_wall = _best_wall(trace_spans=True)
+    ids_wall = _best_wall(ids=True)
     overhead = ids_wall / trace_wall if trace_wall > 0 else 1.0
 
     _print_table(
@@ -765,7 +640,7 @@ def cmd_ids(args) -> int:
           f"({ids_wall:.2f}s vs {trace_wall:.2f}s wall)")
 
     if args.bench:
-        payload = {
+        _write_bench(args.output, {
             "seeds": list(seeds),
             "behaviours": behaviours_out,
             "benign": {
@@ -777,11 +652,7 @@ def cmd_ids(args) -> int:
                 "trace_wall_s": round(trace_wall, 4),
                 "ratio": round(overhead, 4),
             },
-        }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}")
+        })
 
     core = ("silent", "lying", "falsifying")
     ok = (
@@ -795,11 +666,7 @@ def cmd_ids(args) -> int:
 
 def cmd_heal(args) -> int:
     """Closed-loop recovery evaluation: evict drills, benign suite, guard."""
-    import json
-    from dataclasses import replace as dc_replace
-
-    from repro.chaos import run_campaign, run_heal_drill, run_scenario
-    from repro.chaos.campaign import CampaignConfig
+    from repro.chaos import BENIGN_DRILLS, run_heal_drill, run_scenario
 
     seeds = range(args.seed, args.seed + args.seeds)
 
@@ -851,17 +718,11 @@ def cmd_heal(args) -> int:
     benign_rows = []
     benign_out = {}
     benign_actions = 0
-    benign_base = CampaignConfig(heal=True, write_interval=0.25)
-    for label, schedule, overrides in _ids_benign_schedules():
-        actions = evictions = 0
-        green = True
-        for seed in seeds:
-            report = run_campaign(
-                schedule, dc_replace(benign_base, seed=seed, **overrides)
-            )
-            green = green and report.ok
-            actions += len(report.heal_actions)
-            evictions += report.evictions
+    for label, name in BENIGN_DRILLS:
+        reports = _sweep(name, seeds, heal=True, write_interval=0.25)
+        green = all(report.ok for report in reports)
+        actions = sum(len(report.heal_actions) for report in reports)
+        evictions = sum(report.evictions for report in reports)
         benign_out[label] = {"heal_actions": actions, "evictions": evictions}
         benign_actions += actions
         benign_rows.append([
@@ -909,7 +770,9 @@ def cmd_heal(args) -> int:
           f"-> {'PASS' if guard_ok else 'FAIL'}")
 
     if args.bench:
-        payload = {
+        # Only what this run computed: the file is overwritten, never
+        # merged into, so no stale block from another writer survives.
+        _write_bench(args.output, {
             "seeds": list(seeds),
             "behaviours": behaviours_out,
             "benign": {
@@ -917,23 +780,37 @@ def cmd_heal(args) -> int:
                 "heal_actions": benign_actions,
             },
             "quorum_guard": guard_out,
-        }
-        try:
-            with open(args.output, "r", encoding="utf-8") as fh:
-                merged = json.load(fh)
-        except (OSError, ValueError):
-            merged = {}
-        merged.update(payload)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}")
+        })
 
     ok = attacks_ok and benign_actions == 0 and guard_ok
     print(f"\nacceptance (all five behaviours evicted with monitors green "
           f"and ops recovered; benign idle; guard safe): "
           f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
+
+
+def _seed_count(text: str) -> int:
+    """``--seeds``: a sweep that runs no seed proves nothing."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+def _add_sweep_flags(parser, seeds: int) -> None:
+    """``--seed``/``--seeds``, shared by every verb that sweeps seeds."""
+    parser.add_argument("--seed", type=int, default=0,
+                        help="first seed of the sweep (default 0)")
+    parser.add_argument("--seeds", type=_seed_count, default=seeds,
+                        help=f"consecutive seeds to sweep, at least 1 "
+                             f"(default {seeds})")
+
+
+def _add_bench_flags(parser, output: str) -> None:
+    parser.add_argument("--bench", action="store_true",
+                        help="write the benchmark summary JSON")
+    parser.add_argument("--output", default=output,
+                        help=f"bench output path (default {output})")
 
 
 def main(argv=None) -> int:
@@ -976,10 +853,7 @@ def main(argv=None) -> int:
                        help="scenario name, or 'random' for sampled schedules")
     chaos.add_argument("--list", action="store_true",
                        help="list the scenario library and exit")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="first campaign seed (default 0)")
-    chaos.add_argument("--seeds", type=int, default=1,
-                       help="number of consecutive seeds to sweep (default 1)")
+    _add_sweep_flags(chaos, seeds=1)
     chaos.add_argument("--shrink", action="store_true",
                        help="minimize the first failing schedule")
     chaos.add_argument("--json", action="store_true",
@@ -1000,32 +874,23 @@ def main(argv=None) -> int:
                        help="sample the fleet health scoreboard + SLO "
                             "burn-rate engine alongside the campaign "
                             "(passive: fingerprints are unchanged)")
+    chaos.add_argument("--html", default=None, metavar="PATH",
+                       help="write the first seed's fleet scoreboard as a "
+                            "static HTML report (implies --fleet)")
     chaos.set_defaults(func=cmd_chaos)
 
     ids = subparsers.add_parser(
         "ids", help="evaluate the trace-driven intrusion detector"
     )
-    ids.add_argument("--seed", type=int, default=0,
-                     help="first seed of the sweep (default 0)")
-    ids.add_argument("--seeds", type=int, default=2,
-                     help="seeds per drill (default 2)")
-    ids.add_argument("--bench", action="store_true",
-                     help="write the benchmark summary JSON")
-    ids.add_argument("--output", default="BENCH_IDS.json",
-                     help="bench output path (default BENCH_IDS.json)")
+    _add_sweep_flags(ids, seeds=2)
+    _add_bench_flags(ids, "BENCH_IDS.json")
     ids.set_defaults(func=cmd_ids)
 
     heal = subparsers.add_parser(
         "heal", help="evaluate closed-loop self-healing (IDS -> recovery)"
     )
-    heal.add_argument("--seed", type=int, default=0,
-                      help="first seed of the sweep (default 0)")
-    heal.add_argument("--seeds", type=int, default=1,
-                      help="seeds per drill (default 1)")
-    heal.add_argument("--bench", action="store_true",
-                      help="write the benchmark summary JSON")
-    heal.add_argument("--output", default="BENCH_MTTR.json",
-                      help="bench output path (default BENCH_MTTR.json)")
+    _add_sweep_flags(heal, seeds=1)
+    _add_bench_flags(heal, "BENCH_MTTR.json")
     heal.set_defaults(func=cmd_heal)
 
     trace = subparsers.add_parser(
@@ -1051,29 +916,6 @@ def main(argv=None) -> int:
                             "cross-shard routing, scatter-gather and the "
                             "global AE merge (default 1)")
     trace.set_defaults(func=cmd_trace)
-
-    fleet = subparsers.add_parser(
-        "fleet",
-        help="live fleet health scoreboard + SLO burn rates on a "
-             "sharded deployment",
-    )
-    fleet.add_argument("--shards", type=int, default=2,
-                       help="BFT groups to deploy (default 2)")
-    fleet.add_argument("--seed", type=int, default=42)
-    fleet.add_argument("--duration", type=float, default=6.0,
-                       help="simulated seconds to run (default 6.0)")
-    fleet.add_argument("--kill-leader", action="store_true",
-                       help="crash shard 0's leader at t=duration/3 and "
-                            "recover it at 2*duration/3 (a chaos KillLeader)")
-    fleet.add_argument("--json", action="store_true",
-                       help="print one JSON summary instead of the live "
-                            "ASCII board")
-    fleet.add_argument("--html", default=None, metavar="PATH",
-                       help="also write a static HTML fleet report")
-    fleet.add_argument("--trace", default=None, metavar="PATH",
-                       help="install the span tracer and export a Perfetto "
-                            "trace of the run")
-    fleet.set_defaults(func=cmd_fleet)
 
     args = parser.parse_args(argv)
     return args.func(args)

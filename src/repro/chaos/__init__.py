@@ -58,6 +58,8 @@ from repro.chaos.schedule import (
     swap_replica_behaviour,
 )
 from repro.chaos.scenarios import (
+    BENIGN_DRILLS,
+    IDS_ATTACK_DRILLS,
     SCENARIOS,
     Scenario,
     get_scenario,
@@ -71,6 +73,7 @@ __all__ = [
     "Action",
     "AvailabilityMonitor",
     "BEHAVIOURS",
+    "BENIGN_DRILLS",
     "CampaignConfig",
     "MttrMonitor",
     "CampaignReport",
@@ -81,6 +84,7 @@ __all__ = [
     "FALSIFY_OFFSET",
     "Falsifying",
     "FieldOffline",
+    "IDS_ATTACK_DRILLS",
     "InjectWrites",
     "IsolateReplicas",
     "KillLeader",

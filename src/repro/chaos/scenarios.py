@@ -9,6 +9,8 @@ own regression tests.
 
 Run one with ``python -m repro chaos <name>`` or
 :func:`run_scenario`; list them with ``python -m repro chaos --list``.
+:data:`IDS_ATTACK_DRILLS` and :data:`BENIGN_DRILLS` name the two
+evaluation matrices ``python -m repro ids`` and ``heal`` sweep.
 """
 
 from __future__ import annotations
@@ -74,7 +76,10 @@ class Scenario:
     description: str
     build: object  # fn() -> Schedule
     expect_violation: bool = False
-    #: CampaignConfig field overrides for this scenario.
+    #: CampaignConfig field overrides for this scenario: ones that change
+    #: the run's behaviour or shape (``heal``, ``shards``, ``horizon``,
+    #: ``write_interval``, ...), never a passive participant (``ids``,
+    #: ``fleet``, tracing), which stays the caller's view choice.
     overrides: dict = field(default_factory=dict)
 
     def schedule(self) -> Schedule:
@@ -365,6 +370,61 @@ def _heal_scenarios() -> tuple:
     return tuple(drills)
 
 
+def _ids_swap(behaviour: str) -> Schedule:
+    # A bounded compromise planted after the detector's warm-up. As in
+    # the heal drills, equivocation compromises the initial leader.
+    index = 0 if behaviour == "equivocating" else 2
+    return Schedule([
+        SwapByzantine(at=1.5, index=index, behaviour=behaviour, duration=3.0),
+    ])
+
+
+def _ids_scenarios() -> tuple:
+    return tuple(
+        Scenario(
+            name=f"ids-{behaviour}",
+            description=f"IDS matrix: a replica turns {behaviour} for 3 s;"
+            " the detector must name it with the right label",
+            build=(lambda b=behaviour: _ids_swap(b)),
+        )
+        for behaviour in ("silent", "lying", "falsifying", "equivocating",
+                          "stuttering")
+    )
+
+
+def _benign_scenarios() -> tuple:
+    # Ordinary operational faults that heal on their own: the detector
+    # must raise nothing through them and the orchestrator must stay idle.
+    drills = (
+        ("kill-leader", "the leader crashes for 1.5 s",
+         lambda: Schedule([KillLeader(at=1.5, duration=1.5)]), {}),
+        ("crash-recover", "a backup crashes for 2 s",
+         lambda: Schedule([CrashReplica(at=1.2, index=1, duration=2.0)]), {}),
+        ("crash-restart", "a durable backup power-cycles for 1 s",
+         lambda: Schedule([CrashRestart(at=1.5, index=2, duration=1.0)]),
+         {"durability": True}),
+        ("rejuvenation", "a backup is proactively rejuvenated",
+         lambda: Schedule([Rejuvenate(at=2.0, index=2)]), {}),
+        ("partition-split", "a 2/2 split for 1 s",
+         lambda: Schedule([
+             PartitionNet(at=1.5, duration=1.0, groups=((0, 1), (2, 3)))
+         ]), {}),
+    )
+    return tuple(
+        Scenario(
+            name=f"benign-{label}",
+            description=f"BENIGN suite: {what}; no detection, no heal action",
+            build=build,
+            overrides=overrides,
+        )
+        for label, what, build, overrides in drills
+    )
+
+
+#: Two shards with dense operator writes: what the fleet scoreboard's
+#: latency and availability objectives need to sample.
+_FLEET = {"shards": 2, "write_interval": 0.4}
+
 SCENARIOS: dict[str, Scenario] = {
     scenario.name: scenario
     for scenario in (
@@ -526,9 +586,44 @@ SCENARIOS: dict[str, Scenario] = {
             expect_violation=True,
             overrides={"allow_overload": True},
         ),
+        Scenario(
+            name="fleet-leader-kill",
+            description="FLEET: kill shard 0's leader at t=2 s for 2 s; with"
+            " --fleet the board degrades, recovers and the availability"
+            " SLO burns",
+            build=lambda: Schedule([KillLeader(at=2.0, duration=2.0)]),
+            overrides=dict(_FLEET),
+        ),
+        Scenario(
+            name="fleet-baseline",
+            description="FLEET: two groups and no fault for 2 s; with --fleet"
+            " the board stays ok and no SLO burns",
+            build=Schedule,
+            overrides={**_FLEET, "horizon": 2.0},
+        ),
         *_heal_scenarios(),
+        *_ids_scenarios(),
+        *_benign_scenarios(),
     )
 }
+
+#: The IDS evaluation matrix: (ground-truth label, scenario) per attack.
+IDS_ATTACK_DRILLS = (
+    ("silent", "ids-silent"),
+    ("lying", "ids-lying"),
+    ("falsifying", "ids-falsifying"),
+    ("equivocating", "ids-equivocating"),
+    ("stuttering", "ids-stuttering"),
+    ("write-burst", "write-injection"),
+    ("spoof", "frontend-spoof"),
+)
+#: The benign suite the detector and the orchestrator must sit through
+#: quietly: (label, scenario).
+BENIGN_DRILLS = tuple(
+    (name.removeprefix("benign-"), name)
+    for name in SCENARIOS
+    if name.startswith("benign-")
+)
 
 
 def list_scenarios() -> list:

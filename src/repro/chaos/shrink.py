@@ -85,7 +85,7 @@ def _fails(
 ) -> "CampaignReport | None":
     """Run the campaign; return the report iff it still violates.
 
-    With ``heal_signature`` set (pinned-heal shrinking), a candidate
+    With ``heal_signature`` set (a heal campaign), a candidate
     only counts when the recovery orchestrator also took the *same*
     actions with the same outcomes — a reduction that makes the failure
     survive by silencing or rerouting the self-healing response is a
@@ -104,14 +104,12 @@ def shrink_schedule(
     schedule: Schedule,
     config: CampaignConfig | None = None,
     max_runs: int = 60,
-    pin_heal: bool = False,
 ) -> ShrinkResult:
     """Minimize ``schedule`` while it keeps violating an invariant.
 
-    ``pin_heal`` additionally requires every reduction to preserve the
-    failing run's recovery-orchestrator action log (kinds, targets and
-    outcomes) — see :func:`_fails`. Only meaningful for campaigns with
-    ``config.heal``.
+    When ``config.heal`` is on, however the campaign got it, every
+    reduction must also preserve the failing run's recovery-orchestrator
+    action log (kinds, targets and outcomes) — see :func:`_fails`.
 
     Raises ``ValueError`` if the input schedule doesn't fail in the
     first place (nothing to shrink).
@@ -124,7 +122,7 @@ def shrink_schedule(
             "schedule does not violate any invariant under this config; "
             "nothing to shrink"
         )
-    sig = _heal_signature(baseline) if pin_heal else None
+    sig = _heal_signature(baseline) if config.heal else None
 
     current = list(schedule.actions)
     best_report = baseline

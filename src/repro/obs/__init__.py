@@ -25,8 +25,8 @@
     fleet-level health folded from metrics, liveness, merger holdback,
     router caches, IDS verdicts and heal actions; strictly passive.
 :mod:`repro.obs.report`
-    ASCII scoreboard and static HTML renderers over fleet samples
-    (``python -m repro fleet``).
+    ASCII scoreboard and static HTML renderers over a scoreboard
+    snapshot (``python -m repro chaos <scenario> --fleet``).
 
 Tracing is **off by default and behaviour-invisible**: ``sim.tracer`` is
 ``None`` until :func:`install_tracer` attaches one, every instrumentation

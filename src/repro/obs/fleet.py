@@ -296,10 +296,6 @@ class FleetScoreboard:
     def latest(self) -> FleetSample | None:
         return self.samples[-1] if self.samples else None
 
-    def statuses(self) -> list:
-        """The fleet-status series: (time, status) per sample."""
-        return [(s.time, s.status) for s in self.samples]
-
     def to_dict(self) -> dict:
         """JSON-safe dump: latest sample, transitions, SLO summary."""
         latest = self.latest

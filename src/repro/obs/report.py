@@ -1,9 +1,9 @@
 """Render fleet scoreboard state for operators: ASCII and static HTML.
 
-Both renderers are pure functions over :class:`~repro.obs.fleet`
-structures — no simulator access, no side effects beyond the optional
-file write — so the CLI can redraw the ASCII board every host-loop
-slice without perturbing the run.
+Every renderer is a pure function over a scoreboard snapshot — the
+JSON-safe dict :meth:`~repro.obs.fleet.FleetScoreboard.to_dict` returns,
+which a campaign report carries as ``CampaignReport.fleet`` — with no
+simulator access and no side effect beyond the optional file write.
 """
 
 from __future__ import annotations
@@ -26,17 +26,18 @@ def _fmt_ms(seconds) -> str:
     return f"{value * 1000:.1f}ms"
 
 
-def render_scoreboard(scoreboard, width: int = 72) -> str:
-    """The live ASCII board: one row per shard plus a fleet footer."""
-    sample = scoreboard.latest
+def render_scoreboard(board: dict, width: int = 72) -> str:
+    """The ASCII board of the latest sample: one row per shard plus a
+    fleet footer."""
+    sample = board["latest"]
     if sample is None:
         return "fleet scoreboard: no samples yet"
     lines = []
     bar = "-" * width
     lines.append(bar)
     lines.append(
-        f" FLEET t={sample.time:8.3f}s  status={sample.status.upper():9s}"
-        f" shards={len(sample.shards)}  violations={sample.violations}"
+        f" FLEET t={sample['time']:8.3f}s  status={sample['status'].upper():9s}"
+        f" shards={len(sample['shards'])}  violations={sample['violations']}"
     )
     lines.append(bar)
     header = (
@@ -44,27 +45,27 @@ def render_scoreboard(scoreboard, width: int = 72) -> str:
         f" {'chg':>3s} {'decided':>8s} {'occ':>5s}"
     )
     lines.append(header)
-    for health in sample.shards:
+    for health in sample["shards"]:
         lines.append(
-            f" s{health.shard:<4d} {_STATUS_MARK.get(health.status, '?'):2s}"
-            f" {health.live}/{health.n:<4d}"
-            f" {health.leader or '-':16s}"
-            f" {health.leader_changes:>3d}"
-            f" {health.decided:>8d}"
-            f" {health.pipeline_occupancy:>5.2f}"
+            f" s{health['shard']:<4d} {_STATUS_MARK.get(health['status'], '?'):2s}"
+            f" {health['live']}/{health['n']:<4d}"
+            f" {health['leader'] or '-':16s}"
+            f" {health['leader_changes']:>3d}"
+            f" {health['decided']:>8d}"
+            f" {health['pipeline_occupancy']:>5.2f}"
         )
-        for reason in health.reasons:
+        for reason in health["reasons"]:
             lines.append(f"        - {reason}")
     lines.append(bar)
-    latency = sample.write_latency or {}
+    latency = sample["write_latency"] or {}
     lines.append(
         f" writes={latency.get('count', 0):<6d}"
         f" p50={_fmt_ms(_quantile_of(latency, 0.5)):>8s}"
         f" p99={_fmt_ms(_quantile_of(latency, 0.99)):>8s}"
-        f" ae-age={_fmt_ms(sample.freshness_age):>8s}"
-        f" holdback={sample.holdback.get('pending', 0)}"
+        f" ae-age={_fmt_ms(sample['freshness_age']):>8s}"
+        f" holdback={sample['holdback'].get('pending', 0)}"
     )
-    router = sample.router
+    router = sample["router"]
     if router:
         lines.append(
             f" router hit-rate={router.get('hit_rate', 1.0):.2%}"
@@ -72,22 +73,22 @@ def render_scoreboard(scoreboard, width: int = 72) -> str:
             f" invalidations={router.get('invalidations', 0)})"
         )
     lines.append(
-        f" ids-detections={sample.detections}"
-        f" heal-actions={sample.heal_actions}"
+        f" ids-detections={sample['detections']}"
+        f" heal-actions={sample['heal_actions']}"
     )
-    if sample.burn:
-        burning = {k: v for k, v in sample.burn.items() if v > 0}
-        shown = burning or sample.burn
+    if sample["burn"]:
+        burning = {k: v for k, v in sample["burn"].items() if v > 0}
+        shown = burning or sample["burn"]
         lines.append(
             " slo-burn " + "  ".join(
                 f"{name}={rate:.2f}" for name, rate in sorted(shown.items())
             )
         )
-    for violation in sample.new_violations:
+    for violation in sample["new_violations"]:
+        shard = violation["shard"]
         lines.append(
-            f" !! SLO {violation.slo} burn={violation.burn_rate:.2f}"
-            + (f" shard=s{violation.shard}" if violation.shard is not None
-               else "")
+            f" !! SLO {violation['slo']} burn={violation['burn_rate']:.2f}"
+            + (f" shard=s{shard}" if shard is not None else "")
         )
     lines.append(bar)
     return "\n".join(lines)
@@ -122,19 +123,18 @@ def _quantile_of(summary: dict, q: float):
     return summary.get("max")
 
 
-def render_transitions(scoreboard) -> str:
+def render_transitions(board: dict) -> str:
     """The status-flip log as aligned text lines."""
-    if not scoreboard.transitions:
+    if not board["transitions"]:
         return " (no status transitions)"
     return "\n".join(
         f" t={t['time']:8.3f}s  {t['scope']:6s} {t['from']} -> {t['to']}"
-        for t in scoreboard.transitions
+        for t in board["transitions"]
     )
 
 
-def write_html_report(scoreboard, path: str, title: str = "Fleet report") -> str:
+def write_html_report(data: dict, path: str, title: str = "Fleet report") -> str:
     """Write a dependency-free static HTML report; returns ``path``."""
-    data = scoreboard.to_dict()
     latest = data.get("latest") or {}
     shard_rows = "".join(
         "<tr class='{status}'><td>s{shard}</td><td>{status}</td>"

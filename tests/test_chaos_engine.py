@@ -4,6 +4,7 @@ campaign's participant seam."""
 
 import functools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.chaos.campaign import (
     HealParticipant,
     IdsParticipant,
 )
+from repro.chaos import shrink
 from repro.chaos.monitors import InvariantMonitor, default_monitors
 from repro.core import SmartScadaConfig, build_smartscada
 from repro.net import ConstantLatency, Network, NetworkTrace
@@ -240,6 +242,10 @@ def _plain_run(scenario_name: str):
         ("leader-crash", "fleet"),
         ("shard-leader-kills", "trace_spans"),
         ("shard-leader-kills", "fleet"),
+        # Detections under a planted compromise and through a benign
+        # leader change.
+        ("ids-falsifying", "ids"),
+        ("benign-kill-leader", "ids"),
     ],
 )
 def test_passive_participants_leave_the_run_untouched(
@@ -307,3 +313,45 @@ def test_participant_report_fields_land_on_the_campaign_report():
     # An unknown field is an error, not silently dropped.
     with pytest.raises(TypeError, match="bogus"):
         run_campaign(Schedule([]), config, monitors=[Reporter({"bogus": 1})])
+
+
+# ---------------------------------------------------------------------------
+# shrinking a heal campaign: the orchestrator's story is pinned
+# ---------------------------------------------------------------------------
+
+def _failing_report(*targets):
+    """A stand-in violating report whose orchestrator evicted ``targets``."""
+    return SimpleNamespace(ok=False, heal_actions=[
+        {"kind": "evict", "target": target, "outcome": "completed"}
+        for target in targets
+    ])
+
+
+def test_fails_rejects_a_candidate_whose_heal_signature_changed(monkeypatch):
+    monkeypatch.setattr(
+        shrink, "run_campaign", lambda schedule, config: _failing_report("replica-1")
+    )
+    counter = [0]
+    kept = shrink._heal_signature(_failing_report("replica-1"))
+    moved = shrink._heal_signature(_failing_report("replica-2"))
+    assert shrink._fails(Schedule(), CampaignConfig(), counter, kept) is not None
+    assert shrink._fails(Schedule(), CampaignConfig(), counter, moved) is None
+    assert shrink._fails(Schedule(), CampaignConfig(), counter) is not None
+    assert counter == [3]
+
+
+@pytest.mark.parametrize("heal, removed", [(True, 0), (False, 1)])
+def test_shrink_pins_the_heal_signature_exactly_when_heal_is_on(
+    monkeypatch, heal, removed
+):
+    """Dropping either action keeps the violation but moves the eviction:
+    a heal campaign may not shrink (whether ``heal`` came from a flag or
+    the scenario's overrides), any other campaign may."""
+    monkeypatch.setattr(
+        shrink,
+        "run_campaign",
+        lambda schedule, config: _failing_report(f"replica-{len(schedule)}"),
+    )
+    schedule = Schedule([Rejuvenate(at=1.0, index=1), Rejuvenate(at=2.0, index=2)])
+    result = shrink.shrink_schedule(schedule, CampaignConfig(heal=heal))
+    assert result.removed_actions == removed

@@ -202,54 +202,78 @@ def test_trace_offers_rate_updates_per_second_at_every_shard_count(
     assert abs(counts[1] - 100 * 0.5) <= 1, counts
 
 
-def test_fleet_command_json_benign(capsys):
+def test_chaos_fleet_baseline_json(capsys):
     import json
 
     assert main(
-        ["fleet", "--json", "--duration", "2.0", "--seed", "5"]
+        ["chaos", "fleet-baseline", "--seed", "5", "--fleet", "--json"]
     ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["shards"] == 2
-    assert payload["status"] == "ok"
-    assert payload["degraded_seen"] is False
-    assert payload["slo"]["violations"] == []
-    assert payload["writes"]["total"] > 0
-    assert payload["samples"]
+    (campaign,) = json.loads(capsys.readouterr().out)["campaigns"]
+    fleet = campaign["fleet"]
+    assert fleet["shards"] == 2
+    assert fleet["status"] == "ok"
+    assert fleet["transitions"] == []
+    assert fleet["slo"]["violations"] == []
+    assert campaign["writes"]["total"] > 0
+    assert fleet["samples"]
 
 
-def test_fleet_command_kill_leader_degrades_and_recovers(capsys):
+def test_chaos_fleet_leader_kill_degrades_and_recovers(capsys):
     import json
 
     assert main(
-        ["fleet", "--json", "--kill-leader", "--duration", "6.0"]
+        ["chaos", "fleet-leader-kill", "--seed", "42", "--fleet", "--json"]
     ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["kill"]["target"]
-    assert payload["degraded_seen"] is True
-    assert payload["recovered"] is True
-    burned = {
-        v["slo"] for v in payload["slo"]["violations"]
-    }
+    (campaign,) = json.loads(capsys.readouterr().out)["campaigns"]
+    fleet = campaign["fleet"]
+    flips = [(t["scope"], t["to"]) for t in fleet["transitions"]]
+    assert ("fleet", "degraded") in flips
+    assert flips[-1] == ("fleet", "ok") and fleet["status"] == "ok"
+    burned = {v["slo"] for v in fleet["slo"]["violations"]}
     assert "shard-availability" in burned
 
 
-def test_fleet_command_live_board_and_html(tmp_path, capsys):
+def test_chaos_fleet_board_and_html(tmp_path, capsys):
     html = tmp_path / "fleet.html"
     assert main(
-        ["fleet", "--duration", "1.0", "--html", str(html)]
+        ["chaos", "fleet-baseline", "--html", str(html)]
     ) == 0
     out = capsys.readouterr().out
     assert "FLEET" in out and "slo-burn" in out
+    assert "status transitions:" in out and "SLO violations: none" in out
     assert html.exists() and "s0" in html.read_text()
 
 
-def test_fleet_command_has_no_sampling_interval(capsys):
-    # Sampling rides the campaign's poll grid, so there is no host-side
-    # loop a zero interval could spin without advancing simulated time.
+def test_fleet_is_a_chaos_view_not_a_verb(capsys):
+    # The fleet scoreboard rides the campaign's poll grid under
+    # ``chaos --fleet``: no verb of its own and no sampling interval a
+    # zero could spin without advancing simulated time.
+    for argv in (["fleet"], ["chaos", "fleet-baseline", "--interval", "0"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'fleet'" in err and "--interval" in err
+
+
+@pytest.mark.parametrize("verb", ["chaos leader-crash", "ids", "heal"])
+def test_sweeps_reject_fewer_than_one_seed(verb, capsys):
+    # An empty sweep used to print an empty table and pass.
     with pytest.raises(SystemExit) as excinfo:
-        main(["fleet", "--interval", "0"])
+        main([*verb.split(), "--seeds", "0"])
     assert excinfo.value.code == 2
-    assert "--interval" in capsys.readouterr().err
+    assert "--seeds: must be at least 1" in capsys.readouterr().err
+
+
+def test_heal_bench_writes_only_what_it_computed(tmp_path, capsys):
+    import json
+
+    out = tmp_path / "BENCH_MTTR.json"
+    out.write_text(json.dumps({"mttr": {"stale": True}}))
+    assert main(["heal", "--bench", "--output", str(out)]) == 0
+    assert "acceptance" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert sorted(payload) == ["behaviours", "benign", "quorum_guard", "seeds"]
 
 
 def test_chaos_fleet_flag_reports_scoreboard(capsys):

@@ -63,11 +63,10 @@ from repro.bftsmart import (
     build_proxy,
 )
 from repro.chaos import (
-    Schedule,
-    SwapByzantine,
     get_scenario,
     run_campaign,
     run_heal_drill,
+    run_scenario,
 )
 from repro.chaos.campaign import CampaignConfig
 from repro.chaos.monitors import InvariantMonitor, default_monitors
@@ -363,10 +362,7 @@ def test_ids_campaign_detection_stream():
     """Intrusion detection is part of the determinism contract: a seeded
     compromise yields the recorded detections (times, kinds, scores,
     evidence) — one, naming replica-2, with no false positive."""
-    schedule = Schedule([
-        SwapByzantine(at=1.5, index=2, behaviour="falsifying", duration=3.0),
-    ])
-    report = run_campaign(schedule, CampaignConfig(seed=3, ids=True))
+    report = run_scenario("ids-falsifying", seed=3, ids=True)
     assert {
         "fingerprint": report.fingerprint(),
         "detections": [dataclasses.asdict(d) for d in report.detections],
@@ -389,11 +385,7 @@ def _as_json(value):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["behaviours"]["ids_drills"]))
 def test_behaviour_ids_drill(name):
-    index = 0 if name == "equivocating" else 2
-    schedule = Schedule([
-        SwapByzantine(at=1.5, index=index, behaviour=name, duration=3.0),
-    ])
-    report = run_campaign(schedule, CampaignConfig(seed=3, ids=True))
+    report = run_scenario(f"ids-{name}", seed=3, ids=True)
     assert _as_json({
         "fingerprint": report.fingerprint(),
         "detections": [dataclasses.asdict(d) for d in report.detections],

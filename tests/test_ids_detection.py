@@ -8,18 +8,9 @@ precision, recall, attribution, and false-positive classification can
 be asserted exactly.
 """
 
-from dataclasses import replace as dc_replace
-
 import pytest
 
-from repro.chaos import (
-    InjectWrites,
-    Schedule,
-    SpoofFrontend,
-    SwapByzantine,
-    run_campaign,
-)
-from repro.chaos.campaign import CampaignConfig
+from repro.chaos import run_scenario
 from repro.ids import (
     Detection,
     GroundTruthEpisode,
@@ -31,15 +22,14 @@ BEHAVIOURS = ("silent", "lying", "falsifying", "equivocating", "stuttering")
 
 
 def run_swap(behaviour: str, seed: int = 3, **config_overrides):
-    # The equivocation drill must compromise the replica that is
-    # actually leading; the others work on any backup.
+    # The library's ``ids-<behaviour>`` drill: the equivocation drill
+    # compromises the replica that is actually leading, the others a
+    # backup.
     index = 0 if behaviour == "equivocating" else 2
-    schedule = Schedule([
-        SwapByzantine(at=1.5, index=index, behaviour=behaviour, duration=3.0),
-    ])
-    config = dc_replace(CampaignConfig(ids=True), seed=seed,
-                        **config_overrides)
-    return run_campaign(schedule, config), f"replica-{index}"
+    report = run_scenario(
+        f"ids-{behaviour}", seed=seed, ids=True, **config_overrides
+    )
+    return report, f"replica-{index}"
 
 
 @pytest.mark.parametrize("behaviour", BEHAVIOURS)
@@ -68,8 +58,7 @@ def test_detection_latency_bounded(behaviour):
 
 
 def test_write_burst_detected():
-    schedule = Schedule([InjectWrites(at=2.0, count=24, interval=0.03)])
-    report = run_campaign(schedule, CampaignConfig(seed=3, ids=True))
+    report = run_scenario("write-injection", seed=3, ids=True)
     entry = report.ids_score["behaviours"]["write-burst"]
     assert entry["f1"] == 1.0
     assert report.ids_score["false_positive_count"] == 0
@@ -77,8 +66,7 @@ def test_write_burst_detected():
 
 
 def test_spoofed_frontend_detected():
-    schedule = Schedule([SpoofFrontend(at=2.0, count=30, interval=0.03)])
-    report = run_campaign(schedule, CampaignConfig(seed=3, ids=True))
+    report = run_scenario("frontend-spoof", seed=3, ids=True)
     entry = report.ids_score["behaviours"]["spoof"]
     assert entry["f1"] == 1.0
     assert any(d.kind == "spoofed-frontend" for d in report.detections)
@@ -92,16 +80,6 @@ def test_alert_threshold_is_respected():
     baseline, _ = run_swap("lying")
     assert not report.detections
     assert report.fingerprint() == baseline.fingerprint()
-
-
-def test_detections_do_not_perturb_fingerprint():
-    report, _ = run_swap("falsifying")
-    plain = run_campaign(
-        Schedule([SwapByzantine(at=1.5, index=2, behaviour="falsifying",
-                                duration=3.0)]),
-        CampaignConfig(seed=3),
-    )
-    assert report.fingerprint() == plain.fingerprint()
 
 
 # -- scoring unit tests -----------------------------------------------------

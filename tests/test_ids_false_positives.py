@@ -9,54 +9,27 @@ favourable ratio. Every scenario here heals on its own and ends with a
 passing campaign; any detection at all is a false positive.
 """
 
-from dataclasses import replace as dc_replace
-
 import pytest
 
 from repro.chaos import (
-    CrashReplica,
+    BENIGN_DRILLS,
     KillLeader,
-    PartitionNet,
-    Rejuvenate,
     Schedule,
     run_campaign,
+    run_scenario,
 )
 from repro.chaos.campaign import CampaignConfig
-from repro.chaos.schedule import CrashRestart
 
 SEEDS = (1, 3, 7)
 
-BENIGN = {
-    "kill-leader": (
-        Schedule([KillLeader(at=1.5, duration=1.5)]),
-        {},
-    ),
-    "crash-recover": (
-        Schedule([CrashReplica(at=1.2, index=1, duration=2.0)]),
-        {},
-    ),
-    "crash-restart": (
-        Schedule([CrashRestart(at=1.5, index=2, duration=1.0)]),
-        {"durability": True},
-    ),
-    "rejuvenation": (
-        Schedule([Rejuvenate(at=2.0, index=2)]),
-        {},
-    ),
-    "partition-split": (
-        Schedule([PartitionNet(at=1.5, duration=1.0,
-                               groups=((0, 1), (2, 3)))]),
-        {},
-    ),
-}
+#: label -> library scenario (``benign-<label>``).
+BENIGN = dict(BENIGN_DRILLS)
 
 
 @pytest.mark.parametrize("name", sorted(BENIGN))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_benign_fault_produces_no_detections(name, seed):
-    schedule, overrides = BENIGN[name]
-    config = dc_replace(CampaignConfig(ids=True), seed=seed, **overrides)
-    report = run_campaign(schedule, config)
+    report = run_scenario(BENIGN[name], seed=seed, ids=True)
 
     assert report.ok, report.violations
     assert not report.detections, (
@@ -78,10 +51,3 @@ def test_leader_change_storm_stays_clean():
     assert report.ok, report.violations
     assert not report.detections
 
-
-def test_fingerprint_unchanged_by_ids():
-    """Enabling detection must not perturb the simulation itself."""
-    schedule = Schedule([KillLeader(at=1.5, duration=1.5)])
-    plain = run_campaign(schedule, CampaignConfig(seed=3))
-    with_ids = run_campaign(schedule, CampaignConfig(seed=3, ids=True))
-    assert plain.fingerprint() == with_ids.fingerprint()

@@ -206,9 +206,9 @@ def test_to_dict_and_renderers_are_clean():
     encoded = json.dumps(data)  # must be JSON-serialisable as-is
     assert json.loads(encoded)["shards"] == 2
     assert data["samples"] and data["latest"]["status"] == "ok"
-    board = render_scoreboard(scoreboard)
+    board = render_scoreboard(data)
     assert "FLEET" in board and "s0" in board and "s1" in board
-    assert render_transitions(scoreboard)
+    assert render_transitions(data)
 
 
 def test_html_report_is_static_and_self_contained(tmp_path):
@@ -216,7 +216,7 @@ def test_html_report_is_static_and_self_contained(tmp_path):
     scoreboard = FleetScoreboard(system, slo_engine=SloEngine(sim=sim))
     drive(sim, system, duration=0.5, scoreboard=scoreboard)
     path = tmp_path / "fleet.html"
-    write_html_report(scoreboard, str(path))
+    write_html_report(scoreboard.to_dict(), str(path))
     html = path.read_text()
     assert html.startswith("<!DOCTYPE html>" ) or "<html" in html
     assert "s0" in html and "s1" in html

@@ -27,8 +27,9 @@ MARK = "<!-- generated by tools/reachability.py: do not edit below -->"
 GROUPS = ("product", "tier-1 only", "`benchmarks/` only", "nothing")
 NO_VERDICT = "**NO VERDICT**"
 CLI = (
-    "fig8 --duration 0.3", "demo", "steps", "shards", "ids", "heal", "fleet",
-    "fleet --trace fleet.json", "trace --shards 2", "trace --workload bft-micro",
+    "fig8 --duration 0.3", "demo", "steps", "shards", "ids", "heal",
+    "trace --shards 2", "trace --workload bft-micro",
+    "chaos fleet-leader-kill --fleet --html fleet.html",
     "chaos leader-crash --ids --fleet", "chaos heal-evict-lying --heal",
     "chaos overbudget-falsify --shrink", "chaos overbudget-falsify --shrink --heal",
 )
