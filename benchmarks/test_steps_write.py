@@ -61,7 +61,11 @@ def test_write_flow_steps(benchmark):
     # Figure 7: two Byzantine agreements (one per direction).
     smart_kinds = [s[0] for s in smart_stages]
     assert "Propose" in smart_kinds and "AcceptMsg" in smart_kinds
-    request_stages = [s for s in smart_stages if s[0] == "ClientRequest"]
+    # The write goes in as a ClientRequest; the Frontend's ItemUpdate +
+    # WriteResult pair goes in as one RequestBatch envelope.
+    request_stages = [
+        s for s in smart_stages if s[0] in ("ClientRequest", "RequestBatch")
+    ]
     assert len(request_stages) >= 2  # write in, write-result in
     # The paper's "+10 steps": the replicated flow has at least 10 more
     # distinct stages than the original.

@@ -13,7 +13,7 @@ copy, and the voter fires the registered handler exactly once per
 from __future__ import annotations
 
 from repro.bftsmart.channel import SecureChannel
-from repro.bftsmart.messages import ClientRequest, PushMessage, Reply
+from repro.bftsmart.messages import ClientRequest, PushMessage, Reply, RequestBatch
 from repro.bftsmart.replica import SIGNED_ATTR, signing_payload
 from repro.bftsmart.view import View
 from repro.crypto import KeyStore, Signer, digest
@@ -221,39 +221,58 @@ class ServiceProxy:
         the request's derived trace id is aliased into that trace so the
         proxy layers and the BFT spans form one tree.
         """
-        return self._invoke(operation, unordered=False, parent=parent)
+        return self._invoke((operation,), unordered=False, parent=parent)[0]
+
+    def invoke_ordered_together(self, operations) -> list:
+        """Submit operations handed over in one instant; one event each.
+
+        One operation travels exactly as :meth:`invoke_ordered` sends it.
+        Two or more travel in one :class:`RequestBatch` envelope, which a
+        leader admits whole before it considers proposing, so they share
+        a PROPOSE. Each request in it is still signed, voted on,
+        deduplicated and retransmitted (alone) on its own.
+        """
+        return self._invoke(operations, unordered=False)
 
     def invoke_unordered(self, operation: bytes, parent=None) -> Event:
         """Submit a read-only operation outside the total order."""
-        return self._invoke(operation, unordered=True, parent=parent)
+        return self._invoke((operation,), unordered=True, parent=parent)[0]
 
-    def _invoke(self, operation: bytes, unordered: bool, parent=None) -> Event:
-        self._sequence += 1
-        sequence = self._sequence
+    def _invoke(self, operations, unordered: bool, parent=None) -> list:
         tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled and parent is not None:
-            tracer.alias(f"req:{self.client_id}:{sequence}", parent.trace_id)
-        request = self._sign(sequence, operation, unordered)
+        tracing = tracer is not None and tracer.enabled
         quorum = self.view.live_quorum if unordered else self.view.weak_quorum
-        event = Event(self.sim, name=f"invoke:{self.client_id}:{sequence}")
-        invocation = _PendingInvocation(request, event, quorum, unordered=unordered)
-        if tracer is not None and tracer.enabled:
-            invocation.span = tracer.begin(
-                "request",
-                tracer.for_request(request),
-                parent=parent,
-                process=self.client_id,
-                client=self.client_id,
-                sequence=sequence,
-                unordered=unordered,
+        invocations = []
+        for operation in operations:
+            self._sequence += 1
+            sequence = self._sequence
+            if tracing and parent is not None:
+                tracer.alias(f"req:{self.client_id}:{sequence}", parent.trace_id)
+            request = self._sign(sequence, operation, unordered)
+            event = Event(self.sim, name=f"invoke:{self.client_id}:{sequence}")
+            invocation = _PendingInvocation(request, event, quorum, unordered=unordered)
+            if tracing:
+                invocation.span = tracer.begin(
+                    "request",
+                    tracer.for_request(request),
+                    parent=parent,
+                    process=self.client_id,
+                    client=self.client_id,
+                    sequence=sequence,
+                    unordered=unordered,
+                )
+            self._pending[sequence] = invocation
+            self.stats["invocations"] += 1
+            invocations.append(invocation)
+        requests = tuple(invocation.request for invocation in invocations)
+        self._transmit(requests[0] if len(requests) == 1 else RequestBatch(requests))
+        for invocation in invocations:
+            invocation.timer = self.sim.timer(
+                self._retransmission_delay(invocation.attempts),
+                self._retransmit,
+                invocation.request.sequence,
             )
-        self._pending[sequence] = invocation
-        self.stats["invocations"] += 1
-        self._transmit(request)
-        invocation.timer = self.sim.timer(
-            self._retransmission_delay(invocation.attempts), self._retransmit, sequence
-        )
-        return event
+        return [invocation.event for invocation in invocations]
 
     def _sign(
         self, sequence: int, operation: bytes, unordered: bool
@@ -282,15 +301,16 @@ class ServiceProxy:
         request.__dict__[SIGNED_ATTR] = (fields, (self.signer.key, payload, tag))
         return request
 
-    def _transmit(self, request: ClientRequest, broadcast: bool = False) -> None:
-        # Serialize-once multicast: the request is encoded a single time
-        # and the payload bytes object is shared by every replica's
-        # envelope (which is what lets the replicas share one decode).
+    def _transmit(self, message, broadcast: bool = False) -> None:
+        # Serialize-once multicast: the request (or the envelope of
+        # requests) is encoded a single time and the payload bytes object
+        # is shared by every replica's envelope (which is what lets the
+        # replicas share one decode).
         if broadcast and len(self._known_addresses) > len(self.view.addresses):
             targets = sorted(self._known_addresses)
         else:
             targets = list(self.view.addresses)
-        self.channel.multicast(targets, request)
+        self.channel.multicast(targets, message)
 
     def _retransmission_delay(self, attempts: int) -> float:
         """Capped exponential backoff with deterministic jitter.

@@ -173,6 +173,8 @@ class ServiceReplica:
         self._unproposed: dict[tuple, tuple] = {}
         self._batch_timer_armed = False
         self._hold_timer_armed = False
+        #: cid of the latest decided batch carrying a reconfiguration.
+        self._reconfig_cid = -1
 
         # -- execution state --
         self._exec_channel = Channel(sim, name=f"exec:{address}")
@@ -290,24 +292,51 @@ class ServiceReplica:
         return self.verifier.verify(signature, payload, record)
 
     def _on_client_request(self, request: ClientRequest) -> None:
-        if not self._verify_request(request):
+        if self._admit(request):
+            self._maybe_propose()
+
+    def _on_request_envelope(self, envelope: RequestBatch) -> None:
+        """Requests one client handed over in one instant.
+
+        Each takes the per-request path, and the leader considers
+        proposing once, after the last, so they share a PROPOSE whatever
+        the jitter between them. An envelope holding more than one
+        PROPOSE may carry (or no tuple at all) comes from no honest
+        client: it is dropped whole and counted once.
+        """
+        requests = envelope.requests
+        if not isinstance(requests, tuple) or len(requests) > self.config.batch_max:
             self.stats["rejected_requests"] += 1
             return
+        admitted = False
+        for request in requests:
+            if isinstance(request, ClientRequest):
+                admitted |= self._admit(request)
+            else:
+                self.stats["rejected_requests"] += 1
+        if admitted:
+            self._maybe_propose()
+
+    def _admit(self, request: ClientRequest) -> bool:
+        """Verify, deduplicate and pool one request; True if it was pooled."""
+        if not self._verify_request(request):
+            self.stats["rejected_requests"] += 1
+            return False
         if request.unordered:
             self._execute_unordered(request)
-            return
+            return False
         last = self._last_executed_seq.get(request.client_id, -1)
         if request.sequence <= last:
             # Retransmission of something already executed: resend reply.
             cached = self.last_reply.get(request.client_id)
             if cached is not None and cached.sequence == request.sequence:
                 self._send_reply(request.reply_to, cached)
-            return
+            return False
         key = request.key()
         if key in self.pending:
-            return
+            return False
         self.pending[key] = self._unproposed[key] = (request, self.sim.now)
-        self._maybe_propose()
+        return True
 
     def _execute_unordered(self, request: ClientRequest) -> None:
         tracer = self.sim.tracer
@@ -413,6 +442,11 @@ class ServiceReplica:
         if not (self.active and self.is_leader):
             return
         if self.synchronizer.in_progress or self.state_transfer.in_progress:
+            return
+        if self.executed_cid < self._reconfig_cid:
+            # The next instance runs under the membership the decided
+            # reconfiguration installs; a PROPOSE sent before it is in
+            # effect would miss a joining member.
             return
         config = self.config
         while not (self._pipeline_full() or self._batch_timer_armed):
@@ -877,6 +911,8 @@ class ServiceReplica:
             key = request.key()
             self.pending.pop(key, None)
             self._unproposed.pop(key, None)
+            if request.operation.startswith(RECONFIG_MARKER):
+                self._reconfig_cid = cid
         self._exec_channel.put((self._install_epoch, cid, batch.requests, timestamp))
 
     def install_checkpoint(self, checkpoint_cid: int, blob: bytes) -> None:
@@ -964,6 +1000,8 @@ class ServiceReplica:
             self.executed_cid = cid
             if (cid + 1) % self.config.checkpoint_interval == 0:
                 self._take_checkpoint(cid)
+            if cid == self._reconfig_cid:
+                self._maybe_propose()  # the new membership is in effect
 
     def _dedup_dispatch(self, request: ClientRequest) -> bool:
         """Deterministic at-dispatch dedup (dispatch order = decided order)."""
@@ -1184,6 +1222,7 @@ class ServiceReplica:
 
     _dispatch_table = {
         ClientRequest: _on_client_request,
+        RequestBatch: _on_request_envelope,
         Propose: on_propose,
         WriteMsg: _on_vote,
         AcceptMsg: _on_vote,

@@ -51,8 +51,11 @@ _DURABLE_INTACT = {"durability": True, "checkpoint_interval": 40}
 #: Overrides for the damaged-disk drills: checkpoints frequent enough
 #: that one lands on the victim's disk *before* the crash fault hits it,
 #: so digest verification runs against real on-disk state (checkpoint +
-#: torn/corrupt WAL tail) rather than an empty device.
-_DURABLE_DAMAGED = {"durability": True, "checkpoint_interval": 5}
+#: torn/corrupt WAL tail) rather than an empty device. The victim has
+#: decided cids 0-9 when the power is cut at 1.5 s; every sixth cid
+#: checkpoints, so four WAL records follow the checkpoint at cid 5 (an
+#: interval of 5 would checkpoint cid 9 and leave no record to damage).
+_DURABLE_DAMAGED = {"durability": True, "checkpoint_interval": 6}
 
 #: Overrides for the ``pipelined-*`` drills: the same faults as their
 #: sequential counterparts, but with the consensus pipeline open — the

@@ -33,10 +33,10 @@ DEFAULT_LOCAL_LATENCY = 0.00002
 def jitter_bound(hop_latency: float = DEFAULT_HOP_LATENCY) -> float:
     """Upper bound of the LAN model's per-message jitter.
 
-    Two messages sent in the same instant over one FIFO link arrive less
-    than this far apart, so it is also the longest a below-capacity
-    leader can usefully hold a request back for a sibling to share its
-    PROPOSE (docs/PROTOCOLS.md §2).
+    It sizes the LAN model only (``make_network`` hands it to
+    :class:`~repro.net.LanLatency`): the SCADA leader waits for no
+    sibling request, because what one client sends in one instant
+    travels in one envelope (docs/PROTOCOLS.md §2).
     """
     return hop_latency / 5
 
@@ -77,11 +77,10 @@ class SmartScadaConfig:
 
     n: int = 4
     f: int = 1
-    #: Mod-SMaRt tunables.
+    #: Mod-SMaRt tunables. There is no batch window: the leader proposes
+    #: on arrival, backpressure forms every batch under load, and what
+    #: one client hands over in one instant arrives in one envelope.
     batch_max: int = 200
-    #: Below capacity the window only has to catch requests one client
-    #: sent back-to-back; backpressure forms every other batch.
-    batch_wait: float = jitter_bound()
     #: Consensus instances the leader keeps in flight (1 = the strictly
     #: sequential ordering the paper's evaluation ran with; raise it to
     #: overlap instances — see GroupConfig.pipeline_depth).
@@ -113,7 +112,7 @@ class SmartScadaConfig:
             n=self.n,
             f=self.f,
             batch_max=self.batch_max,
-            batch_wait=self.batch_wait,
+            batch_wait=0.0,
             pipeline_depth=self.pipeline_depth,
             request_timeout=self.request_timeout,
             sync_timeout=self.sync_timeout,

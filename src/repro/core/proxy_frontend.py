@@ -17,7 +17,6 @@ paper makes for replication itself. The paper's deployment is the
 
 from __future__ import annotations
 
-from repro.bftsmart.client import ServiceProxy
 from repro.bftsmart.cluster import build_proxy
 from repro.core.adapter import SCADA_STREAM, proxy_client_id
 from repro.crypto import KeyStore
@@ -69,6 +68,10 @@ class ProxyFrontend:
         ]
         for client in self.bft_clients:
             client.pushes.set_handler(SCADA_STREAM, self._on_push)
+        #: Per group: the operations handed over in the current instant,
+        #: in arrival order, and the most one envelope may carry.
+        self._queued: list = [[] for _group in groups]
+        self._envelope_max: list = [group.batch_max for group in groups]
 
         self.da_client = DAClient(address, self.endpoint.send)
         self.stats = {
@@ -94,11 +97,11 @@ class ProxyFrontend:
     def _on_local_message(self, message, src: str) -> None:
         if isinstance(message, ItemUpdate):
             self.stats["updates_in"] += 1
-            self._submit(self._client_for(message.item_id), message)
+            self._submit(self.router.route(message.item_id), message)
             return
         if isinstance(message, WriteResult):
             self.stats["write_results_in"] += 1
-            self._submit(self._client_for(message.item_id), message)
+            self._submit(self.router.route(message.item_id), message)
             return
         if isinstance(message, BrowseReply):
             # Teaches the replicated Master this Frontend's item directory
@@ -108,20 +111,30 @@ class ProxyFrontend:
             for entry in message.items:
                 by_shard.setdefault(self.router.route(entry[0]), []).append(entry)
             for shard in sorted(by_shard):
-                self._submit(
-                    self.bft_clients[shard],
-                    BrowseReply(items=tuple(by_shard[shard])),
-                )
+                self._submit(shard, BrowseReply(items=tuple(by_shard[shard])))
             return
 
-    def _client_for(self, item_id: str) -> ServiceProxy:
-        return self.bft_clients[self.router.route(item_id)]
+    def _submit(self, shard: int, message) -> None:
+        """Queue ``message`` for group ``shard``'s flush of this instant.
 
-    def _submit(self, client: ServiceProxy, message) -> None:
+        What the Frontend emits in one instant (an ItemUpdate and the
+        WriteResult it caused, a poll's updates) travels in one envelope,
+        so the leader orders it in one PROPOSE without waiting for it.
+        """
+        queued = self._queued[shard]
+        if not queued:
+            self.sim.defer(0.0, self._flush, shard)
         # The network sized an arriving message by its memoized encoding:
         # ordering it reuses those bytes instead of encoding it again.
-        event = client.invoke_ordered(encode_cached(message))
-        event.add_callback(self._on_invoke_done)
+        queued.append(encode_cached(message))
+
+    def _flush(self, shard: int) -> None:
+        operations, self._queued[shard] = self._queued[shard], []
+        client, most = self.bft_clients[shard], self._envelope_max[shard]
+        for start in range(0, len(operations), most):
+            envelope = operations[start : start + most]
+            for event in client.invoke_ordered_together(envelope):
+                event.add_callback(self._on_invoke_done)
 
     def _on_invoke_done(self, event) -> None:
         if not event.ok:

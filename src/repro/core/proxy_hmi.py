@@ -139,10 +139,14 @@ class ProxyHMI:
             return
         self._started = True
         for client in self.bft_clients:
-            self._submit(client, Subscribe(subscriber=client.client_id, item_id="*"))
-            self._submit(
-                client, SubscribeEvents(subscriber=client.client_id, item_id="*")
-            )
+            # Handed over together, the two subscriptions travel in one
+            # envelope and share a PROPOSE.
+            subscriptions = [
+                encode(Subscribe(subscriber=client.client_id, item_id="*")),
+                encode(SubscribeEvents(subscriber=client.client_id, item_id="*")),
+            ]
+            for event in client.invoke_ordered_together(subscriptions):
+                event.add_callback(self._on_invoke_done)
 
     def flush_events(self) -> None:
         """Drain the AE merge buffer (quiescence helper for tests/CLI)."""

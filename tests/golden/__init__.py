@@ -64,6 +64,51 @@ moved at any step):
    ``rejuvenation-under-fire`` and ``transfer.leader_crash``
    (1059 → 1065 events).
 7. A recovering executor skips to its peers' checkpoint: nothing moved.
+
+The change that lets the SCADA leader propose on arrival re-recorded, one
+edit at a time, exactly these entries. The bare-library rows
+(``encodings``, ``counter_trace_sha256``, ``bft_micro``,
+``schedules.bft``, ``behaviours.bare_group``, ``transfer.leader_crash``)
+never moved, and no verdict, detection, heal action or eviction did:
+
+1. The ProxyFrontend sends what the Frontend hands it in one instant as
+   one ``RequestBatch`` envelope (the 50 µs window still in place). Every
+   SCADA run moved, with writes or without, because start-up's initial
+   values and browse reply now travel in one envelope: ``campaign``
+   (fingerprint and trace digest), ``schedules.scada`` (same 866 events,
+   state digests, clock), ``schedules.ids_campaign`` and the five
+   ``behaviours.ids_drills`` fingerprints (``silent``/``stuttering``
+   detection scores about 1.058 → 1.059), the ``deployment`` campaigns
+   ``crash-restart-torn``, ``heal-evict-falsifying``,
+   ``rejuvenation-under-fire`` and ``shard-leader-kills``,
+   ``deployment.split`` (1779 → 1727 events; alarm ids and state digests)
+   and the four ``transfer`` campaign fingerprints (counters unchanged).
+2. A leader opens no instance while a decided reconfiguration waits for
+   its executor: nothing moved.
+3. ``batch_wait`` 0 for the SCADA deployment: the same entries again, and
+   the ``transfer`` campaigns' counters. The victim of
+   ``crash-restart-{torn,corrupt,wiped}`` has decided one instance more
+   (cid 9) when the power is cut, which checkpoints at an interval of 5:
+   the WAL is empty, 1216 instead of 464 bytes are installed, and the
+   corrupt drill's flipped bit hits the newest checkpoint instead of a
+   WAL record (``[4, 0, False]``, was ``[4, 3, True]``). Step 5 gives the
+   drills their WAL tail back. ``crash-restart-intact`` and
+   ``pipelined-crash-restart`` replay 10 and 12 WAL entries instead of 9.
+   ``schedules.scada`` 866 → 852 events, ``deployment.split`` 1727 → 1742.
+   Without step 2 ``behaviours.heal_drills.silent`` moved as well (heal
+   latency 1.9 → 2.7 s: the instance after the spare's join was proposed
+   to the old view and waited for a leader change); with it, it stays.
+4. The HMI proxy's two start-up subscriptions travel in one envelope:
+   the same entries as step 1 again; ``schedules.scada`` 852 → 848 events,
+   ``deployment.split`` 1742 → 1734, ``pipelined-crash-restart`` replays
+   11 entries, the detection scores read about 1.058 again.
+5. The damaged-disk drills checkpoint every 6 cids instead of 5, so four
+   WAL records follow the last checkpoint when the power is cut
+   (``tests/integration/test_chaos_campaigns.py`` now fails a drill whose
+   fault finds no WAL record): ``deployment`` ``crash-restart-torn`` and
+   the ``transfer`` ``crash-restart-{corrupt,wiped}`` fingerprints moved,
+   the corrupt victim recovers ``[5, 3, True]`` (checkpoint 5, three
+   verified records, damaged tail cut) and both install 1970 bytes.
 """
 
 import json

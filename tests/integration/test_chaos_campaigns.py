@@ -15,6 +15,7 @@ from repro.chaos import (
     sweep_seeds,
 )
 from repro.chaos.campaign import CampaignConfig
+from repro.chaos.monitors import InvariantMonitor, default_monitors
 
 LIBRARY = [s for s in list_scenarios() if not s.expect_violation]
 
@@ -122,3 +123,34 @@ def test_redundancy_monitor_flags_a_reboot_left_on_the_old_regency(monkeypatch):
     report = run_campaign(scenario.schedule(), scenario.config(seed=0))
     assert report.violated_invariants() == ["redundancy-restored"]
     assert "regency=0 vs 1" in report.violations[0].detail
+
+
+class _DiskRecoveryCensus(InvariantMonitor):
+    """What each current incarnation recovered from its disk, at quiesce."""
+
+    def finish(self, ctx) -> None:
+        self.recovered = {
+            pm.replica.address: pm.replica.recovered_from_disk
+            for pm in ctx.system.proxy_masters
+            if pm.replica.recovered_from_disk is not None
+        }
+
+
+@pytest.mark.parametrize("name", ["crash-restart-torn", "crash-restart-corrupt"])
+def test_damaged_disk_drills_damage_a_wal_record(name):
+    """The power cut lands with WAL records past the last checkpoint, so
+    the fault hits a log record and recovery's digest check cuts it — not
+    an empty log right after a checkpoint, where the drill would test
+    nothing of the WAL."""
+    scenario = get_scenario(name)
+    census = _DiskRecoveryCensus()
+    for seed in TIER1_SEEDS:
+        run_campaign(
+            scenario.schedule(),
+            scenario.config(seed=seed),
+            monitors=default_monitors() + [census],
+        )
+        (recovered,) = census.recovered.values()
+        assert recovered.damaged, (seed, recovered.notes)
+        assert "WAL tail failed digest verification" in recovered.notes
+        assert recovered.entries, (seed, recovered.notes)

@@ -331,9 +331,14 @@ def test_leader_crash_during_a_hold_hands_over_to_an_eager_leader(holds, monkeyp
 #: Lowest whole updates/s at which the leader ever finds a decided batch
 #: waiting for its executor when it considers proposing: the first rate
 #: above the replicated Master's 943.5/s capacity. Up to 943/s — the 800/s
-#: Fig 8(a) reference step included — every request is proposed one
-#: jitter bound after it arrives and finds the queue empty.
+#: Fig 8(a) reference step included — every request is proposed on
+#: arrival and finds the queue empty.
 DEPTH_ONE_RATE = 944.0
+#: Measured at DEPTH_ONE_RATE, per seed: (proposing decisions let through
+#: past one queued batch, holds). Proposing on arrival, over four of the
+#: first for every hold; with the former 50 us batch window it was over
+#: five (4,176 : 565 on seed 1).
+DEPTH_ONE_COUNTS = {1: (2052, 495), 2: (2038, 475)}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -366,7 +371,8 @@ def test_the_hold_does_not_fire_at_the_update_reference_rate(seed, holds, monkey
     # time it holds — each of which a threshold of 1 would have held.
     run(DEPTH_ONE_RATE)
     assert max(depths) == 1
-    assert depths.count(1) > 5 * len(holds) > 0
+    assert (depths.count(1), len(holds)) == DEPTH_ONE_COUNTS[seed]
+    assert depths.count(1) > 4 * len(holds) > 0
 
 
 # ---------------------------------------------------------------------------

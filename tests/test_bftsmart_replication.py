@@ -367,6 +367,39 @@ def test_reconfiguration_add_and_remove_replica():
     assert all(r.view.view_id == 1 for r in replicas if r.active)
 
 
+def test_the_instance_after_a_join_runs_under_the_new_membership():
+    # Proposing on arrival, the leader has a request in its pool the
+    # moment the join decides. Proposed before the join is executed, that
+    # PROPOSE would go to the old members only, and the new view (five
+    # members, quorum four, one of them down) could not decide it without
+    # the joiner until a leader change.
+    sim, net, keystore, config = make_world(batch_wait=0.0, pipeline_depth=1)
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    net.crash("replica-3")
+    admin_proxy = build_proxy(sim, net, "admin-client", config, keystore)
+    admin = Administrator(admin_proxy, keystore)
+    client = build_proxy(sim, net, "client-1", config, keystore)
+
+    def scenario():
+        event = admin.reconfigure(join=("replica-4",))
+        new_view = View(1, config.addresses + ("replica-4",), 1)
+        replicas.append(
+            ServiceReplica(
+                sim, net, "replica-4", config, CounterService(), keystore, view=new_view
+            )
+        )
+        yield sim.timeout(0.0005)  # lands while the join is being ordered
+        added = client.invoke_ordered(encode(("add", 1)))
+        assert decode((yield event)) == ("ok", 1)
+        return decode((yield added)), sim.now
+
+    result, done_at = sim.run_process(scenario(), until=sim.now + 60)
+    assert result == 1
+    assert done_at < config.request_timeout / 4
+    assert [r.synchronizer.changes_completed for r in replicas] == [0] * 5
+    assert replicas[-1].service.value == 1
+
+
 def test_unauthorized_reconfiguration_rejected():
     sim, net, keystore, config = make_world()
     replicas = build_group(sim, net, config, CounterService, keystore)

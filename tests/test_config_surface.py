@@ -21,7 +21,7 @@ SURFACE = {
         "state_retry_interval", "addresses",
     },
     SmartScadaConfig: {
-        "n", "f", "batch_max", "batch_wait", "pipeline_depth",
+        "n", "f", "batch_max", "pipeline_depth",
         "request_timeout", "sync_timeout", "checkpoint_interval",
         "logical_timeout", "invoke_timeout", "durability", "fsync_policy",
         "state_retry_interval", "costs",

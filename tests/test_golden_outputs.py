@@ -38,7 +38,10 @@ became :class:`repro.bftsmart.byzantine.Behaviour` values; its two
 ``lying`` rows moved once since, when every reply site got the hook, and
 its three ``equivocating`` rows when a recovering replica learned to
 adopt the live regency (``tests/golden/__init__.py`` says how, as it does
-for the ``transfer`` and ``deployment`` entries that change moved).
+for the ``transfer`` and ``deployment`` entries that change moved). Every
+SCADA row moved once more when the leader began to propose on arrival,
+with the proxies' same-instant requests in one envelope; the same file
+attributes each digest to its edit.
 
 A change that is *meant* to move one (a new wire type, a protocol change)
 updates the file from the failing assertion's left side.
