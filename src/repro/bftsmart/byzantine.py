@@ -75,7 +75,6 @@ class Equivocating(Behaviour):
         half = len(others) // 2
         for group, requests in ((others[:half], batch), (others[half:], batch[::-1])):
             propose = Propose(
-                sender=replica.address,
                 cid=replica.next_cid,
                 epoch=replica.regency,
                 value=encode(RequestBatch(requests=tuple(requests))),

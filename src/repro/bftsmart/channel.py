@@ -199,9 +199,11 @@ class SecureChannel:
     # -- receiving -----------------------------------------------------------
 
     def open(self, sealed: Sealed):
-        """Verify and decode; returns the inner message or ``None``.
+        """Verify and decode; returns ``(message, sender)`` or ``None``.
 
-        A matching sealer's record (``_SEAL_ATTR``) stands in for both.
+        ``sender`` is the envelope's, whose MAC was just verified: the
+        one identity a receiver may count a vote under. A matching
+        sealer's record (``_SEAL_ATTR``) stands in for both checks.
         """
         if not isinstance(sealed, Sealed):
             self.rejected += 1
@@ -218,10 +220,10 @@ class SecureChannel:
             return None
         if record is not None and record[1] is payload and memo[0] is not None:
             _DECODE_STATS.hits += 1
-            return memo[0]
+            return memo[0], sealed.sender
         _DECODE_STATS.misses += 1
         try:
-            return decode(payload)
+            return decode(payload), sealed.sender
         except DecodeError:
             self.rejected += 1
             return None

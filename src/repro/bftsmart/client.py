@@ -71,13 +71,20 @@ class _PendingInvocation:
 class PushVoter:
     """Delivers replica pushes after f+1 matching copies, exactly once."""
 
-    #: Retain at most this many delivered order-keys per stream for dedup.
+    #: Retain at most this many delivered order-keys per stream for dedup,
+    #: and at most this many undelivered votes per member.
     DEDUP_LIMIT = 50_000
 
     def __init__(self, view_provider) -> None:
         self._view_provider = view_provider
-        self._votes: dict[tuple, set] = {}
-        self._payloads: dict[tuple, bytes] = {}
+        #: (stream, order) -> {payload digest: (payload, voters)}: every
+        #: undelivered candidate, indexed by the slot it competes for, so
+        #: a delivery drops its competitors without a scan.
+        self._candidates: dict[tuple, dict] = {}
+        #: member -> its undelivered votes as ``(stream, order, digest)``
+        #: keys, oldest first. A member pushing orders that never reach
+        #: f+1 only ages out its own oldest votes (``DEDUP_LIMIT``).
+        self._open: dict[str, dict] = {}
         self._delivered: dict[str, set] = {}
         #: (stream, order) -> digest of the f+1-voted payload, kept (and
         #: trimmed) alongside ``_delivered`` so late or competing pushes
@@ -95,35 +102,55 @@ class PushVoter:
         """Register ``handler(order, payload)`` for one stream."""
         self._handlers[stream] = handler
 
-    def on_push(self, message: PushMessage) -> None:
+    def on_push(self, message: PushMessage, sender: str) -> None:
+        """Count ``message`` as ``sender``'s vote (the envelope's sender)."""
         view: View = self._view_provider()
-        if not view.contains(message.replica):
+        if not view.contains(sender):
             return
         payload_digest = digest(message.payload)
-        delivered = self._delivered.setdefault(message.stream, set())
-        if message.order in delivered:
-            won = self._delivered_digest.get((message.stream, message.order))
+        stream, order = message.stream, message.order
+        slot = (stream, order)
+        if order in self._delivered.setdefault(stream, set()):
+            won = self._delivered_digest.get(slot)
             if won is not None and won != payload_digest:
                 # A straggler copy disagreeing with the voted delivery.
-                self._note_deviant(message.stream, message.order, message.replica)
+                self._note_deviant(stream, order, sender)
             return
-        key = (message.stream, message.order, payload_digest)
-        voters = self._votes.setdefault(key, set())
-        voters.add(message.replica)
-        self._payloads[key] = message.payload
+        candidates = self._candidates.setdefault(slot, {})
+        candidate = candidates.get(payload_digest)
+        if candidate is None:
+            candidate = candidates[payload_digest] = (message.payload, set())
+        payload, voters = candidate
+        voters.add(sender)
+        self._hold(sender, (stream, order, payload_digest))
         if len(voters) >= view.weak_quorum:
-            self._delivered_digest[(message.stream, message.order)] = payload_digest
-            self._deliver(message.stream, message.order, self._payloads[key])
+            self._delivered_digest[slot] = payload_digest
+            self._deliver(stream, order, payload)
             # Drop every candidate payload for this order; replicas that
             # voted a competing digest pushed a payload the quorum
             # contradicts.
-            stale = [k for k in self._votes if k[0] == message.stream and k[1] == message.order]
-            for k in stale:
-                if k[2] != payload_digest:
-                    for deviant in sorted(self._votes[k]):
-                        self._note_deviant(message.stream, message.order, deviant)
-                self._votes.pop(k, None)
-                self._payloads.pop(k, None)
+            del self._candidates[slot]
+            for other, (_payload, group) in candidates.items():
+                for member in group:
+                    self._open[member].pop((stream, order, other), None)
+                if other != payload_digest:
+                    for deviant in sorted(group):
+                        self._note_deviant(stream, order, deviant)
+
+    def _hold(self, member: str, key: tuple) -> None:
+        """Record ``member``'s vote ``key``; past the cap, drop its oldest."""
+        held = self._open.setdefault(member, {})
+        held[key] = None
+        if len(held) > self.DEDUP_LIMIT:
+            stream, order, oldest = old = next(iter(held))
+            del held[old]
+            candidates = self._candidates[(stream, order)]
+            voters = candidates[oldest][1]
+            voters.discard(member)
+            if not voters:
+                del candidates[oldest]
+                if not candidates:
+                    del self._candidates[(stream, order)]
 
     def _note_deviant(self, stream: str, order: tuple, replica: str) -> None:
         if self.on_deviant is not None:
@@ -360,13 +387,14 @@ class ServiceProxy:
     # -- receiving -------------------------------------------------------------
 
     def _on_network_message(self, payload, src: str) -> None:
-        message = self.channel.open(payload)
-        if message is None:
+        opened = self.channel.open(payload)
+        if opened is None:
             return
+        message, sender = opened
         if isinstance(message, Reply):
-            self._on_reply(message)
+            self._on_reply(message, sender)
         elif isinstance(message, PushMessage):
-            self.pushes.on_push(message)
+            self.pushes.on_push(message, sender)
 
     #: Retain winning digests for at most this many completed requests.
     RESULT_MEMORY = 4096
@@ -405,7 +433,7 @@ class ServiceProxy:
             order=str(order),
         )
 
-    def _reply_point(self, name: str, reply: Reply, **attrs) -> None:
+    def _reply_point(self, name: str, reply: Reply, sender: str, **attrs) -> None:
         """Zero-duration marker on the request's derived trace id."""
         tracer = self.sim.tracer
         if tracer is None or not tracer.enabled:
@@ -414,19 +442,17 @@ class ServiceProxy:
             name,
             f"req:{self.client_id}:{reply.sequence}",
             process=self.client_id,
-            replica=reply.replica,
+            replica=sender,
             sequence=reply.sequence,
             **attrs,
         )
 
-    def _on_reply(self, reply: Reply) -> None:
+    def _on_reply(self, reply: Reply, sender: str) -> None:
         if reply.view_id > self.view.view_id:
             self.view_stale = True
-        if reply.client_id != self.client_id or not self.view.contains(
-            reply.replica
-        ):
+        if reply.client_id != self.client_id or not self.view.contains(sender):
             return
-        self._reply_point("reply.recv", reply)
+        self._reply_point("reply.recv", reply, sender)
         invocation = self._pending.get(reply.sequence)
         if invocation is None:
             # Straggler for a completed request: ordered replies must
@@ -434,7 +460,7 @@ class ServiceProxy:
             # lying-replica signature (honest stragglers agree).
             won = self._recent_results.get(reply.sequence)
             if won is not None and won != digest(reply.result):
-                self._reply_point("reply.mismatch", reply, late=True)
+                self._reply_point("reply.mismatch", reply, sender, late=True)
             return
         if invocation.span is not None and invocation.quorum_span is None:
             tracer = self.sim.tracer
@@ -447,7 +473,7 @@ class ServiceProxy:
                     quorum=invocation.quorum,
                 )
         votes = invocation.votes.setdefault(digest(reply.result), {})
-        votes[reply.replica] = reply.result
+        votes[sender] = reply.result
         if len(votes) >= invocation.quorum:
             self._pending.pop(reply.sequence, None)
             self.sim.cancel_timer(invocation.timer)

@@ -76,7 +76,7 @@ class Synchronizer:
         if target <= self._highest_vote:
             if self._highest_vote > self.regency:
                 replica = self.replica
-                stop = Stop(sender=replica.address, regency=self._highest_vote)
+                stop = Stop(regency=self._highest_vote)
                 replica.channel.broadcast(replica.other_replicas(), stop)
             return
         self._vote_stop(target)
@@ -99,16 +99,16 @@ class Synchronizer:
                 regency=target,
                 leader=replica.leader,
             )
-        stop = Stop(sender=replica.address, regency=target)
+        stop = Stop(regency=target)
         replica.channel.broadcast(replica.other_replicas(), stop)
         self._record_stop(replica.address, target)
 
-    def on_stop(self, message: Stop) -> None:
+    def on_stop(self, message: Stop, sender: str) -> None:
         if message.regency <= self.regency:
             return
-        if not self.replica.view.contains(message.sender):
+        if not self.replica.view.contains(sender):
             return
-        self._record_stop(message.sender, message.regency)
+        self._record_stop(sender, message.regency)
 
     def _record_stop(self, sender: str, target: int) -> None:
         votes = self._stop_votes.setdefault(target, set())
@@ -165,7 +165,6 @@ class Synchronizer:
             replica.address, target, replica.last_decided, in_flight
         )
         stop_data = StopData(
-            sender=replica.address,
             regency=target,
             last_decided=replica.last_decided,
             in_flight=in_flight,
@@ -173,7 +172,7 @@ class Synchronizer:
         )
         new_leader = replica.view.leader_for(target)
         if new_leader == replica.address:
-            self.on_stop_data(stop_data)
+            self.on_stop_data(stop_data, replica.address)
         else:
             replica.channel.send(new_leader, stop_data)
         # Escalate if this synchronization stalls.
@@ -187,22 +186,22 @@ class Synchronizer:
 
     # -- new leader: collecting STOP-DATA ---------------------------------------
 
-    def on_stop_data(self, message: StopData) -> None:
+    def on_stop_data(self, message: StopData, sender: str) -> None:
         replica = self.replica
         if message.regency != self.regency or not self.in_progress:
             return
         if replica.view.leader_for(message.regency) != replica.address:
             return
-        if not replica.view.contains(message.sender):
+        if not replica.view.contains(sender):
             return
         payload = _stop_data_payload(
-            message.sender, message.regency, message.last_decided, message.in_flight
+            sender, message.regency, message.last_decided, message.in_flight
         )
-        signature = Signature(message.sender, message.signature)
+        signature = Signature(sender, message.signature)
         if not replica.verifier.verify(signature, payload):
             return
         collected = self._stop_datas.setdefault(message.regency, {})
-        collected[message.sender] = message
+        collected[sender] = message
         if (
             len(collected) >= replica.view.live_quorum
             and message.regency not in self._resolved
@@ -256,21 +255,17 @@ class Synchronizer:
                 for cid in range(floor, max(recovered) + 1)
             )
 
-        sync = Sync(
-            sender=replica.address,
-            regency=regency,
-            proposals=proposals,
-        )
+        sync = Sync(regency=regency, proposals=proposals)
         replica.channel.broadcast(replica.other_replicas(), sync)
-        self.on_sync(sync)
+        self.on_sync(sync, replica.address)
 
     # -- everyone: resuming on SYNC ------------------------------------------------
 
-    def on_sync(self, message: Sync) -> None:
+    def on_sync(self, message: Sync, sender: str) -> None:
         replica = self.replica
         if message.regency != self.regency or not self.in_progress:
             return
-        if message.sender != replica.view.leader_for(message.regency):
+        if sender != replica.view.leader_for(message.regency):
             return
         self.in_progress = False
         self.synced_regency = message.regency
@@ -287,13 +282,13 @@ class Synchronizer:
             if cid < replica.next_cid:
                 continue  # already decided and released locally
             propose = Propose(
-                sender=message.sender,
                 cid=cid,
                 epoch=message.regency,
                 value=value,
                 timestamp=timestamp,
             )
-            replica.on_propose(propose, from_sync=True)
+            # The leader of the regency this SYNC installs re-proposes.
+            replica.on_propose(propose, sender)
         # Fresh proposals resume above the recovered window everywhere,
         # so a returning leader never reuses a recovered slot.
         replica.next_propose_cid = max(replica.next_cid, highest + 1)

@@ -1,9 +1,14 @@
 """Wire messages of the replication protocol.
 
 All messages are frozen dataclasses registered with the global codec.
-Wire ids 20–49 are reserved for this module. Consensus messages carry the
-sender and a MAC vector is attached by the channel layer in
-:mod:`repro.bftsmart.replica`.
+Wire ids 20–49 are reserved for this module. Every message travels in a
+:class:`Sealed` envelope (:mod:`repro.bftsmart.channel`), and the
+envelope's authenticated sender is the only name a receiver counts it
+under: no message names its own direct-hop sender. The three that name a
+principal — ``ClientRequest.client_id``, ``ReconfigRequest.admin`` and
+``TimeoutVote.replica`` — are relayed past the hop that authenticated
+them (inside a proposed batch or an ordered operation) and are signed or
+checked on their own.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ class ClientRequest:
 class Reply:
     """A replica's answer to one client request."""
 
-    replica: str
     client_id: str
     sequence: int
     result: bytes
@@ -71,7 +75,6 @@ class PushMessage:
     matching ``(stream, order, payload)`` tuples before delivery.
     """
 
-    replica: str
     client_id: str
     stream: str
     order: tuple
@@ -91,7 +94,6 @@ class Propose:
     batch — the mechanism that makes timestamps deterministic (§IV-C).
     """
 
-    sender: str
     cid: int
     epoch: int
     value: bytes
@@ -103,7 +105,6 @@ class Propose:
 class WriteMsg:
     """Echo of the proposal digest; 'write' phase of VP-Consensus."""
 
-    sender: str
     cid: int
     epoch: int
     value_digest: bytes
@@ -114,7 +115,6 @@ class WriteMsg:
 class AcceptMsg:
     """Commit vote; a quorum of these decides the instance."""
 
-    sender: str
     cid: int
     epoch: int
     value_digest: bytes
@@ -136,7 +136,6 @@ class RequestBatch:
 class Stop:
     """A replica's vote to abandon the current regency."""
 
-    sender: str
     regency: int
 
 
@@ -149,10 +148,10 @@ class StopData:
     entries, one per open slot of the consensus pipeline window: every
     proposal this replica sent a WRITE for but has not released, decided
     ones included (empty tuple when nothing is open). ``signature``
-    covers the serialized content (slow path).
+    covers the envelope sender's address and the serialized content
+    (slow path), and is verified under that sender's key.
     """
 
-    sender: str
     regency: int
     last_decided: int
     in_flight: tuple
@@ -170,7 +169,6 @@ class Sync:
     nothing was in flight; fresh proposing resumes above the window.
     """
 
-    sender: str
     regency: int
     proposals: tuple
 
@@ -190,7 +188,6 @@ class StateRequest:
     answer with a full snapshot instead.
     """
 
-    sender: str
     from_cid: int
     log_only: bool = False
 
@@ -213,7 +210,6 @@ class StateReply:
     comes from a correct replica that completed it.
     """
 
-    sender: str
     checkpoint_cid: int
     snapshot: bytes
     log: tuple
@@ -250,7 +246,9 @@ class Sealed:
     ``tags`` maps receiver address → HMAC over ``payload`` on the
     sender↔receiver channel. Multicast messages carry one tag per
     receiver (the PBFT authenticator construction); point-to-point
-    messages carry a single entry.
+    messages carry a single entry. ``sender`` *is* the inner message's
+    sender: the one identity a verified tag vouches for, and the one
+    every quorum counts the message under.
     """
 
     sender: str

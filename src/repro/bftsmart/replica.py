@@ -185,9 +185,12 @@ class ServiceReplica:
         self._install_epoch = 0
         self._last_executed_seq: dict[str, int] = {}
         self._dispatched_seq: dict[str, int] = {}
-        #: client id -> the last ordered reply this replica produced for
-        #: it: what a retransmission of an executed request gets back.
-        self.last_reply: dict[str, Reply] = {}
+        #: client id -> ``(cid, {sequence: reply})``: the ordered replies
+        #: of the last decided batch that carried requests of this client.
+        #: What a retransmission of an executed request gets back — of any
+        #: request that batch held, since a client may send several in one
+        #: envelope and lose the replies to an older one.
+        self.last_reply: dict[str, tuple] = {}
         self.executed_cid = -1
         #: decided-but-possibly-unexecuted log since the checkpoint:
         #: list of (cid, value_bytes, timestamp).
@@ -263,12 +266,13 @@ class ServiceReplica:
             if payload is None:
                 return
         # open() rejects (and counts) anything that is not a valid Sealed.
-        message = self.channel.open(payload)
-        if message is None:
+        opened = self.channel.open(payload)
+        if opened is None:
             return
+        message, sender = opened
         handler = self._dispatch_table.get(type(message))
         if handler is not None:
-            handler(self, message)
+            handler(self, message, sender)
 
     # ------------------------------------------------------------------
     # client requests
@@ -329,8 +333,9 @@ class ServiceReplica:
         if request.sequence <= last:
             # Retransmission of something already executed: resend reply.
             cached = self.last_reply.get(request.client_id)
-            if cached is not None and cached.sequence == request.sequence:
-                self._send_reply(request.reply_to, cached)
+            reply = cached[1].get(request.sequence) if cached is not None else None
+            if reply is not None:
+                self._send_reply(request.reply_to, reply)
             return False
         key = request.key()
         if key in self.pending:
@@ -352,7 +357,6 @@ class ServiceReplica:
         except Exception as exc:  # deterministic failure -> error reply
             result = encode(("error", str(exc)))
         reply = Reply(
-            replica=self.address,
             client_id=request.client_id,
             sequence=request.sequence,
             result=result,
@@ -524,7 +528,6 @@ class ServiceReplica:
                     )
                 )
         propose = Propose(
-            sender=self.address,
             cid=cid,
             epoch=self.regency,
             value=value,
@@ -539,7 +542,7 @@ class ServiceReplica:
         if occupancy > self.stats["pipeline_occupancy_peak"]:
             self.stats["pipeline_occupancy_peak"] = occupancy
         self.channel.broadcast(self.other_replicas(), propose)
-        self.on_propose(propose)
+        self.on_propose(propose, self.address)
 
     # ------------------------------------------------------------------
     # consensus: PROPOSE / WRITE / ACCEPT
@@ -557,7 +560,9 @@ class ServiceReplica:
 
     # -- tracing hooks (no-ops unless a SpanTracer is installed) --------
 
-    def _trace_open_instance(self, instance: Instance, batch, message: Propose) -> None:
+    def _trace_open_instance(
+        self, instance: Instance, batch, message: Propose, leader: str
+    ) -> None:
         tracer = self.sim.tracer
         if tracer is None or not tracer.enabled:
             return
@@ -574,7 +579,7 @@ class ServiceReplica:
             trace_ids=extra,
             cid=message.cid,
             epoch=message.epoch,
-            leader=message.sender,
+            leader=leader,
             batch=len(batch.requests) if batch is not None else 0,
         )
         write = tracer.begin(
@@ -638,7 +643,7 @@ class ServiceReplica:
         """
         return 3 * self.future_window
 
-    def _buffer_future(self, message) -> None:
+    def _buffer_future(self, message, sender: str) -> None:
         """Hold a message for a near-future slot.
 
         The gap is still reported to state transfer — the buffered
@@ -647,16 +652,16 @@ class ServiceReplica:
         missing while it chases a moving target).
         """
         self.state_transfer.notice_gap(message.cid)
-        self._hold_future(message)
+        self._hold_future(message, sender)
 
-    def _hold_future(self, message) -> None:
+    def _hold_future(self, message, sender: str) -> None:
         if message.cid > self.next_cid + self.future_window:
             return  # too far ahead to be worth holding
-        held = self.future_held.get(message.sender, 0)
+        held = self.future_held.get(sender, 0)
         if held >= self.future_share:
             return
-        self.future_held[message.sender] = held + 1
-        self._future_buffer.setdefault(message.cid, []).append(message)
+        self.future_held[sender] = held + 1
+        self._future_buffer.setdefault(message.cid, []).append((message, sender))
         # Keep the buffer from accumulating stale entries.
         self._drop_stale_future()
 
@@ -664,12 +669,12 @@ class ServiceReplica:
         for cid in [c for c in self._future_buffer if c < self.next_cid]:
             self._unhold(self._future_buffer.pop(cid))
 
-    def _unhold(self, messages: list) -> None:
+    def _unhold(self, entries: list) -> None:
         held = self.future_held
-        for message in messages:
-            held[message.sender] -= 1
+        for _message, sender in entries:
+            held[sender] -= 1
 
-    def _hold_epoch_ahead(self, message) -> None:
+    def _hold_epoch_ahead(self, message, sender: str) -> None:
         """Hold a consensus message of a regency ahead of ours while a
         transfer runs.
 
@@ -684,9 +689,9 @@ class ServiceReplica:
             message.epoch > self.regency
             and self.state_transfer.in_progress
             and not self._draining_future
-            and self.view.contains(message.sender)
+            and self.view.contains(sender)
         ):
-            self._hold_future(message)
+            self._hold_future(message, sender)
 
     def _drain_future(self) -> None:
         """Replay buffered messages that moved inside the pipeline window."""
@@ -705,23 +710,21 @@ class ServiceReplica:
                     if batch is None:
                         continue
                     self._unhold(batch)
-                    for message in batch:
-                        handler = self._dispatch_table.get(type(message))
-                        if handler is not None:
-                            handler(self, message)
+                    for message, sender in batch:
+                        self._dispatch_table[type(message)](self, message, sender)
         finally:
             self._draining_future = False
 
-    def on_propose(self, message: Propose, from_sync: bool = False) -> None:
+    def on_propose(self, message: Propose, sender: str) -> None:
         if message.cid < self.next_cid:
             return  # old slot, already decided
         if message.cid >= self.next_cid + self.config.pipeline_depth:
-            self._buffer_future(message)
+            self._buffer_future(message, sender)
             return
         if message.epoch != self.regency:
-            self._hold_epoch_ahead(message)
+            self._hold_epoch_ahead(message, sender)
             return
-        if not from_sync and message.sender != self.leader:
+        if sender != self.leader:
             return
         instance = self._instance(message.cid, message.epoch)
         if instance.decided:
@@ -742,13 +745,12 @@ class ServiceReplica:
                 # Malformed or forged batch: suspect the leader.
                 self.synchronizer.suspect()
                 return
-            self._trace_open_instance(instance, batch, message)
+            self._trace_open_instance(instance, batch, message, sender)
         value_digest = instance.set_proposal(
             message.value, message.timestamp, batch=batch
         )
         instance.write_sent = True
         write = WriteMsg(
-            sender=self.address,
             cid=message.cid,
             epoch=message.epoch,
             value_digest=value_digest,
@@ -757,23 +759,23 @@ class ServiceReplica:
         instance.add_write(self.address, value_digest)
         self._advance_instance(instance)
 
-    def _on_vote(self, message: WriteMsg | AcceptMsg) -> None:
+    def _on_vote(self, message: WriteMsg | AcceptMsg, sender: str) -> None:
         """A member's WRITE or ACCEPT for a slot inside the window."""
         if message.cid < self.next_cid:
             return
         if message.epoch != self.regency:
-            self._hold_epoch_ahead(message)
+            self._hold_epoch_ahead(message, sender)
             return
         if message.cid >= self.next_cid + self.config.pipeline_depth:
-            self._buffer_future(message)
+            self._buffer_future(message, sender)
             return
-        if not self.view.contains(message.sender):
+        if not self.view.contains(sender):
             return
         instance = self._instance(message.cid, message.epoch)
         if type(message) is WriteMsg:
-            instance.add_write(message.sender, message.value_digest)
+            instance.add_write(sender, message.value_digest)
         else:
-            instance.add_accept(message.sender, message.value_digest)
+            instance.add_accept(sender, message.value_digest)
         self._advance_instance(instance)
 
     def _advance_instance(self, instance: Instance) -> None:
@@ -793,7 +795,6 @@ class ServiceReplica:
                     process=self.address,
                 )
             accept = AcceptMsg(
-                sender=self.address,
                 cid=instance.cid,
                 epoch=instance.epoch,
                 value_digest=instance.proposal_digest,
@@ -1035,14 +1036,16 @@ class ServiceReplica:
         self._last_executed_seq[request.client_id] = request.sequence
         self.stats["executed"] += 1
         reply = Reply(
-            replica=self.address,
             client_id=request.client_id,
             sequence=request.sequence,
             result=result,
             view_id=self.view.view_id,
             regency=self.regency,
         )
-        self.last_reply[request.client_id] = reply
+        cached = self.last_reply.get(request.client_id)
+        if cached is None or cached[0] != cid:
+            cached = self.last_reply[request.client_id] = (cid, {})
+        cached[1][request.sequence] = reply
         self.stats["replies"] += 1
         if self.active:
             self._send_reply(request.reply_to, reply)
@@ -1157,7 +1160,6 @@ class ServiceReplica:
             if payload is None:
                 return
         message = PushMessage(
-            replica=self.address,
             client_id=client_id,
             stream=stream,
             order=order,
@@ -1220,15 +1222,18 @@ class ServiceReplica:
     # dispatch table
     # ------------------------------------------------------------------
 
+    #: type -> handler(replica, message, envelope sender). A request
+    #: names its client in its own signed ``client_id`` (it is relayed
+    #: inside proposals), so request handlers ignore the envelope.
     _dispatch_table = {
-        ClientRequest: _on_client_request,
-        RequestBatch: _on_request_envelope,
+        ClientRequest: lambda self, m, _sender: self._on_client_request(m),
+        RequestBatch: lambda self, m, _sender: self._on_request_envelope(m),
         Propose: on_propose,
         WriteMsg: _on_vote,
         AcceptMsg: _on_vote,
-        Stop: lambda self, m: self.synchronizer.on_stop(m),
-        StopData: lambda self, m: self.synchronizer.on_stop_data(m),
-        Sync: lambda self, m: self.synchronizer.on_sync(m),
-        StateRequest: lambda self, m: self.state_transfer.on_request(m),
-        StateReply: lambda self, m: self.state_transfer.on_reply(m),
+        Stop: lambda self, m, s: self.synchronizer.on_stop(m, s),
+        StopData: lambda self, m, s: self.synchronizer.on_stop_data(m, s),
+        Sync: lambda self, m, s: self.synchronizer.on_sync(m, s),
+        StateRequest: lambda self, m, s: self.state_transfer.on_request(m, s),
+        StateReply: lambda self, m, s: self.state_transfer.on_reply(m, s),
     }

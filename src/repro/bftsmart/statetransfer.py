@@ -77,7 +77,6 @@ class StateTransfer:
         self._last_request_at = replica.sim.now
         self._replies.clear()
         request = StateRequest(
-            sender=replica.address,
             from_cid=replica.next_cid if from_cid is None else from_cid,
             # Holding any decided prefix makes the log-tail fetch valid;
             # peers fall back to full replies when they can't serve it.
@@ -147,7 +146,7 @@ class StateTransfer:
 
     # -- serving -------------------------------------------------------------
 
-    def on_request(self, message: StateRequest) -> None:
+    def on_request(self, message: StateRequest, sender: str) -> None:
         replica = self.replica
         if message.log_only and replica.checkpoint_cid < message.from_cid:
             # Our decided log still covers the requested suffix: serve it
@@ -155,7 +154,6 @@ class StateTransfer:
             # checkpoint_cid + 1, so checkpoint_cid < from_cid guarantees
             # every entry >= from_cid is present.)
             reply = StateReply(
-                sender=replica.address,
                 checkpoint_cid=message.from_cid - 1,
                 snapshot=b"",
                 log=tuple(
@@ -170,7 +168,6 @@ class StateTransfer:
             self.partial_served += 1
         else:
             reply = StateReply(
-                sender=replica.address,
                 checkpoint_cid=replica.checkpoint_cid,
                 snapshot=replica.checkpoint_snapshot,
                 log=tuple(replica.decision_log),
@@ -178,15 +175,15 @@ class StateTransfer:
                 regency=replica.synchronizer.synced_regency,
             )
             self.full_served += 1
-        replica.channel.send(message.sender, reply)
+        replica.channel.send(sender, reply)
 
     # -- receiving -------------------------------------------------------------
 
-    def on_reply(self, message: StateReply) -> None:
+    def on_reply(self, message: StateReply, sender: str) -> None:
         replica = self.replica
         if not self.in_progress:
             return
-        if not replica.view.contains(message.sender):
+        if not replica.view.contains(sender):
             return
         # A reply's match key is computed once, when it is stored: only
         # the new reply's group can have reached the quorum just now.
@@ -202,7 +199,7 @@ class StateTransfer:
                 )
             )
         )
-        self._replies[message.sender] = (key, message)
+        self._replies[sender] = (key, message)
         matching = [reply for k, reply in self._replies.values() if k == key]
         if len(matching) >= replica.view.weak_quorum:
             self._install(matching[0])

@@ -135,18 +135,22 @@ class ReplyAgreementMonitor(InvariantMonitor):
 
     def poll(self, ctx) -> None:
         for replica in ctx.honest_live_replicas():
-            for client_id, reply in replica.last_reply.items():
-                key = (client_id, reply.sequence)
-                fingerprint = digest(reply.result)
-                seen = self._replies.get(key)
-                if seen is None:
-                    self._replies[key] = fingerprint
-                elif seen != fingerprint:
-                    ctx.record_violation(
-                        self.name,
-                        f"replica {replica.address} replied divergently to "
-                        f"client {client_id} sequence {reply.sequence}",
-                    )
+            for client_id, (_cid, replies) in replica.last_reply.items():
+                for reply in replies.values():
+                    self._check(ctx, replica, client_id, reply)
+
+    def _check(self, ctx, replica, client_id: str, reply) -> None:
+        key = (client_id, reply.sequence)
+        fingerprint = digest(reply.result)
+        seen = self._replies.get(key)
+        if seen is None:
+            self._replies[key] = fingerprint
+        elif seen != fingerprint:
+            ctx.record_violation(
+                self.name,
+                f"replica {replica.address} replied divergently to "
+                f"client {client_id} sequence {reply.sequence}",
+            )
 
 
 class HmiTruthMonitor(InvariantMonitor):

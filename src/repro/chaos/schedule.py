@@ -49,7 +49,9 @@ class Falsifying(Behaviour):
     This is the attack the paper's f+1 push voting exists to stop: a
     compromised Master replica shows the operator a false view of the
     field. The forgery is deterministic (value + ``FALSIFY_OFFSET``), so
-    two colluding falsifiers produce byte-identical forgeries — with
+    two colluding falsifiers produce byte-identical forgeries. A
+    falsifier is one vote however many copies it sends, since the voter
+    counts each push under the sender of its authenticated envelope: with
     ``f=1`` a single falsifier never reaches the f+1 vote and the HMI is
     safe, while two of them (over budget) out-vote the honest replicas.
     It lives here, not beside the protocol-level behaviours in

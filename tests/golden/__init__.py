@@ -109,6 +109,38 @@ never moved, and no verdict, detection, heal action or eviction did:
    the ``transfer`` ``crash-restart-{corrupt,wiped}`` fingerprints moved,
    the corrupt victim recovers ``[5, 3, True]`` (checkpoint 5, three
    verified records, damaged tail cut) and both install 1970 bytes.
+
+The change that makes the authenticated envelope the only place a
+message names its sender re-recorded, one edit at a time, exactly these
+entries. No verdict, detection, score, heal action, eviction or
+transfer counter moved at any step:
+
+1. ``SecureChannel.open`` returns ``(message, envelope sender)`` and
+   rejects a message whose own sender field disagrees with its envelope,
+   and every handler counts the envelope sender: nothing moved (every
+   entry here and every count in ``tests/test_hot_path_counts.py``
+   stayed byte-identical), since an honest replica always names itself.
+2. The ten self-declared sender fields are deleted (``Reply.replica``,
+   ``PushMessage.replica`` and ``sender`` of ``Propose``, ``WriteMsg``,
+   ``AcceptMsg``, ``Stop``, ``StopData``, ``Sync``, ``StateRequest``,
+   ``StateReply``): those ten ``encodings`` rows. The frames shrink by
+   about 11 bytes, which moves delivery times under the LAN latency
+   model: the ``campaign`` fingerprint and trace digest; the schedule
+   digests of ``schedules.bft`` and of the four ``behaviours.bare_group``
+   runs (same events, decided streams and values); ``schedules.scada``
+   (schedule digest, final clock 1.2099304691950135 →
+   1.2099297651950136, and the state digests, which hold the leader's
+   timestamps); the fingerprints of ``schedules.ids_campaign``, the five
+   ``behaviours.ids_drills``, the ``deployment`` campaigns
+   ``crash-restart-torn``, ``heal-evict-falsifying``,
+   ``rejuvenation-under-fire`` and ``shard-leader-kills``, and the four
+   ``transfer`` campaigns; ``transfer.leader_crash`` (schedule digest,
+   final clock 3.563954497801297 → 3.5639465778012975, same events).
+   ``counter_trace_sha256`` (constant latency), ``bft_micro``,
+   ``deployment.split`` and ``behaviours.heal_drills`` did not move.
+3. A replica answers a retransmission from the replies of the client's
+   last executed batch, and the push voter indexes its candidates by
+   slot and caps each member's undelivered votes: nothing moved.
 """
 
 import json

@@ -254,7 +254,6 @@ def test_forging_replica_pushes_are_outvoted():
                     item_id=inner.item_id, value=DataValue(666_666)
                 )
                 return PushMessage(
-                    replica=payload.replica,
                     client_id=payload.client_id,
                     stream=payload.stream,
                     order=payload.order,

@@ -51,7 +51,8 @@ SEALER = SecureChannel(NET.endpoint("sealer"), KEYSTORE)
 
 
 def reference_open(channel: SecureChannel, sealed):
-    """Memo-free open: recompute the tag with ``hmac.new``, decode afresh."""
+    """Memo-free open: recompute the tag with ``hmac.new``, decode afresh;
+    ``(message, envelope sender)`` or ``None``."""
     if not isinstance(sealed, Sealed):
         return None
     tag = sealed.tags.get(channel.address)
@@ -62,7 +63,7 @@ def reference_open(channel: SecureChannel, sealed):
     if not hmac.compare_digest(expected, tag):
         return None
     try:
-        return decode(sealed.payload)
+        return decode(sealed.payload), sealed.sender
     except DecodeError:
         return None
 
@@ -162,7 +163,7 @@ def test_open_agrees_with_hmac_and_a_fresh_decode(
     assert opened == expected
     assert channel.rejected - rejected == (expected is None)
     if case == "intact":
-        assert opened is message  # served from the record, not decoded
+        assert opened[0] is message  # served from the record, not decoded
 
 
 REQUEST_CASES = (

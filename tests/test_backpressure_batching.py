@@ -337,8 +337,10 @@ DEPTH_ONE_RATE = 944.0
 #: Measured at DEPTH_ONE_RATE, per seed: (proposing decisions let through
 #: past one queued batch, holds). Proposing on arrival, over four of the
 #: first for every hold; with the former 50 us batch window it was over
-#: five (4,176 : 565 on seed 1).
-DEPTH_ONE_COUNTS = {1: (2052, 495), 2: (2038, 475)}
+#: five (4,176 : 565 on seed 1). Seed 1 read (2052, 495) until the
+#: protocol messages stopped naming their own sender: the smaller frames
+#: shift arrival times by nanoseconds.
+DEPTH_ONE_COUNTS = {1: (2050, 493), 2: (2038, 475)}
 
 
 @pytest.mark.parametrize("seed", [1, 2])

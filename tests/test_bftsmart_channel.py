@@ -26,17 +26,17 @@ def make_channels(names=("a", "b"), secrets=None):
 
 def test_seal_and_open_roundtrip():
     sim, channels, inboxes = make_channels()
-    message = Stop(sender="a", regency=3)
+    message = Stop(regency=3)
     channels["a"].send("b", message)
     sim.run()
     sealed = inboxes["b"][0]
     assert isinstance(sealed, Sealed)
-    assert channels["b"].open(sealed) == message
+    assert channels["b"].open(sealed) == (message, "a")
 
 
 def test_open_rejects_wrong_key():
     sim, channels, inboxes = make_channels(secrets={"b": b"different"})
-    channels["a"].send("b", Stop(sender="a", regency=1))
+    channels["a"].send("b", Stop(regency=1))
     sim.run()
     assert channels["b"].open(inboxes["b"][0]) is None
     assert channels["b"].rejected == 1
@@ -44,13 +44,13 @@ def test_open_rejects_wrong_key():
 
 def test_open_rejects_missing_tag():
     sim, channels, _ = make_channels()
-    sealed = channels["a"].seal(Stop(sender="a", regency=1), receivers=["c"])
+    sealed = channels["a"].seal(Stop(regency=1), receivers=["c"])
     assert channels["b"].open(sealed) is None
 
 
 def test_open_rejects_tampered_payload():
     sim, channels, _ = make_channels()
-    sealed = channels["a"].seal(Stop(sender="a", regency=1), receivers=["b"])
+    sealed = channels["a"].seal(Stop(regency=1), receivers=["b"])
     tampered = Sealed(
         sender=sealed.sender, payload=sealed.payload + b"x", tags=sealed.tags
     )
@@ -73,19 +73,19 @@ def test_open_rejects_non_sealed():
 
 def test_broadcast_uses_one_mac_vector():
     sim, channels, inboxes = make_channels(("a", "b", "c"))
-    channels["a"].broadcast(["b", "c"], Stop(sender="a", regency=2))
+    channels["a"].broadcast(["b", "c"], Stop(regency=2))
     sim.run()
     sealed_b = inboxes["b"][0]
     sealed_c = inboxes["c"][0]
     assert sealed_b == sealed_c  # same envelope, per-receiver tags inside
     assert set(sealed_b.tags) == {"b", "c"}
-    assert channels["b"].open(sealed_b) == Stop(sender="a", regency=2)
-    assert channels["c"].open(sealed_c) == Stop(sender="a", regency=2)
+    assert channels["b"].open(sealed_b) == (Stop(regency=2), "a")
+    assert channels["c"].open(sealed_c) == (Stop(regency=2), "a")
 
 
 def test_broadcast_skips_self_by_default():
     sim, channels, inboxes = make_channels(("a", "b"))
-    channels["a"].broadcast(["a", "b"], Stop(sender="a", regency=1))
+    channels["a"].broadcast(["a", "b"], Stop(regency=1))
     sim.run()
     assert inboxes["a"] == []
     assert len(inboxes["b"]) == 1
@@ -94,7 +94,7 @@ def test_broadcast_skips_self_by_default():
 def test_replayed_envelope_to_wrong_receiver_fails():
     """A tag made for b does not verify at c (no cross-channel replay)."""
     sim, channels, _ = make_channels(("a", "b", "c"))
-    sealed = channels["a"].seal(Stop(sender="a", regency=1), receivers=["b"])
+    sealed = channels["a"].seal(Stop(regency=1), receivers=["b"])
     forged = Sealed(sender="a", payload=sealed.payload, tags={"c": sealed.tags["b"]})
     assert channels["c"].open(forged) is None
 
@@ -107,7 +107,7 @@ def test_sealed_wire_size_matches_real_encoding():
 
     sim, channels, _ = make_channels(("a", "b", "c", "d"))
     messages = [
-        Stop(sender="a", regency=1),
+        Stop(regency=1),
         ClientRequest(
             client_id="a", sequence=9, operation=bytes(300), reply_to="a"
         ),
@@ -123,10 +123,11 @@ def test_decode_share_open_returns_equal_message_without_reencoding():
     from repro.perf import clear_hot_path_caches
 
     sim, channels, _ = make_channels(("a", "b"))
-    message = Stop(sender="a", regency=4)
+    message = Stop(regency=4)
     clear_hot_path_caches()
     sealed = channels["a"].seal(message, receivers=["b"])
-    opened = channels["b"].open(sealed)
+    opened, sender = channels["b"].open(sealed)
+    assert sender == "a"
     assert opened == message
     # Seeded at seal time: no decode happened on the open path.
     assert opened is message

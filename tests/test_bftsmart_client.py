@@ -40,47 +40,47 @@ def make_voter():
 
 
 def push(replica, order=(1, 0, 1), payload=b"data", stream="s"):
-    return PushMessage(
-        replica=replica, client_id="c", stream=stream, order=order, payload=payload
-    )
+    """``on_push`` arguments: the message and its envelope sender."""
+    message = PushMessage(client_id="c", stream=stream, order=order, payload=payload)
+    return message, replica
 
 
 def test_voter_delivers_at_f_plus_1():
     voter, delivered = make_voter()
-    voter.on_push(push("r0"))
+    voter.on_push(*push("r0"))
     assert delivered == []
-    voter.on_push(push("r1"))
+    voter.on_push(*push("r1"))
     assert delivered == [((1, 0, 1), b"data")]
 
 
 def test_voter_delivers_exactly_once():
     voter, delivered = make_voter()
     for replica in ("r0", "r1", "r2", "r3"):
-        voter.on_push(push(replica))
+        voter.on_push(*push(replica))
     assert len(delivered) == 1
 
 
 def test_voter_same_replica_cannot_vote_twice():
     voter, delivered = make_voter()
-    voter.on_push(push("r0"))
-    voter.on_push(push("r0"))
-    voter.on_push(push("r0"))
+    voter.on_push(*push("r0"))
+    voter.on_push(*push("r0"))
+    voter.on_push(*push("r0"))
     assert delivered == []
 
 
 def test_voter_mismatched_payloads_do_not_combine():
     voter, delivered = make_voter()
-    voter.on_push(push("r0", payload=b"genuine"))
-    voter.on_push(push("r1", payload=b"forged!"))
+    voter.on_push(*push("r0", payload=b"genuine"))
+    voter.on_push(*push("r1", payload=b"forged!"))
     assert delivered == []
-    voter.on_push(push("r2", payload=b"genuine"))
+    voter.on_push(*push("r2", payload=b"genuine"))
     assert delivered == [((1, 0, 1), b"genuine")]
 
 
 def test_voter_ignores_non_members():
     voter, delivered = make_voter()
-    voter.on_push(push("intruder-1"))
-    voter.on_push(push("intruder-2"))
+    voter.on_push(*push("intruder-1"))
+    voter.on_push(*push("intruder-2"))
     assert delivered == []
 
 
@@ -88,27 +88,59 @@ def test_voter_streams_are_independent():
     voter, delivered = make_voter()
     other = []
     voter.set_handler("other", lambda order, payload: other.append(order))
-    voter.on_push(push("r0", stream="other"))
-    voter.on_push(push("r1", stream="other"))
+    voter.on_push(*push("r0", stream="other"))
+    voter.on_push(*push("r1", stream="other"))
     assert other == [(1, 0, 1)]
     assert delivered == []
 
 
 def test_voter_orders_are_independent():
     voter, delivered = make_voter()
-    voter.on_push(push("r0", order=(1, 0, 1)))
-    voter.on_push(push("r1", order=(2, 0, 1)))
+    voter.on_push(*push("r0", order=(1, 0, 1)))
+    voter.on_push(*push("r1", order=(2, 0, 1)))
     assert delivered == []
-    voter.on_push(push("r1", order=(1, 0, 1)))
-    voter.on_push(push("r0", order=(2, 0, 1)))
+    voter.on_push(*push("r1", order=(1, 0, 1)))
+    voter.on_push(*push("r0", order=(2, 0, 1)))
     assert [order for order, _p in delivered] == [(1, 0, 1), (2, 0, 1)]
 
 
 def test_voter_stream_without_handler_counts_delivery():
     voter, _delivered = make_voter()
-    voter.on_push(push("r0", stream="unclaimed"))
-    voter.on_push(push("r1", stream="unclaimed"))
+    voter.on_push(*push("r0", stream="unclaimed"))
+    voter.on_push(*push("r1", stream="unclaimed"))
     assert voter.delivered_count == 1
+
+
+def test_voter_tables_stay_bounded_under_a_flood_of_unmatched_orders():
+    # One member pushes more distinct orders than DEDUP_LIMIT that nobody
+    # else confirms: it only ages out its own oldest votes, and honest
+    # pushes still deliver, in order.
+    voter, delivered = make_voter()
+    limit = PushVoter.DEDUP_LIMIT
+    for order in range(limit + 100):
+        voter.on_push(*push("r3", order=(0, order), payload=b"made up"))
+    assert len(voter._open["r3"]) == limit
+    assert len(voter._candidates) == limit
+    assert (0, 0) not in {order for _stream, order in voter._candidates}
+    for order in range(1, 4):
+        voter.on_push(*push("r0", order=(1, order)))
+        voter.on_push(*push("r1", order=(1, order)))
+    assert [order for order, _p in delivered] == [(1, 1), (1, 2), (1, 3)]
+    assert len(voter._candidates) == limit
+    assert not voter._open["r0"] and not voter._open["r1"]
+
+
+def test_voter_delivery_drops_competing_candidates_and_names_their_voters():
+    voter, delivered = make_voter()
+    deviants = []
+    voter.on_deviant = lambda stream, order, replica: deviants.append(replica)
+    voter.on_push(*push("r3", payload=b"forged!"))
+    voter.on_push(*push("r0"))
+    voter.on_push(*push("r1"))
+    assert delivered == [((1, 0, 1), b"data")]
+    assert deviants == ["r3"]
+    assert voter._candidates == {}
+    assert not any(voter._open.values())
 
 
 # -- proxy behaviour over the network ---------------------------------------------
@@ -173,7 +205,6 @@ def test_replies_from_outside_view_ignored():
         forger.send(
             "client-1",
             Reply(
-                replica="forger",
                 client_id="client-1",
                 sequence=0,
                 result=b"bogus",

@@ -61,7 +61,7 @@ def test_single_stop_does_not_change_leader():
     until f+1 votes exist."""
     sim, _net, replicas, _proxy = make_world()
     byzantine = replicas[3]
-    stop = Stop(sender=byzantine.address, regency=1)
+    stop = Stop(regency=1)
     byzantine.channel.broadcast(byzantine.other_replicas(), stop)
     sim.run(until=sim.now + 3)
     assert all(r.synchronizer.regency == 0 for r in replicas[:3])
@@ -76,7 +76,7 @@ def test_stop_from_non_member_ignored():
     outsider = SecureChannel(outsider_endpoint, keystore)
     for _ in range(5):
         outsider.broadcast(
-            [r.address for r in replicas], Stop(sender="outsider", regency=1)
+            [r.address for r in replicas], Stop(regency=1)
         )
     sim.run(until=sim.now + 2)
     assert all(r.synchronizer.regency == 0 for r in replicas)

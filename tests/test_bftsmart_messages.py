@@ -31,33 +31,30 @@ SAMPLES = [
         unordered=False,
         mac=b"tag",
     ),
-    Reply(replica="r0", client_id="c1", sequence=7, result=b"ok", view_id=0, regency=2),
-    PushMessage(replica="r0", client_id="c1", stream="scada", order=(3, 0, 1), payload=b"x"),
-    Propose(sender="r0", cid=5, epoch=1, value=b"batch", timestamp=2.5),
-    WriteMsg(sender="r1", cid=5, epoch=1, value_digest=b"d" * 20),
-    AcceptMsg(sender="r2", cid=5, epoch=1, value_digest=b"d" * 20),
-    Stop(sender="r3", regency=4),
+    Reply(client_id="c1", sequence=7, result=b"ok", view_id=0, regency=2),
+    PushMessage(client_id="c1", stream="scada", order=(3, 0, 1), payload=b"x"),
+    Propose(cid=5, epoch=1, value=b"batch", timestamp=2.5),
+    WriteMsg(cid=5, epoch=1, value_digest=b"d" * 20),
+    AcceptMsg(cid=5, epoch=1, value_digest=b"d" * 20),
+    Stop(regency=4),
     StopData(
-        sender="r3",
         regency=4,
         last_decided=9,
         in_flight=((10, 1, b"v", 1.0), (11, 1, b"w", 1.2)),
         signature=b"s",
     ),
-    StopData(sender="r3", regency=4, last_decided=9, in_flight=(), signature=b"s"),
-    Sync(sender="r1", regency=4, proposals=((10, b"v", 1.0), (11, b"", 3.0))),
-    Sync(sender="r1", regency=4, proposals=()),
-    StateRequest(sender="r3", from_cid=11),
-    StateRequest(sender="r3", from_cid=11, log_only=True),
+    StopData(regency=4, last_decided=9, in_flight=(), signature=b"s"),
+    Sync(regency=4, proposals=((10, b"v", 1.0), (11, b"", 3.0))),
+    Sync(regency=4, proposals=()),
+    StateRequest(from_cid=11),
+    StateRequest(from_cid=11, log_only=True),
     StateReply(
-        sender="r0",
         checkpoint_cid=9,
         snapshot=b"snap",
         log=((10, b"v", 1.0),),
         view=View(0, ("r0", "r1", "r2", "r3"), 1),
     ),
     StateReply(
-        sender="r0",
         checkpoint_cid=10,
         snapshot=b"",
         log=((11, b"v", 1.5),),

@@ -333,12 +333,12 @@ def test_single_state_reply_claiming_a_higher_regency_is_not_adopted():
     genuine = transfer.on_reply
     forged = []
 
-    def on_reply(message):
-        if message.sender == "replica-0":
+    def on_reply(message, sender):
+        if sender == "replica-0":
             # The Byzantine peer's own reply, authenticated but lying.
             message = dataclasses.replace(message, regency=7)
             forged.append(message)
-        genuine(message)
+        genuine(message, sender)
 
     transfer.on_reply = on_reply
     transfer.notice_gap(straggler.next_cid + 1)
@@ -368,7 +368,6 @@ def test_flood_of_epoch_ahead_votes_stays_within_its_bound():
             replicas[0].channel.send(
                 straggler.address,
                 WriteMsg(
-                    sender="replica-0",
                     cid=head + offset,
                     epoch=5 + round_,
                     value_digest=bytes([offset % 256]) * 32,
@@ -376,7 +375,7 @@ def test_flood_of_epoch_ahead_votes_stays_within_its_bound():
             )
     replicas[1].channel.send(
         straggler.address,
-        WriteMsg(sender="replica-1", cid=head, epoch=5, value_digest=b"\x01" * 32),
+        WriteMsg(cid=head, epoch=5, value_digest=b"\x01" * 32),
     )
     sim.run(until=sim.now + 0.002)
     assert straggler.future_held["replica-0"] == share

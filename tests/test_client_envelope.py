@@ -62,10 +62,10 @@ def test_a_request_whose_replies_were_lost_is_retransmitted_alone(monkeypatch):
     monkeypatch.setattr(proxy.channel, "multicast", recording)
     on_reply = proxy._on_reply
 
-    def lossy(reply):
+    def lossy(reply, sender):
         if reply.sequence == 1 and sim.now < 0.2:
             return  # the first round of replies to the second request is lost
-        on_reply(reply)
+        on_reply(reply, sender)
 
     monkeypatch.setattr(proxy, "_on_reply", lossy)
     events = proxy.invoke_ordered_together([ADD, ADD])
@@ -75,6 +75,34 @@ def test_a_request_whose_replies_were_lost_is_retransmitted_alone(monkeypatch):
     assert [type(message) for message in sent] == [RequestBatch, ClientRequest]
     assert sent[1].sequence == 1
     assert proxy.stats["retransmissions"] == 1
+    for replica in replicas:
+        assert replica.stats["executed"] == 2
+        assert replica.service.value == 2
+
+
+def test_an_older_request_whose_replies_were_lost_is_answered_from_the_cache(
+    monkeypatch,
+):
+    # Both requests execute in one batch; every reply to the older one is
+    # lost. Its retransmission reaches replicas that executed the newer
+    # one since, and each answers from the replies of the client's last
+    # executed batch instead of re-executing it or staying silent.
+    sim, replicas, proxy = _group()
+    on_reply = proxy._on_reply
+
+    def lossy(reply, sender):
+        if reply.sequence == 0 and sim.now < 0.2:
+            return  # the first round of replies to the first request is lost
+        on_reply(reply, sender)
+
+    monkeypatch.setattr(proxy, "_on_reply", lossy)
+    events = proxy.invoke_ordered_together([ADD, ADD])
+    sim.run(until=2.0)
+
+    assert all(event.triggered for event in events)
+    assert [decode(event.value) for event in events] == [1, 2]
+    assert proxy.stats["retransmissions"] == 1
+    assert proxy.stats["failures"] == 0
     for replica in replicas:
         assert replica.stats["executed"] == 2
         assert replica.service.value == 2
