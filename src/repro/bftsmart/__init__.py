@@ -8,7 +8,14 @@ server→client pushes (the feature that accommodates SCADA's event-driven
 communication pattern, §VI).
 """
 
-from repro.bftsmart.byzantine import Behaviour, Equivocating, Lying, Silent, Stuttering
+from repro.bftsmart.byzantine import (
+    Behaviour,
+    Equivocating,
+    Lying,
+    Silent,
+    Slow,
+    Stuttering,
+)
 from repro.bftsmart.client import PushVoter, ServiceProxy
 from repro.bftsmart.cluster import build_group, build_proxy
 from repro.bftsmart.config import GroupConfig, replica_address
@@ -64,6 +71,7 @@ __all__ = [
     "ServiceProxy",
     "ServiceReplica",
     "Silent",
+    "Slow",
     "StateReply",
     "StateRequest",
     "Stop",

@@ -86,6 +86,31 @@ class Equivocating(Behaviour):
         return None
 
 
+class Slow(Behaviour):
+    """A leader that proposes every batch just under ``request_timeout``
+    late: no request ever ages past the timeout on its account, yet every
+    operation waits most of a second (the performance attack Prime and
+    Aardvark bound). Each batch keeps the slot an honest leader would
+    have given it, and is dropped if the leadership moved meanwhile (the
+    new regency re-pools its requests).
+    """
+
+    #: Share of ``request_timeout`` each PROPOSE is held back.
+    delay_share = 0.9
+
+    def on_propose(self, replica, batch: list):
+        cid = max(replica.next_propose_cid, replica.next_cid)
+        replica.next_propose_cid = cid + 1
+        regency = replica.regency
+
+        def release() -> None:
+            if replica.active and replica.regency == regency and replica.is_leader:
+                replica._propose(batch, cid)
+
+        replica.sim.defer(self.delay_share * replica.config.request_timeout, release)
+        return None
+
+
 class Stuttering(Behaviour):
     """Participates in agreement but never sends replies or pushes.
 

@@ -1,12 +1,15 @@
 """The synchronization phase: Mod-SMaRt's leader change.
 
-When a replica's pending requests age past the request timeout, it votes
-STOP for the next regency. ``f+1`` STOPs make other replicas join (a
-correct replica is suspicious, so everyone should be); ``2f+1`` STOPs
-install the new regency. Every replica then sends a signed STOP-DATA to
-the new leader describing its last decision and every in-flight proposal
-it echoed (with consensus pipelining there can be up to
-``pipeline_depth`` of them); the leader collects ``n-f`` of them,
+When a replica suspects the leader — a batch that fails validation, a
+request left unproposed past the follower's patience after it was
+forwarded, or a proposal undecided past the request timeout (see
+``ServiceReplica._watch_silence``) — it votes STOP for the next regency.
+``f+1`` STOPs make other replicas join (a correct replica is suspicious,
+so everyone should be); ``2f+1`` STOPs install the new regency. Every
+replica then sends a signed STOP-DATA to the new leader describing its
+last decision and every in-flight proposal it echoed (with consensus
+pipelining there can be up to ``pipeline_depth`` of them); the leader
+collects ``n-f`` of them,
 resolves per slot what value (if any) must be recovered for the open
 consensus window, and broadcasts SYNC carrying the whole recovered
 window. On SYNC, replicas re-propose the recovered slots in cid order
@@ -64,8 +67,20 @@ class Synchronizer:
 
     # -- suspicion -------------------------------------------------------------
 
-    def suspect(self) -> None:
+    @property
+    def vote_outstanding(self) -> bool:
+        """Has this replica voted STOP for a regency not yet installed?"""
+        return self._highest_vote > self.regency
+
+    def suspect(self, cause: str) -> None:
         """Vote to replace the current leader (idempotent per regency).
+
+        ``cause`` says why, on the ``sync.suspect`` trace point:
+        ``invalid`` (the leader proposed a batch that failed validation),
+        ``stalled`` (a proposal stayed undecided past ``request_timeout``)
+        or ``silent`` (the leader proposed nothing past the follower's
+        patience, or never sent a new regency's SYNC). An f+1 join is
+        ``joined``.
 
         Called repeatedly by the watchdog while requests stay stale. If we
         already voted for a regency that has not installed, the vote is
@@ -74,30 +89,31 @@ class Synchronizer:
         """
         target = self.regency + 1
         if target <= self._highest_vote:
-            if self._highest_vote > self.regency:
+            if self.vote_outstanding:
                 replica = self.replica
                 stop = Stop(regency=self._highest_vote)
                 replica.channel.broadcast(replica.other_replicas(), stop)
             return
-        self._vote_stop(target)
+        self._vote_stop(target, cause)
 
-    def _vote_stop(self, target: int) -> None:
+    def _vote_stop(self, target: int, cause: str) -> None:
         if target <= self._highest_vote or target <= self.regency:
             return
         self._highest_vote = target
         replica = self.replica
         tracer = replica.sim.tracer
         if tracer is not None and tracer.enabled:
-            # A bump-in-the-wire observer sees each first STOP vote; the
-            # intrusion detector counts distinct suspecters per leader
-            # (a suspicion burst against a live leader is the
-            # equivocation signature).
+            # A bump-in-the-wire observer sees each first STOP vote and
+            # why it was cast; the intrusion detector counts distinct
+            # first-hand ``invalid``/``stalled`` suspecters per leader
+            # (the equivocation signature).
             tracer.point(
                 "sync.suspect",
                 f"regency:{target}@{replica.address}",
                 process=replica.address,
                 regency=target,
                 leader=replica.leader,
+                cause=cause,
             )
         stop = Stop(regency=target)
         replica.channel.broadcast(replica.other_replicas(), stop)
@@ -115,7 +131,7 @@ class Synchronizer:
         votes.add(sender)
         view = self.replica.view
         if len(votes) >= view.weak_quorum:
-            self._vote_stop(target)
+            self._vote_stop(target, "joined")
         if len(votes) >= view.strong_quorum and target > self.regency:
             self._install(target)
 
@@ -140,6 +156,10 @@ class Synchronizer:
         replica.reset_unproposed()
         # Proposing resumes from wherever SYNC re-anchors the window.
         replica.next_propose_cid = replica.next_cid
+        # Announce our vote once more: it may have been cast while a
+        # partition or a crash swallowed it, and a member still short of
+        # 2f+1 STOPs could otherwise never install this regency with us.
+        replica.channel.broadcast(replica.other_replicas(), Stop(regency=target))
 
         # Report every open slot of the pipeline window: undecided
         # instances we WRITE-voted, plus decided-but-unreleased ones (a
@@ -182,13 +202,20 @@ class Synchronizer:
 
     def _escalate_if_stalled(self, target: int) -> None:
         if self.in_progress and self.regency == target and self.replica.active:
-            self._vote_stop(target + 1)
+            self._vote_stop(target + 1, "silent")
 
     # -- new leader: collecting STOP-DATA ---------------------------------------
 
     def on_stop_data(self, message: StopData, sender: str) -> None:
+        """Collect a member's STOP-DATA as the regency's new leader.
+
+        One for the regency right after ours is kept until we install it:
+        its sender installed first and our STOP quorum may still be in
+        flight (or the jitter overtook it).
+        """
         replica = self.replica
-        if message.regency != self.regency or not self.in_progress:
+        ahead = message.regency == self.regency + 1
+        if not ahead and (message.regency != self.regency or not self.in_progress):
             return
         if replica.view.leader_for(message.regency) != replica.address:
             return
@@ -203,7 +230,8 @@ class Synchronizer:
         collected = self._stop_datas.setdefault(message.regency, {})
         collected[sender] = message
         if (
-            len(collected) >= replica.view.live_quorum
+            not ahead
+            and len(collected) >= replica.view.live_quorum
             and message.regency not in self._resolved
         ):
             self._resolved.add(message.regency)

@@ -54,6 +54,13 @@ RECONFIG_MARKER = b"\x00RECONFIG\x00"
 #: simulated clock this repo reaches.
 _DEADLINE_MARGIN = 1e-9
 
+#: Prime's turnaround rule: a follower's patience with the leader is this
+#: many times its measured arrival -> PROPOSE turnaround (capped at
+#: ``request_timeout``). Its oldest unproposed request waits one patience
+#: before it is forwarded to the leader, and one more before the leader
+#: is suspected.
+PATIENCE_TURNAROUNDS = 8
+
 #: Attribute under which :class:`~repro.bftsmart.client.ServiceProxy`
 #: records, on each :class:`ClientRequest` it signs, ``(fields, record)``:
 #: the signed field objects and the signer's ``(key, payload, tag)`` (see
@@ -167,10 +174,23 @@ class ServiceReplica:
         #: request key -> (request, arrival time); insertion-ordered, so
         #: the first entry is the oldest undecided request.
         self.pending: dict[tuple, tuple] = {}
-        #: The entries of ``pending`` no open instance carries yet, in the
-        #: same order: the pool a leader batches from. A regency or state
+        #: The entries of ``pending`` no valid PROPOSE carried yet, in the
+        #: same order, on every replica: the pool a leader batches from,
+        #: and what a follower holds the leader to. A regency or state
         #: install puts everything undecided back (``reset_unproposed``).
         self._unproposed: dict[tuple, tuple] = {}
+        #: Smoothed arrival -> PROPOSE delay of the requests a PROPOSE took
+        #: from ``_unproposed``. Before the first sample, patience is an
+        #: eighth of ``request_timeout``: with no traffic to notice it
+        #: sooner, the forward lands on the next quarter-timeout tick.
+        self._turnaround = config.request_timeout / (8 * PATIENCE_TURNAROUNDS)
+        #: ``(key, instant)``: the oldest unproposed request when this
+        #: follower last forwarded it to the leader (or suspected the
+        #: leader over it), and when; ``key`` is ``None`` after a regency
+        #: install. Requests that arrived by ``instant`` waited on a
+        #: forward or a leader change, not on the leader's turnaround, and
+        #: are not sampled.
+        self._forwarded: tuple = (None, -float("inf"))
         self._batch_timer_armed = False
         self._hold_timer_armed = False
         #: cid of the latest decided batch carrying a reconfiguration.
@@ -178,6 +198,8 @@ class ServiceReplica:
 
         # -- execution state --
         self._exec_channel = Channel(sim, name=f"exec:{address}")
+        #: True while the executor works on an entry it took.
+        self._executing = False
         #: Bumped by every checkpoint install; executor entries queued
         #: under an older epoch are stale (they predate the installed
         #: state) and must be dropped, or their execution would poison
@@ -297,16 +319,17 @@ class ServiceReplica:
 
     def _on_client_request(self, request: ClientRequest) -> None:
         if self._admit(request):
-            self._maybe_propose()
+            self._on_pooled()
 
     def _on_request_envelope(self, envelope: RequestBatch) -> None:
         """Requests one client handed over in one instant.
 
         Each takes the per-request path, and the leader considers
         proposing once, after the last, so they share a PROPOSE whatever
-        the jitter between them. An envelope holding more than one
-        PROPOSE may carry (or no tuple at all) comes from no honest
-        client: it is dropped whole and counted once.
+        the jitter between them. A follower forwarding a client's
+        requests to the leader sends the same envelope. One holding more
+        than one PROPOSE may carry (or no tuple at all) comes from no
+        honest sender: it is dropped whole and counted once.
         """
         requests = envelope.requests
         if not isinstance(requests, tuple) or len(requests) > self.config.batch_max:
@@ -319,7 +342,20 @@ class ServiceReplica:
             else:
                 self.stats["rejected_requests"] += 1
         if admitted:
-            self._maybe_propose()
+            self._on_pooled()
+
+    def _on_pooled(self) -> None:
+        """New requests joined the pool: a leader considers proposing, a
+        follower whether the leader outstayed its patience (traffic is
+        how a follower notices a silent leader between watchdog ticks)."""
+        self._maybe_propose()
+        pool = self._unproposed
+        if len(pool) > 1:
+            # Every silence deadline lies at least one patience past
+            # max(oldest arrival, last progress): nothing to do before.
+            _request, arrival = next(iter(pool.values()))
+            if self.sim.now > max(arrival, self.last_progress) + self._patience():
+                self._watch_silence()
 
     def _admit(self, request: ClientRequest) -> bool:
         """Verify, deduplicate and pool one request; True if it was pooled."""
@@ -372,6 +408,7 @@ class ServiceReplica:
     def reset_unproposed(self) -> None:
         """Return every undecided request to the leader's pool."""
         self._unproposed = dict(self.pending)
+        self._forwarded = (None, self.sim.now)
 
     def _pipeline_full(self) -> bool:
         """Has the leader exhausted its window of open consensus slots?"""
@@ -424,12 +461,17 @@ class ServiceReplica:
            however slow the service is;
         3. the regency is older than one ``request_timeout`` — right
            after a leader change the followers' patience is spent and the
-           backlog is drained eagerly.
+           backlog is drained eagerly;
+        4. the backlog was decided live, not replayed from a disk or a
+           state transfer: followers pause their silence rule while
+           their own executors hold the same batches, and only live
+           decisions have that mirror.
         """
         now = self.sim.now
         return (
             len(self._exec_channel) >= 2
             and now >= self.synchronizer.synced_at + self.config.request_timeout
+            and not self.state_transfer.recovering
             and now < self._hold_lapses()
         )
 
@@ -493,6 +535,10 @@ class ServiceReplica:
             batch = self.behaviour.on_propose(self, batch)
             if batch is None:
                 return
+        self._propose(batch)
+
+    def _propose(self, batch: list, cid: int | None = None) -> None:
+        """Propose ``batch`` for slot ``cid`` (default: the next free one)."""
         # A retransmission can re-enter the pool after the same client's
         # newer requests (the original was dropped, the resend arrived
         # post-heal). Restore each client's sequence order in place —
@@ -510,7 +556,8 @@ class ServiceReplica:
                     batch[index] = request
         batch_message = RequestBatch(requests=tuple(batch))
         value = encode(batch_message)
-        cid = max(self.next_propose_cid, self.next_cid)
+        if cid is None:
+            cid = max(self.next_propose_cid, self.next_cid)
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:
             # One pending span per request: arrival at the leader through
@@ -534,7 +581,7 @@ class ServiceReplica:
             timestamp=self.sim.now,
         )
         propose.__dict__[_BATCH_ATTR] = (value, batch_message)
-        self.next_propose_cid = cid + 1
+        self.next_propose_cid = max(self.next_propose_cid, cid + 1)
         self.stats["proposals"] += 1
         occupancy = self.next_propose_cid - self.next_cid
         self.stats["pipeline_occupancy_sum"] += occupancy
@@ -741,10 +788,13 @@ class ServiceReplica:
             return
         else:
             batch = self._validate_batch(message)
-            if batch is None and message.value != b"":
-                # Malformed or forged batch: suspect the leader.
-                self.synchronizer.suspect()
-                return
+            if batch is None:
+                if message.value != b"":
+                    # Malformed or forged batch: suspect the leader.
+                    self.synchronizer.suspect("invalid")
+                    return
+            elif self._unproposed:
+                self._note_proposed(batch.requests)
             self._trace_open_instance(instance, batch, message, sender)
         value_digest = instance.set_proposal(
             message.value, message.timestamp, batch=batch
@@ -758,6 +808,26 @@ class ServiceReplica:
         self.channel.broadcast(self.other_replicas(), write)
         instance.add_write(self.address, value_digest)
         self._advance_instance(instance)
+
+    def _note_proposed(self, requests) -> None:
+        """Take a valid PROPOSE's requests out of the pool, timing each.
+
+        Every request found pooled that arrived after the last forward
+        or regency install feeds its arrival -> PROPOSE delay into the
+        turnaround estimate (TCP's smoothed-RTT gain, 1/8): a forwarded
+        request's delay is this follower's own patience, and would feed
+        it back. On the leader its own batch has left the pool already:
+        no sample.
+        """
+        pool = self._unproposed
+        now = self.sim.now
+        floor = self._forwarded[1]
+        turnaround = self._turnaround
+        for request in requests:
+            entry = pool.pop(request.key(), None)
+            if entry is not None and entry[1] > floor:
+                turnaround += (now - entry[1] - turnaround) / 8
+        self._turnaround = turnaround
 
     def _on_vote(self, message: WriteMsg | AcceptMsg, sender: str) -> None:
         """A member's WRITE or ACCEPT for a slot inside the window."""
@@ -964,7 +1034,9 @@ class ServiceReplica:
         """The single execution thread, in decided order — the
         determinism bottleneck of §IV-C(b)."""
         while True:
+            self._executing = False
             epoch, cid, requests, timestamp = yield self._exec_channel.get()
+            self._executing = True
             self._maybe_propose()  # one batch fewer waiting: a hold may lift
             if epoch != self._install_epoch:
                 continue  # stale: queued before a checkpoint install
@@ -1141,8 +1213,12 @@ class ServiceReplica:
             new_view = View(self.view.view_id + 1, tuple(addresses), reconfig.new_f)
         except ValueError as exc:
             return encode(("error", str(exc)))
+        leader = self.leader
         self.view = new_view
         self.synchronizer.on_view_change()
+        if self.leader != leader:
+            # A new leader by membership, as after a regency change.
+            self.reset_unproposed()
         if not new_view.contains(self.address):
             self.halt()
         return encode(("ok", new_view.view_id))
@@ -1169,28 +1245,141 @@ class ServiceReplica:
         self.channel.send(client_id, message)
 
     # ------------------------------------------------------------------
-    # watchdog: request timeouts trigger the synchronization phase
+    # watchdog: forward, then suspect (Prime's turnaround rule)
     # ------------------------------------------------------------------
+
+    def _patience(self) -> float:
+        """How long a follower gives the leader: ``PATIENCE_TURNAROUNDS``
+        measured turnarounds, capped at ``request_timeout``."""
+        return min(
+            PATIENCE_TURNAROUNDS * self._turnaround, self.config.request_timeout
+        )
+
+    def _leader_may_hold(self) -> bool:
+        """Could a correct leader be withholding PROPOSEs right now?
+
+        It holds while decided batches wait for its executor
+        (``_held_back``) or while its pipeline window is full. Every
+        correct replica executes the same decided batches at the same
+        modelled cost, so this replica's own executor backlog mirrors the
+        leader's, and its open instances are the leader's window.
+        """
+        return (
+            self._executing
+            or len(self._exec_channel) > 0
+            or len(self.instances) >= self.config.pipeline_depth
+        )
+
+    def _silence_deadline(self):
+        """``(instant, suspect)``: when this follower next forwards its
+        oldest unproposed request (``suspect`` False) or suspects the
+        leader (True); ``None`` while the rule does not apply.
+
+        The request may wait one patience past ``max(arrival,
+        last_progress)`` before it is forwarded, and the leader one more
+        patience past the forward (or the latest progress) before it is
+        suspected. Once this replica's STOP is out, a repeat (which
+        re-broadcasts it) waits at least the quarter-timeout tick.
+        """
+        if not self._unproposed or self._leader_may_hold() or self.is_leader:
+            return None
+        key, (_request, arrival) = next(iter(self._unproposed.items()))
+        patience = self._patience()
+        forwarded = self._forwarded
+        if forwarded[0] != key:
+            return max(arrival, self.last_progress) + patience, False
+        if self.synchronizer.vote_outstanding:
+            patience = max(patience, self.config.request_timeout / 4)
+        return max(forwarded[1], self.last_progress) + patience, True
+
+    def _watch_silence(self) -> None:
+        """Forward, then suspect, once the silence deadline has passed.
+
+        Evaluated on every watchdog wake-up and whenever requests join a
+        follower's pool, never on a timer of its own: under traffic the
+        forward follows the deadline by at most one inter-arrival gap,
+        and the watchdog wakes exactly at the suspicion deadline of a
+        request it forwarded.
+        """
+        if self.synchronizer.in_progress or self.state_transfer.in_progress:
+            return
+        deadline = self._silence_deadline()
+        now = self.sim.now
+        if deadline is None or now <= deadline[0]:
+            return
+        if self._drop_dispatched():
+            deadline = self._silence_deadline()
+            if deadline is None or now <= deadline[0]:
+                return
+        if deadline[1]:
+            self.synchronizer.suspect("silent")
+            self._forwarded = (self._forwarded[0], now)
+        else:
+            self._forward_unproposed()
+
+    def _drop_dispatched(self) -> bool:
+        """Drop the oldest pooled requests the executor already dispatched.
+
+        A retransmission that arrives after its request was decided but
+        before it was dispatched is pooled again, and no leader will ever
+        propose it. The rule acts only while the executor is idle, so by
+        then every decided request is dispatched and such a leftover is
+        at or below its client's dispatched sequence. True if any went.
+        """
+        pool, dispatched = self._unproposed, self._dispatched_seq
+        dropped = False
+        while pool:
+            key, (request, _arrival) = next(iter(pool.items()))
+            if request.sequence > dispatched.get(request.client_id, -1):
+                break
+            del pool[key]
+            self.pending.pop(key, None)
+            dropped = True
+        return dropped
+
+    def _forward_unproposed(self) -> None:
+        """Hand the leader the oldest unproposed requests (≤ ``batch_max``)
+        in one envelope: a client may have left it out of its multicast."""
+        keys = list(islice(self._unproposed, self.config.batch_max))
+        self._forwarded = (keys[0], self.sim.now)
+        envelope = RequestBatch(
+            requests=tuple(self._unproposed[key][0] for key in keys)
+        )
+        self.channel.send(self.leader, envelope)
+
+    def _oldest_proposed(self):
+        """Arrival of the oldest request a PROPOSE carried that is still
+        undecided, or ``None``."""
+        unproposed = self._unproposed
+        for key, (_request, arrival) in self.pending.items():
+            if key not in unproposed:
+                return arrival
+        return None
 
     def _watchdog_sleep(self) -> float:
         """Seconds until the suspicion predicate is next worth evaluating.
 
-        A quarter of ``request_timeout`` — except when the oldest pending
-        request ages out (and the group completes a full timeout without
-        progress) before that tick: then the deadline itself, so a dead
-        leader is suspected the instant the predicate turns true rather
-        than up to a quarter-timeout later. In steady state the deadline
-        is always further away than the tick.
+        A quarter of ``request_timeout`` — except when a deadline comes
+        first: the backstop's (the oldest pending request ages out and
+        the group completes a full timeout without progress) or the
+        suspicion deadline of a request this follower forwarded. Then
+        the deadline itself, so the watchdog acts the instant its
+        predicate turns true. In steady state neither is nearer than the
+        tick (nothing is ever forwarded), and the watchdog only ticks.
         """
         timeout = self.config.request_timeout
-        tick = timeout / 4
+        now = self.sim.now
+        wake = timeout / 4
+        deadline = self._silence_deadline()
+        if deadline is not None and deadline[1] and 0 <= deadline[0] - now < wake:
+            # The predicate's comparisons are strict: wake just after.
+            wake = deadline[0] - now + _DEADLINE_MARGIN
         if self.pending:
             _request, oldest = next(iter(self.pending.values()))
-            lapse = max(oldest, self.last_progress) + timeout - self.sim.now
-            if 0 <= lapse < tick:
-                # The predicate's comparisons are strict: wake just after.
-                return lapse + _DEADLINE_MARGIN
-        return tick
+            lapse = max(oldest, self.last_progress) + timeout - now
+            if 0 <= lapse < wake:
+                wake = lapse + _DEADLINE_MARGIN
+        return wake
 
     def _watchdog(self):
         while True:
@@ -1199,15 +1388,21 @@ class ServiceReplica:
                 return  # halted (removed or rejuvenated): stop ticking
             if self.synchronizer.in_progress or self.state_transfer.in_progress:
                 continue  # escalation is handled by the sync timer
+            self._watch_silence()
             now = self.sim.now
             if now - self.last_progress <= self.config.request_timeout:
                 continue
+            # The backstop: a proposal that never decides.
             aged = False
             if self.pending:
                 _request, oldest = next(iter(self.pending.values()))
                 aged = now - oldest > self.config.request_timeout
-                if aged:
-                    self.synchronizer.suspect()
+                proposed = self._oldest_proposed() if aged else None
+                if (
+                    proposed is not None
+                    and now - proposed > self.config.request_timeout
+                ):
+                    self.synchronizer.suspect("stalled")
             if self.instances and (aged or not self.pending):
                 # Consensus slots we opened never resolved — with
                 # pipelining the rest of the group may have decided them
@@ -1215,7 +1410,7 @@ class ServiceReplica:
                 # which case no further traffic reveals the gap and only
                 # a state transfer can. If instead the whole group is
                 # stalled, the probe aborts on stale replies and the
-                # suspicion above drives the leader change.
+                # suspicions above drive the leader change.
                 self.state_transfer.notice_gap(max(self.instances), force=True)
 
     # ------------------------------------------------------------------

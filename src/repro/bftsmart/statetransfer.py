@@ -232,6 +232,10 @@ class StateTransfer:
                 self.bytes_installed += len(reply.snapshot)
             if replica.synchronizer.adopt_regency(reply.regency):
                 replica.after_install()
+            else:
+                # The transfer held back proposing: a leader resumes at
+                # once rather than at its next client request.
+                replica._maybe_propose()
             return
         if reply.partial and reply.checkpoint_cid > replica.last_decided:
             # The suffix starts beyond our prefix and cannot anchor —

@@ -35,12 +35,18 @@ from repro.chaos.campaign import (
     run_campaign,
     sweep_seeds,
 )
-from repro.chaos.monitors import AvailabilityMonitor, MttrMonitor, Violation
+from repro.chaos.monitors import (
+    AvailabilityMonitor,
+    MttrMonitor,
+    ThroughputFloorMonitor,
+    Violation,
+)
 from repro.chaos.schedule import (
     BEHAVIOURS,
     FALSIFY_OFFSET,
     Action,
     ChaosBudgetError,
+    ClientGarbage,
     CrashReplica,
     DelayKind,
     DropKind,
@@ -49,6 +55,7 @@ from repro.chaos.schedule import (
     InjectWrites,
     IsolateReplicas,
     KillLeader,
+    PartialMulticast,
     PartitionNet,
     Rejuvenate,
     Schedule,
@@ -78,6 +85,7 @@ __all__ = [
     "MttrMonitor",
     "CampaignReport",
     "ChaosBudgetError",
+    "ClientGarbage",
     "CrashReplica",
     "DelayKind",
     "DropKind",
@@ -89,6 +97,7 @@ __all__ = [
     "IsolateReplicas",
     "KillLeader",
     "PREDICATES",
+    "PartialMulticast",
     "PartitionNet",
     "Rejuvenate",
     "SCENARIOS",
@@ -97,6 +106,7 @@ __all__ = [
     "ShrinkResult",
     "SpoofFrontend",
     "SwapByzantine",
+    "ThroughputFloorMonitor",
     "TriggeredAction",
     "Violation",
     "get_scenario",

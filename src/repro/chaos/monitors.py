@@ -450,6 +450,52 @@ class RedundancyRestoredMonitor(InvariantMonitor):
         )
 
 
+class ThroughputFloorMonitor(InvariantMonitor):
+    """The share of its fault-free throughput a group keeps under a
+    performance attack.
+
+    A fault-free group completes every operator write it is offered, so
+    the share of the writes submitted during a planted performance
+    episode (a ``slow`` leader) that succeed is the fraction of its
+    fault-free throughput the group kept. Below ``floor`` that is a
+    violation: a within-budget Byzantine leader may cost latency, not the
+    operator's control of the plant. Episodes of other behaviours are
+    the safety monitors' business.
+    """
+
+    name = "throughput-floor"
+    #: Share of the offered writes that must succeed.
+    floor = 0.5
+
+    def __init__(self) -> None:
+        #: ``(entity, start, end, fraction kept)`` per judged episode.
+        self.fractions: list = []
+
+    def finish(self, ctx) -> None:
+        self.fractions = []
+        for episode in ctx.ground_truth_episodes():
+            if episode.behaviour != "slow":
+                continue
+            offered = [
+                record
+                for record in ctx.writes
+                if episode.start <= record.submitted < episode.end
+            ]
+            if not offered:
+                continue
+            kept = sum(1 for record in offered if record.success) / len(offered)
+            self.fractions.append((episode.entity, episode.start, episode.end, kept))
+            if kept < self.floor:
+                ctx.record_violation(
+                    self.name,
+                    f"the group kept {kept:.0%} of its fault-free write "
+                    f"throughput while {episode.entity} was "
+                    f"{episode.behaviour} ({len(offered)} writes offered "
+                    f"t={episode.start:.2f}-{episode.end:.2f}s), under the "
+                    f"{self.floor:.0%} floor",
+                )
+
+
 class MttrMonitor(InvariantMonitor):
     """Time-to-detect / time-to-heal per planted intrusion (diagnostics).
 
@@ -570,4 +616,5 @@ def default_monitors() -> list:
         StateConvergenceMonitor(),
         DurableRecoveryMonitor(),
         RedundancyRestoredMonitor(),
+        ThroughputFloorMonitor(),
     ]

@@ -21,6 +21,7 @@ from repro.chaos.adaptive import TriggeredAction
 from repro.chaos.campaign import CampaignConfig, CampaignReport, run_campaign
 from repro.chaos.monitors import AvailabilityMonitor, MttrMonitor, default_monitors
 from repro.chaos.schedule import (
+    ClientGarbage,
     CrashReplica,
     CrashRestart,
     DelayKind,
@@ -29,6 +30,7 @@ from repro.chaos.schedule import (
     InjectWrites,
     IsolateReplicas,
     KillLeader,
+    PartialMulticast,
     PartitionNet,
     Rejuvenate,
     Schedule,
@@ -222,6 +224,33 @@ def _frontend_spoof() -> Schedule:
     # rejection counters climbing in lockstep is the IDS signature.
     return Schedule([
         SpoofFrontend(at=2.0, count=30, interval=0.03),
+    ])
+
+
+def _client_garbage() -> Schedule:
+    # A compromised Frontend station seals malformed frames under its own
+    # key: each costs one rejected envelope at every replica, no more.
+    return Schedule([
+        ClientGarbage(at=2.0, count=30, interval=0.03),
+    ])
+
+
+def _client_partial_multicast() -> Schedule:
+    # A compromised Frontend station leaves the leader out of every
+    # multicast for 3 s. The followers forward its requests; the leader
+    # orders them and stays the leader.
+    return Schedule([
+        PartialMulticast(at=1.5, duration=3.0),
+    ])
+
+
+def _slow_leader() -> Schedule:
+    # The performance adversary: the leader holds every PROPOSE for just
+    # under request_timeout. The followers' patience runs out long before
+    # and they replace it; the throughput-floor monitor states what share
+    # of its writes the group kept meanwhile.
+    return Schedule([
+        SwapByzantine(at=1.5, duration=3.0, index=0, behaviour="slow"),
     ])
 
 
@@ -553,6 +582,29 @@ SCENARIOS: dict[str, Scenario] = {
             description="rogue endpoint floods forged client requests; the"
             " secure channels reject them and the IDS flags the ingress",
             build=_frontend_spoof,
+        ),
+        Scenario(
+            name="client-garbage",
+            description="a compromised client seals malformed frames under"
+            " its own key; the codec fails closed, every replica rejects"
+            " them and keeps ordering",
+            build=_client_garbage,
+        ),
+        Scenario(
+            name="client-partial-multicast",
+            description="a compromised client leaves the leader out of its"
+            " multicasts; followers forward its requests and the leader"
+            " stays",
+            build=_client_partial_multicast,
+        ),
+        Scenario(
+            name="slow-leader",
+            description="the leader delays every PROPOSE to just under the"
+            " request timeout; followers replace it and the group keeps"
+            " its write throughput",
+            build=_slow_leader,
+            # Dense writes: the throughput floor is judged on them.
+            overrides={"write_interval": 0.25},
         ),
         Scenario(
             name="adaptive-window-partition",

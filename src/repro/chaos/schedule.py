@@ -24,14 +24,22 @@ import random
 import typing
 from dataclasses import dataclass, field
 
-from repro.bftsmart.byzantine import Behaviour, Equivocating, Lying, Silent, Stuttering
+from repro.bftsmart.byzantine import (
+    Behaviour,
+    Equivocating,
+    Lying,
+    Silent,
+    Slow,
+    Stuttering,
+)
 from repro.bftsmart.config import replica_address
-from repro.bftsmart.messages import Sealed
+from repro.bftsmart.messages import ClientRequest, Sealed
 from repro.core.recovery import rejuvenate_replica, restart_replica
 from repro.crypto.mac import MAC_SIZE
 from repro.neoscada.messages import ItemUpdate
+from repro.neoscada.values import Quality
 from repro.net.faults import Delay, Drop
-from repro.wire import DecodeError, decode, encode
+from repro.wire import GLOBAL_REGISTRY, DecodeError, decode, encode
 
 if typing.TYPE_CHECKING:
     from repro.chaos.campaign import CampaignContext
@@ -78,6 +86,7 @@ BEHAVIOURS: dict[str, Behaviour | None] = {
     "falsifying": Falsifying(),
     "equivocating": Equivocating(),
     "stuttering": Stuttering(),
+    "slow": Slow(),
     "honest": None,
 }
 
@@ -476,6 +485,76 @@ class SpoofFrontend(Action):
                 yield ctx.sim.timeout(self.interval)
 
         ctx.sim.process(flood(), name=f"spoof-frontend@{self.at:.2f}")
+
+
+def _frontend_client(ctx):
+    """The Frontend proxy's BFT client (group 0): the busiest client, and
+    a field-side station an intruder may hold."""
+    return ctx.system.proxy_frontends[0].bft_clients[0]
+
+
+@dataclass
+class ClientGarbage(Action):
+    """A compromised client seals malformed frames under its own key.
+
+    The MAC verifies, so only the codec stands between the frames and the
+    replicas' handlers: each must cost one rejected envelope at every
+    replica and nothing else. The IDS sees the rejections climb in
+    lockstep, as for a spoofed Frontend.
+    """
+
+    count: int = 30
+    interval: float = 0.03
+
+    def _apply(self, ctx) -> None:
+        ctx.record_ground_truth(
+            "spoof", "*", end=ctx.sim.now + self.count * self.interval
+        )
+        channel = _frontend_client(ctx).channel
+        replicas = [pm.address for pm in ctx.system.proxy_masters]
+        # Frames that once escaped the codec with an exception other than
+        # ``DecodeError``: a dict keyed by a list, the enum tag naming a
+        # dataclass and the dataclass tag naming an enum.
+        frames = (
+            b"\x09\x01\x07\x00\x00",
+            bytes([0x0B, GLOBAL_REGISTRY.id_of(ClientRequest), 0x00]),
+            bytes([0x0A, GLOBAL_REGISTRY.id_of(Quality), 0x00]),
+        )
+
+        def flood():
+            for i in range(self.count):
+                payload = frames[i % len(frames)]
+                for dst in replicas:
+                    sealed = Sealed(
+                        sender=channel.address,
+                        payload=payload,
+                        tags={dst: channel.auth.mac(dst, payload)},
+                    )
+                    channel.endpoint.send(dst, sealed, "ClientRequest")
+                yield ctx.sim.timeout(self.interval)
+
+        ctx.sim.process(flood(), name=f"client-garbage@{self.at:.2f}")
+
+
+@dataclass
+class PartialMulticast(Action):
+    """A compromised client leaves the leader out of every multicast and
+    retransmission: only the followers ever hold its requests.
+
+    With a watchdog that suspects straight from its pending requests this
+    is a leader change on one client's word; the followers must instead
+    forward the requests and keep the leader.
+    """
+
+    def _apply(self, ctx) -> None:
+        client = _frontend_client(ctx).client_id
+        leader = ctx.system.proxy_masters[ctx.current_leader_index()]
+        self._rule = ctx.injector.add(Drop(src=client, dst=leader.address))
+
+    def _revert(self, ctx) -> None:
+        rule = getattr(self, "_rule", None)
+        if rule is not None and rule in ctx.injector.rules:
+            ctx.injector.remove(rule)
 
 
 @dataclass

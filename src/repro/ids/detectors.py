@@ -26,9 +26,11 @@ signature its Byzantine behaviour cannot avoid leaving in the trace:
     payload disagrees with the f+1-voted delivery.
 ``byzantine-equivocating``
     A suspicion burst — at least ``f+1`` distinct replicas STOP-voting
-    against a leader that is *up* and actively producing consensus
-    spans. When the leader is down the burst is the normal crash
-    recovery and is ignored.
+    first-hand against a leader for what it *did*: a batch that failed
+    validation (cause ``invalid``) or a proposal that never decided
+    (``stalled``). A leader that merely went quiet (``silent``, the
+    normal crash recovery) and replicas joining others' votes
+    (``joined``) are ignored.
 ``write-burst``
     An HMI client's write rate exceeds its learned (warm-up) duty cycle
     by the configured multiplier — the command-injection profile.
@@ -73,12 +75,6 @@ class IdsConfig:
     push_mismatch_threshold: int = 2
     #: Peers that must be making consensus progress for silence verdicts.
     peer_activity_min: int = 2
-    #: A suspicion only counts toward equivocation if the suspected
-    #: leader closed a consensus within this many seconds *before the
-    #: suspicion itself* — a killed or partitioned leader goes quiet long
-    #: before its replicas time out on it, an equivocator is suspected
-    #: while still actively ordering.
-    suspect_activity_gap: float = 0.75
     #: Write-rate multiple over the learned baseline that flags a burst.
     write_rate_multiplier: float = 4.0
     #: Absolute floor (writes/second) under which bursts are never flagged.
@@ -193,11 +189,6 @@ class IntrusionDetector:
         self._baseline_frozen = False
         #: deque[(time, {replica: rejected total})] for windowed deltas.
         self._rejected_samples: deque = deque()
-        #: deque[(time, {replica: last consensus close})] — a sampled
-        #: history of the monotone per-replica consensus clock, so a
-        #: suspicion at time ``t`` can be judged against what the leader
-        #: was doing *at* ``t`` rather than at poll time.
-        self._consensus_history: deque = deque()
         self.polls = 0
 
     # -- helpers ---------------------------------------------------------
@@ -256,9 +247,6 @@ class IntrusionDetector:
         features = self.features
         features.prune(now)
         self._probe_hosts(now)
-        self._consensus_history.append((now, dict(features.last_consensus)))
-        while self._consensus_history[0][0] < now - 3.0 * self.config.window:
-            self._consensus_history.popleft()
         self._learn_write_baseline(now)
         if now < self.config.warmup:
             return
@@ -350,23 +338,12 @@ class IntrusionDetector:
                 f"{count} divergent pushed updates in the window",
             )
 
-    def _last_consensus_at(self, addr: str, t: float) -> float:
-        """The replica's last consensus close as of instant ``t``."""
-        best = _NEVER
-        for sample_time, clocks in self._consensus_history:
-            if sample_time > t:
-                break
-            best = clocks.get(addr, _NEVER)
-        return best
-
     def _detect_equivocation(self, now: float) -> None:
-        cfg = self.config
         quorum = self.f + 1
         suspecters: dict[str, set] = {}
-        for t, who, leader in self.features.suspects:
-            if not leader or who == leader:
-                continue
-            if t - self._last_consensus_at(leader, t) <= cfg.suspect_activity_gap:
+        for _t, who, leader, cause in self.features.suspects:
+            # The causes that blame the leader for what it proposed.
+            if leader and who != leader and cause in ("invalid", "stalled"):
                 suspecters.setdefault(leader, set()).add(who)
         for addr in self.replicas:
             burst = suspecters.get(addr, set())
@@ -375,8 +352,8 @@ class IntrusionDetector:
                 addr,
                 len(burst) / quorum,
                 "suspicion-burst",
-                f"{len(burst)} replicas suspect a leader that was still "
-                f"actively ordering",
+                f"{len(burst)} replicas suspect a leader of an invalid or "
+                f"stalled proposal",
             )
 
     # -- frontend / client detectors ------------------------------------

@@ -17,7 +17,8 @@ protocol activity      any ``consensus.*`` / ``request.*`` /
 last reply clock       ``reply.recv`` points (per voting client)
 reply divergence       ``reply.mismatch`` points
 push divergence        ``push.mismatch`` points
-suspicion              ``sync.suspect`` points (suspecter, leader)
+suspicion              ``sync.suspect`` points (suspecter, leader,
+                       cause)
 leader changes         ``sync.leader_change`` spans
 write profile          ``hmi.write`` spans (rate, tag spread)
 =====================  =============================================
@@ -42,17 +43,13 @@ class FeatureExtractor:
         self.consensus: dict[str, deque] = {}
         #: replica process -> last time *any* protocol span closed there.
         self.last_activity: dict[str, float] = {}
-        #: replica process -> last ``consensus`` root close time (monotone,
-        #: never pruned — the detector keeps a sampled history of it to
-        #: ask "was this replica ordering *at* instant t").
-        self.last_consensus: dict[str, float] = {}
         #: replying replica -> last accepted reply time.
         self.last_reply: dict[str, float] = {}
         #: deviant replica -> deque[(time,)] of divergent ordered replies.
         self.reply_mismatch: dict[str, deque] = {}
         #: deviant replica -> deque[(time,)] of divergent pushes.
         self.push_mismatch: dict[str, deque] = {}
-        #: deque[(time, suspecting replica, suspected leader)].
+        #: deque[(time, suspecting replica, suspected leader, cause)].
         self.suspects: deque = deque()
         #: deque[(time, regency)] of completed leader changes.
         self.leader_changes: deque = deque()
@@ -70,7 +67,6 @@ class FeatureExtractor:
         if name.startswith("consensus"):
             if name == "consensus":
                 self.consensus.setdefault(span.process, deque()).append((t,))
-                self.last_consensus[span.process] = t
             self.last_activity[span.process] = t
         elif name in ("request.execute", "request.pending", "wal.append"):
             self.last_activity[span.process] = t
@@ -84,7 +80,10 @@ class FeatureExtractor:
             replica = span.attrs.get("replica", "")
             self.push_mismatch.setdefault(replica, deque()).append((t,))
         elif name == "sync.suspect":
-            self.suspects.append((t, span.process, span.attrs.get("leader", "")))
+            attrs = span.attrs
+            self.suspects.append(
+                (t, span.process, attrs.get("leader", ""), attrs.get("cause", ""))
+            )
         elif name == "sync.leader_change":
             self.leader_changes.append((t, span.attrs.get("regency", -1)))
         elif name == "hmi.write":

@@ -20,7 +20,7 @@ checkpoint degrades to the previous one rather than to garbage.
 from __future__ import annotations
 
 from repro.crypto import digest
-from repro.wire import decode, encode
+from repro.wire import DecodeError, decode, encode
 
 _PREFIX = "checkpoint-"
 #: Durable checkpoint generations kept on disk.
@@ -70,12 +70,18 @@ class CheckpointStore:
             if raw is None:
                 continue
             try:
-                cid, snapshot_blob, frame_digest = decode(raw)
-                if digest(snapshot_blob) != frame_digest:
-                    raise ValueError("digest mismatch")
-            except Exception:
+                frame = decode(raw)
+                if not (
+                    isinstance(frame, tuple)
+                    and len(frame) == 3
+                    and isinstance(frame[0], int)
+                    and isinstance(frame[1], bytes)
+                    and digest(frame[1]) == frame[2]
+                ):
+                    raise DecodeError("not a checkpoint frame, or digest mismatch")
+            except DecodeError:
                 continue
-            return cid, snapshot_blob
+            return frame[0], frame[1]
         return None
 
     def _prune(self) -> None:

@@ -24,7 +24,7 @@ Three fsync policies trade durability lag for barrier count:
 from __future__ import annotations
 
 from repro.crypto import digest
-from repro.wire import decode, encode
+from repro.wire import DecodeError, decode, encode
 
 FSYNC_POLICIES = ("every-decision", "every-n", "checkpoint-only")
 #: Appends between barriers under the ``every-n`` policy.
@@ -92,13 +92,19 @@ class WriteAheadLog:
         records = self.disk.log_records()
         for raw in records:
             try:
-                payload, frame_digest = decode(raw)
-                if digest(payload) != frame_digest:
-                    raise ValueError("digest mismatch")
-                cid, value, timestamp = decode(payload)
-            except Exception:
+                frame = decode(raw)
+                if not (
+                    isinstance(frame, tuple)
+                    and len(frame) == 2
+                    and isinstance(frame[0], bytes)
+                    and digest(frame[0]) == frame[1]
+                ):
+                    raise DecodeError("not a WAL frame, or digest mismatch")
+            except DecodeError:
                 damaged = True
                 break
+            # The digest matched: the payload is the record as appended.
+            cid, value, timestamp = decode(frame[0])
             entries.append((cid, value, timestamp))
         if damaged:
             self.disk.log_drop_tail(len(entries))

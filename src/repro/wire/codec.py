@@ -421,9 +421,8 @@ class Codec:
             depth += 1
         if tag == _DATACLASS:
             type_id, pos = _read_uvarint(data, pos)
-            cls = self.registry.type_of(type_id)
+            cls, fields = self.registry.dataclass_of(type_id)
             count, pos = _read_uvarint(data, pos)
-            fields = self.registry.fields_of(cls)
             if count != len(fields):
                 if count > len(fields):
                     raise DecodeError(
@@ -474,15 +473,18 @@ class Codec:
             for _ in range(count):
                 key, pos = self._decode(data, pos, depth)
                 value, pos = self._decode(data, pos, depth)
-                result[key] = value
+                try:
+                    result[key] = value
+                except TypeError as exc:  # a list, dict or one inside a key
+                    raise DecodeError(f"unhashable dict key: {exc}")
             return result, pos
         if tag == _ENUM:
             type_id, pos = _read_uvarint(data, pos)
-            cls = self.registry.type_of(type_id)
+            cls = self.registry.enum_of(type_id)
             raw, pos = self._decode(data, pos, depth)
             try:
                 return cls(raw), pos
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise DecodeError(f"invalid enum value for {cls.__name__}: {exc}")
         raise DecodeError(f"unknown tag byte {tag:#04x}")
 

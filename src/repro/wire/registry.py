@@ -118,6 +118,24 @@ class TypeRegistry:
         except KeyError:
             raise DecodeError(f"unknown wire type id {type_id}")
 
+    def dataclass_of(self, type_id: int) -> tuple:
+        """``(class, fields)`` of the dataclass registered under
+        ``type_id``; :class:`DecodeError` if the id is unknown or an
+        enum's."""
+        cls = self.type_of(type_id)
+        fields = self._fields.get(cls)
+        if fields is None:
+            raise DecodeError(f"wire type id {type_id} is not a dataclass")
+        return cls, fields
+
+    def enum_of(self, type_id: int) -> type:
+        """The enum registered under ``type_id``; :class:`DecodeError` if
+        the id is unknown or a dataclass's."""
+        cls = self.type_of(type_id)
+        if cls in self._fields:
+            raise DecodeError(f"wire type id {type_id} is not an enum")
+        return cls
+
     def fields_of(self, cls: type) -> tuple:
         fields = self._fields.get(cls)
         if fields is None:

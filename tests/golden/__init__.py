@@ -141,6 +141,45 @@ transfer counter moved at any step:
 3. A replica answers a retransmission from the replies of the client's
    last executed batch, and the push voter indexes its candidates by
    slot and caps each member's undelivered votes: nothing moved.
+
+The change that lets followers forward an unproposed request and then
+suspect a leader silent past their measured PROPOSE turnaround
+re-recorded, one edit at a time from untouched parent ``src/``, exactly
+four entries: ``deployment`` ``shard-leader-kills``,
+``transfer.leader_crash``, ``behaviours.ids_drills.equivocating`` and
+``behaviours.bare_group.equivocating``. Every other entry, and every
+fault-free schedule digest, stayed byte-identical at every step:
+
+1. The codec fails closed and the WAL and checkpoint readers catch only
+   ``DecodeError``; the ``slow`` behaviour, the ``client-*`` and
+   ``slow-leader`` scenarios and the throughput-floor monitor join the
+   library: nothing moved.
+2. The tentpole: every replica takes a valid PROPOSE's requests out of
+   its pool and times them; a follower forwards, then suspects (cause on
+   ``sync.suspect``); ``request_timeout`` is the backstop for proposals
+   only; the IDS counts first-hand ``invalid``/``stalled`` suspicions; a
+   follower drops pooled requests its executor already dispatched before
+   it forwards. The four entries moved: the leaders that die (killed
+   shard leaders, the bare-library crash) are replaced in milliseconds
+   (``transfer.leader_crash`` 1065 → 1051 events, final clock
+   3.5639465778012975 → 3.221023248208224; the same one full transfer
+   of 334 bytes), the bare equivocating leader is replaced sooner
+   (1133 → 1021 events, a different but equally valid interleaving of
+   the two clients; all 40 adds complete), and the
+   equivocating IDS drill is caught by the two replicas its reversed
+   batch failed (``invalid``): same detection instant, kind and entity,
+   score 1.5 → 1.0, the evidence text names the cause; its
+   fingerprint did not move.
+3. A replica re-announces its STOP when it installs a regency, and the
+   next regency's leader keeps an early STOP-DATA: the same four moved
+   again, by the extra STOPs of every leader change
+   (``transfer.leader_crash`` 1051 → 1060 events, clock
+   3.221195758813663; ``bare_group.equivocating`` 1021 → 1033;
+   ``ids_drills.equivocating`` fingerprint, same detections).
+4. A leader whose state transfer ends without news proposes at once:
+   nothing moved.
+5. A leader whose executor replays a transferred or recovered backlog
+   does not hold its pool: nothing moved.
 """
 
 import json

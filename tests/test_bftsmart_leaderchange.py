@@ -215,62 +215,90 @@ def test_progress_suppresses_suspicion_under_load():
 
 
 # ---------------------------------------------------------------------------
-# the watchdog wakes on the suspicion deadline, not on the next quarter-tick
+# the watchdog forwards, then suspects, each on its deadline
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
-def suspicions(monkeypatch):
-    """Every watchdog suspicion as ``(now, address, oldest pending arrival)``."""
-    calls = []
+def watchdog_log(monkeypatch):
+    """Every forward and suspicion as ``(now, address, what, reference,
+    patience)``: ``what`` is ``"forward"`` or the suspicion's cause, and
+    ``reference`` is ``max(oldest unproposed arrival, last_progress)``."""
+    log = []
+    forward = ServiceReplica._forward_unproposed
     suspect = Synchronizer.suspect
 
-    def recording(self):
-        replica = self.replica
-        _request, oldest = next(iter(replica.pending.values()))
-        calls.append((replica.sim.now, replica.address, oldest))
-        suspect(self)
+    def entry(replica, what):
+        _request, arrival = next(iter(replica._unproposed.values()))
+        reference = max(arrival, replica.last_progress)
+        return (replica.sim.now, replica.address, what, reference, replica._patience())
 
-    monkeypatch.setattr(Synchronizer, "suspect", recording)
-    return calls
+    def forwarding(self):
+        log.append(entry(self, "forward"))
+        forward(self)
+
+    def suspecting(self, cause):
+        log.append(entry(self.replica, cause))
+        suspect(self, cause)
+
+    monkeypatch.setattr(ServiceReplica, "_forward_unproposed", forwarding)
+    monkeypatch.setattr(Synchronizer, "suspect", suspecting)
+    return log
 
 
 @pytest.mark.parametrize("phase", range(8))
-def test_dead_leader_is_suspected_the_instant_its_request_ages_out(phase, suspicions):
-    """The kill instant sweeps one full watchdog tick in eighths: wherever
-    it lands, each follower's first suspicion is at ``oldest pending +
-    request_timeout`` (a polling watchdog is up to a quarter-timeout
-    late, by a different amount in every phase)."""
+def test_dead_leader_is_suspected_the_instant_its_request_ages_out(phase, watchdog_log):
+    """The kill instant sweeps one quarter-timeout tick in eighths. With
+    no further traffic to notice the silence sooner, each follower
+    forwards its oldest unproposed request on the first watchdog tick
+    past ``max(arrival, last_progress) + patience``, and suspects the
+    leader (``silent``) the instant the forwarded request has waited one
+    more patience — never a polling tick late, and long before the
+    one-second ``request_timeout``."""
     sim, net, replicas, proxy = make_world()
     timeout = replicas[0].config.request_timeout
     tick = timeout / 4
     run_adds(sim, proxy, 5)
     sim.run(until=1.0 + phase * tick / 8)
     net.crash("replica-0")
+    killed_at = sim.now
     assert run_adds(sim, proxy, 1) == 6
 
     live = replicas[1:]
-    first = {}
-    for when, address, oldest in suspicions:
-        first.setdefault(address, (when, oldest))
-    assert sorted(first) == [r.address for r in live]
-    for when, oldest in first.values():
-        assert oldest + timeout < when <= oldest + timeout + 1e-6
+    first: dict = {}
+    for when, address, what, reference, patience in watchdog_log:
+        first.setdefault((address, what), (when, reference, patience))
+    assert sorted(first) == sorted(
+        (r.address, what) for r in live for what in ("forward", "silent")
+    )
+    for replica in live:
+        forwarded, reference, patience = first[replica.address, "forward"]
+        suspected, _reference, same = first[replica.address, "silent"]
+        assert patience == same < tick
+        assert reference + patience < forwarded <= reference + patience + tick
+        assert forwarded % tick < 1e-9 or tick - forwarded % tick < 1e-9  # a tick
+        assert forwarded + patience < suspected <= forwarded + patience + 1e-6
+        assert suspected - killed_at < 2 * tick + patience
     assert [r.synchronizer.changes_completed for r in live] == [1] * 3
     assert [r.synchronizer.regency for r in live] == [1] * 3
 
 
 def test_fault_free_watchdog_keeps_the_quarter_tick_and_never_votes(monkeypatch):
-    """Steady state: the deadline is always further away than the tick,
-    so five seconds cost exactly the polling watchdog's wake-ups."""
+    """Steady state: nothing is ever forwarded, so no deadline is nearer
+    than the tick, and five seconds cost exactly the polling watchdog's
+    wake-ups — the silence rule rides the traffic and the ticks."""
     sleeps = []
     watchdog_sleep = ServiceReplica._watchdog_sleep
+    forwards = []
 
     def recording(self):
         sleeps.append(watchdog_sleep(self))
         return sleeps[-1]
 
     monkeypatch.setattr(ServiceReplica, "_watchdog_sleep", recording)
+    monkeypatch.setattr(
+        ServiceReplica, "_forward_unproposed", lambda self: forwards.append(self)
+    )
     sim, _net, replicas, proxy = make_world()
     tick = replicas[0].config.request_timeout / 4
 
@@ -284,4 +312,46 @@ def test_fault_free_watchdog_keeps_the_quarter_tick_and_never_votes(monkeypatch)
     assert set(sleeps) == {tick}
     # One sleep armed at start, one more after each of the 5.0 / tick wake-ups.
     assert len(sleeps) == len(replicas) * (1 + round(5.0 / tick))
+    assert forwards == []
     assert [r.synchronizer._highest_vote for r in replicas] == [0] * 4
+
+
+def test_a_leader_killed_under_traffic_is_replaced_once_within_two_patiences():
+    """400 requests/s, then the leader dies: the followers forward at one
+    patience, suspect at two, and one synchronization later the traffic
+    flows again — one leader change, an outage of milliseconds where the
+    old rule waited out the whole one-second ``request_timeout``."""
+    hop, rate = 0.0003, 400.0
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=ConstantLatency(hop))
+    keystore = KeyStore()
+    config = GroupConfig(
+        n=4, f=1, batch_wait=0.0, request_timeout=1.0, sync_timeout=2.0
+    )
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    proxy = build_proxy(sim, net, "client-1", config, keystore, invoke_timeout=0.5)
+    completed = []
+
+    def sender():
+        while sim.now < 4.0:
+            event = proxy.invoke_ordered(encode(("add", 1)))
+            event.callbacks.append(lambda _event: completed.append(sim.now))
+            yield sim.timeout(1 / rate)
+
+    sim.process(sender())
+    sim.run(until=2.0)
+    live = replicas[1:]
+    patience = max(r._patience() for r in live)
+    net.crash("replica-0")
+    sim.run(until=5.0)
+
+    assert len(completed) == proxy.stats["invocations"]
+    assert proxy.stats["retransmissions"] == 0
+    assert [r.synchronizer.changes_completed for r in live] == [1] * 3
+    outage = max(later - earlier for earlier, later in zip(completed, completed[1:]))
+    # One synchronization: STOP, STOP-DATA and SYNC, the re-proposal's
+    # consensus round, the forward and the reply, padded to 12 hops; plus
+    # the send interval the first unanswered request may trail by.
+    synchronization = 12 * hop + 1 / rate
+    assert outage <= 2 * patience + synchronization
+    assert outage < config.request_timeout / 50

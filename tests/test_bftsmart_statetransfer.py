@@ -398,7 +398,7 @@ def test_transfer_from_replicas_mid_sync_hands_over_only_a_synced_regency():
     resolve, held = new_leader._resolve, []
     new_leader._resolve = lambda regency, collected: held.append((regency, collected))
     for replica in replicas[:3]:
-        replica.synchronizer.suspect()
+        replica.synchronizer.suspect("silent")
     sim.run(until=sim.now + 0.05)
     assert held
     assert all(r.regency == 1 and r.synchronizer.in_progress for r in replicas[:3])

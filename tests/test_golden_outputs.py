@@ -42,8 +42,10 @@ for the ``transfer`` and ``deployment`` entries that change moved). Every
 SCADA row moved once more when the leader began to propose on arrival,
 with the proxies' same-instant requests in one envelope, and every
 timing-dependent row once more when the protocol messages stopped
-naming their own sender (smaller frames); the same file attributes each
-digest to its edit.
+naming their own sender (smaller frames); four leader-change rows moved
+when followers began to forward, then suspect, a leader silent past
+their measured PROPOSE turnaround. The same file attributes each digest
+to its edit.
 
 A change that is *meant* to move one (a new wire type, a protocol change)
 updates the file from the failing assertion's left side.

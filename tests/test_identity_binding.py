@@ -32,7 +32,7 @@ from repro.bftsmart.messages import (
     WriteMsg,
 )
 from repro.crypto import KeyStore, digest
-from repro.net import ConstantLatency, Network
+from repro.net import ConstantLatency, Drop, Network
 from repro.obs.trace import install_tracer
 from repro.sim import Simulator
 from repro.wire import decode, encode
@@ -167,3 +167,21 @@ def test_f_plus_one_state_replies_from_one_replica_install_nothing():
     sim.run(until=1.0)
     assert victim.state_transfer.completed == 0
     assert victim.last_decided == -1 and victim.service.value == 0
+
+
+def test_a_client_that_leaves_the_leader_out_forces_no_leader_change():
+    """A Byzantine client multicasts (and retransmits) one signed request
+    to replicas 1-3 only. The followers forward it to the leader, which
+    orders it: no replica ever suspects the leader on the client's word."""
+    sim, replicas, proxy = _group()
+    net = replicas[0].net
+    net.faults.add(Drop(src=proxy.client_id, dst="replica-0"))
+    event = proxy.invoke_ordered(ADD)
+    sim.run(until=20.0)
+    assert event.ok and decode(event.value) == 1
+    # Forwarded at the followers' first patience (the quarter-timeout
+    # tick, before any turnaround was measured): the client's first
+    # retransmission was already out.
+    assert proxy.stats["retransmissions"] == 1
+    assert [replica.regency for replica in replicas] == [0] * 4
+    assert [replica.service.value for replica in replicas] == [1] * 4
