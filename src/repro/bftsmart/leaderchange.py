@@ -2,8 +2,8 @@
 
 When a replica suspects the leader — a batch that fails validation, a
 request left unproposed past the follower's patience after it was
-forwarded, or a proposal undecided past the request timeout (see
-``ServiceReplica._watch_silence``) — it votes STOP for the next regency.
+forwarded (see ``ServiceReplica._watch_silence``), or a request
+undecided past the request timeout — it votes STOP for the next regency.
 ``f+1`` STOPs make other replicas join (a correct replica is suspicious,
 so everyone should be); ``2f+1`` STOPs install the new regency. Every
 replica then sends a signed STOP-DATA to the new leader describing its
@@ -77,10 +77,11 @@ class Synchronizer:
 
         ``cause`` says why, on the ``sync.suspect`` trace point:
         ``invalid`` (the leader proposed a batch that failed validation),
-        ``stalled`` (a proposal stayed undecided past ``request_timeout``)
-        or ``silent`` (the leader proposed nothing past the follower's
-        patience, or never sent a new regency's SYNC). An f+1 join is
-        ``joined``.
+        ``stalled`` (a proposed request stayed undecided past
+        ``request_timeout``) or ``silent`` (the leader proposed nothing
+        past the follower's patience or, at that backstop, past
+        ``request_timeout``, or never sent a new regency's SYNC). An f+1
+        join is ``joined``.
 
         Called repeatedly by the watchdog while requests stay stale. If we
         already voted for a regency that has not installed, the vote is
@@ -105,8 +106,8 @@ class Synchronizer:
         if tracer is not None and tracer.enabled:
             # A bump-in-the-wire observer sees each first STOP vote and
             # why it was cast; the intrusion detector counts distinct
-            # first-hand ``invalid``/``stalled`` suspecters per leader
-            # (the equivocation signature).
+            # first-hand ``invalid`` suspecters per leader (the
+            # equivocation signature).
             tracer.point(
                 "sync.suspect",
                 f"regency:{target}@{replica.address}",

@@ -349,13 +349,7 @@ class ServiceReplica:
         follower whether the leader outstayed its patience (traffic is
         how a follower notices a silent leader between watchdog ticks)."""
         self._maybe_propose()
-        pool = self._unproposed
-        if len(pool) > 1:
-            # Every silence deadline lies at least one patience past
-            # max(oldest arrival, last progress): nothing to do before.
-            _request, arrival = next(iter(pool.values()))
-            if self.sim.now > max(arrival, self.last_progress) + self._patience():
-                self._watch_silence()
+        self._watch_silence()
 
     def _admit(self, request: ClientRequest) -> bool:
         """Verify, deduplicate and pool one request; True if it was pooled."""
@@ -1262,12 +1256,16 @@ class ServiceReplica:
         (``_held_back``) or while its pipeline window is full. Every
         correct replica executes the same decided batches at the same
         modelled cost, so this replica's own executor backlog mirrors the
-        leader's, and its open instances are the leader's window.
+        leader's, and the instances it holds a PROPOSE for are the
+        leader's window. Votes alone open an instance here too, but count
+        for nothing: a leader's WRITE without its PROPOSE buys no pause.
         """
-        return (
-            self._executing
-            or len(self._exec_channel) > 0
-            or len(self.instances) >= self.config.pipeline_depth
+        if self._executing or len(self._exec_channel) > 0:
+            return True
+        depth = self.config.pipeline_depth
+        instances = self.instances
+        return len(instances) >= depth and (
+            sum(i.proposal_value is not None for i in instances.values()) >= depth
         )
 
     def _silence_deadline(self):
@@ -1347,15 +1345,6 @@ class ServiceReplica:
         )
         self.channel.send(self.leader, envelope)
 
-    def _oldest_proposed(self):
-        """Arrival of the oldest request a PROPOSE carried that is still
-        undecided, or ``None``."""
-        unproposed = self._unproposed
-        for key, (_request, arrival) in self.pending.items():
-            if key not in unproposed:
-                return arrival
-        return None
-
     def _watchdog_sleep(self) -> float:
         """Seconds until the suspicion predicate is next worth evaluating.
 
@@ -1392,17 +1381,14 @@ class ServiceReplica:
             now = self.sim.now
             if now - self.last_progress <= self.config.request_timeout:
                 continue
-            # The backstop: a proposal that never decides.
             aged = False
             if self.pending:
-                _request, oldest = next(iter(self.pending.values()))
+                key, (_request, oldest) = next(iter(self.pending.items()))
                 aged = now - oldest > self.config.request_timeout
-                proposed = self._oldest_proposed() if aged else None
-                if (
-                    proposed is not None
-                    and now - proposed > self.config.request_timeout
-                ):
-                    self.synchronizer.suspect("stalled")
+                if aged:
+                    self.synchronizer.suspect(
+                        "silent" if key in self._unproposed else "stalled"
+                    )
             if self.instances and (aged or not self.pending):
                 # Consensus slots we opened never resolved — with
                 # pipelining the rest of the group may have decided them
@@ -1410,7 +1396,7 @@ class ServiceReplica:
                 # which case no further traffic reveals the gap and only
                 # a state transfer can. If instead the whole group is
                 # stalled, the probe aborts on stale replies and the
-                # suspicions above drive the leader change.
+                # suspicion above drives the leader change.
                 self.state_transfer.notice_gap(max(self.instances), force=True)
 
     # ------------------------------------------------------------------

@@ -26,10 +26,11 @@ signature its Byzantine behaviour cannot avoid leaving in the trace:
     payload disagrees with the f+1-voted delivery.
 ``byzantine-equivocating``
     A suspicion burst — at least ``f+1`` distinct replicas STOP-voting
-    first-hand against a leader for what it *did*: a batch that failed
-    validation (cause ``invalid``) or a proposal that never decided
-    (``stalled``). A leader that merely went quiet (``silent``, the
-    normal crash recovery) and replicas joining others' votes
+    first-hand against a leader for a batch that failed validation
+    (cause ``invalid``), which no correct leader proposes. A leader that
+    went quiet (``silent``, the normal crash recovery), a proposal that
+    never decided (``stalled``: a partition or message loss does that to
+    a correct leader too) and replicas joining others' votes
     (``joined``) are ignored.
 ``write-burst``
     An HMI client's write rate exceeds its learned (warm-up) duty cycle
@@ -342,8 +343,8 @@ class IntrusionDetector:
         quorum = self.f + 1
         suspecters: dict[str, set] = {}
         for _t, who, leader, cause in self.features.suspects:
-            # The causes that blame the leader for what it proposed.
-            if leader and who != leader and cause in ("invalid", "stalled"):
+            # The one cause that blames the leader for what it proposed.
+            if leader and who != leader and cause == "invalid":
                 suspecters.setdefault(leader, set()).add(who)
         for addr in self.replicas:
             burst = suspecters.get(addr, set())
@@ -352,8 +353,8 @@ class IntrusionDetector:
                 addr,
                 len(burst) / quorum,
                 "suspicion-burst",
-                f"{len(burst)} replicas suspect a leader of an invalid or "
-                f"stalled proposal",
+                f"{len(burst)} replicas suspect a leader of an invalid "
+                f"proposal",
             )
 
     # -- frontend / client detectors ------------------------------------

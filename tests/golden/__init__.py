@@ -180,6 +180,14 @@ fault-free schedule digest, stayed byte-identical at every step:
    nothing moved.
 5. A leader whose executor replays a transferred or recovered backlog
    does not hold its pool: nothing moved.
+6. A follower's pause counts only the instances it holds a PROPOSE for,
+   the aged-pending ``request_timeout`` backstop suspects again whether
+   or not the oldest request was proposed (cause ``silent`` or
+   ``stalled``), and the IDS counts only first-hand ``invalid``
+   suspicions, since a partition strands a correct leader's proposal as
+   ``stalled`` too: only the evidence text of
+   ``ids_drills.equivocating`` moved ("an invalid proposal"); the same
+   detection, score and fingerprint.
 """
 
 import json

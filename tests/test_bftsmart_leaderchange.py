@@ -6,9 +6,11 @@ from repro.bftsmart import (
     CounterService,
     GroupConfig,
     Stop,
+    WriteMsg,
     build_group,
     build_proxy,
 )
+from repro.bftsmart.byzantine import Behaviour
 from repro.bftsmart.leaderchange import Synchronizer
 from repro.bftsmart.replica import ServiceReplica
 from repro.crypto import KeyStore
@@ -355,3 +357,65 @@ def test_a_leader_killed_under_traffic_is_replaced_once_within_two_patiences():
     synchronization = 12 * hop + 1 / rate
     assert outage <= 2 * patience + synchronization
     assert outage < config.request_timeout / 50
+
+
+class _VotesWithoutProposals(Behaviour):
+    """A leader that, asked to propose, sends every follower only a WRITE
+    for each slot of its pipeline window, with no PROPOSE behind any of
+    them, and then proposes nothing ever again."""
+
+    def __init__(self):
+        self.sent = False
+
+    def on_propose(self, replica, batch):
+        if not self.sent:
+            self.sent = True
+            for cid in range(
+                replica.next_cid, replica.next_cid + replica.config.pipeline_depth
+            ):
+                write = WriteMsg(
+                    cid=cid, epoch=replica.regency, value_digest=b"\x00" * 32
+                )
+                replica.channel.broadcast(replica.other_replicas(), write)
+        return None
+
+
+def test_votes_without_a_proposal_buy_a_leader_no_pause():
+    """The slots a leader's bare WRITEs open on a follower hold no
+    PROPOSE, so they are not the leader's pipeline window: the followers
+    still forward, suspect it ``silent`` and install regency 1, and the
+    new leader decides the request well inside one ``request_timeout``,
+    without a retransmission."""
+    sim, _net, replicas, proxy = make_world()
+    replicas[0].behaviour = _VotesWithoutProposals()
+    started = sim.now
+    assert run_adds(sim, proxy, 1) == 1
+    assert sim.now - started < replicas[0].config.request_timeout
+    assert proxy.stats["retransmissions"] == 0
+    sim.run(until=sim.now + 1.0)
+    assert replicas[0].behaviour.sent
+    assert [r.synchronizer.regency for r in replicas[1:]] == [1] * 3
+    assert all(r.service.value == 1 for r in replicas[1:])
+
+
+def test_a_proposal_kept_from_all_but_f_followers_is_still_replaced():
+    """The leader's PROPOSE reaches one follower (f), its WRITE every
+    one, and it never votes STOP itself. With a one-slot window the
+    vote-opened slot fills no window on the two followers without the
+    PROPOSE: they suspect it ``silent``, f+1 of them, the third joins,
+    and regency 1 decides the request."""
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=ConstantLatency(0.0003))
+    keystore = KeyStore()
+    config = GroupConfig(
+        n=4, f=1, request_timeout=0.4, sync_timeout=0.8, pipeline_depth=1
+    )
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    proxy = build_proxy(sim, net, "client-1", config, keystore)
+    for dst in ("replica-2", "replica-3"):
+        net.faults.add(Drop(src="replica-0", dst=dst, kind="Propose"))
+    net.faults.add(Drop(src="replica-0", kind="Stop"))
+    assert run_adds(sim, proxy, 1) == 1
+    sim.run(until=sim.now + 1.0)
+    assert [r.synchronizer.regency for r in replicas[1:]] == [1] * 3
+    assert all(r.service.value == 1 for r in replicas[1:])

@@ -13,6 +13,7 @@ import pytest
 
 from repro.chaos import (
     BENIGN_DRILLS,
+    DropKind,
     KillLeader,
     Schedule,
     run_campaign,
@@ -51,3 +52,14 @@ def test_leader_change_storm_stays_clean():
     assert report.ok, report.violations
     assert not report.detections
 
+
+
+def test_a_stalled_proposal_is_not_blamed_on_the_leader():
+    """Every ACCEPT is lost for longer than ``request_timeout``: the
+    leader's proposal never decides, so every follower suspects it
+    first-hand with cause ``stalled``. Message loss does that to a
+    correct leader, so it is no equivocation signature."""
+    schedule = Schedule([DropKind(at=1.5, duration=1.5, kind="AcceptMsg")])
+    report = run_campaign(schedule, CampaignConfig(seed=3, ids=True))
+    assert report.ok, report.violations
+    assert not [d for d in report.detections if d.kind == "byzantine-equivocating"]
