@@ -12,9 +12,11 @@ from repro.bftsmart.byzantine import (
     Behaviour,
     Equivocating,
     Lying,
+    Misdigesting,
     Silent,
     Slow,
     Stuttering,
+    Withholding,
 )
 from repro.bftsmart.client import PushVoter, ServiceProxy
 from repro.bftsmart.cluster import build_group, build_proxy
@@ -22,6 +24,7 @@ from repro.bftsmart.config import GroupConfig, replica_address
 from repro.bftsmart.messages import (
     AcceptMsg,
     ClientRequest,
+    FetchRequests,
     Propose,
     PushMessage,
     ReconfigRequest,
@@ -55,10 +58,12 @@ __all__ = [
     "CounterService",
     "EchoService",
     "Equivocating",
+    "FetchRequests",
     "GroupConfig",
     "KeyValueService",
     "Lying",
     "MessageContext",
+    "Misdigesting",
     "Propose",
     "PushMessage",
     "PushVoter",
@@ -79,6 +84,7 @@ __all__ = [
     "Stuttering",
     "Sync",
     "View",
+    "Withholding",
     "WriteMsg",
     "build_group",
     "build_proxy",

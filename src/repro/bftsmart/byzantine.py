@@ -15,7 +15,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.bftsmart.messages import Propose, Reply, RequestBatch
+from repro.bftsmart.consensus import Proposal
+from repro.bftsmart.messages import Reply, RequestBatch
+from repro.bftsmart.replica import propose_by_reference
+from repro.crypto import digest
 from repro.wire import encode
 
 
@@ -34,6 +37,11 @@ class Behaviour:
     def on_propose(self, replica, batch: list):
         """The requests a leader just took from its pool to propose."""
         return batch
+
+    def on_fetch(self, replica, requests: tuple):
+        """The requests a leader is about to send a follower that fetched
+        them from one of its PROPOSEs."""
+        return requests
 
     def on_reply(self, replica, reply: Reply):
         """A reply about to be sent on any of the three reply paths."""
@@ -74,14 +82,51 @@ class Equivocating(Behaviour):
         others = replica.other_replicas()
         half = len(others) // 2
         for group, requests in ((others[:half], batch), (others[half:], batch[::-1])):
-            propose = Propose(
-                cid=replica.next_cid,
-                epoch=replica.regency,
-                value=encode(RequestBatch(requests=tuple(requests))),
-                timestamp=replica.sim.now,
+            propose = propose_by_reference(
+                replica.next_cid, replica.regency, tuple(requests), replica.sim.now
             )
             for receiver in group:
                 replica.channel.send(receiver, propose)
+        replica.stats["proposals"] += 1
+        return None
+
+
+class Withholding(Behaviour):
+    """A leader that proposes honestly but never answers a fetch.
+
+    A follower that lacks a proposed request cannot rebuild the value and
+    never WRITEs it, so when too many lack it the instance cannot decide.
+    The requests left waiting in the followers' pools (a client's
+    retransmission brings them) then trip the silence rule, and the
+    followers replace this leader.
+    """
+
+    def on_fetch(self, replica, requests: tuple):
+        return None
+
+
+class Misdigesting(Behaviour):
+    """A leader whose PROPOSE declares a digest its requests do not hash
+    to, while it keeps the genuine batch for itself.
+
+    Every follower's pool rebuilds another value, so each fetches all
+    keys; the leader answers with the genuine requests, which still do
+    not hash to the declared digest: first-hand evidence, and each
+    follower suspects the leader as ``invalid``.
+    """
+
+    def on_propose(self, replica, batch: list):
+        cid = max(replica.next_propose_cid, replica.next_cid)
+        replica.next_propose_cid = cid + 1
+        propose = propose_by_reference(
+            cid, replica.regency, tuple(batch), replica.sim.now
+        )
+        lie = replace(propose, value_digest=digest(propose.value_digest))
+        replica.channel.broadcast(replica.other_replicas(), lie)
+        value = encode(RequestBatch(requests=tuple(batch)))
+        replica.on_proposal(
+            Proposal(cid, propose.epoch, value, propose.timestamp), replica.address
+        )
         replica.stats["proposals"] += 1
         return None
 

@@ -8,9 +8,24 @@ quorum logic independently testable.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import countOf
 
 from repro.crypto import digest
+
+
+@dataclass(frozen=True)
+class Proposal:
+    """A proposal for slot ``cid`` with its value at hand: the leader's
+    own, a SYNC re-proposal, or a PROPOSE resolved from the pool. Never
+    on the wire; ``batch`` is the value's :class:`RequestBatch` when the
+    proposer already holds it decoded."""
+
+    cid: int
+    epoch: int
+    value: bytes
+    timestamp: float
+    batch: object = None
 
 
 class Instance:
@@ -31,6 +46,9 @@ class Instance:
         self.accepts: dict[str, bytes] = {}
         self.write_sent = False
         self.accept_sent = False
+        #: Members this replica answered a fetch for this slot's proposal
+        #: in the current epoch (a leader answers each once).
+        self.fetched_by: set = set()
         self.decided = False
         self.decided_value: bytes | None = None
         self.decided_digest: bytes | None = None
@@ -55,6 +73,7 @@ class Instance:
         self.accepts.clear()
         self.write_sent = False
         self.accept_sent = False
+        self.fetched_by.clear()
 
     # -- proposal ---------------------------------------------------------------
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import typing
 
-from repro.bftsmart.messages import Propose, Stop, StopData, Sync
+from repro.bftsmart.consensus import Proposal
+from repro.bftsmart.messages import Stop, StopData, Sync
 from repro.crypto import Signature, digest
 from repro.wire import encode
 
@@ -310,14 +311,11 @@ class Synchronizer:
             highest = max(highest, cid)
             if cid < replica.next_cid:
                 continue  # already decided and released locally
-            propose = Propose(
-                cid=cid,
-                epoch=message.regency,
-                value=value,
-                timestamp=timestamp,
+            # The leader of the regency this SYNC installs re-proposes, by
+            # value: the same path a resolved PROPOSE takes.
+            replica.on_proposal(
+                Proposal(cid, message.regency, value, timestamp), sender
             )
-            # The leader of the regency this SYNC installs re-proposes.
-            replica.on_propose(propose, sender)
         # Fresh proposals resume above the recovered window everywhere,
         # so a returning leader never reuses a recovered slot.
         replica.next_propose_cid = max(replica.next_cid, highest + 1)

@@ -87,16 +87,28 @@ class PushMessage:
 @wire_type(23)
 @dataclass(frozen=True)
 class Propose:
-    """Leader's proposal for consensus instance ``cid`` in ``epoch``.
+    """Leader's proposal for consensus instance ``cid`` in ``epoch``, by
+    reference (PBFT's separate request transmission).
 
-    ``value`` is the serialized request batch. ``timestamp`` is the
-    leader's clock reading, adopted by every replica when executing the
-    batch — the mechanism that makes timestamps deterministic (§IV-C).
+    ``keys`` names the proposed requests in batch order, one
+    ``(client_id, sequence)`` pair each: clients multicast every request
+    to all replicas, so a follower rebuilds the value — the encoded
+    :class:`RequestBatch` — from its own pool instead of receiving it
+    again. ``value_digest`` is that value's digest, which the rebuilt
+    value must match before the follower WRITEs it. A follower that
+    cannot rebuild it (a request missing from its pool, or another body
+    under a key) asks the leader for the batch (:class:`FetchRequests`).
+    The decided value stays the full
+    encoding: STOP-DATA, SYNC, state transfer and the WAL carry values.
+    ``timestamp`` is the leader's clock reading, adopted by every replica
+    when executing the batch — the mechanism that makes timestamps
+    deterministic (§IV-C).
     """
 
     cid: int
     epoch: int
-    value: bytes
+    keys: tuple
+    value_digest: bytes
     timestamp: float
 
 
@@ -236,6 +248,23 @@ class ReconfigRequest:
     leave: tuple
     new_f: int
     signature: bytes
+
+
+@wire_type(35)
+@dataclass(frozen=True)
+class FetchRequests:
+    """A follower asks its leader for requests a PROPOSE named.
+
+    ``keys`` are the ``(client_id, sequence)`` pairs PROPOSE ``cid`` (of
+    regency ``epoch``) named, whose value the follower could not rebuild
+    from its pool. The leader answers each follower once per ``(cid,
+    epoch)``, with a :class:`RequestBatch` of those requests from the
+    batch it proposed.
+    """
+
+    cid: int
+    epoch: int
+    keys: tuple
 
 
 @wire_type(34)

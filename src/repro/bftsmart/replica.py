@@ -18,11 +18,12 @@ from operator import is_
 
 from repro.bftsmart.channel import SecureChannel
 from repro.bftsmart.config import GroupConfig
-from repro.bftsmart.consensus import Instance
+from repro.bftsmart.consensus import Instance, Proposal
 from repro.bftsmart.leaderchange import Synchronizer
 from repro.bftsmart.messages import (
     AcceptMsg,
     ClientRequest,
+    FetchRequests,
     Propose,
     PushMessage,
     ReconfigRequest,
@@ -71,10 +72,58 @@ SIGNED_ATTR = "_signed_memo"
 _SIGNING_STATS = PERF.stats["signing_payload"]
 
 #: Attribute under which a leader records, on its own :class:`Propose`,
-#: ``(value, batch)``: the :class:`RequestBatch` it encoded into
-#: ``value``. Every replica holding that Propose object takes the batch
-#: instead of decoding the value.
+#: ``(value, batch)``: the :class:`RequestBatch` whose keys the PROPOSE
+#: names and its encoding ``value``. A follower whose pool resolves every
+#: key to the very request object in ``batch`` takes ``value`` instead of
+#: encoding the batch again; the record lives as long as the Propose.
 _BATCH_ATTR = "_batch_memo"
+
+
+def propose_by_reference(
+    cid: int, epoch: int, requests: tuple, timestamp: float
+) -> Propose:
+    """The PROPOSE naming ``requests``, carrying its value's record."""
+    batch = RequestBatch(requests=requests)
+    value = encode(batch)
+    propose = Propose(
+        cid=cid,
+        epoch=epoch,
+        keys=tuple(request.key() for request in requests),
+        value_digest=digest(value),
+        timestamp=timestamp,
+    )
+    propose.__dict__[_BATCH_ATTR] = (value, batch)
+    return propose
+
+
+def request_keys(keys, limit: int) -> bool:
+    """Is ``keys`` a tuple of at most ``limit`` distinct ``(client_id,
+    sequence)`` pairs — the one shape a PROPOSE or a fetch names
+    requests in?"""
+    if type(keys) is not tuple or len(keys) > limit:
+        return False
+    for key in keys:
+        if (
+            type(key) is not tuple
+            or len(key) != 2
+            or type(key[0]) is not str
+            or type(key[1]) is not int
+        ):
+            return False
+    return len(set(keys)) == len(keys)
+
+
+class _Held:
+    """A PROPOSE a follower could not rebuild, waiting for the leader's
+    answer to its fetch."""
+
+    __slots__ = ("message", "fetched", "asked_at")
+
+    def __init__(self, message: Propose) -> None:
+        self.message = message
+        #: key -> verified request the leader's answer carried.
+        self.fetched: dict = {}
+        self.asked_at = -float("inf")
 
 
 def signing_payload(fields: tuple) -> bytes:
@@ -191,6 +240,12 @@ class ServiceReplica:
         #: forward or a leader change, not on the leader's turnaround, and
         #: are not sampled.
         self._forwarded: tuple = (None, -float("inf"))
+        #: cid -> :class:`_Held`: PROPOSEs of the current leader this
+        #: follower is fetching requests for (at most one per open slot).
+        self._unresolved: dict[int, _Held] = {}
+        #: FetchRequests this replica sent (zero while every follower
+        #: holds every proposed request).
+        self.fetches = 0
         self._batch_timer_armed = False
         self._hold_timer_armed = False
         #: cid of the latest decided batch carrying a reconfiguration.
@@ -321,19 +376,24 @@ class ServiceReplica:
         if self._admit(request):
             self._on_pooled()
 
-    def _on_request_envelope(self, envelope: RequestBatch) -> None:
+    def _on_request_envelope(self, envelope: RequestBatch, sender: str) -> None:
         """Requests one client handed over in one instant.
 
         Each takes the per-request path, and the leader considers
         proposing once, after the last, so they share a PROPOSE whatever
         the jitter between them. A follower forwarding a client's
-        requests to the leader sends the same envelope. One holding more
-        than one PROPOSE may carry (or no tuple at all) comes from no
-        honest sender: it is dropped whole and counted once.
+        requests to the leader sends the same envelope, and a leader
+        answering a follower's fetch too (see :meth:`_on_fetched`). One
+        holding more than one PROPOSE may carry (or no tuple at all)
+        comes from no honest sender: it is dropped whole and counted
+        once.
         """
         requests = envelope.requests
         if not isinstance(requests, tuple) or len(requests) > self.config.batch_max:
             self.stats["rejected_requests"] += 1
+            return
+        if self._unresolved and sender == self.leader:
+            self._on_fetched(requests)
             return
         admitted = False
         for request in requests:
@@ -356,6 +416,10 @@ class ServiceReplica:
         if not self._verify_request(request):
             self.stats["rejected_requests"] += 1
             return False
+        return self._pool(request)
+
+    def _pool(self, request: ClientRequest) -> bool:
+        """Deduplicate and pool one verified request; True if it was pooled."""
         if request.unordered:
             self._execute_unordered(request)
             return False
@@ -400,9 +464,11 @@ class ServiceReplica:
     # ------------------------------------------------------------------
 
     def reset_unproposed(self) -> None:
-        """Return every undecided request to the leader's pool."""
+        """Return every undecided request to the leader's pool, and drop
+        the PROPOSEs held for a fetch: they were the old leader's."""
         self._unproposed = dict(self.pending)
         self._forwarded = (None, self.sim.now)
+        self._unresolved.clear()
 
     def _pipeline_full(self) -> bool:
         """Has the leader exhausted its window of open consensus slots?"""
@@ -424,6 +490,7 @@ class ServiceReplica:
             "pushes": self.stats["pushes"],
             "rejected_requests": self.stats["rejected_requests"],
             "rejected_envelopes": self.channel.rejected,
+            "fetches": self.fetches,
         }
 
     def _pipeline_stats(self) -> dict:
@@ -548,8 +615,6 @@ class ServiceReplica:
                 )
                 for index, request in zip(indices, ordered):
                     batch[index] = request
-        batch_message = RequestBatch(requests=tuple(batch))
-        value = encode(batch_message)
         if cid is None:
             cid = max(self.next_propose_cid, self.next_cid)
         tracer = self.sim.tracer
@@ -568,13 +633,7 @@ class ServiceReplica:
                         cid=cid,
                     )
                 )
-        propose = Propose(
-            cid=cid,
-            epoch=self.regency,
-            value=value,
-            timestamp=self.sim.now,
-        )
-        propose.__dict__[_BATCH_ATTR] = (value, batch_message)
+        propose = propose_by_reference(cid, self.regency, tuple(batch), self.sim.now)
         self.next_propose_cid = max(self.next_propose_cid, cid + 1)
         self.stats["proposals"] += 1
         occupancy = self.next_propose_cid - self.next_cid
@@ -583,7 +642,11 @@ class ServiceReplica:
         if occupancy > self.stats["pipeline_occupancy_peak"]:
             self.stats["pipeline_occupancy_peak"] = occupancy
         self.channel.broadcast(self.other_replicas(), propose)
-        self.on_propose(propose, self.address)
+        value, batch_message = propose.__dict__[_BATCH_ATTR]
+        self.on_proposal(
+            Proposal(cid, propose.epoch, value, propose.timestamp, batch_message),
+            self.address,
+        )
 
     # ------------------------------------------------------------------
     # consensus: PROPOSE / WRITE / ACCEPT
@@ -601,9 +664,7 @@ class ServiceReplica:
 
     # -- tracing hooks (no-ops unless a SpanTracer is installed) --------
 
-    def _trace_open_instance(
-        self, instance: Instance, batch, message: Propose, leader: str
-    ) -> None:
+    def _trace_open_instance(self, instance: Instance, batch, leader: str) -> None:
         tracer = self.sim.tracer
         if tracer is None or not tracer.enabled:
             return
@@ -612,14 +673,14 @@ class ServiceReplica:
             primary, extra = tids[0], tids[1:]
         else:
             # Empty (gap-filling) batch: no request to derive an id from.
-            primary, extra = f"cid:{message.cid}@{self.address}", ()
+            primary, extra = f"cid:{instance.cid}@{self.address}", ()
         span = tracer.begin(
             "consensus",
             primary,
             process=self.address,
             trace_ids=extra,
-            cid=message.cid,
-            epoch=message.epoch,
+            cid=instance.cid,
+            epoch=instance.epoch,
             leader=leader,
             batch=len(batch.requests) if batch is not None else 0,
         )
@@ -638,23 +699,19 @@ class ServiceReplica:
             if span is not None:
                 tracer.end(span, aborted=True)
 
-    def _validate_batch(self, message: Propose) -> RequestBatch | None:
+    def _validate_batch(self, value: bytes, batch=None) -> RequestBatch | None:
         """Decode and authenticate a proposed batch (Byzantine leader guard).
 
-        The leader's own Propose object carries the batch it encoded
-        (``_BATCH_ATTR``), which stands in for the decode only for that
-        exact value object; a re-proposal or copy is decoded. Either way
-        every request is checked. Besides signatures and duplicates,
-        per-client sequence numbers must be increasing *within* the
-        batch: a Byzantine leader that reorders one client's requests
-        would otherwise make the executor's sequence-based dedup silently
-        censor the displaced ones.
+        ``batch`` is the value's :class:`RequestBatch` when the proposal
+        came with it (the leader's own, or a PROPOSE resolved from the
+        pool); a SYNC re-proposal is decoded. Either way every request is
+        checked. Besides signatures and duplicates, per-client sequence
+        numbers must be increasing *within* the batch: a Byzantine leader
+        that reorders one client's requests would otherwise make the
+        executor's sequence-based dedup silently censor the displaced
+        ones.
         """
-        value = message.value
-        memo = message.__dict__.get(_BATCH_ATTR)
-        if memo is not None and memo[0] is value:
-            batch = memo[1]
-        else:
+        if batch is None:
             try:
                 batch = decode(value)
             except DecodeError:
@@ -756,24 +813,197 @@ class ServiceReplica:
         finally:
             self._draining_future = False
 
-    def on_propose(self, message: Propose, sender: str) -> None:
+    def _in_window(self, message, sender: str) -> bool:
+        """Is a proposal for an open slot of this regency, from its
+        leader? One for a later slot or regency is held for replay."""
         if message.cid < self.next_cid:
-            return  # old slot, already decided
+            return False  # old slot, already decided
         if message.cid >= self.next_cid + self.config.pipeline_depth:
             self._buffer_future(message, sender)
-            return
+            return False
         if message.epoch != self.regency:
             self._hold_epoch_ahead(message, sender)
+            return False
+        return sender == self.leader
+
+    def on_propose(self, message: Propose, sender: str) -> None:
+        """The leader's PROPOSE by reference.
+
+        The keys are resolved from this replica's verified pool and the
+        value rebuilt and checked against the declared digest; then it
+        takes the by-value path like any proposal (:meth:`_on_value`).
+        A PROPOSE whose keys this replica cannot resolve, or that rebuild
+        another digest, is held while the leader is asked for them. One
+        of another shape comes from no honest leader: it is dropped and
+        counted as a rejected envelope.
+        """
+        if (
+            type(message.cid) is not int
+            or type(message.epoch) is not int
+            or type(message.value_digest) is not bytes
+            or not request_keys(message.keys, self.config.batch_max)
+        ):
+            self.channel.rejected += 1
             return
-        if sender != self.leader:
+        if not self._in_window(message, sender):
             return
         instance = self._instance(message.cid, message.epoch)
+        if instance.decided:
+            # A new regency's leader may propose a slot decided here but
+            # not yet released: re-echo iff it is the value we decided.
+            if message.value_digest == instance.decided_digest:
+                self._on_value(
+                    instance, instance.decided_value, message.timestamp, sender
+                )
+            return
+        held = self._unresolved.get(message.cid)
+        if instance.proposal_value is not None or (
+            held is not None and held.message.epoch == message.epoch
+        ):
+            return
+        pending = self.pending
+        entries = [pending.get(key) for key in message.keys]
+        proposal = None
+        if None not in entries:
+            proposal = self._rebuild(message, [entry[0] for entry in entries])
+        if proposal is None:
+            self._hold(message)
+            return
+        self._on_value(
+            instance, proposal.value, message.timestamp, sender, proposal.batch
+        )
+
+    def _rebuild(self, message: Propose, requests: list) -> Proposal | None:
+        """The :class:`Proposal` ``message`` names, from ``requests`` (one
+        per key, in key order), or ``None`` if they rebuild a value of
+        another digest.
+
+        If every request is the very object in the leader's record
+        (``_BATCH_ATTR``), the recorded value is byte-identical to their
+        encoding by construction and is taken as it is.
+        """
+        memo = message.__dict__.get(_BATCH_ATTR)
+        if (
+            memo is not None
+            and len(memo[1].requests) == len(requests)
+            and all(map(is_, requests, memo[1].requests))
+        ):
+            value, batch = memo
+        else:
+            batch = RequestBatch(requests=tuple(requests))
+            value = encode(batch)
+        if digest(value) != message.value_digest:
+            return None
+        return Proposal(message.cid, message.epoch, value, message.timestamp, batch)
+
+    def _hold(self, message: Propose) -> None:
+        """Hold a PROPOSE this follower cannot rebuild (no WRITE) and ask
+        the leader for its requests: all of them, so that one answer
+        settles it — a request missing here and another body under a
+        second key (one client can cause both) need no second round."""
+        held = self._unresolved[message.cid] = _Held(message)
+        self._fetch(held)
+
+    def _fetch(self, held: _Held) -> None:
+        held.asked_at = self.sim.now
+        self.fetches += 1
+        message = held.message
+        self.channel.send(
+            self.leader,
+            FetchRequests(cid=message.cid, epoch=message.epoch, keys=message.keys),
+        )
+
+    def _held_is_current(self, cid: int, held: _Held) -> bool:
+        """Is a held PROPOSE still one this follower could WRITE?"""
+        instance = self.instances.get(cid)
+        return (
+            held.message.epoch == self.regency
+            and cid >= self.next_cid
+            and instance is not None
+            and instance.proposal_value is None
+        )
+
+    def _on_fetched(self, requests: tuple) -> None:
+        """The leader's answer to this follower's fetches.
+
+        Each request takes the ordinary request path (verified, then
+        pooled unless its key is pooled or executed already). A held
+        PROPOSE is rebuilt from the answer alone once it carries every
+        key; if that does not produce the declared digest either, the
+        leader named requests that do not hash to its own digest:
+        first-hand evidence, so it is suspected (``invalid``).
+        """
+        verified = {}
+        for request in requests:
+            if (
+                isinstance(request, ClientRequest)
+                and not request.unordered
+                and self._verify_request(request)
+            ):
+                verified[request.key()] = request
+                self._pool(request)
+            else:
+                self.stats["rejected_requests"] += 1
+        for cid, held in list(self._unresolved.items()):
+            if self._unresolved.get(cid) is not held:
+                continue  # settled while an earlier one was taken
+            if not self._held_is_current(cid, held):
+                del self._unresolved[cid]
+                continue
+            message, fetched = held.message, held.fetched
+            for key in message.keys:
+                request = verified.get(key)
+                if request is not None:
+                    fetched[key] = request
+            if len(fetched) < len(message.keys):
+                continue  # not (or not yet) answered
+            del self._unresolved[cid]
+            proposal = self._rebuild(message, [fetched[key] for key in message.keys])
+            if proposal is None:
+                self.synchronizer.suspect("invalid")
+            else:
+                self._on_value(
+                    self.instances[cid],
+                    proposal.value,
+                    message.timestamp,
+                    self.leader,
+                    proposal.batch,
+                )
+
+    def _chase_fetches(self) -> None:
+        """Re-send a fetch the leader left unanswered for a patience: the
+        fetch may have been lost (a leader answers each slot once, so a
+        lost answer is not re-sent; the silence rule and the
+        ``request_timeout`` backstop deal with a leader that never
+        answers)."""
+        patience = self._patience()
+        now = self.sim.now
+        for cid, held in list(self._unresolved.items()):
+            if not self._held_is_current(cid, held):
+                del self._unresolved[cid]
+            elif now > held.asked_at + patience:
+                self._fetch(held)
+
+    def on_proposal(self, proposal: Proposal, sender: str) -> None:
+        """A proposal by value: the leader's own, or a SYNC re-proposal."""
+        if self._in_window(proposal, sender):
+            instance = self._instance(proposal.cid, proposal.epoch)
+            self._on_value(
+                instance, proposal.value, proposal.timestamp, sender, proposal.batch
+            )
+
+    def _on_value(
+        self, instance: Instance, value: bytes, timestamp: float, sender: str,
+        batch=None,
+    ) -> None:
+        """Validate a proposed value and WRITE it: the one path every
+        proposal takes, whichever form it arrived in."""
         if instance.decided:
             # Decided here but not yet released (a lower cid is still
             # open). A new regency may legitimately re-propose the slot
             # for the peers that missed the decision; re-echo our votes
             # iff the value matches what we decided — never two values.
-            if digest(message.value) != instance.decided_digest:
+            if digest(value) != instance.decided_digest:
                 return
             if instance.proposal_value is not None:
                 return
@@ -781,27 +1011,61 @@ class ServiceReplica:
         elif instance.proposal_value is not None:
             return
         else:
-            batch = self._validate_batch(message)
+            batch = self._validate_batch(value, batch)
             if batch is None:
-                if message.value != b"":
+                if value != b"":
                     # Malformed or forged batch: suspect the leader.
                     self.synchronizer.suspect("invalid")
                     return
             elif self._unproposed:
                 self._note_proposed(batch.requests)
-            self._trace_open_instance(instance, batch, message, sender)
-        value_digest = instance.set_proposal(
-            message.value, message.timestamp, batch=batch
-        )
+            self._trace_open_instance(instance, batch, sender)
+        value_digest = instance.set_proposal(value, timestamp, batch=batch)
         instance.write_sent = True
         write = WriteMsg(
-            cid=message.cid,
-            epoch=message.epoch,
+            cid=instance.cid,
+            epoch=instance.epoch,
             value_digest=value_digest,
         )
         self.channel.broadcast(self.other_replicas(), write)
         instance.add_write(self.address, value_digest)
         self._advance_instance(instance)
+
+    def _on_fetch(self, message: FetchRequests, sender: str) -> None:
+        """A follower asks this leader for requests its PROPOSE named.
+
+        Answered once per ``(follower, cid, regency)``, from the batch
+        proposed for that slot, with a :class:`RequestBatch` of the
+        requests it names. A fetch of another shape, for a slot outside
+        the window, for a regency this replica did not propose in, or
+        repeated, is dropped and counted as a rejected envelope: a
+        Byzantine follower gets no more out of a leader than one answer.
+        """
+        cid = message.cid
+        instance = self.instances.get(cid) if type(cid) is int else None
+        if (
+            instance is None
+            or instance.epoch != message.epoch
+            or instance.proposal_batch is None
+            or self.view.leader_for(instance.epoch) != self.address
+            or sender in instance.fetched_by
+            or not self.view.contains(sender)
+            or not request_keys(message.keys, self.config.batch_max)
+        ):
+            self.channel.rejected += 1
+            return
+        instance.fetched_by.add(sender)
+        wanted = set(message.keys)
+        requests = tuple(
+            request
+            for request in instance.proposal_batch.requests
+            if request.key() in wanted
+        )
+        if self.behaviour is not None:
+            requests = self.behaviour.on_fetch(self, requests)
+            if requests is None:
+                return
+        self.channel.send(sender, RequestBatch(requests=requests))
 
     def _note_proposed(self, requests) -> None:
         """Take a valid PROPOSE's requests out of the pool, timing each.
@@ -1378,6 +1642,8 @@ class ServiceReplica:
             if self.synchronizer.in_progress or self.state_transfer.in_progress:
                 continue  # escalation is handled by the sync timer
             self._watch_silence()
+            if self._unresolved:
+                self._chase_fetches()
             now = self.sim.now
             if now - self.last_progress <= self.config.request_timeout:
                 continue
@@ -1405,11 +1671,15 @@ class ServiceReplica:
 
     #: type -> handler(replica, message, envelope sender). A request
     #: names its client in its own signed ``client_id`` (it is relayed
-    #: inside proposals), so request handlers ignore the envelope.
+    #: inside proposals), so the request handler ignores the envelope; a
+    #: request envelope from the leader may answer a fetch.
     _dispatch_table = {
         ClientRequest: lambda self, m, _sender: self._on_client_request(m),
-        RequestBatch: lambda self, m, _sender: self._on_request_envelope(m),
+        RequestBatch: _on_request_envelope,
         Propose: on_propose,
+        FetchRequests: _on_fetch,
+        # Never on the wire: a SYNC re-proposal held for a later slot.
+        Proposal: on_proposal,
         WriteMsg: _on_vote,
         AcceptMsg: _on_vote,
         Stop: lambda self, m, s: self.synchronizer.on_stop(m, s),

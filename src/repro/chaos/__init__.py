@@ -50,6 +50,7 @@ from repro.chaos.schedule import (
     CrashReplica,
     DelayKind,
     DropKind,
+    EquivocatingSequence,
     Falsifying,
     FieldOffline,
     InjectWrites,
@@ -89,6 +90,7 @@ __all__ = [
     "CrashReplica",
     "DelayKind",
     "DropKind",
+    "EquivocatingSequence",
     "FALSIFY_OFFSET",
     "Falsifying",
     "FieldOffline",

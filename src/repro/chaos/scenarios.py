@@ -26,6 +26,7 @@ from repro.chaos.schedule import (
     CrashRestart,
     DelayKind,
     DropKind,
+    EquivocatingSequence,
     FieldOffline,
     InjectWrites,
     IsolateReplicas,
@@ -241,6 +242,16 @@ def _client_partial_multicast() -> Schedule:
     # orders them and stays the leader.
     return Schedule([
         PartialMulticast(at=1.5, duration=3.0),
+    ])
+
+
+def _client_equivocating_sequence() -> Schedule:
+    # A compromised Frontend station signs two bodies under one sequence
+    # and splits the group 2/2 between them. The followers holding the
+    # other body fetch the leader's; exactly one body is ordered, by the
+    # same leader.
+    return Schedule([
+        EquivocatingSequence(at=2.0, duration=1.0),
     ])
 
 
@@ -596,6 +607,14 @@ SCENARIOS: dict[str, Scenario] = {
             " multicasts; followers forward its requests and the leader"
             " stays",
             build=_client_partial_multicast,
+        ),
+        Scenario(
+            name="client-equivocating-sequence",
+            description="a compromised client signs two bodies under one"
+            " sequence, one for the leader and a follower, one for the"
+            " other two; the leader's body is ordered once and the leader"
+            " stays",
+            build=_client_equivocating_sequence,
         ),
         Scenario(
             name="slow-leader",

@@ -33,12 +33,13 @@ from repro.bftsmart.byzantine import (
     Stuttering,
 )
 from repro.bftsmart.config import replica_address
-from repro.bftsmart.messages import ClientRequest, Sealed
+from repro.bftsmart.messages import ClientRequest, RequestBatch, Sealed
+from repro.bftsmart.replica import signing_payload
 from repro.core.recovery import rejuvenate_replica, restart_replica
 from repro.crypto.mac import MAC_SIZE
 from repro.neoscada.messages import ItemUpdate
 from repro.neoscada.values import Quality
-from repro.net.faults import Delay, Drop
+from repro.net.faults import Delay, Drop, Tamper
 from repro.wire import GLOBAL_REGISTRY, DecodeError, decode, encode
 
 if typing.TYPE_CHECKING:
@@ -555,6 +556,68 @@ class PartialMulticast(Action):
         rule = getattr(self, "_rule", None)
         if rule is not None and rule in ctx.injector.rules:
             ctx.injector.remove(rule)
+
+
+@dataclass
+class EquivocatingSequence(Action):
+    """A compromised client signs two bodies under one sequence.
+
+    Its next submission reaches the leader and the replica after it as
+    sent (body A); the other two replicas get every request in it
+    re-signed under the same ``(client_id, sequence)`` with another
+    operation (body B). The followers holding B rebuild a value of
+    another digest from the leader's PROPOSE and fetch its requests:
+    exactly one body — the leader's — is decided, at the same regency.
+    """
+
+    def _apply(self, ctx) -> None:
+        client = _frontend_client(ctx)
+        addresses = [pm.address for pm in ctx.system.proxy_masters]
+        leader = ctx.current_leader_index()
+        a_side = {addresses[leader], addresses[(leader + 1) % len(addresses)]}
+
+        def body_b(request: ClientRequest) -> ClientRequest:
+            operation = b"\x00equivocated" + request.operation
+            fields = (
+                request.client_id,
+                request.sequence,
+                operation,
+                request.reply_to,
+                request.unordered,
+            )
+            tag = client.signer.sign(signing_payload(fields)).tag
+            return ClientRequest(*fields, mac=tag)
+
+        def re_sign(dst: str):
+            def transform(sealed: Sealed) -> Sealed:
+                message = decode(sealed.payload)
+                if isinstance(message, RequestBatch):
+                    message = RequestBatch(tuple(map(body_b, message.requests)))
+                else:
+                    message = body_b(message)
+                return client.channel.seal(message, (dst,))
+
+            return transform
+
+        self._rules = [
+            ctx.injector.add(
+                Tamper(
+                    re_sign(dst),
+                    src=client.client_id,
+                    dst=dst,
+                    predicate=lambda envelope: envelope.kind
+                    in ("ClientRequest", "RequestBatch"),
+                    max_count=1,
+                )
+            )
+            for dst in addresses
+            if dst not in a_side
+        ]
+
+    def _revert(self, ctx) -> None:
+        for rule in getattr(self, "_rules", ()):
+            if rule in ctx.injector.rules:
+                ctx.injector.remove(rule)
 
 
 @dataclass

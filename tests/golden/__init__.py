@@ -188,6 +188,35 @@ fault-free schedule digest, stayed byte-identical at every step:
    ``stalled`` too: only the evidence text of
    ``ids_drills.equivocating`` moved ("an invalid proposal"); the same
    detection, score and fingerprint.
+
+The change that sends the leader's live PROPOSE by reference — one
+``(client_id, sequence)`` key per request and the value's digest instead
+of the requests, rebuilt by each follower from its own pool — re-recorded,
+one edit at a time from untouched parent ``src/``, exactly these entries:
+
+1. ``FetchRequests`` (wire id 35) is registered, unused: only
+   ``encodings["35-FetchRequests"]`` was added.
+2. The tentpole: the PROPOSE names its requests, a follower rebuilds the
+   value (or fetches the batch it cannot rebuild), SYNC re-proposals
+   keep entering by value, and the ``equivocating`` behaviour builds its
+   two PROPOSEs through the reference form. ``encodings["23-Propose"]``
+   moved with the wire form. Every run whose latency model charges size
+   moved its timing only: the fingerprints of ``campaign`` (and its
+   trace digest), ``schedules.ids_campaign``, the four ``deployment``
+   campaigns, the four ``transfer`` restart campaigns and the five
+   ``ids_drills``; the schedule digests of ``schedules.bft``,
+   ``schedules.scada`` (with its final clock and state digests, which
+   carry the leader's earlier PROPOSE timestamps),
+   ``transfer.leader_crash`` (final clock 3.221195758813663 ->
+   3.221188598469913) and the four ``bare_group`` rows. Every event
+   count, decided stream, service value, detection, score, transfer
+   counter, heal action and eviction, ``deployment.split``,
+   ``bft_micro``, the ``heal_drills`` and ``counter_trace_sha256``
+   (constant latency) stayed byte-identical. The only fetches in all of
+   these runs are two by the spare (``replica-4``) a heal drill
+   provisions, which the clients had not multicast to yet.
+3. The ``withholding`` and ``misdigesting`` behaviours and the
+   ``client-equivocating-sequence`` scenario join: nothing moved.
 """
 
 import json

@@ -339,8 +339,10 @@ DEPTH_ONE_RATE = 944.0
 #: first for every hold; with the former 50 us batch window it was over
 #: five (4,176 : 565 on seed 1). Seed 1 read (2052, 495) until the
 #: protocol messages stopped naming their own sender: the smaller frames
-#: shift arrival times by nanoseconds.
-DEPTH_ONE_COUNTS = {1: (2050, 493), 2: (2038, 475)}
+#: shift arrival times by nanoseconds. Both seeds lost two more decisions
+#: (2050 and 2038 before) when the PROPOSE began to name its requests
+#: instead of carrying them, for the same reason; the holds did not move.
+DEPTH_ONE_COUNTS = {1: (2048, 493), 2: (2036, 475)}
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -5,6 +5,7 @@ import pytest
 from repro.bftsmart import (
     AcceptMsg,
     ClientRequest,
+    FetchRequests,
     Propose,
     PushMessage,
     ReconfigRequest,
@@ -33,7 +34,11 @@ SAMPLES = [
     ),
     Reply(client_id="c1", sequence=7, result=b"ok", view_id=0, regency=2),
     PushMessage(client_id="c1", stream="scada", order=(3, 0, 1), payload=b"x"),
-    Propose(cid=5, epoch=1, value=b"batch", timestamp=2.5),
+    Propose(
+        cid=5, epoch=1, keys=(("c1", 7), ("c2", 0)), value_digest=b"d" * 20,
+        timestamp=2.5,
+    ),
+    FetchRequests(cid=5, epoch=1, keys=(("c2", 0),)),
     WriteMsg(cid=5, epoch=1, value_digest=b"d" * 20),
     AcceptMsg(cid=5, epoch=1, value_digest=b"d" * 20),
     Stop(regency=4),

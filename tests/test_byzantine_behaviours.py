@@ -5,8 +5,9 @@ replica consults at ingress, when proposing, at every reply it sends and
 at every push. These tests pin what the subclass-based behaviours got
 wrong: the liar lies, and only lies, on every reply path; the stutterer
 stays quiet on every reply path — ordered, retransmitted from the reply
-cache, and unordered; and a behaviour never undoes the halt of a replica
-the group removed.
+cache, and unordered; a behaviour never undoes the halt of a replica
+the group removed; and a leader that withholds the requests its PROPOSE
+names, or declares a digest they do not hash to, is replaced.
 """
 
 import pytest
@@ -16,12 +17,15 @@ from repro.bftsmart import (
     CounterService,
     GroupConfig,
     Lying,
+    Misdigesting,
     Stuttering,
+    Withholding,
     build_group,
     build_proxy,
 )
 from repro.crypto import KeyStore
 from repro.net import ConstantLatency, Drop, LanLatency, Network, NetworkTrace
+from repro.obs.trace import install_tracer
 from repro.sim import Simulator
 from repro.wire import decode, encode
 
@@ -104,3 +108,65 @@ def test_stutterers_reply_never_reaches_the_client():
     assert not [
         hop for hop in trace.hops if hop.src == "replica-3" and hop.kind == "Reply"
     ]
+
+
+def _first_stops(tracer) -> list:
+    """``(replica, regency, cause)`` of every first STOP vote."""
+    return sorted(
+        (span.process, span.attrs["regency"], span.attrs["cause"])
+        for span in tracer.spans
+        if span.name == "sync.suspect"
+    )
+
+
+def test_a_leader_that_withholds_fetched_requests_is_replaced():
+    """The client's first multicast reaches the leader and replica-1 only.
+    The leader proposes the request and ignores the fetches of replicas 2
+    and 3, which cannot rebuild the value, so it cannot decide. The
+    client's retransmission pools the request there, their silence rule
+    runs out, and regency 1 orders it."""
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=ConstantLatency(0.0003))
+    keystore = KeyStore()
+    # The timeout backstop (2 s) stays out of the way of the silence rule.
+    config = GroupConfig(n=4, f=1, request_timeout=2.0, batch_wait=0.0)
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    tracer = install_tracer(sim)
+    replicas[0].behaviour = Withholding()
+    proxy = build_proxy(sim, net, "client-1", config, keystore, invoke_timeout=0.3)
+    for dst in ("replica-2", "replica-3"):
+        net.faults.add(Drop(src=proxy.client_id, dst=dst, max_count=1))
+    event = proxy.invoke_ordered(encode(("add", 1)))
+    sim.run(until=5.0)
+    assert event.ok and decode(event.value) == 1
+    # Re-sent once per patience while unanswered.
+    assert [replica.fetches > 0 for replica in replicas] == [False, False, True, True]
+    assert [replica.regency for replica in replicas] == [1] * 4
+    assert [replica.service.value for replica in replicas] == [1] * 4
+    assert _first_stops(tracer) == [
+        ("replica-0", 1, "joined"),
+        ("replica-1", 1, "joined"),
+        ("replica-2", 1, "silent"),
+        ("replica-3", 1, "silent"),
+    ]
+
+
+def test_a_leader_whose_requests_do_not_hash_to_its_digest_is_replaced_as_invalid():
+    """Every follower rebuilds another value from the leader's keys,
+    fetches them all, and finds the leader's own answer rebuilding that
+    other value too: each suspects the leader first-hand (``invalid``)."""
+    sim, net, keystore, config, replicas = _group(seed=1, latency=ConstantLatency(0.0003))
+    tracer = install_tracer(sim)
+    replicas[0].behaviour = Misdigesting()
+    proxy = build_proxy(sim, net, "client-1", config, keystore, invoke_timeout=0.3)
+    event = proxy.invoke_ordered(encode(("add", 1)))
+    sim.run(until=5.0)
+    assert event.ok and decode(event.value) == 1
+    assert proxy.stats["retransmissions"] == 0
+    assert [replica.fetches for replica in replicas] == [0, 1, 1, 1]
+    assert [replica.regency for replica in replicas] == [1] * 4
+    assert [replica.service.value for replica in replicas] == [1] * 4
+    assert [
+        (replica, cause) for replica, regency, cause in _first_stops(tracer)
+        if replica != "replica-0"
+    ] == [("replica-1", "invalid"), ("replica-2", "invalid"), ("replica-3", "invalid")]

@@ -3,7 +3,9 @@ SMaRt-SCADA deployment: the library scenarios that drill them.
 
 A client's key is its blast radius. Malformed frames under it cost one
 rejected envelope per replica; leaving the leader out of its multicasts
-costs one patience of latency, not a leader change. A leader that holds
+costs one patience of latency, not a leader change; two bodies signed
+under one sequence cost the followers holding the other one a fetch, and
+the leader's body is ordered once. A leader that holds
 every PROPOSE for just under ``request_timeout`` is outrun by the
 followers' patience, and the throughput-floor monitor states how much of
 its write throughput the group kept.
@@ -17,6 +19,7 @@ from repro.chaos import ThroughputFloorMonitor, get_scenario, run_campaign
 from repro.chaos.campaign import WriteRecord
 from repro.chaos.monitors import default_monitors
 from repro.ids.scoring import GroundTruthEpisode
+from repro.wire import decode
 
 
 class _Probe(ThroughputFloorMonitor):
@@ -26,6 +29,16 @@ class _Probe(ThroughputFloorMonitor):
         super().finish(ctx)
         self.regencies = [pm.replica.regency for pm in ctx.system.proxy_masters]
         self.rejected = [pm.replica.channel.rejected for pm in ctx.system.proxy_masters]
+        self.fetches = [pm.replica.fetches for pm in ctx.system.proxy_masters]
+        self.decided = [
+            [
+                (request.key(), request.operation)
+                for _cid, value, _timestamp in pm.replica.decision_log
+                if value
+                for request in decode(value).requests
+            ]
+            for pm in ctx.system.proxy_masters
+        ]
 
 
 def _run(name: str, seed: int = 0, **views):
@@ -58,6 +71,24 @@ def test_client_partial_multicast_keeps_the_leader():
     assert report.fault_stats["total_fired"] > 0  # the leader's copies were dropped
     assert probe.regencies == [0] * 4
     assert report.writes_succeeded == report.writes_total
+    assert report.detections == []
+
+
+def test_client_equivocating_sequence_orders_the_leaders_body_once():
+    report, probe = _run("client-equivocating-sequence", ids=True)
+    assert report.ok
+    assert report.fault_stats["total_fired"] == 2  # body B, to replicas 2 and 3
+    # The two followers holding body B fetched the leader's requests.
+    assert probe.fetches == [0, 0, 1, 1]
+    assert probe.regencies == [0] * 4
+    decided = probe.decided[0]
+    assert all(stream == decided for stream in probe.decided)
+    keys = [key for key, _operation in decided]
+    assert len(keys) == len(set(keys))
+    assert not any(op.startswith(b"\x00equivocated") for _key, op in decided)
+    assert report.writes_succeeded == report.writes_total
+    # A client that equivocates to the replicas is no replica fault: the
+    # IDS stays quiet.
     assert report.detections == []
 
 

@@ -6,14 +6,26 @@ malformed payload with :class:`DecodeError` (which the channel counts
 and drops), never with another exception that unwinds the receiving
 replica's handler — one client would otherwise take down all ``n``
 replicas, far outside any ``f`` budget.
+
+The same holds one step further in, for frames that decode into a
+registered type of the wrong shape: a PROPOSE by reference from a
+Byzantine leader, a fetch from a Byzantine follower. Each is dropped and
+counted as one rejected envelope, and a follower that repeats a fetch
+gets no second answer.
 """
 
 from __future__ import annotations
 
 from repro.bftsmart import CounterService, GroupConfig, build_group, build_proxy
-from repro.bftsmart.messages import ClientRequest, Sealed
-from repro.crypto import KeyStore
-from repro.net import ConstantLatency, Network
+from repro.bftsmart.messages import (
+    ClientRequest,
+    FetchRequests,
+    Propose,
+    RequestBatch,
+    Sealed,
+)
+from repro.crypto import KeyStore, digest
+from repro.net import ConstantLatency, Drop, Network
 from repro.sim import Simulator
 from repro.wire import GLOBAL_REGISTRY, decode, encode
 
@@ -84,3 +96,91 @@ def _adds(sim, proxy, count):
     for _ in range(count):
         result = yield proxy.invoke_ordered(ADD)
     return result
+
+
+#: Key tuples no honest leader or follower sends (``batch_max`` is 400).
+_MALFORMED_KEYS = (
+    tuple((f"client-{i}", 0) for i in range(401)),  # one key too many
+    [("client-0", 2)],  # a list, not a tuple
+    (("client-0",),),  # not a pair
+    ((2, "client-0"),),  # (int, str)
+    (("client-0", True),),  # a bool is no sequence
+    (("client-0", 2), ("client-0", 2)),  # a duplicate key
+)
+
+
+def test_a_reference_propose_of_another_shape_is_one_rejected_envelope_each():
+    sim, replicas, proxy = _group()
+    assert decode(sim.run_process(_adds(sim, proxy, 2), until=5.0)) == 2
+    before, rejected = _snapshot(replicas), _rejected(replicas)
+    good = {"cid": 2, "epoch": 0, "keys": (("client-0", 2),),
+            "value_digest": digest(b"v"), "timestamp": 0.0}
+    shapes = [{**good, "keys": keys} for keys in _MALFORMED_KEYS] + [
+        {**good, "cid": "2"},
+        {**good, "epoch": 0.0},
+        {**good, "value_digest": "d"},
+    ]
+    for fields in shapes:
+        # From the leader itself: only the shape is wrong.
+        replicas[0].channel.send("replica-1", Propose(**fields))
+    sim.run(until=sim.now + 0.01)
+    assert _rejected(replicas) == [
+        rejected[0], rejected[1] + len(shapes), rejected[2], rejected[3]
+    ]
+    assert _snapshot(replicas) == before
+    assert [replica.fetches for replica in replicas] == [0] * 4
+    assert decode(sim.run_process(_adds(sim, proxy, 1), until=sim.now + 5.0)) == 3
+
+
+def _open_leader_slot():
+    """A group whose followers decided cid 0 (the client's first add)
+    while the leader, deaf to ACCEPTs, keeps the slot open."""
+    sim, replicas, proxy = _group()
+    replicas[0].net.faults.add(Drop(dst="replica-0", kind="AcceptMsg"))
+    assert decode(sim.run_process(_adds(sim, proxy, 1), until=5.0)) == 1
+    leader = replicas[0]
+    assert 0 in leader.instances and not leader.instances[0].decided
+    answers = []
+    send = leader.channel.send
+
+    def spy(dst, message):
+        if isinstance(message, RequestBatch):
+            answers.append((dst, message.requests))
+        send(dst, message)
+
+    leader.channel.send = spy
+    return sim, replicas, proxy, answers
+
+
+def test_a_fetch_of_another_shape_or_slot_is_one_rejected_envelope_each():
+    sim, replicas, proxy, answers = _open_leader_slot()
+    rejected = _rejected(replicas)
+    key = (proxy.client_id, 0)
+    fetches = [FetchRequests(cid=0, epoch=0, keys=keys) for keys in _MALFORMED_KEYS]
+    fetches += [
+        FetchRequests(cid=1, epoch=0, keys=(key,)),  # no proposal in this slot
+        FetchRequests(cid=9, epoch=0, keys=(key,)),  # outside the window
+        FetchRequests(cid=0, epoch=1, keys=(key,)),  # not proposed in regency 1
+        FetchRequests(cid="0", epoch=0, keys=(key,)),
+        FetchRequests(cid=[0], epoch=0, keys=(key,)),  # unhashable
+    ]
+    for fetch in fetches:
+        replicas[3].channel.send("replica-0", fetch)
+    # A client shares a key with every replica, but is no member.
+    proxy.channel.send("replica-0", FetchRequests(cid=0, epoch=0, keys=(key,)))
+    sim.run(until=sim.now + 0.01)
+    assert _rejected(replicas) == [rejected[0] + len(fetches) + 1] + rejected[1:]
+    assert answers == []
+
+
+def test_a_repeated_fetch_gets_no_second_answer():
+    sim, replicas, proxy, answers = _open_leader_slot()
+    rejected = _rejected(replicas)
+    key = (proxy.client_id, 0)
+    [request] = replicas[0].instances[0].proposal_batch.requests
+    for _ in range(3):
+        replicas[3].channel.send("replica-0", FetchRequests(cid=0, epoch=0, keys=(key,)))
+    replicas[2].channel.send("replica-0", FetchRequests(cid=0, epoch=0, keys=(key,)))
+    sim.run(until=sim.now + 0.01)
+    assert answers == [("replica-3", (request,)), ("replica-2", (request,))]
+    assert _rejected(replicas) == [rejected[0] + 2] + rejected[1:]

@@ -27,6 +27,7 @@ from repro.bftsmart.messages import (
     Propose,
     PushMessage,
     Reply,
+    RequestBatch,
     StateReply,
     Stop,
     WriteMsg,
@@ -125,12 +126,12 @@ def test_a_deviant_push_is_attributed_to_its_envelope_sender():
 
 def test_a_forged_proposal_with_claimed_votes_decides_nothing():
     sim, replicas, proxy = _group()
-    empty = digest(b"")
+    empty = digest(encode(RequestBatch(requests=())))
     # replica-1 alone is fed a PROPOSE "from the leader" and WRITE/ACCEPT
     # votes "from" three members, all for the empty batch.
     _attack(
         replicas, "replica-1", Propose, ("replica-0",),
-        cid=0, epoch=0, value=b"", timestamp=0.0,
+        cid=0, epoch=0, keys=(), value_digest=empty, timestamp=0.0,
     )
     for cls in (WriteMsg, AcceptMsg):
         _attack(
@@ -183,5 +184,23 @@ def test_a_client_that_leaves_the_leader_out_forces_no_leader_change():
     # tick, before any turnaround was measured): the client's first
     # retransmission was already out.
     assert proxy.stats["retransmissions"] == 1
+    assert [replica.regency for replica in replicas] == [0] * 4
+    assert [replica.service.value for replica in replicas] == [1] * 4
+
+
+def test_a_client_that_leaves_two_followers_out_forces_no_leader_change():
+    """A Byzantine client multicasts one signed request to the leader and
+    replica-1 only. The leader's PROPOSE names it; replicas 2 and 3 fetch
+    it from the leader and decide it with the rest: no leader change, no
+    retransmission."""
+    sim, replicas, proxy = _group()
+    net = replicas[0].net
+    for dst in ("replica-2", "replica-3"):
+        net.faults.add(Drop(src=proxy.client_id, dst=dst))
+    event = proxy.invoke_ordered(ADD)
+    sim.run(until=1.0)
+    assert event.ok and decode(event.value) == 1
+    assert proxy.stats["retransmissions"] == 0
+    assert [replica.fetches for replica in replicas] == [0, 0, 1, 1]
     assert [replica.regency for replica in replicas] == [0] * 4
     assert [replica.service.value for replica in replicas] == [1] * 4

@@ -8,11 +8,16 @@ is then arithmetic — hops, consensus rounds and the cost model's
 execution terms — and the tests below do that arithmetic, so the next
 timer that makes operations wait for nothing fails a sum, not a review.
 The bare library keeps a window, and its two tests at the bottom show
-why: two requests sent one by one need it to share a PROPOSE.
+why: two requests sent one by one need it to share a PROPOSE. The last
+two pin what a PROPOSE costs on the wire: it names its requests, which
+every follower already holds, so its size does not grow with theirs, and
+at ``bft-micro``'s shape the median is the same hop arithmetic with the
+PROPOSE charged its reference size.
 """
 
 from __future__ import annotations
 
+import random
 import statistics
 
 import pytest
@@ -20,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
+from repro.bftsmart.messages import ClientRequest, Propose, Reply, Sealed, WriteMsg
 from repro.core import (
     DEFAULT_HOP_LATENCY,
     DEFAULT_LOCAL_LATENCY,
@@ -29,6 +35,7 @@ from repro.core import (
     smartscada_costs,
 )
 from repro.crypto import KeyStore
+from repro.crypto.mac import MAC_SIZE
 from repro.obs.trace import install_tracer
 from repro.sim import Simulator
 from repro.wire import decode, encode
@@ -191,3 +198,93 @@ SPLIT_SEED = 60007
 def test_a_window_below_the_jitter_bound_splits_a_pair():
     assert _instances_for_a_back_to_back_pair(SPLIT_SEED, 0.995 * jitter_bound()) == 2
     assert _instances_for_a_back_to_back_pair(SPLIT_SEED, jitter_bound()) == 1
+
+
+# ---------------------------------------------------------------------------
+# PROPOSE by reference
+# ---------------------------------------------------------------------------
+
+
+def _propose_sizes(count: int, payload: int) -> set:
+    """Wire sizes of the PROPOSEs that order ``count`` requests of
+    ``payload`` bytes handed over together."""
+    sim = Simulator(seed=1)
+    net = make_network(sim, trace=True)
+    keystore = KeyStore()
+    config = GroupConfig(n=4, f=1, batch_wait=0.0)
+    build_group(sim, net, config, EchoService, keystore)
+    proxy = build_proxy(sim, net, "client-0", config, keystore)
+    rng = random.Random(count)
+    proxy.invoke_ordered_together([rng.randbytes(payload) for _ in range(count)])
+    sim.run(until=0.1)
+    return {hop.size for hop in net.trace.hops if hop.kind == "Propose"}
+
+
+def test_a_propose_is_sized_by_its_keys_not_its_requests():
+    for count in (1, 4, 16, 64):
+        [size] = _propose_sizes(count, 1024)
+        assert _propose_sizes(count, 8) == {size}
+        assert size < 64 * count + 128
+
+
+#: ``bft-micro``'s shape: 1 KiB echo requests at 25k req/s, 1 ms window.
+MICRO_RATE, MICRO_WAIT, MICRO_PAYLOAD = 25_000.0, 0.001, 1024
+
+
+def _envelope_size(message, sender: str, receivers) -> int:
+    tags = {receiver: bytes(MAC_SIZE) for receiver in receivers}
+    return len(encode(Sealed(sender=sender, payload=encode(message), tags=tags)))
+
+
+#: The LAN model's serialization rate: 1 Gbit/s (``LanLatency``'s default).
+BANDWIDTH = 125_000_000.0
+
+
+def _hop(size: int) -> float:
+    return HOP + size / BANDWIDTH
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_bft_micro_median_is_hops_plus_window_with_a_propose_by_reference(seed):
+    sim = Simulator(seed=seed)
+    net = make_network(sim)
+    keystore = KeyStore()
+    config = GroupConfig(n=4, f=1, batch_max=500, batch_wait=MICRO_WAIT)
+    build_group(sim, net, config, EchoService, keystore)
+    proxy = build_proxy(sim, net, "load-client", config, keystore, invoke_timeout=5.0)
+    rng = random.Random(seed)
+    latencies = []
+
+    def load():
+        for op in range(5000):
+            yield sim.timeout(1.0 / MICRO_RATE)
+            sent = sim.now
+            operation = op.to_bytes(8, "big") + rng.randbytes(MICRO_PAYLOAD - 8)
+            proxy.invoke_ordered(operation).add_callback(
+                lambda _event, sent=sent: latencies.append(sim.now - sent)
+            )
+
+    sim.process(load())
+    sim.run(until=sim.now + 5000 / MICRO_RATE + 0.5)
+    assert len(latencies) == 5000
+
+    client, leader = proxy.client_id, "replica-0"
+    followers = ("replica-1", "replica-2", "replica-3")
+    request = ClientRequest(
+        client, 4999, bytes(MICRO_PAYLOAD), client, False, bytes(MAC_SIZE)
+    )
+    # A window holds the requests of one batch_wait plus the one that opened it.
+    window = MICRO_WAIT + 1 / MICRO_RATE
+    keys = tuple((client, 4999 - i) for i in range(round(window * MICRO_RATE)))
+    propose = Propose(0, 0, keys, bytes(20), 0.0)
+    vote = WriteMsg(0, 0, bytes(20))
+    reply = Reply(client, 4999, bytes(MICRO_PAYLOAD), 0, 0)
+    floor = (
+        _hop(_envelope_size(request, client, (leader,)))
+        + window / 2
+        + _hop(_envelope_size(propose, leader, followers))
+        + 2 * _hop(_envelope_size(vote, leader, followers))
+        + _hop(_envelope_size(reply, leader, (client,)))
+    )
+    # The warm-up fifth aside.
+    assert statistics.median(latencies[1000:]) == pytest.approx(floor, rel=0.02)
