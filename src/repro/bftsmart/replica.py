@@ -14,7 +14,7 @@ in :mod:`repro.bftsmart.statetransfer`.
 from __future__ import annotations
 
 from itertools import islice
-from operator import is_
+from operator import attrgetter, is_
 
 from repro.bftsmart.channel import SecureChannel
 from repro.bftsmart.config import GroupConfig
@@ -45,7 +45,7 @@ from repro.obs.trace import request_trace_id
 from repro.perf import PERF
 from repro.sim.channels import Channel
 from repro.sim.kernel import Simulator
-from repro.wire import DecodeError, decode, encode
+from repro.wire import DecodeError, decode, encode, same_encoding
 
 #: Operations starting with this marker carry a ReconfigRequest.
 RECONFIG_MARKER = b"\x00RECONFIG\x00"
@@ -77,6 +77,21 @@ _SIGNING_STATS = PERF.stats["signing_payload"]
 #: key to the very request object in ``batch`` takes ``value`` instead of
 #: encoding the batch again; the record lives as long as the Propose.
 _BATCH_ATTR = "_batch_memo"
+
+#: Attributes under which the first replica to execute a
+#: :class:`ClientRequest` records what it built for it: its :class:`Reply`
+#: (``_REPLY_ATTR``) and the :class:`PushMessage` of each push the
+#: execution emitted, in emission order (``_PUSH_ATTR``). The n replicas
+#: of a group execute that very request object (the channel shares it),
+#: and correct ones build byte-identical outputs, so a later replica sends
+#: the recorded object — whose encoding its channel already memoized —
+#: whenever its own fields pass :func:`~repro.wire.same_encoding` against
+#: the record's, and builds (and records) its own otherwise. The records
+#: live as long as the request.
+_REPLY_ATTR = "_reply_memo"
+_PUSH_ATTR = "_push_memo"
+_REPLY_FIELDS = attrgetter("client_id", "sequence", "result", "view_id", "regency")
+_PUSH_FIELDS = attrgetter("client_id", "stream", "order", "payload")
 
 
 def propose_by_reference(
@@ -255,6 +270,10 @@ class ServiceReplica:
         self._exec_channel = Channel(sim, name=f"exec:{address}")
         #: True while the executor works on an entry it took.
         self._executing = False
+        #: The request the service is executing (its pushes are recorded
+        #: on it), or None, and how many pushes that execution emitted.
+        self._request = None
+        self._pushed = 0
         #: Bumped by every checkpoint install; executor entries queued
         #: under an older epoch are stale (they predate the installed
         #: state) and must be dropped, or their execution would poison
@@ -450,14 +469,23 @@ class ServiceReplica:
             result = self.service.execute_unordered(request.operation)
         except Exception as exc:  # deterministic failure -> error reply
             result = encode(("error", str(exc)))
-        reply = Reply(
-            client_id=request.client_id,
-            sequence=request.sequence,
-            result=result,
-            view_id=self.view.view_id,
-            regency=self.regency,
+        self._send_reply(request.reply_to, self._reply_to(request, result))
+
+    def _reply_to(self, request: ClientRequest, result: bytes) -> Reply:
+        """This replica's :class:`Reply` to ``request``: the one recorded on
+        the request when its fields encode like ours (``_REPLY_ATTR``)."""
+        fields = (
+            request.client_id,
+            request.sequence,
+            result,
+            self.view.view_id,
+            self.regency,
         )
-        self._send_reply(request.reply_to, reply)
+        memo = request.__dict__.get(_REPLY_ATTR)
+        if memo is not None and same_encoding(_REPLY_FIELDS(memo), fields):
+            return memo
+        reply = request.__dict__[_REPLY_ATTR] = Reply(*fields)
+        return reply
 
     # ------------------------------------------------------------------
     # leader: batching and proposing
@@ -1359,19 +1387,16 @@ class ServiceReplica:
         if request.operation.startswith(RECONFIG_MARKER):
             result = self._apply_reconfiguration(request.operation)
         else:
+            self._request, self._pushed = request, 0
             try:
                 result = self.service.execute(request.operation, context)
             except Exception as exc:  # deterministic service error
                 result = encode(("error", str(exc)))
+            finally:
+                self._request = None
         self._last_executed_seq[request.client_id] = request.sequence
         self.stats["executed"] += 1
-        reply = Reply(
-            client_id=request.client_id,
-            sequence=request.sequence,
-            result=result,
-            view_id=self.view.view_id,
-            regency=self.regency,
-        )
+        reply = self._reply_to(request, result)
         cached = self.last_reply.get(request.client_id)
         if cached is None or cached[0] != cid:
             cached = self.last_reply[request.client_id] = (cid, {})
@@ -1486,19 +1511,35 @@ class ServiceReplica:
     # ------------------------------------------------------------------
 
     def push(self, client_id: str, stream: str, order: tuple, payload: bytes) -> None:
-        """Send an asynchronous message to a client-side listener."""
+        """Send an asynchronous message to a client-side listener.
+
+        The k-th push emitted while a request executes reuses the k-th
+        :class:`PushMessage` recorded on the request when its fields
+        encode like ours (``_PUSH_ATTR``).
+        """
         if not self.active:
             return
         if self.behaviour is not None:
             payload = self.behaviour.on_push(self, client_id, stream, order, payload)
             if payload is None:
                 return
-        message = PushMessage(
-            client_id=client_id,
-            stream=stream,
-            order=order,
-            payload=payload,
-        )
+        fields = (client_id, stream, order, payload)
+        request = self._request
+        if request is None:
+            message = PushMessage(*fields)
+        else:
+            records = request.__dict__.get(_PUSH_ATTR)
+            if records is None:
+                records = request.__dict__[_PUSH_ATTR] = []
+            index = self._pushed
+            self._pushed = index + 1
+            if index == len(records):
+                message = PushMessage(*fields)
+                records.append(message)
+            else:
+                message = records[index]
+                if not same_encoding(_PUSH_FIELDS(message), fields):
+                    message = records[index] = PushMessage(*fields)
         self.stats["pushes"] += 1
         self.channel.send(client_id, message)
 

@@ -18,7 +18,12 @@ paper makes for replication itself. The paper's deployment is the
 from __future__ import annotations
 
 from repro.bftsmart.cluster import build_proxy
-from repro.core.adapter import SCADA_STREAM, proxy_client_id
+from repro.core.adapter import (
+    SCADA_STREAM,
+    decode_shared,
+    encode_shared,
+    proxy_client_id,
+)
 from repro.crypto import KeyStore
 from repro.neoscada.da.client import DAClient
 from repro.neoscada.messages import (
@@ -30,7 +35,7 @@ from repro.neoscada.messages import (
 from repro.net.network import Network
 from repro.shard.map import ShardMap, ShardRouter
 from repro.sim.kernel import Simulator
-from repro.wire import DecodeError, decode, encode_cached
+from repro.wire import DecodeError
 
 
 class ProxyFrontend:
@@ -125,8 +130,9 @@ class ProxyFrontend:
         if not queued:
             self.sim.defer(0.0, self._flush, shard)
         # The network sized an arriving message by its memoized encoding:
-        # ordering it reuses those bytes instead of encoding it again.
-        queued.append(encode_cached(message))
+        # ordering it reuses those bytes instead of encoding it again, and
+        # the replicas take the message itself from the decode share.
+        queued.append(encode_shared(message))
 
     def _flush(self, shard: int) -> None:
         operations, self._queued[shard] = self._queued[shard], []
@@ -147,7 +153,7 @@ class ProxyFrontend:
 
     def _on_push(self, order: tuple, payload: bytes) -> None:
         try:
-            message = decode(payload)
+            message = decode_shared(payload)
         except DecodeError:
             return
         if isinstance(message, WriteValue):

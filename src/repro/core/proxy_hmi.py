@@ -27,7 +27,12 @@ from dataclasses import replace
 
 from repro.bftsmart.client import QuorumDivergence, ServiceProxy
 from repro.bftsmart.cluster import build_proxy
-from repro.core.adapter import SCADA_STREAM, proxy_client_id
+from repro.core.adapter import (
+    SCADA_STREAM,
+    decode_shared,
+    encode_shared,
+    proxy_client_id,
+)
 from repro.crypto import KeyStore
 from repro.neoscada.ae.server import AEServer
 from repro.neoscada.da.server import DAServer
@@ -49,7 +54,7 @@ from repro.shard.correlate import AlarmCorrelator
 from repro.shard.map import ShardMap, ShardRouter
 from repro.shard.merge import MERGE_HOLDBACK, GlobalAeMerger, merge_key
 from repro.sim.kernel import Simulator
-from repro.wire import DecodeError, decode, encode
+from repro.wire import DecodeError, decode
 
 
 class ProxyHMI:
@@ -142,8 +147,10 @@ class ProxyHMI:
             # Handed over together, the two subscriptions travel in one
             # envelope and share a PROPOSE.
             subscriptions = [
-                encode(Subscribe(subscriber=client.client_id, item_id="*")),
-                encode(SubscribeEvents(subscriber=client.client_id, item_id="*")),
+                encode_shared(Subscribe(subscriber=client.client_id, item_id="*")),
+                encode_shared(
+                    SubscribeEvents(subscriber=client.client_id, item_id="*")
+                ),
             ]
             for event in client.invoke_ordered_together(subscriptions):
                 event.add_callback(self._on_invoke_done)
@@ -241,7 +248,7 @@ class ProxyHMI:
         origin = query.reply_to
         client, span = self._route(query.item_id, f"query:{query.query_id}")
         rewritten = replace(query, reply_to=client.client_id)
-        event = client.invoke_unordered(encode(rewritten), parent=span)
+        event = client.invoke_unordered(encode_shared(rewritten), parent=span)
 
         def on_done(ev) -> None:
             if not ev.ok:
@@ -317,7 +324,7 @@ class ProxyHMI:
                     finish()
 
             client.invoke_unordered(
-                encode(rewritten), parent=span
+                encode_shared(rewritten), parent=span
             ).add_callback(on_done)
 
     def _forward_value_query(self, query: ValueQuery) -> None:
@@ -331,7 +338,7 @@ class ProxyHMI:
         """
         origin = query.reply_to
         client = self.bft_clients[self.router.route(query.item_id)]
-        operation = encode(replace(query, reply_to=client.client_id))
+        operation = encode_shared(replace(query, reply_to=client.client_id))
         self.stats["unordered_reads"] += 1
 
         def on_ordered(ev) -> None:
@@ -374,7 +381,7 @@ class ProxyHMI:
         self._submit(client, replace(message, reply_to=client.client_id), parent=span)
 
     def _submit(self, client: ServiceProxy, message, parent=None) -> None:
-        event = client.invoke_ordered(encode(message), parent=parent)
+        event = client.invoke_ordered(encode_shared(message), parent=parent)
         event.add_callback(self._on_invoke_done)
 
     def _on_invoke_done(self, event) -> None:
@@ -388,7 +395,7 @@ class ProxyHMI:
 
     def _on_push(self, order: tuple, payload: bytes, shard: int) -> None:
         try:
-            message = decode(payload)
+            message = decode_shared(payload)
         except DecodeError:
             return
         if isinstance(message, ItemUpdate):

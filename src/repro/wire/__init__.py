@@ -6,6 +6,7 @@ from repro.wire.codec import (
     decode,
     encode,
     encode_cached,
+    same_encoding,
     uvarint_size,
 )
 from repro.wire.errors import DecodeError, EncodeError, WireError
@@ -22,6 +23,7 @@ __all__ = [
     "decode",
     "encode",
     "encode_cached",
+    "same_encoding",
     "uvarint_size",
     "wire_type",
 ]

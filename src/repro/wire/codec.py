@@ -18,6 +18,12 @@ sized by the network, sealed for several receivers or retransmitted is
 encoded once. All caching is behaviour-invisible: the memoized
 path returns byte-identical output to a fresh encode (see
 ``tests/test_wire_codec_caching.py``).
+
+:meth:`Codec.same_encoding` answers ``encode(a) == encode(b)`` without
+encoding either value: it walks both with the encoders' own dispatch, so
+``1``, ``1.0`` and ``True`` differ while ``b"1"`` and ``bytearray(b"1")``
+agree. Replicas use it to reuse an output a peer already built from
+inputs that encode alike.
 """
 
 from __future__ import annotations
@@ -101,6 +107,59 @@ def _read_uvarint(data, pos: int) -> tuple[int, int]:
             raise DecodeError("varint too long")
 
 
+#: Exact classes whose equal values always encode alike (``==`` is
+#: type-strict enough): not float, whose ``0.0 == -0.0``.
+_PLAIN = frozenset((str, int, bytes, bool))
+
+
+def _same_fields(xs, ys, same, by_class) -> bool:
+    """Do ``xs`` and ``ys`` (of one length) encode alike item by item?
+
+    The common item (one object on both sides, an equal str, int, bytes
+    or bool of one exact class, or an equal nonzero float, whose bits
+    are then equal too) is settled here without a call; two items of one
+    class go straight to that class's comparer in ``by_class``.
+    """
+    for x, y in zip(xs, ys):
+        if x is y:
+            continue
+        cls = x.__class__
+        if cls is y.__class__:
+            if cls in _PLAIN:
+                if x == y:
+                    continue
+                return False
+            if cls is float and x == y and x != 0.0:
+                continue
+            compare = by_class.get(cls)
+            if compare is not None:
+                if compare(x, y):
+                    continue
+                return False
+        if not same(x, y):
+            return False
+    return True
+
+
+def _same_truth(a, b) -> bool:
+    return a == b
+
+
+_same_int = int.__eq__
+
+
+def _same_float(a, b) -> bool:
+    return _FLOAT_STRUCT.pack(a) == _FLOAT_STRUCT.pack(b)
+
+
+_same_str = str.__eq__
+
+
+def _same_bytes(a, b) -> bool:
+    # The encoder writes len(value) and then the raw buffer.
+    return len(a) == len(b) and bytes(a) == bytes(b)
+
+
 class Codec:
     """Encoder/decoder bound to a type registry."""
 
@@ -127,6 +186,21 @@ class Codec:
         }
         # Per-dataclass constructors for decode (built on first use).
         self._constructors: dict[type, object] = {}
+        # encoder -> ``compare(a, b)`` for two values that encoder
+        # handles (see same_encoding), and the same by exact class for
+        # the classes seen so far; built on first use. None has no
+        # comparer: two Nones are one object.
+        self._comparers: dict[object, object] = {
+            self._encoders[bool]: _same_truth,
+            self._encoders[int]: _same_int,
+            self._encoders[float]: _same_float,
+            self._encoders[str]: _same_str,
+            self._encoders[bytes]: _same_bytes,
+            self._encoders[list]: self._same_items,
+            self._encoders[tuple]: self._same_items,
+            self._encoders[dict]: self._same_dict,
+        }
+        self._same_by_class: dict[type, object] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -171,6 +245,68 @@ class Codec:
         if data.__class__ is not bytes:
             data = memoryview(data)
         return self._decode(data, pos)
+
+    def same_encoding(self, a, b) -> bool:
+        """``encode(a) == encode(b)``, decided without encoding either.
+
+        Exact for any two values this codec can encode: each side is
+        dispatched to the encoder that would write it, two encoders never
+        write the same bytes, and one encoder's values are compared the
+        way it writes them (a float by its eight bytes, a dict in
+        insertion order, a dataclass field by field). A value encode
+        rejects has no defined answer.
+        """
+        if a is b:
+            return True
+        cls = a.__class__
+        if cls is b.__class__:
+            compare = self._same_by_class.get(cls)
+            if compare is not None:
+                return compare(a, b)
+        encoders = self._encoders
+        encoder = encoders.get(cls) or self._resolve_encoder(a)
+        if b.__class__ is not cls and encoder != (
+            encoders.get(b.__class__) or self._resolve_encoder(b)
+        ):
+            return False
+        compare = self._comparers.get(encoder)
+        if compare is None:
+            compare = self._make_comparer(cls, encoder)
+        self._same_by_class[cls] = compare
+        return compare(a, b)
+
+    def _make_comparer(self, cls: type, encoder):
+        """Build (and install) the comparer of a registered class's encoder."""
+        same, by_class = self.same_encoding, self._same_by_class
+        if issubclass(cls, enum.Enum):
+
+            def compare(a, b) -> bool:
+                return same(a.value, b.value)
+
+        else:
+            names = tuple(field.name for field in self.registry.fields_of(cls))
+            get_fields = operator.attrgetter(*names) if len(names) > 1 else None
+
+            def compare(a, b) -> bool:
+                if get_fields is None:
+                    return not names or same(
+                        getattr(a, names[0]), getattr(b, names[0])
+                    )
+                return _same_fields(get_fields(a), get_fields(b), same, by_class)
+
+        self._comparers[encoder] = compare
+        return compare
+
+    def _same_items(self, a, b) -> bool:
+        return len(a) == len(b) and _same_fields(
+            a, b, self.same_encoding, self._same_by_class
+        )
+
+    def _same_dict(self, a, b) -> bool:
+        # Entries are written in insertion order: compare them in it.
+        return len(a) == len(b) and self._same_items(
+            tuple(a.items()), tuple(b.items())
+        )
 
     # -- encoding -----------------------------------------------------------
 
@@ -557,6 +693,11 @@ def encode(value) -> bytes:
 def decode(data):
     """Decode ``data`` with the default (global-registry) codec."""
     return DEFAULT_CODEC.decode(data)
+
+
+def same_encoding(a, b) -> bool:
+    """``encode(a) == encode(b)`` (default codec), without encoding."""
+    return DEFAULT_CODEC.same_encoding(a, b)
 
 
 # -- memoized whole-message encoding ----------------------------------------

@@ -12,6 +12,14 @@ sender that is not the sealer, ``replace``/``copy.copy`` with a swapped
 payload, a tag dict mutated in place, the wrong receiver, and a request
 whose record was made under another client's key. ``rejected`` moves
 exactly when the reference rejects.
+
+The group's agreed outputs are records too: the first replica to execute
+a request records its ``Reply`` and ``PushMessage``s on the request, the
+adapter records each pushed payload on the shared decoded operation, and
+the decode share holds what proxies and replicas encoded. Those cases
+check that a Byzantine replica executing first never changes a correct
+replica's bytes, that a mutable message is never recorded, and that an
+equal-content copy of a payload is decoded, not looked up.
 """
 
 from __future__ import annotations
@@ -21,18 +29,26 @@ import dataclasses
 import hashlib
 import hmac
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
+from repro.bftsmart.byzantine import Lying
 from repro.bftsmart.channel import SecureChannel
-from repro.bftsmart.messages import ClientRequest, Sealed
+from repro.bftsmart.messages import ClientRequest, PushMessage, Reply, Sealed
 from repro.bftsmart.replica import SIGNED_ATTR
+from repro.chaos.schedule import Falsifying
+from repro.core import SmartScadaConfig, adapter, make_network
+from repro.core.system import build_smartscada
 from repro.crypto import KeyStore
 from repro.crypto.mac import MAC_SIZE
+from repro.neoscada.messages import ItemUpdate
+from repro.neoscada.values import DataValue
 from repro.net import ConstantLatency, Network
+from repro.perf import PERF, clear_hot_path_caches
 from repro.sim import Simulator
-from repro.wire import DecodeError, decode, encode
+from repro.wire import DecodeError, decode, encode, encode_cached
 
 KEYSTORE = KeyStore()
 SIM = Simulator(seed=1)
@@ -263,3 +279,157 @@ def test_forged_requests_are_rejected_and_counted():
         REPLICA._on_client_request(candidate)
     assert REPLICA.stats["rejected_requests"] - before == len(forged)
     assert request.key() not in REPLICA.pending
+
+
+def _watch_outputs(system, byzantine: int, seen: dict) -> None:
+    """Check every Reply and PushMessage a correct replica seals against a
+    fresh encode of that replica's own inputs; note who executed first."""
+    for index, replica in enumerate(system.replicas):
+        service = replica.service
+        results: dict = {}
+        own: list = []
+        expected: dict = {}
+
+        def execute(operation, ctx, _execute=service.execute, _i=index, _r=results):
+            seen["first"].setdefault((ctx.client_id, ctx.sequence), _i)
+            result = _r[(ctx.client_id, ctx.sequence)] = _execute(operation, ctx)
+            return result
+
+        service.execute = execute
+        if index == byzantine:
+            continue
+
+        def transport(dst, message, _send=service.master._transport, _own=own):
+            _own.append(message)
+            _send(dst, message)
+
+        def push(client_id, stream, order, payload, _push=replica.push, _own=own,
+                 _expected=expected):
+            assert payload == encode(_own.pop(0))
+            _expected[(client_id, order)] = encode(
+                PushMessage(client_id, stream, order, payload)
+            )
+            _push(client_id, stream, order, payload)
+
+        def send(dst, message, _send=replica.channel.send, _replica=replica,
+                 _results=results, _expected=expected):
+            if isinstance(message, Reply):
+                fresh = Reply(
+                    message.client_id,
+                    message.sequence,
+                    _results[(message.client_id, message.sequence)],
+                    _replica.view.view_id,
+                    _replica.regency,
+                )
+                assert encode_cached(message) == encode(fresh)
+                seen["replies"].setdefault(id(message), (message, set()))[1].add(
+                    _replica.address
+                )
+            elif isinstance(message, PushMessage):
+                key = (message.client_id, message.order)
+                assert encode_cached(message) == _expected.pop(key, None)
+                seen["pushes"].setdefault(id(message), (message, set()))[1].add(
+                    _replica.address
+                )
+            _send(dst, message)
+
+        service.master._transport = transport
+        replica.push = push
+        replica.channel.send = send
+
+
+@pytest.mark.parametrize(
+    "behaviour", [Lying(), Falsifying()], ids=["lying", "falsifying"]
+)
+def test_a_byzantine_first_executor_never_changes_a_correct_replicas_bytes(behaviour):
+    """Whichever replica misbehaves, and whether or not it executes a
+    request first, every correct replica seals exactly the Reply and the
+    PushMessages its own inputs encode to — and correct replicas do send
+    one another's recorded objects."""
+    byzantine_first = 0
+    for byzantine in range(4):
+        clear_hot_path_caches()
+        sim = Simulator(seed=byzantine + 1)
+        system = build_smartscada(sim, net=make_network(sim), config=SmartScadaConfig())
+        items = [f"rtu.sensor.{i}" for i in range(4)]
+        for item_id in items:
+            system.frontend.add_item(item_id, initial=0)
+        system.replicas[byzantine].behaviour = behaviour
+        seen = {"first": {}, "replies": {}, "pushes": {}}
+        _watch_outputs(system, byzantine, seen)
+        system.start()
+
+        def inject(_sim=sim, _system=system, _items=items):
+            for op in range(30):
+                yield _sim.timeout(0.002)
+                _system.frontend.inject_update(_items[op % len(_items)], 10 + op)
+
+        sim.process(inject())
+        sim.run(until=sim.now + 0.5)
+        byzantine_first += sum(1 for i in seen["first"].values() if i == byzantine)
+        assert seen["replies"] and seen["pushes"]
+        # One object sealed by several correct replicas: the records served.
+        # Objects are kept in ``seen``, so an id names one message.
+        assert max(len(senders) for _m, senders in seen["replies"].values()) == 3
+        assert max(len(senders) for _m, senders in seen["pushes"].values()) == 3
+    assert byzantine_first > 0  # some request ran on the misbehaving replica first
+
+
+def _scada_service():
+    sim = Simulator(seed=1)
+    system = build_smartscada(sim, net=make_network(sim), config=SmartScadaConfig())
+    return system.replicas[0].service
+
+
+def test_a_mutable_message_is_never_put_on_record():
+    clear_hot_path_caches()
+    service = _scada_service()
+    operation = ItemUpdate(item_id="rtu.a", value=DataValue(1))
+    service._operation, service._pushed = operation, 0
+    mutable = ["rtu.a", 1]
+    payload = service._payload_of(mutable)
+    assert payload == encode(mutable)
+    assert not operation.__dict__.get(adapter._PAYLOAD_ATTR)
+    assert id(payload) not in adapter._DECODE_CACHE
+    # A frozen one is recorded and shared: the proof the path was live.
+    frozen = ItemUpdate(item_id="rtu.a", value=DataValue(2))
+    payload = service._payload_of(frozen)
+    assert operation.__dict__[adapter._PAYLOAD_ATTR] == [(frozen, payload)]
+    assert adapter.decode_shared(payload) is frozen
+
+
+def test_a_recorded_payload_is_reused_only_for_a_message_that_encodes_alike():
+    clear_hot_path_caches()
+    service = _scada_service()
+    operation = ItemUpdate(item_id="rtu.a", value=DataValue(1))
+    first = ItemUpdate(item_id="rtu.a", value=DataValue(1))
+    service._operation, service._pushed = operation, 0
+    recorded = service._payload_of(first)
+    for twin, shared in (
+        (ItemUpdate(item_id="rtu.a", value=DataValue(1)), True),
+        (ItemUpdate(item_id="rtu.a", value=DataValue(1.0)), False),
+        (ItemUpdate(item_id="rtu.a", value=DataValue(True)), False),
+    ):
+        service._pushed = 0
+        payload = service._payload_of(twin)
+        assert payload == encode(twin)
+        assert (payload is recorded) == shared
+        if not shared:  # the record now holds the latest builder's output
+            assert operation.__dict__[adapter._PAYLOAD_ATTR] == [(twin, payload)]
+            service._pushed = 0
+            recorded = service._payload_of(first)
+
+
+def test_an_equal_payload_that_is_another_object_is_decoded():
+    clear_hot_path_caches()
+    message = ItemUpdate(item_id="rtu.a", value=DataValue(7))
+    payload = adapter.encode_shared(message)
+    assert adapter.decode_shared(payload) is message
+    copied = bytes(bytearray(payload))
+    assert copied == payload and copied is not payload
+    misses = PERF.stats["decode_share"].misses
+    decoded = adapter.decode_shared(copied)
+    assert decoded == message and decoded is not message
+    assert PERF.stats["decode_share"].misses == misses + 1
+    tampered = encode(ItemUpdate(item_id="rtu.a", value=DataValue(8)))
+    assert adapter.decode_shared(tampered).value.value == 8

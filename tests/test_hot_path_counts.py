@@ -6,7 +6,8 @@ a short seeded ``update`` run (Figure 8(a): Frontend -> ordering -> Master
 1 KiB echo firehose) the tests below pin the counts the benchmark's
 per-layer view is made of: canonical encodes, kernel dispatches, network
 sends and deliveries, MAC computations, and the sizes handed to the
-latency model. A reintroduced sizing encode, an extra event per message
+latency model, plus canonical decodes. A reintroduced sizing encode, a
+voted push decoded again, an extra event per message
 or a size shortcut (a hint that is not the exact wire size moves the
 schedule) fails here instead of in a benchmark run nobody made.
 
@@ -36,7 +37,7 @@ from repro.wire import Codec, encode
 def counted(monkeypatch):
     """Counters around the per-message entry points (class attributes, so
     every call through an instance is seen)."""
-    counts = {"encodes": 0, "macs": 0, "sized": 0, "size_bytes": 0}
+    counts = {"encodes": 0, "decodes": 0, "macs": 0, "sized": 0, "size_bytes": 0}
 
     def wrap(owner, name, on_call):
         original = getattr(owner, name)
@@ -58,6 +59,7 @@ def counted(monkeypatch):
         counts["size_bytes"] += size
 
     wrap(Codec, "encode", bump("encodes"))
+    wrap(Codec, "decode", bump("decodes"))
     wrap(Authenticator, "mac", bump("macs"))
     wrap(LanLatency, "delay", on_delay)
     wrap(ConstantLatency, "delay", on_delay)
@@ -141,12 +143,22 @@ def _bft_micro_run(seed: int, requests: int = 300, rate: float = 25_000.0) -> tu
 #: carrying them (the followers hold them already): ``update`` 1208068 ->
 #: 1147810 bytes, ``bft-micro`` 3724240 -> 2754544. Every other count,
 #: the encodes included, stayed exact: the PROPOSE is still one encode.
+#: Only the encodes moved when the group's byte-identical outputs began to
+#: be built once (the first replica to execute a request records its
+#: Reply and its pushes on it, and the adapter records each pushed
+#: payload on the shared operation): ``update`` 5570 -> 3572 (per update,
+#: three of four Replies, ItemUpdate payloads and PushMessages),
+#: ``bft-micro`` 1928 -> 1028 (three of four Replies per request).
+#: ``decodes`` counts every ``Codec.decode`` call; it is 0 because the
+#: proxies feed the decode share with the operations they submit and the
+#: replicas with the payloads they push (445 on ``update`` before).
 UPDATE = {
     1: {
         "events": 11628,
         "sent": 8493,
         "delivered": 8493,
-        "encodes": 5570,
+        "encodes": 3572,
+        "decodes": 0,
         "macs": 16092,
         "sized": 8493,
         "size_bytes": 1147810,
@@ -157,7 +169,8 @@ BFT_MICRO = {
         "events": 3446,
         "sent": 2724,
         "delivered": 2724,
-        "encodes": 1928,
+        "encodes": 1028,
+        "decodes": 0,
         "macs": 5448,
         "sized": 2724,
         "size_bytes": 2754544,

@@ -2,11 +2,13 @@
 
 Every per-message memo is stored on the object it describes — the
 envelope's MAC records and message, the request's signing record, the
-leader's batch on its Propose — so it dies with that object. Only two
-tables span objects (the content-keyed digest memo and the adapter's
-operation decode share), and each is bounded by what is in flight. After
-a run and its deployment are gone, what ``src/repro`` allocated and still
-holds is those two tables and nothing else.
+leader's batch on its Propose, the group's Reply and PushMessages on the
+request they answer, the pushed payloads on the decoded operation that
+emitted them — so it dies with that object. Only two tables span objects
+(the content-keyed digest memo and the adapter's decode share), and each
+is bounded (512 entries). After a run and its deployment are gone, what
+``src/repro`` allocated and still holds is those two tables and nothing
+else.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import weakref
 from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
 from repro.bftsmart.channel import SecureChannel
 from repro.bftsmart.messages import Stop
-from repro.core import adapter
+from repro.core import SmartScadaConfig, adapter, make_network
+from repro.core.system import build_smartscada
 from repro.crypto import KeyStore
 from repro.crypto.digest import _DIGEST_CACHE, _DIGEST_CACHE_LIMIT
 from repro.net import ConstantLatency, Network
@@ -59,6 +62,17 @@ def test_bft_micro_run_leaves_at_most_a_mebibyte_under_src_repro():
     def run():
         ops, _counts = _bft_micro_run(1)
         assert ops == 300
+
+    assert _retained_under_src(run) <= RETAINED_LIMIT
+
+
+def test_update_run_leaves_at_most_a_mebibyte_under_src_repro():
+    # The SCADA path adds the group's records (Reply and PushMessages on
+    # each request, pushed payloads on each decoded operation) and feeds
+    # the decode share from both proxies and the replicas.
+    def run():
+        ops, _counts = _update_run(1)
+        assert ops == 200
 
     assert _retained_under_src(run) <= RETAINED_LIMIT
 
@@ -112,3 +126,43 @@ def test_a_request_and_its_batch_die_once_decided():
     assert second.ok
     gc.collect()
     assert alive() is None  # nothing kept the request or its record
+
+
+def test_the_groups_records_die_with_their_request_and_operation():
+    """Replies, PushMessages and pushed payloads are recorded on the request
+    and the decoded operation they belong to; once the group has moved on
+    (and the decode share let go of the operation) nothing keeps them."""
+    clear_hot_path_caches()
+    sim = Simulator(seed=1)
+    system = build_smartscada(sim, net=make_network(sim), config=SmartScadaConfig())
+    system.frontend.add_item("rtu.a", initial=0)
+    replica = system.replicas[0]
+    service, channel = replica.service, replica.channel
+    execute, send = service.execute, channel.send
+    sent = {}
+
+    def watch_execute(operation, ctx):
+        sent.setdefault("operation", weakref.ref(adapter.decode_shared(operation)))
+        return execute(operation, ctx)
+
+    def watch_send(dst, message):
+        sent.setdefault(type(message).__name__, weakref.ref(message))
+        send(dst, message)
+
+    system.start()
+    sim.run(until=sim.now + 0.1)
+    service.execute, channel.send = watch_execute, watch_send
+    system.frontend.inject_update("rtu.a", 5)
+    sim.run(until=sim.now + 0.1)
+    service.execute, channel.send = execute, send
+    operation = sent["operation"]()
+    assert operation.__dict__[adapter._PAYLOAD_ATTR]  # its pushes' payloads
+    del operation
+    assert {"Reply", "PushMessage"} <= set(sent)
+    for value in range(6, 10):  # the group moves on; last_reply is replaced
+        system.frontend.inject_update("rtu.a", value)
+        sim.run(until=sim.now + 0.05)
+    clear_hot_path_caches()  # the decode share pins recent operations
+    gc.collect()
+    assert {name: ref() for name, ref in sent.items()} == dict.fromkeys(sent)
+    assert system.replicas[0].executed_cid > 0  # the deployment is still alive
