@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from repro.bftsmart.channel import SecureChannel
 from repro.bftsmart.messages import ClientRequest, PushMessage, Reply, RequestBatch
-from repro.bftsmart.replica import SIGNED_ATTR, signing_payload
+from repro.bftsmart.replica import SIGNED_ATTR, record_body, signing_payload
 from repro.bftsmart.view import View
 from repro.crypto import KeyStore, Signer, digest
 from repro.net.network import Network
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
+from repro.wire import encode_cached
 
 
 class QuorumDivergence(Exception):
@@ -77,7 +78,7 @@ class PushVoter:
 
     def __init__(self, view_provider) -> None:
         self._view_provider = view_provider
-        #: (stream, order) -> {payload digest: (payload, voters)}: every
+        #: (stream, order) -> {payload digest: (message, voters)}: every
         #: undelivered candidate, indexed by the slot it competes for, so
         #: a delivery drops its competitors without a scan.
         self._candidates: dict[tuple, dict] = {}
@@ -99,7 +100,8 @@ class PushVoter:
         self.delivered_count = 0
 
     def set_handler(self, stream: str, handler) -> None:
-        """Register ``handler(order, payload)`` for one stream."""
+        """Register ``handler(message)`` for one stream: it gets the voted
+        :class:`PushMessage` (the first copy of the winning payload)."""
         self._handlers[stream] = handler
 
     def on_push(self, message: PushMessage, sender: str) -> None:
@@ -119,18 +121,18 @@ class PushVoter:
         candidates = self._candidates.setdefault(slot, {})
         candidate = candidates.get(payload_digest)
         if candidate is None:
-            candidate = candidates[payload_digest] = (message.payload, set())
-        payload, voters = candidate
+            candidate = candidates[payload_digest] = (message, set())
+        voted, voters = candidate
         voters.add(sender)
         self._hold(sender, (stream, order, payload_digest))
         if len(voters) >= view.weak_quorum:
             self._delivered_digest[slot] = payload_digest
-            self._deliver(stream, order, payload)
+            self._deliver(stream, order, voted)
             # Drop every candidate payload for this order; replicas that
             # voted a competing digest pushed a payload the quorum
             # contradicts.
             del self._candidates[slot]
-            for other, (_payload, group) in candidates.items():
+            for other, (_message, group) in candidates.items():
                 for member in group:
                     self._open[member].pop((stream, order, other), None)
                 if other != payload_digest:
@@ -156,7 +158,7 @@ class PushVoter:
         if self.on_deviant is not None:
             self.on_deviant(stream, order, replica)
 
-    def _deliver(self, stream: str, order: tuple, payload: bytes) -> None:
+    def _deliver(self, stream: str, order: tuple, message: PushMessage) -> None:
         delivered = self._delivered.setdefault(stream, set())
         delivered.add(order)
         if len(delivered) > self.DEDUP_LIMIT:
@@ -167,7 +169,7 @@ class PushVoter:
         self.delivered_count += 1
         handler = self._handlers.get(stream)
         if handler is not None:
-            handler(order, payload)
+            handler(message)
 
 
 class ServiceProxy:
@@ -218,10 +220,6 @@ class ServiceProxy:
         # dedup table silently swallows its requests.
         self._sequence = sequence_start - 1
         self._pending: dict[int, _PendingInvocation] = {}
-        #: Set when a reply reveals a newer view than we hold (the harness
-        #: refreshes the membership out of band, as BFT-SMaRt clients do
-        #: through their view storage).
-        self.view_stale = False
         #: Every replica address this proxy has ever known (across view
         #: updates). Late retransmissions broadcast to this union: after a
         #: leader change or reconfiguration the *current* view may be
@@ -240,8 +238,12 @@ class ServiceProxy:
 
     # -- invoking --------------------------------------------------------------
 
-    def invoke_ordered(self, operation: bytes, parent=None) -> Event:
+    def invoke_ordered(self, operation, parent=None) -> Event:
         """Submit an ordered operation; the event triggers with the result.
+
+        ``operation`` is bytes or a message, which the request carries
+        encoded and, when frozen, as its body record: a replica decoding
+        those very bytes takes the message instead.
 
         ``parent`` optionally names an upstream trace context (anything
         with ``trace_id``/``span_id``, e.g. a :class:`repro.obs.Span`):
@@ -261,7 +263,7 @@ class ServiceProxy:
         """
         return self._invoke(operations, unordered=False)
 
-    def invoke_unordered(self, operation: bytes, parent=None) -> Event:
+    def invoke_unordered(self, operation, parent=None) -> Event:
         """Submit a read-only operation outside the total order."""
         return self._invoke((operation,), unordered=True, parent=parent)[0]
 
@@ -301,10 +303,9 @@ class ServiceProxy:
             )
         return [invocation.event for invocation in invocations]
 
-    def _sign(
-        self, sequence: int, operation: bytes, unordered: bool
-    ) -> ClientRequest:
-        """The request, built once, signed and carrying its signer's record.
+    def _sign(self, sequence: int, operation, unordered: bool) -> ClientRequest:
+        """The request, built once, signed and carrying its signer's record
+        (and, for a message ``operation``, its body record).
 
         The signed fields exclude ``mac``, so the payload is encoded from
         the field values before the request exists. ``trace_id`` stays
@@ -312,6 +313,9 @@ class ServiceProxy:
         links spans through the derived ``req:<client>:<sequence>`` id and
         never grows a frame.
         """
+        body = None
+        if not isinstance(operation, bytes):
+            body, operation = operation, encode_cached(operation)
         fields = (self.client_id, sequence, operation, self.client_id, unordered)
         payload = signing_payload(fields)
         tag = self.signer.sign(payload).tag
@@ -326,6 +330,8 @@ class ServiceProxy:
         )
         # Stored like the codec's encode memo: no wire field is touched.
         request.__dict__[SIGNED_ATTR] = (fields, (self.signer.key, payload, tag))
+        if body is not None:
+            record_body(request, operation, body)
         return request
 
     def _transmit(self, message, broadcast: bool = False) -> None:
@@ -448,8 +454,6 @@ class ServiceProxy:
         )
 
     def _on_reply(self, reply: Reply, sender: str) -> None:
-        if reply.view_id > self.view.view_id:
-            self.view_stale = True
         if reply.client_id != self.client_id or not self.view.contains(sender):
             return
         self._reply_point("reply.recv", reply, sender)
@@ -517,5 +521,4 @@ class ServiceProxy:
         """Adopt a newer membership (after a reconfiguration)."""
         if view.view_id >= self.view.view_id:
             self.view = view
-            self.view_stale = False
             self._known_addresses.update(view.addresses)

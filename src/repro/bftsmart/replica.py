@@ -45,7 +45,8 @@ from repro.obs.trace import request_trace_id
 from repro.perf import PERF
 from repro.sim.channels import Channel
 from repro.sim.kernel import Simulator
-from repro.wire import DecodeError, decode, encode, same_encoding
+from repro.wire import DecodeError, decode, encode, encode_cached, same_encoding
+from repro.wire.codec import _is_frozen_dataclass
 
 #: Operations starting with this marker carry a ReconfigRequest.
 RECONFIG_MARKER = b"\x00RECONFIG\x00"
@@ -78,6 +79,17 @@ _SIGNING_STATS = PERF.stats["signing_payload"]
 #: encoding the batch again; the record lives as long as the Propose.
 _BATCH_ATTR = "_batch_memo"
 
+#: Attribute under which whoever encodes a frozen message into a
+#: :class:`ClientRequest`'s ``operation`` or a :class:`PushMessage`'s
+#: ``payload`` records ``(data, message)`` on that carrier: the proxy
+#: signing a request (:class:`~repro.bftsmart.client.ServiceProxy`), the
+#: replica building a push, or else the first replica to decode an
+#: operation (:meth:`ServiceReplica.decoded`). A reader takes ``message``
+#: only while ``data`` *is* the carrier's field object, so a copy with
+#: other bytes decodes its own; the record lives as long as its carrier.
+BODY_ATTR = "_body_memo"
+_BODY_STATS = PERF.stats["decode_share"]
+
 #: Attributes under which the first replica to execute a
 #: :class:`ClientRequest` records what it built for it: its :class:`Reply`
 #: (``_REPLY_ATTR``) and the :class:`PushMessage` of each push the
@@ -91,7 +103,46 @@ _BATCH_ATTR = "_batch_memo"
 _REPLY_ATTR = "_reply_memo"
 _PUSH_ATTR = "_push_memo"
 _REPLY_FIELDS = attrgetter("client_id", "sequence", "result", "view_id", "regency")
-_PUSH_FIELDS = attrgetter("client_id", "stream", "order", "payload")
+
+
+def record_body(carrier, data: bytes, message) -> None:
+    """Record on ``carrier`` that its field ``data`` encodes ``message``;
+    a mutable message is never recorded (it may change under the record)."""
+    if _is_frozen_dataclass(message.__class__):
+        carrier.__dict__[BODY_ATTR] = (data, message)
+
+
+def body_of(carrier, data: bytes):
+    """The message ``data`` encodes, where ``data`` is ``carrier``'s
+    ``operation`` or ``payload``: its body record while ``data`` is the
+    recorded bytes object, else a fresh decode (which raises
+    :class:`~repro.wire.DecodeError` like :func:`~repro.wire.decode`)."""
+    record = carrier.__dict__.get(BODY_ATTR)
+    if record is not None and record[0] is data:
+        _BODY_STATS.hits += 1
+        return record[1]
+    _BODY_STATS.misses += 1
+    return decode(data)
+
+
+def _push_message(client_id: str, stream: str, order: tuple, payload) -> PushMessage:
+    """The :class:`PushMessage` of ``payload``: bytes, or a message that
+    is encoded here and rides as its body record."""
+    if isinstance(payload, bytes):
+        return PushMessage(client_id, stream, order, payload)
+    data = encode_cached(payload)
+    message = PushMessage(client_id, stream, order, data)
+    record_body(message, data, payload)
+    return message
+
+
+def _push_fields(message: PushMessage) -> tuple:
+    """A push's fields, its recorded body standing for its payload."""
+    payload = message.payload
+    record = message.__dict__.get(BODY_ATTR)
+    if record is not None and record[0] is payload:
+        payload = record[1]
+    return (message.client_id, message.stream, message.order, payload)
 
 
 def propose_by_reference(
@@ -270,8 +321,9 @@ class ServiceReplica:
         self._exec_channel = Channel(sim, name=f"exec:{address}")
         #: True while the executor works on an entry it took.
         self._executing = False
-        #: The request the service is executing (its pushes are recorded
-        #: on it), or None, and how many pushes that execution emitted.
+        #: The request the service is pricing or executing (its body and
+        #: pushes are recorded on it), or None, and how many pushes that
+        #: execution emitted.
         self._request = None
         self._pushed = 0
         #: Bumped by every checkpoint install; executor entries queued
@@ -465,10 +517,13 @@ class ServiceReplica:
                 process=self.address,
                 unordered=True,
             )
+        self._request = request
         try:
             result = self.service.execute_unordered(request.operation)
         except Exception as exc:  # deterministic failure -> error reply
             result = encode(("error", str(exc)))
+        finally:
+            self._request = None
         self._send_reply(request.reply_to, self._reply_to(request, result))
 
     def _reply_to(self, request: ClientRequest, result: bytes) -> Reply:
@@ -486,6 +541,23 @@ class ServiceReplica:
             return memo
         reply = request.__dict__[_REPLY_ATTR] = Reply(*fields)
         return reply
+
+    def decoded(self, operation: bytes):
+        """The message ``operation`` encodes.
+
+        While this replica prices or executes a request and ``operation``
+        is that request's field, the message is the request's body record
+        (``BODY_ATTR``), which the first replica to decode it leaves there
+        for the rest of the group. Raises :class:`~repro.wire.DecodeError`
+        like :func:`~repro.wire.decode`.
+        """
+        request = self._request
+        if request is None or request.operation is not operation:
+            return decode(operation)
+        message = body_of(request, operation)
+        if BODY_ATTR not in request.__dict__:
+            record_body(request, operation, message)
+        return message
 
     # ------------------------------------------------------------------
     # leader: batching and proposing
@@ -1341,7 +1413,9 @@ class ServiceReplica:
                         cid=cid,
                         order=order,
                     )
+                self._request = request
                 cost = self.service.cost_of(request.operation)
+                self._request = None
                 if cost > 0:
                     yield self.sim.timeout(cost)
                 if epoch != self._install_epoch:
@@ -1510,23 +1584,28 @@ class ServiceReplica:
     # asynchronous push (server -> client)
     # ------------------------------------------------------------------
 
-    def push(self, client_id: str, stream: str, order: tuple, payload: bytes) -> None:
+    def push(self, client_id: str, stream: str, order: tuple, payload) -> None:
         """Send an asynchronous message to a client-side listener.
 
-        The k-th push emitted while a request executes reuses the k-th
-        :class:`PushMessage` recorded on the request when its fields
-        encode like ours (``_PUSH_ATTR``).
+        ``payload`` is bytes or a message, which is encoded here and, when
+        frozen, rides its :class:`PushMessage` as the body record. The
+        k-th push emitted while a request executes reuses the k-th
+        PushMessage recorded on the request when its fields (the body
+        standing for the payload) encode like ours (``_PUSH_ATTR``).
         """
         if not self.active:
             return
         if self.behaviour is not None:
-            payload = self.behaviour.on_push(self, client_id, stream, order, payload)
-            if payload is None:
+            data = payload if isinstance(payload, bytes) else encode_cached(payload)
+            forged = self.behaviour.on_push(self, client_id, stream, order, data)
+            if forged is None:
                 return
+            if forged is not data:
+                payload = forged
         fields = (client_id, stream, order, payload)
         request = self._request
         if request is None:
-            message = PushMessage(*fields)
+            message = _push_message(*fields)
         else:
             records = request.__dict__.get(_PUSH_ATTR)
             if records is None:
@@ -1534,12 +1613,12 @@ class ServiceReplica:
             index = self._pushed
             self._pushed = index + 1
             if index == len(records):
-                message = PushMessage(*fields)
+                message = _push_message(*fields)
                 records.append(message)
             else:
                 message = records[index]
-                if not same_encoding(_PUSH_FIELDS(message), fields):
-                    message = records[index] = PushMessage(*fields)
+                if not same_encoding(_push_fields(message), fields):
+                    message = records[index] = _push_message(*fields)
         self.stats["pushes"] += 1
         self.channel.send(client_id, message)
 

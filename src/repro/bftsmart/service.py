@@ -111,8 +111,9 @@ class Service:
         """
         return 0.0
 
-    def push(self, client_id: str, stream: str, order: tuple, payload: bytes) -> None:
-        """Send an asynchronous message to a registered client listener."""
+    def push(self, client_id: str, stream: str, order: tuple, payload) -> None:
+        """Send an asynchronous message (bytes, or a message to encode) to
+        a registered client listener."""
         self.replica.push(client_id, stream, order, payload)
 
 

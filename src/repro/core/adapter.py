@@ -15,6 +15,11 @@ forwarded, DA or AE" (§IV-A). Concretely, the Adapter here is the
   forwarded WriteValues) is intercepted from the Master's transport and
   pushed asynchronously to the destination proxy, tagged with a
   deterministic ordering key so f+1 voting works (challenge d);
+- a message travels with the bytes it encodes: the proxies submit
+  messages, not bytes, and the replica pushes the Master's messages, so
+  the request and each :class:`~repro.bftsmart.messages.PushMessage`
+  carry their body record and neither side decodes what the other
+  encoded (:meth:`~repro.bftsmart.replica.ServiceReplica.decoded`);
 - forwarded writes arm the logical-timeout protocol (§IV-D).
 """
 
@@ -32,22 +37,11 @@ from repro.neoscada.messages import (
     WriteResult,
     WriteValue,
 )
-from repro.perf import PERF
 from repro.shard.messages import ShardExport, ShardImport
-from repro.wire import DecodeError, decode, encode, encode_cached, same_encoding
-from repro.wire.codec import _is_frozen_dataclass
+from repro.wire import DecodeError, decode, encode
 
 #: Stream name under which all SCADA pushes travel to the proxies.
 SCADA_STREAM = "scada"
-
-#: Attribute under which the first replica to execute a decoded operation
-#: records, on that (shared, frozen) operation, ``(message, payload)``
-#: for each frozen message its Master pushed, in emission order. A later
-#: replica whose k-th pushed message passes
-#: :func:`~repro.wire.same_encoding` against the k-th record pushes the
-#: recorded payload object instead of encoding its own; the record lives
-#: as long as the operation.
-_PAYLOAD_ATTR = "_payload_memo"
 
 
 def proxy_client_id(address: str, shard: int, groups: int) -> str:
@@ -58,73 +52,6 @@ def proxy_client_id(address: str, shard: int, groups: int) -> str:
     paper's deployment is the 1-group fleet, wire bytes included.
     """
     return f"{address}-bft" if groups == 1 else f"{address}-bft-s{shard}"
-
-#: id(payload) -> (payload, message): the decode share. A frozen message
-#: encoded by one party and decoded by another is decoded at most once
-#: per group, and not at all when its encoder fed the share: the n
-#: replicas of a group execute the *same* operation bytes object (the
-#: channel shares the client's request with every replica), and a proxy
-#: receives, as the winning vote, the very payload object the first
-#: replica encoded (the others reuse its record). So ``encode_shared``
-#: puts what the proxies submit and what the replicas push into the
-#: share, and ``decode_shared`` serves ``cost_of``, ``execute`` and the
-#: proxies' push handlers from it. Entries pin the payload, so an id key
-#: cannot alias a live object; only frozen (shareable) messages enter.
-#:
-#: Bound: an entry is reused from its insertion (a proxy's submit, the
-#: first replica's push) until the last replica executes the operation or
-#: the proxy takes the voted push. Measured on the bench workloads (seed
-#: 1, unbounded table), the farthest reuse below capacity is 23 insertions
-#: (``update`` and ``alarm`` at their reference rates; ``write`` 4).
-#: Where operations queue between submit and execute — past the Master's
-#: capacity, or across ``failover``'s leader change — it grows to 1,149
-#: (``update``), 1,548 (``alarm``), 1,707 (``failover``) and 1,986
-#: (``shard2``) insertions. 512 covers the first twenty times over; a
-#: queued operation whose entry a clear dropped costs one decode (0.5-0.9
-#: per op on those workloads). A 2,048 bound saves those but pins ~0.7 MiB
-#: more, 2 % of ``update``'s, ``write``'s and ``failover``'s peak RSS.
-#: Cleared wholesale when full: a dropped live entry costs one decode,
-#: never a different result.
-_DECODE_CACHE: dict[int, tuple] = {}
-_DECODE_CACHE_LIMIT = 512
-_DECODE_STATS = PERF.stats["decode_share"]
-
-
-def _share(payload: bytes, message) -> None:
-    if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
-        _DECODE_CACHE.clear()
-    _DECODE_CACHE[id(payload)] = (payload, message)
-
-
-def decode_shared(payload: bytes):
-    """Decode ``payload``, sharing the result across a group's replicas
-    and with whoever encoded it through :func:`encode_shared`.
-
-    Raises :class:`~repro.wire.DecodeError` like :func:`~repro.wire.decode`.
-    """
-    hit = _DECODE_CACHE.get(id(payload))
-    if hit is not None and hit[0] is payload:
-        _DECODE_STATS.hits += 1
-        return hit[1]
-    _DECODE_STATS.misses += 1
-    message = decode(payload)
-    if _is_frozen_dataclass(message.__class__):
-        _share(payload, message)
-    return message
-
-
-def encode_shared(message) -> bytes:
-    """``encode_cached(message)``, put in the decode share when frozen: a
-    peer decoding these very bytes takes ``message`` instead."""
-    payload = encode_cached(message)
-    if _is_frozen_dataclass(message.__class__):
-        _share(payload, message)
-    return payload
-
-
-@PERF.on_clear
-def clear_decode_cache() -> None:
-    _DECODE_CACHE.clear()
 
 
 #: Messages servable outside the total order (pure reads of Master state).
@@ -159,10 +86,6 @@ class ScadaService(Service):
         #: Callable returning the valid timeout voters (replica addresses).
         self._vote_quorum_source = vote_quorum_source
         self._post_cost = 0.0
-        #: The decoded operation executing (its pushes' payloads are
-        #: recorded on it), or None, and how many pushes it emitted.
-        self._operation = None
-        self._pushed = 0
         master._transport = self._master_transport
         self.stats = {"operations": 0, "pushes": 0, "bad_operations": 0}
 
@@ -175,47 +98,20 @@ class ScadaService(Service):
         order = self.context.next_order_key()
         self.stats["pushes"] += 1
         self.replica.push(
-            client_id=dst,
-            stream=SCADA_STREAM,
-            order=order,
-            payload=self._payload_of(message),
+            client_id=dst, stream=SCADA_STREAM, order=order, payload=message
         )
-
-    def _payload_of(self, message) -> bytes:
-        """``encode(message)``, built once per group (``_PAYLOAD_ATTR``)
-        and put in the decode share for the proxy that takes it."""
-        if not _is_frozen_dataclass(message.__class__):
-            return encode(message)  # mutable: never on record
-        operation = self._operation
-        if operation is None:
-            return encode_shared(message)
-        records = operation.__dict__.get(_PAYLOAD_ATTR)
-        if records is None:
-            records = operation.__dict__[_PAYLOAD_ATTR] = []
-        index = self._pushed
-        self._pushed = index + 1
-        if index < len(records):
-            recorded, payload = records[index]
-            if same_encoding(recorded, message):
-                return payload
-        payload = encode_shared(message)
-        if index < len(records):
-            records[index] = (message, payload)
-        else:
-            records.append((message, payload))
-        return payload
 
     # ------------------------------------------------------------------
     # the ordered execution path
     # ------------------------------------------------------------------
 
     def _decode_operation(self, operation: bytes):
-        # All n co-simulated replicas hold the same operation bytes object
-        # (the client's request, shared by the channel), and NeoSCADA
-        # messages are frozen: one decode serves cost_of, execute and
-        # every replica.
+        # All n co-simulated replicas execute the same request object (the
+        # channel shares the client's), and NeoSCADA messages are frozen:
+        # the message on its body record — the proxy's, or the first
+        # decode's — serves cost_of, execute and every replica.
         try:
-            return decode_shared(operation)
+            return self.replica.decoded(operation)
         except DecodeError:
             return None
 
@@ -244,8 +140,6 @@ class ScadaService(Service):
             # replica answers from the same state — no Master mutation.
             return encode(self._answer_query(message))
         self.context.begin(ctx)
-        if _is_frozen_dataclass(message.__class__):
-            self._operation, self._pushed = message, 0
         try:
             if isinstance(message, TimeoutVote):
                 self._execute_timeout_vote(message, ctx)
@@ -278,7 +172,6 @@ class ScadaService(Service):
             return _OK[kind]
         finally:
             self.context.end()
-            self._operation = None
 
     def _execute_timeout_vote(self, vote: TimeoutVote, ctx: MessageContext) -> None:
         if self.timeouts is None:

@@ -18,12 +18,9 @@ paper makes for replication itself. The paper's deployment is the
 from __future__ import annotations
 
 from repro.bftsmart.cluster import build_proxy
-from repro.core.adapter import (
-    SCADA_STREAM,
-    decode_shared,
-    encode_shared,
-    proxy_client_id,
-)
+from repro.bftsmart.messages import PushMessage
+from repro.bftsmart.replica import body_of
+from repro.core.adapter import SCADA_STREAM, proxy_client_id
 from repro.crypto import KeyStore
 from repro.neoscada.da.client import DAClient
 from repro.neoscada.messages import (
@@ -130,9 +127,9 @@ class ProxyFrontend:
         if not queued:
             self.sim.defer(0.0, self._flush, shard)
         # The network sized an arriving message by its memoized encoding:
-        # ordering it reuses those bytes instead of encoding it again, and
-        # the replicas take the message itself from the decode share.
-        queued.append(encode_shared(message))
+        # signing it reuses those bytes instead of encoding it again, and
+        # the replicas take the message itself from the request's record.
+        queued.append(message)
 
     def _flush(self, shard: int) -> None:
         operations, self._queued[shard] = self._queued[shard], []
@@ -151,9 +148,9 @@ class ProxyFrontend:
     # replica-facing side: voted pushes (WriteValue towards the field)
     # ------------------------------------------------------------------
 
-    def _on_push(self, order: tuple, payload: bytes) -> None:
+    def _on_push(self, push: PushMessage) -> None:
         try:
-            message = decode_shared(payload)
+            message = body_of(push, push.payload)
         except DecodeError:
             return
         if isinstance(message, WriteValue):

@@ -27,12 +27,9 @@ from dataclasses import replace
 
 from repro.bftsmart.client import QuorumDivergence, ServiceProxy
 from repro.bftsmart.cluster import build_proxy
-from repro.core.adapter import (
-    SCADA_STREAM,
-    decode_shared,
-    encode_shared,
-    proxy_client_id,
-)
+from repro.bftsmart.messages import PushMessage
+from repro.bftsmart.replica import body_of
+from repro.core.adapter import SCADA_STREAM, proxy_client_id
 from repro.crypto import KeyStore
 from repro.neoscada.ae.server import AEServer
 from repro.neoscada.da.server import DAServer
@@ -91,7 +88,7 @@ class ProxyHMI:
         for shard, client in enumerate(self.bft_clients):
             client.pushes.set_handler(
                 SCADA_STREAM,
-                (lambda order, payload, _s=shard: self._on_push(order, payload, _s)),
+                (lambda push, _s=shard: self._on_push(push, _s)),
             )
         #: Group 0's client: the one client of the paper's deployment.
         self.bft = self.bft_clients[0]
@@ -131,8 +128,6 @@ class ProxyHMI:
         #: histogram the SLO engine reads. Always on: pure arithmetic.
         self._write_submitted: dict[str, float] = {}
         self._write_latency = sim.metrics.histogram("hmi.write.latency")
-        #: Sim instant the last AE event reached the HMI-side AE server.
-        self.last_event_delivered: float | None = None
         #: Monotone id for browse scatter traces (browses carry no op id).
         self._browse_seq = 0
         sim.register_stats_source("proxy.hmi", lambda: dict(self.stats))
@@ -147,10 +142,8 @@ class ProxyHMI:
             # Handed over together, the two subscriptions travel in one
             # envelope and share a PROPOSE.
             subscriptions = [
-                encode_shared(Subscribe(subscriber=client.client_id, item_id="*")),
-                encode_shared(
-                    SubscribeEvents(subscriber=client.client_id, item_id="*")
-                ),
+                Subscribe(subscriber=client.client_id, item_id="*"),
+                SubscribeEvents(subscriber=client.client_id, item_id="*"),
             ]
             for event in client.invoke_ordered_together(subscriptions):
                 event.add_callback(self._on_invoke_done)
@@ -248,7 +241,7 @@ class ProxyHMI:
         origin = query.reply_to
         client, span = self._route(query.item_id, f"query:{query.query_id}")
         rewritten = replace(query, reply_to=client.client_id)
-        event = client.invoke_unordered(encode_shared(rewritten), parent=span)
+        event = client.invoke_unordered(rewritten, parent=span)
 
         def on_done(ev) -> None:
             if not ev.ok:
@@ -323,9 +316,7 @@ class ProxyHMI:
                 if remaining[0] == 0:
                     finish()
 
-            client.invoke_unordered(
-                encode_shared(rewritten), parent=span
-            ).add_callback(on_done)
+            client.invoke_unordered(rewritten, parent=span).add_callback(on_done)
 
     def _forward_value_query(self, query: ValueQuery) -> None:
         """Current-value reads ride the unordered path, with a fallback.
@@ -338,7 +329,7 @@ class ProxyHMI:
         """
         origin = query.reply_to
         client = self.bft_clients[self.router.route(query.item_id)]
-        operation = encode_shared(replace(query, reply_to=client.client_id))
+        operation = replace(query, reply_to=client.client_id)
         self.stats["unordered_reads"] += 1
 
         def on_ordered(ev) -> None:
@@ -381,7 +372,7 @@ class ProxyHMI:
         self._submit(client, replace(message, reply_to=client.client_id), parent=span)
 
     def _submit(self, client: ServiceProxy, message, parent=None) -> None:
-        event = client.invoke_ordered(encode_shared(message), parent=parent)
+        event = client.invoke_ordered(message, parent=parent)
         event.add_callback(self._on_invoke_done)
 
     def _on_invoke_done(self, event) -> None:
@@ -393,9 +384,9 @@ class ProxyHMI:
     # replica-facing side: voted pushes
     # ------------------------------------------------------------------
 
-    def _on_push(self, order: tuple, payload: bytes, shard: int) -> None:
+    def _on_push(self, push: PushMessage, shard: int) -> None:
         try:
-            message = decode_shared(payload)
+            message = body_of(push, push.payload)
         except DecodeError:
             return
         if isinstance(message, ItemUpdate):
@@ -438,6 +429,5 @@ class ProxyHMI:
     def _deliver_global(self, shard: int, event) -> None:
         """Sink of the global merge: publish, then correlate."""
         self.stats["events_out"] += 1
-        self.last_event_delivered = self.sim.now
         self.ae_server.publish(event)
         self.correlator.observe(shard, event)

@@ -22,7 +22,6 @@ from repro.crypto import KeyStore
 from repro.neoscada.master import ScadaMaster
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-from repro.wire import encode
 
 
 class ProxyMaster:
@@ -109,7 +108,7 @@ class ProxyMaster:
         )
 
     def _send_vote(self, vote) -> None:
-        event = self.vote_client.invoke_ordered(encode(vote))
+        event = self.vote_client.invoke_ordered(vote)
         event.add_callback(lambda ev: setattr(ev, "defused", True))
 
     def attach_handlers(self, item_id: str, chain) -> None:

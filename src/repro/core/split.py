@@ -36,7 +36,7 @@ from repro.bftsmart.cluster import build_proxy
 from repro.bftsmart.reconfiguration import Administrator
 from repro.core.recovery import SpareJoiner
 from repro.shard.messages import ShardExport, ShardImport
-from repro.wire import decode, encode
+from repro.wire import decode
 
 #: Seconds between the map switch and the export, covering operations
 #: already inside the source pipeline.
@@ -169,7 +169,7 @@ class ShardSplitter(SpareJoiner):
                 )
             export = yield from self._await(
                 self._client(source).invoke_ordered(
-                    encode(ShardExport(item_ids=moved, detach=True)),
+                    ShardExport(item_ids=moved, detach=True),
                     parent=export_span,
                 )
             )
@@ -198,7 +198,7 @@ class ShardSplitter(SpareJoiner):
                 )
             imported = yield from self._await(
                 self._client(target).invoke_ordered(
-                    encode(ShardImport(payload=export)),
+                    ShardImport(payload=export),
                     parent=import_span,
                 )
             )

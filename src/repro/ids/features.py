@@ -55,13 +55,10 @@ class FeatureExtractor:
         self.leader_changes: deque = deque()
         #: HMI client process -> deque[(time, item, value)].
         self.writes: dict[str, deque] = {}
-        #: Spans consumed (diagnostics).
-        self.spans_seen = 0
 
     # -- ingestion (the SpanTracer.subscribe callback) ------------------
 
     def on_span(self, span) -> None:
-        self.spans_seen += 1
         name = span.name
         t = span.end
         if name.startswith("consensus"):

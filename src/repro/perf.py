@@ -1,16 +1,17 @@
 """Hot-path cache accounting.
 
 The memos on the per-message path (the encode memo, the MAC/signature
-records and sealer's message on each envelope and request, the leader's
-batch on its Propose, HMAC templates, the bounded content-keyed digest
-memo and operation decode share) are *behaviour-invisible* and always
-on: with a fixed seed a run produces the encodings, digests and event
+records and sealer's message on each envelope and request, the message
+each request and push carries as its body, the leader's batch on its
+Propose, HMAC templates and the bounded content-keyed digest memo) are
+*behaviour-invisible* and always on: with a fixed seed a run produces the encodings, digests and event
 orders that the un-cached code produced before it was deleted
 (``tests/golden``, ``tests/test_golden_outputs.py``). A memo lives on the
 object it describes; a table that spans objects states its in-flight
 bound. What stays process-wide is kept on :data:`PERF`: one hit/miss
 counter per cache (a record hit counts as a hit), so a measured run can
-report how effective each one was, and the name of the event kernel for
+report how effective each one was (``decode_share`` counts messages
+taken from an envelope's or a body record), and the name of the event kernel for
 the benchmark's run fingerprint. :func:`clear_hot_path_caches` gives a
 measurement a cold start. This module imports nothing from ``repro``:
 each table owner registers its ``clear_*`` function through

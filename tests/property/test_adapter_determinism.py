@@ -22,9 +22,12 @@ from repro.neoscada.messages import (
 )
 from repro.net import ConstantLatency, Network
 from repro.sim import Simulator
+from repro.wire import decode
 
 
 class _NullReplica:
+    decoded = staticmethod(decode)
+
     def push(self, client_id, stream, order, payload):
         pass
 

@@ -14,12 +14,13 @@ whose record was made under another client's key. ``rejected`` moves
 exactly when the reference rejects.
 
 The group's agreed outputs are records too: the first replica to execute
-a request records its ``Reply`` and ``PushMessage``s on the request, the
-adapter records each pushed payload on the shared decoded operation, and
-the decode share holds what proxies and replicas encoded. Those cases
-check that a Byzantine replica executing first never changes a correct
-replica's bytes, that a mutable message is never recorded, and that an
-equal-content copy of a payload is decoded, not looked up.
+a request records its ``Reply`` and ``PushMessage``s on the request, and
+a message travels with the bytes it encodes as the body record of its
+request or push. Those cases check that a Byzantine replica executing
+first never changes a correct replica's bytes, that a copied or rebuilt
+request decodes its own bytes, that a forged push and a mutable message
+carry no body, and that the message either proxy acts on encodes to the
+voted payload.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
 from repro.bftsmart.byzantine import Lying
 from repro.bftsmart.channel import SecureChannel
 from repro.bftsmart.messages import ClientRequest, PushMessage, Reply, Sealed
-from repro.bftsmart.replica import SIGNED_ATTR
-from repro.chaos.schedule import Falsifying
-from repro.core import SmartScadaConfig, adapter, make_network
+from repro.bftsmart.replica import BODY_ATTR, SIGNED_ATTR, body_of
+from repro.chaos.schedule import FALSIFY_OFFSET, Falsifying
+from repro.core import SmartScadaConfig, make_network, proxy_frontend, proxy_hmi
 from repro.core.system import build_smartscada
-from repro.crypto import KeyStore
+from repro.crypto import KeyStore, digest
 from repro.crypto.mac import MAC_SIZE
 from repro.neoscada.messages import ItemUpdate
 from repro.neoscada.values import DataValue
@@ -305,9 +306,9 @@ def _watch_outputs(system, byzantine: int, seen: dict) -> None:
 
         def push(client_id, stream, order, payload, _push=replica.push, _own=own,
                  _expected=expected):
-            assert payload == encode(_own.pop(0))
+            assert payload is _own.pop(0)  # the Master's message itself
             _expected[(client_id, order)] = encode(
-                PushMessage(client_id, stream, order, payload)
+                PushMessage(client_id, stream, order, encode(payload))
             )
             _push(client_id, stream, order, payload)
 
@@ -328,6 +329,9 @@ def _watch_outputs(system, byzantine: int, seen: dict) -> None:
             elif isinstance(message, PushMessage):
                 key = (message.client_id, message.order)
                 assert encode_cached(message) == _expected.pop(key, None)
+                body = message.__dict__.get(BODY_ATTR)
+                if body is not None and body[0] is message.payload:
+                    assert encode(body[1]) == message.payload
                 seen["pushes"].setdefault(id(message), (message, set()))[1].add(
                     _replica.address
                 )
@@ -375,61 +379,173 @@ def test_a_byzantine_first_executor_never_changes_a_correct_replicas_bytes(behav
     assert byzantine_first > 0  # some request ran on the misbehaving replica first
 
 
-def _scada_service():
+def _scada_replica():
+    """A SCADA replica whose sends are captured, not delivered."""
     sim = Simulator(seed=1)
     system = build_smartscada(sim, net=make_network(sim), config=SmartScadaConfig())
-    return system.replicas[0].service
+    replica = system.replicas[0]
+    sent = []
+    replica.channel.send = lambda _dst, message: sent.append(message)
+    return replica, sent
 
 
-def test_a_mutable_message_is_never_put_on_record():
-    clear_hot_path_caches()
-    service = _scada_service()
-    operation = ItemUpdate(item_id="rtu.a", value=DataValue(1))
-    service._operation, service._pushed = operation, 0
-    mutable = ["rtu.a", 1]
-    payload = service._payload_of(mutable)
-    assert payload == encode(mutable)
-    assert not operation.__dict__.get(adapter._PAYLOAD_ATTR)
-    assert id(payload) not in adapter._DECODE_CACHE
-    # A frozen one is recorded and shared: the proof the path was live.
-    frozen = ItemUpdate(item_id="rtu.a", value=DataValue(2))
-    payload = service._payload_of(frozen)
-    assert operation.__dict__[adapter._PAYLOAD_ATTR] == [(frozen, payload)]
-    assert adapter.decode_shared(payload) is frozen
+def _decoded_by(replica, request):
+    """What ``replica`` decodes ``request``'s operation to while executing it."""
+    replica._request = request
+    try:
+        return replica.decoded(request.operation)
+    finally:
+        replica._request = None
+
+
+def test_a_copied_or_rebuilt_request_decodes_its_own_bytes():
+    message = ItemUpdate(item_id="rtu.a", value=DataValue(7))
+    other = encode(ItemUpdate(item_id="rtu.a", value=DataValue(8)))
+    request = PROXY_A._sign(11, message, False)
+    assert request.operation == encode(message)
+    assert request.__dict__[BODY_ATTR] == (request.operation, message)
+    assert _decoded_by(REPLICA, request) is message
+    # Outside the request it executes, the replica decodes.
+    fresh = REPLICA.decoded(request.operation)
+    assert fresh == message and fresh is not message
+    for case, candidate, kept in (
+        ("copy with swapped operation", _set(request, operation=other), False),
+        ("replace with swapped operation", dataclasses.replace(request, operation=other), True),
+        ("replace", dataclasses.replace(request), True),
+    ):
+        decoded = _decoded_by(REPLICA, candidate)
+        assert decoded == decode(candidate.operation) and decoded is not message, case
+        # A rebuilt request holds no record, so its first decode is kept
+        # for the group; a copy holds the stale one and decodes each time.
+        assert (_decoded_by(REPLICA, candidate) is decoded) == kept, case
+
+
+def test_a_push_a_falsifying_replica_forged_carries_no_body():
+    replica, sent = _scada_replica()
+    message = ItemUpdate(item_id="rtu.a", value=DataValue(7))
+    replica.push("hmi", "scada", (1,), message)
+    honest = sent.pop()
+    assert honest.payload == encode(message)
+    assert body_of(honest, honest.payload) is message
+    replica.behaviour = Falsifying()
+    replica.push("hmi", "scada", (2,), message)
+    forged = sent.pop()
+    assert forged.payload != encode(message)
+    assert BODY_ATTR not in forged.__dict__
+    assert body_of(forged, forged.payload).value.value == 7 + FALSIFY_OFFSET
 
 
 def test_a_recorded_payload_is_reused_only_for_a_message_that_encodes_alike():
-    clear_hot_path_caches()
-    service = _scada_service()
-    operation = ItemUpdate(item_id="rtu.a", value=DataValue(1))
+    replica, sent = _scada_replica()
+    request = PROXY_A._sign(12, b"op", False)
+
+    def push(message):
+        replica._request, replica._pushed = request, 0
+        try:
+            replica.push("hmi", "scada", (1,), message)
+        finally:
+            replica._request = None
+        return sent.pop()
+
     first = ItemUpdate(item_id="rtu.a", value=DataValue(1))
-    service._operation, service._pushed = operation, 0
-    recorded = service._payload_of(first)
+    recorded = push(first)
     for twin, shared in (
         (ItemUpdate(item_id="rtu.a", value=DataValue(1)), True),
         (ItemUpdate(item_id="rtu.a", value=DataValue(1.0)), False),
         (ItemUpdate(item_id="rtu.a", value=DataValue(True)), False),
     ):
-        service._pushed = 0
-        payload = service._payload_of(twin)
-        assert payload == encode(twin)
-        assert (payload is recorded) == shared
+        message = push(twin)
+        assert message.payload == encode(twin)
+        assert (message is recorded) == shared
+        # The body always encodes to the payload it rides with.
+        assert encode(body_of(message, message.payload)) == message.payload
         if not shared:  # the record now holds the latest builder's output
-            assert operation.__dict__[adapter._PAYLOAD_ATTR] == [(twin, payload)]
-            service._pushed = 0
-            recorded = service._payload_of(first)
+            recorded = push(first)
+
+
+def test_a_mutable_message_is_never_put_on_record():
+    replica, sent = _scada_replica()
+    mutable = ["rtu.a", 1]
+    request = PROXY_A._sign(13, mutable, False)
+    assert request.operation == encode(mutable)
+    assert BODY_ATTR not in request.__dict__
+    assert _decoded_by(REPLICA, request) == decode(encode(mutable))
+    assert BODY_ATTR not in request.__dict__  # nor by the first decode
+    replica.push("hmi", "scada", (1,), mutable)
+    message = sent.pop()
+    assert message.payload == encode(mutable)
+    assert BODY_ATTR not in message.__dict__
+    # A frozen one is recorded: the proof the path was live.
+    frozen = ItemUpdate(item_id="rtu.a", value=DataValue(2))
+    replica.push("hmi", "scada", (2,), frozen)
+    assert body_of(sent[-1], sent[-1].payload) is frozen
 
 
 def test_an_equal_payload_that_is_another_object_is_decoded():
-    clear_hot_path_caches()
+    replica, sent = _scada_replica()
     message = ItemUpdate(item_id="rtu.a", value=DataValue(7))
-    payload = adapter.encode_shared(message)
-    assert adapter.decode_shared(payload) is message
-    copied = bytes(bytearray(payload))
-    assert copied == payload and copied is not payload
-    misses = PERF.stats["decode_share"].misses
-    decoded = adapter.decode_shared(copied)
-    assert decoded == message and decoded is not message
-    assert PERF.stats["decode_share"].misses == misses + 1
-    tampered = encode(ItemUpdate(item_id="rtu.a", value=DataValue(8)))
-    assert adapter.decode_shared(tampered).value.value == 8
+    request = PROXY_A._sign(14, message, False)
+    replica.push("hmi", "scada", (1,), message)
+    push = sent.pop()
+    for carrier, field in ((request, "operation"), (push, "payload")):
+        data = getattr(carrier, field)
+        copied = bytes(bytearray(data))
+        assert copied == data and copied is not data
+        assert body_of(carrier, data) is message
+        misses = PERF.stats["decode_share"].misses
+        decoded = body_of(carrier, copied)
+        assert decoded == message and decoded is not message
+        assert PERF.stats["decode_share"].misses == misses + 1
+        # A copy of the carrier holding the equal bytes decodes them too.
+        assert body_of(_set(carrier, **{field: copied}), copied) is not message
+    copy = _set(request, operation=bytes(bytearray(request.operation)))
+    assert _decoded_by(REPLICA, copy) == message
+    assert _decoded_by(REPLICA, copy) is not message
+
+
+@pytest.mark.parametrize(
+    "behaviour", [None, Falsifying()], ids=["honest", "falsifying"]
+)
+def test_the_message_a_proxy_acts_on_encodes_to_the_voted_payload(
+    monkeypatch, behaviour
+):
+    """Both proxies read their voted pushes through ``body_of``: whatever
+    it hands them encodes to the payload f+1 replicas voted for, and the
+    winning push's body record serves it (no decode)."""
+    clear_hot_path_caches()
+    sim = Simulator(seed=1)
+    system = build_smartscada(sim, net=make_network(sim), config=SmartScadaConfig())
+    system.frontend.add_item("rtu.a", initial=0)
+    system.frontend.add_item("rtu.valve", initial=0, writable=True)
+    if behaviour is not None:
+        system.replicas[2].behaviour = behaviour
+    acted = {}
+    for proxy, module in (
+        (system.proxy_hmi, proxy_hmi),
+        (system.proxy_frontends[0], proxy_frontend),
+    ):
+        def checked(push, data, _proxy=proxy, _name=module.__name__):
+            assert data is push.payload
+            assert push.__dict__[BODY_ATTR][0] is data  # served, not decoded
+            voted = {
+                client.pushes._delivered_digest.get((push.stream, push.order))
+                for client in _proxy.bft_clients
+            }
+            assert digest(data) in voted
+            message = body_of(push, data)
+            assert encode(message) == data
+            acted[_name] = acted.get(_name, 0) + 1
+            return message
+
+        monkeypatch.setattr(module, "body_of", checked)
+    system.start()
+
+    def drive():
+        for value in range(1, 11):
+            system.frontend.inject_update("rtu.a", value)
+            yield sim.timeout(0.01)
+        result = yield system.hmi.write("rtu.valve", 5)
+        assert result.success
+
+    sim.run_process(drive(), until=sim.now + 5)
+    assert acted[proxy_hmi.__name__] >= 10 and acted[proxy_frontend.__name__] >= 1

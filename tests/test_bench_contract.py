@@ -17,7 +17,6 @@ import pathlib
 
 import pytest
 
-import repro.core.adapter  # noqa: F401  (owner of the operation decode share)
 import repro.perf
 from repro.bftsmart import EchoService, GroupConfig, build_group
 from repro.net import Network
@@ -81,8 +80,9 @@ def test_bench_import_resolves(pin):
 def test_perf_names_the_benchmark_reads():
     # bench reads the five counters by key. A record counts as a hit: a
     # MAC tag taken from an envelope's record is a ``mac`` hit, a message
-    # taken from it a ``decode_share`` hit, a signing payload taken from a
-    # request's record a ``signing_payload`` hit.
+    # taken from it or from a request's or push's body record a
+    # ``decode_share`` hit, a signing payload taken from a request's
+    # record a ``signing_payload`` hit.
     assert PERF.kernel == "ring"  # bench/run.py fingerprints it
     stats = PERF.stats_map()
     assert {
@@ -92,11 +92,11 @@ def test_perf_names_the_benchmark_reads():
         assert {"hits", "misses"} <= set(counts)
     assert callable(repro.perf.clear_hot_path_caches)
     # Each table owner registered its clear function when it was imported:
-    # the adapter's operation decode share, the content-keyed digest memo
-    # and the codec's string-encoding table. Every other memo lives on the
-    # object it describes and has nothing to clear.
+    # the content-keyed digest memo and the codec's string-encoding table.
+    # Every other memo lives on the object it describes and has nothing to
+    # clear.
     assert sorted(clear.__name__ for clear in PERF._clears) == [
-        "clear_decode_cache", "clear_digest_cache", "clear_encode_cache",
+        "clear_digest_cache", "clear_encode_cache",
     ]
 
 

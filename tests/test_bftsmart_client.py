@@ -35,7 +35,7 @@ VIEW = View(0, ("r0", "r1", "r2", "r3"), 1)
 def make_voter():
     voter = PushVoter(lambda: VIEW)
     delivered = []
-    voter.set_handler("s", lambda order, payload: delivered.append((order, payload)))
+    voter.set_handler("s", lambda push: delivered.append((push.order, push.payload)))
     return voter, delivered
 
 
@@ -87,7 +87,7 @@ def test_voter_ignores_non_members():
 def test_voter_streams_are_independent():
     voter, delivered = make_voter()
     other = []
-    voter.set_handler("other", lambda order, payload: other.append(order))
+    voter.set_handler("other", lambda push: other.append(push.order))
     voter.on_push(*push("r0", stream="other"))
     voter.on_push(*push("r1", stream="other"))
     assert other == [(1, 0, 1)]

@@ -293,7 +293,9 @@ def test_push_messages_delivered_after_f_plus_1_votes():
     build_group(sim, net, config, PushingService, keystore)
     proxy = build_proxy(sim, net, "client-1", config, keystore)
     received = []
-    proxy.pushes.set_handler("alerts", lambda order, payload: received.append((order, payload)))
+    proxy.pushes.set_handler(
+        "alerts", lambda push: received.append((push.order, push.payload))
+    )
 
     def client():
         yield proxy.invoke_ordered(b"overvoltage")
@@ -324,7 +326,7 @@ def test_push_voting_rejects_minority_forgery():
     replicas[0].behaviour = Forging()
     proxy = build_proxy(sim, net, "client-1", config, keystore)
     received = []
-    proxy.pushes.set_handler("alerts", lambda order, payload: received.append(payload))
+    proxy.pushes.set_handler("alerts", lambda push: received.append(push.payload))
 
     def client():
         yield proxy.invoke_ordered(b"x")

@@ -13,7 +13,9 @@ from repro.wire import decode, encode
 
 
 class FakeReplica:
-    """Stands in for the ServiceReplica: records pushes."""
+    """Stands in for the ServiceReplica: decodes afresh, records pushes."""
+
+    decoded = staticmethod(decode)
 
     def __init__(self):
         self.pushes = []
@@ -63,11 +65,11 @@ def test_update_operation_executes_and_pushes_to_subscriber():
     assert decode(result) == ("ok", "update")
     assert master.items.get("s").value.value == 5
     assert len(replica.pushes) == 1
-    client_id, stream, order, payload = replica.pushes[0]
+    client_id, stream, order, message = replica.pushes[0]
     assert client_id == "proxy-hmi-bft"
     assert stream == SCADA_STREAM
     assert order == (1, 0, 1)
-    assert decode(payload) == ItemUpdate("s", DataValue(5))
+    assert message == ItemUpdate("s", DataValue(5))
 
 
 def test_event_ids_and_timestamps_come_from_consensus():

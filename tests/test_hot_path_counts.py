@@ -31,6 +31,7 @@ from repro.net.latency import ConstantLatency, LanLatency
 from repro.perf import clear_hot_path_caches
 from repro.sim import Simulator
 from repro.wire import Codec, encode
+from repro.workloads.runner import run_update_experiment
 
 
 @pytest.fixture
@@ -149,9 +150,10 @@ def _bft_micro_run(seed: int, requests: int = 300, rate: float = 25_000.0) -> tu
 #: payload on the shared operation): ``update`` 5570 -> 3572 (per update,
 #: three of four Replies, ItemUpdate payloads and PushMessages),
 #: ``bft-micro`` 1928 -> 1028 (three of four Replies per request).
-#: ``decodes`` counts every ``Codec.decode`` call; it is 0 because the
-#: proxies feed the decode share with the operations they submit and the
-#: replicas with the payloads they push (445 on ``update`` before).
+#: ``decodes`` counts every ``Codec.decode`` call; it is 0 because a
+#: message travels with the bytes it encodes: the proxies submit messages,
+#: so each request carries its body record, and the replicas push messages,
+#: so each PushMessage does (445 on ``update`` before any of it).
 UPDATE = {
     1: {
         "events": 11628,
@@ -188,6 +190,17 @@ def test_update_path_counts(counted, seed):
 def test_bft_micro_path_counts(counted, seed):
     ops, counts = _bft_micro_run(seed)
     assert {"ops": ops, **counts, **counted} == {"ops": 300, **BFT_MICRO[seed]}
+
+
+def test_a_saturated_update_run_decodes_nothing(counted):
+    """Past the Master's capacity, operations queue between the proxy's
+    submit and the last replica's execution. Each still travels with its
+    request, so nothing is decoded however long it waits."""
+    result = run_update_experiment(
+        "smartscada", rate=1200, duration=1.5, warmup=0.3, seed=1
+    )
+    assert 0 < result.throughput < 1200  # saturated: the queue formed
+    assert counted["decodes"] == 0
 
 
 def test_size_hints_are_exact_wire_sizes(monkeypatch):

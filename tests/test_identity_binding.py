@@ -93,7 +93,7 @@ def test_a_reply_pair_from_one_replica_is_one_vote():
 def test_a_push_pair_from_one_replica_is_one_vote():
     sim, replicas, proxy = _group()
     delivered = []
-    proxy.pushes.set_handler("s", lambda order, payload: delivered.append(payload))
+    proxy.pushes.set_handler("s", lambda push: delivered.append(push.payload))
     _attack(
         replicas, proxy.client_id, PushMessage, (ATTACKER, "replica-0"),
         client_id=proxy.client_id, stream="s", order=(1,), payload=b"FORGED",

@@ -3,12 +3,11 @@
 Every per-message memo is stored on the object it describes — the
 envelope's MAC records and message, the request's signing record, the
 leader's batch on its Propose, the group's Reply and PushMessages on the
-request they answer, the pushed payloads on the decoded operation that
-emitted them — so it dies with that object. Only two tables span objects
-(the content-keyed digest memo and the adapter's decode share), and each
-is bounded (512 entries). After a run and its deployment are gone, what
-``src/repro`` allocated and still holds is those two tables and nothing
-else.
+request they answer, the message each request and push carries as its
+body — so it dies with that object. One table spans objects (the
+content-keyed digest memo), and it is bounded. After a run and its
+deployment are gone, what ``src/repro`` allocated and still holds is
+that table and nothing else.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ import weakref
 
 from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
 from repro.bftsmart.channel import SecureChannel
-from repro.bftsmart.messages import Stop
+from repro.bftsmart.messages import PushMessage, Stop
+from repro.bftsmart.replica import BODY_ATTR
 from repro.core import SmartScadaConfig, adapter, make_network
 from repro.core.system import build_smartscada
 from repro.crypto import KeyStore
@@ -68,8 +68,8 @@ def test_bft_micro_run_leaves_at_most_a_mebibyte_under_src_repro():
 
 def test_update_run_leaves_at_most_a_mebibyte_under_src_repro():
     # The SCADA path adds the group's records (Reply and PushMessages on
-    # each request, pushed payloads on each decoded operation) and feeds
-    # the decode share from both proxies and the replicas.
+    # each request) and the body records: the message each proxy request
+    # and each push carries.
     def run():
         ops, _counts = _update_run(1)
         assert ops == 200
@@ -77,12 +77,11 @@ def test_update_run_leaves_at_most_a_mebibyte_under_src_repro():
     assert _retained_under_src(run) <= RETAINED_LIMIT
 
 
-def test_the_two_remaining_tables_stay_within_their_bounds():
+def test_the_remaining_table_stays_within_its_bound():
     clear_hot_path_caches()
     _update_run(1)
     _bft_micro_run(1)
     assert 0 < len(_DIGEST_CACHE) <= _DIGEST_CACHE_LIMIT
-    assert 0 < len(adapter._DECODE_CACHE) <= adapter._DECODE_CACHE_LIMIT
 
 
 def _channels():
@@ -129,9 +128,9 @@ def test_a_request_and_its_batch_die_once_decided():
 
 
 def test_the_groups_records_die_with_their_request_and_operation():
-    """Replies, PushMessages and pushed payloads are recorded on the request
-    and the decoded operation they belong to; once the group has moved on
-    (and the decode share let go of the operation) nothing keeps them."""
+    """Replies and PushMessages are recorded on the request they belong
+    to, the decoded operation on the request and each pushed message on
+    its PushMessage; once the group has moved on nothing keeps them."""
     clear_hot_path_caches()
     sim = Simulator(seed=1)
     system = build_smartscada(sim, net=make_network(sim), config=SmartScadaConfig())
@@ -142,11 +141,13 @@ def test_the_groups_records_die_with_their_request_and_operation():
     sent = {}
 
     def watch_execute(operation, ctx):
-        sent.setdefault("operation", weakref.ref(adapter.decode_shared(operation)))
+        sent.setdefault("operation", weakref.ref(replica.decoded(operation)))
         return execute(operation, ctx)
 
     def watch_send(dst, message):
         sent.setdefault(type(message).__name__, weakref.ref(message))
+        if isinstance(message, PushMessage):
+            sent.setdefault("pushed", weakref.ref(message.__dict__[BODY_ATTR][1]))
         send(dst, message)
 
     system.start()
@@ -155,14 +156,10 @@ def test_the_groups_records_die_with_their_request_and_operation():
     system.frontend.inject_update("rtu.a", 5)
     sim.run(until=sim.now + 0.1)
     service.execute, channel.send = execute, send
-    operation = sent["operation"]()
-    assert operation.__dict__[adapter._PAYLOAD_ATTR]  # its pushes' payloads
-    del operation
-    assert {"Reply", "PushMessage"} <= set(sent)
+    assert {"Reply", "PushMessage", "pushed"} <= set(sent)
     for value in range(6, 10):  # the group moves on; last_reply is replaced
         system.frontend.inject_update("rtu.a", value)
         sim.run(until=sim.now + 0.05)
-    clear_hot_path_caches()  # the decode share pins recent operations
     gc.collect()
     assert {name: ref() for name, ref in sent.items()} == dict.fromkeys(sent)
     assert system.replicas[0].executed_cid > 0  # the deployment is still alive
