@@ -362,8 +362,8 @@ def cmd_chaos(args) -> int:
                     "name": s.name,
                     "expectation": "violation" if s.expect_violation else "pass",
                     "description": s.description,
-                    # Config-object overrides (IdsConfig, HealConfig)
-                    # serialize as their constructor-valid reprs.
+                    # A HealConfig override serializes as its
+                    # constructor-valid repr.
                     "overrides": {
                         key: value
                         if isinstance(value, (bool, int, float, str,

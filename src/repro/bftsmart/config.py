@@ -74,6 +74,12 @@ class GroupConfig:
             raise ValueError("batch_max must be >= 1")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
+        if self.batch_wait < 0:
+            raise ValueError("batch_wait must be non-negative")
+        if self.request_timeout <= 0 or self.sync_timeout <= 0:
+            raise ValueError("request_timeout and sync_timeout must be positive")
+        if self.checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be >= 1")
         if self.state_retry_interval <= 0:
             raise ValueError("state_retry_interval must be positive")
         if not self.addresses:

@@ -35,6 +35,7 @@ if typing.TYPE_CHECKING:
     from repro.chaos.campaign import CampaignContext
 
 from repro.chaos.schedule import Action
+from repro.ids import detectors
 
 
 def _pipeline_occupancy(replica) -> int:
@@ -95,13 +96,13 @@ def _pred_state_transfer(ctx, param, state) -> bool:
 def _pred_ids_warmup_done(ctx, param, state) -> bool:
     """The intrusion detector's warm-up window has elapsed.
 
-    Reads the warm-up end the campaign derives from its (possibly
-    default) IDS configuration, so the predicate is deterministic whether
-    or not the detector is actually enabled; ``param`` overrides it.
+    Reads :data:`repro.ids.detectors.WARMUP` whether or not the detector
+    is actually enabled, so the predicate fires at the same instant
+    either way; ``param`` overrides it.
     """
     if param is not None:
         return ctx.sim.now >= float(param)
-    return ctx.sim.now >= getattr(ctx, "ids_warmup_end", 1.0)
+    return ctx.sim.now >= detectors.WARMUP
 
 
 #: Named trigger predicates: ``fn(ctx, param, state) -> bool``. ``state``

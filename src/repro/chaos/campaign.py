@@ -33,7 +33,6 @@ from repro.heal import HealConfig, RecoveryOrchestrator
 from repro.ids import (
     FeatureExtractor,
     GroundTruthEpisode,
-    IdsConfig,
     IntrusionDetector,
     score_detections,
 )
@@ -111,11 +110,6 @@ class CampaignConfig:
     #: ground truth but stay outside the fingerprint: a campaign's
     #: behaviour is bit-identical with the IDS on or off.
     ids: bool = False
-    #: Detector tuning; ``None`` = :class:`repro.ids.IdsConfig` defaults.
-    #: The IDS warm-up end is derived from this (or the default) even
-    #: when ``ids`` is off, so ``ids-warmup-done`` triggers fire at the
-    #: same instant either way.
-    ids_config: IdsConfig | None = None
     #: Close the loop: run the :class:`repro.heal.RecoveryOrchestrator`
     #: on the detector's verdicts (implies the IDS and span tracing).
     #: Unlike the passive IDS, healing *acts* — reconfigurations,
@@ -191,10 +185,6 @@ class CampaignContext:
     ground_truth: list = field(default_factory=list)
     #: One dict per adaptive-trigger firing (action, predicate, times).
     trigger_fires: list = field(default_factory=list)
-    #: When the IDS warm-up window ends — derived from the campaign's
-    #: (possibly default) IDS config whether or not the detector runs,
-    #: so the ``ids-warmup-done`` predicate is deterministic either way.
-    ids_warmup_end: float = 1.0
     #: The running :class:`repro.ids.IntrusionDetector`, or ``None``.
     detector: object = None
     #: The running :class:`repro.heal.RecoveryOrchestrator`, or ``None``.
@@ -432,11 +422,10 @@ class IdsParticipant(InvariantMonitor):
 
     def start(self, ctx) -> None:
         config = ctx.config
-        ids_config = config.ids_config if config.ids_config is not None else IdsConfig()
-        features = FeatureExtractor(window=ids_config.window)
+        features = FeatureExtractor()
         ctx.sim.tracer.subscribe(features.on_span)
         ctx.detector = IntrusionDetector(
-            ctx.sim, ctx.net, features, ids_config, n=config.n, f=config.f
+            ctx.sim, ctx.net, features, n=config.n, f=config.f
         )
 
     def poll(self, ctx) -> None:
@@ -621,8 +610,6 @@ def run_campaign(
     )
     ctx.legal_values = {sensor: {0} for sensor in sensors}
     ctx.legal_values["plant.actuator"] = {0}
-    ids_config = config.ids_config if config.ids_config is not None else IdsConfig()
-    ctx.ids_warmup_end = ids_config.warmup
     heal_times = []
     for action in schedule:
         interval = action.fault_interval(config.horizon)

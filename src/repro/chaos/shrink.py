@@ -53,7 +53,6 @@ def replay_snippet(schedule: Schedule, config: CampaignConfig) -> str:
         "from repro.chaos import *",
         "from repro.chaos.campaign import CampaignConfig",
         "from repro.heal import HealConfig",
-        "from repro.ids import IdsConfig",
         "",
         "schedule = Schedule([",
     ]

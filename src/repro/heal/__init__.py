@@ -5,14 +5,14 @@
 (:mod:`repro.core.recovery`, :mod:`repro.bftsmart.reconfiguration`):
 
 - :mod:`repro.heal.policy` — the response policy: per-detection-kind
-  escalation ladders (rejuvenate -> evict -> alarm), corroboration
-  thresholds, and the hard quorum guard that refuses any action that
-  would drop the live replica count below ``2f+1`` or overlap an
-  in-flight state transfer;
+  escalation ladders (rejuvenate -> evict -> alarm) and the hard quorum
+  guard that refuses any action that would drop the live replica count
+  below ``2f+1`` or overlap an in-flight state transfer;
 - :mod:`repro.heal.orchestrator` — the
-  :class:`~repro.heal.orchestrator.RecoveryOrchestrator` that polls the
-  detector's corroborated verdicts plus a liveness probe and executes
-  one action at a time: restart crashed-but-reachable replicas from
+  :class:`~repro.heal.orchestrator.RecoveryOrchestrator` (whose module
+  constants fix the corroboration threshold, cooldowns and deadlines)
+  that polls the detector's corroborated verdicts plus a liveness probe
+  and executes one action at a time: restart crashed-but-reachable replicas from
   disk, rejuvenate suspects in place, evict-and-replace confirmed
   Byzantine replicas via consensus reconfiguration, or raise an
   operator alarm when automation is out of safe moves.

@@ -41,6 +41,36 @@ from repro.heal.policy import HealConfig, quorum_blockers, transfer_blockers
 
 _NEVER = -1.0e9
 
+#: Consecutive detector polls a verdict must stay asserted before the
+#: orchestrator acts — a single low-confidence detection never triggers
+#: anything, so IDS false positives cannot be weaponized into
+#: self-inflicted denial of service.
+CORROBORATION_POLLS = 3
+#: Minimum peak risk score a verdict must have reached while asserted.
+MIN_SCORE = 1.0
+#: Per-target hysteresis (simulated seconds): minimum gap between two
+#: actions on the same entity (lets the previous action take effect
+#: before escalating).
+COOLDOWN = 1.5
+#: Retry gap after the quorum guard blocks an action.
+BLOCKED_RETRY = 0.5
+#: Deadline for one reconfiguration attempt (Administrator checked path).
+ACTION_TIMEOUT = 2.0
+#: Reconfiguration attempts and backoff multiplier.
+RECONFIG_ATTEMPTS = 3
+RECONFIG_BACKOFF = 2.0
+#: How long to wait for a joiner / restarted replica to catch up.
+TRANSFER_DEADLINE = 4.0
+#: Orchestrator action processes poll on this grid.
+GRID = 0.1
+#: Fresh replica addresses available for evict-and-replace.
+MAX_SPARES = 2
+#: A replica whose process is dead while its machine answers the
+#: liveness probe is restarted after staying down this long.
+RESTART_DOWN_AFTER = 1.0
+#: Retransmission budget for the orchestrator's admin client.
+ADMIN_MAX_ATTEMPTS = 200
+
 
 @dataclass
 class HealAction:
@@ -93,7 +123,9 @@ class RecoveryOrchestrator(SpareJoiner):
         feed the policy engine, or ``None`` for a probe-only
         orchestrator (restarts still work; nothing else triggers).
     config:
-        A :class:`repro.heal.policy.HealConfig`.
+        A :class:`repro.heal.policy.HealConfig`: the escalation ladders
+        and the blocked-alarm threshold. Timing and budgets are the
+        module constants above.
     handler_config:
         ``fn(proxy_master)`` applying the caller's extra configuration to
         replicas the orchestrator boots (spares, restarts); the handler
@@ -114,7 +146,7 @@ class RecoveryOrchestrator(SpareJoiner):
         handler_config=None,
     ) -> None:
         self.config = config if config is not None else HealConfig()
-        super().__init__(system, self.config.grid, handler_config)
+        super().__init__(system, GRID, handler_config)
         self.detector = detector
         proxy = build_proxy(
             sim,
@@ -124,7 +156,7 @@ class RecoveryOrchestrator(SpareJoiner):
             system.keystore,
             invoke_timeout=system.config.base.invoke_timeout,
         )
-        proxy.max_attempts = self.config.admin_max_attempts
+        proxy.max_attempts = ADMIN_MAX_ATTEMPTS
         self.admin = Administrator(proxy, system.keystore)
         #: Complete audit trail of decisions (:class:`HealAction`).
         self.actions: list = []
@@ -181,20 +213,16 @@ class RecoveryOrchestrator(SpareJoiner):
             return
         if self.detector is None:
             return
-        cfg = self.config
-        for verdict in self.detector.verdicts(
-            min_streak=cfg.corroboration_polls
-        ):
-            if verdict.peak_score < cfg.min_score:
+        for verdict in self.detector.verdicts(min_streak=CORROBORATION_POLLS):
+            if verdict.peak_score < MIN_SCORE:
                 continue
             if self._consider(verdict):
                 return
 
     def _consider(self, verdict) -> bool:
         """Try to act on one corroborated verdict; True when something ran."""
-        cfg = self.config
         now = self.sim.now
-        ladder = cfg.rungs_for(verdict.kind)
+        ladder = self.config.rungs_for(verdict.kind)
         if not ladder:
             return False
         entity = verdict.entity
@@ -241,11 +269,10 @@ class RecoveryOrchestrator(SpareJoiner):
         return True
 
     def _record_blocked(self, st, rung, verdict, blockers) -> None:
-        cfg = self.config
         now = self.sim.now
         self.blocked += 1
         st["blocked_streak"] += 1
-        st["cooldown_until"] = now + cfg.blocked_retry
+        st["cooldown_until"] = now + BLOCKED_RETRY
         self.actions.append(
             HealAction(
                 time=now,
@@ -259,7 +286,7 @@ class RecoveryOrchestrator(SpareJoiner):
         )
         self._point("heal.blocked", verdict.entity, rung=rung)
         self._blocked_run += 1
-        if st["blocked_streak"] >= cfg.blocked_alarm_after:
+        if st["blocked_streak"] >= self.config.blocked_alarm_after:
             # The condition persists but every safe action is refused:
             # automation is out of moves, tell the operators.
             self._raise_alarm(
@@ -271,7 +298,7 @@ class RecoveryOrchestrator(SpareJoiner):
             )
             st["done"] = True
         elif (
-            self._blocked_run >= cfg.blocked_alarm_after
+            self._blocked_run >= self.config.blocked_alarm_after
             and not self._group_alarmed
         ):
             # A systemic condition (e.g. a total consensus stall) spreads
@@ -314,10 +341,9 @@ class RecoveryOrchestrator(SpareJoiner):
                 self._down_since.pop(pm.address, None)
 
     def _maybe_restart(self) -> bool:
-        cfg = self.config
         now = self.sim.now
         for address in sorted(self._down_since):
-            if now - self._down_since[address] < cfg.restart_down_after:
+            if now - self._down_since[address] < RESTART_DOWN_AFTER:
                 continue
             pm = self._member(address)
             if pm is None:
@@ -342,7 +368,6 @@ class RecoveryOrchestrator(SpareJoiner):
     # -- action flows (simulation processes) -----------------------------
 
     def _launch(self, flow, action: HealAction, st: dict | None) -> None:
-        cfg = self.config
         sim = self.sim
         self.busy = True
         span = self._begin_span(f"heal.{action.kind}", action)
@@ -357,7 +382,7 @@ class RecoveryOrchestrator(SpareJoiner):
                 self._blocked_run = 0
                 self._group_alarmed = False
             if st is not None:
-                st["cooldown_until"] = sim.now + cfg.cooldown
+                st["cooldown_until"] = sim.now + COOLDOWN
                 if action.outcome == "completed":
                     st["rung"] += 1
                     st["blocked_streak"] = 0
@@ -365,13 +390,12 @@ class RecoveryOrchestrator(SpareJoiner):
         sim.process(run(), name=f"heal-{action.kind}-{action.target}")
 
     def _rejuvenate_flow(self, action: HealAction, pm):
-        cfg = self.config
         replacement = rejuvenate_replica(
             self.system, pm.index, handler_config=self.handler_config
         )
         self.rejuvenations += 1
         caught_up = yield from self._wait_caught_up(
-            replacement, cfg.transfer_deadline
+            replacement, TRANSFER_DEADLINE
         )
         if caught_up:
             action.outcome = "completed"
@@ -381,7 +405,6 @@ class RecoveryOrchestrator(SpareJoiner):
             action.detail = "reimaged replica did not catch up in time"
 
     def _restart_flow(self, action: HealAction, pm):
-        cfg = self.config
         if self.system.durable_storage is not None:
             replacement = restart_replica(
                 self.system,
@@ -397,27 +420,26 @@ class RecoveryOrchestrator(SpareJoiner):
             action.detail = "no durable disk; booted a pristine instance"
         self.restarts += 1
         caught_up = yield from self._wait_caught_up(
-            replacement, cfg.transfer_deadline
+            replacement, TRANSFER_DEADLINE
         )
         action.outcome = "completed" if caught_up else "transfer-timed-out"
 
     def _evict_flow(self, action: HealAction, suspect_pm):
-        cfg = self.config
         suspect = suspect_pm.address
-        if self._spares_used >= cfg.max_spares:
+        if self._spares_used >= MAX_SPARES:
             action.outcome = "failed"
-            action.detail = f"spare budget ({cfg.max_spares}) exhausted"
+            action.detail = f"spare budget ({MAX_SPARES}) exhausted"
             return
         self._spares_used += 1
         reconfig = {
-            "timeout": cfg.action_timeout,
-            "attempts": cfg.reconfig_attempts,
-            "backoff": cfg.reconfig_backoff,
+            "timeout": ACTION_TIMEOUT,
+            "attempts": RECONFIG_ATTEMPTS,
+            "backoff": RECONFIG_BACKOFF,
         }
         # Phases 1+2 — join a spare first, so the membership never
         # shrinks, and wait for it to state-transfer the full state.
         spare_pm, result, caught_up = yield from self._join_spare(
-            self.admin, suspect_pm.shard, cfg.transfer_deadline, **reconfig
+            self.admin, suspect_pm.shard, TRANSFER_DEADLINE, **reconfig
         )
         if not result.applied:
             action.outcome = f"join-{result.status}"

@@ -67,38 +67,13 @@ ZERO_TRUST_POLICY = tuple(
 
 @dataclass(frozen=True)
 class HealConfig:
-    """Tunables for the recovery orchestrator (times in simulated seconds)."""
+    """The orchestrator settings campaigns vary.
 
-    #: Consecutive detector polls a verdict must stay asserted before the
-    #: orchestrator acts — a single low-confidence detection never
-    #: triggers anything, so IDS false positives cannot be weaponized
-    #: into self-inflicted denial of service.
-    corroboration_polls: int = 3
-    #: Minimum peak risk score a verdict must have reached while asserted.
-    min_score: float = 1.0
-    #: Per-target hysteresis: minimum gap between two actions on the same
-    #: entity (lets the previous action take effect before escalating).
-    cooldown: float = 1.5
-    #: Retry gap after the quorum guard blocks an action.
-    blocked_retry: float = 0.5
+    Timing and budgets are constants of :mod:`repro.heal.orchestrator`.
+    """
+
     #: Guard-blocked attempts on one target before escalating to an alarm.
     blocked_alarm_after: int = 5
-    #: Deadline for one reconfiguration attempt (Administrator checked path).
-    action_timeout: float = 2.0
-    #: Reconfiguration attempts and backoff multiplier.
-    reconfig_attempts: int = 3
-    reconfig_backoff: float = 2.0
-    #: How long to wait for a joiner / restarted replica to catch up.
-    transfer_deadline: float = 4.0
-    #: Orchestrator action processes poll on this grid.
-    grid: float = 0.1
-    #: Fresh replica addresses available for evict-and-replace.
-    max_spares: int = 2
-    #: A replica whose process is dead while its machine answers the
-    #: liveness probe is restarted from disk after staying down this long.
-    restart_down_after: float = 1.0
-    #: Retransmission budget for the orchestrator's admin client.
-    admin_max_attempts: int = 200
     #: kind -> escalation ladder, as a tuple of pairs (constructor-valid
     #: repr: campaign replay snippets embed this config).
     policy: tuple = field(default=DEFAULT_POLICY)

@@ -26,7 +26,7 @@ legacy SCADA (host-liveness probes distinguish a crashed machine from a
 live-but-protocol-silent compromise).
 """
 
-from repro.ids.detectors import Detection, IdsConfig, IntrusionDetector, Verdict
+from repro.ids.detectors import Detection, IntrusionDetector, Verdict
 from repro.ids.features import FeatureExtractor
 from repro.ids.scoring import GroundTruthEpisode, score_detections
 
@@ -34,7 +34,6 @@ __all__ = [
     "Detection",
     "FeatureExtractor",
     "GroundTruthEpisode",
-    "IdsConfig",
     "IntrusionDetector",
     "Verdict",
     "score_detections",

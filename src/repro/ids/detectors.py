@@ -34,56 +34,50 @@ signature its Byzantine behaviour cannot avoid leaving in the trace:
     (``joined``) are ignored.
 ``write-burst``
     An HMI client's write rate exceeds its learned (warm-up) duty cycle
-    by the configured multiplier — the command-injection profile.
+    by ``WRITE_RATE_MULTIPLIER`` — the command-injection profile.
 ``spoofed-frontend``
     The per-replica rejected-envelope counters (metrics registry) climb
     in lockstep on ``f+1`` or more replicas: forged traffic is being
     dropped at the secure channels.
 
-All thresholds live in the frozen :class:`IdsConfig`, whose repr is a
-valid constructor call (campaign replay snippets embed it).
+The thresholds are the module constants below, read at call time
+(``docs/IDS.md`` tabulates them).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bftsmart.config import replica_address
-from repro.ids.features import FeatureExtractor
 
 _NEVER = -1.0e9
 
-
-@dataclass(frozen=True)
-class IdsConfig:
-    """Thresholds and windows for the intrusion detector."""
-
-    #: Learning period: no detections are emitted before this instant,
-    #: and write-rate baselines are frozen when it ends.
-    warmup: float = 1.0
-    #: Rolling feature window (seconds).
-    window: float = 1.0
-    #: Protocol silence needed to call an *up* replica silent.
-    silence_window: float = 1.5
-    #: Reply silence needed to call a consensus-active replica stuttering.
-    reply_silence_window: float = 1.5
-    #: Grace after a machine comes back up before silence counts again.
-    recovery_grace: float = 0.75
-    #: Divergent ordered replies per window to call a replica lying.
-    mismatch_threshold: int = 2
-    #: Divergent pushes per window to call a replica falsifying.
-    push_mismatch_threshold: int = 2
-    #: Peers that must be making consensus progress for silence verdicts.
-    peer_activity_min: int = 2
-    #: Write-rate multiple over the learned baseline that flags a burst.
-    write_rate_multiplier: float = 4.0
-    #: Absolute floor (writes/second) under which bursts are never flagged.
-    write_burst_floor: float = 6.0
-    #: Rejected envelopes per window (summed over replicas) for spoofing.
-    spoof_threshold: int = 5
-    #: Normalized risk score at/above which a Detection is emitted.
-    alert_threshold: float = 1.0
+#: Learning period: no detections are emitted before this instant,
+#: and write-rate baselines are frozen when it ends.
+WARMUP = 1.0
+#: Rolling window (seconds) of every feature and of the spoofing deltas.
+WINDOW = 1.0
+#: Protocol silence needed to call an *up* replica silent.
+SILENCE_WINDOW = 1.5
+#: Reply silence needed to call a consensus-active replica stuttering.
+REPLY_SILENCE_WINDOW = 1.5
+#: Grace after a machine comes back up before silence counts again.
+RECOVERY_GRACE = 0.75
+#: Divergent ordered replies per window to call a replica lying.
+MISMATCH_THRESHOLD = 2
+#: Divergent pushes per window to call a replica falsifying.
+PUSH_MISMATCH_THRESHOLD = 2
+#: Peers that must be making consensus progress for silence verdicts.
+PEER_ACTIVITY_MIN = 2
+#: Write-rate multiple over the learned baseline that flags a burst.
+WRITE_RATE_MULTIPLIER = 4.0
+#: Absolute floor (writes/second) under which bursts are never flagged.
+WRITE_BURST_FLOOR = 6.0
+#: Rejected envelopes per window (summed over replicas) for spoofing.
+SPOOF_THRESHOLD = 5
+#: Normalized risk score at/above which a Detection is emitted.
+ALERT_THRESHOLD = 1.0
 
 
 @dataclass(frozen=True)
@@ -152,25 +146,19 @@ class IntrusionDetector:
         self,
         sim,
         net,
-        features: FeatureExtractor,
-        config: IdsConfig | None = None,
+        features,
         *,
         n: int = 4,
         f: int = 1,
-        replica_addresses: list | None = None,
         rejected_reader=None,
     ) -> None:
         self.sim = sim
         self.net = net
+        #: The :class:`~repro.ids.features.FeatureExtractor` it reads.
         self.features = features
-        self.config = config if config is not None else IdsConfig()
         self.n = n
         self.f = f
-        self.replicas = (
-            list(replica_addresses)
-            if replica_addresses is not None
-            else [replica_address(i) for i in range(n)]
-        )
+        self.replicas = [replica_address(i) for i in range(n)]
         #: Zero-arg callable -> {replica address: rejected-envelope total}.
         self._rejected_reader = rejected_reader
         self.detections: list = []
@@ -203,7 +191,7 @@ class IntrusionDetector:
         """Assert or clear one (kind, entity) condition with hysteresis."""
         self._score(entity, kind, score)
         key = (kind, entity)
-        if score >= self.config.alert_threshold:
+        if score >= ALERT_THRESHOLD:
             self._streak[key] = self._streak.get(key, 0) + 1
             self._peak[key] = max(self._peak.get(key, 0.0), round(score, 4))
             if key not in self._asserted:
@@ -233,9 +221,9 @@ class IntrusionDetector:
 
     def _reference(self, host: _HostState, *marks: float) -> float:
         """Latest instant the entity was provably fine."""
-        ref = self.config.warmup
+        ref = WARMUP
         if host.last_down > _NEVER:
-            ref = max(ref, host.last_down + self.config.recovery_grace)
+            ref = max(ref, host.last_down + RECOVERY_GRACE)
         for mark in marks:
             ref = max(ref, mark)
         return ref
@@ -249,7 +237,7 @@ class IntrusionDetector:
         features.prune(now)
         self._probe_hosts(now)
         self._learn_write_baseline(now)
-        if now < self.config.warmup:
+        if now < WARMUP:
             return
         self._detect_silent(now)
         self._detect_stuttering(now)
@@ -262,7 +250,6 @@ class IntrusionDetector:
     # -- replica detectors ----------------------------------------------
 
     def _detect_silent(self, now: float) -> None:
-        cfg = self.config
         features = self.features
         active_peers = {
             addr for addr in self.replicas if features.consensus_count(addr) > 0
@@ -273,11 +260,11 @@ class IntrusionDetector:
                 self._verdict("byzantine-silent", addr, 0.0, "silence", "")
                 continue
             peers = len(active_peers - {addr})
-            if peers < cfg.peer_activity_min:
+            if peers < PEER_ACTIVITY_MIN:
                 self._verdict("byzantine-silent", addr, 0.0, "silence", "")
                 continue
             ref = self._reference(host, features.last_activity.get(addr, 0.0))
-            score = (now - ref) / cfg.silence_window
+            score = (now - ref) / SILENCE_WINDOW
             self._verdict(
                 "byzantine-silent",
                 addr,
@@ -288,9 +275,8 @@ class IntrusionDetector:
             )
 
     def _detect_stuttering(self, now: float) -> None:
-        cfg = self.config
         features = self.features
-        recent = 2.0 * cfg.window
+        recent = 2.0 * WINDOW
         replying_peers = {
             addr
             for addr in self.replicas
@@ -303,11 +289,11 @@ class IntrusionDetector:
                 or now - features.last_activity.get(addr, _NEVER) <= recent
             )
             peers = len(replying_peers - {addr})
-            if host.down_now or not ordering or peers < cfg.peer_activity_min:
+            if host.down_now or not ordering or peers < PEER_ACTIVITY_MIN:
                 self._verdict("byzantine-stuttering", addr, 0.0, "reply-silence", "")
                 continue
             ref = self._reference(host, features.last_reply.get(addr, 0.0))
-            score = (now - ref) / cfg.reply_silence_window
+            score = (now - ref) / REPLY_SILENCE_WINDOW
             self._verdict(
                 "byzantine-stuttering",
                 addr,
@@ -323,7 +309,7 @@ class IntrusionDetector:
             self._verdict(
                 "byzantine-lying",
                 addr,
-                count / self.config.mismatch_threshold,
+                count / MISMATCH_THRESHOLD,
                 "reply-divergence",
                 f"{count} divergent ordered replies in the window",
             )
@@ -334,7 +320,7 @@ class IntrusionDetector:
             self._verdict(
                 "byzantine-falsifying",
                 addr,
-                count / self.config.push_mismatch_threshold,
+                count / PUSH_MISMATCH_THRESHOLD,
                 "push-divergence",
                 f"{count} divergent pushed updates in the window",
             )
@@ -366,18 +352,17 @@ class IntrusionDetector:
             rate = self.features.write_rate(client)
             if rate > self._write_baseline.get(client, 0.0):
                 self._write_baseline[client] = rate
-        if now >= self.config.warmup:
+        if now >= WARMUP:
             self._baseline_frozen = True
 
     def _detect_write_bursts(self, now: float) -> None:
-        cfg = self.config
         for client in self.features.writes:
             rate = self.features.write_rate(client)
             baseline = max(
                 self._write_baseline.get(client, 0.0),
-                cfg.write_burst_floor / cfg.write_rate_multiplier,
+                WRITE_BURST_FLOOR / WRITE_RATE_MULTIPLIER,
             )
-            score = rate / (baseline * cfg.write_rate_multiplier)
+            score = rate / (baseline * WRITE_RATE_MULTIPLIER)
             spread = self.features.write_tag_spread(client)
             self._verdict(
                 "write-burst",
@@ -389,11 +374,10 @@ class IntrusionDetector:
             )
 
     def _detect_spoofing(self, now: float) -> None:
-        cfg = self.config
         totals = self._read_rejected()
         samples = self._rejected_samples
         samples.append((now, totals))
-        while samples and samples[0][0] < now - cfg.window:
+        while samples and samples[0][0] < now - WINDOW:
             samples.popleft()
         oldest = samples[0][1]
         deltas = {
@@ -402,9 +386,7 @@ class IntrusionDetector:
         }
         climbing = sum(1 for delta in deltas.values() if delta > 0)
         total = sum(deltas.values())
-        score = (
-            total / cfg.spoof_threshold if climbing >= self.f + 1 else 0.0
-        )
+        score = total / SPOOF_THRESHOLD if climbing >= self.f + 1 else 0.0
         self._verdict(
             "spoofed-frontend",
             "ingress",

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.ids import detectors
+
 
 def _prune(dq: deque, cutoff: float) -> None:
     while dq and dq[0][0] < cutoff:
@@ -35,10 +37,12 @@ def _prune(dq: deque, cutoff: float) -> None:
 
 
 class FeatureExtractor:
-    """Folds the live span stream into rolling per-entity windows."""
+    """Folds the live span stream into rolling per-entity windows.
 
-    def __init__(self, window: float = 1.0) -> None:
-        self.window = window
+    The window is :data:`repro.ids.detectors.WINDOW`.
+    """
+
+    def __init__(self) -> None:
         #: replica process -> deque[(end_time,)] of ``consensus`` roots.
         self.consensus: dict[str, deque] = {}
         #: replica process -> last time *any* protocol span closed there.
@@ -91,7 +95,7 @@ class FeatureExtractor:
     # -- windowed reads -------------------------------------------------
 
     def prune(self, now: float) -> None:
-        cutoff = now - self.window
+        cutoff = now - detectors.WINDOW
         for table in (
             self.consensus,
             self.reply_mismatch,
@@ -114,7 +118,7 @@ class FeatureExtractor:
 
     def write_rate(self, client: str) -> float:
         """Writes per second from ``client`` over the window."""
-        return len(self.writes.get(client, ())) / self.window
+        return len(self.writes.get(client, ())) / detectors.WINDOW
 
     def write_tag_spread(self, client: str) -> int:
         return len({item for _t, item, _v in self.writes.get(client, ())})

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 from repro.neoscada.values import DataValue
 
+#: Buckets retained per item per downsampled level.
+LEVEL_CAPACITY = 1_000
+
 
 @dataclass
 class TrendBucket:
@@ -73,15 +76,14 @@ class ValueArchive:
         Bucket sizes (seconds) of the downsampled levels, smallest first.
     raw_capacity:
         Raw samples retained per item.
-    level_capacity:
-        Buckets retained per item per level.
+
+    Every level retains :data:`LEVEL_CAPACITY` buckets per item.
     """
 
     def __init__(
         self,
         resolutions: tuple = (1.0, 10.0, 60.0),
         raw_capacity: int = 10_000,
-        level_capacity: int = 1_000,
     ) -> None:
         if not resolutions or any(r <= 0 for r in resolutions):
             raise ValueError("resolutions must be positive")
@@ -89,7 +91,6 @@ class ValueArchive:
             raise ValueError("resolutions must be ascending")
         self.resolutions = tuple(resolutions)
         self.raw_capacity = raw_capacity
-        self.level_capacity = level_capacity
         self._raw: dict[str, deque] = {}
         self._levels: dict[str, dict] = {}
         self.samples_recorded = 0
@@ -107,7 +108,7 @@ class ValueArchive:
             series = deque(maxlen=self.raw_capacity)
             self._raw[item_id] = series
             self._levels[item_id] = {
-                resolution: _Level(resolution, self.level_capacity)
+                resolution: _Level(resolution, LEVEL_CAPACITY)
                 for resolution in self.resolutions
             }
         series.append((value.timestamp, float(raw)))

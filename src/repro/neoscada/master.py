@@ -141,7 +141,6 @@ class ScadaMaster:
         event_id_source=None,
         write_timeout: float | None = 5.0,
         audit_writes: bool = False,
-        storage_capacity: int = 100_000,
         transport=None,
     ) -> None:
         self.sim = sim
@@ -166,7 +165,7 @@ class ScadaMaster:
         self.items = ItemRegistry()
         self.chains: dict[str, HandlerChain] = {}
         self.item_frontend: dict[str, str] = {}
-        self.storage = EventStorage(capacity=storage_capacity)
+        self.storage = EventStorage()
         self.storage_station = StorageStation(
             service_time=self.costs.storage_service_time,
             buffer_size=self.costs.storage_buffer,

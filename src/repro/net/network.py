@@ -53,7 +53,6 @@ class Network:
                 "sent": self.sent,
                 "delivered": self.delivered,
                 "trace_hops": self.trace.recorded,
-                "trace_dropped": self.trace.dropped,
             },
         )
         self._endpoints: dict[str, Endpoint] = {}

@@ -5,16 +5,13 @@ The paper explains its overheads by counting communication steps
 steps). The trace makes those step counts measurable facts of a run rather
 than claims: benchmarks replay a single operation and count hops.
 
-Long campaigns can bound memory with ``max_hops``: the trace becomes a
-ring buffer keeping the most recent hops, and ``dropped`` counts what the
-ring evicted. ``recorded`` always counts every hop ever recorded — it is
-also exported through the metrics registry when the network binds a
-counter (:meth:`NetworkTrace.bind_counter`).
+``recorded`` counts the hops — it is also exported through the metrics
+registry when the network binds a counter
+(:meth:`NetworkTrace.bind_counter`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -32,28 +29,18 @@ class Hop:
 
 
 class NetworkTrace:
-    """Accumulates :class:`Hop` records for a run.
+    """Accumulates :class:`Hop` records for a run."""
 
-    ``max_hops`` (optional) caps retention: older hops are evicted in
-    FIFO order and counted in ``dropped``. Queries only see retained
-    hops; ``recorded`` is the lifetime total.
-    """
-
-    def __init__(self, enabled: bool = True, max_hops: int | None = None) -> None:
-        if max_hops is not None and max_hops < 1:
-            raise ValueError("max_hops must be >= 1 (or None for unbounded)")
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.max_hops = max_hops
-        self.hops: deque = deque(maxlen=max_hops)
+        self.hops: list = []
         self._seq = 0
-        #: Hops evicted by the ``max_hops`` ring buffer.
-        self.dropped = 0
         #: Optional :class:`repro.obs.metrics.Counter` mirror of hop count.
         self._counter = None
 
     @property
     def recorded(self) -> int:
-        """Total hops ever recorded (evicted ones included)."""
+        """Total hops recorded since the last :meth:`clear`."""
         return self._seq
 
     def bind_counter(self, counter) -> None:
@@ -68,8 +55,6 @@ class NetworkTrace:
         self._seq += 1
         if self._counter is not None:
             self._counter.inc()
-        if self.max_hops is not None and len(self.hops) == self.max_hops:
-            self.dropped += 1
         self.hops.append(
             Hop(
                 seq=self._seq,
@@ -86,10 +71,9 @@ class NetworkTrace:
         """Forget every hop and restart ``seq`` numbering from 1."""
         self.hops.clear()
         self._seq = 0
-        self.dropped = 0
 
     def count(self, kind: str | None = None, src: str | None = None, dst: str | None = None) -> int:
-        """Number of retained hops matching the given filters (None = any)."""
+        """Number of hops matching the given filters (None = any)."""
         return sum(1 for hop in self.hops if self._matches(hop, kind, src, dst))
 
     def kinds(self) -> dict:

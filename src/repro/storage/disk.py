@@ -23,7 +23,7 @@ four fault models is applied to what the device claims it persisted:
     behave exactly like a from-scratch rejuvenation.
 
 Timing is *accounted*, not injected: the device keeps its own busy-time
-ledger (``write_latency`` per KiB plus ``fsync_latency`` per barrier)
+ledger (``WRITE_LATENCY_PER_KB`` plus ``FSYNC_LATENCY`` per barrier)
 instead of scheduling events on the simulation heap, so enabling
 durability — under any fsync policy — never perturbs the protocol event
 order. That is what keeps chaos campaigns bit-deterministic with the
@@ -38,19 +38,17 @@ from __future__ import annotations
 #: Recognised crash-time fault models.
 CRASH_MODES = ("intact", "torn", "corrupt", "wiped")
 
+#: Accounted device time (seconds) per KiB made durable by a barrier.
+WRITE_LATENCY_PER_KB = 0.00005
+#: Accounted device time (seconds) of one fsync barrier.
+FSYNC_LATENCY = 0.0005
+
 
 class SimDisk:
     """One simulated durable device (an append log plus a blob store)."""
 
-    def __init__(
-        self,
-        name: str,
-        write_latency_per_kb: float = 0.00005,
-        fsync_latency: float = 0.0005,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.write_latency_per_kb = write_latency_per_kb
-        self.fsync_latency = fsync_latency
 
         #: Durable (fsynced) append-log records, in append order.
         self._log: list[bytes] = []
@@ -184,9 +182,7 @@ class SimDisk:
         self._renames_volatile.clear()
         self.fsyncs += 1
         self.bytes_written += volume
-        self.busy_time += self.fsync_latency + (
-            volume / 1024.0
-        ) * self.write_latency_per_kb
+        self.busy_time += FSYNC_LATENCY + (volume / 1024.0) * WRITE_LATENCY_PER_KB
 
     @property
     def dirty(self) -> bool:

@@ -57,6 +57,26 @@ def test_batch_max_positive():
         GroupConfig(batch_max=0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # Would divide by zero in the executor on the first decision.
+        {"checkpoint_interval": 0},
+        # Would park the watchdog on zero-length sleeps forever.
+        {"request_timeout": 0.0},
+        {"sync_timeout": 0.0},
+        {"request_timeout": -1.0},
+        {"batch_wait": -0.001},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_unusable_timing_is_rejected_at_construction(bad):
+    with pytest.raises(ValueError):
+        GroupConfig(**bad)
+    # The boundary values that do work still build.
+    GroupConfig(checkpoint_interval=1, batch_wait=0.0)
+
+
 def test_replica_address_format():
     assert replica_address(3) == "replica-3"
 

@@ -15,6 +15,7 @@ import pytest
 from repro.core import SmartScadaConfig, build_smartscada
 from repro.core.recovery import RejuvenationScheduler
 from repro.heal import HealConfig, RecoveryOrchestrator
+from repro.heal import orchestrator as heal_orchestrator
 from repro.ids.detectors import Detection, Verdict
 from repro.neoscada import HandlerChain, Monitor
 from repro.core import ShardedScadaConfig, build_sharded_scada
@@ -116,7 +117,7 @@ def test_corroboration_threshold_gates_every_action(deploy=classic):
     traffic(sim, system)
     detector.assert_condition("byzantine-stuttering", "replica-2")
     detector.assert_condition("byzantine-stuttering", "replica-2")
-    drive(sim, orch, 1.0)  # streak 2 < corroboration_polls 3
+    drive(sim, orch, 1.0)  # streak 2 < CORROBORATION_POLLS 3
     assert orch.actions == []
     detector.assert_condition("byzantine-stuttering", "replica-2")
     drive(sim, orch, 1.0)
@@ -128,9 +129,7 @@ def test_ladder_escalates_rejuvenate_then_evict(deploy=classic):
     rejuvenate in place first, then evict-and-replace. Once evicted, the
     entity is terminal — further assertions (stale detector state) are
     ignored rather than re-acted on."""
-    sim, system, detector, orch = build(
-        heal_config=HealConfig(cooldown=0.5), deploy=deploy
-    )
+    sim, system, detector, orch = build(deploy=deploy)
     traffic(sim, system)
 
     def keep_asserting():
@@ -139,10 +138,18 @@ def test_ladder_escalates_rejuvenate_then_evict(deploy=classic):
             yield sim.timeout(0.1)
 
     sim.process(keep_asserting())
-    drive(sim, orch, 12.0)
+    # A context, not the fixture: the sharded case below calls this
+    # function directly.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heal_orchestrator, "COOLDOWN", 0.5)
+        drive(sim, orch, 12.0)
     kinds = [a.kind for a in orch.actions]
     assert kinds == ["rejuvenate", "evict"]
     assert [a.outcome for a in orch.actions] == ["completed", "completed"]
+    # The patched cooldown is read at call time: the eviction follows the
+    # reimage after 0.5 s and a poll or two, not after the default 1.5 s.
+    rejuvenate, evict = orch.actions
+    assert evict.time - rejuvenate.completed_at < 1.0
     assert system.retired == {"replica-2"}
     assert orch.evictions == 1
     # After eviction the spare serves in its place and the group is 2f+1.

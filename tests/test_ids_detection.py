@@ -14,7 +14,7 @@ from repro.chaos import run_scenario
 from repro.ids import (
     Detection,
     GroundTruthEpisode,
-    IdsConfig,
+    detectors,
     score_detections,
 )
 
@@ -72,12 +72,12 @@ def test_spoofed_frontend_detected():
     assert any(d.kind == "spoofed-frontend" for d in report.detections)
 
 
-def test_alert_threshold_is_respected():
+def test_alert_threshold_is_respected(monkeypatch):
     """An absurdly high alert threshold silences the detector without
     otherwise changing the run (same fingerprint)."""
-    deaf = IdsConfig(alert_threshold=1e9)
-    report, _ = run_swap("lying", ids_config=deaf)
     baseline, _ = run_swap("lying")
+    monkeypatch.setattr(detectors, "ALERT_THRESHOLD", 1e9)
+    report, _ = run_swap("lying")
     assert not report.detections
     assert report.fingerprint() == baseline.fingerprint()
 
