@@ -4,7 +4,7 @@ One :class:`ServiceReplica` is the server side of the library — what the
 paper calls the "BFT server" inside each ProxyMaster. It receives signed
 client requests, totally orders them through VP-Consensus (PROPOSE →
 WRITE → ACCEPT), executes decided batches *sequentially* through a single
-executor process (the determinism requirement of §III-B), replies to
+executor (the determinism requirement of §III-B), replies to
 clients, takes periodic checkpoints and serves state transfer.
 
 Leader change lives in :mod:`repro.bftsmart.leaderchange`; state transfer
@@ -13,6 +13,7 @@ in :mod:`repro.bftsmart.statetransfer`.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import islice
 from operator import attrgetter, is_
 
@@ -43,7 +44,6 @@ from repro.crypto import KeyStore, Signature, Signer, Verifier, digest
 from repro.net.network import Network
 from repro.obs.trace import request_trace_id
 from repro.perf import PERF
-from repro.sim.channels import Channel
 from repro.sim.kernel import Simulator
 from repro.wire import DecodeError, decode, encode, encode_cached, same_encoding
 from repro.wire.codec import _is_frozen_dataclass
@@ -318,7 +318,11 @@ class ServiceReplica:
         self._reconfig_cid = -1
 
         # -- execution state --
-        self._exec_channel = Channel(sim, name=f"exec:{address}")
+        #: Decided entries waiting for a busy executor, oldest first.
+        self._exec_queue: deque = deque()
+        #: True while the executor waits for an entry and none is on its
+        #: way (an entry for an idle executor skips the queue).
+        self._exec_idle = False
         #: True while the executor works on an entry it took.
         self._executing = False
         #: The request the service is pricing or executing (its body and
@@ -371,7 +375,8 @@ class ServiceReplica:
         sim.register_stats_source(f"pipeline.{address}", self._pipeline_stats)
         sim.register_stats_source(f"replica.{address}", self._service_stats)
 
-        sim.process(self._executor(), name=f"executor:{address}")
+        self._exec = self._executor()
+        sim.defer(0.0, self._drive_executor, None)
         sim.process(self._watchdog(), name=f"watchdog:{address}")
 
     # ------------------------------------------------------------------
@@ -630,7 +635,7 @@ class ServiceReplica:
         """
         now = self.sim.now
         return (
-            len(self._exec_channel) >= 2
+            len(self._exec_queue) >= 2
             and now >= self.synchronizer.synced_at + self.config.request_timeout
             and not self.state_transfer.recovering
             and now < self._hold_lapses()
@@ -1342,7 +1347,12 @@ class ServiceReplica:
             self._unproposed.pop(key, None)
             if request.operation.startswith(RECONFIG_MARKER):
                 self._reconfig_cid = cid
-        self._exec_channel.put((self._install_epoch, cid, batch.requests, timestamp))
+        entry = (self._install_epoch, cid, batch.requests, timestamp)
+        if self._exec_idle:
+            self._exec_idle = False
+            self.sim.defer(0.0, self._drive_executor, entry)
+        else:
+            self._exec_queue.append(entry)
 
     def install_checkpoint(self, checkpoint_cid: int, blob: bytes) -> None:
         """Replace the replica's state with a checkpoint blob.
@@ -1388,12 +1398,29 @@ class ServiceReplica:
         if self.storage is not None:
             self.storage.on_checkpoint(checkpoint_cid, blob)
 
+    def _drive_executor(self, value) -> None:
+        """Resume the executor with ``value`` and schedule its next step:
+        the end of the modelled cost it yielded, or its next entry — the
+        oldest queued one at this instant, or, with none queued, whatever
+        :meth:`enqueue_decided` hands the idle executor next."""
+        delay = self._exec.send(value)
+        if delay is not None:
+            self.sim.defer(delay, self._drive_executor, None)
+        elif self._exec_queue:
+            self.sim.defer(0.0, self._drive_executor, self._exec_queue.popleft())
+        else:
+            self._exec_idle = True
+
     def _executor(self):
         """The single execution thread, in decided order — the
-        determinism bottleneck of §IV-C(b)."""
+        determinism bottleneck of §IV-C(b).
+
+        Driven by :meth:`_drive_executor`: it yields the modelled cost it
+        waits for (seconds), or ``None`` to take its next decided entry.
+        """
         while True:
             self._executing = False
-            epoch, cid, requests, timestamp = yield self._exec_channel.get()
+            epoch, cid, requests, timestamp = yield None
             self._executing = True
             self._maybe_propose()  # one batch fewer waiting: a hold may lift
             if epoch != self._install_epoch:
@@ -1417,7 +1444,7 @@ class ServiceReplica:
                 cost = self.service.cost_of(request.operation)
                 self._request = None
                 if cost > 0:
-                    yield self.sim.timeout(cost)
+                    yield cost
                 if epoch != self._install_epoch:
                     if span is not None:
                         tracer.end(span, aborted=True)
@@ -1427,7 +1454,7 @@ class ServiceReplica:
                     tracer.end(span)
                 post = self.service.post_cost()
                 if post > 0:
-                    yield self.sim.timeout(post)
+                    yield post
             if epoch != self._install_epoch:
                 continue
             self.executed_cid = cid
@@ -1644,7 +1671,7 @@ class ServiceReplica:
         leader's window. Votes alone open an instance here too, but count
         for nothing: a leader's WRITE without its PROPOSE buys no pause.
         """
-        if self._executing or len(self._exec_channel) > 0:
+        if self._executing or self._exec_queue:
             return True
         depth = self.config.pipeline_depth
         instances = self.instances

@@ -85,10 +85,9 @@ class HealConfig:
         return ()
 
     @classmethod
-    def zero_trust(cls, **overrides) -> "HealConfig":
+    def zero_trust(cls) -> "HealConfig":
         """The hardened profile: confirmed Byzantine replicas are evicted."""
-        overrides.setdefault("policy", ZERO_TRUST_POLICY)
-        return cls(**overrides)
+        return cls(policy=ZERO_TRUST_POLICY)
 
 
 def transfer_blockers(system, view, taking_down: str | None = None) -> list:

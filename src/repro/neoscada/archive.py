@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 from repro.neoscada.values import DataValue
 
+#: Bucket sizes (seconds) of the downsampled levels, smallest first.
+RESOLUTIONS = (1.0, 10.0, 60.0)
+#: Raw samples retained per item.
+RAW_CAPACITY = 10_000
 #: Buckets retained per item per downsampled level.
 LEVEL_CAPACITY = 1_000
 
@@ -70,27 +74,19 @@ class _Level:
 class ValueArchive:
     """Bounded raw + downsampled storage of item value histories.
 
-    Parameters
-    ----------
-    resolutions:
-        Bucket sizes (seconds) of the downsampled levels, smallest first.
-    raw_capacity:
-        Raw samples retained per item.
-
-    Every level retains :data:`LEVEL_CAPACITY` buckets per item.
+    An archive keeps the :data:`RESOLUTIONS` levels and the
+    :data:`RAW_CAPACITY` raw samples per item that hold when it is built;
+    every level retains :data:`LEVEL_CAPACITY` buckets per item.
     """
 
-    def __init__(
-        self,
-        resolutions: tuple = (1.0, 10.0, 60.0),
-        raw_capacity: int = 10_000,
-    ) -> None:
+    def __init__(self) -> None:
+        resolutions = tuple(RESOLUTIONS)
         if not resolutions or any(r <= 0 for r in resolutions):
             raise ValueError("resolutions must be positive")
         if list(resolutions) != sorted(resolutions):
             raise ValueError("resolutions must be ascending")
-        self.resolutions = tuple(resolutions)
-        self.raw_capacity = raw_capacity
+        self.resolutions = resolutions
+        self.raw_capacity = RAW_CAPACITY
         self._raw: dict[str, deque] = {}
         self._levels: dict[str, dict] = {}
         self.samples_recorded = 0

@@ -12,6 +12,9 @@ from collections import deque
 
 from repro.neoscada.ae.events import EventRecord
 
+#: Events an :class:`EventStorage` built now retains; older ones rotate out.
+EVENT_CAPACITY = 100_000
+
 
 class StorageStation:
     """Closed-form timing model of the storage writer thread.
@@ -44,9 +47,10 @@ class StorageStation:
 
 
 class EventStorage:
-    """Bounded, append-ordered event log."""
+    """Bounded, append-ordered event log (:data:`EVENT_CAPACITY` events)."""
 
-    def __init__(self, capacity: int = 100_000) -> None:
+    def __init__(self) -> None:
+        capacity = EVENT_CAPACITY
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity

@@ -217,6 +217,35 @@ one edit at a time from untouched parent ``src/``, exactly these entries:
    provisions, which the clients had not multicast to yet.
 3. The ``withholding`` and ``misdigesting`` behaviours and the
    ``client-equivocating-sequence`` scenario join: nothing moved.
+
+The change that drives each replica's executor from ``defer`` instead of
+a process fed by a channel re-recorded, as one edit, every entry that
+counts or hashes the kernel's dispatches, and nothing else. Queuing a
+decided batch no longer dispatches the channel put's no-op event, one
+per batch per replica; the executor's wake-ups (the channel get and the
+cost timeouts) became ``defer`` calls at the same ``(when, priority)``
+and in the same order. The ``(when, priority, callback)`` sequence of
+every scenario here, with the old put events dropped and the old
+executor resumes named as ``_drive_executor`` calls, is the parent's,
+dispatch for dispatch. What moved:
+
+- the dispatch counts: ``schedules.bft`` 1212 → 1132, ``schedules.scada``
+  848 → 792, ``transfer.leader_crash`` 1060 → 980, ``deployment.split``
+  1734 → 1628, the ``behaviours.bare_group`` runs (``equivocating``
+  1033 → 1013, ``lying`` 1452 → 1372, ``silent`` 1252 → 1192,
+  ``stuttering`` 1412 → 1332), and ``counter_trace_sha256``, which
+  hashes one (685 → 625);
+- the schedule digests of the same seven runs, which hash each
+  dispatch's ``seq`` (one fewer per put);
+- the fingerprints of ``campaign``, ``schedules.ids_campaign``, the four
+  ``deployment`` campaigns, the four ``transfer`` campaigns and the five
+  ``behaviours.ids_drills``, which hash the run's dispatch count: each
+  equals the parent's once the parent's count is put back in.
+
+Every trace digest, decided stream, service value, state digest, final
+clock, detection, score, transfer counter, heal action, eviction and
+violation stayed byte-identical, as did ``bft_micro``, ``encodings`` and
+the ``behaviours.heal_drills``.
 """
 
 import json

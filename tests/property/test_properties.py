@@ -2,11 +2,13 @@
 
 import string
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.crypto import digest
 from repro.neoscada import DataValue, EventRecord, EventStorage, Severity
+from repro.neoscada import storage as neoscada_storage
 from repro.neoscada.da.subscription import SubscriptionManager
 from repro.neoscada.storage import StorageStation
 from repro.sim import Channel, Simulator
@@ -105,7 +107,10 @@ def test_channel_is_fifo_regardless_of_capacity(items, capacity):
 @given(st.lists(st.integers(min_value=0, max_value=1000), max_size=60),
        st.integers(min_value=1, max_value=20))
 def test_event_storage_never_exceeds_capacity_and_keeps_newest(ids, capacity):
-    storage = EventStorage(capacity=capacity)
+    # A context, not the fixture: hypothesis runs the body many times.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(neoscada_storage, "EVENT_CAPACITY", capacity)
+        storage = EventStorage()
     for i in ids:
         storage.append(
             EventRecord(

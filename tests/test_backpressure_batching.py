@@ -105,7 +105,7 @@ def _watch_executor(sim, replica, until, tick=0.00025):
     def sampler():
         idle_since = None
         while sim.now < until:
-            starving = bool(replica._exec_channel._getters) and bool(replica.pending)
+            starving = replica._exec_idle and bool(replica.pending)
             if not starving:
                 idle_since = None
             elif idle_since is None:
@@ -295,7 +295,7 @@ def test_leader_crash_during_a_hold_hands_over_to_an_eager_leader(holds, monkeyp
     def recording(self):
         if self is new:
             youngest = max(arrival for _request, arrival in self._unproposed.values())
-            proposals.append((sim.now, len(self._exec_channel), sim.now - youngest))
+            proposals.append((sim.now, len(self._exec_queue), sim.now - youngest))
         propose_batch(self)
 
     monkeypatch.setattr(ServiceReplica, "_propose_batch", recording)
@@ -353,7 +353,7 @@ def test_the_hold_does_not_fire_at_the_update_reference_rate(seed, holds, monkey
     def watching(self):
         held = predicate(self)
         if not held:
-            depths.append(len(self._exec_channel))
+            depths.append(len(self._exec_queue))
         return held
 
     monkeypatch.setattr(ServiceReplica, "_held_back", watching)

@@ -46,7 +46,9 @@ naming their own sender (smaller frames); four leader-change rows moved
 when followers began to forward, then suspect, a leader silent past
 their measured PROPOSE turnaround; and every size-charged timing row
 moved once more when the PROPOSE began to name its requests instead of
-carrying them. The same file attributes each digest to its edit.
+carrying them, and every row that counts or hashes the kernel's
+dispatches when the executor stopped being a process fed by a channel.
+The same file attributes each digest to its edit.
 
 A change that is *meant* to move one (a new wire type, a protocol change)
 updates the file from the failing assertion's left side.

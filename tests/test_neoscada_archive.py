@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import build_neoscada
 from repro.neoscada import DataValue, Quality
+from repro.neoscada import archive as neoscada_archive
 from repro.neoscada.archive import TrendRecorder, ValueArchive
 from repro.sim import Simulator
 
@@ -22,8 +23,9 @@ def test_raw_series_records_in_order():
     assert archive.samples_recorded == 5
 
 
-def test_raw_capacity_is_bounded():
-    archive = ValueArchive(raw_capacity=3)
+def test_raw_capacity_is_bounded(monkeypatch):
+    monkeypatch.setattr(neoscada_archive, "RAW_CAPACITY", 3)
+    archive = ValueArchive()
     for i in range(10):
         archive.record("a", sample(i, float(i)))
     assert [v for _t, v in archive.raw("a")] == [7.0, 8.0, 9.0]
@@ -39,8 +41,9 @@ def test_non_numeric_and_bad_quality_skipped():
     assert archive.samples_recorded == 0
 
 
-def test_trend_buckets_aggregate():
-    archive = ValueArchive(resolutions=(1.0, 10.0))
+def test_trend_buckets_aggregate(monkeypatch):
+    monkeypatch.setattr(neoscada_archive, "RESOLUTIONS", (1.0, 10.0))
+    archive = ValueArchive()
     for tenth in range(25):  # t = 0.0 .. 2.4s
         archive.record("a", sample(tenth, tenth / 10))
     one_second = archive.trend("a", 1.0)
@@ -55,24 +58,27 @@ def test_trend_buckets_aggregate():
     assert ten_second[0].count == 25
 
 
-def test_trend_unknown_level_rejected():
-    archive = ValueArchive(resolutions=(1.0,))
+def test_trend_unknown_level_rejected(monkeypatch):
+    monkeypatch.setattr(neoscada_archive, "RESOLUTIONS", (1.0,))
+    archive = ValueArchive()
     archive.record("a", sample(1, 0.0))
     with pytest.raises(KeyError):
         archive.trend("a", 42.0)
     assert archive.trend("ghost", 1.0) == []
 
 
-def test_trend_window_query():
-    archive = ValueArchive(resolutions=(1.0,))
+def test_trend_window_query(monkeypatch):
+    monkeypatch.setattr(neoscada_archive, "RESOLUTIONS", (1.0,))
+    archive = ValueArchive()
     for i in range(10):
         archive.record("a", sample(i, float(i)))
     window = archive.trend("a", 1.0, start=3.0, end=5.0)
     assert [b.start for b in window] == [3.0, 4.0, 5.0]
 
 
-def test_out_of_order_straggler_dropped():
-    archive = ValueArchive(resolutions=(1.0,))
+def test_out_of_order_straggler_dropped(monkeypatch):
+    monkeypatch.setattr(neoscada_archive, "RESOLUTIONS", (1.0,))
+    archive = ValueArchive()
     archive.record("a", sample(1, 5.0))
     archive.record("a", sample(2, 1.0))  # older bucket: dropped from trend
     assert [b.start for b in archive.trend("a", 1.0)] == [5.0]
@@ -87,13 +93,11 @@ def test_statistics():
     assert archive.statistics("ghost") == {"count": 0}
 
 
-def test_archive_validation():
-    with pytest.raises(ValueError):
-        ValueArchive(resolutions=())
-    with pytest.raises(ValueError):
-        ValueArchive(resolutions=(10.0, 1.0))
-    with pytest.raises(ValueError):
-        ValueArchive(resolutions=(0.0,))
+def test_archive_validation(monkeypatch):
+    for resolutions in ((), (10.0, 1.0), (0.0,)):
+        monkeypatch.setattr(neoscada_archive, "RESOLUTIONS", resolutions)
+        with pytest.raises(ValueError):
+            ValueArchive()
 
 
 def test_trend_recorder_captures_hmi_stream():

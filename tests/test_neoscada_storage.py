@@ -3,6 +3,7 @@
 import pytest
 
 from repro.neoscada import EventRecord, EventStorage, Severity
+from repro.neoscada import storage as neoscada_storage
 from repro.neoscada.storage import StorageStation
 
 
@@ -26,8 +27,9 @@ def test_append_and_len():
     assert storage.total_written == 5
 
 
-def test_capacity_rotation_keeps_newest():
-    storage = EventStorage(capacity=3)
+def test_capacity_rotation_keeps_newest(monkeypatch):
+    monkeypatch.setattr(neoscada_storage, "EVENT_CAPACITY", 3)
+    storage = EventStorage()
     for i in range(10):
         storage.append(make_event(i))
     assert len(storage) == 3
@@ -35,9 +37,10 @@ def test_capacity_rotation_keeps_newest():
     assert storage.total_written == 10
 
 
-def test_capacity_must_be_positive():
+def test_capacity_must_be_positive(monkeypatch):
+    monkeypatch.setattr(neoscada_storage, "EVENT_CAPACITY", 0)
     with pytest.raises(ValueError):
-        EventStorage(capacity=0)
+        EventStorage()
 
 
 def test_query_by_item():

@@ -28,7 +28,7 @@ SCANNED = ("src", "tests", "examples", "tools", "benchmarks")
 
 #: Test modules allowed to name replica privates -> the mechanism they pin.
 WHITE_BOX = {
-    "tests/test_backpressure_batching.py": "the backpressure predicate and the leader's pool",
+    "tests/test_backpressure_batching.py": "the backpressure predicate, the leader's pool and the executor's queue",
     "tests/test_shard_determinism.py": "backpressure pinned off, to compare with the parent rule",
     "tests/test_bftsmart_leaderchange.py": "the watchdog's deadline-aware sleep",
     "tests/property/test_memo_soundness.py": "the request verifier against a memo-free reference",
