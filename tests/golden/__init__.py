@@ -246,6 +246,15 @@ Every trace digest, decided stream, service value, state digest, final
 clock, detection, score, transfer counter, heal action, eviction and
 violation stayed byte-identical, as did ``bft_micro``, ``encodings`` and
 the ``behaviours.heal_drills``.
+
+The ``roles`` block was recorded from the untouched ``src/`` of the last
+commit whose ``ServiceReplica`` still held its pool, proposer, acceptor
+and executor in one class, before they became four collaborators: a bare
+group under a withholding and under a misdigesting leader (the fetch
+path), the ``slow-leader`` campaign at seeds 0-2 (the silence rule) and
+an administrator's signed join of a fifth replica (reconfiguration,
+checkpoints and the joiner's transfer), each with its schedule digest,
+decided streams and every replica's counters.
 """
 
 import json

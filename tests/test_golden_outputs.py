@@ -50,6 +50,12 @@ carrying them, and every row that counts or hashes the kernel's
 dispatches when the executor stopped being a process fed by a channel.
 The same file attributes each digest to its edit.
 
+``roles`` pins the replica's four roles by what they do: the fetch
+path under a withholding and a misdigesting leader, the silence rule
+(``slow-leader`` at seeds 0-2) and a signed reconfiguration join. It was
+recorded before ``ServiceReplica`` was split into pool, proposer,
+acceptor and executor.
+
 A change that is *meant* to move one (a new wire type, a protocol change)
 updates the file from the failing assertion's left side.
 """
@@ -63,12 +69,17 @@ import json
 import pytest
 
 from repro.bftsmart import (
+    Administrator,
     CounterService,
     Equivocating,
     GroupConfig,
     Lying,
+    Misdigesting,
+    ServiceReplica,
     Silent,
     Stuttering,
+    View,
+    Withholding,
     build_group,
     build_proxy,
 )
@@ -83,7 +94,7 @@ from repro.chaos.monitors import InvariantMonitor, default_monitors
 from repro.crypto import KeyStore
 from repro.neoscada import HandlerChain, Monitor
 from repro.core import build_smartscada
-from repro.net import ConstantLatency, LanLatency, Network
+from repro.net import ConstantLatency, Drop, LanLatency, Network
 from repro.perf import clear_hot_path_caches
 from repro.core import ShardSplitter, ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
@@ -447,3 +458,128 @@ def _bare_group_under(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(_PROTOCOL_BEHAVIOURS))
 def test_bare_group_under_behaviour(name):
     assert _bare_group_under(name) == GOLDEN["behaviours"]["bare_group"][name]
+
+
+def _replica_counters(replica) -> dict:
+    return {
+        **replica.stats,
+        "fetches": replica.fetches,
+        "regency": replica.regency,
+        "last_decided": replica.last_decided,
+        "executed_cid": replica.executed_cid,
+        "view_id": replica.view.view_id,
+        "active": replica.active,
+    }
+
+
+def _bare_group_fetch_path(behaviour) -> dict:
+    """The withholding/misdigesting leader drills of the fetch path: a
+    client whose first multicast skips two followers, then nine more."""
+    sim = Simulator(seed=1)
+    log = sim._schedule_log = []
+    net = Network(sim, latency=ConstantLatency(0.0003))
+    keystore = KeyStore()
+    config = GroupConfig(n=4, f=1, request_timeout=0.5, sync_timeout=1.0, batch_wait=0.0)
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    replicas[0].behaviour = behaviour
+    proxy = build_proxy(sim, net, "client-1", config, keystore, invoke_timeout=0.3)
+    for dst in ("replica-2", "replica-3"):
+        net.faults.add(Drop(src=proxy.client_id, dst=dst, max_count=1))
+
+    def client():
+        for _ in range(10):
+            yield proxy.invoke_ordered(encode(("add", 1)))
+
+    sim.run_process(client(), until=sim.now + 20)
+    sim.run(until=sim.now + 2)
+    return {
+        "schedule_sha256": _schedule_sha256(log),
+        "dispatched": sim.dispatched,
+        "now": sim.now,
+        "decided_streams": [_decided_stream(replica) for replica in replicas],
+        "replicas": [_replica_counters(replica) for replica in replicas],
+    }
+
+
+class _RoleCensus(InvariantMonitor):
+    """Logs the campaign's schedule and reads every replica at quiesce."""
+
+    def start(self, ctx) -> None:
+        self.log = ctx.sim._schedule_log = []
+
+    def finish(self, ctx) -> None:
+        self.replicas = {
+            pm.replica.address: {
+                "decided_stream": _decided_stream(pm.replica),
+                "counters": _replica_counters(pm.replica),
+            }
+            for pm in ctx.system.proxy_masters
+        }
+
+
+def _slow_leader_campaign(seed: int) -> dict:
+    scenario = get_scenario("slow-leader")
+    census = _RoleCensus()
+    report = run_campaign(
+        scenario.schedule(),
+        scenario.config(seed=seed),
+        monitors=default_monitors() + [census],
+    )
+    return {
+        "fingerprint": report.fingerprint(),
+        "schedule_sha256": _schedule_sha256(census.log),
+        "replicas": census.replicas,
+    }
+
+
+def _signed_reconfiguration_join() -> dict:
+    """An administrator's signed join of a fifth replica, under traffic."""
+    sim = Simulator(seed=4)
+    log = sim._schedule_log = []
+    net = Network(sim, latency=LanLatency(rng=sim.rng.stream("net")))
+    keystore = KeyStore()
+    config = GroupConfig(n=4, f=1, checkpoint_interval=8)
+    replicas = build_group(sim, net, config, CounterService, keystore)
+    proxy = build_proxy(sim, net, "client-1", config, keystore, invoke_timeout=0.5)
+    admin = Administrator(build_proxy(sim, net, "admin-c", config, keystore), keystore)
+
+    def client(count):
+        for _ in range(count):
+            yield proxy.invoke_ordered(encode(("add", 1)))
+
+    sim.run_process(client(5), until=sim.now + 10)
+    event = admin.reconfigure(join=("replica-4",))
+    replicas.append(
+        ServiceReplica(
+            sim, net, "replica-4", config, CounterService(), keystore,
+            view=View(1, config.addresses + ("replica-4",), 1),
+        )
+    )
+    replicas[-1].state_transfer.bootstrap()
+    sim.run(until=sim.now + 5, stop_on=event)
+    proxy.view = admin.proxy.view
+    sim.run_process(client(12), until=sim.now + 10)
+    sim.run(until=sim.now + 2)
+    return {
+        "schedule_sha256": _schedule_sha256(log),
+        "dispatched": sim.dispatched,
+        "now": sim.now,
+        "joined": event.ok,
+        "decided_streams": [_decided_stream(replica) for replica in replicas],
+        "service_values": [replica.service.value for replica in replicas],
+        "replicas": [_replica_counters(replica) for replica in replicas],
+    }
+
+
+def _roles_case(name: str) -> dict:
+    if name in ("withholding", "misdigesting"):
+        behaviour = Withholding() if name == "withholding" else Misdigesting()
+        return _as_json(_bare_group_fetch_path(behaviour))
+    if name.startswith("slow-leader-"):
+        return _as_json(_slow_leader_campaign(int(name.rsplit("-", 1)[1])))
+    return _as_json(_signed_reconfiguration_join())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["roles"]))
+def test_replica_roles_case(name):
+    assert _roles_case(name) == GOLDEN["roles"][name]
