@@ -21,6 +21,7 @@ from repro.bftsmart.byzantine import (
 from repro.bftsmart.client import PushVoter, ServiceProxy
 from repro.bftsmart.cluster import build_group, build_proxy
 from repro.bftsmart.config import GroupConfig, replica_address
+from repro.bftsmart.executor import RECONFIG_MARKER
 from repro.bftsmart.messages import (
     AcceptMsg,
     ClientRequest,
@@ -39,7 +40,7 @@ from repro.bftsmart.messages import (
     WriteMsg,
 )
 from repro.bftsmart.reconfiguration import Administrator, ReconfigResult
-from repro.bftsmart.replica import RECONFIG_MARKER, ServiceReplica
+from repro.bftsmart.replica import ServiceReplica
 from repro.bftsmart.service import (
     CounterService,
     EchoService,

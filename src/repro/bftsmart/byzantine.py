@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from repro.bftsmart.consensus import Proposal
 from repro.bftsmart.messages import Reply, RequestBatch
-from repro.bftsmart.replica import propose_by_reference
+from repro.bftsmart.proposer import propose_by_reference
 from repro.crypto import digest
 from repro.wire import encode
 
@@ -124,7 +124,7 @@ class Misdigesting(Behaviour):
         lie = replace(propose, value_digest=digest(propose.value_digest))
         replica.channel.broadcast(replica.other_replicas(), lie)
         value = encode(RequestBatch(requests=tuple(batch)))
-        replica.on_proposal(
+        replica.acceptor.on_proposal(
             Proposal(cid, propose.epoch, value, propose.timestamp), replica.address
         )
         replica.stats["proposals"] += 1
@@ -150,7 +150,7 @@ class Slow(Behaviour):
 
         def release() -> None:
             if replica.active and replica.regency == regency and replica.is_leader:
-                replica._propose(batch, cid)
+                replica.proposer.propose(batch, cid)
 
         replica.sim.defer(self.delay_share * replica.config.request_timeout, release)
         return None

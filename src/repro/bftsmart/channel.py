@@ -11,9 +11,9 @@ Sealing goes through :func:`repro.wire.encode_cached`, so a message
 broadcast (or retransmitted) repeatedly is serialized once and the same
 payload ``bytes`` object is shared by every receiver's envelope. The
 sealer also records on each :class:`Sealed` the message it encoded and
-the MAC tags it computed (``_SEAL_ATTR``), so a receiver holding that
-very envelope checks its tag without hashing and takes the sender's
-immutable message without decoding; the record dies with the envelope.
+the MAC tags it computed (``_SEALED``, a :mod:`repro.wire.record`), so a
+receiver holding that very envelope checks its tag without hashing and
+takes the sender's immutable message without decoding.
 Forged, tampered or copied envelopes carry no matching record and take
 the full HMAC + decode path. Each send hands the network the envelope's
 exact wire size, computed arithmetically (a cached per-receiver-set overhead
@@ -37,9 +37,11 @@ from repro.wire import (
     DecodeError,
     decode,
     encode_cached,
+    frozen,
+    record,
+    recorded,
     uvarint_size,
 )
-from repro.wire.codec import _is_frozen_dataclass
 
 #: ``1`` dataclass tag + varint type id + ``1`` field-count byte of Sealed.
 _SEALED_PREFIX_SIZE = 1 + uvarint_size(GLOBAL_REGISTRY.id_of(Sealed)) + 1
@@ -79,21 +81,19 @@ def sealed_wire_size(sealed: Sealed) -> int:
     return size
 
 
-#: Attribute under which :meth:`SecureChannel.seal` and
-#: :meth:`SecureChannel.multicast` record, on each :class:`Sealed` they
-#: build, ``(message, {receiver: (key, payload, tag)})``: the message
-#: they encoded (``None`` unless it is a frozen dataclass, which receivers
-#: may share) and the MAC records they computed (see
-#: :mod:`repro.crypto.mac`). Stored straight into ``__dict__`` like the
-#: codec's encode memo, so no wire field is touched and the record lives
-#: exactly as long as the envelope.
-_SEAL_ATTR = "_seal_memo"
+#: Record under which :meth:`SecureChannel.seal` and
+#: :meth:`SecureChannel.multicast` keep, on each :class:`Sealed` they
+#: build and keyed by its payload, ``(message, {receiver: (key, payload,
+#: tag)})``: the message they encoded (``None`` unless it is
+#: :func:`~repro.wire.frozen`, so receivers may share it) and the MAC
+#: records they computed (see :mod:`repro.crypto.mac`).
+_SEALED = "_seal_memo"
 _DECODE_STATS = PERF.stats["decode_share"]
 
 
 def _shareable(message):
     """``message`` if receivers may share it (frozen dataclass), else None."""
-    return message if _is_frozen_dataclass(message.__class__) else None
+    return message if frozen(message) else None
 
 
 class SecureChannel:
@@ -139,7 +139,7 @@ class SecureChannel:
             tag = tags[receiver] = mac(receiver, payload)
             records[receiver] = (key(receiver), payload, tag)
         sealed = Sealed(sender=self.address, payload=payload, tags=tags)
-        sealed.__dict__[_SEAL_ATTR] = (_shareable(message), records)
+        record(sealed, _SEALED, (_shareable(message), records), (payload,))
         return sealed
 
     def send(self, dst: str, message) -> None:
@@ -166,9 +166,11 @@ class SecureChannel:
         for receiver in receivers:
             tag = mac(receiver, payload)
             sealed = Sealed(sender=sender, payload=payload, tags={receiver: tag})
-            sealed.__dict__[_SEAL_ATTR] = (
-                shared,
-                {receiver: (key(receiver), payload, tag)},
+            record(
+                sealed,
+                _SEALED,
+                (shared, {receiver: (key(receiver), payload, tag)}),
+                (payload,),
             )
             send(receiver, sealed, kind, overhead(receiver) + payload_part)
 
@@ -203,7 +205,7 @@ class SecureChannel:
 
         ``sender`` is the envelope's, whose MAC was just verified: the
         one identity a receiver may count a vote under. A matching
-        sealer's record (``_SEAL_ATTR``) stands in for both checks.
+        sealer's record (``_SEALED``) stands in for both checks.
         """
         if not isinstance(sealed, Sealed):
             self.rejected += 1
@@ -213,12 +215,12 @@ class SecureChannel:
             self.rejected += 1
             return None
         payload = sealed.payload
-        memo = sealed.__dict__.get(_SEAL_ATTR)
-        record = memo[1].get(self.address) if memo is not None else None
-        if not self.auth.verify(sealed.sender, payload, tag, record):
+        memo = recorded(sealed, _SEALED, (payload,))
+        mac = memo[1].get(self.address) if memo is not None else None
+        if not self.auth.verify(sealed.sender, payload, tag, mac):
             self.rejected += 1
             return None
-        if record is not None and record[1] is payload and memo[0] is not None:
+        if mac is not None and memo[0] is not None:
             _DECODE_STATS.hits += 1
             return memo[0], sealed.sender
         _DECODE_STATS.misses += 1

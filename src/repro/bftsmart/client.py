@@ -13,8 +13,15 @@ copy, and the voter fires the registered handler exactly once per
 from __future__ import annotations
 
 from repro.bftsmart.channel import SecureChannel
-from repro.bftsmart.messages import ClientRequest, PushMessage, Reply, RequestBatch
-from repro.bftsmart.replica import SIGNED_ATTR, record_body, signing_payload
+from repro.bftsmart.messages import (
+    ClientRequest,
+    PushMessage,
+    Reply,
+    RequestBatch,
+    record_body,
+    record_signature,
+    signing_payload,
+)
 from repro.bftsmart.view import View
 from repro.crypto import KeyStore, Signer, digest
 from repro.net.network import Network
@@ -328,8 +335,7 @@ class ServiceProxy:
             mac=tag,
             trace_id="",
         )
-        # Stored like the codec's encode memo: no wire field is touched.
-        request.__dict__[SIGNED_ATTR] = (fields, (self.signer.key, payload, tag))
+        record_signature(request, (self.signer.key, payload, tag))
         if body is not None:
             record_body(request, operation, body)
         return request

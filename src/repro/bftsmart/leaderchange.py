@@ -2,7 +2,7 @@
 
 When a replica suspects the leader — a batch that fails validation, a
 request left unproposed past the follower's patience after it was
-forwarded (see ``ServiceReplica._watch_silence``), or a request
+forwarded (see ``Pool._watch_silence``), or a request
 undecided past the request timeout — it votes STOP for the next regency.
 ``f+1`` STOPs make other replicas join (a correct replica is suspicious,
 so everyone should be); ``2f+1`` STOPs install the new regency. Every
@@ -155,7 +155,7 @@ class Synchronizer:
                 new_leader=replica.view.leader_for(target),
             )
         # Requests in flight under the old leader go back to the pool.
-        replica.reset_unproposed()
+        replica.pool.reset_unproposed()
         # Proposing resumes from wherever SYNC re-anchors the window.
         replica.next_propose_cid = replica.next_cid
         # Announce our vote once more: it may have been cast while a
@@ -313,13 +313,13 @@ class Synchronizer:
                 continue  # already decided and released locally
             # The leader of the regency this SYNC installs re-proposes, by
             # value: the same path a resolved PROPOSE takes.
-            replica.on_proposal(
+            replica.acceptor.on_proposal(
                 Proposal(cid, message.regency, value, timestamp), sender
             )
         # Fresh proposals resume above the recovered window everywhere,
         # so a returning leader never reuses a recovered slot.
         replica.next_propose_cid = max(replica.next_cid, highest + 1)
-        replica._maybe_propose()
+        replica.proposer.maybe_propose()
 
     # -- recovering replicas: adopting the live regency ---------------------------
 
@@ -354,7 +354,7 @@ class Synchronizer:
             self._obs_span = None
         # Requests in flight under the old leader go back to the pool,
         # and proposing restarts at the head the transfer installed.
-        replica.reset_unproposed()
+        replica.pool.reset_unproposed()
         replica.next_propose_cid = replica.next_cid
         return True
 

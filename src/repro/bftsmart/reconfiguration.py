@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.bftsmart.client import ServiceProxy
 from repro.bftsmart.messages import ReconfigRequest
-from repro.bftsmart.replica import RECONFIG_MARKER
+from repro.bftsmart.executor import RECONFIG_MARKER
 from repro.bftsmart.view import View
 from repro.crypto import KeyStore, Signer
 from repro.wire import decode, encode

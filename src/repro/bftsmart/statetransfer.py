@@ -227,15 +227,15 @@ class StateTransfer:
             self._highest_observed = min(self._highest_observed, replica.last_decided)
             if not reply.partial and reply.checkpoint_cid > replica.executed_cid:
                 # Our executor still trails their checkpoint: skip to it.
-                replica.skip_execution_to(reply.checkpoint_cid, reply.snapshot)
+                replica.executor.skip_execution_to(reply.checkpoint_cid, reply.snapshot)
                 self.execution_skips += 1
                 self.bytes_installed += len(reply.snapshot)
             if replica.synchronizer.adopt_regency(reply.regency):
-                replica.after_install()
+                replica.acceptor.after_install()
             else:
                 # The transfer held back proposing: a leader resumes at
                 # once rather than at its next client request.
-                replica._maybe_propose()
+                replica.proposer.maybe_propose()
             return
         if reply.partial and reply.checkpoint_cid > replica.last_decided:
             # The suffix starts beyond our prefix and cannot anchor —
@@ -250,11 +250,11 @@ class StateTransfer:
 
         storage = replica.storage
         if not reply.partial:
-            replica.install_checkpoint(reply.checkpoint_cid, reply.snapshot)
+            replica.executor.install_checkpoint(reply.checkpoint_cid, reply.snapshot)
             # Open instances predate the installed state; their requests
             # go back to the pool.
             replica.instances.clear()
-            replica.reset_unproposed()
+            replica.pool.reset_unproposed()
             self.full_installs += 1
             if storage is not None:
                 # The durable state must track the installed one, or the
@@ -268,7 +268,7 @@ class StateTransfer:
                 continue  # overlap with what we already hold
             if storage is not None:
                 storage.on_decided(cid, value, timestamp)
-            replica.enqueue_decided(cid, value, timestamp)
+            replica.executor.enqueue_decided(cid, value, timestamp)
             self.bytes_installed += len(value)
 
         replica.last_progress = replica.sim.now
@@ -284,7 +284,7 @@ class StateTransfer:
         replica.synchronizer.adopt_regency(reply.regency)
         # Consensus traffic that arrived during the transfer was buffered;
         # joining the live protocol from it avoids another transfer round.
-        replica.after_install()
+        replica.acceptor.after_install()
         if self._highest_observed >= replica.next_cid:
             # Decisions kept landing while we transferred (or the slot we
             # observed may have decided without us): ask for the rest at

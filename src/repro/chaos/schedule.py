@@ -33,8 +33,12 @@ from repro.bftsmart.byzantine import (
     Stuttering,
 )
 from repro.bftsmart.config import replica_address
-from repro.bftsmart.messages import ClientRequest, RequestBatch, Sealed
-from repro.bftsmart.replica import signing_payload
+from repro.bftsmart.messages import (
+    ClientRequest,
+    RequestBatch,
+    Sealed,
+    signing_payload,
+)
 from repro.core.recovery import rejuvenate_replica, restart_replica
 from repro.crypto.mac import MAC_SIZE
 from repro.neoscada.messages import ItemUpdate

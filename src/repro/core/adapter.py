@@ -19,7 +19,8 @@ forwarded, DA or AE" (§IV-A). Concretely, the Adapter here is the
   messages, not bytes, and the replica pushes the Master's messages, so
   the request and each :class:`~repro.bftsmart.messages.PushMessage`
   carry their body record and neither side decodes what the other
-  encoded (:meth:`~repro.bftsmart.replica.ServiceReplica.decoded`);
+  encoded (:meth:`~repro.bftsmart.executor.Executor.decoded`, which the replica
+  exposes as ``decoded``);
 - forwarded writes arm the logical-timeout protocol (§IV-D).
 """
 

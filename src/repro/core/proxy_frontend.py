@@ -18,8 +18,7 @@ paper makes for replication itself. The paper's deployment is the
 from __future__ import annotations
 
 from repro.bftsmart.cluster import build_proxy
-from repro.bftsmart.messages import PushMessage
-from repro.bftsmart.replica import body_of
+from repro.bftsmart.messages import PushMessage, body_of
 from repro.core.adapter import SCADA_STREAM, proxy_client_id
 from repro.crypto import KeyStore
 from repro.neoscada.da.client import DAClient

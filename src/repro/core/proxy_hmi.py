@@ -27,8 +27,7 @@ from dataclasses import replace
 
 from repro.bftsmart.client import QuorumDivergence, ServiceProxy
 from repro.bftsmart.cluster import build_proxy
-from repro.bftsmart.messages import PushMessage
-from repro.bftsmart.replica import body_of
+from repro.bftsmart.messages import PushMessage, body_of
 from repro.core.adapter import SCADA_STREAM, proxy_client_id
 from repro.crypto import KeyStore
 from repro.neoscada.ae.server import AEServer

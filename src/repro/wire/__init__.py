@@ -10,6 +10,7 @@ from repro.wire.codec import (
     uvarint_size,
 )
 from repro.wire.errors import DecodeError, EncodeError, WireError
+from repro.wire.record import frozen, record, recorded
 from repro.wire.registry import GLOBAL_REGISTRY, TypeRegistry, wire_type
 
 __all__ = [
@@ -23,6 +24,9 @@ __all__ = [
     "decode",
     "encode",
     "encode_cached",
+    "frozen",
+    "record",
+    "recorded",
     "same_encoding",
     "uvarint_size",
     "wire_type",

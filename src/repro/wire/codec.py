@@ -35,6 +35,7 @@ import struct
 
 from repro.perf import PERF
 from repro.wire.errors import DecodeError, EncodeError
+from repro.wire.record import frozen, record, recorded
 from repro.wire.registry import GLOBAL_REGISTRY, TypeRegistry
 
 _NONE = 0x00
@@ -703,55 +704,29 @@ def same_encoding(a, b) -> bool:
 # -- memoized whole-message encoding ----------------------------------------
 
 
-#: Attribute under which a frozen message memoizes its own encoding. The
-#: memo lives exactly as long as the object, so the paths that genuinely
-#: re-encode one object — client retransmissions, duplicate-request reply
-#: resends, leader-change re-proposals — always hit, with no shared cache
-#: to churn or evict. (A global id-keyed LRU here was measurably dead: the
+#: Record under which a frozen message keeps its own encoding
+#: (:mod:`repro.wire.record`). The paths that genuinely re-encode one
+#: object — client retransmissions, duplicate-request reply resends,
+#: leader-change re-proposals — always hit, with no shared cache to churn
+#: or evict. (A global id-keyed LRU here was measurably dead: the
 #: per-send traffic between two encodes of the same long-lived object
 #: evicted it every time — 0 hits against ~100k misses per benchmark run.)
-_MEMO_ATTR = "_encoded_memo"
+_ENCODED = "_encoded_memo"
 _ENCODE_STATS = PERF.stats["codec_encode"]
-
-#: Per-class eligibility for memoization (only frozen dataclasses, whose
-#: identity pins their content).
-_FROZEN_CLASS: dict[type, bool] = {}
-
-
-def _is_frozen_dataclass(cls: type) -> bool:
-    frozen = _FROZEN_CLASS.get(cls)
-    if frozen is None:
-        params = getattr(cls, "__dataclass_params__", None)
-        frozen = bool(params is not None and params.frozen)
-        _FROZEN_CLASS[cls] = frozen
-    return frozen
 
 
 def encode_cached(message) -> bytes:
-    """Encode ``message`` (default codec), memoizing immutable messages.
-
-    Only frozen-dataclass instances are memoized — their immutability pins
-    their content — and the memo is stored on the message object itself,
-    so the payload is byte-identical to a fresh encode by construction and
-    the memo's lifetime is exactly the object's. Instances without a
-    ``__dict__`` (``__slots__`` classes) are encoded afresh every time.
-    """
-    if not _is_frozen_dataclass(message.__class__):
+    """Encode ``message`` (default codec), recording the bytes on a
+    frozen message: byte-identical to a fresh encode by construction,
+    and kept exactly as long as the object."""
+    if not frozen(message):
         return DEFAULT_CODEC.encode(message)
-    memo = getattr(message, "__dict__", None)
-    if memo is None:
-        _ENCODE_STATS.misses += 1
-        return DEFAULT_CODEC.encode(message)
-    payload = memo.get(_MEMO_ATTR)
+    payload = recorded(message, _ENCODED)
     if payload is not None:
         _ENCODE_STATS.hits += 1
         return payload
     _ENCODE_STATS.misses += 1
-    # Stored straight into __dict__ (a frozen dataclass blocks setattr):
-    # no wire field is touched, and dataclass __eq__/__repr__/fields
-    # ignore it.
-    payload = memo[_MEMO_ATTR] = DEFAULT_CODEC.encode(message)
-    return payload
+    return record(message, _ENCODED, DEFAULT_CODEC.encode(message))
 
 
 @PERF.on_clear

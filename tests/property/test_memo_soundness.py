@@ -4,7 +4,7 @@ A sealer records on each :class:`Sealed` the message it encoded and the
 MAC tags it computed; a client records on each :class:`ClientRequest` the
 signing payload and tag. Receivers that find a matching record skip the
 HMAC and the decode. These properties hold the memoised
-``SecureChannel.open`` and ``ServiceReplica._verify_request`` to memo-free
+``SecureChannel.open`` and ``Pool.verify_request`` to memo-free
 references — ``hmac.new`` over the pair / signing key plus a fresh
 ``decode`` — on honest envelopes and on every way a record could be
 misapplied: a flipped tag byte, an equal-content payload copy, a claimed
@@ -37,8 +37,15 @@ from hypothesis import strategies as st
 from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
 from repro.bftsmart.byzantine import Lying
 from repro.bftsmart.channel import SecureChannel
-from repro.bftsmart.messages import ClientRequest, PushMessage, Reply, Sealed
-from repro.bftsmart.replica import BODY_ATTR, SIGNED_ATTR, body_of
+from repro.bftsmart.messages import (
+    BODY,
+    ClientRequest,
+    PushMessage,
+    Reply,
+    Sealed,
+    body_of,
+    record_signature,
+)
 from repro.chaos.schedule import FALSIFY_OFFSET, Falsifying
 from repro.core import SmartScadaConfig, make_network, proxy_frontend, proxy_hmi
 from repro.core.system import build_smartscada
@@ -49,7 +56,7 @@ from repro.neoscada.values import DataValue
 from repro.net import ConstantLatency, Network
 from repro.perf import PERF, clear_hot_path_caches
 from repro.sim import Simulator
-from repro.wire import DecodeError, decode, encode, encode_cached
+from repro.wire import DecodeError, decode, encode, encode_cached, recorded
 
 KEYSTORE = KeyStore()
 SIM = Simulator(seed=1)
@@ -222,11 +229,7 @@ def _forge(case: str, request: ClientRequest, at: int, other: bytes):
         payload = encode(fields)
         tag = PROXY_B.signer.sign(payload).tag
         forged = dataclasses.replace(request, mac=tag)
-        forged.__dict__[SIGNED_ATTR] = (
-            (forged.client_id, forged.sequence, forged.operation,
-             forged.reply_to, forged.unordered),
-            (PROXY_B.signer.key, payload, tag),
-        )
+        record_signature(forged, (PROXY_B.signer.key, payload, tag))
         return forged
     return request
 
@@ -254,7 +257,7 @@ def test_verify_request_agrees_with_hmac_over_the_encoded_fields(
     else:
         candidate = _forge(case, request, at, other)
     try:
-        assert REPLICA._verify_request(candidate) == reference_verify(candidate)
+        assert REPLICA.pool.verify_request(candidate) == reference_verify(candidate)
     finally:
         pending.pop(request.key(), None)
     if case in ("intact", "decoded copy", "equal to its pending entry"):
@@ -277,7 +280,7 @@ def test_forged_requests_are_rejected_and_counted():
     before = REPLICA.stats["rejected_requests"]
     for candidate in forged:
         assert not reference_verify(candidate)
-        REPLICA._on_client_request(candidate)
+        REPLICA.pool.on_request(candidate, candidate.client_id)
     assert REPLICA.stats["rejected_requests"] - before == len(forged)
     assert request.key() not in REPLICA.pending
 
@@ -329,9 +332,9 @@ def _watch_outputs(system, byzantine: int, seen: dict) -> None:
             elif isinstance(message, PushMessage):
                 key = (message.client_id, message.order)
                 assert encode_cached(message) == _expected.pop(key, None)
-                body = message.__dict__.get(BODY_ATTR)
-                if body is not None and body[0] is message.payload:
-                    assert encode(body[1]) == message.payload
+                body = recorded(message, BODY, (message.payload,))
+                if body is not None:
+                    assert encode(body) == message.payload
                 seen["pushes"].setdefault(id(message), (message, set()))[1].add(
                     _replica.address
                 )
@@ -391,11 +394,11 @@ def _scada_replica():
 
 def _decoded_by(replica, request):
     """What ``replica`` decodes ``request``'s operation to while executing it."""
-    replica._request = request
+    replica.executor._request = request
     try:
-        return replica.decoded(request.operation)
+        return replica.executor.decoded(request.operation)
     finally:
-        replica._request = None
+        replica.executor._request = None
 
 
 def test_a_copied_or_rebuilt_request_decodes_its_own_bytes():
@@ -403,10 +406,10 @@ def test_a_copied_or_rebuilt_request_decodes_its_own_bytes():
     other = encode(ItemUpdate(item_id="rtu.a", value=DataValue(8)))
     request = PROXY_A._sign(11, message, False)
     assert request.operation == encode(message)
-    assert request.__dict__[BODY_ATTR] == (request.operation, message)
+    assert recorded(request, BODY, (request.operation,)) is message
     assert _decoded_by(REPLICA, request) is message
     # Outside the request it executes, the replica decodes.
-    fresh = REPLICA.decoded(request.operation)
+    fresh = REPLICA.executor.decoded(request.operation)
     assert fresh == message and fresh is not message
     for case, candidate, kept in (
         ("copy with swapped operation", _set(request, operation=other), False),
@@ -431,7 +434,7 @@ def test_a_push_a_falsifying_replica_forged_carries_no_body():
     replica.push("hmi", "scada", (2,), message)
     forged = sent.pop()
     assert forged.payload != encode(message)
-    assert BODY_ATTR not in forged.__dict__
+    assert recorded(forged, BODY, (forged.payload,)) is None
     assert body_of(forged, forged.payload).value.value == 7 + FALSIFY_OFFSET
 
 
@@ -440,11 +443,11 @@ def test_a_recorded_payload_is_reused_only_for_a_message_that_encodes_alike():
     request = PROXY_A._sign(12, b"op", False)
 
     def push(message):
-        replica._request, replica._pushed = request, 0
+        replica.executor._request, replica.executor._pushed = request, 0
         try:
             replica.push("hmi", "scada", (1,), message)
         finally:
-            replica._request = None
+            replica.executor._request = None
         return sent.pop()
 
     first = ItemUpdate(item_id="rtu.a", value=DataValue(1))
@@ -468,13 +471,13 @@ def test_a_mutable_message_is_never_put_on_record():
     mutable = ["rtu.a", 1]
     request = PROXY_A._sign(13, mutable, False)
     assert request.operation == encode(mutable)
-    assert BODY_ATTR not in request.__dict__
+    assert recorded(request, BODY, (request.operation,)) is None
     assert _decoded_by(REPLICA, request) == decode(encode(mutable))
-    assert BODY_ATTR not in request.__dict__  # nor by the first decode
+    assert recorded(request, BODY, (request.operation,)) is None  # nor by the first decode
     replica.push("hmi", "scada", (1,), mutable)
     message = sent.pop()
     assert message.payload == encode(mutable)
-    assert BODY_ATTR not in message.__dict__
+    assert recorded(message, BODY, (message.payload,)) is None
     # A frozen one is recorded: the proof the path was live.
     frozen = ItemUpdate(item_id="rtu.a", value=DataValue(2))
     replica.push("hmi", "scada", (2,), frozen)
@@ -526,7 +529,7 @@ def test_the_message_a_proxy_acts_on_encodes_to_the_voted_payload(
     ):
         def checked(push, data, _proxy=proxy, _name=module.__name__):
             assert data is push.payload
-            assert push.__dict__[BODY_ATTR][0] is data  # served, not decoded
+            assert recorded(push, BODY, (data,)) is not None  # served, not decoded
             voted = {
                 client.pushes._delivered_digest.get((push.stream, push.order))
                 for client in _proxy.bft_clients

@@ -13,20 +13,18 @@ decides the leader's bytes and executes the leader's bodies once.
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bftsmart import CounterService, GroupConfig, build_group, build_proxy
-from repro.bftsmart.messages import ClientRequest, RequestBatch
-from repro.bftsmart.replica import (
-    _BATCH_ATTR,
-    propose_by_reference,
-    signing_payload,
-)
+from repro.bftsmart.messages import ClientRequest, RequestBatch, signing_payload
+from repro.bftsmart.proposer import BATCH, propose_by_reference
 from repro.crypto import KeyStore, Signer, digest
 from repro.net import ConstantLatency, Network
 from repro.sim import Simulator
-from repro.wire import decode, encode
+from repro.wire import decode, encode, record, recorded
 
 CLIENTS = ("client-0", "client-1")
 
@@ -80,13 +78,14 @@ def test_the_record_fast_path_and_the_full_path_rebuild_the_same_bytes(held, swa
         proxies[request.client_id].channel.send("replica-1", pooled)
     sim.run(until=0.001)
     propose = propose_by_reference(0, 0, tuple(requests), 0.0)
-    value = propose.__dict__[_BATCH_ATTR][0]
+    value = recorded(propose, BATCH, tuple(requests))[0]
     swap = swap and len(requests) > 1
     if swap:
         # A record whose order differs from the keys: its objects are the
         # pooled ones, but not at the keys' positions.
         swapped = RequestBatch(requests=(requests[1], requests[0], *requests[2:]))
-        propose.__dict__[_BATCH_ATTR] = (encode(swapped), swapped)
+        propose = dataclasses.replace(propose)
+        record(propose, BATCH, (encode(swapped), swapped), swapped.requests)
     replicas[0].channel.send("replica-1", propose)
     sim.run(until=0.002)
 

@@ -1,7 +1,7 @@
 """Backpressure batching: ordering that listens to execution.
 
 A leader holds its pool of unproposed requests while two or more decided
-batches already wait for its executor (``ServiceReplica._held_back``).
+batches already wait for its executor (``Proposer._held_back``).
 The rule must be invisible below capacity, must never cost liveness above
 it, and must not move what the executor produces when the executor is the
 bottleneck. "Parent" in these tests is the same code with the predicate
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
+from repro.bftsmart.proposer import Proposer
 from repro.bftsmart.replica import ServiceReplica
 from repro.bftsmart.service import Service
 from repro.core import SmartScadaConfig, build_smartscada
@@ -37,20 +38,20 @@ CONSENSUS_ROUND = BATCH_WAIT + 3 * HOP
 def holds(monkeypatch):
     """Every instant the hold fired, as ``(now, replica address)``."""
     fired = []
-    predicate = ServiceReplica._held_back
+    predicate = Proposer._held_back
 
     def counting(self):
         held = predicate(self)
         if held:
-            fired.append((self.sim.now, self.address))
+            fired.append((self.replica.sim.now, self.replica.address))
         return held
 
-    monkeypatch.setattr(ServiceReplica, "_held_back", counting)
+    monkeypatch.setattr(Proposer, "_held_back", counting)
     return fired
 
 
 def _without_hold(monkeypatch):
-    monkeypatch.setattr(ServiceReplica, "_held_back", lambda self: False)
+    monkeypatch.setattr(Proposer, "_held_back", lambda self: False)
 
 
 class CostedService(Service):
@@ -105,7 +106,7 @@ def _watch_executor(sim, replica, until, tick=0.00025):
     def sampler():
         idle_since = None
         while sim.now < until:
-            starving = replica._exec_idle and bool(replica.pending)
+            starving = replica.executor._exec_idle and bool(replica.pending)
             if not starving:
                 idle_since = None
             elif idle_since is None:
@@ -247,8 +248,8 @@ def test_slow_service_overload_never_ages_a_request_towards_suspicion(holds):
 
     def ages():
         while sim.now < overload_s:
-            if leader._unproposed:
-                _request, arrival = next(iter(leader._unproposed.values()))
+            if leader.pool._unproposed:
+                _request, arrival = next(iter(leader.pool._unproposed.values()))
                 oldest_unproposed[0] = max(oldest_unproposed[0], sim.now - arrival)
             yield sim.timeout(0.001)
 
@@ -283,9 +284,9 @@ def test_leader_crash_during_a_hold_hands_over_to_an_eager_leader(holds, monkeyp
 
     def crash():
         yield sim.timeout(0.3)
-        while not (old._held_back() and len(old._unproposed) >= 3):
+        while not (old.proposer._held_back() and len(old.pool._unproposed) >= 3):
             yield sim.timeout(0.0001)
-        held_by_old.extend(old._unproposed)
+        held_by_old.extend(old.pool._unproposed)
         net.crash(old.address)
 
     sim.process(crash())
@@ -294,8 +295,8 @@ def test_leader_crash_during_a_hold_hands_over_to_an_eager_leader(holds, monkeyp
 
     def recording(self):
         if self is new:
-            youngest = max(arrival for _request, arrival in self._unproposed.values())
-            proposals.append((sim.now, len(self._exec_queue), sim.now - youngest))
+            youngest = max(arrival for _request, arrival in self.pool._unproposed.values())
+            proposals.append((sim.now, len(self.executor._exec_queue), sim.now - youngest))
         propose_batch(self)
 
     monkeypatch.setattr(ServiceReplica, "_propose_batch", recording)
@@ -348,15 +349,15 @@ DEPTH_ONE_COUNTS = {1: (2048, 493), 2: (2036, 475)}
 @pytest.mark.parametrize("seed", [1, 2])
 def test_the_hold_does_not_fire_at_the_update_reference_rate(seed, holds, monkeypatch):
     depths = []  # executor queue at every proposing decision that was let through
-    predicate = ServiceReplica._held_back
+    predicate = Proposer._held_back
 
     def watching(self):
         held = predicate(self)
         if not held:
-            depths.append(len(self._exec_queue))
+            depths.append(len(self.replica.executor._exec_queue))
         return held
 
-    monkeypatch.setattr(ServiceReplica, "_held_back", watching)
+    monkeypatch.setattr(Proposer, "_held_back", watching)
 
     def run(rate):
         del depths[:], holds[:]

@@ -12,7 +12,7 @@ from repro.bftsmart import (
 )
 from repro.bftsmart.byzantine import Behaviour
 from repro.bftsmart.leaderchange import Synchronizer
-from repro.bftsmart.replica import ServiceReplica
+from repro.bftsmart.pool import Pool
 from repro.crypto import KeyStore
 from repro.net import ConstantLatency, Drop, Network
 from repro.sim import Simulator
@@ -227,23 +227,23 @@ def watchdog_log(monkeypatch):
     patience)``: ``what`` is ``"forward"`` or the suspicion's cause, and
     ``reference`` is ``max(oldest unproposed arrival, last_progress)``."""
     log = []
-    forward = ServiceReplica._forward_unproposed
+    forward = Pool._forward_unproposed
     suspect = Synchronizer.suspect
 
     def entry(replica, what):
-        _request, arrival = next(iter(replica._unproposed.values()))
+        _request, arrival = next(iter(replica.pool._unproposed.values()))
         reference = max(arrival, replica.last_progress)
-        return (replica.sim.now, replica.address, what, reference, replica._patience())
+        return (replica.sim.now, replica.address, what, reference, replica.pool.patience())
 
     def forwarding(self):
-        log.append(entry(self, "forward"))
+        log.append(entry(self.replica, "forward"))
         forward(self)
 
     def suspecting(self, cause):
         log.append(entry(self.replica, cause))
         suspect(self, cause)
 
-    monkeypatch.setattr(ServiceReplica, "_forward_unproposed", forwarding)
+    monkeypatch.setattr(Pool, "_forward_unproposed", forwarding)
     monkeypatch.setattr(Synchronizer, "suspect", suspecting)
     return log
 
@@ -290,16 +290,16 @@ def test_fault_free_watchdog_keeps_the_quarter_tick_and_never_votes(monkeypatch)
     than the tick, and five seconds cost exactly the polling watchdog's
     wake-ups — the silence rule rides the traffic and the ticks."""
     sleeps = []
-    watchdog_sleep = ServiceReplica._watchdog_sleep
+    watchdog_sleep = Pool._watchdog_sleep
     forwards = []
 
     def recording(self):
         sleeps.append(watchdog_sleep(self))
         return sleeps[-1]
 
-    monkeypatch.setattr(ServiceReplica, "_watchdog_sleep", recording)
+    monkeypatch.setattr(Pool, "_watchdog_sleep", recording)
     monkeypatch.setattr(
-        ServiceReplica, "_forward_unproposed", lambda self: forwards.append(self)
+        Pool, "_forward_unproposed", lambda self: forwards.append(self)
     )
     sim, _net, replicas, proxy = make_world()
     tick = replicas[0].config.request_timeout / 4
@@ -343,7 +343,7 @@ def test_a_leader_killed_under_traffic_is_replaced_once_within_two_patiences():
     sim.process(sender())
     sim.run(until=2.0)
     live = replicas[1:]
-    patience = max(r._patience() for r in live)
+    patience = max(r.pool.patience() for r in live)
     net.crash("replica-0")
     sim.run(until=5.0)
 

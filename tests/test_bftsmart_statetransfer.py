@@ -14,6 +14,7 @@ from repro.bftsmart import (
     build_group,
     build_proxy,
 )
+from repro.bftsmart.acceptor import FUTURE_SHARE, FUTURE_WINDOW
 from repro.crypto import KeyStore
 from repro.net import ConstantLatency, Network
 from repro.sim import Simulator
@@ -340,7 +341,7 @@ def test_single_state_reply_claiming_a_higher_regency_is_not_adopted():
             forged.append(message)
         genuine(message, sender)
 
-    transfer.on_reply = on_reply
+    straggler.dispatch[StateReply] = on_reply
     transfer.notice_gap(straggler.next_cid + 1)
     sim.run(until=sim.now + 1)
     assert forged
@@ -353,7 +354,7 @@ def test_single_state_reply_claiming_a_higher_regency_is_not_adopted():
 def test_flood_of_epoch_ahead_votes_stays_within_its_bound():
     """While a transfer runs, votes of a regency ahead of ours are held in
     the future buffer for replay, each member within its
-    ``future_share``. A peer flooding forged epoch-ahead votes only
+    ``FUTURE_SHARE``. A peer flooding forged epoch-ahead votes only
     fills its own share and cannot crowd out the others."""
     sim, net, replicas, proxy = make_world()
     run_adds(sim, proxy, 3)
@@ -361,10 +362,10 @@ def test_flood_of_epoch_ahead_votes_stays_within_its_bound():
     straggler.state_transfer.notice_gap(straggler.next_cid + 1, force=True)
     assert straggler.state_transfer.in_progress
     head = straggler.next_cid
-    share = straggler.future_share
-    assert share <= 3 * straggler.future_window
+    share = FUTURE_SHARE
+    assert share <= 3 * FUTURE_WINDOW
     for round_ in range(4):
-        for offset in range(straggler.future_window + 10):
+        for offset in range(FUTURE_WINDOW + 10):
             replicas[0].channel.send(
                 straggler.address,
                 WriteMsg(
@@ -378,9 +379,10 @@ def test_flood_of_epoch_ahead_votes_stays_within_its_bound():
         WriteMsg(cid=head, epoch=5, value_digest=b"\x01" * 32),
     )
     sim.run(until=sim.now + 0.002)
-    assert straggler.future_held["replica-0"] == share
-    assert straggler.future_held["replica-1"] == 1
-    assert sum(straggler.future_held.values()) <= straggler.view.n * share
+    held = straggler.acceptor.future_held
+    assert held["replica-0"] == share
+    assert held["replica-1"] == 1
+    assert sum(held.values()) <= straggler.view.n * share
 
 
 def test_transfer_from_replicas_mid_sync_hands_over_only_a_synced_regency():

@@ -24,7 +24,7 @@ from collections import Counter
 import pytest
 
 from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
-from repro.bftsmart import replica as replica_module
+from repro.bftsmart import acceptor, executor, pool, proposer, replica
 from repro.core import SmartScadaConfig, make_network
 from repro.core.system import build_smartscada
 from repro.crypto import KeyStore
@@ -236,18 +236,21 @@ def test_the_executor_builds_no_kernel_event(monkeypatch):
     """Queuing a decided batch, handing it to the executor and waiting out
     its modelled cost go through ``defer``: no replica builds a
     ``Timeout``, channel put or channel get for them. Each built event is
-    charged to the innermost ``replica.py`` function on the stack; the
-    watchdog, still a process that sleeps on ``Timeout``s, is the only
-    one, which also shows the probe sees replica events."""
+    charged to the innermost function of the replica's modules (the
+    replica and its four roles) on the stack; the watchdog, still a
+    process that sleeps on ``Timeout``s, is the only one, which also
+    shows the probe sees replica events."""
     built = Counter()
-    replica_file = replica_module.__file__
+    replica_files = {
+        module.__file__ for module in (replica, pool, proposer, acceptor, executor)
+    }
 
     def probe(cls):
         original = cls.__init__
 
         def init(self, *args, **kwargs):
             frame = sys._getframe(1)
-            while frame is not None and frame.f_code.co_filename != replica_file:
+            while frame is not None and frame.f_code.co_filename not in replica_files:
                 frame = frame.f_back
             if frame is not None:
                 built[cls.__name__, frame.f_code.co_name] += 1

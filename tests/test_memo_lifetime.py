@@ -1,10 +1,11 @@
 """Tier-1 guard: hot-path memos live exactly as long as what they describe.
 
-Every per-message memo is stored on the object it describes — the
+Every per-message memo is a record (``repro.wire.record`` /
+``repro.wire.recorded``) stored on the object it describes — the
 envelope's MAC records and message, the request's signing record, the
 leader's batch on its Propose, the group's Reply and PushMessages on the
 request they answer, the message each request and push carries as its
-body — so it dies with that object. One table spans objects (the
+body, each frozen message's own encoding — so it dies with that object. One table spans objects (the
 content-keyed digest memo), and it is bounded. After a run and its
 deployment are gone, what ``src/repro`` allocated and still holds is
 that table and nothing else.
@@ -19,8 +20,7 @@ import weakref
 
 from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
 from repro.bftsmart.channel import SecureChannel
-from repro.bftsmart.messages import PushMessage, Stop
-from repro.bftsmart.replica import BODY_ATTR
+from repro.bftsmart.messages import BODY, PushMessage, Stop
 from repro.core import SmartScadaConfig, adapter, make_network
 from repro.core.system import build_smartscada
 from repro.crypto import KeyStore
@@ -28,6 +28,7 @@ from repro.crypto.digest import _DIGEST_CACHE, _DIGEST_CACHE_LIMIT
 from repro.net import ConstantLatency, Network
 from repro.perf import clear_hot_path_caches
 from repro.sim import Simulator
+from repro.wire import recorded
 from tests.test_hot_path_counts import _bft_micro_run, _update_run
 
 SRC = str(pathlib.Path(adapter.__file__).resolve().parent.parent) + "/"
@@ -147,7 +148,7 @@ def test_the_groups_records_die_with_their_request_and_operation():
     def watch_send(dst, message):
         sent.setdefault(type(message).__name__, weakref.ref(message))
         if isinstance(message, PushMessage):
-            sent.setdefault("pushed", weakref.ref(message.__dict__[BODY_ATTR][1]))
+            sent.setdefault("pushed", weakref.ref(recorded(message, BODY, (message.payload,))))
         send(dst, message)
 
     system.start()

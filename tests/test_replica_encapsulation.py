@@ -15,6 +15,11 @@ layers read). ``bench/`` is exempt: the names it pins belong to the
 benchmark item (``tests/test_bench_contract.py``). So are the white-box
 tests in :data:`WHITE_BOX`, each of which pins or watches one replica
 mechanism by its private name.
+
+The replica's roles (:data:`ROLES`: pool, proposer, acceptor, executor)
+keep their ``_``-prefixed names to their own module: the replica and the
+other roles use a role through its public methods, and only the
+:data:`WHITE_BOX` tests name a role's privates.
 """
 
 from __future__ import annotations
@@ -22,16 +27,18 @@ from __future__ import annotations
 import ast
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPLICA = ROOT / "src" / "repro" / "bftsmart" / "replica.py"
 SCANNED = ("src", "tests", "examples", "tools", "benchmarks")
 
 #: Test modules allowed to name replica privates -> the mechanism they pin.
 WHITE_BOX = {
-    "tests/test_backpressure_batching.py": "the backpressure predicate, the leader's pool and the executor's queue",
-    "tests/test_shard_determinism.py": "backpressure pinned off, to compare with the parent rule",
-    "tests/test_bftsmart_leaderchange.py": "the watchdog's deadline-aware sleep",
-    "tests/property/test_memo_soundness.py": "the request verifier against a memo-free reference",
+    "tests/test_backpressure_batching.py": "the proposer's backpressure predicate, the pool's unproposed requests and the executor's queue",
+    "tests/test_shard_determinism.py": "the proposer's backpressure pinned off, to compare with the parent rule",
+    "tests/test_bftsmart_leaderchange.py": "the pool's forward and deadline-aware watchdog sleep",
+    "tests/property/test_memo_soundness.py": "the executor's current request, whose records a push or decode uses",
 }
 
 
@@ -41,13 +48,22 @@ def _modules():
             yield path.relative_to(ROOT).as_posix(), ast.parse(path.read_text("utf-8"))
 
 
-def _replica_privates() -> set:
-    """Every ``_name`` ServiceReplica defines: methods, class and instance
-    attributes."""
-    tree = ast.parse(REPLICA.read_text("utf-8"))
+#: Role class -> the module that may name its privates.
+ROLES = {
+    "Pool": "src/repro/bftsmart/pool.py",
+    "Proposer": "src/repro/bftsmart/proposer.py",
+    "Acceptor": "src/repro/bftsmart/acceptor.py",
+    "Executor": "src/repro/bftsmart/executor.py",
+}
+
+
+def _replica_privates(path=REPLICA, name: str = "ServiceReplica") -> set:
+    """Every ``_name`` the class ``name`` in ``path`` defines: methods,
+    class and instance attributes."""
+    tree = ast.parse(path.read_text("utf-8"))
     cls = next(
         node for node in tree.body
-        if isinstance(node, ast.ClassDef) and node.name == "ServiceReplica"
+        if isinstance(node, ast.ClassDef) and node.name == name
     )
     names = set()
     for node in ast.walk(cls):
@@ -60,7 +76,11 @@ def _replica_privates() -> set:
     return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
-def _private_uses(tree, privates: set) -> list:
+def _role_privates(role: str) -> set:
+    return _replica_privates(ROOT / ROLES[role], role)
+
+
+def _private_uses(tree, privates: set, owner: str = "ServiceReplica") -> list:
     uses = []
     for node in ast.walk(tree):
         if (
@@ -70,7 +90,7 @@ def _private_uses(tree, privates: set) -> list:
         ):
             uses.append((node.lineno, ast.unparse(node)))
         elif isinstance(node, ast.Call) and any(
-            isinstance(arg, ast.Name) and arg.id == "ServiceReplica" for arg in node.args
+            isinstance(arg, ast.Name) and arg.id == owner for arg in node.args
         ):
             # setattr(ServiceReplica, "_name", ...), monkeypatch.setattr too
             uses.extend(
@@ -107,8 +127,28 @@ def test_no_module_outside_bftsmart_names_a_replica_private():
     assert not offenders, "; ".join(offenders)
 
 
+@pytest.mark.parametrize("role", sorted(ROLES))
+def test_no_module_but_its_own_names_a_role_private(role):
+    privates = _role_privates(role)
+    assert privates
+    offenders = [
+        f"{path}:{line}: {text}"
+        for path, tree in _modules()
+        if path != ROLES[role] and path not in WHITE_BOX
+        for line, text in _private_uses(tree, privates, role)
+    ]
+    assert not offenders, "; ".join(offenders)
+
+
 def test_every_white_box_exemption_is_still_needed():
-    privates = _replica_privates()
+    owners = [("ServiceReplica", _replica_privates())]
+    owners += [(role, _role_privates(role)) for role in sorted(ROLES)]
     modules = dict(_modules())
-    unused = [path for path in WHITE_BOX if not _private_uses(modules[path], privates)]
+    unused = [
+        path
+        for path in WHITE_BOX
+        if not any(
+            _private_uses(modules[path], privates, owner) for owner, privates in owners
+        )
+    ]
     assert not unused, f"drop from WHITE_BOX: {unused}"

@@ -11,7 +11,7 @@ semantic tuples ``(item_id, event_type, value)``.
 
 import pytest
 
-from repro.bftsmart.replica import ServiceReplica
+from repro.bftsmart.proposer import Proposer
 from repro.neoscada import HandlerChain, Monitor
 from repro.core import ShardedScadaConfig, build_sharded_scada
 from repro.shard import merge_event_streams
@@ -175,5 +175,5 @@ def test_overload_stragglers_are_exactly_the_declared_late_events(monkeypatch):
     ]
     assert again.stats == merger.stats
 
-    monkeypatch.setattr(ServiceReplica, "_held_back", lambda self: False)
+    monkeypatch.setattr(Proposer, "_held_back", lambda self: False)
     assert _overloaded_merge(seed=3).stats["late"] == 0

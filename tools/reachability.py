@@ -3,9 +3,10 @@
 
 Runs the product drivers (every ``BENCHMARK.json`` workload with and without
 ``--trace``, every ``python -m repro`` / ``bench/run.py`` line of the CI workflow,
-every CLI subcommand and library scenario, the examples), then tier-1, then
+every CLI subcommand and library scenario, the examples), tier-1 and then
 ``benchmarks/``, each in a child process whose ``sys.settrace`` hook records the
-``src/`` functions called, and rewrites the output file below ``MARK``. The part
+``src/`` functions called, ``os.cpu_count()`` children at a time, and rewrites
+the output file below ``MARK``. The part
 above it is hand-written and holds the ``| `module:qualname*` ... | verdict |``
 rows (first ``fnmatch`` wins); exit 1 = a product-unreached function matches none.
 """
@@ -20,6 +21,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -91,19 +93,40 @@ def functions(path: pathlib.Path):
 def main(out_path: pathlib.Path) -> int:
     scratch = pathlib.Path(tempfile.mkdtemp(prefix="reachability-"))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    reached, failed = [], []
-    for group, lines in zip(GROUPS, drivers()):
-        hits_path = scratch / f"hits-{len(reached)}.jsonl"
-        for line in lines:
-            print(f"[{group}] {line}", file=sys.stderr)
-            cwd = ROOT if "pytest" in line else scratch  # CLI and examples write into the cwd
-            argv = [str(ROOT / word) if word.endswith(".py") else word for word in line.split()]
-            command = [sys.executable, __file__, "--child", str(hits_path), *argv]
-            done = subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL)
-            if done.returncode:
-                failed.append(f"exit {done.returncode}: {line}")
-        hits = hits_path.read_text().splitlines()
-        reached.append({tuple(hit) for line in hits for hit in json.loads(line)})
+    failed = []
+
+    def run(group: str, line: str, hits_path: pathlib.Path, cwd: pathlib.Path) -> None:
+        print(f"[{group}] {line}", file=sys.stderr)
+        argv = [str(ROOT / word) if word.endswith(".py") else word for word in line.split()]
+        command = [sys.executable, __file__, "--child", str(hits_path), *argv]
+        done = subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL)
+        if done.returncode:
+            failed.append(f"exit {done.returncode}: {line}")
+
+    def run_pytest(groups) -> None:
+        # The two pytest groups share the repo root: one after the other.
+        for group, lines, hits_path in groups:
+            for line in lines:
+                run(group, line, hits_path, ROOT)
+
+    # Each product driver writes into its own cwd and its own hits file,
+    # so they run os.cpu_count() at a time beside the pytest groups.
+    product, *pytest_groups = drivers()
+    hits = [[scratch / f"hits-product-{i}.jsonl" for i in range(len(product))]]
+    hits += [[scratch / f"hits-{i}.jsonl"] for i in range(1, len(GROUPS) - 1)]
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        jobs = [pool.submit(run_pytest, zip(GROUPS[1:], pytest_groups, (h[0] for h in hits[1:])))]
+        for line, hits_path in zip(product, hits[0]):
+            cwd = scratch / hits_path.stem  # CLI and examples write into the cwd
+            cwd.mkdir()
+            jobs.append(pool.submit(run, GROUPS[0], line, hits_path, cwd))
+        for job in jobs:
+            job.result()
+    reached = [
+        {tuple(hit) for path in paths if path.exists()
+         for line in path.read_text().splitlines() for hit in json.loads(line)}
+        for paths in hits
+    ]
 
     head = out_path.read_text().split(MARK)[0] if out_path.exists() else ""
     rows = re.findall(r"^\| (`[^|]+`) \| (.+?) \|$", head, re.M)
@@ -141,7 +164,7 @@ def main(out_path: pathlib.Path) -> int:
                         + ", ".join(f"`{key}`" for key, _ in hit))
     out_path.write_text(head + "\n".join(text) + "\n")
     missing = sum(len(by_verdict.get(NO_VERDICT, ())) for by_verdict in listed.values())
-    print(*failed, f"{out_path}: {missing} functions without a verdict", sep="\n", file=sys.stderr)
+    print(*sorted(failed), f"{out_path}: {missing} functions without a verdict", sep="\n", file=sys.stderr)
     return 1 if missing else 0
 
 
