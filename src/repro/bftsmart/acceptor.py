@@ -13,7 +13,6 @@ buffered and replayed once the window reaches it.
 from __future__ import annotations
 
 import typing
-from operator import is_
 
 from repro.bftsmart.consensus import Instance, Proposal
 from repro.bftsmart.messages import (
@@ -540,13 +539,18 @@ class Acceptor:
                 # decided while we were away, and if the group now goes
                 # quiet no further traffic would reveal the gap.
                 replica.state_transfer.notice_gap(instance.cid)
-        self.after_install()
+        self._release_decided()
+        self._drain_future()
+        replica.proposer.maybe_propose()
 
     def after_install(self) -> None:
-        """Release the decided instances at the head, replay the
-        consensus traffic buffered for the window, and let a leader
-        propose: after every decision, and after state transfer moved
-        the head or adopted a regency."""
+        """Rejoin the live protocol after state transfer moved the head
+        or adopted a regency.
+
+        Releases the decided instances the install unblocked, replays the
+        consensus traffic buffered while it ran, and lets a leader
+        propose again.
+        """
         self._release_decided()
         self._drain_future()
         self.replica.proposer.maybe_propose()

@@ -139,7 +139,7 @@ class SecureChannel:
             tag = tags[receiver] = mac(receiver, payload)
             records[receiver] = (key(receiver), payload, tag)
         sealed = Sealed(sender=self.address, payload=payload, tags=tags)
-        record(sealed, _SEALED, (_shareable(message), records), (payload,))
+        record(sealed, _SEALED, (_shareable(message), records), payload)
         return sealed
 
     def send(self, dst: str, message) -> None:
@@ -170,7 +170,7 @@ class SecureChannel:
                 sealed,
                 _SEALED,
                 (shared, {receiver: (key(receiver), payload, tag)}),
-                (payload,),
+                payload,
             )
             send(receiver, sealed, kind, overhead(receiver) + payload_part)
 
@@ -215,7 +215,7 @@ class SecureChannel:
             self.rejected += 1
             return None
         payload = sealed.payload
-        memo = recorded(sealed, _SEALED, (payload,))
+        memo = recorded(sealed, _SEALED, payload)
         mac = memo[1].get(self.address) if memo is not None else None
         if not self.auth.verify(sealed.sender, payload, tag, mac):
             self.rejected += 1

@@ -18,8 +18,8 @@ from repro.bftsmart.messages import (
     PushMessage,
     Reply,
     RequestBatch,
+    SIGNED,
     record_body,
-    record_signature,
     signing_payload,
 )
 from repro.bftsmart.view import View
@@ -27,7 +27,7 @@ from repro.crypto import KeyStore, Signer, digest
 from repro.net.network import Network
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.wire import encode_cached
+from repro.wire import encode_cached, record
 
 
 class QuorumDivergence(Exception):
@@ -335,7 +335,7 @@ class ServiceProxy:
             mac=tag,
             trace_id="",
         )
-        record_signature(request, (self.signer.key, payload, tag))
+        record(request, SIGNED, (self.signer.key, payload, tag), fields)
         if body is not None:
             record_body(request, operation, body)
         return request

@@ -72,7 +72,7 @@ def _push_message(client_id: str, stream: str, order: tuple, payload) -> PushMes
 def _push_fields(message: PushMessage) -> tuple:
     """A push's fields, its recorded body standing for its payload."""
     payload = message.payload
-    body = recorded(message, BODY, (payload,))
+    body = recorded(message, BODY, payload)
     return (
         message.client_id,
         message.stream,
@@ -163,9 +163,8 @@ class Executor:
             return  # an empty gap-filling batch: nothing to execute
         if batch is None:
             batch = decode(value)
-        forget = replica.pool.forget
+        replica.pool.forget(batch.requests)
         for request in batch.requests:
-            forget(request.key())
             if request.operation.startswith(RECONFIG_MARKER):
                 self.reconfig_cid = cid
         entry = (self._install_epoch, cid, batch.requests, timestamp)
@@ -399,7 +398,7 @@ class Executor:
         request = self._request
         if request is None or request.operation is not operation:
             return decode(operation)
-        message = recorded(request, BODY, (operation,))
+        message = recorded(request, BODY, operation)
         if message is not None:
             _BODY_STATS.hits += 1
             return message

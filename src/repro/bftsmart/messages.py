@@ -302,8 +302,9 @@ class TimeoutVote:
 # -- records the messages carry (repro.wire.record) --------------------------
 
 #: Record a :class:`~repro.bftsmart.client.ServiceProxy` keeps on each
-#: :class:`ClientRequest` it signs, keyed by the signed field objects: the
-#: signer's ``(key, payload, tag)`` (see :mod:`repro.crypto.signatures`).
+#: :class:`ClientRequest` it signs, keyed by the signed field objects
+#: (``client_id``, ``sequence``, ``operation``, ``reply_to``,
+#: ``unordered``): the signer's ``(key, payload, tag)`` (see :mod:`repro.crypto.signatures`).
 #: The replicas hold that very request object (the channel shares it), so
 #: verifying it costs neither the payload encode nor the HMAC.
 SIGNED = "_signed_memo"
@@ -318,16 +319,6 @@ BODY = "_body_memo"
 _BODY_STATS = PERF.stats["decode_share"]
 
 
-def _signed_fields(request: ClientRequest) -> tuple:
-    return (
-        request.client_id,
-        request.sequence,
-        request.operation,
-        request.reply_to,
-        request.unordered,
-    )
-
-
 def signing_payload(fields: tuple) -> bytes:
     """Bytes a client signs: the encoded ``(client_id, sequence,
     operation, reply_to, unordered)`` — every field but ``mac`` and
@@ -336,17 +327,18 @@ def signing_payload(fields: tuple) -> bytes:
     return encode(fields)
 
 
-def record_signature(request: ClientRequest, signed: tuple) -> None:
-    """Keep the signer's ``(key, payload, tag)`` on ``request``."""
-    record(request, SIGNED, signed, _signed_fields(request))
-
-
 def request_signing_payload(request: ClientRequest) -> tuple:
     """``(payload, signed)``: the signed bytes and the signer's record,
     which is ``None`` unless the request's own field objects are the ones
     it was made from (a copy with a swapped field is re-encoded, so the
     check runs on its real content)."""
-    fields = _signed_fields(request)
+    fields = (
+        request.client_id,
+        request.sequence,
+        request.operation,
+        request.reply_to,
+        request.unordered,
+    )
     signed = recorded(request, SIGNED, fields)
     if signed is not None:
         _SIGNING_STATS.hits += 1
@@ -358,7 +350,7 @@ def record_body(carrier, data: bytes, message) -> None:
     """Keep on ``carrier`` that its field ``data`` encodes ``message``; a
     mutable message is never kept (it may change under the record)."""
     if frozen(message):
-        record(carrier, BODY, message, (data,))
+        record(carrier, BODY, message, data)
 
 
 def body_of(carrier, data: bytes):
@@ -366,7 +358,7 @@ def body_of(carrier, data: bytes):
     ``operation`` or ``payload``: its body record while ``data`` is the
     recorded bytes object, else a fresh decode (which raises
     :class:`~repro.wire.DecodeError` like :func:`~repro.wire.decode`)."""
-    message = recorded(carrier, BODY, (data,))
+    message = recorded(carrier, BODY, data)
     if message is not None:
         _BODY_STATS.hits += 1
         return message

@@ -165,10 +165,13 @@ class Pool:
         keys = list(islice(pool, limit))
         return [pool.pop(key)[0] for key in keys]
 
-    def forget(self, key: tuple) -> None:
-        """A decided request leaves the pool."""
-        self.pending.pop(key, None)
-        self._unproposed.pop(key, None)
+    def forget(self, requests) -> None:
+        """Decided requests leave the pool."""
+        pending, unproposed = self.pending, self._unproposed
+        for request in requests:
+            key = request.key()
+            pending.pop(key, None)
+            unproposed.pop(key, None)
 
     def note_proposed(self, requests) -> None:
         """Take a valid PROPOSE's requests out of the pool, timing each.

@@ -15,9 +15,9 @@ computing it again. Every record in the repo goes through
    as long as the carrier.
 2. A record names its *keys*: the objects it was computed from (the
    carrier's own field objects, or the inputs the next reader must
-   share). It is read back only while every key is the identical object,
-   so a copy with another bytes object or request decodes, hashes or
-   builds its own.
+   share), one object or a tuple of them. It is read back only while
+   every key is the identical object, so a copy with another bytes
+   object or request decodes, hashes or builds its own.
 3. A record whose reuse depends on more than identity (a replica's
    reply, which must encode like the one this replica would build) is
    checked by its reader with :func:`repro.wire.same_encoding`.
@@ -27,45 +27,55 @@ from __future__ import annotations
 
 from operator import is_
 
-#: Per-class answer of :func:`frozen`.
-_FROZEN: dict[type, bool] = {}
+class _FrozenClasses(dict):
+    """Per-class answer of :func:`frozen`, worked out on first sight."""
+
+    def __missing__(self, cls: type) -> bool:
+        params = getattr(cls, "__dataclass_params__", None)
+        answer = self[cls] = bool(
+            params is not None and params.frozen and cls.__dictoffset__
+        )
+        return answer
+
+
+_FROZEN = _FrozenClasses()
 
 
 def frozen(value) -> bool:
     """Is ``value`` a frozen-dataclass instance with a ``__dict__``, one
     that may carry records and be shared by every holder?"""
-    cls = value.__class__
-    answer = _FROZEN.get(cls)
-    if answer is None:
-        params = getattr(cls, "__dataclass_params__", None)
-        answer = _FROZEN[cls] = bool(
-            params is not None and params.frozen and cls.__dictoffset__
-        )
-    return answer
-
-
-def _same_keys(held, keys) -> bool:
-    return held is keys or (len(held) == len(keys) and all(map(is_, held, keys)))
+    return _FROZEN[value.__class__]
 
 
 def record(carrier, name: str, value, keys=()):
     """Record ``value`` on ``carrier`` under ``name``, valid while
-    ``keys`` are the identical objects; returns ``value``. A carrier that
-    is not :func:`frozen` records nothing, and a record is replaced only
-    under its own keys: a carrier whose field was swapped under its
-    record keeps that stale one, which no reader matches."""
-    if frozen(carrier):
-        memo = carrier.__dict__.get(name)
-        if memo is None or _same_keys(memo[0], keys):
-            carrier.__dict__[name] = (keys, value)
+    ``keys`` are the identical objects (see :func:`recorded`); returns
+    ``value``. A carrier that is not :func:`frozen` records nothing, and a
+    record is replaced only under its own keys: a carrier whose field was
+    swapped under its record keeps that stale one, which no reader
+    matches."""
+    if _FROZEN[carrier.__class__]:
+        slots = carrier.__dict__
+        if name not in slots or recorded(carrier, name, keys) is not None:
+            slots[name] = (keys, value)
     return value
 
 
 def recorded(carrier, name: str, keys=()):
     """The value recorded on ``carrier`` (a frozen dataclass) under
-    ``name`` while every object in ``keys`` is the recorded key, else
-    ``None``."""
+    ``name`` while ``keys`` are its keys, else ``None``. ``keys`` is one
+    object, compared by identity, or a tuple or list of objects, compared
+    one by one."""
     memo = carrier.__dict__.get(name)
-    if memo is not None and _same_keys(memo[0], keys):
+    if memo is not None and (memo[0] is keys or _same_items(memo[0], keys)):
         return memo[1]
     return None
+
+
+def _same_items(held, keys) -> bool:
+    return (
+        held.__class__ is tuple
+        and keys.__class__ in (tuple, list)
+        and len(held) == len(keys)
+        and all(map(is_, held, keys))
+    )

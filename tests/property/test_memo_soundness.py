@@ -43,8 +43,8 @@ from repro.bftsmart.messages import (
     PushMessage,
     Reply,
     Sealed,
+    SIGNED,
     body_of,
-    record_signature,
 )
 from repro.chaos.schedule import FALSIFY_OFFSET, Falsifying
 from repro.core import SmartScadaConfig, make_network, proxy_frontend, proxy_hmi
@@ -56,7 +56,7 @@ from repro.neoscada.values import DataValue
 from repro.net import ConstantLatency, Network
 from repro.perf import PERF, clear_hot_path_caches
 from repro.sim import Simulator
-from repro.wire import DecodeError, decode, encode, encode_cached, recorded
+from repro.wire import DecodeError, decode, encode, encode_cached, record, recorded
 
 KEYSTORE = KeyStore()
 SIM = Simulator(seed=1)
@@ -229,7 +229,13 @@ def _forge(case: str, request: ClientRequest, at: int, other: bytes):
         payload = encode(fields)
         tag = PROXY_B.signer.sign(payload).tag
         forged = dataclasses.replace(request, mac=tag)
-        record_signature(forged, (PROXY_B.signer.key, payload, tag))
+        record(
+            forged,
+            SIGNED,
+            (PROXY_B.signer.key, payload, tag),
+            (forged.client_id, forged.sequence, forged.operation,
+             forged.reply_to, forged.unordered),
+        )
         return forged
     return request
 
@@ -332,7 +338,7 @@ def _watch_outputs(system, byzantine: int, seen: dict) -> None:
             elif isinstance(message, PushMessage):
                 key = (message.client_id, message.order)
                 assert encode_cached(message) == _expected.pop(key, None)
-                body = recorded(message, BODY, (message.payload,))
+                body = recorded(message, BODY, message.payload)
                 if body is not None:
                     assert encode(body) == message.payload
                 seen["pushes"].setdefault(id(message), (message, set()))[1].add(
@@ -406,7 +412,7 @@ def test_a_copied_or_rebuilt_request_decodes_its_own_bytes():
     other = encode(ItemUpdate(item_id="rtu.a", value=DataValue(8)))
     request = PROXY_A._sign(11, message, False)
     assert request.operation == encode(message)
-    assert recorded(request, BODY, (request.operation,)) is message
+    assert recorded(request, BODY, request.operation) is message
     assert _decoded_by(REPLICA, request) is message
     # Outside the request it executes, the replica decodes.
     fresh = REPLICA.executor.decoded(request.operation)
@@ -434,7 +440,7 @@ def test_a_push_a_falsifying_replica_forged_carries_no_body():
     replica.push("hmi", "scada", (2,), message)
     forged = sent.pop()
     assert forged.payload != encode(message)
-    assert recorded(forged, BODY, (forged.payload,)) is None
+    assert recorded(forged, BODY, forged.payload) is None
     assert body_of(forged, forged.payload).value.value == 7 + FALSIFY_OFFSET
 
 
@@ -471,13 +477,13 @@ def test_a_mutable_message_is_never_put_on_record():
     mutable = ["rtu.a", 1]
     request = PROXY_A._sign(13, mutable, False)
     assert request.operation == encode(mutable)
-    assert recorded(request, BODY, (request.operation,)) is None
+    assert recorded(request, BODY, request.operation) is None
     assert _decoded_by(REPLICA, request) == decode(encode(mutable))
-    assert recorded(request, BODY, (request.operation,)) is None  # nor by the first decode
+    assert recorded(request, BODY, request.operation) is None  # nor by the first decode
     replica.push("hmi", "scada", (1,), mutable)
     message = sent.pop()
     assert message.payload == encode(mutable)
-    assert recorded(message, BODY, (message.payload,)) is None
+    assert recorded(message, BODY, message.payload) is None
     # A frozen one is recorded: the proof the path was live.
     frozen = ItemUpdate(item_id="rtu.a", value=DataValue(2))
     replica.push("hmi", "scada", (2,), frozen)
@@ -529,7 +535,7 @@ def test_the_message_a_proxy_acts_on_encodes_to_the_voted_payload(
     ):
         def checked(push, data, _proxy=proxy, _name=module.__name__):
             assert data is push.payload
-            assert recorded(push, BODY, (data,)) is not None  # served, not decoded
+            assert recorded(push, BODY, data) is not None  # served, not decoded
             voted = {
                 client.pushes._delivered_digest.get((push.stream, push.order))
                 for client in _proxy.bft_clients

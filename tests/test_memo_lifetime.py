@@ -148,7 +148,7 @@ def test_the_groups_records_die_with_their_request_and_operation():
     def watch_send(dst, message):
         sent.setdefault(type(message).__name__, weakref.ref(message))
         if isinstance(message, PushMessage):
-            sent.setdefault("pushed", weakref.ref(recorded(message, BODY, (message.payload,))))
+            sent.setdefault("pushed", weakref.ref(recorded(message, BODY, message.payload)))
         send(dst, message)
 
     system.start()
