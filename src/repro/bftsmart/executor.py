@@ -21,12 +21,12 @@ from repro.bftsmart.messages import (
     PushMessage,
     ReconfigRequest,
     Reply,
+    body_of,
     record_body,
 )
 from repro.bftsmart.service import MessageContext
 from repro.bftsmart.view import View
 from repro.crypto import Signature
-from repro.perf import PERF
 from repro.wire import (
     DecodeError,
     decode,
@@ -55,7 +55,6 @@ RECONFIG_MARKER = b"\x00RECONFIG\x00"
 REPLY = "_reply_memo"
 PUSHES = "_push_memo"
 _REPLY_FIELDS = attrgetter("client_id", "sequence", "result", "view_id", "regency")
-_BODY_STATS = PERF.stats["decode_share"]
 
 
 def _push_message(client_id: str, stream: str, order: tuple, payload) -> PushMessage:
@@ -398,12 +397,7 @@ class Executor:
         request = self._request
         if request is None or request.operation is not operation:
             return decode(operation)
-        message = recorded(request, BODY, operation)
-        if message is not None:
-            _BODY_STATS.hits += 1
-            return message
-        _BODY_STATS.misses += 1
-        message = decode(operation)
+        message = body_of(request, operation)
         record_body(request, operation, message)
         return message
 

@@ -1,6 +1,6 @@
 """Durable checkpoint store with atomic-rename install.
 
-A checkpoint is the replica's ``_snapshot_blob()`` (service snapshot +
+A checkpoint is the executor's ``snapshot_blob()`` (service snapshot +
 dedup table) framed with its digest. Installation follows the classic
 crash-safe sequence:
 

@@ -19,7 +19,9 @@ mechanism by its private name.
 The replica's roles (:data:`ROLES`: pool, proposer, acceptor, executor)
 keep their ``_``-prefixed names to their own module: the replica and the
 other roles use a role through its public methods, and only the
-:data:`WHITE_BOX` tests name a role's privates.
+:data:`WHITE_BOX` tests name a role's privates. ``ServiceReplica`` itself
+has no method that only calls a role, except the entries the layer
+tracer wraps by name (:data:`PINNED_ENTRIES`).
 """
 
 from __future__ import annotations
@@ -152,3 +154,40 @@ def test_every_white_box_exemption_is_still_needed():
         )
     ]
     assert not unused, f"drop from WHITE_BOX: {unused}"
+
+
+#: The entries ``bench/trace.py`` wraps by name on ``ServiceReplica``: the
+#: only replica methods allowed to do nothing but call a role.
+PINNED_ENTRIES = {"_batch_timer_fired", "_execute_one", "recover_from_disk"}
+ROLE_ATTRIBUTES = {
+    "pool", "proposer", "acceptor", "executor", "synchronizer", "state_transfer"
+}
+
+
+def test_the_replica_forwards_to_a_role_only_at_the_pinned_entries():
+    tree = ast.parse(REPLICA.read_text("utf-8"))
+    cls = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ServiceReplica"
+    )
+    forwarding = set()
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        body = [
+            statement for statement in method.body
+            if not (isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant))
+        ]
+        if len(body) != 1 or not isinstance(body[0], (ast.Expr, ast.Return)):
+            continue
+        call = body[0].value
+        if (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Attribute)
+            and isinstance(call.func.value.value, ast.Name)
+            and call.func.value.value.id == "self"
+            and call.func.value.attr in ROLE_ATTRIBUTES
+        ):
+            forwarding.add(method.name)
+    assert forwarding == PINNED_ENTRIES
