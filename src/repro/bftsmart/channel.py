@@ -93,7 +93,7 @@ _DECODE_STATS = PERF.stats["decode_share"]
 
 def _shareable(message):
     """``message`` if receivers may share it (frozen dataclass), else None."""
-    return message if frozen(message) else None
+    return message if frozen(message.__class__) else None
 
 
 class SecureChannel:

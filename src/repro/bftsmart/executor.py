@@ -398,7 +398,8 @@ class Executor:
         if request is None or request.operation is not operation:
             return decode(operation)
         message = body_of(request, operation)
-        record_body(request, operation, message)
+        if BODY not in request.__dict__:
+            record_body(request, operation, message)
         return message
 
     def push_message(self, fields: tuple) -> PushMessage:

@@ -349,7 +349,7 @@ def request_signing_payload(request: ClientRequest) -> tuple:
 def record_body(carrier, data: bytes, message) -> None:
     """Keep on ``carrier`` that its field ``data`` encodes ``message``; a
     mutable message is never kept (it may change under the record)."""
-    if frozen(message):
+    if frozen(message.__class__):
         record(carrier, BODY, message, data)
 
 

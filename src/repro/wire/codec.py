@@ -719,14 +719,14 @@ def encode_cached(message) -> bytes:
     """Encode ``message`` (default codec), recording the bytes on a
     frozen message: byte-identical to a fresh encode by construction,
     and kept exactly as long as the object."""
-    if not frozen(message):
+    if not frozen(message.__class__):
         return DEFAULT_CODEC.encode(message)
     payload = recorded(message, _ENCODED)
-    if payload is not None:
-        _ENCODE_STATS.hits += 1
-        return payload
-    _ENCODE_STATS.misses += 1
-    return record(message, _ENCODED, DEFAULT_CODEC.encode(message))
+    if payload is None:
+        _ENCODE_STATS.misses += 1
+        return record(message, _ENCODED, DEFAULT_CODEC.encode(message))
+    _ENCODE_STATS.hits += 1
+    return payload
 
 
 @PERF.on_clear

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from operator import is_
 
+
 class _FrozenClasses(dict):
     """Per-class answer of :func:`frozen`, worked out on first sight."""
 
@@ -40,24 +41,19 @@ class _FrozenClasses(dict):
 
 _FROZEN = _FrozenClasses()
 
-
-def frozen(value) -> bool:
-    """Is ``value`` a frozen-dataclass instance with a ``__dict__``, one
-    that may carry records and be shared by every holder?"""
-    return _FROZEN[value.__class__]
+#: ``frozen(cls)``: are instances of ``cls`` frozen dataclasses with a
+#: ``__dict__``, which may carry records and be shared by every holder?
+#: (A dict lookup, so asking costs no Python call.)
+frozen = _FROZEN.__getitem__
 
 
 def record(carrier, name: str, value, keys=()):
     """Record ``value`` on ``carrier`` under ``name``, valid while
-    ``keys`` are the identical objects (see :func:`recorded`); returns
-    ``value``. A carrier that is not :func:`frozen` records nothing, and a
-    record is replaced only under its own keys: a carrier whose field was
-    swapped under its record keeps that stale one, which no reader
-    matches."""
+    ``keys`` are the identical objects (see :func:`recorded`), in place
+    of any record of that name; returns ``value``. A carrier that is not
+    :func:`frozen` records nothing."""
     if _FROZEN[carrier.__class__]:
-        slots = carrier.__dict__
-        if name not in slots or recorded(carrier, name, keys) is not None:
-            slots[name] = (keys, value)
+        carrier.__dict__[name] = (keys, value)
     return value
 
 
@@ -67,15 +63,14 @@ def recorded(carrier, name: str, keys=()):
     object, compared by identity, or a tuple or list of objects, compared
     one by one."""
     memo = carrier.__dict__.get(name)
-    if memo is not None and (memo[0] is keys or _same_items(memo[0], keys)):
-        return memo[1]
-    return None
-
-
-def _same_items(held, keys) -> bool:
-    return (
+    if memo is None:
+        return None
+    held = memo[0]
+    if held is keys or (
         held.__class__ is tuple
         and keys.__class__ in (tuple, list)
         and len(held) == len(keys)
         and all(map(is_, held, keys))
-    )
+    ):
+        return memo[1]
+    return None

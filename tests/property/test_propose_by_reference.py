@@ -13,8 +13,6 @@ decides the leader's bytes and executes the leader's bodies once.
 
 from __future__ import annotations
 
-import dataclasses
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,7 +82,6 @@ def test_the_record_fast_path_and_the_full_path_rebuild_the_same_bytes(held, swa
         # A record whose order differs from the keys: its objects are the
         # pooled ones, but not at the keys' positions.
         swapped = RequestBatch(requests=(requests[1], requests[0], *requests[2:]))
-        propose = dataclasses.replace(propose)
         record(propose, BATCH, (encode(swapped), swapped), swapped.requests)
     replicas[0].channel.send("replica-1", propose)
     sim.run(until=0.002)

@@ -123,7 +123,7 @@ def main(out_path: pathlib.Path) -> int:
         for job in jobs:
             job.result()
     reached = [
-        {tuple(hit) for path in paths if path.exists()
+        {tuple(hit) for path in paths
          for line in path.read_text().splitlines() for hit in json.loads(line)}
         for paths in hits
     ]
