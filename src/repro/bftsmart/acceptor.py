@@ -286,7 +286,7 @@ class Acceptor:
             held is not None and held.message.epoch == message.epoch
         ):
             return
-        pending = replica.pending
+        pending = replica.pool.pending
         entries = [pending.get(key) for key in message.keys]
         proposal = None
         if None not in entries:
@@ -337,11 +337,10 @@ class Acceptor:
 
     def _held_is_current(self, cid: int, held: _Held) -> bool:
         """Is a held PROPOSE still one this follower could WRITE?"""
-        replica = self.replica
         instance = self.instances.get(cid)
         return (
-            held.message.epoch == replica.regency
-            and cid >= replica.next_cid
+            held.message.epoch == self.replica.regency
+            and cid >= self.replica.next_cid
             and instance is not None
             and instance.proposal_value is None
         )
@@ -539,9 +538,7 @@ class Acceptor:
                 # decided while we were away, and if the group now goes
                 # quiet no further traffic would reveal the gap.
                 replica.state_transfer.notice_gap(instance.cid)
-        self._release_decided()
-        self._drain_future()
-        replica.proposer.maybe_propose()
+        self.after_install()
 
     def after_install(self) -> None:
         """Rejoin the live protocol after state transfer moved the head
@@ -557,9 +554,8 @@ class Acceptor:
 
     def _release_decided(self) -> None:
         """Deliver buffered decisions strictly in cid order."""
-        replica = self.replica
         while True:
-            head = self.instances.get(replica.next_cid)
+            head = self.instances.get(self.replica.next_cid)
             if head is None or not head.decided:
                 return
             self._deliver_decision(head)

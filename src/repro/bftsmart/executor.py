@@ -85,13 +85,15 @@ class Executor:
 
     def __init__(self, replica: "ServiceReplica") -> None:
         self.replica = replica
-        #: Decided entries waiting for a busy executor, oldest first.
-        self._exec_queue: deque = deque()
+        #: Decided entries waiting for a busy executor, oldest first: the
+        #: backlog the proposer's backpressure and the pool's silence rule
+        #: read.
+        self.queue: deque = deque()
         #: True while the executor waits for an entry and none is on its
         #: way (an entry for an idle executor skips the queue).
         self._exec_idle = False
         #: True while the executor works on an entry it took.
-        self._executing = False
+        self.executing = False
         #: The request the service is pricing or executing (its body and
         #: pushes are recorded on it), or None, and how many pushes that
         #: execution emitted.
@@ -114,15 +116,7 @@ class Executor:
         self.reconfig_cid = -1
         self._exec = self._executor()
 
-    # -- what the pool and the proposer ask --------------------------------
-
-    def backlog(self) -> int:
-        """Decided batches waiting in front of the executor."""
-        return len(self._exec_queue)
-
-    def busy(self) -> bool:
-        """Is a decided batch executing or waiting?"""
-        return self._executing or bool(self._exec_queue)
+    # -- what the pool asks ------------------------------------------------
 
     def dispatched(self, request: ClientRequest) -> bool:
         """Did the executor dispatch ``request`` (or a later one of its
@@ -171,7 +165,7 @@ class Executor:
             self._exec_idle = False
             replica.sim.defer(0.0, self.drive, entry)
         else:
-            self._exec_queue.append(entry)
+            self.queue.append(entry)
 
     def install_checkpoint(self, checkpoint_cid: int, blob: bytes) -> None:
         """Replace the replica's state with a checkpoint blob.
@@ -246,8 +240,8 @@ class Executor:
         delay = self._exec.send(value)
         if delay is not None:
             self.replica.sim.defer(delay, self.drive, None)
-        elif self._exec_queue:
-            self.replica.sim.defer(0.0, self.drive, self._exec_queue.popleft())
+        elif self.queue:
+            self.replica.sim.defer(0.0, self.drive, self.queue.popleft())
         else:
             self._exec_idle = True
 
@@ -260,17 +254,20 @@ class Executor:
         replica = self.replica
         service = replica.service
         while True:
-            self._executing = False
+            self.executing = False
             epoch, cid, requests, timestamp = yield None
-            self._executing = True
+            self.executing = True
             replica.proposer.maybe_propose()  # one batch fewer waiting: a hold may lift
             if epoch != self._install_epoch:
                 continue  # stale: queued before a checkpoint install
             for order, request in enumerate(requests):
                 if epoch != self._install_epoch:
                     break  # an install landed mid-batch
-                if not self._dedup_dispatch(request):
+                # Deterministic at-dispatch dedup (dispatch order = decided order).
+                dispatched = self._dispatched_seq
+                if request.sequence <= dispatched.get(request.client_id, -1):
                     continue
+                dispatched[request.client_id] = request.sequence
                 tracer = replica.sim.tracer
                 span = None
                 if tracer is not None and tracer.enabled:
@@ -303,14 +300,6 @@ class Executor:
                 self._take_checkpoint(cid)
             if cid == self.reconfig_cid:
                 replica.proposer.maybe_propose()  # the new membership is in effect
-
-    def _dedup_dispatch(self, request: ClientRequest) -> bool:
-        """Deterministic at-dispatch dedup (dispatch order = decided order)."""
-        last = self._dispatched_seq.get(request.client_id, -1)
-        if request.sequence <= last:
-            return False
-        self._dispatched_seq[request.client_id] = request.sequence
-        return True
 
     def execute_one(
         self, cid: int, order: int, request: ClientRequest, timestamp: float

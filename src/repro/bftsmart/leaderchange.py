@@ -168,10 +168,10 @@ class Synchronizer:
         # decision this replica holds may be exactly the value the new
         # leader must re-propose for the peers that missed it).
         entries = []
-        for cid in sorted(replica.instances):
+        for cid in sorted(replica.acceptor.instances):
             if cid < replica.next_cid:
                 continue
-            instance = replica.instances[cid]
+            instance = replica.acceptor.instances[cid]
             if instance.decided and instance.decided_value is not None:
                 entries.append(
                     (cid, instance.epoch, instance.decided_value,

@@ -46,9 +46,9 @@ class Pool:
         #: same order, on every replica: the pool a leader batches from,
         #: and what a follower holds the leader to. A regency or state
         #: install puts everything undecided back (``reset_unproposed``).
-        self._unproposed: dict[tuple, tuple] = {}
+        self.unproposed: dict[tuple, tuple] = {}
         #: Smoothed arrival -> PROPOSE delay of the requests a PROPOSE took
-        #: from ``_unproposed``. Before the first sample, patience is an
+        #: from ``unproposed``. Before the first sample, patience is an
         #: eighth of ``request_timeout``: with no traffic to notice it
         #: sooner, the forward lands on the next quarter-timeout tick.
         self._turnaround = replica.config.request_timeout / (8 * PATIENCE_TURNAROUNDS)
@@ -139,7 +139,7 @@ class Pool:
         key = request.key()
         if key in self.pending:
             return False
-        self.pending[key] = self._unproposed[key] = (request, self.replica.sim.now)
+        self.pending[key] = self.unproposed[key] = (request, self.replica.sim.now)
         return True
 
     # -- the leader's pool -------------------------------------------------
@@ -147,27 +147,19 @@ class Pool:
     def reset_unproposed(self) -> None:
         """Return every undecided request to the leader's pool, and drop
         the PROPOSEs held for a fetch: they were the old leader's."""
-        self._unproposed = dict(self.pending)
+        self.unproposed = dict(self.pending)
         self._forwarded = (None, self.replica.sim.now)
         self.replica.acceptor.unresolved.clear()
 
-    def unproposed(self) -> int:
-        """How many pooled requests no PROPOSE carried yet."""
-        return len(self._unproposed)
-
-    def oldest_unproposed_arrival(self) -> float:
-        _request, arrival = next(iter(self._unproposed.values()))
-        return arrival
-
     def take(self, limit: int) -> list:
         """Move the oldest ``limit`` unproposed requests out of the pool."""
-        pool = self._unproposed
+        pool = self.unproposed
         keys = list(islice(pool, limit))
         return [pool.pop(key)[0] for key in keys]
 
     def forget(self, requests) -> None:
         """Decided requests leave the pool."""
-        pending, unproposed = self.pending, self._unproposed
+        pending, unproposed = self.pending, self.unproposed
         for request in requests:
             key = request.key()
             pending.pop(key, None)
@@ -183,7 +175,7 @@ class Pool:
         it back. On the leader its own batch has left the pool already:
         no sample.
         """
-        pool = self._unproposed
+        pool = self.unproposed
         if not pool:
             return
         now = self.replica.sim.now
@@ -217,10 +209,11 @@ class Pool:
         no pause.
         """
         replica = self.replica
-        if replica.executor.busy():
+        executor = replica.executor
+        if executor.executing or executor.queue:
             return True
         depth = replica.config.pipeline_depth
-        instances = replica.instances
+        instances = replica.acceptor.instances
         return len(instances) >= depth and (
             sum(i.proposal_value is not None for i in instances.values()) >= depth
         )
@@ -237,9 +230,9 @@ class Pool:
         re-broadcasts it) waits at least the quarter-timeout tick.
         """
         replica = self.replica
-        if not self._unproposed or self._leader_may_hold() or replica.is_leader:
+        if not self.unproposed or self._leader_may_hold() or replica.is_leader:
             return None
-        key, (_request, arrival) = next(iter(self._unproposed.items()))
+        key, (_request, arrival) = next(iter(self.unproposed.items()))
         patience = self.patience()
         forwarded = self._forwarded
         if forwarded[0] != key:
@@ -283,7 +276,7 @@ class Pool:
         then every decided request is dispatched and such a leftover is
         at or below its client's dispatched sequence. True if any went.
         """
-        pool, dispatched = self._unproposed, self.replica.executor.dispatched
+        pool, dispatched = self.unproposed, self.replica.executor.dispatched
         dropped = False
         while pool:
             key, (request, _arrival) = next(iter(pool.items()))
@@ -298,10 +291,10 @@ class Pool:
         """Hand the leader the oldest unproposed requests (≤ ``batch_max``)
         in one envelope: a client may have left it out of its multicast."""
         replica = self.replica
-        keys = list(islice(self._unproposed, replica.config.batch_max))
+        keys = list(islice(self.unproposed, replica.config.batch_max))
         self._forwarded = (keys[0], replica.sim.now)
         envelope = RequestBatch(
-            requests=tuple(self._unproposed[key][0] for key in keys)
+            requests=tuple(self.unproposed[key][0] for key in keys)
         )
         replica.channel.send(replica.leader, envelope)
 
@@ -356,9 +349,9 @@ class Pool:
                 aged = now - oldest > timeout
                 if aged:
                     replica.synchronizer.suspect(
-                        "silent" if key in self._unproposed else "stalled"
+                        "silent" if key in self.unproposed else "stalled"
                     )
-            if replica.instances and (aged or not self.pending):
+            if replica.acceptor.instances and (aged or not self.pending):
                 # Consensus slots we opened never resolved — with
                 # pipelining the rest of the group may have decided them
                 # and gone quiet (our quorum messages were lost), in
@@ -366,4 +359,4 @@ class Pool:
                 # a state transfer can. If instead the whole group is
                 # stalled, the probe aborts on stale replies and the
                 # suspicion above drives the leader change.
-                replica.state_transfer.notice_gap(max(replica.instances), force=True)
+                replica.state_transfer.notice_gap(max(replica.acceptor.instances), force=True)

@@ -105,7 +105,7 @@ class Proposer:
         replica = self.replica
         now = replica.sim.now
         return (
-            replica.executor.backlog() >= 2
+            len(replica.executor.queue) >= 2
             and now >= replica.synchronizer.synced_at + replica.config.request_timeout
             and not replica.state_transfer.recovering
             and now < self._hold_lapses()
@@ -113,8 +113,8 @@ class Proposer:
 
     def _hold_lapses(self) -> float:
         """When the oldest unproposed request has waited out a hold."""
-        replica = self.replica
-        return replica.pool.oldest_unproposed_arrival() + replica.config.request_timeout / 4
+        _request, arrival = next(iter(self.replica.pool.unproposed.values()))
+        return arrival + self.replica.config.request_timeout / 4
 
     def _hold_timer_fired(self) -> None:
         self._hold_timer_armed = False
@@ -134,7 +134,7 @@ class Proposer:
         config = replica.config
         pool = replica.pool
         while not (self._pipeline_full() or self._batch_timer_armed):
-            unproposed = pool.unproposed()
+            unproposed = len(pool.unproposed)
             if not unproposed:
                 return
             if self._held_back():
@@ -183,7 +183,7 @@ class Proposer:
             # One pending span per request: arrival at the leader through
             # inclusion in this proposal (the batching wait of §IV).
             for request in batch:
-                entry = replica.pending.get(request.key())
+                entry = replica.pool.pending.get(request.key())
                 arrival = entry[1] if entry is not None else replica.sim.now
                 tracer.end(
                     tracer.begin(
@@ -223,7 +223,7 @@ class Proposer:
         """
         replica = self.replica
         cid = message.cid
-        instance = replica.instances.get(cid) if type(cid) is int else None
+        instance = replica.acceptor.instances.get(cid) if type(cid) is int else None
         if (
             instance is None
             or instance.epoch != message.epoch

@@ -122,12 +122,6 @@ class ServiceReplica:
         self.executor = Executor(self)
         self.synchronizer = Synchronizer(self)
         self.state_transfer = StateTransfer(self)
-        #: The roles' state other layers read: request key -> (request,
-        #: arrival); cid -> open consensus instance; client id -> the
-        #: replies of its last executed batch.
-        self.pending = self.pool.pending
-        self.instances = self.acceptor.instances
-        self.last_reply = self.executor.last_reply
         #: What a service reads an operation it executes through.
         self.decoded = self.executor.decoded
         self.checkpoint_snapshot: bytes = self.executor.snapshot_blob()

@@ -253,7 +253,7 @@ class StateTransfer:
             replica.executor.install_checkpoint(reply.checkpoint_cid, reply.snapshot)
             # Open instances predate the installed state; their requests
             # go back to the pool.
-            replica.instances.clear()
+            replica.acceptor.instances.clear()
             replica.pool.reset_unproposed()
             self.full_installs += 1
             if storage is not None:
@@ -278,8 +278,8 @@ class StateTransfer:
         # must not be delivered a second time; ones above it survive. A
         # decided instance sitting exactly at the new head was waiting
         # for the gap the install just filled — release it now.
-        for cid in [c for c in replica.instances if c < replica.next_cid]:
-            del replica.instances[cid]
+        for cid in [c for c in replica.acceptor.instances if c < replica.next_cid]:
+            del replica.acceptor.instances[cid]
         replica.next_propose_cid = max(replica.next_propose_cid, replica.next_cid)
         replica.synchronizer.adopt_regency(reply.regency)
         # Consensus traffic that arrived during the transfer was buffered;

@@ -135,7 +135,7 @@ class ReplyAgreementMonitor(InvariantMonitor):
 
     def poll(self, ctx) -> None:
         for replica in ctx.honest_live_replicas():
-            for client_id, (_cid, replies) in replica.last_reply.items():
+            for client_id, (_cid, replies) in replica.executor.last_reply.items():
                 for reply in replies.values():
                     self._check(ctx, replica, client_id, reply)
 

@@ -253,7 +253,7 @@ def test_verify_request_agrees_with_hmac_over_the_encoded_fields(
     case, operation, other, sequence, unordered, at
 ):
     request = PROXY_A._sign(sequence, operation, unordered)
-    pending = REPLICA.pending
+    pending = REPLICA.pool.pending
     if case == "equal to its pending entry":
         pending[request.key()] = (request, 0.0)
         candidate = decode(encode(request))
@@ -288,7 +288,7 @@ def test_forged_requests_are_rejected_and_counted():
         assert not reference_verify(candidate)
         REPLICA.pool.on_request(candidate, candidate.client_id)
     assert REPLICA.stats["rejected_requests"] - before == len(forged)
-    assert request.key() not in REPLICA.pending
+    assert request.key() not in REPLICA.pool.pending
 
 
 def _watch_outputs(system, byzantine: int, seen: dict) -> None:

@@ -87,7 +87,7 @@ def test_the_record_fast_path_and_the_full_path_rebuild_the_same_bytes(held, swa
     sim.run(until=0.002)
 
     follower = replicas[1]
-    instance = follower.instances[0]
+    instance = follower.acceptor.instances[0]
     assert instance.proposal_value == value
     assert instance.proposal_digest == propose.value_digest == digest(value)
     fast = all(how == "same" for _owner, how in held) and not swap

@@ -106,7 +106,7 @@ def _watch_executor(sim, replica, until, tick=0.00025):
     def sampler():
         idle_since = None
         while sim.now < until:
-            starving = replica.executor._exec_idle and bool(replica.pending)
+            starving = replica.executor._exec_idle and bool(replica.pool.pending)
             if not starving:
                 idle_since = None
             elif idle_since is None:
@@ -210,7 +210,7 @@ def test_scada_overload_keeps_the_leader_and_feeds_the_executor(holds):
 
     sim.process(load())
     sim.run(until=overload_s)
-    backlog_age = sim.now - next(iter(leader.pending.values()))[1]
+    backlog_age = sim.now - next(iter(leader.pool.pending.values()))[1]
     sim.run(until=overload_s + 5.0)
 
     replicas = [pm.replica for pm in system.proxy_masters]
@@ -248,8 +248,8 @@ def test_slow_service_overload_never_ages_a_request_towards_suspicion(holds):
 
     def ages():
         while sim.now < overload_s:
-            if leader.pool._unproposed:
-                _request, arrival = next(iter(leader.pool._unproposed.values()))
+            if leader.pool.unproposed:
+                _request, arrival = next(iter(leader.pool.unproposed.values()))
                 oldest_unproposed[0] = max(oldest_unproposed[0], sim.now - arrival)
             yield sim.timeout(0.001)
 
@@ -284,9 +284,9 @@ def test_leader_crash_during_a_hold_hands_over_to_an_eager_leader(holds, monkeyp
 
     def crash():
         yield sim.timeout(0.3)
-        while not (old.proposer._held_back() and len(old.pool._unproposed) >= 3):
+        while not (old.proposer._held_back() and len(old.pool.unproposed) >= 3):
             yield sim.timeout(0.0001)
-        held_by_old.extend(old.pool._unproposed)
+        held_by_old.extend(old.pool.unproposed)
         net.crash(old.address)
 
     sim.process(crash())
@@ -295,8 +295,8 @@ def test_leader_crash_during_a_hold_hands_over_to_an_eager_leader(holds, monkeyp
 
     def recording(self):
         if self is new:
-            youngest = max(arrival for _request, arrival in self.pool._unproposed.values())
-            proposals.append((sim.now, len(self.executor._exec_queue), sim.now - youngest))
+            youngest = max(arrival for _request, arrival in self.pool.unproposed.values())
+            proposals.append((sim.now, len(self.executor.queue), sim.now - youngest))
         propose_batch(self)
 
     monkeypatch.setattr(ServiceReplica, "_propose_batch", recording)
@@ -354,7 +354,7 @@ def test_the_hold_does_not_fire_at_the_update_reference_rate(seed, holds, monkey
     def watching(self):
         held = predicate(self)
         if not held:
-            depths.append(len(self.replica.executor._exec_queue))
+            depths.append(len(self.replica.executor.queue))
         return held
 
     monkeypatch.setattr(Proposer, "_held_back", watching)

@@ -157,7 +157,7 @@ def test_pipelined_leader_crash_reproposes_every_inflight_cid():
     # 30 ms — crash the leader before any ACCEPT quorum (40 ms) forms.
     sim.run(until=sim.now + 0.025)
     live = replicas[1:]
-    open_cids = {cid for r in live for cid in r.instances}
+    open_cids = {cid for r in live for cid in r.acceptor.instances}
     assert len(open_cids) >= 2  # the pipeline really was multi-slot
     assert all(r.last_decided == -1 for r in live)
     net.crash("replica-0")
@@ -231,7 +231,7 @@ def watchdog_log(monkeypatch):
     suspect = Synchronizer.suspect
 
     def entry(replica, what):
-        _request, arrival = next(iter(replica.pool._unproposed.values()))
+        _request, arrival = next(iter(replica.pool.unproposed.values()))
         reference = max(arrival, replica.last_progress)
         return (replica.sim.now, replica.address, what, reference, replica.pool.patience())
 

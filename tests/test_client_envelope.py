@@ -116,7 +116,7 @@ def test_an_envelope_larger_than_one_propose_is_dropped_whole():
     for replica in replicas:
         assert replica.stats["rejected_requests"] == 1
         assert replica.stats["executed"] == 0
-        assert not replica.pending
+        assert not replica.pool.pending
     # One request fewer fits, and is ordered in one PROPOSE.
     _send_envelope(proxy, requests[:4])
     sim.run(until=2.0)

@@ -139,7 +139,7 @@ def _open_leader_slot():
     replicas[0].net.faults.add(Drop(dst="replica-0", kind="AcceptMsg"))
     assert decode(sim.run_process(_adds(sim, proxy, 1), until=5.0)) == 1
     leader = replicas[0]
-    assert 0 in leader.instances and not leader.instances[0].decided
+    assert 0 in leader.acceptor.instances and not leader.acceptor.instances[0].decided
     answers = []
     send = leader.channel.send
 
@@ -177,7 +177,7 @@ def test_a_repeated_fetch_gets_no_second_answer():
     sim, replicas, proxy, answers = _open_leader_slot()
     rejected = _rejected(replicas)
     key = (proxy.client_id, 0)
-    [request] = replicas[0].instances[0].proposal_batch.requests
+    [request] = replicas[0].acceptor.instances[0].proposal_batch.requests
     for _ in range(3):
         replicas[3].channel.send("replica-0", FetchRequests(cid=0, epoch=0, keys=(key,)))
     replicas[2].channel.send("replica-0", FetchRequests(cid=0, epoch=0, keys=(key,)))

@@ -113,12 +113,12 @@ def test_a_request_and_its_batch_die_once_decided():
     first = proxy.invoke_ordered(b"op")
     request = proxy._pending[0].request
     sim.run(until=sim.now + config.batch_wait / 4)  # delivered, not proposed
-    assert all(r.pending for r in replicas)  # verified, awaiting decision
+    assert all(r.pool.pending for r in replicas)  # verified, awaiting decision
     alive = weakref.ref(request)
     del request
     sim.run(until=sim.now + 1.0)
     assert first.ok and first.value == b"op"
-    assert not any(r.pending for r in replicas)  # decided: entries left
+    assert not any(r.pool.pending for r in replicas)  # decided: entries left
     # The executors' loop variables still name the batch they ran last;
     # the next decision replaces it.
     second = proxy.invoke_ordered(b"op2")
