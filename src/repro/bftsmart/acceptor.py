@@ -541,12 +541,10 @@ class Acceptor:
         self.after_install()
 
     def after_install(self) -> None:
-        """Rejoin the live protocol after state transfer moved the head
-        or adopted a regency.
-
-        Releases the decided instances the install unblocked, replays the
-        consensus traffic buffered while it ran, and lets a leader
-        propose again.
+        """Release the decided instances at the head, replay the buffered
+        consensus traffic now inside the window, and let a leader propose:
+        the end of every decision, and how a replica rejoins the live
+        protocol after state transfer moved the head or adopted a regency.
         """
         self._release_decided()
         self._drain_future()
