@@ -13,18 +13,21 @@ replication required:
   Given the same message sequence and the same injected inputs, two core
   instances evolve identically. SMaRt-SCADA's Adapter drives this core
   directly (one message at a time, in consensus order, with
-  ContextInfo-supplied clock and event ids).
+  ContextInfo-supplied clock and event ids). Such a core is on no
+  network: the Adapter's transport is its only way out and
+  ``ScadaService.execute`` its only way in.
 
-- The shell (the worker pool started by :meth:`start`) reproduces the
-  original NeoSCADA behaviour: ``workers`` concurrent threads pull
-  messages off a shared queue and processing times carry seeded jitter,
-  so the order in which state changes land is *not* the arrival order —
-  the multi-threading nondeterminism of challenge §III-B(b), which the
-  divergence tests demonstrate.
+- The shell (the network endpoint and the worker pool started by
+  :meth:`start`) reproduces the original NeoSCADA behaviour: ``workers``
+  concurrent threads pull messages off a shared queue and processing
+  times carry seeded jitter, so the order in which state changes land
+  is *not* the arrival order — the multi-threading nondeterminism of
+  challenge §III-B(b), which the divergence tests demonstrate.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.neoscada.ae.events import Severity
@@ -47,7 +50,6 @@ from repro.neoscada.messages import (
 from repro.neoscada.storage import EventStorage, StorageStation
 from repro.neoscada.values import DataValue, Quality
 from repro.net.network import Network
-from repro.sim.channels import Channel
 from repro.sim.kernel import Simulator
 
 
@@ -104,13 +106,14 @@ class ScadaMaster:
     Parameters
     ----------
     sim, net, address:
-        Simulation attachment. ``transport`` overrides the network send
-        (the replicated deployment passes the Adapter here).
+        Simulation attachment. ``transport`` overrides the network send;
+        the replicated deployment's Adapter installs its own.
     frontends:
         Addresses of the Frontends to mirror.
     workers:
         Size of the concurrent worker pool; 0 disables the shell
-        entirely (external drivers call the core directly).
+        entirely: no endpoint, no queue, and external drivers call the
+        core directly.
     jitter:
         Relative processing-time jitter (e.g. 0.2 = ±20%), the source of
         scheduling nondeterminism. Ignored when ``workers == 0``.
@@ -152,9 +155,17 @@ class ScadaMaster:
         self.write_timeout = write_timeout
         self.audit_writes = audit_writes
 
-        self.endpoint = net.endpoint(address)
-        self.endpoint.set_handler(self._on_network_message)
-        self._transport = transport if transport is not None else self.endpoint.send
+        self._transport = transport
+        if workers > 0:
+            endpoint = net.endpoint(address)
+            endpoint.set_handler(self._on_network_message)
+            if transport is None:
+                self._transport = endpoint.send
+            #: Classified data-plane messages no worker has taken yet, and
+            #: the idle workers' wake-up events, each oldest first.
+            self._backlog: deque = deque()
+            self._idle: deque = deque()
+            self._jitter_rng = sim.rng.stream(f"master.{address}.jitter")
 
         self.clock = clock if clock is not None else (lambda: sim.now)
         self._event_counter = 0
@@ -186,8 +197,6 @@ class ScadaMaster:
             address, self._send, on_update=None, on_browse=None
         )
 
-        self._queue = Channel(sim, name=f"master-queue:{address}")
-        self._jitter_rng = sim.rng.stream(f"master.{address}.jitter")
         self.stats = {
             "updates": 0,
             "writes": 0,
@@ -238,7 +247,10 @@ class ScadaMaster:
     def _on_network_message(self, message, src: str) -> None:
         kind = self.classify(message, src)
         if kind is not None:
-            self._queue.put((kind, message, src))
+            if self._idle:
+                self._idle.popleft().succeed((kind, message, src))
+            else:
+                self._backlog.append((kind, message, src))
 
     def classify(self, message, src: str) -> str | None:
         """Sort a message into a data-plane kind, or handle it inline.
@@ -302,9 +314,23 @@ class ScadaMaster:
     # the concurrency shell (original NeoSCADA behaviour)
     # ------------------------------------------------------------------
 
+    def _take(self):
+        """The event a worker waits on for its next message.
+
+        A queued message is handed over through an event triggered now,
+        so the worker resumes at a dispatch of its own, as an idle one
+        does when a message arrives.
+        """
+        event = self.sim.event()
+        if self._backlog:
+            event.succeed(self._backlog.popleft())
+        else:
+            self._idle.append(event)
+        return event
+
     def _worker(self):
         while True:
-            kind, message, src = yield self._queue.get()
+            kind, message, src = yield self._take()
             cost = self.cost_of(kind, getattr(message, "item_id", None))
             if self.jitter > 0:
                 cost *= 1.0 + self.jitter * self._jitter_rng.uniform(-1.0, 1.0)

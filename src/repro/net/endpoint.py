@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.channels import Channel
-
 if typing.TYPE_CHECKING:
     from repro.net.network import Network
 
@@ -13,28 +11,23 @@ if typing.TYPE_CHECKING:
 class Endpoint:
     """One addressable network attachment.
 
-    Incoming messages go to the registered handler if one is set
-    (``handler(payload, src)``), otherwise they are buffered in
-    :attr:`inbox` for a process to ``yield endpoint.inbox.get()``.
+    Incoming messages go to the registered handler
+    (``handler(payload, src)``); an endpoint with no handler drops them.
     """
 
     def __init__(self, network: "Network", address: str) -> None:
         self.network = network
         self.address = address
-        self.inbox = Channel(network.sim, name=f"inbox:{address}")
         #: Called as ``handler(payload, src)`` for every delivery; the
         #: network calls it directly. Until :meth:`set_handler` replaces
-        #: it, deliveries are buffered in :attr:`inbox`.
-        self._handler = self._to_inbox
+        #: it, deliveries are dropped.
+        self._handler = _drop
         #: A downed endpoint neither sends nor receives (crashed node).
         self.down = False
 
     def set_handler(self, handler) -> None:
-        """Route deliveries to ``handler(payload, src)`` instead of inbox."""
+        """Route deliveries to ``handler(payload, src)``."""
         self._handler = handler
-
-    def _to_inbox(self, payload, src: str) -> None:
-        self.inbox.put(payload)
 
     def send(
         self,
@@ -58,3 +51,7 @@ class Endpoint:
 
     def __repr__(self) -> str:
         return f"<Endpoint {self.address}>"
+
+
+def _drop(payload, src: str) -> None:
+    """What an endpoint with no handler does with a delivery."""

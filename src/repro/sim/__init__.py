@@ -8,18 +8,13 @@ a seed. :class:`Simulator` is the public type; ``Simulator(seed)`` builds
 the flat-array timer wheel :class:`RingSimulator`, its one implementation.
 """
 
-from repro.sim.channels import Channel, ChannelClosed
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.fastkernel import RingSimulator
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Interrupted, Process
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Channel",
-    "ChannelClosed",
     "Event",
     "Interrupted",
     "Process",

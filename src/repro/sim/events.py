@@ -119,9 +119,9 @@ class Event:
         """
         if self.callbacks is None:
             if self._exception is not None:
-                self.sim.call_soon(self._deliver_late, fn)
+                self.sim.call_later(0.0, self._deliver_late, fn)
             else:
-                self.sim.call_soon(fn, self)
+                self.sim.call_later(0.0, fn, self)
         else:
             self.callbacks.append(fn)
 
@@ -130,8 +130,7 @@ class Event:
 
         Mirrors the unobserved-failure rule in :meth:`_dispatch`: a
         failure handed to a late callback must be handled (the callback
-        — like ``Process._resume`` or the combinators — defuses what it
-        handles) or it propagates instead of vanishing silently.
+        — like ``Process._resume`` — defuses what it handles) or it propagates instead of vanishing silently.
         """
         fn(self)
         if self._exception is not None and not self.defused:
@@ -152,8 +151,8 @@ class Event:
     def _label(self) -> str:
         """What ``repr`` calls an event built without a ``name``.
 
-        Subclasses built once per occurrence (timeouts, channel gets and
-        puts) describe themselves here instead of formatting a name at
+        Subclasses built once per occurrence (timeouts) describe
+        themselves here instead of formatting a name at
         construction that only a ``repr`` would ever read.
         """
         return self.__class__.__name__
@@ -190,80 +189,3 @@ class Timeout(Event):
         if self.callbacks is None:
             return False
         return self.sim._cancel_entry(self._entry)
-
-
-class AnyOf(Event):
-    """Triggers when the first of ``events`` triggers.
-
-    The value is ``(index, value)`` of the winning event. Losing events
-    that support ``cancel()`` (queue gets, for example) are cancelled so
-    they do not consume resources after the race is decided. A losing
-    event that fails after the race is decided is defused.
-    """
-
-    __slots__ = ("events", "_decided")
-
-    def __init__(self, sim: "Simulator", events: list) -> None:
-        super().__init__(sim, name="AnyOf")
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        self.events = list(events)
-        self._decided = False
-        for index, event in enumerate(self.events):
-            event.add_callback(self._make_callback(index))
-
-    def _make_callback(self, index: int):
-        def on_done(event: Event) -> None:
-            if self._decided:
-                event.defused = True
-                return
-            self._decided = True
-            for loser in self.events:
-                if loser is not event:
-                    loser.defused = True
-                    cancel = getattr(loser, "cancel", None)
-                    if cancel is not None:
-                        cancel()
-            if event.ok:
-                self.succeed((index, event.value))
-            else:
-                # The race observes (and therefore handles) the winner's
-                # failure; the AnyOf event now carries it onward.
-                event.defused = True
-                self.fail(event.exception)
-
-        return on_done
-
-
-class AllOf(Event):
-    """Triggers when every one of ``events`` has triggered successfully.
-
-    The value is the list of event values, in the order given. Fails with
-    the first failure observed.
-    """
-
-    __slots__ = ("events", "_remaining", "_failed")
-
-    def __init__(self, sim: "Simulator", events: list) -> None:
-        super().__init__(sim, name="AllOf")
-        self.events = list(events)
-        self._remaining = len(self.events)
-        self._failed = False
-        if not self.events:
-            self.succeed([])
-            return
-        for event in self.events:
-            event.add_callback(self._on_done)
-
-    def _on_done(self, event: Event) -> None:
-        if self._failed:
-            event.defused = True
-            return
-        if not event.ok:
-            self._failed = True
-            event.defused = True
-            self.fail(event.exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e.value for e in self.events])

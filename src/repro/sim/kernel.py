@@ -2,8 +2,8 @@
 
 :class:`Simulator` carries everything about a simulation that does not
 depend on how scheduled occurrences are stored — the seeded RNG streams,
-the metrics registry, the tracer hook, the clock, and the event / process
-/ combinator constructors. The queue itself (scheduling, cancellation,
+the metrics registry, the tracer hook, the clock, and the event and
+process constructors. The queue itself (scheduling, cancellation,
 the run loop) is :class:`repro.sim.fastkernel.RingSimulator`, the single
 implementation; ``Simulator(seed)`` always builds one.
 
@@ -18,10 +18,10 @@ Time is a float in **seconds** of simulated time.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator
 
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
@@ -85,10 +85,6 @@ class Simulator:
         """An event that triggers ``delay`` seconds from now."""
         return Timeout(self, delay, value=value)
 
-    def call_soon(self, fn: Callable, *args):
-        """Run ``fn(*args)`` at the current time, after pending events."""
-        return self.call_later(0.0, fn, *args)
-
     # call_later / cancel_timer / run are declared here for their API
     # docstrings, and must stay defined on this class because
     # bench/trace.py resolves them by name; the kernel installs the
@@ -118,14 +114,6 @@ class Simulator:
         itself an event that triggers when the generator returns.
         """
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Race: triggers with ``(index, value)`` of the first event."""
-        return AnyOf(self, list(events))
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Barrier: triggers with the list of all event values."""
-        return AllOf(self, list(events))
 
     # -- running -----------------------------------------------------------
 

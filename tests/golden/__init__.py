@@ -255,6 +255,19 @@ path), the ``slow-leader`` campaign at seeds 0-2 (the silence rule) and
 an administrator's signed join of a fifth replica (reconfiguration,
 checkpoints and the joiner's transfer), each with its schedule digest,
 decided streams and every replica's counters.
+
+The ``neoscada`` block was recorded from the untouched ``src/`` of the
+last commit whose unreplicated Master fed its four jittered workers
+through a ``Channel``: Fig 8(a)-style updates at 400/s over five items
+with a ``Monitor`` alarm and two HMI writes. The change that queues their
+messages in a ``deque`` and wakes an idle worker with a plain event
+re-recorded exactly two entries, ``dispatched`` (1485 → 1272) and
+``schedule_sha256``: the channel put's no-op event, one per data-plane
+message (213), is no longer dispatched. The parent's
+``(when, priority, callback)`` sequence with those put events dropped,
+and its channel gets named as plain events, is the new one, dispatch for
+dispatch. The completion instants, HMI values, alarm ids, event storage,
+write results and final clock stayed byte-identical.
 """
 
 import json

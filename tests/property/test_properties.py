@@ -11,7 +11,7 @@ from repro.neoscada import DataValue, EventRecord, EventStorage, Severity
 from repro.neoscada import storage as neoscada_storage
 from repro.neoscada.da.subscription import SubscriptionManager
 from repro.neoscada.storage import StorageStation
-from repro.sim import Channel, Simulator
+from repro.sim import Simulator
 from repro.wire import decode, encode
 
 # -- wire codec: decode(encode(x)) == x for all encodable values -------------
@@ -75,30 +75,6 @@ def test_sim_dispatch_order_is_sorted_by_time(delays):
     for delay in set(delays):
         indexes = [i for d, i in fired if d == delay]
         assert indexes == sorted(indexes)
-
-
-@given(
-    st.lists(st.integers(), min_size=1, max_size=50),
-    st.integers(min_value=1, max_value=5),
-)
-def test_channel_is_fifo_regardless_of_capacity(items, capacity):
-    sim = Simulator()
-    channel = Channel(sim, capacity=capacity)
-    received = []
-
-    def producer():
-        for item in items:
-            yield channel.put(item)
-
-    def consumer():
-        for _ in items:
-            value = yield channel.get()
-            received.append(value)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert received == items
 
 
 # -- storage ---------------------------------------------------------------------

@@ -72,11 +72,11 @@ def test_agreement_and_validity_under_faults(schedule, operations, seed):
 
     def client():
         for i in range(operations):
-            event = proxy.invoke_ordered(encode(("add", 1)))
-            outcome = yield sim.any_of([event, sim.timeout(5.0, "timeout")])
-            index, value = outcome
-            if index == 0:
-                acknowledged.append(decode(value))
+            try:
+                value = yield proxy.invoke_ordered(encode(("add", 1)))
+            except TimeoutError:
+                continue  # unacknowledged: decided or not, either is valid
+            acknowledged.append(decode(value))
         return True
 
     sim.process(chaos())

@@ -181,7 +181,7 @@ def test_two_proxies_are_isolated():
     def run_all():
         a = alice.invoke_ordered(encode(("add", 1)))
         b = bob.invoke_ordered(encode(("add", 2)))
-        values = yield sim.all_of([a, b])
+        values = [(yield a), (yield b)]
         return [decode(v) for v in values]
 
     sim.run_process(run_all(), until=sim.now + 10)

@@ -162,7 +162,11 @@ def test_pipelined_leader_crash_reproposes_every_inflight_cid():
     assert all(r.last_decided == -1 for r in live)
     net.crash("replica-0")
 
-    sim.run(until=sim.now + 30, stop_on=sim.all_of(events))
+    def acknowledged():
+        for event in events:
+            yield event
+
+    sim.run(until=sim.now + 30, stop_on=sim.process(acknowledged()))
     assert all(event.ok for event in events)
     sim.run(until=sim.now + 1)
     assert all(r.synchronizer.regency >= 1 for r in live)
@@ -182,7 +186,12 @@ def test_pipelined_leader_crash_preserves_client_order():
     events = [proxy.invoke_ordered(encode(("add", 1))) for _ in range(8)]
     sim.run(until=sim.now + 0.025)
     net.crash("replica-0")
-    sim.run(until=sim.now + 30, stop_on=sim.all_of(events))
+
+    def acknowledged():
+        for event in events:
+            yield event
+
+    sim.run(until=sim.now + 30, stop_on=sim.process(acknowledged()))
     assert all(event.ok for event in events)
     sim.run(until=sim.now + 1)
     live = replicas[1:]
@@ -208,7 +217,8 @@ def test_progress_suppresses_suspicion_under_load():
 
     def burst():
         events = [proxy.invoke_ordered(encode(("add", 1))) for _ in range(300)]
-        yield sim.all_of(events)
+        for event in events:
+            yield event
         return True
 
     sim.run_process(burst(), until=sim.now + 60)

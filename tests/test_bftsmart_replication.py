@@ -104,7 +104,9 @@ def test_batching_packs_concurrent_requests():
 
     def burst():
         events = [proxy.invoke_ordered(encode(("add", 1))) for _ in range(50)]
-        results = yield sim.all_of(events)
+        results = []
+        for event in events:
+            results.append((yield event))
         return results
 
     sim.run_process(burst(), until=sim.now + 60)

@@ -12,9 +12,15 @@ registered type of the wrong shape: a PROPOSE by reference from a
 Byzantine leader, a fetch from a Byzantine follower. Each is dropped and
 counted as one rejected envelope, and a follower that repeats a fetch
 gets no second answer.
+
+The replicated SCADA Master has one entry point, the BFT-ordered
+Adapter: its core is on no network, so a message addressed to the
+Master's logical identity reaches no replica and changes no state.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.bftsmart import CounterService, GroupConfig, build_group, build_proxy
 from repro.bftsmart.messages import (
@@ -24,8 +30,11 @@ from repro.bftsmart.messages import (
     RequestBatch,
     Sealed,
 )
+from repro.core import ShardedScadaConfig, build_sharded_scada, build_smartscada
 from repro.crypto import KeyStore, digest
-from repro.net import ConstantLatency, Drop, Network
+from repro.neoscada import DataValue, ItemUpdate
+from repro.neoscada.messages import BrowseReply, EventQuery, ValueQuery
+from repro.net import ConstantLatency, Drop, Network, UnknownEndpoint
 from repro.sim import Simulator
 from repro.wire import GLOBAL_REGISTRY, decode, encode
 
@@ -184,3 +193,47 @@ def test_a_repeated_fetch_gets_no_second_answer():
     sim.run(until=sim.now + 0.01)
     assert answers == [("replica-3", (request,)), ("replica-2", (request,))]
     assert _rejected(replicas) == [rejected[0] + 2] + rejected[1:]
+
+
+def test_the_replicated_master_core_is_no_network_entry_point():
+    sim = Simulator(seed=1)
+    system = build_smartscada(sim)
+    system.frontend.add_item("plant.temperature", initial=20)
+    system.frontend.add_item("plant.valve", initial=0, writable=True)
+    system.start()
+
+    def traffic(first, count):
+        for value in range(first, first + count):
+            system.frontend.inject_update("plant.temperature", value)
+            yield sim.timeout(0.01)
+
+    sim.run_process(traffic(0, 100), until=sim.now + 5)
+    stranger = system.net.endpoint("stranger")
+    for message in (
+        BrowseReply(items=(("ghost.item", True),)),
+        EventQuery(query_id="q-1", reply_to="stranger"),
+        ValueQuery(query_id="q-2", reply_to="stranger", item_id="plant.temperature"),
+        ItemUpdate("plant.temperature", DataValue(-1)),
+    ):
+        with pytest.raises(UnknownEndpoint):
+            stranger.send("scada-master", message)
+    sim.run(until=sim.now + 1.0)
+    assert len(set(system.state_digests())) == 1
+
+    def later():
+        yield from traffic(1000, 3)
+        result = yield system.hmi.write("plant.valve", 1)
+        return result.success
+
+    assert sim.run_process(later(), until=sim.now + 5)
+    sim.run(until=sim.now + 0.5)
+    assert system.hmi.value_of("plant.temperature") == 1002
+    assert system.hmi.value_of("plant.valve") == 1
+    assert len(set(system.state_digests())) == 1
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_no_deployment_puts_the_master_core_on_the_network(shards):
+    sim = Simulator(seed=1)
+    system = build_sharded_scada(sim, config=ShardedScadaConfig(shards=shards))
+    assert not system.net.has_endpoint("scada-master")

@@ -56,6 +56,12 @@ path under a withholding and a misdigesting leader, the silence rule
 recorded before ``ServiceReplica`` was split into pool, proposer,
 acceptor and executor.
 
+``neoscada`` pins the unreplicated Master's worker pool, the one place
+left where the order of execution is not the order of arrival: what
+reaches the HMI and when, the alarms and the event storage of a run with
+four jittered workers. It was recorded while the workers still took their
+messages from a ``Channel``.
+
 A change that is *meant* to move one (a new wire type, a protocol change)
 updates the file from the failing assertion's left side.
 """
@@ -93,12 +99,13 @@ from repro.chaos.campaign import CampaignConfig
 from repro.chaos.monitors import InvariantMonitor, default_monitors
 from repro.crypto import KeyStore
 from repro.neoscada import HandlerChain, Monitor
-from repro.core import build_smartscada
+from repro.core import build_neoscada, build_smartscada, make_network
 from repro.net import ConstantLatency, Drop, LanLatency, Network
 from repro.perf import clear_hot_path_caches
 from repro.core import ShardSplitter, ShardedScadaConfig, build_sharded_scada
 from repro.sim import Simulator
 from repro.wire import decode, encode
+from repro.workloads.generators import UpdateWorkload
 from repro.workloads.profiler import run_bft_micro
 from tests.golden import GOLDEN
 from tests.test_wire_codec_caching import _REGISTERED, _ids, sample_instance
@@ -583,3 +590,62 @@ def _roles_case(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(GOLDEN["roles"]))
 def test_replica_roles_case(name):
     assert _roles_case(name) == GOLDEN["roles"][name]
+
+
+def _neoscada_worker_pool() -> dict:
+    """The unreplicated Master's four jittered workers under Fig 8(a) load.
+
+    Updates at 400/s over five items, half of them above a ``Monitor``
+    threshold, with two HMI writes in the middle of the traffic: what
+    reaches the HMI, and when, is decided by which worker takes which
+    message and how long its jittered processing takes.
+    """
+    sim = Simulator(seed=3)
+    log = sim._schedule_log = []
+    system = build_neoscada(sim, net=make_network(sim), workers=4, jitter=0.2)
+    item_ids = [f"rtu.sensor.{i}" for i in range(5)]
+    for item_id in item_ids:
+        system.frontend.add_item(item_id, initial=0)
+        system.attach_handlers(item_id, lambda: HandlerChain([Monitor(high=500.0)]))
+    system.frontend.add_item("rtu.actuator", initial=0, writable=True)
+    system.start()
+    completions = []
+    system.hmi.on_value_change = lambda item_id, value: completions.append(
+        (sim.now, item_id, value.value)
+    )
+    workload = UpdateWorkload(
+        sim, system.frontend, item_ids, rate=400.0, alarm_ratio=0.5,
+        normal_value=100, alarm_value=900,
+    )
+    workload.start(duration=0.5)
+    writes = []
+
+    def operator():
+        for value in (1, 2):
+            yield sim.timeout(0.15)
+            result = yield system.hmi.write("rtu.actuator", value)
+            writes.append([result.success, result.reason])
+
+    sim.run_process(operator(), until=30)
+    sim.run(until=sim.now + 0.5)
+    return _as_json({
+        "completions_sha256": hashlib.sha256(repr(completions).encode()).hexdigest(),
+        "completions": len(completions),
+        "hmi_values": sorted(
+            [item_id, value.value, value.quality.name, value.timestamp]
+            for item_id, value in system.hmi.values.items()
+        ),
+        "alarm_ids": [event.event_id for event in system.hmi.alarms()],
+        "storage_sha256": hashlib.sha256(
+            repr(system.master.storage.to_tuple()).encode()
+        ).hexdigest(),
+        "stored": system.master.storage.total_written,
+        "writes": writes,
+        "now": sim.now,
+        "schedule_sha256": _schedule_sha256(log),
+        "dispatched": sim.dispatched,
+    })
+
+
+def test_neoscada_worker_pool():
+    assert _neoscada_worker_pool() == GOLDEN["neoscada"]

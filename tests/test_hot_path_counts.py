@@ -33,7 +33,6 @@ from repro.net import Network
 from repro.net.latency import ConstantLatency, LanLatency
 from repro.perf import clear_hot_path_caches
 from repro.sim import Simulator
-from repro.sim.channels import _GetEvent, _PutEvent
 from repro.sim.events import Timeout
 from repro.wire import Codec, encode
 from repro.workloads.runner import run_update_experiment
@@ -235,31 +234,25 @@ def test_size_hints_are_exact_wire_sizes(monkeypatch):
 def test_the_executor_builds_no_kernel_event(monkeypatch):
     """Queuing a decided batch, handing it to the executor and waiting out
     its modelled cost go through ``defer``: no replica builds a
-    ``Timeout``, channel put or channel get for them. Each built event is
-    charged to the innermost function of the replica's modules (the
-    replica and its four roles) on the stack; the watchdog, still a
-    process that sleeps on ``Timeout``s, is the only one, which also
-    shows the probe sees replica events."""
+    ``Timeout`` for them. Each built timeout is charged to the innermost
+    function of the replica's modules (the replica and its four roles) on
+    the stack; the watchdog, still a process that sleeps on ``Timeout``s,
+    is the only one, which also shows the probe sees replica events."""
     built = Counter()
     replica_files = {
         module.__file__ for module in (replica, pool, proposer, acceptor, executor)
     }
+    original = Timeout.__init__
 
-    def probe(cls):
-        original = cls.__init__
+    def init(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_filename not in replica_files:
+            frame = frame.f_back
+        if frame is not None:
+            built["Timeout", frame.f_code.co_name] += 1
+        original(self, *args, **kwargs)
 
-        def init(self, *args, **kwargs):
-            frame = sys._getframe(1)
-            while frame is not None and frame.f_code.co_filename not in replica_files:
-                frame = frame.f_back
-            if frame is not None:
-                built[cls.__name__, frame.f_code.co_name] += 1
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", init)
-
-    for cls in (Timeout, _PutEvent, _GetEvent):
-        probe(cls)
+    monkeypatch.setattr(Timeout, "__init__", init)
     ops, _counts = _update_run(1)
     assert ops == 200
     assert set(built) == {("Timeout", "_watchdog")}

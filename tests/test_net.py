@@ -28,19 +28,24 @@ def make_net(trace: bool = False, latency: float = 0.001):
     return sim, net
 
 
-def test_basic_delivery_to_inbox():
+def test_basic_delivery_to_handler_after_link_latency():
     sim, net = make_net()
     a = net.endpoint("a")
     b = net.endpoint("b")
-
-    def receiver():
-        item = yield b.inbox.get()
-        return (sim.now, item)
-
-    proc = sim.process(receiver())
+    seen = []
+    b.set_handler(lambda payload, src: seen.append((sim.now, payload)))
     a.send("b", "hello")
     sim.run()
-    assert proc.value == (0.001, "hello")
+    assert seen == [(0.001, "hello")]
+
+
+def test_an_endpoint_without_handler_drops_deliveries():
+    sim, net = make_net()
+    a = net.endpoint("a")
+    net.endpoint("b")
+    a.send("b", "hello")
+    assert sim.run() == 0.001
+    assert net.delivered == 1
 
 
 def test_delivery_to_handler():

@@ -1,41 +1,6 @@
 """Edge-case tests for the simulation kernel not covered elsewhere."""
 
-import pytest
-
-from repro.sim import AnyOf, Channel, Interrupted, Simulator
-
-
-def test_any_of_propagates_first_failure():
-    sim = Simulator()
-    bad = sim.event()
-
-    def failer():
-        yield sim.timeout(1.0)
-        bad.fail(RuntimeError("boom"))
-
-    def racer():
-        try:
-            yield sim.any_of([bad, sim.timeout(10.0)])
-        except RuntimeError as exc:
-            return f"caught:{exc}"
-        return "no-error"
-
-    sim.process(failer())
-    proc = sim.process(racer())
-    sim.run(until=20.0)
-    assert proc.value == "caught:boom"
-
-
-def test_any_of_second_finisher_is_defused():
-    sim = Simulator()
-
-    def racer():
-        result = yield sim.any_of([sim.timeout(1.0, "fast"), sim.timeout(2.0, "slow")])
-        return result
-
-    proc = sim.process(racer())
-    sim.run()  # the losing timeout still fires; must not raise
-    assert proc.value == (0, "fast")
+from repro.sim import Interrupted, Simulator
 
 
 def test_call_later_event_value_is_none_not_result():
@@ -95,26 +60,6 @@ def test_process_waiting_on_failed_process_sees_exception():
     assert proc.value == "caught:child-broke"
 
 
-def test_channel_get_after_close_drains_then_fails():
-    sim = Simulator()
-    channel = Channel(sim)
-    channel.put("last")
-    channel.close()
-    outcomes = []
-
-    def consumer():
-        item = yield channel.get()
-        outcomes.append(item)
-        try:
-            yield channel.get()
-        except Exception as exc:
-            outcomes.append(type(exc).__name__)
-
-    sim.process(consumer())
-    sim.run()
-    assert outcomes == ["last", "ChannelClosed"]
-
-
 def test_rng_streams_are_independent_and_stable():
     sim_a = Simulator(seed=123)
     sim_b = Simulator(seed=123)
@@ -143,7 +88,7 @@ def test_peek_returns_next_event_time():
 def test_zero_delay_timeout_runs_in_order():
     sim = Simulator()
     order = []
-    sim.call_soon(order.append, "first")
+    sim.call_later(0.0, order.append, "first")
     sim.timeout(0.0).add_callback(lambda ev: order.append("second"))
     sim.run()
     assert order == ["first", "second"]

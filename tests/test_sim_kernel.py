@@ -29,14 +29,6 @@ def test_call_later_runs_at_the_right_time():
     assert seen == [2.5]
 
 
-def test_call_soon_runs_at_current_time():
-    sim = Simulator()
-    seen = []
-    sim.call_later(1.0, lambda: sim.call_soon(lambda: seen.append(sim.now)))
-    sim.run()
-    assert seen == [1.0]
-
-
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
@@ -184,44 +176,6 @@ def test_late_callback_on_defused_failure_runs_quietly():
     assert seen == [event]
 
 
-def test_any_of_returns_first_winner():
-    sim = Simulator()
-    race = sim.any_of([sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")])
-    sim.run()
-    assert race.value == (1, "fast")
-
-
-def test_all_of_collects_every_value():
-    sim = Simulator()
-    barrier = sim.all_of([sim.timeout(2.0, "a"), sim.timeout(1.0, "b")])
-    sim.run()
-    assert barrier.value == ["a", "b"]
-
-
-def test_all_of_empty_triggers_immediately():
-    sim = Simulator()
-    barrier = sim.all_of([])
-    assert barrier.triggered
-    assert barrier.value == []
-
-
-def test_all_of_fails_on_first_failure():
-    sim = Simulator()
-    bad = sim.event()
-    bad.fail(RuntimeError("nope"))
-    barrier = sim.all_of([sim.timeout(1.0), bad])
-    barrier.defused = True  # nobody yields on it in this test
-    sim.run(until=2.0)
-    assert barrier.triggered and not barrier.ok
-    assert isinstance(barrier.exception, RuntimeError)
-
-
-def test_any_of_requires_events():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.any_of([])
-
-
 def test_dispatched_counter_increments():
     sim = Simulator()
     sim.call_later(1.0, lambda: None)
@@ -241,7 +195,7 @@ def test_deterministic_repeat_runs():
             if i < 20:
                 sim.call_later(rng.random(), tick, i + 1)
 
-        sim.call_soon(tick, 0)
+        sim.call_later(0.0, tick, 0)
         sim.run()
         return trace
 

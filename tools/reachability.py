@@ -8,7 +8,8 @@ every CLI subcommand and library scenario, the examples), tier-1 and then
 ``src/`` functions called, ``os.cpu_count()`` children at a time, and rewrites
 the output file below ``MARK``. The part
 above it is hand-written and holds the ``| `module:qualname*` ... | verdict |``
-rows (first ``fnmatch`` wins); exit 1 = a product-unreached function matches none.
+rows (first ``fnmatch`` wins); exit 1 = a driver exited non-zero or a
+product-unreached function matches none.
 """
 
 import ast
@@ -165,7 +166,7 @@ def main(out_path: pathlib.Path) -> int:
     out_path.write_text(head + "\n".join(text) + "\n")
     missing = sum(len(by_verdict.get(NO_VERDICT, ())) for by_verdict in listed.values())
     print(*sorted(failed), f"{out_path}: {missing} functions without a verdict", sep="\n", file=sys.stderr)
-    return 1 if missing else 0
+    return 1 if failed or missing else 0
 
 
 if __name__ == "__main__":
