@@ -13,6 +13,7 @@ buffered and replayed once the window reaches it.
 from __future__ import annotations
 
 import typing
+from operator import attrgetter
 
 from repro.bftsmart.consensus import Instance, Proposal
 from repro.bftsmart.messages import (
@@ -26,7 +27,7 @@ from repro.bftsmart.messages import (
 from repro.bftsmart.proposer import BATCH, request_keys
 from repro.crypto import digest
 from repro.obs.trace import request_trace_id
-from repro.wire import DecodeError, decode, encode, recorded
+from repro.wire import DecodeError, decode, encode, record, recorded, same_encoding
 
 if typing.TYPE_CHECKING:
     from repro.bftsmart.replica import ServiceReplica
@@ -43,6 +44,32 @@ FUTURE_WINDOW = 64
 #: live traffic never reaches this share; a flooding member only fills
 #: its own.
 FUTURE_SHARE = 3 * FUTURE_WINDOW
+
+#: Records the first replica to vote on a slot keeps on the slot's
+#: :class:`RequestBatch`: its :class:`WriteMsg` (``WRITE``) and its
+#: :class:`AcceptMsg` (``ACCEPT``). Every correct replica holds that very
+#: batch (a follower's :meth:`Acceptor._rebuild` takes the leader's
+#: ``BATCH`` record) and votes byte-identically, so a later replica sends
+#: the recorded vote — whose encoding its channel already memoized —
+#: whenever its own ``(cid, epoch, value_digest)`` passes
+#: :func:`~repro.wire.same_encoding` against the record's, and builds
+#: (and records) its own otherwise.
+WRITE = "_write_memo"
+ACCEPT = "_accept_memo"
+_VOTE_FIELDS = attrgetter("cid", "epoch", "value_digest")
+
+
+def _vote(kind: type, name: str, instance: Instance, value_digest: bytes, batch):
+    """This replica's ``kind`` vote for ``instance``: the one recorded on
+    ``batch`` under ``name`` when it encodes like ours, else a new one
+    (recorded there when there is a batch)."""
+    fields = (instance.cid, instance.epoch, value_digest)
+    if batch is None:
+        return kind(*fields)
+    vote = recorded(batch, name)
+    if vote is not None and same_encoding(_VOTE_FIELDS(vote), fields):
+        return vote
+    return record(batch, name, kind(*fields))
 
 
 class _Held:
@@ -204,7 +231,7 @@ class Acceptor:
         """
         replica = self.replica
         if (
-            message.epoch > replica.regency
+            message.epoch > replica.synchronizer.regency
             and replica.state_transfer.in_progress
             and not self._draining_future
             and replica.view.contains(sender)
@@ -213,7 +240,7 @@ class Acceptor:
 
     def _drain_future(self) -> None:
         """Replay buffered messages that moved inside the pipeline window."""
-        if self._draining_future:
+        if self._draining_future or not self._future_buffer:
             return
         replica = self.replica
         self._draining_future = True
@@ -243,10 +270,11 @@ class Acceptor:
         if message.cid >= replica.next_cid + replica.config.pipeline_depth:
             self._buffer_future(message, sender)
             return False
-        if message.epoch != replica.regency:
+        regency = replica.synchronizer.regency
+        if message.epoch != regency:
             self._hold_epoch_ahead(message, sender)
             return False
-        return sender == replica.leader
+        return sender == replica.view.leader_for(regency)
 
     # -- PROPOSE by reference and its fetch path ---------------------------
 
@@ -449,11 +477,7 @@ class Acceptor:
             self._trace_open_instance(instance, batch, sender)
         value_digest = instance.set_proposal(value, timestamp, batch=batch)
         instance.write_sent = True
-        write = WriteMsg(
-            cid=instance.cid,
-            epoch=instance.epoch,
-            value_digest=value_digest,
-        )
+        write = _vote(WriteMsg, WRITE, instance, value_digest, batch)
         replica.channel.broadcast(replica.other_replicas(), write)
         instance.add_write(replica.address, value_digest)
         self._advance_instance(instance)
@@ -461,29 +485,42 @@ class Acceptor:
     def on_vote(self, message: WriteMsg | AcceptMsg, sender: str) -> None:
         """A member's WRITE or ACCEPT for a slot inside the window."""
         replica = self.replica
-        if message.cid < replica.next_cid:
+        cid = message.cid
+        next_cid = replica.next_cid
+        if cid < next_cid:
             return
-        if message.epoch != replica.regency:
+        if message.epoch != replica.synchronizer.regency:
             self._hold_epoch_ahead(message, sender)
             return
-        if message.cid >= replica.next_cid + replica.config.pipeline_depth:
+        if cid >= next_cid + replica.config.pipeline_depth:
             self._buffer_future(message, sender)
             return
-        if not replica.view.contains(sender):
+        if sender not in replica.view.addresses:
             return
-        instance = self._instance(message.cid, message.epoch)
+        instance = self.instances.get(cid)
+        if instance is None or instance.epoch != message.epoch:
+            instance = self._instance(cid, message.epoch)
+        # A WRITE counts until this replica ACCEPTs, an ACCEPT from then
+        # until the slot decides; a vote outside its phase is only kept.
         if type(message) is WriteMsg:
-            instance.add_write(sender, message.value_digest)
+            instance.writes.setdefault(sender, message.value_digest)
+            if instance.accept_sent:
+                return
         else:
-            instance.add_accept(sender, message.value_digest)
+            instance.accepts.setdefault(sender, message.value_digest)
+            if not instance.accept_sent or instance.decided:
+                return
         self._advance_instance(instance)
 
     def _advance_instance(self, instance: Instance) -> None:
-        if instance.proposal_digest is None:
+        proposed = instance.proposal_digest
+        if proposed is None:
             return
         replica = self.replica
         quorum = replica.view.consensus_quorum
-        if not instance.accept_sent and instance.has_write_quorum(quorum):
+        if not instance.accept_sent:
+            if not instance.has_write_quorum(quorum):
+                return
             instance.accept_sent = True
             obs, tracer = instance.obs, replica.sim.tracer
             if obs is not None and tracer is not None:
@@ -494,18 +531,12 @@ class Acceptor:
                     parent=obs["span"],
                     process=replica.address,
                 )
-            accept = AcceptMsg(
-                cid=instance.cid,
-                epoch=instance.epoch,
-                value_digest=instance.proposal_digest,
-            )
+            accept = _vote(AcceptMsg, ACCEPT, instance, proposed, instance.proposal_batch)
             replica.channel.broadcast(replica.other_replicas(), accept)
-            instance.add_accept(replica.address, instance.proposal_digest)
-        if (
-            not instance.decided
-            and instance.accept_sent
-            and instance.has_accept_quorum(quorum)
-        ):
+            instance.add_accept(replica.address, proposed)
+        if instance.decided:
+            return
+        if instance.has_accept_quorum(quorum):
             instance.decide()
             obs, tracer = instance.obs, replica.sim.tracer
             if obs is not None and tracer is not None:
@@ -568,7 +599,9 @@ class Acceptor:
         if obs is not None and tracer is not None and obs["wait"] is not None:
             tracer.end(obs["wait"])
         if replica.storage is not None:
-            fsynced = replica.storage.on_decided(cid, value, timestamp)
+            fsynced = replica.storage.on_decided(
+                cid, value, timestamp, instance.decided_batch
+            )
             if obs is not None and tracer is not None:
                 tracer.point(
                     "wal.append",

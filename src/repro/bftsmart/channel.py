@@ -91,16 +91,14 @@ _SEALED = "_seal_memo"
 _DECODE_STATS = PERF.stats["decode_share"]
 
 
-def _shareable(message):
-    """``message`` if receivers may share it (frozen dataclass), else None."""
-    return message if frozen(message.__class__) else None
-
-
 class SecureChannel:
     """Seals outgoing and opens incoming protocol messages for one node."""
 
     def __init__(self, endpoint: Endpoint, keystore: KeyStore) -> None:
         self.endpoint = endpoint
+        #: The network the endpoint is attached to: a send checks
+        #: ``endpoint.down`` and hands the envelope to it directly.
+        self.network = endpoint.network
         #: The endpoint's address (fixed for the endpoint's lifetime).
         self.address = endpoint.address
         self.auth = Authenticator(endpoint.address, keystore)
@@ -132,19 +130,34 @@ class SecureChannel:
     def seal(self, message, receivers) -> Sealed:
         """One envelope for ``message`` carrying a MAC tag per receiver."""
         payload = encode_cached(message)
-        mac, key = self.auth.mac, self.auth.key
+        mac = self.auth.mac
         tags = {}
         records = {}
         for receiver in receivers:
-            tag = tags[receiver] = mac(receiver, payload)
-            records[receiver] = (key(receiver), payload, tag)
+            tags[receiver] = mac(receiver, payload, records)
         sealed = Sealed(sender=self.address, payload=payload, tags=tags)
-        record(sealed, _SEALED, (_shareable(message), records), payload)
+        shared = message if frozen(message.__class__) else None
+        record(sealed, _SEALED, (shared, records), payload)
         return sealed
 
     def send(self, dst: str, message) -> None:
         """Seal and send to a single receiver."""
-        self.multicast((dst,), message)
+        if self.endpoint.down:
+            return
+        payload = encode_cached(message)
+        records = {}
+        tag = self.auth.mac(dst, payload, records)
+        sealed = Sealed(sender=self.address, payload=payload, tags={dst: tag})
+        shared = message if frozen(message.__class__) else None
+        record(sealed, _SEALED, (shared, records), payload)
+        overhead = self._overheads.get(dst) or self._overhead(dst)
+        self.network.send(
+            self.address,
+            dst,
+            sealed,
+            type(message).__name__,
+            overhead + 1 + uvarint_size(len(payload)) + len(payload),
+        )
 
     def multicast(self, receivers, message) -> None:
         """Send the same message to each receiver in its own envelope.
@@ -155,24 +168,22 @@ class SecureChannel:
         shared by every envelope — byte-identical on the wire to sending
         one at a time, minus the redundant encodes.
         """
+        if self.endpoint.down:
+            return
         payload = encode_cached(message)
-        shared = _shareable(message)
+        shared = message if frozen(message.__class__) else None
         kind = type(message).__name__
-        mac, key = self.auth.mac, self.auth.key
+        mac = self.auth.mac
         sender = self.address
-        send = self.endpoint.send
+        send = self.network.send
         overhead = self._overhead
         payload_part = 1 + uvarint_size(len(payload)) + len(payload)
         for receiver in receivers:
-            tag = mac(receiver, payload)
+            records = {}
+            tag = mac(receiver, payload, records)
             sealed = Sealed(sender=sender, payload=payload, tags={receiver: tag})
-            record(
-                sealed,
-                _SEALED,
-                (shared, {receiver: (key(receiver), payload, tag)}),
-                payload,
-            )
-            send(receiver, sealed, kind, overhead(receiver) + payload_part)
+            record(sealed, _SEALED, (shared, records), payload)
+            send(sender, receiver, sealed, kind, overhead(receiver) + payload_part)
 
     def broadcast(self, receivers, message, include_self: bool = False) -> None:
         """Seal once with a MAC vector and send to every receiver.
@@ -185,6 +196,8 @@ class SecureChannel:
         the loopback path, keeping self-messages in the same code path as
         peer messages (as BFT-SMaRt does).
         """
+        if self.endpoint.down:
+            return
         receivers = tuple(receivers)  # the overhead cache key; no copy of a tuple
         sealed = self.seal(message, receivers)
         payload = sealed.payload
@@ -192,11 +205,12 @@ class SecureChannel:
             self._overhead(receivers) + 1 + uvarint_size(len(payload)) + len(payload)
         )
         kind = type(message).__name__
-        send = self.endpoint.send
+        send = self.network.send
+        sender = self.address
         for receiver in receivers:
-            if receiver == self.address and not include_self:
+            if receiver == sender and not include_self:
                 continue
-            send(receiver, sealed, kind, size_hint)
+            send(sender, receiver, sealed, kind, size_hint)
 
     # -- receiving -----------------------------------------------------------
 

@@ -98,24 +98,14 @@ class Instance:
     def add_accept(self, sender: str, value_digest: bytes) -> None:
         self.accepts.setdefault(sender, value_digest)
 
-    def write_count(self, value_digest: bytes) -> int:
-        return countOf(self.writes.values(), value_digest)
-
-    def accept_count(self, value_digest: bytes) -> int:
-        return countOf(self.accepts.values(), value_digest)
-
     def has_write_quorum(self, quorum: int) -> bool:
         """Does the *proposed* digest hold a WRITE quorum?"""
-        return (
-            self.proposal_digest is not None
-            and self.write_count(self.proposal_digest) >= quorum
-        )
+        proposed = self.proposal_digest
+        return proposed is not None and countOf(self.writes.values(), proposed) >= quorum
 
     def has_accept_quorum(self, quorum: int) -> bool:
-        return (
-            self.proposal_digest is not None
-            and self.accept_count(self.proposal_digest) >= quorum
-        )
+        proposed = self.proposal_digest
+        return proposed is not None and countOf(self.accepts.values(), proposed) >= quorum
 
     def decide(self) -> None:
         if self.proposal_value is None:

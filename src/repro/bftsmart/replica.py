@@ -173,11 +173,11 @@ class ServiceReplica:
 
     @property
     def leader(self) -> str:
-        return self.view.leader_for(self.regency)
+        return self.view.leader_for(self.synchronizer.regency)
 
     @property
     def is_leader(self) -> bool:
-        return self.leader == self.address
+        return self.view.leader_for(self.synchronizer.regency) == self.address
 
     def other_replicas(self) -> tuple:
         """The view's members except this replica, rebuilt once per view."""

@@ -16,9 +16,9 @@ A sender hands its receivers what it computed as a *record*
 ``(key, payload, tag)`` (the channel stores it on the envelope). The pair
 key is symmetric and the KeyStore hands out one key object per pair, so
 the tag a sender computed is exactly the tag its receiver would
-recompute: :meth:`Authenticator.mac` returns it without hashing when the
-record was made under the receiver's own key object for the claimed peer
-and for the very payload object being checked. Anything else — a wrong
+recompute: :meth:`Authenticator.verify` compares it without hashing when
+the record was made under the receiver's own key object for the claimed
+peer and for the very payload object being checked. Anything else — a wrong
 key, a different sender, an equal-content copy — is recomputed, and the
 caller still runs ``compare_digest`` against the tag on the wire.
 """
@@ -89,26 +89,36 @@ class Authenticator:
             key = self._keys[peer] = self._keystore.pair_key(self.me, peer)
         return key
 
-    def mac(self, peer: str, payload: bytes, record: tuple | None = None) -> bytes:
+    def mac(self, peer: str, payload: bytes, records: dict | None = None) -> bytes:
         """MAC for ``payload`` on the channel between ``self.me`` and peer.
 
-        ``record`` is a sender's ``(key, payload, tag)``; its tag is used
-        only if it was made under this channel's key for this payload.
+        A sender passes ``records`` (a dict) to have the record ``(key,
+        payload, tag)`` its receiver's :meth:`verify` takes stored in it
+        under ``peer``.
         """
-        key = self._keys.get(peer)
-        if key is None:
-            key = self.key(peer)
-        if record is not None and record[0] is key and record[1] is payload:
-            _MAC_STATS.hits += 1
-            return record[2]
         _MAC_STATS.misses += 1
         template = self._templates.get(peer)
         if template is None:
-            template = self._templates[peer] = hmac_template(key)
-        return template(payload)[:MAC_SIZE]
+            template = self._templates[peer] = hmac_template(self.key(peer))
+        tag = template(payload)[:MAC_SIZE]
+        if records is not None:
+            records[peer] = (self._keys[peer], payload, tag)
+        return tag
 
     def verify(
         self, peer: str, payload: bytes, tag: bytes, record: tuple | None = None
     ) -> bool:
-        """Constant-time check of ``tag`` against the expected MAC."""
-        return hmac.compare_digest(self.mac(peer, payload, record), tag)
+        """Constant-time check of ``tag`` against the expected MAC.
+
+        ``record`` is a sender's ``(key, payload, tag)``; its tag stands
+        for the expected MAC only if it was made under this channel's key
+        for this very payload object, and is recomputed otherwise.
+        """
+        if record is not None:
+            key = self._keys.get(peer)
+            if key is None:
+                key = self.key(peer)
+            if record[0] is key and record[1] is payload:
+                _MAC_STATS.hits += 1
+                return hmac.compare_digest(record[2], tag)
+        return hmac.compare_digest(self.mac(peer, payload), tag)

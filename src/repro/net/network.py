@@ -93,12 +93,21 @@ class Network:
         self.set_link(a, b, model)
         self.set_link(b, a, model)
 
+    def _existing(self, address: str) -> Endpoint:
+        """The endpoint at ``address``, which :meth:`send` looks up inline;
+        an address never created raises :class:`UnknownEndpoint`."""
+        endpoint = self._endpoints.get(address)
+        if endpoint is None:
+            raise UnknownEndpoint(f"no endpoint registered at {address!r}")
+        return endpoint
+
     def crash(self, address: str) -> None:
         """Take an endpoint down: it silently loses all traffic."""
-        self.endpoint(address).down = True
+        self._existing(address).down = True
 
     def recover(self, address: str) -> None:
-        self.endpoint(address).down = False
+        """Bring a crashed endpoint back up."""
+        self._existing(address).down = False
 
     # -- transmission --------------------------------------------------------
 

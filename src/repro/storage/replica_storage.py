@@ -71,9 +71,13 @@ class ReplicaStorage:
 
     # -- replica-facing write path -----------------------------------------
 
-    def on_decided(self, cid: int, value: bytes, timestamp: float) -> bool:
-        """WAL-append one decision; returns True when the append fsynced."""
-        return self.wal.append(cid, value, timestamp)
+    def on_decided(
+        self, cid: int, value: bytes, timestamp: float, carrier=None
+    ) -> bool:
+        """WAL-append one decision; returns True when the append fsynced.
+        The group's replicas share one frame through ``carrier`` (see
+        :func:`repro.storage.wal.wal_frame`)."""
+        return self.wal.append(cid, value, timestamp, carrier)
 
     def on_checkpoint(self, cid: int, snapshot_blob: bytes) -> None:
         self.checkpoints.install(cid, snapshot_blob)

@@ -24,11 +24,34 @@ Three fsync policies trade durability lag for barrier count:
 from __future__ import annotations
 
 from repro.crypto import digest
-from repro.wire import DecodeError, decode, encode
+from repro.wire import DecodeError, decode, encode, record, recorded, same_encoding
 
 FSYNC_POLICIES = ("every-decision", "every-n", "checkpoint-only")
 #: Appends between barriers under the ``every-n`` policy.
 FSYNC_INTERVAL = 8
+
+#: Record the first replica to log a decision keeps on the decision's
+#: carrier (the slot's ``RequestBatch``, which every correct replica
+#: holds), keyed by the value's bytes object: ``((cid, timestamp),
+#: frame)``. A later replica appends that very frame to its own disk when
+#: its own ``(cid, timestamp)`` passes :func:`~repro.wire.same_encoding`
+#: against the record's, and builds (and records) its own otherwise.
+FRAME = "_wal_frame_memo"
+
+
+def wal_frame(cid: int, value: bytes, timestamp: float, carrier=None) -> bytes:
+    """The log record of one decision: ``encode((payload, digest(payload)))``
+    with ``payload = encode((cid, value, timestamp))``, taken from
+    ``carrier``'s ``FRAME`` record when it encodes the same decision."""
+    if carrier is not None:
+        memo = recorded(carrier, FRAME, value)
+        if memo is not None and same_encoding(memo[0], (cid, timestamp)):
+            return memo[1]
+    payload = encode((cid, value, timestamp))
+    frame = encode((payload, digest(payload)))
+    if carrier is not None:
+        record(carrier, FRAME, ((cid, timestamp), frame), value)
+    return frame
 
 
 class WriteAheadLog:
@@ -51,10 +74,11 @@ class WriteAheadLog:
         self._cids: list[int] = []
         self._since_fsync = 0
 
-    def append(self, cid: int, value: bytes, timestamp: float) -> bool:
-        """Append one decision record; returns True when it fsynced."""
-        payload = encode((cid, value, timestamp))
-        self.disk.log_append(encode((payload, digest(payload))))
+    def append(self, cid: int, value: bytes, timestamp: float, carrier=None) -> bool:
+        """Append one decision record; returns True when it fsynced.
+        ``carrier`` is an object every replica logging this decision
+        holds (see :func:`wal_frame`)."""
+        self.disk.log_append(wal_frame(cid, value, timestamp, carrier))
         self._cids.append(cid)
         if self.policy == "every-decision":
             self.disk.fsync()

@@ -237,3 +237,23 @@ def test_no_deployment_puts_the_master_core_on_the_network(shards):
     sim = Simulator(seed=1)
     system = build_sharded_scada(sim, config=ShardedScadaConfig(shards=shards))
     assert not system.net.has_endpoint("scada-master")
+
+
+def test_crashing_or_recovering_an_unknown_address_invents_no_endpoint():
+    """``Network.crash``/``recover`` of an address that was never created
+    raise like a send to it does, instead of adding a handler-less
+    endpoint that swallows traffic (and that a partition then splits)."""
+    sim = Simulator(seed=1)
+    system = build_smartscada(sim)
+    net = system.net
+    before = net.addresses()
+    for address in ("scada-master", "replica-9"):
+        for action in (net.crash, net.recover):
+            with pytest.raises(UnknownEndpoint):
+                action(address)
+        assert not net.has_endpoint(address)
+    assert net.addresses() == before
+    net.crash("replica-1")  # a real endpoint still goes down and comes back
+    assert net.endpoint("replica-1").down
+    net.recover("replica-1")
+    assert not net.endpoint("replica-1").down

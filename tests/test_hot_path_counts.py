@@ -2,14 +2,16 @@
 
 Host time is noisy; the work the program does per operation is not. For
 a short seeded ``update`` run (Figure 8(a): Frontend -> ordering -> Master
--> pushes -> HMI) and a short ``bft-micro`` run (the bare library under a
-1 KiB echo firehose) the tests below pin the counts the benchmark's
-per-layer view is made of: canonical encodes, kernel dispatches, network
-sends and deliveries, MAC computations, and the sizes handed to the
-latency model, plus canonical decodes. A reintroduced sizing encode, a
-voted push decoded again, an extra event per message
-or a size shortcut (a hint that is not the exact wire size moves the
-schedule) fails here instead of in a benchmark run nobody made.
+-> pushes -> HMI), a short ``bft-micro`` run (the bare library under a
+1 KiB echo firehose) and a durable run with one update per decision
+(``failover``'s shape without its fault) the tests below pin the counts
+the benchmark's per-layer view is made of: canonical encodes, kernel
+dispatches, network sends and deliveries, MAC computations, and the
+sizes handed to the latency model, plus canonical decodes. A
+reintroduced sizing encode, a voted push decoded again, an extra event
+per message or a size shortcut (a hint that is not the exact wire size
+moves the schedule) fails here instead of in a benchmark run nobody
+made.
 
 The counts are recorded from the code, not derived; a change that moves
 one on purpose re-records it and says why.
@@ -17,6 +19,7 @@ one on purpose re-records it and says why.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 from collections import Counter
@@ -134,6 +137,35 @@ def _bft_micro_run(seed: int, requests: int = 300, rate: float = 25_000.0) -> tu
     return len(echoed), _kernel_and_network(sim)
 
 
+def _durable_run(seed: int, updates: int = 200, rate: float = 400.0) -> tuple:
+    """``failover``'s deployment without its fault: durable replicas (a
+    WAL append per decision), its timeouts, and open-loop updates at
+    400/s, so every operation is a whole decision of its own."""
+    sim = Simulator(seed=seed)
+    config = SmartScadaConfig(
+        durability=True, request_timeout=1.0, sync_timeout=2.0, invoke_timeout=0.5
+    )
+    system = build_smartscada(sim, net=make_network(sim), config=config)
+    items = [f"rtu.sensor.{i}" for i in range(20)]
+    for item_id in items:
+        system.frontend.add_item(item_id, initial=0)
+    system.start()
+    delivered = []
+    system.hmi.on_value_change = lambda item_id, value: delivered.append(item_id)
+    rng = random.Random(seed)
+
+    def inject():
+        for op in range(updates):
+            yield sim.timeout(1.0 / rate)
+            system.frontend.inject_update(items[rng.randrange(len(items))], -1 - op)
+
+    sim.process(inject())
+    sim.run(until=sim.now + updates / rate + 0.5)
+    counts = _kernel_and_network(sim)
+    counts["decided"] = [replica.stats["decided"] for replica in system.replicas]
+    return len(delivered), counts, system
+
+
 #: Recorded per seed. ``encodes`` counts every ``Codec.encode`` call of the
 #: run, build included; it lost one per update when the proxy started
 #: submitting the bytes the network had sized the Frontend's ItemUpdate by.
@@ -154,6 +186,15 @@ def _bft_micro_run(seed: int, requests: int = 300, rate: float = 25_000.0) -> tu
 #: payload on the shared operation): ``update`` 5570 -> 3572 (per update,
 #: three of four Replies, ItemUpdate payloads and PushMessages),
 #: ``bft-micro`` 1928 -> 1028 (three of four Replies per request).
+#: Only the encodes moved when each slot's WRITE and ACCEPT began to be
+#: built once per group (the first replica to vote records its vote on
+#: the slot's RequestBatch, which every replica holds): ``update`` 3572
+#: -> 2360 (three of four WriteMsgs and AcceptMsgs per instance, 202
+#: instances), ``bft-micro`` 1028 -> 956 (12 instances). Only the MACs
+#: moved when ``Authenticator.verify`` began to check a sealer's record
+#: itself instead of through ``mac``: every delivery verified through
+#: the record, so ``update`` 16092 -> 8046 and ``bft-micro`` 5448 ->
+#: 2724 are the MACs the senders compute, one per receiver.
 #: ``decodes`` counts every ``Codec.decode`` call; it is 0 because a
 #: message travels with the bytes it encodes: the proxies submit messages,
 #: so each request carries its body record, and the replicas push messages,
@@ -168,9 +209,9 @@ UPDATE = {
         "events": 10820,
         "sent": 8493,
         "delivered": 8493,
-        "encodes": 3572,
+        "encodes": 2360,
         "decodes": 0,
-        "macs": 16092,
+        "macs": 8046,
         "sized": 8493,
         "size_bytes": 1147810,
     },
@@ -180,11 +221,33 @@ BFT_MICRO = {
         "events": 3398,
         "sent": 2724,
         "delivered": 2724,
-        "encodes": 1028,
+        "encodes": 956,
         "decodes": 0,
-        "macs": 5448,
+        "macs": 2724,
         "sized": 2724,
         "size_bytes": 2754544,
+    },
+}
+
+#: ``failover``'s shape without its fault (:func:`_durable_run`): 202
+#: decisions of one request each, every one WAL-appended by each of the
+#: four replicas. Recorded when the group's WRITE, ACCEPT and WAL frame
+#: became built once per slot: 5188 encodes before, 25.7 per decision
+#: (each replica encoded its own WriteMsg, AcceptMsg and two-level WAL
+#: frame), 2764 after, 13.7 per decision (one of each per group); the
+#: MACs halved as on ``update`` (16092 -> 8046), and every other count
+#: stayed exact.
+DURABLE = {
+    1: {
+        "events": 10832,
+        "sent": 8493,
+        "delivered": 8493,
+        "decided": [202, 202, 202, 202],
+        "encodes": 2764,
+        "decodes": 0,
+        "macs": 8046,
+        "sized": 8493,
+        "size_bytes": 1147810,
     },
 }
 
@@ -199,6 +262,37 @@ def test_update_path_counts(counted, seed):
 def test_bft_micro_path_counts(counted, seed):
     ops, counts = _bft_micro_run(seed)
     assert {"ops": ops, **counts, **counted} == {"ops": 300, **BFT_MICRO[seed]}
+
+
+@pytest.mark.parametrize("seed", sorted(DURABLE))
+def test_durable_unbatched_path_counts(counted, seed):
+    ops, counts, _system = _durable_run(seed)
+    assert {"ops": ops, **counts, **counted} == {"ops": 200, **DURABLE[seed]}
+
+
+def test_each_decision_builds_its_votes_and_wal_frame_once(monkeypatch):
+    """Per decision the group encodes one WriteMsg, one AcceptMsg and one
+    WAL frame, however many replicas vote and log: the four disks hold
+    the very same frame objects."""
+    built = Counter()
+    original = Codec.encode
+
+    def encode_counted(self, value):
+        built[type(value).__name__] += 1
+        return original(self, value)
+
+    monkeypatch.setattr(Codec, "encode", encode_counted)
+    clear_hot_path_caches()
+    ops, counts, system = _durable_run(1)
+    decisions = counts["decided"][0]
+    assert ops == 200 and counts["decided"] == [decisions] * 4
+    assert built["WriteMsg"] == built["AcceptMsg"] == decisions
+    logs = [replica.storage.disk.log_records() for replica in system.replicas]
+    assert len(logs[0]) == decisions
+    assert all(
+        all(map(operator.is_, log, logs[0])) and len(log) == decisions
+        for log in logs
+    )
 
 
 def test_a_saturated_update_run_decodes_nothing(counted):
@@ -256,3 +350,4 @@ def test_the_executor_builds_no_kernel_event(monkeypatch):
     ops, _counts = _update_run(1)
     assert ops == 200
     assert set(built) == {("Timeout", "_watchdog")}
+

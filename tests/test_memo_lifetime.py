@@ -3,9 +3,10 @@
 Every per-message memo is a record (``repro.wire.record`` /
 ``repro.wire.recorded``) stored on the object it describes — the
 envelope's MAC records and message, the request's signing record, the
-leader's batch on its Propose, the group's Reply and PushMessages on the
-request they answer, the message each request and push carries as its
-body, each frozen message's own encoding — so it dies with that object. One table spans objects (the
+leader's batch on its Propose, the group's WRITE, ACCEPT and WAL frame on
+the slot's batch, the group's Reply and PushMessages on the request they
+answer, the message each request and push carries as its body, each
+frozen message's own encoding — so it dies with that object. One table spans objects (the
 content-keyed digest memo), and it is bounded. After a run and its
 deployment are gone, what ``src/repro`` allocated and still holds is
 that table and nothing else.
@@ -19,8 +20,9 @@ import tracemalloc
 import weakref
 
 from repro.bftsmart import EchoService, GroupConfig, build_group, build_proxy
+from repro.bftsmart.acceptor import ACCEPT, WRITE
 from repro.bftsmart.channel import SecureChannel
-from repro.bftsmart.messages import BODY, PushMessage, Stop
+from repro.bftsmart.messages import BODY, AcceptMsg, PushMessage, Stop, WriteMsg
 from repro.core import SmartScadaConfig, adapter, make_network
 from repro.core.system import build_smartscada
 from repro.crypto import KeyStore
@@ -28,8 +30,10 @@ from repro.crypto.digest import _DIGEST_CACHE, _DIGEST_CACHE_LIMIT
 from repro.net import ConstantLatency, Network
 from repro.perf import clear_hot_path_caches
 from repro.sim import Simulator
+from repro.storage import ReplicaStorage
+from repro.storage.wal import FRAME
 from repro.wire import recorded
-from tests.test_hot_path_counts import _bft_micro_run, _update_run
+from tests.test_hot_path_counts import _bft_micro_run, _durable_run, _update_run
 
 SRC = str(pathlib.Path(adapter.__file__).resolve().parent.parent) + "/"
 
@@ -73,6 +77,16 @@ def test_update_run_leaves_at_most_a_mebibyte_under_src_repro():
     # and each push carries.
     def run():
         ops, _counts = _update_run(1)
+        assert ops == 200
+
+    assert _retained_under_src(run) <= RETAINED_LIMIT
+
+
+def test_durable_run_leaves_at_most_a_mebibyte_under_src_repro():
+    # Adds the slot records (WRITE, ACCEPT and WAL frame on each batch);
+    # the frames themselves live on the disks, which go with the run.
+    def run():
+        ops, _counts, _system = _durable_run(1)
         assert ops == 200
 
     assert _retained_under_src(run) <= RETAINED_LIMIT
@@ -164,3 +178,45 @@ def test_the_groups_records_die_with_their_request_and_operation():
     gc.collect()
     assert {name: ref() for name, ref in sent.items()} == dict.fromkeys(sent)
     assert system.replicas[0].executed_cid > 0  # the deployment is still alive
+
+
+def test_a_slots_votes_and_frame_die_with_its_batch():
+    """The group's WRITE, ACCEPT and WAL frame are recorded on the slot's
+    batch; once the group has moved on, nothing keeps the batch or the
+    votes, and the frame lives on as the record every disk holds."""
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=ConstantLatency(0.0001))
+    keystore = KeyStore()
+    config = GroupConfig()
+    storages = {i: ReplicaStorage(a) for i, a in enumerate(config.addresses)}
+    replicas = build_group(sim, net, config, EchoService, keystore, storages)
+    proxy = build_proxy(sim, net, "client-1", config, keystore)
+    leader = replicas[0]
+    broadcast = leader.channel.broadcast
+    held = {}  # strong references while the first slot is inspected
+
+    def watch(receivers, message, include_self=False):
+        if type(message) in (WriteMsg, AcceptMsg):
+            held.setdefault("batch", leader.acceptor.instances[message.cid].proposal_batch)
+            held.setdefault(type(message).__name__, message)
+        broadcast(receivers, message, include_self)
+
+    leader.channel.broadcast = watch
+    first = proxy.invoke_ordered(b"op")
+    sim.run(until=sim.now + 1.0)
+    leader.channel.broadcast = broadcast
+    assert first.ok
+    batch = held["batch"]
+    assert recorded(batch, WRITE) is held["WriteMsg"]
+    assert recorded(batch, ACCEPT) is held["AcceptMsg"]
+    value = leader.decision_log[-1][1]
+    frame = recorded(batch, FRAME, value)[1]
+    assert all(r.storage.disk.log_records()[-1] is frame for r in replicas)
+    alive = {name: weakref.ref(obj) for name, obj in held.items()}
+    del batch, value, held
+    second = proxy.invoke_ordered(b"op2")  # replaces the executors' last batch
+    sim.run(until=sim.now + 1.0)
+    assert second.ok
+    gc.collect()
+    assert {name: ref() for name, ref in alive.items()} == dict.fromkeys(alive)
+    assert all(r.storage.disk.log_records()[-2] is frame for r in replicas)
